@@ -2,10 +2,10 @@
 
 Rule trees execute with prioritized-choice backtracking; semantic actions
 accumulate results on an untyped value stack; a stack-effect algebra checks
-grammars statically; rewrite passes specialize trees; failed parses report
-a principal error position with rule traces. Grammars load either through
-the library API (``pegstack.rules``) or from the textual notation
-(``pegstack.notation``); the ``pegstack`` CLI wraps both.
+grammars statically; failed parses report a principal error position with
+rule traces. Grammars load either through the library API
+(``pegstack.rules``) or from the textual notation (``pegstack.notation``);
+the ``pegstack`` CLI wraps both.
 """
 
 from .effects import (BranchEffectMismatch, EffectCheckError, EffectError, EffectMismatch,
@@ -19,8 +19,6 @@ from .errors import (ParseError, Position, RuleTrace, TerminalDescriptor,
                      position_of)
 from .notation import (GrammarSource, NotationError, load_grammar, parse_grammar,
                        pretty_grammar)
-from .optimize import (DEFAULT_PASSES, PASSES, RewritePass, compile_charsets,
-                       flatten_chains, inline_refs, optimize, specialize_literals)
 from .rules import (ALPHA, ANY, DIGIT, EOI, LOWER_HEX_LETTER, CharPredicate, Grammar,
                     GrammarError, GrammarIssue, RuleDef, RuleExpr, expr_text, grammar,
                     predicate_contains, validate_grammar)

@@ -14,7 +14,6 @@ from .effects import EffectCheckError, check_grammar
 from .engine import Parser, format_trace_event
 from .errors import format_error
 from .notation import NotationError, load_grammar
-from .optimize import DEFAULT_PASSES, PASSES, optimize
 from .rules import GrammarError
 from .values import Tree, Value, render_value
 
@@ -35,9 +34,6 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     source = run_cmd.add_mutually_exclusive_group()
     source.add_argument("--input", help="input text")
     source.add_argument("--input-file", help="read the input from a file")
-    run_cmd.add_argument("--no-optimize", action="store_true",
-                         help="run the grammar tree as written")
-    run_cmd.add_argument("--passes", help="comma-separated optimizer pass names")
     run_cmd.add_argument("--trace", action="store_true",
                          help="print one line per engine step")
     run_cmd.add_argument("--json", action="store_true", dest="as_json",
@@ -51,29 +47,45 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _value_json(value: Value):
-    payload = value.payload
-    if isinstance(payload, Tree):
-        return {"label": payload.label, "children": [_value_json(c) for c in payload.children]}
-    if isinstance(payload, str):
-        return payload
-    if isinstance(payload, tuple):
-        return [_value_json(c) for c in payload]
-    if payload is None and value.tag == "Unit":
-        return None
-    return repr(payload)
+    """JSON form of a value; iterative, like ``render_value``."""
+    root: list = []
+    todo = [(value, root)]  # each value with the array its JSON form joins
+    while todo:
+        value, into = todo.pop()
+        payload = value.payload
+        if isinstance(payload, (Tree, tuple)):
+            items: list = []
+            tree = isinstance(payload, Tree)
+            into.append({"label": payload.label, "children": items} if tree else items)
+            todo.extend((c, items) for c in reversed(payload.children if tree else payload))
+        elif isinstance(payload, str):
+            into.append(payload)
+        elif payload is None and value.tag == "Unit":
+            into.append(None)
+        else:
+            into.append(repr(payload))
+    return root[0]
 
 
-def _load(path: str, *, optimized: bool, passes: str | None):
-    g = load_grammar(path)
-    if passes is not None:
-        names = [p.strip() for p in passes.split(",") if p.strip()]
-        unknown = [p for p in names if p not in PASSES]
-        if unknown:
-            raise NotationError(path, f"unknown pass(es): {', '.join(unknown)}")
-        return optimize(g, names)
-    if optimized:
-        return optimize(g, DEFAULT_PASSES)
-    return g
+def _json_text(obj) -> str:
+    """``json.dumps(obj)`` for nested dicts and lists, without recursion."""
+    out: list[str] = []
+    todo = [obj]  # objects to write and (text,) for literal text, next one last
+    while todo:
+        item = todo.pop()
+        if isinstance(item, tuple):
+            out.append(item[0])
+        elif isinstance(item, dict):
+            out.append("{")
+            members = [x for k, v in item.items() for x in ((", ",), (json.dumps(k) + ": ",), v)]
+            todo.extend(reversed(members[1:] + [("}",)]))
+        elif isinstance(item, list):
+            out.append("[")
+            members = [x for v in item for x in ((", ",), v)]
+            todo.extend(reversed(members[1:] + [("]",)]))
+        else:
+            out.append(json.dumps(item))
+    return "".join(out)
 
 
 def _read_input(args) -> str:
@@ -88,7 +100,7 @@ def _read_input(args) -> str:
 
 
 def _cmd_run(args) -> int:
-    grammar = _load(args.grammar, optimized=not args.no_optimize, passes=args.passes)
+    grammar = load_grammar(args.grammar)
     text = _read_input(args)
     events = [] if args.trace else None
     result = Parser(grammar).run(text, start=args.start, trace=events)
@@ -97,7 +109,7 @@ def _cmd_run(args) -> int:
             print(format_trace_event(event))
     if result.values is not None:
         if args.as_json:
-            print(json.dumps({"result": "success",
+            print(_json_text({"result": "success",
                               "values": [_value_json(v) for v in result.values]}))
         else:
             for value in result.values:

@@ -23,7 +23,7 @@ from .values import StackUnderflow, Value, ValueStack, list_value
 # sentinel an action function returns to report a match failure
 ACTION_FAIL = object()
 
-_CHARSET_TYPES = (r.CharPred, r.AnyOf, r.NoneOf, r.CharSetMask)
+_CHARSET_TYPES = (r.CharPred, r.AnyOf, r.NoneOf)
 _TERMINAL_SET = frozenset(r.TERMINALS)
 
 
@@ -148,20 +148,18 @@ class Parser:
             r.IgnoreCaseCh: self._ignore_case_ch,
             r.Str: self._str,
             r.IgnoreCaseStr: self._ignore_case_str,
-            r.UnrolledStr: self._unrolled_str,
             r.CharPred: self._char_class,
             r.AnyOf: self._char_class,
             r.NoneOf: self._none_of,
-            r.CharSetMask: self._charset_mask,
             r.AnyChar: self._any_char,
             r.EndOfInput: self._end_of_input,
             r.Sequence: self._sequence,
             r.FirstOf: self._first_of,
             r.Optional: self._optional,
-            r.ZeroOrMore: self._zero_or_more,
-            r.OneOrMore: self._one_or_more,
-            r.AndPredicate: self._and_pred,
-            r.NotPredicate: self._not_pred,
+            r.ZeroOrMore: self._repeat,
+            r.OneOrMore: self._repeat,
+            r.AndPredicate: self._predicate,
+            r.NotPredicate: self._predicate,
             r.Capture: self._capture,
             r.Push: self._push,
             r.Drop: self._drop,
@@ -196,7 +194,7 @@ class Parser:
             if ok:
                 result = RunResult(values=state.stack.values())
             else:
-                result = RunResult(error=build_parse_error(self, text, name))
+                result = RunResult(error=build_parse_error(self, text, name, failed=state))
         if mode == "result":
             return result
         if mode == "either":
@@ -346,22 +344,6 @@ class Parser:
         self._register_mismatch(state, node, i)
         return False
 
-    def _unrolled_str(self, state, node):
-        # advances per matched character; on mismatch the cursor snaps back
-        # to the entry so the variant stays observably identical to Str
-        text = state.input
-        n = len(text)
-        entry = state.cursor
-        for c in node.text:
-            i = state.cursor
-            if i < n and text[i] == c:
-                state.cursor = i + 1
-            else:
-                state.cursor = entry
-                self._register_mismatch(state, node, entry)
-                return False
-        return True
-
     def _char_class(self, state, node):
         i = state.cursor
         text = state.input
@@ -381,17 +363,6 @@ class Parser:
         if i < len(text) and not node.pred.contains(text[i]):
             state.cursor = i + 1
             return True
-        self._register_mismatch(state, node, i)
-        return False
-
-    def _charset_mask(self, state, node):
-        i = state.cursor
-        text = state.input
-        if i < len(text):
-            o = ord(text[i])
-            if ((node.mask >> o) & 1) if o < 128 else node.match_above_ascii:
-                state.cursor = i + 1
-                return True
         self._register_mismatch(state, node, i)
         return False
 
@@ -454,36 +425,16 @@ class Parser:
         self._materialize(stack, base, tag)
         return True
 
-    def _zero_or_more(self, state, node):
+    def _repeat(self, state, node):
+        """ZeroOrMore and OneOrMore: a zero-width iteration ends the loop."""
         inner = node.inner
+        minimum = type(node) is r.OneOrMore
         if state.events is None and type(inner) in _CHARSET_TYPES:
-            return self._char_loop(state, inner, 0)
+            return self._char_loop(state, inner, minimum)
         stack = state.stack
         tag = self._collect_tag(node)
         base = stack.size() if tag is not None else 0
-        touches = self._touches(node)
-        while True:
-            entry = state.cursor
-            snap = stack.snapshot() if touches else None
-            if not self.match(state, inner):
-                break
-            if state.cursor == entry:
-                # zero-width success: roll the iteration back and stop
-                if snap is not None:
-                    stack.restore(snap)
-                break
-        if tag is not None:
-            self._materialize(stack, base, tag)
-        return True
-
-    def _one_or_more(self, state, node):
-        inner = node.inner
-        if state.events is None and type(inner) in _CHARSET_TYPES:
-            return self._char_loop(state, inner, 1)
-        stack = state.stack
-        tag = self._collect_tag(node)
-        base = stack.size() if tag is not None else 0
-        if not self.match(state, inner):
+        if minimum and not self.match(state, inner):
             return False
         touches = self._touches(node)
         while True:
@@ -492,6 +443,7 @@ class Parser:
             if not self.match(state, inner):
                 break
             if state.cursor == entry:
+                # zero-width success: roll the iteration back and stop
                 if snap is not None:
                     stack.restore(snap)
                 break
@@ -508,17 +460,7 @@ class Parser:
         text = state.input
         n = len(text)
         start = i = state.cursor
-        t = type(inner)
-        if t is r.CharSetMask:
-            mask = inner.mask
-            above = inner.match_above_ascii
-            while i < n:
-                o = ord(text[i])
-                if ((mask >> o) & 1) if o < 128 else above:
-                    i += 1
-                else:
-                    break
-        elif t is r.NoneOf:
+        if type(inner) is r.NoneOf:
             pred = inner.pred
             while i < n and not pred.contains(text[i]):
                 i += 1
@@ -542,27 +484,20 @@ class Parser:
         state.cursor = start
         return False
 
-    def _and_pred(self, state, node):
+    def _predicate(self, state, node):
+        """And/not-predicates match without consuming or pushing anything."""
+        negate = type(node) is r.NotPredicate
         entry = state.cursor
         snap = state.stack.snapshot() if self._touches(node.inner) else None
-        ok = self.match(state, node.inner)
-        state.cursor = entry
-        if snap is not None:
-            state.stack.restore(snap)
-        return ok
-
-    def _not_pred(self, state, node):
-        entry = state.cursor
-        snap = state.stack.snapshot() if self._touches(node.inner) else None
-        state.not_depth += 1
+        state.not_depth += negate
         try:
             ok = self.match(state, node.inner)
         finally:
-            state.not_depth -= 1
+            state.not_depth -= negate
         state.cursor = entry
         if snap is not None:
             state.stack.restore(snap)
-        return not ok
+        return ok != negate
 
     # -- semantic actions -------------------------------------------------------
 

@@ -1,11 +1,11 @@
 """Parse-failure analysis: principal error position, rule traces, formatting.
 
-A failed initial run is followed by two instrumented reruns. The first
-tracks the maximum cursor at which any terminal matcher registered a
-mismatch (the principal error index). The second collects, for every
-terminal mismatch at exactly that index, the path of named rules from the
-start rule plus a descriptor of the failed terminal. Rules wrapped in
-``quiet`` are skipped during collection but behave identically otherwise.
+The run that failed already knows the principal error index: the maximum
+cursor at which any terminal matcher registered a mismatch. One
+instrumented rerun then collects, for every terminal mismatch at exactly
+that index, the path of named rules from the start rule plus a descriptor
+of the failed terminal. Rules wrapped in ``quiet`` are skipped during
+collection but behave identically otherwise.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 from . import rules as r
 
-# error modes of a parser state; phase runs select one of these
+# error modes of a parser state; the trace-collecting rerun selects MODE_COLLECT
 MODE_OFF = "off"
-MODE_TRACK_MAX = "track_max"
 MODE_COLLECT = "collect_traces"
 
 
@@ -60,7 +59,7 @@ def descriptor_of(node: r.RuleExpr) -> TerminalDescriptor:
     t = type(node)
     if t in (r.Ch, r.IgnoreCaseCh):
         return TerminalDescriptor("char", node.char)
-    if t in (r.Str, r.IgnoreCaseStr, r.UnrolledStr):
+    if t in (r.Str, r.IgnoreCaseStr):
         return TerminalDescriptor("string", node.text)
     if t is r.EndOfInput:
         return TerminalDescriptor("eoi", "EOI")
@@ -72,8 +71,6 @@ def descriptor_of(node: r.RuleExpr) -> TerminalDescriptor:
         return TerminalDescriptor("predicate", node.pred.name or "<set>")
     if t is r.NoneOf:
         return TerminalDescriptor("predicate", "!" + (node.pred.name or "<set>"))
-    if t is r.CharSetMask:
-        return TerminalDescriptor("predicate", node.name or "<charset>")
     raise TypeError(f"not a terminal: {node!r}")
 
 
@@ -106,10 +103,15 @@ class ParseError:
 # phases (the parser argument is an engine.Parser; duck-typed to avoid a cycle)
 
 
+def principal_index(state) -> int:
+    """Maximum cursor over a finished run's terminal mismatch registrations; 0 if none."""
+    stats = state.stats
+    return stats.max_cursor if stats.terminal_mismatches else 0
+
+
 def principal_error_index(parser, text: str, start: str | None = None) -> int:
-    """Maximum cursor over all terminal mismatch registrations; 0 if none."""
-    state = parser.run_phase(text, start, MODE_TRACK_MAX)
-    return state.stats.max_cursor if state.stats.terminal_mismatches else 0
+    """Principal error index of running the start rule against text."""
+    return principal_index(parser.run_phase(text, start))
 
 
 def trace_collection(parser, text: str, start: str | None, principal: int) -> tuple[RuleTrace, ...]:
@@ -117,11 +119,15 @@ def trace_collection(parser, text: str, start: str | None, principal: int) -> tu
     return tuple(state.collected)
 
 
-def build_parse_error(parser, text: str, start: str | None = None) -> ParseError:
-    principal = principal_error_index(parser, text, start)
-    traces = trace_collection(parser, text, start, principal)
+def build_parse_error(parser, text: str, start: str | None = None, *, failed=None) -> ParseError:
+    """Principal position and rule traces of a parse that fails.
+
+    ``failed``, the final state of the run that failed, already holds the
+    principal index; without it one more run computes it.
+    """
+    principal = principal_index(failed if failed is not None else parser.run_phase(text, start))
     pos = position_of(text, principal)
-    return ParseError(pos, pos, traces)
+    return ParseError(pos, pos, trace_collection(parser, text, start, principal))
 
 
 def establish_principal_error_index(g: r.Grammar, start: str, text: str) -> int:

@@ -1,10 +1,9 @@
-"""Semantics-preserving rule-tree rewrites.
+"""Rule-tree rewrite passes; none are registered, so ``optimize`` only validates.
 
-Rewrites specialize the tree into faster interpreter nodes: nested
-sequence/choice chains are flattened and adjacent literals merged, string
-literals become char-by-char matchers, and character classes compile to
-ASCII bitmasks. Every pass preserves match outcome, final cursor and final
-stack on all inputs; rewrites never touch action or capture structure.
+The engine runs the validated grammar as written. The module is kept
+because the benchmark reads ``optimize``, ``PASSES``, ``DEFAULT_PASSES``
+and ``RewritePass``. A pass registered here must leave every run's values,
+final cursor and reported error unchanged; acceptance criterion 7 checks it.
 """
 
 from __future__ import annotations
@@ -12,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from . import rules as r
-from .rules import ASCII_MASK, Grammar, RuleDef, RuleExpr, validate_grammar
+from .rules import Grammar, validate_grammar
 
 
 @dataclass(frozen=True, slots=True)
@@ -22,190 +20,12 @@ class RewritePass:
     transform: Callable[[Grammar], Grammar]
 
 
-def _rewrite_exprs(g: Grammar, f: Callable[[RuleExpr], RuleExpr]) -> Grammar:
-    defs = {name: RuleDef(f(rd.expr), rd.effect) for name, rd in g.rules.items()}
-    return Grammar(defs, g.start, validated=g.validated)
-
-
-def _map_children(expr: RuleExpr, f: Callable[[RuleExpr], RuleExpr]) -> RuleExpr:
-    t = type(expr)
-    if t is r.Sequence:
-        return r.Sequence(tuple(f(c) for c in expr.children))
-    if t is r.FirstOf:
-        return r.FirstOf(tuple(f(a) for a in expr.alternatives))
-    if t in (r.Optional, r.ZeroOrMore, r.OneOrMore, r.AndPredicate, r.NotPredicate,
-             r.Capture, r.Quiet):
-        return t(f(expr.inner))
-    return expr
-
-
-# ---------------------------------------------------------------------------
-# chain flattening and literal merging
-
-
-def _literal_text(expr: RuleExpr) -> str | None:
-    if type(expr) is r.Ch:
-        return expr.char
-    if type(expr) is r.Str:
-        return expr.text
-    return None  # ignore-case literals are excluded from merging
-
-
-def _flatten_expr(expr: RuleExpr) -> RuleExpr:
-    expr = _map_children(expr, _flatten_expr)
-    t = type(expr)
-    if t is r.FirstOf:
-        alts: list[RuleExpr] = []
-        for a in expr.alternatives:
-            if type(a) is r.FirstOf:
-                alts.extend(a.alternatives)
-            else:
-                alts.append(a)
-        return r.first_of(*alts)
-    if t is not r.Sequence:
-        return expr
-    children: list[RuleExpr] = []
-    for c in expr.children:
-        if type(c) is r.Sequence:
-            children.extend(c.children)
-        else:
-            children.append(c)
-    merged: list[RuleExpr] = []
-    run: list[RuleExpr] = []  # adjacent Ch/Str nodes, merged when >= 2
-
-    def close_run() -> None:
-        if len(run) >= 2:
-            merged.append(r.Str("".join(_literal_text(n) for n in run)))
-        elif run:
-            merged.append(run[0])
-        run.clear()
-
-    for c in children:
-        if _literal_text(c) is not None:
-            run.append(c)
-        else:
-            close_run()
-            merged.append(c)
-    close_run()
-    return r.seq(*merged)
-
-
-def flatten_chains(g: Grammar) -> Grammar:
-    """Flatten nested sequence/choice chains; merge adjacent literal runs."""
-    return _rewrite_exprs(g, _flatten_expr)
-
-
-# ---------------------------------------------------------------------------
-# character-set compilation
-
-
-def _charset_name(prefix: str, pred: r.CharPredicate) -> str | None:
-    return (prefix + pred.name) if pred.name else None
-
-
-def _compile_charsets_expr(expr: RuleExpr) -> RuleExpr:
-    expr = _map_children(expr, _compile_charsets_expr)
-    t = type(expr)
-    if t in (r.CharPred, r.AnyOf) and expr.pred.extra is None:
-        return r.CharSetMask(expr.pred.mask, False, expr.pred.name)
-    if t is r.NoneOf and expr.pred.extra is None:
-        # complement within ASCII; non-ASCII characters are outside the set,
-        # so they match, and end of input still fails
-        return r.CharSetMask(~expr.pred.mask & ASCII_MASK, True,
-                             _charset_name("!", expr.pred))
-    if t is r.FirstOf and all(type(a) is r.Ch and ord(a.char) < 128
-                              for a in expr.alternatives):
-        chars = "".join(a.char for a in expr.alternatives)
-        pred = r.CharPredicate.from_chars(chars)
-        return r.CharSetMask(pred.mask, False, f"[{chars}]")
-    return expr
-
-
-def compile_charsets(g: Grammar) -> Grammar:
-    """Compile classes and single-char choices into bitmask matchers."""
-    return _rewrite_exprs(g, _compile_charsets_expr)
-
-
-# ---------------------------------------------------------------------------
-# literal specialization
-
-
-def _specialize_expr(expr: RuleExpr) -> RuleExpr:
-    expr = _map_children(expr, _specialize_expr)
-    if type(expr) is r.Str:
-        return r.UnrolledStr(expr.text)
-    return expr
-
-
-def specialize_literals(g: Grammar) -> Grammar:
-    """Replace string literals with char-by-char matchers (no input slicing)."""
-    return _rewrite_exprs(g, _specialize_expr)
-
-
-# ---------------------------------------------------------------------------
-# cross-rule inlining (extra pass, off by default)
-
-
-def _recursive_rules(g: Grammar) -> set[str]:
-    refs: dict[str, set[str]] = {}
-    for name, rd in g.rules.items():
-        refs[name] = {n.name for n in r.walk(rd.expr) if type(n) is r.RuleRef}
-    recursive = set()
-    for name in g.rules:
-        seen: set[str] = set()
-        stack = list(refs.get(name, ()))
-        while stack:
-            target = stack.pop()
-            if target == name:
-                recursive.add(name)
-                break
-            if target in seen or target not in refs:
-                continue
-            seen.add(target)
-            stack.extend(refs[target])
-    return recursive
-
-
-def inline_refs(g: Grammar) -> Grammar:
-    """Inline bodies of non-recursive rules at their reference sites.
-
-    Opens cross-rule chains to later flattening (e.g. a reference to a
-    literal rule used twice in a row can then squash to one literal).
-    """
-    recursive = _recursive_rules(g)
-    inlined: dict[str, RuleExpr] = {}
-
-    def inline_expr(expr: RuleExpr) -> RuleExpr:
-        if type(expr) is r.RuleRef and expr.name not in recursive and expr.name in g.rules:
-            return inline_rule(expr.name)
-        return _map_children(expr, inline_expr)
-
-    def inline_rule(name: str) -> RuleExpr:
-        if name not in inlined:
-            inlined[name] = inline_expr(g.rules[name].expr)
-        return inlined[name]
-
-    defs = {name: RuleDef(inline_rule(name) if name not in recursive else
-                          inline_expr(rd.expr), rd.effect)
-            for name, rd in g.rules.items()}
-    return Grammar(defs, g.start, validated=g.validated)
-
-
-# ---------------------------------------------------------------------------
-# pipeline
-
-PASSES = {
-    "flatten_chains": RewritePass("flatten_chains", flatten_chains),
-    "compile_charsets": RewritePass("compile_charsets", compile_charsets),
-    "specialize_literals": RewritePass("specialize_literals", specialize_literals),
-    "inline_refs": RewritePass("inline_refs", inline_refs),
-}
-
-DEFAULT_PASSES = ("flatten_chains", "compile_charsets", "specialize_literals")
+PASSES: dict[str, RewritePass] = {}
+DEFAULT_PASSES: tuple[str, ...] = ()
 
 
 def optimize(g: Grammar, passes: tuple[str, ...] | list[str] = DEFAULT_PASSES) -> Grammar:
-    """Apply the rewrite pipeline and re-validate the result."""
+    """Apply the named passes in order and re-validate the result."""
     out = g
     for name in passes:
         out = PASSES[name].transform(out)

@@ -14,8 +14,6 @@ from typing import Any, Callable, Iterable
 
 from .values import Value
 
-ASCII_MASK = (1 << 128) - 1
-
 
 # ---------------------------------------------------------------------------
 # character predicates
@@ -243,32 +241,9 @@ class Quiet(RuleExpr):
     inner: RuleExpr
 
 
-# specialized nodes introduced by the optimizer
-
-
-@dataclass(frozen=True, slots=True)
-class UnrolledStr(RuleExpr):
-    """Literal matched one character at a time, without slicing the input."""
-
-    text: str
-
-
-@dataclass(frozen=True, slots=True)
-class CharSetMask(RuleExpr):
-    """Character class compiled to a 128-bit ASCII bitmask.
-
-    ``match_above_ascii`` handles complements: a none-of set must accept any
-    non-ASCII character, while a plain set rejects them.
-    """
-
-    mask: int
-    match_above_ascii: bool = False
-    name: str | None = None
-
-
 _WRAPPERS = (Optional, ZeroOrMore, OneOrMore, AndPredicate, NotPredicate, Capture, Quiet)
 TERMINALS = (Ch, IgnoreCaseCh, Str, IgnoreCaseStr, CharPred, AnyChar, AnyOf, NoneOf,
-             EndOfInput, UnrolledStr, CharSetMask)
+             EndOfInput)
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +443,9 @@ def is_nullable(expr: RuleExpr, nullmap: dict[str, bool]) -> bool:
         return any(is_nullable(a, nullmap) for a in expr.alternatives)
     if t is RuleRef:
         return nullmap.get(expr.name, False)
-    if t in (Str, IgnoreCaseStr, UnrolledStr):
+    if t in (Str, IgnoreCaseStr):
         return expr.text == ""
-    return False  # Ch, IgnoreCaseCh, CharPred, AnyOf, NoneOf, AnyChar, CharSetMask
+    return False  # Ch, IgnoreCaseCh, CharPred, AnyOf, NoneOf, AnyChar
 
 
 def _head_refs(expr: RuleExpr, nullmap: dict[str, bool], acc: set[str]) -> None:
@@ -508,7 +483,7 @@ def validate_grammar(g: Grammar) -> Grammar:
             t = type(node)
             if t is RuleRef and node.name not in defs:
                 issues.append(GrammarIssue("unresolved-ref", name, f"reference to undefined rule {node.name!r}"))
-            elif t in (Str, IgnoreCaseStr, UnrolledStr) and node.text == "":
+            elif t in (Str, IgnoreCaseStr) and node.text == "":
                 issues.append(GrammarIssue("empty-literal", name, "empty string literal is forbidden"))
 
     if not issues:
@@ -593,7 +568,7 @@ def expr_text(expr: RuleExpr, prec: int = _PREC_CHOICE) -> str:
         return f"'{expr.char}'"
     if t is IgnoreCaseCh:
         return f'^"{expr.char}"'
-    if t in (Str, UnrolledStr):
+    if t is Str:
         return f'"{expr.text}"'
     if t is IgnoreCaseStr:
         return f'^"{expr.text}"'
@@ -621,6 +596,4 @@ def expr_text(expr: RuleExpr, prec: int = _PREC_CHOICE) -> str:
         return f"~> {expr.name}" if expr.name else f"~> <action/{expr.arity}>"
     if t is RuleRef:
         return expr.name
-    if t is CharSetMask:
-        return expr.name or "[<mask>]"
     raise TypeError(f"unknown rule expression: {expr!r}")

@@ -58,18 +58,31 @@ def list_value(values: Iterable[Value], element_tag: str = "*") -> Value:
 
 
 def render_value(value: Value) -> str:
-    """Debug/CLI rendering: nodes as ``Label(child,...)``, strings quoted."""
-    payload = value.payload
-    if isinstance(payload, Tree):
-        inner = ",".join(render_value(c) for c in payload.children)
-        return f"{payload.label}({inner})"
-    if isinstance(payload, str):
-        return json.dumps(payload)
-    if isinstance(payload, tuple):
-        return "[" + ",".join(render_value(c) for c in payload) + "]"
-    if payload is None and value.tag == "Unit":
-        return "()"
-    return repr(payload)
+    """Debug/CLI rendering: nodes as ``Label(child,...)``, strings quoted.
+
+    Iterative, so the depth of a tree is not bounded by the recursion limit.
+    """
+    out: list[str] = []
+    todo: list = [value]  # values to render and literal text, next one last
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        payload = item.payload
+        if isinstance(payload, (Tree, tuple)):
+            tree = isinstance(payload, Tree)
+            out.append(payload.label + "(" if tree else "[")
+            todo.append(")" if tree else "]")
+            children = payload.children if tree else payload
+            todo.extend(reversed([x for c in children for x in (",", c)][1:]))
+        elif isinstance(payload, str):
+            out.append(json.dumps(payload))
+        elif payload is None and item.tag == "Unit":
+            out.append("()")
+        else:
+            out.append(repr(payload))
+    return "".join(out)
 
 
 class ValueStack:

@@ -238,3 +238,30 @@ def gen_effect(rng: random.Random, max_len: int = 4) -> StackEffect:
         tuple(rng.choice(EFFECT_TAGS) for _ in range(rng.randrange(max_len + 1))),
         tuple(rng.choice(EFFECT_TAGS) for _ in range(rng.randrange(max_len + 1))),
     )
+
+
+def big_expression(rng: random.Random, target: int) -> str:
+    """Calculator input of at least target characters: one long +-chain."""
+    chunks = []
+    size = 0
+
+    def number():
+        return "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 12)))
+
+    def factor(depth):
+        if depth < 6 and rng.random() < 0.08:
+            return "(" + chain(depth + 1, rng.randint(1, 3)) + ")"
+        return number()
+
+    def chain(depth, terms):
+        parts = [factor(depth)]
+        for _ in range(terms):
+            parts.append(rng.choice("+-*/"))
+            parts.append(factor(depth))
+        return "".join(parts)
+
+    while size < target:
+        chunk = chain(0, rng.randint(2, 6))
+        chunks.append(chunk)
+        size += len(chunk) + 1
+    return "+".join(chunks)

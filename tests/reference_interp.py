@@ -41,7 +41,7 @@ def ref_match(g, expr, text, pos, stack, mismatches=None):
         if pos < len(text) and text[pos].lower() == expr.char.lower():
             return True, pos + 1, stack
         return miss(pos)
-    if t in (r.Str, r.UnrolledStr):
+    if t is r.Str:
         if text.startswith(expr.text, pos):
             return True, pos + len(expr.text), stack
         return miss(pos)
@@ -57,12 +57,6 @@ def ref_match(g, expr, text, pos, stack, mismatches=None):
     if t is r.NoneOf:
         if pos < len(text) and not expr.pred.contains(text[pos]):
             return True, pos + 1, stack
-        return miss(pos)
-    if t is r.CharSetMask:
-        if pos < len(text):
-            o = ord(text[pos])
-            if ((expr.mask >> o) & 1) if o < 128 else expr.match_above_ascii:
-                return True, pos + 1, stack
         return miss(pos)
     if t is r.AnyChar:
         if pos < len(text):

@@ -17,12 +17,13 @@ from pegstack.effects import (EffectError, NEUTRAL, StackEffect, check_grammar,
                               repetition_effect, repetition_shape, seq_compose)
 from pegstack.engine import Parser, ParserState
 from pegstack.errors import build_parse_error, format_error
-from pegstack.optimize import DEFAULT_PASSES, optimize
+from pegstack.optimize import DEFAULT_PASSES, PASSES, optimize
 from pegstack.rules import validate_grammar
 from pegstack.values import StackUnderflow, node_value, str_value
 
 from conftest import DATA, GRAMMARS
-from generators import (gen_effect, gen_grammar, gen_input, gen_sound_grammar)
+from generators import (big_expression, gen_effect, gen_grammar, gen_input,
+                        gen_sound_grammar)
 from reference_interp import ref_run
 
 
@@ -50,7 +51,7 @@ def test_criterion_1_trace_reproduction(capsys):
     with criterion(1, "13-step backtracking trace matches the golden file"):
         started = time.perf_counter()
         code = cli_main(["run", "--grammar", str(GRAMMARS / "foo.peg"),
-                         "--input", "abd", "--trace", "--no-optimize"])
+                         "--input", "abd", "--trace"])
         elapsed = time.perf_counter() - started
         out = capsys.readouterr().out
         assert code == 0
@@ -192,20 +193,28 @@ def test_criterion_6_effect_soundness():
 
 # -- 7: optimizer equivalence -----------------------------------------------------------------
 
+def _report(parser, text):
+    """Match outcome plus what run() reports: kind, error position, expected list."""
+    result = parser.run(text)
+    error = result.error
+    return (_outcome(parser, text), result.kind,
+            None if error is None else (error.position, error.expected()))
+
+
 def test_criterion_7_optimizer_equivalence(calc_grammar):
-    with criterion(7, "each pass + pipeline agree with the plain engine on 10^4 pairs"):
+    with criterion(7, "each pass + pipeline agree with the plain engine, errors too, on 10^4 pairs"):
         rng = random.Random(707)
-        configs = [(name,) for name in DEFAULT_PASSES] + [DEFAULT_PASSES]
+        configs = [(name,) for name in PASSES] + [DEFAULT_PASSES]
         pairs = 0
         while pairs < 10_000:
             g = gen_grammar(rng)
             parser = Parser(g)
             inputs = [gen_input(rng) for _ in range(5)]
-            baselines = [_outcome(parser, text) for text in inputs]
+            baselines = [_report(parser, text) for text in inputs]
             optimized = [Parser(optimize(g, config)) for config in configs]
             for text, baseline in zip(inputs, baselines):
                 for opt_parser in optimized:
-                    assert _outcome(opt_parser, text) == baseline
+                    assert _report(opt_parser, text) == baseline
                 pairs += 1
 
         # calculator corpus: identical results and error positions
@@ -223,7 +232,7 @@ def test_criterion_7_optimizer_equivalence(calc_grammar):
                 assert a.values == b.values
             else:
                 assert a.error.position == b.error.position
-                assert set(a.error.expected()) == set(b.error.expected())
+                assert a.error.expected() == b.error.expected()
             plain_steps += plain_parser.run_phase(text).stats.steps
             opt_steps += opt_parser.run_phase(text).stats.steps
         assert opt_steps <= plain_steps
@@ -302,36 +311,10 @@ def test_criterion_9_exponential_backtracking():
 
 # -- 10: throughput sanity --------------------------------------------------------------------------
 
-def _big_expression(rng, target):
-    chunks = []
-    size = 0
-
-    def number():
-        return "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 12)))
-
-    def factor(depth):
-        if depth < 6 and rng.random() < 0.08:
-            return "(" + chain(depth + 1, rng.randint(1, 3)) + ")"
-        return number()
-
-    def chain(depth, terms):
-        parts = [factor(depth)]
-        for _ in range(terms):
-            parts.append(rng.choice("+-*/"))
-            parts.append(factor(depth))
-        return "".join(parts)
-
-    while size < target:
-        chunk = chain(0, rng.randint(2, 6))
-        chunks.append(chunk)
-        size += len(chunk) + 1
-    return "+".join(chunks)
-
-
 def test_criterion_10_throughput(calc_grammar):
     with criterion(10, "100 KB arithmetic expression parses in under 2 s"):
         rng = random.Random(1010)
-        text = _big_expression(rng, 100_000)
+        text = big_expression(rng, 100_000)
         assert len(text) >= 100_000
         parser = Parser(optimize(calc_grammar))
         started = time.perf_counter()

@@ -1,9 +1,13 @@
 import io
 import json
+import random
 
-from pegstack.cli import main
+from pegstack.cli import _json_text, main
+from pegstack.engine import Parser
+from pegstack.values import render_value
 
 from conftest import GRAMMARS
+from generators import big_expression
 
 CALC = str(GRAMMARS / "calc.peg")
 FOO = str(GRAMMARS / "foo.peg")
@@ -76,7 +80,7 @@ def test_json_success_values(capsys):
 
 def test_trace_flag_streams_steps(capsys):
     code, out, err = run_cli(capsys, "run", "--grammar", FOO, "--input", "abd",
-                             "--trace", "--no-optimize")
+                             "--trace")
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 13
@@ -84,27 +88,44 @@ def test_trace_flag_streams_steps(capsys):
     assert lines[-1] == "step 13: foo @ 0 -> match (0->3)"
 
 
-def test_no_optimize_matches_default_outcomes(capsys):
-    for text in ("1+2*3", "1+(2-3*4)/5", "1+", "(8", "42"):
-        base = run_cli(capsys, "run", "--grammar", CALC, "--input", text, "--json")
-        plain = run_cli(capsys, "run", "--grammar", CALC, "--input", text, "--json",
-                        "--no-optimize")
-        assert base[0] == plain[0]
-        assert json.loads(base[1]) == json.loads(plain[1])
+def test_default_run_reports_the_error_of_the_grammar_as_written(tmp_path, capsys):
+    grammar = tmp_path / "abc.peg"
+    grammar.write_text("S <- 'a' 'b' 'c' EOI\n")
+    code, out, err = run_cli(capsys, "run", "--grammar", str(grammar), "--input", "abx")
+    assert code == 1
+    assert "Invalid input 'x', expected 'c' (line 1, column 3):" in err
 
 
-def test_explicit_pass_list(capsys):
-    code, out, _ = run_cli(capsys, "run", "--grammar", CALC, "--input", "7",
-                           "--passes", "flatten_chains,compile_charsets")
-    assert code == 0
-    assert out.strip() == 'Val("7")'
+def test_single_char_choice_names_each_character(tmp_path, capsys):
+    grammar = tmp_path / "sign.peg"
+    grammar.write_text("S <- ('+' / '-') EOI\n")
+    code, out, err = run_cli(capsys, "run", "--grammar", str(grammar), "--input", "x")
+    assert code == 1
+    assert "expected '+' or '-' (line 1, column 1):" in err
+    code, out, err = run_cli(capsys, "run", "--grammar", str(grammar), "--input", "x",
+                             "--json")
+    assert code == 1
+    assert json.loads(out)["expected"] == ["'+'", "'-'"]
 
 
-def test_unknown_pass_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, "run", "--grammar", CALC, "--input", "7",
-                             "--passes", "mystery")
-    assert code == 2
-    assert "mystery" in err
+def test_large_valid_input_prints_without_traceback(calc_grammar, capsys):
+    text = big_expression(random.Random(1010), 100_000)
+    code, out, err = run_cli(capsys, "run", "--grammar", CALC, "--input", text)
+    assert (code, err) == (0, "")
+    value, = Parser(calc_grammar).run(text).values
+    assert out == render_value(value) + "\n"
+    nodes = out.count("(")  # the strings are digits, so every "(" opens a node
+    code, out, err = run_cli(capsys, "run", "--grammar", CALC, "--input", text, "--json")
+    assert (code, err) == (0, "")
+    assert out.startswith('{"result": "success", "values": [{"label": ')
+    assert out.endswith("]}]}\n")
+    assert out.count('"label": ') == nodes
+
+
+def test_json_text_matches_json_dumps():
+    obj = {"result": "success", "values": [
+        {"label": "N", "children": []}, "\u00e9\n\"", None, [[], ["x", {"k": "v"}]]]}
+    assert _json_text(obj) == json.dumps(obj)
 
 
 def test_missing_grammar_file(capsys):

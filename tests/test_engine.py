@@ -120,6 +120,31 @@ def test_any_char_fails_only_at_end():
     assert state.cursor == 1
 
 
+def _outcome(grammar, text):
+    state = _state(text)
+    ok = Parser(grammar).match_rule(state, grammar.start)
+    return ok, state.cursor, state.stack.values()
+
+
+def test_any_of_matches_plus():
+    g = _grammar(r.any_of("+-"))
+    assert _outcome(g, "+")[0] is True
+    assert _outcome(g, "x")[0] is False
+
+
+def test_none_of_fails_at_end_of_input():
+    g = _grammar(r.none_of("+-"))
+    assert _outcome(g, "")[0] is False
+    assert _outcome(g, "+")[0] is False
+    assert _outcome(g, "z")[0] is True
+
+
+def test_none_of_complement_accepts_non_ascii():
+    g = _grammar(r.none_of("+-"))
+    for text, ok in (("é", True), ("+", False), ("q", True)):
+        assert _outcome(g, text) == (ok, 1 if ok else 0, ())
+
+
 def test_prioritized_choice_commits_to_first_success():
     calls = []
 

@@ -1,20 +1,10 @@
-import itertools
 import random
 
-from pegstack import rules as r
 from pegstack.effects import check_grammar
 from pegstack.engine import Parser, ParserState
-from pegstack.optimize import (DEFAULT_PASSES, PASSES, compile_charsets, flatten_chains,
-                               inline_refs, optimize, specialize_literals)
-from pegstack.rules import validate_grammar
+from pegstack.optimize import optimize
 
 from generators import gen_grammar, gen_input
-
-
-def _grammar(expr, **extra):
-    rules = {"Top": expr}
-    rules.update(extra)
-    return validate_grammar(r.grammar(rules, start="Top"))
 
 
 def _outcome(grammar, text, start=None):
@@ -22,107 +12,6 @@ def _outcome(grammar, text, start=None):
     state = ParserState(text)
     ok = parser.match_rule(state, start or grammar.start)
     return ok, state.cursor, state.stack.values()
-
-
-# -- chain flattening -----------------------------------------------------------
-
-def test_nested_sequences_flatten():
-    g = _grammar(r.Sequence((r.Sequence((r.ch("a"), r.ch("b"))), r.ch("c"))))
-    out = flatten_chains(g)
-    # a'b'c' is one merged literal after the rewrite
-    assert out.rules["Top"].expr == r.Str("abc")
-
-
-def test_adjacent_literals_merge_to_str():
-    g = _grammar(r.seq(r.ch("a"), r.ch("b")))
-    out = flatten_chains(g)
-    assert out.rules["Top"].expr == r.Str("ab")
-    # oracle check over every input of length <= 3 over {a, b}
-    for n in range(4):
-        for chars in itertools.product("ab", repeat=n):
-            text = "".join(chars)
-            assert _outcome(out, text) == _outcome(g, text)
-
-
-def test_non_literal_children_break_runs():
-    g = _grammar(r.seq(r.ch("a"), r.ANY, r.ch("b"), r.ch("c")))
-    out = flatten_chains(g).rules["Top"].expr
-    assert out == r.seq(r.ch("a"), r.ANY, r.Str("bc"))
-
-
-def test_ignore_case_literals_are_not_merged():
-    g = _grammar(r.seq(r.IgnoreCaseCh("a"), r.ch("b")))
-    assert flatten_chains(g).rules["Top"].expr == g.rules["Top"].expr
-
-
-def test_nested_choice_flattens():
-    g = _grammar(r.FirstOf((r.FirstOf((r.ch("x"), r.ch("y"))), r.ch("z"))))
-    out = flatten_chains(g).rules["Top"].expr
-    assert out == r.first_of(r.ch("x"), r.ch("y"), r.ch("z"))
-
-
-# -- literal specialization --------------------------------------------------------
-
-def test_str_becomes_unrolled():
-    g = _grammar(r.Str("abc"))
-    out = specialize_literals(g)
-    assert out.rules["Top"].expr == r.UnrolledStr("abc")
-    # fails after matching 'a','b'; the restoration contract hides the
-    # mid-literal cursor, so outcomes agree with the plain literal
-    assert _outcome(out, "abd") == _outcome(g, "abd")
-    assert _outcome(out, "abc") == _outcome(g, "abc")
-
-
-def test_single_char_unroll_equivalent_to_ch():
-    g_unrolled = _grammar(r.UnrolledStr("a"))
-    g_ch = _grammar(r.ch("a"))
-    for o in range(32, 127):
-        text = chr(o)
-        assert _outcome(g_unrolled, text) == _outcome(g_ch, text)
-
-
-def test_unrolled_matches_str_on_random_inputs():
-    rng = random.Random(3)
-    for _ in range(500):
-        text_lit = "".join(rng.choice("ab") for _ in range(rng.randint(1, 6)))
-        plain = _grammar(r.Str(text_lit))
-        fast = specialize_literals(plain)
-        probe = "".join(rng.choice("ab") for _ in range(rng.randrange(8)))
-        assert _outcome(fast, probe) == _outcome(plain, probe)
-
-
-# -- character sets ------------------------------------------------------------------
-
-def test_single_char_choice_compiles_to_mask():
-    g = _grammar(r.first_of(r.ch("a"), r.ch("b"), r.ch("c")))
-    out = compile_charsets(g)
-    node = out.rules["Top"].expr
-    assert isinstance(node, r.CharSetMask)
-    for o in range(128):
-        text = chr(o)
-        assert _outcome(out, text) == _outcome(g, text)
-
-
-def test_any_of_matches_plus():
-    g = _grammar(r.any_of("+-"))
-    out = compile_charsets(g)
-    assert _outcome(out, "+")[0] is True
-    assert _outcome(out, "x")[0] is False
-
-
-def test_none_of_fails_at_end_of_input():
-    g = compile_charsets(_grammar(r.none_of("+-")))
-    assert _outcome(g, "")[0] is False
-    assert _outcome(g, "+")[0] is False
-    assert _outcome(g, "z")[0] is True
-
-
-def test_none_of_complement_accepts_non_ascii():
-    plain = _grammar(r.none_of("+-"))
-    masked = compile_charsets(plain)
-    assert isinstance(masked.rules["Top"].expr, r.CharSetMask)
-    for text in ("é", "+", "q"):
-        assert _outcome(masked, text) == _outcome(plain, text)
 
 
 def test_named_predicate_keeps_name_through_compilation(calc_grammar):
@@ -157,38 +46,6 @@ def test_pipeline_equivalence_randomized():
         for _ in range(3):
             text = gen_input(rng)
             assert _outcome(out, text) == _outcome(g, text)
-
-
-def test_each_pass_is_registered():
-    assert set(DEFAULT_PASSES) <= set(PASSES)
-    assert "inline_refs" in PASSES
-    assert "inline_refs" not in DEFAULT_PASSES
-
-
-# -- cross-rule inlining ------------------------------------------------------------------
-
-def test_inline_then_flatten_squashes_repeated_literal_rule():
-    g = validate_grammar(r.grammar({
-        "aarule": r.seq(r.ref("arule"), r.ref("arule")),
-        "arule": r.Str("a"),
-    }, start="aarule"))
-    out = optimize(g, ("inline_refs", "flatten_chains"))
-    assert out.rules["aarule"].expr == r.Str("aa")
-
-
-def test_inline_skips_recursive_rules(calc_grammar):
-    out = inline_refs(calc_grammar)
-    # Factor sits in the Expression/Term/Factor cycle: its reference to the
-    # recursive Expression survives, while the non-recursive Number is inlined
-    refs = {n.name for n in r.walk(out.rules["Factor"].expr) if type(n) is r.RuleRef}
-    assert "Expression" in refs
-    assert "Number" not in refs
-
-
-def test_inline_preserves_semantics(calc_grammar):
-    out = optimize(calc_grammar, ("inline_refs", *DEFAULT_PASSES))
-    for text in ("1+2*3", "1+(2-3*4)/5", "7", "1+", "(", "9/3-2"):
-        assert _outcome(out, text) == _outcome(calc_grammar, text)
 
 
 def test_optimized_steps_do_not_increase(calc_grammar):
