@@ -101,6 +101,9 @@ def _read_input(args) -> str:
 
 def _cmd_run(args) -> int:
     grammar = load_grammar(args.grammar)
+    if args.start is not None and args.start not in grammar.rules:
+        print(f"unknown rule {args.start!r}", file=sys.stderr)
+        return EXIT_GRAMMAR_ERROR
     text = _read_input(args)
     events = [] if args.trace else None
     result = Parser(grammar).run(text, start=args.start, trace=events)
@@ -141,10 +144,6 @@ def _cmd_check(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # deep enough for realistically nested inputs, low enough that CPython
-    # raises RecursionError (reported as an internal fault) before the C
-    # stack runs out
-    sys.setrecursionlimit(8_000)
     parser = _build_arg_parser()
     try:
         args = parser.parse_args(argv)
@@ -160,6 +159,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_GRAMMAR_ERROR
+    except UnicodeDecodeError as exc:
+        print(f"not valid UTF-8: {exc}", file=sys.stderr)
+        return EXIT_GRAMMAR_ERROR
+    except Exception as exc:  # a bug in pegstack, reported without a traceback
+        print(f"internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_FAULT
 
 
 if __name__ == "__main__":

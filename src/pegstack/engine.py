@@ -1,9 +1,17 @@
-"""Recursive-descent backtracking interpreter over rule trees.
+"""Backtracking interpreter over rule trees, run without Python recursion.
 
 One ParserState per run: the input buffer, a cursor pointing at the next
 unmatched character, the value stack and instrumentation counters. Every
 expression match restores cursor and stack to their entry values when it
 fails, so prioritized choice can simply try the next alternative.
+
+A Parser compiles each rule body, on first use, into nested instruction
+tuples that carry the node's static facts (stack-touching, collect tags,
+literal lengths). One iterative executor runs them with an explicit
+continuation stack: each open Sequence, FirstOf, repetition, predicate,
+Capture, Optional and Quiet holds one frame, and so does each open rule in
+traced, error-collecting and reentry-checking runs. Nesting depth is
+therefore bounded by the input, not by the interpreter's recursion limit.
 
 Repetition bodies whose effect pushes exactly one value per iteration are
 collecting: the engine bundles the iteration results into a single list
@@ -12,6 +20,7 @@ value, matching what the effect checker reports for them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from . import rules as r
@@ -23,8 +32,67 @@ from .values import StackUnderflow, Value, ValueStack, list_value
 # sentinel an action function returns to report a match failure
 ACTION_FAIL = object()
 
-_CHARSET_TYPES = (r.CharPred, r.AnyOf, r.NoneOf)
-_TERMINAL_SET = frozenset(r.TERMINALS)
+# opcodes: terminals first, so "op <= ISTR" tells a terminal; a frame is
+# tagged with the opcode of the node that opened it, or with RULE
+_OPS = (CH, ANY, CLASS, STR, EOI, NONE, ICH, ISTR, SEQ, ALT, REF, CHARS, ACTION, CAPTURE,
+        REP, OPT, PRED, PUSH, DROP, QUIET) = range(20)
+RULE = 20
+_QUIET_FRAME = (QUIET,)
+# single-character terminals whose repetitions run as one fused scan
+_FUSED_TYPES = (r.Ch, r.AnyChar, r.CharPred, r.AnyOf, r.NoneOf)
+
+
+def _run_pattern(inner: r.RuleExpr) -> re.Pattern | None:
+    """Regex for the longest run of inner's characters; None if a predicate
+    decides non-ASCII characters in Python."""
+    t = type(inner)
+    if t is r.Ch:
+        return re.compile(re.escape(inner.char) + "*")
+    if t is r.AnyChar:
+        return re.compile(".*", re.DOTALL)
+    pred = inner.pred
+    if pred.extra is not None:
+        return None
+    chars = "".join(f"\\x{o:02x}" for o in range(128) if (pred.mask >> o) & 1)
+    if t is r.NoneOf:  # everything outside the set, non-ASCII included
+        return re.compile(f"[^{chars}]*" if chars else ".*", re.DOTALL)
+    return re.compile(f"[{chars}]*" if chars else "")
+
+
+def _touches(node: r.RuleExpr, rules: dict[str, bool]) -> bool:
+    """Whether matching node may change the value stack, given the rules that may."""
+    t = type(node)
+    if t in (r.Capture, r.Push, r.Drop, r.Action):
+        return True
+    if t in (r.AndPredicate, r.NotPredicate):
+        return False  # externally stack-neutral; they restore internally
+    if t is r.Sequence:
+        return any(_touches(c, rules) for c in node.children)
+    if t is r.FirstOf:
+        return any(_touches(a, rules) for a in node.alternatives)
+    if t in (r.Optional, r.ZeroOrMore, r.OneOrMore, r.Quiet):
+        return _touches(node.inner, rules)
+    if t is r.RuleRef:
+        return rules.get(node.name, True)
+    return False  # terminals
+
+
+def _scan(inner: r.RuleExpr, text: str, i: int) -> int:
+    """End of the run of inner's characters from i, for predicates without a regex."""
+    n = len(text)
+    pred = inner.pred
+    if type(inner) is r.NoneOf:
+        while i < n and not pred.contains(text[i]):
+            i += 1
+        return i
+    mask, extra = pred.mask, pred.extra
+    while i < n:
+        c = text[i]
+        o = ord(c)
+        if not (((mask >> o) & 1) if o < 128 else extra(c)):
+            break
+        i += 1
+    return i
 
 
 class EngineStats:
@@ -41,7 +109,7 @@ class EngineStats:
 class ParserState:
     __slots__ = (
         "input", "cursor", "stack", "stats", "error_mode", "principal",
-        "quiet_depth", "not_depth", "frames", "collected", "_trace_seen",
+        "frames", "collected", "_trace_seen",
         "events", "event_seq", "last_fail_cursor", "check_tags",
         "tag_mismatches", "active_rules", "reentry_violations",
     )
@@ -55,8 +123,6 @@ class ParserState:
         self.stats = EngineStats()
         self.error_mode = error_mode
         self.principal = principal
-        self.quiet_depth = 0
-        self.not_depth = 0
         self.frames: list[str] | None = [] if error_mode == MODE_COLLECT else None
         self.collected: list[RuleTrace] = []
         self._trace_seen: set[RuleTrace] = set()
@@ -140,33 +206,12 @@ class Parser:
     def __init__(self, grammar: r.Grammar):
         self.grammar = grammar
         self._exprs = {name: rd.expr for name, rd in grammar.rules.items()}
-        self._touch: dict[int, tuple] = {}
-        self._rep: dict[int, tuple] = {}
+        # compiled rule bodies, one table for plain runs and one for traced
+        # runs, which step through single-character repetitions one by one
+        self._bodies: tuple[dict, dict] = ({}, {})
+        self._nodes: dict[tuple[int, bool], tuple] = {}
         self._summary: dict[int, tuple] = {}
-        self._handlers = {
-            r.Ch: self._ch,
-            r.IgnoreCaseCh: self._ignore_case_ch,
-            r.Str: self._str,
-            r.IgnoreCaseStr: self._ignore_case_str,
-            r.CharPred: self._char_class,
-            r.AnyOf: self._char_class,
-            r.NoneOf: self._none_of,
-            r.AnyChar: self._any_char,
-            r.EndOfInput: self._end_of_input,
-            r.Sequence: self._sequence,
-            r.FirstOf: self._first_of,
-            r.Optional: self._optional,
-            r.ZeroOrMore: self._repeat,
-            r.OneOrMore: self._repeat,
-            r.AndPredicate: self._predicate,
-            r.NotPredicate: self._predicate,
-            r.Capture: self._capture,
-            r.Push: self._push,
-            r.Drop: self._drop,
-            r.Action: self._action,
-            r.RuleRef: self._rule_ref,
-            r.Quiet: self._quiet,
-        }
+        self._rule_touches: dict[str, bool] | None = None
 
     # -- top level ----------------------------------------------------------
 
@@ -188,8 +233,6 @@ class Parser:
             result = RunResult(fault=InternalFault(f"value stack underflow: {exc}"))
         except ActionRaised as exc:
             result = RunResult(fault=InternalFault(str(exc)))
-        except RecursionError:
-            result = RunResult(fault=InternalFault("recursion depth exceeded during parse"))
         else:
             if ok:
                 result = RunResult(values=state.stack.values())
@@ -216,324 +259,341 @@ class Parser:
         self.match_rule(state, start or self.grammar.start)
         return state
 
-    # -- dispatch -----------------------------------------------------------
-
     def match(self, state: ParserState, node: r.RuleExpr) -> bool:
-        state.stats.steps += 1
-        try:
-            handler = self._handlers[type(node)]
-        except KeyError:
-            raise TypeError(f"unknown rule expression: {node!r}") from None
-        if state.events is None:
-            return handler(state, node)
-        return self._match_traced(state, node, handler)
+        """Match one expression at the state's cursor."""
+        traced = state.events is not None
+        key = (id(node), traced)
+        compiled = self._nodes.get(key)
+        if compiled is None:
+            compiled = self._nodes[key] = (node, self._compile(node, traced))
+        return self._execute(state, compiled[1], None)
 
     def match_rule(self, state: ParserState, name: str) -> bool:
+        """Match the named rule at the state's cursor."""
+        return self._execute(state, self._rule_body(name, state.events is not None), name)
+
+    # -- the executor -------------------------------------------------------
+
+    def _execute(self, state: ParserState, ins: tuple, rule: str | None) -> bool:
+        """Run one compiled expression (a rule body when rule is its name).
+
+        Every node either decides at once or opens a continuation frame on
+        ``frames`` and descends into a child; a decided result is then
+        handed to the frames from the top down until one of them descends
+        again. No Python call made here re-enters the executor.
+        """
+        text = state.input
+        n = len(text)
+        pos = state.cursor
+        stats = state.stats
+        steps = stats.steps
+        mismatches = stats.terminal_mismatches
+        max_cursor = stats.max_cursor
+        stack = state.stack
+        snapshot, restore, push, size = stack.snapshot, stack.restore, stack.push, stack.size
+        traced = state.events is not None
+        bodies = self._bodies[traced]
+        collecting = state.error_mode == MODE_COLLECT
+        principal = state.principal
+        instrumented = traced or state.frames is not None or state.active_rules is not None
+        not_depth = quiet_depth = 0
+        wrap = False  # traced runs: the node being entered logs its own events
+        bare = rule is not None  # traced runs: a rule body's events are its rule's
+        # continuation frames, by the opcode that opened them:
+        #   [SEQ or ALT, children, next child, entry cursor, snapshot, wrap, ins]
+        #   [REP, ins, iteration entry cursor, snapshot, first match pending, collect base]
+        #   (CAPTURE, start)  (OPT, collect tag, collect base)
+        #   (PRED, negate, entry cursor, snapshot)  (QUIET,)
+        #   (RULE, name, entry cursor, reentry key) in instrumented runs only
+        frames: list = []
+        if rule is not None and instrumented:
+            frames.append(self._open_rule(state, rule, pos))
+        (CH, ANY, CLASS, STR, EOI, NONE, ICH, ISTR, SEQ, ALT, REF, CHARS, ACTION, CAPTURE,
+         REP, OPT, PRED, PUSH, DROP, QUIET) = _OPS
         try:
-            node = self._exprs[name]
-        except KeyError:
-            raise KeyError(f"unknown rule {name!r}") from None
-        state.stats.steps += 1
-        frames = state.frames
-        if frames is not None:
-            frames.append(name)
+            while True:
+                # -- enter ins --------------------------------------------------
+                steps += 1
+                op = ins[0]
+                if traced:
+                    wrap = not bare
+                    bare = False
+                if op <= ISTR:  # a terminal
+                    at = pos
+                    if op == CH:
+                        ok = pos < n and text[pos] == ins[2]
+                        if ok:
+                            pos += 1
+                    elif op == ANY:
+                        ok = pos < n
+                        if ok:
+                            pos += 1
+                    elif op == CLASS:
+                        ok = False
+                        if pos < n:
+                            c = text[pos]
+                            o = ord(c)
+                            extra = ins[3]
+                            if ((ins[2] >> o) & 1) if o < 128 else (extra is not None and extra(c)):
+                                pos += 1
+                                ok = True
+                    elif op == STR:
+                        ok = text.startswith(ins[2], pos)
+                        if ok:
+                            pos += ins[3]
+                    elif op == EOI:
+                        ok = pos == n
+                    elif op == NONE:
+                        ok = pos < n and not ins[2](text[pos])
+                        if ok:
+                            pos += 1
+                    elif op == ICH:
+                        ok = pos < n and text[pos].lower() == ins[2]
+                        if ok:
+                            pos += 1
+                    else:  # ISTR
+                        end = pos + ins[3]
+                        ok = text[pos:end].lower() == ins[2]
+                        if ok:
+                            pos = end
+                    if not ok:
+                        if not not_depth:
+                            mismatches += 1
+                            if at > max_cursor:
+                                max_cursor = at
+                            if collecting and at == principal and not quiet_depth:
+                                self._collect(state, ins[1])
+                        if wrap:
+                            state.last_fail_cursor = at
+                            self._emit(state, self._summarize(ins[1]), at, "mismatch")
+                    elif wrap:
+                        self._emit(state, self._summarize(ins[1]), at, "match", at, pos)
+                elif op == SEQ:
+                    if wrap:
+                        self._emit(state, self._summarize(ins[1]), pos, "start")
+                    frames.append([SEQ, ins[2], 1, pos, snapshot() if ins[3] else None, wrap, ins])
+                    ins = ins[2][0]
+                    continue
+                elif op == ALT:
+                    if traced:
+                        if wrap:
+                            self._emit(state, self._summarize(ins[1]), pos, "start")
+                        state.last_fail_cursor = pos
+                    frames.append([ALT, ins[2], 1, pos, snapshot() if ins[3] else None, wrap, ins])
+                    ins = ins[2][0]
+                    continue
+                elif op == REF:
+                    body = bodies.get(ins[2])
+                    if body is None:
+                        body = self._rule_body(ins[2], traced)
+                    if instrumented:
+                        frames.append(self._open_rule(state, ins[2], pos))
+                        bare = True
+                    ins = body
+                    continue
+                elif op == CHARS:
+                    # a repetition of one single-character terminal, fused:
+                    # each attempt counts one step, and the attempt that
+                    # ends the run is a mismatch either way
+                    scan = ins[4]
+                    at = scan(text, pos).end() if scan is not None else _scan(ins[2], text, pos)
+                    count = at - pos
+                    steps += count + 1
+                    ok = count >= ins[3]
+                    if ok:
+                        pos = at
+                    if not not_depth:
+                        mismatches += 1
+                        if at > max_cursor:
+                            max_cursor = at
+                        if collecting and at == principal and not quiet_depth:
+                            self._collect(state, ins[2])
+                elif op == ACTION:
+                    ok = self._act(state, ins)
+                elif op == CAPTURE:
+                    frames.append((CAPTURE, pos))
+                    ins = ins[2]
+                    continue
+                elif op == REP:
+                    tag = ins[4]
+                    first = ins[3]  # OneOrMore: the first match may fail the loop
+                    frames.append([REP, ins, pos, None if first or not ins[5] else snapshot(),
+                                   first, size() if tag is not None else 0])
+                    ins = ins[2]
+                    continue
+                elif op == OPT:
+                    tag = ins[3]
+                    frames.append((OPT, tag, size() if tag is not None else 0))
+                    ins = ins[2]
+                    continue
+                elif op == PRED:
+                    negate = ins[3]
+                    frames.append((PRED, negate, pos, snapshot() if ins[4] else None))
+                    not_depth += negate
+                    ins = ins[2]
+                    continue
+                elif op == PUSH:
+                    if ins[2] is not None:  # unit-like values push nothing
+                        push(ins[2])
+                    ok = True
+                elif op == DROP:
+                    stack.take(ins[2])
+                    ok = True
+                elif op == QUIET:
+                    frames.append(_QUIET_FRAME)
+                    quiet_depth += 1
+                    ins = ins[2]
+                    continue
+                else:
+                    raise TypeError(f"unknown instruction {ins!r}")
+
+                # -- hand ok to the open frames -------------------------------------
+                while frames:
+                    f = frames[-1]
+                    k = f[0]
+                    if k == SEQ:
+                        if ok:
+                            i = f[2]
+                            following = f[1][i]
+                            if following is not None:
+                                f[2] = i + 1
+                                ins = following
+                                break
+                            frames.pop()
+                            if f[5]:
+                                self._emit(state, self._summarize(f[6][1]), f[3], "match", f[3], pos)
+                        else:
+                            frames.pop()
+                            if traced:
+                                state.last_fail_cursor = pos
+                            pos = f[3]
+                            if f[4] is not None:
+                                restore(f[4])
+                    elif k == ALT:
+                        if ok:
+                            frames.pop()
+                            if f[5]:
+                                self._emit(state, self._summarize(f[6][1]), f[3], "match", f[3], pos)
+                        else:
+                            pos = entry = f[3]
+                            if f[4] is not None:
+                                restore(f[4])
+                            i = f[2]
+                            following = f[1][i]
+                            if following is not None:
+                                if traced:
+                                    self._emit(state, self._summarize(f[6][1]), entry, "reset",
+                                               state.last_fail_cursor, entry)
+                                    state.last_fail_cursor = entry
+                                f[2] = i + 1
+                                ins = following
+                                break
+                            frames.pop()
+                            if f[5]:
+                                self._emit(state, self._summarize(f[6][1]), entry, "mismatch")
+                    elif k == REP:
+                        rep = f[1]
+                        if f[4]:
+                            if not ok:
+                                frames.pop()
+                                continue
+                            f[4] = False
+                        elif not ok or pos == f[2]:
+                            if ok and f[3] is not None:
+                                restore(f[3])  # a zero-width iteration ends the loop undone
+                            frames.pop()
+                            if rep[4] is not None:
+                                self._materialize(stack, f[5], rep[4])
+                            ok = True
+                            continue
+                        f[2] = pos
+                        f[3] = snapshot() if rep[5] else None
+                        ins = rep[2]
+                        break
+                    elif k == CAPTURE:
+                        frames.pop()
+                        if ok:
+                            push(Value("Str", text[f[1]:pos]))
+                    elif k == OPT:
+                        frames.pop()
+                        if f[1] is not None:
+                            self._materialize(stack, f[2], f[1])
+                        ok = True
+                    elif k == PRED:
+                        frames.pop()
+                        not_depth -= f[1]
+                        pos = f[2]
+                        if f[3] is not None:
+                            restore(f[3])
+                        ok = ok != f[1]
+                    elif k == QUIET:
+                        frames.pop()
+                        quiet_depth -= 1
+                    else:  # RULE
+                        frames.pop()
+                        self._close_rule(state, f, ok, pos)
+                else:
+                    return ok
+        finally:
+            state.cursor = pos
+            stats.steps = steps
+            stats.terminal_mismatches = mismatches
+            stats.max_cursor = max_cursor
+
+    # -- helpers the executor calls; each returns before the next node -------
+
+    def _open_rule(self, state: ParserState, name: str, entry: int) -> tuple:
+        if state.frames is not None:
+            state.frames.append(name)
         added = None
         if state.active_rules is not None:
-            key = (name, state.cursor)
+            key = (name, entry)
             if key in state.active_rules:
                 state.reentry_violations.append(key)
             else:
                 state.active_rules.add(key)
                 added = key
-        try:
-            handler = self._handlers[type(node)]
-            if state.events is None:
-                return handler(state, node)
-            entry = state.cursor
+        if state.events is not None:
             self._emit(state, name, entry, "start")
-            ok = handler(state, node)
+        return (RULE, name, entry, added)
+
+    def _close_rule(self, state: ParserState, frame: tuple, ok: bool, pos: int) -> None:
+        _, name, entry, added = frame
+        if state.frames is not None:
+            state.frames.pop()
+        if added is not None:
+            state.active_rules.discard(added)
+        if state.events is not None:
             if ok:
-                self._emit(state, name, entry, "match", entry, state.cursor)
+                self._emit(state, name, entry, "match", entry, pos)
             else:
                 self._emit(state, name, entry, "mismatch")
-            return ok
-        finally:
-            if frames is not None:
-                frames.pop()
-            if added is not None:
-                state.active_rules.discard(added)
-
-    def _match_traced(self, state: ParserState, node, handler) -> bool:
-        t = type(node)
-        if t is r.Sequence or t is r.FirstOf:
-            summary = self._summarize(node)
-            entry = state.cursor
-            self._emit(state, summary, entry, "start")
-            ok = handler(state, node)
-            if ok:
-                self._emit(state, summary, entry, "match", entry, state.cursor)
-            elif t is r.FirstOf:
-                self._emit(state, summary, entry, "mismatch")
-            return ok
-        if t in _TERMINAL_SET:
-            entry = state.cursor
-            ok = handler(state, node)
-            if ok:
-                self._emit(state, self._summarize(node), entry, "match", entry, state.cursor)
-            else:
-                state.last_fail_cursor = entry
-                self._emit(state, self._summarize(node), entry, "mismatch")
-            return ok
-        return handler(state, node)
 
     def _emit(self, state, summary, cursor, outcome, moved_from=None, moved_to=None):
         state.event_seq += 1
         state.events.append(TraceEvent(state.event_seq, summary, cursor, outcome,
                                        moved_from, moved_to))
 
-    # -- terminal matchers ----------------------------------------------------
+    def _collect(self, state: ParserState, node) -> None:
+        """Record the rule trace of a mismatch at the principal index."""
+        trace = RuleTrace(tuple(state.frames), descriptor_of(node))
+        if trace not in state._trace_seen:
+            state._trace_seen.add(trace)
+            state.collected.append(trace)
 
-    def _register_mismatch(self, state: ParserState, node, at: int) -> None:
-        # mismatches under a not-predicate are success conditions, not
-        # expectations, and stay out of the error phases entirely
-        if state.not_depth:
-            return
-        stats = state.stats
-        stats.terminal_mismatches += 1
-        if at > stats.max_cursor:
-            stats.max_cursor = at
-        if (state.error_mode == MODE_COLLECT and at == state.principal
-                and state.quiet_depth == 0):
-            trace = RuleTrace(tuple(state.frames), descriptor_of(node))
-            if trace not in state._trace_seen:
-                state._trace_seen.add(trace)
-                state.collected.append(trace)
-
-    def _ch(self, state, node):
-        i = state.cursor
-        text = state.input
-        if i < len(text) and text[i] == node.char:
-            state.cursor = i + 1
-            return True
-        self._register_mismatch(state, node, i)
-        return False
-
-    def _ignore_case_ch(self, state, node):
-        i = state.cursor
-        text = state.input
-        if i < len(text) and text[i].lower() == node.char.lower():
-            state.cursor = i + 1
-            return True
-        self._register_mismatch(state, node, i)
-        return False
-
-    def _str(self, state, node):
-        i = state.cursor
-        if state.input.startswith(node.text, i):
-            state.cursor = i + len(node.text)
-            return True
-        self._register_mismatch(state, node, i)
-        return False
-
-    def _ignore_case_str(self, state, node):
-        i = state.cursor
-        end = i + len(node.text)
-        if state.input[i:end].lower() == node.text.lower():
-            state.cursor = end
-            return True
-        self._register_mismatch(state, node, i)
-        return False
-
-    def _char_class(self, state, node):
-        i = state.cursor
-        text = state.input
-        if i < len(text):
-            c = text[i]
-            o = ord(c)
-            pred = node.pred
-            if ((pred.mask >> o) & 1) if o < 128 else (pred.extra is not None and pred.extra(c)):
-                state.cursor = i + 1
-                return True
-        self._register_mismatch(state, node, i)
-        return False
-
-    def _none_of(self, state, node):
-        i = state.cursor
-        text = state.input
-        if i < len(text) and not node.pred.contains(text[i]):
-            state.cursor = i + 1
-            return True
-        self._register_mismatch(state, node, i)
-        return False
-
-    def _any_char(self, state, node):
-        i = state.cursor
-        if i < len(state.input):
-            state.cursor = i + 1
-            return True
-        self._register_mismatch(state, node, i)
-        return False
-
-    def _end_of_input(self, state, node):
-        i = state.cursor
-        if i == len(state.input):
-            return True
-        self._register_mismatch(state, node, i)
-        return False
-
-    # -- combinators ----------------------------------------------------------
-
-    def _sequence(self, state, node):
-        entry = state.cursor
-        snap = state.stack.snapshot() if self._touches(node) else None
-        for child in node.children:
-            if not self.match(state, child):
-                if state.events is not None:
-                    state.last_fail_cursor = state.cursor
-                state.cursor = entry
-                if snap is not None:
-                    state.stack.restore(snap)
-                return False
-        return True
-
-    def _first_of(self, state, node):
-        entry = state.cursor
-        snap = state.stack.snapshot() if self._touches(node) else None
-        alternatives = node.alternatives
-        last = len(alternatives) - 1
-        for idx, alt in enumerate(alternatives):
-            if state.events is not None:
-                state.last_fail_cursor = entry
-            if self.match(state, alt):
-                return True
-            state.cursor = entry
-            if snap is not None:
-                state.stack.restore(snap)
-            if state.events is not None and idx != last:
-                self._emit(state, self._summarize(node), entry, "reset",
-                           state.last_fail_cursor, entry)
-        return False
-
-    def _optional(self, state, node):
-        tag = self._collect_tag(node)
-        if tag is None:
-            self.match(state, node.inner)
-            return True
-        stack = state.stack
-        base = stack.size()
-        self.match(state, node.inner)
-        self._materialize(stack, base, tag)
-        return True
-
-    def _repeat(self, state, node):
-        """ZeroOrMore and OneOrMore: a zero-width iteration ends the loop."""
-        inner = node.inner
-        minimum = type(node) is r.OneOrMore
-        if state.events is None and type(inner) in _CHARSET_TYPES:
-            return self._char_loop(state, inner, minimum)
-        stack = state.stack
-        tag = self._collect_tag(node)
-        base = stack.size() if tag is not None else 0
-        if minimum and not self.match(state, inner):
-            return False
-        touches = self._touches(node)
-        while True:
-            entry = state.cursor
-            snap = stack.snapshot() if touches else None
-            if not self.match(state, inner):
-                break
-            if state.cursor == entry:
-                # zero-width success: roll the iteration back and stop
-                if snap is not None:
-                    stack.restore(snap)
-                break
-        if tag is not None:
-            self._materialize(stack, base, tag)
-        return True
-
-    def _char_loop(self, state, inner, minimum):
-        """Fused repetition over single-character class matchers.
-
-        Observably identical to the generic loop, including the step count
-        and the mismatch registration for the attempt that ends the loop.
-        """
-        text = state.input
-        n = len(text)
-        start = i = state.cursor
-        if type(inner) is r.NoneOf:
-            pred = inner.pred
-            while i < n and not pred.contains(text[i]):
-                i += 1
-        else:  # CharPred / AnyOf
-            pred = inner.pred
-            mask = pred.mask
-            extra = pred.extra
-            while i < n:
-                c = text[i]
-                o = ord(c)
-                if ((mask >> o) & 1) if o < 128 else (extra is not None and extra(c)):
-                    i += 1
-                else:
-                    break
-        count = i - start
-        state.cursor = i
-        state.stats.steps += count + 1
-        self._register_mismatch(state, inner, i)
-        if count >= minimum:
-            return True
-        state.cursor = start
-        return False
-
-    def _predicate(self, state, node):
-        """And/not-predicates match without consuming or pushing anything."""
-        negate = type(node) is r.NotPredicate
-        entry = state.cursor
-        snap = state.stack.snapshot() if self._touches(node.inner) else None
-        state.not_depth += negate
-        try:
-            ok = self.match(state, node.inner)
-        finally:
-            state.not_depth -= negate
-        state.cursor = entry
-        if snap is not None:
-            state.stack.restore(snap)
-        return ok != negate
-
-    # -- semantic actions -------------------------------------------------------
-
-    def _capture(self, state, node):
-        start = state.cursor
-        if self.match(state, node.inner):
-            state.stack.push(Value("Str", state.input[start:state.cursor]))
-            return True
-        return False
-
-    def _push(self, state, node):
-        value = node.value
-        if value.tag != "Unit":  # unit-like values push nothing
-            state.stack.push(value)
-        return True
-
-    def _drop(self, state, node):
-        stack = state.stack
-        for _ in range(node.count):
-            stack.pop()
-        return True
-
-    def _action(self, state, node):
+    def _act(self, state: ParserState, ins: tuple) -> bool:
+        node = ins[1]
         stack = state.stack
         n = node.arity
         if n:
             snap = stack.snapshot()
-            popped = [stack.pop() for _ in range(n)]  # first popped = last argument
+            args = stack.take(n)  # deepest first
             if state.check_tags:
                 pops = node.effect.pops
-                for j, v in enumerate(popped):
-                    expected = pops[n - 1 - j]
-                    if unify_tag(expected, v.tag) is None:
+                for j in range(n - 1, -1, -1):  # in popping order
+                    if unify_tag(pops[j], args[j].tag) is None:
                         state.tag_mismatches.append(
-                            (node.name or "<action>", expected, v.tag))
-            args = popped[::-1]
+                            (node.name or "<action>", pops[j], args[j].tag))
         else:
             snap = None
             args = ()
@@ -554,66 +614,8 @@ class Parser:
             stack.push(v)
         return True
 
-    def _rule_ref(self, state, node):
-        return self.match_rule(state, node.name)
-
-    def _quiet(self, state, node):
-        state.quiet_depth += 1
-        try:
-            return self.match(state, node.inner)
-        finally:
-            state.quiet_depth -= 1
-
-    # -- static per-node properties, memoized for the parser's lifetime ---------
-
-    def _touches(self, node) -> bool:
-        cached = self._touch.get(id(node))
-        if cached is not None:
-            return cached[1]
-        result = self._compute_touches(node, frozenset())
-        self._touch[id(node)] = (node, result)  # keep node alive so ids stay stable
-        return result
-
-    def _compute_touches(self, node, active: frozenset) -> bool:
-        t = type(node)
-        if t in (r.Capture, r.Push, r.Drop, r.Action):
-            return True
-        if t in (r.AndPredicate, r.NotPredicate):
-            return False  # externally stack-neutral; they restore internally
-        if t is r.Sequence:
-            return any(self._compute_touches(c, active) for c in node.children)
-        if t is r.FirstOf:
-            return any(self._compute_touches(a, active) for a in node.alternatives)
-        if t in (r.Optional, r.ZeroOrMore, r.OneOrMore, r.Quiet):
-            return self._compute_touches(node.inner, active)
-        if t is r.RuleRef:
-            if node.name in active:
-                return True  # conservative on cycles
-            rd = self.grammar.rules.get(node.name)
-            if rd is None:
-                return True
-            return self._compute_touches(rd.expr, active | {node.name})
-        return False  # terminals
-
-    def _collect_tag(self, node) -> str | None:
-        """Element tag when the repetition body is collecting, else None."""
-        cached = self._rep.get(id(node))
-        if cached is not None:
-            return cached[1]
-        tag = None
-        try:
-            shape, info = repetition_shape(infer_effect(node.inner, self.grammar))
-            if shape == "collecting":
-                tag = info
-        except (EffectError, KeyError, TypeError):
-            tag = None
-        self._rep[id(node)] = (node, tag)
-        return tag
-
     def _materialize(self, stack: ValueStack, base: int, tag: str) -> None:
-        vals = [stack.pop() for _ in range(stack.size() - base)]
-        vals.reverse()
-        stack.push(list_value(vals, tag))
+        stack.push(list_value(stack.take(stack.size() - base), tag))
 
     def _summarize(self, node) -> str:
         cached = self._summary.get(id(node))
@@ -621,6 +623,98 @@ class Parser:
             cached = (node, r.expr_text(node))
             self._summary[id(node)] = cached
         return cached[1]
+
+    # -- compilation: static facts become instruction operands ----------------
+
+    def _rule_body(self, name: str, traced: bool) -> tuple:
+        bodies = self._bodies[traced]
+        ins = bodies.get(name)
+        if ins is None:
+            try:
+                expr = self._exprs[name]
+            except KeyError:
+                raise KeyError(f"unknown rule {name!r}") from None
+            ins = bodies[name] = self._compile(expr, traced)
+        return ins
+
+    def _compile(self, node, traced: bool) -> tuple:
+        """Instruction tuple for a node: (opcode, node, operands...).
+
+        Rule references stay symbolic and are resolved when first run.
+        Traced runs get no fused charset loops, so every step is logged.
+        """
+        t = type(node)
+        if t is r.Ch:
+            return (CH, node, node.char)
+        if t is r.CharPred or t is r.AnyOf:
+            return (CLASS, node, node.pred.mask, node.pred.extra)
+        if t is r.Str:
+            return (STR, node, node.text, len(node.text))
+        if t is r.EndOfInput:
+            return (EOI, node)
+        if t is r.IgnoreCaseCh:
+            return (ICH, node, node.char.lower())
+        if t is r.IgnoreCaseStr:
+            return (ISTR, node, node.text.lower(), len(node.text))
+        if t is r.NoneOf:
+            return (NONE, node, node.pred.contains)
+        if t is r.AnyChar:
+            return (ANY, node)
+        if t is r.Sequence or t is r.FirstOf:
+            # the children, then None to mark the end
+            kids = node.children if t is r.Sequence else node.alternatives
+            return (SEQ if t is r.Sequence else ALT, node,
+                    tuple(self._compile(k, traced) for k in kids) + (None,), self._touches(node))
+        if t is r.ZeroOrMore or t is r.OneOrMore:
+            minimum = t is r.OneOrMore
+            if not traced and type(node.inner) in _FUSED_TYPES:
+                pattern = _run_pattern(node.inner)
+                return (CHARS, node, node.inner, minimum,
+                        None if pattern is None else pattern.match)
+            return (REP, node, self._compile(node.inner, traced), minimum,
+                    self._collect_tag(node), self._touches(node))
+        if t is r.Optional:
+            return (OPT, node, self._compile(node.inner, traced), self._collect_tag(node))
+        if t is r.AndPredicate or t is r.NotPredicate:
+            return (PRED, node, self._compile(node.inner, traced), t is r.NotPredicate,
+                    self._touches(node.inner))
+        if t is r.Capture:
+            return (CAPTURE, node, self._compile(node.inner, traced))
+        if t is r.Quiet:
+            return (QUIET, node, self._compile(node.inner, traced))
+        if t is r.Push:
+            return (PUSH, node, None if node.value.tag == "Unit" else node.value)
+        if t is r.Drop:
+            return (DROP, node, node.count)
+        if t is r.Action:
+            return (ACTION, node)
+        if t is r.RuleRef:
+            return (REF, node, node.name)
+        raise TypeError(f"unknown rule expression: {node!r}")
+
+    def _touches(self, node) -> bool:
+        """Whether matching node may change the value stack."""
+        table = self._rule_touches
+        if table is None:
+            # least fixpoint over the rules: a rule touches the stack when
+            # some expression it can reach pushes or pops
+            table = dict.fromkeys(self._exprs, False)
+            changed = True
+            while changed:
+                changed = False
+                for name, expr in self._exprs.items():
+                    if not table[name] and _touches(expr, table):
+                        table[name] = changed = True
+            self._rule_touches = table
+        return _touches(node, table)
+
+    def _collect_tag(self, node) -> str | None:
+        """Element tag when the repetition body is collecting, else None."""
+        try:
+            shape, info = repetition_shape(infer_effect(node.inner, self.grammar))
+        except (EffectError, KeyError, TypeError):
+            return None
+        return info if shape == "collecting" else None
 
 
 def run(grammar: r.Grammar, start: str | None, text: str, mode: str = "result", **kwargs):

@@ -36,10 +36,95 @@ class Value:
     The tag is fixed for the value's lifetime. Payloads are text (tag
     ``Str``), a Tree (tag ``Node``), a tuple of values (``ListOf(...)``
     tags), or an arbitrary host object for opaque values.
+
+    Equality, hashing and ``repr`` walk the tree with explicit stacks, so
+    the depth of a value is not bounded by the recursion limit. They agree
+    with the dataclass-generated methods: field by field, with tree
+    children and list elements compared pairwise.
     """
 
     tag: str
     payload: Any
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a.__class__ is not Value or b.__class__ is not Value:
+                if a != b:
+                    return False
+                continue
+            if a.tag != b.tag:
+                return False
+            pa, pb = a.payload, b.payload
+            if pa is pb:
+                continue
+            if type(pa) is Tree and type(pb) is Tree:
+                if pa.label != pb.label or len(pa.children) != len(pb.children):
+                    return False
+                todo.extend(zip(pa.children, pb.children))
+            elif type(pa) is tuple and type(pb) is tuple:
+                if len(pa) != len(pb):
+                    return False
+                todo.extend(zip(pa, pb))
+            elif pa != pb:
+                return False
+        return True
+
+    def __hash__(self):
+        parts = []
+        todo = [self]
+        while todo:
+            item = todo.pop()
+            if item.__class__ is not Value:
+                parts.append(hash(item))
+                continue
+            payload = item.payload
+            if type(payload) is Tree:
+                parts.append((item.tag, "Tree", payload.label, len(payload.children)))
+                todo.extend(payload.children)
+            elif type(payload) is tuple:
+                parts.append((item.tag, "tuple", len(payload)))
+                todo.extend(payload)
+            else:
+                parts.append((item.tag, hash(payload)))
+        return hash(tuple(parts))
+
+    def __repr__(self):
+        out: list[str] = []
+        todo: list = [self]  # values to write and literal text, next one last
+        while todo:
+            item = todo.pop()
+            if item.__class__ is str:
+                out.append(item)
+                continue
+            out.append(f"Value(tag={item.tag!r}, payload=")
+            todo.append(")")
+            payload = item.payload
+            if type(payload) is Tree:
+                out.append(f"Tree(label={payload.label!r}, children=")
+                todo.append(")")
+                _push_tuple(todo, payload.children)
+            elif type(payload) is tuple:
+                _push_tuple(todo, payload)
+            else:
+                out.append(repr(payload))
+        return "".join(out)
+
+
+def _push_tuple(todo: list, items: tuple) -> None:
+    """Schedule the ``repr`` of a tuple; items that are not values are written at once."""
+    parts = ["("]
+    for i, item in enumerate(items):
+        if i:
+            parts.append(", ")
+        parts.append(item if item.__class__ is Value else repr(item))
+    parts.append(",)" if len(items) == 1 else ")")
+    todo.extend(reversed(parts))
 
 
 UNIT = Value("Unit", None)
@@ -85,47 +170,80 @@ def render_value(value: Value) -> str:
     return "".join(out)
 
 
-class ValueStack:
-    """Mutable LIFO stack of values, owned by a single parse run.
+# the bottom cell of every stack: a real cell, so that a snapshot of the
+# empty stack is never None, which the engine reads as "no snapshot taken"
+_EMPTY = (None, None, 0)
 
-    ``snapshot`` returns an opaque token; ``restore`` makes the stack
-    element-wise identical to the moment the token was taken, regardless of
-    what happened in between.
+
+class ValueStack:
+    """LIFO stack of values, owned by a single parse run.
+
+    The stack is a persistent cons list of ``(value, below, size)`` cells.
+    ``snapshot`` returns the head cell as an opaque token and ``restore``
+    sets the head back to it, both in constant time; cells are never
+    mutated, so the stack reads exactly as it did when the token was taken,
+    regardless of what happened in between.
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ("_head",)
 
     def __init__(self, items: Iterable[Value] = ()):
-        self._items: list[Value] = list(items)
+        head = _EMPTY
+        for value in items:
+            head = (value, head, head[2] + 1)
+        self._head = head
 
     def push(self, value: Value) -> None:
-        self._items.append(value)
+        head = self._head
+        self._head = (value, head, head[2] + 1)
 
     def pop(self) -> Value:
-        if not self._items:
+        head = self._head
+        if head is _EMPTY:
             raise StackUnderflow("pop from empty value stack")
-        return self._items.pop()
+        self._head = head[1]
+        return head[0]
+
+    def take(self, count: int) -> list[Value]:
+        """Pop the top count values; return them bottom-to-top."""
+        head = self._head
+        if count > head[2]:
+            self._head = _EMPTY  # as count single pops would leave it
+            raise StackUnderflow("pop from empty value stack")
+        out = []
+        for _ in range(count):
+            out.append(head[0])
+            head = head[1]
+        self._head = head
+        out.reverse()
+        return out
 
     def peek(self) -> Value:
-        if not self._items:
+        if self._head is _EMPTY:
             raise StackUnderflow("peek at empty value stack")
-        return self._items[-1]
+        return self._head[0]
 
     def size(self) -> int:
-        return len(self._items)
+        return self._head[2]
 
     def values(self) -> tuple[Value, ...]:
         """Contents bottom-to-top."""
-        return tuple(self._items)
+        out = []
+        cell = self._head
+        while cell is not _EMPTY:
+            out.append(cell[0])
+            cell = cell[1]
+        out.reverse()
+        return tuple(out)
 
-    def snapshot(self) -> tuple[Value, ...]:
-        return tuple(self._items)
+    def snapshot(self) -> tuple:
+        return self._head
 
-    def restore(self, token: tuple[Value, ...]) -> None:
-        self._items[:] = token
+    def restore(self, token: tuple) -> None:
+        self._head = token
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._head[2]
 
     def __repr__(self) -> str:
-        return f"ValueStack({self._items!r})"
+        return f"ValueStack({list(self.values())!r})"

@@ -1,9 +1,13 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from pegstack.cli import _json_text, main
-from pegstack.engine import Parser
+from pegstack.engine import InternalFault, Parser, RunResult
 from pegstack.values import render_value
 
 from conftest import GRAMMARS
@@ -174,11 +178,65 @@ def test_no_caret_flag(capsys):
     assert "^" not in without
 
 
-def test_internal_fault_exit_code(capsys):
+def test_internal_fault_exit_code(capsys, monkeypatch):
     deep = "(" * 5000 + "1" + ")" * 5000
     code, out, err = run_cli(capsys, "run", "--grammar", CALC, "--input", deep)
+    assert (code, out, err) == (0, 'Val("1")\n', "")
+
+    class FaultingParser:
+        def __init__(self, grammar):
+            pass
+
+        def run(self, text, **kwargs):
+            return RunResult(fault=InternalFault("stub fault"))
+
+    monkeypatch.setattr("pegstack.cli.Parser", FaultingParser)
+    code, out, err = run_cli(capsys, "run", "--grammar", CALC, "--input", "1")
     assert code == 3
     assert "internal fault" in err
+
+
+def test_deep_nesting_parses_at_the_callers_recursion_limit(calc_grammar, capsys):
+    limit = sys.getrecursionlimit()
+    deep = "(" * 20_000 + "1" + ")" * 20_000
+    value, = Parser(calc_grammar).run(deep).values
+    assert render_value(value) == 'Val("1")'
+    for flags in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "run", "--grammar", CALC, "--input", deep, *flags)
+        assert (code, err) == (0, "")
+        assert sys.getrecursionlimit() == limit
+    code, out, err = run_cli(capsys, "run", "--grammar", CALC, "--input", deep[:-1])
+    assert code == 1 and "Unexpected end of input" in err
+
+
+def _cli_process(*argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-m", "pegstack.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_bad_start_rule_and_undecodable_input_exit_2_without_traceback(tmp_path):
+    proc = _cli_process("run", "--grammar", CALC, "--start", "Nope", "--input", "1")
+    assert proc.returncode == 2
+    assert "unknown rule 'Nope'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"1+\xe9")
+    proc = _cli_process("run", "--grammar", CALC, "--input-file", str(latin))
+    assert proc.returncode == 2
+    assert "UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_unexpected_exception_is_an_internal_fault(capsys, monkeypatch):
+    def broken(path):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("pegstack.cli.load_grammar", broken)
+    code, out, err = run_cli(capsys, "check", "--grammar", CALC)
+    assert code == 3
+    assert err == "internal fault: RuntimeError: boom\n"
 
 
 def test_exit_code_totality(capsys, tmp_path):

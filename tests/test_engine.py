@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -7,11 +9,12 @@ from pegstack.effects import StackEffect, cons
 from pegstack.engine import (ACTION_FAIL, EngineFault, InternalFault, ParseFailed, Parser,
                              ParserState, format_trace_event, match_expr, run)
 from pegstack.errors import principal_error_index
+from pegstack.notation import load_grammar
 from pegstack.rules import DIGIT, validate_grammar
 from pegstack.values import Value, node_value, render_value, str_value
 
-from conftest import DATA
-from generators import gen_grammar, gen_input, gen_neutral
+from conftest import DATA, ROOT
+from generators import big_expression, gen_grammar, gen_input, gen_neutral
 from reference_interp import ref_match, ref_run
 
 
@@ -143,6 +146,24 @@ def test_none_of_complement_accepts_non_ascii():
     g = _grammar(r.none_of("+-"))
     for text, ok in (("é", True), ("+", False), ("q", True)):
         assert _outcome(g, text) == (ok, 1 if ok else 0, ())
+
+
+def test_fused_character_runs_count_like_single_steps():
+    # plain runs scan a repeated single-character terminal in one go; traced
+    # runs step through it one attempt at a time and must count the same
+    terminals = [r.ch("a"), r.ANY, r.char_pred(DIGIT), r.any_of("a1"), r.any_of("aé"),
+                 r.none_of("b"), r.none_of("bé")]
+    texts = ["", "a", "aa1b", "éa", "1é1", "bbb", "aéaé", "\n\n"]
+    for terminal in terminals:
+        for repeat in (r.zero_or_more, r.one_or_more):
+            parser = Parser(_grammar(r.seq(repeat(terminal), r.ANY)))
+            for text in texts:
+                plain = ParserState(text)
+                traced = ParserState(text, events=[])
+                results = [(parser.match_rule(s, "Top"), s.cursor, s.stats.steps,
+                            s.stats.terminal_mismatches, s.stats.max_cursor)
+                           for s in (plain, traced)]
+                assert results[0] == results[1], (terminal, repeat, text)
 
 
 def test_prioritized_choice_commits_to_first_success():
@@ -455,3 +476,51 @@ def test_steps_counter_is_monotone(calc_grammar):
     state = Parser(calc_grammar).run_phase("1+2*3")
     assert state.stats.steps > 0
     assert state.stats.max_cursor <= len("1+2*3")
+
+
+# -- pinned counters --------------------------------------------------------------------
+
+# (grammar file, input) -> (steps, terminal mismatches, max cursor) of a plain
+# run; criteria 7 and 9 and the benchmark read these counters, so a change of
+# engine must leave them exactly as they are
+PINNED_COUNTERS = [
+    ("grammars/calc.peg", "1+(2-3*4)/5", (125, 20, 11)),
+    ("grammars/calc.peg", "1+2!3", (48, 9, 3)),
+    ("grammars/foo.peg", "abd", (9, 1, 2)),
+    ("bench/json.peg", '{"a": [1, 2.5e3, {"b": null}], "c": "x\\"y"}', (314, 56, 43)),
+    ("bench/json.peg", "[1e", (79, 23, 3)),
+]
+
+
+@pytest.mark.parametrize("path, text, counters", PINNED_COUNTERS)
+def test_counters_are_pinned(path, text, counters):
+    grammar = load_grammar(ROOT / path)
+    stats = Parser(grammar).run_phase(text).stats
+    assert (stats.steps, stats.terminal_mismatches, stats.max_cursor) == counters
+
+
+def test_a_fresh_parser_compiles_safely_under_threads(calc_grammar):
+    # rule bodies compile lazily on first use; threads sharing a new Parser
+    # race to fill its tables and must still see one consistent grammar
+    rng = random.Random(77)
+    texts = [big_expression(rng, 300) + ("!" if i % 3 == 0 else "") for i in range(24)]
+    expected = [Parser(calc_grammar).run(t) for t in texts]
+    shared = Parser(calc_grammar)
+    results = [None] * len(texts)
+
+    def work(k):
+        for i in range(k, len(texts), 4):
+            results[i] = shared.run(texts[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == expected

@@ -101,7 +101,7 @@ def test_snapshot_immutability(ops):
     """Mutations after a snapshot never change what restore reproduces."""
     stack = ValueStack([str_value("seed")])
     token = stack.snapshot()
-    frozen = tuple(token)
+    frozen = stack.values()
     for op, arg in ops:
         if op == "push":
             stack.push(str_value(str(arg)))
@@ -109,6 +109,46 @@ def test_snapshot_immutability(ops):
             stack.pop()
     stack.restore(token)
     assert stack.values() == frozen
+
+
+def test_snapshot_is_the_stack_itself_not_a_copy():
+    empty = ValueStack()
+    assert empty.snapshot() is not None  # the engine reads None as "no snapshot"
+    stack = ValueStack([str_value("a"), str_value("b")])
+    assert stack.snapshot() is stack.snapshot()
+    stack.push(str_value("c"))
+    token = stack.snapshot()
+    assert stack.snapshot() is token
+
+
+def _add_chain(depth, last="9"):
+    value = node_value("Val", str_value("0"))
+    for i in range(depth):
+        leaf = last if i == depth - 1 else str(i % 10)
+        value = node_value("Add", value, node_value("Val", str_value(leaf)))
+    return value
+
+
+def test_deep_values_compare_hash_and_repr_without_recursion():
+    a, b = _add_chain(20_000), _add_chain(20_000)
+    assert a is not b
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a != _add_chain(20_000, last="8")
+    assert repr(a).startswith("Value(tag='Node', payload=Tree(label='Add', children=(")
+
+
+def test_value_methods_agree_with_the_dataclass_forms():
+    v = node_value("Add", str_value("1"), list_value([UNIT], "Unit"))
+    assert repr(v) == ("Value(tag='Node', payload=Tree(label='Add', children=("
+                       "Value(tag='Str', payload='1'), Value(tag='ListOf(Unit)', "
+                       "payload=(Value(tag='Unit', payload=None),)))))")
+    assert repr(Value("Opaque", (1, "x"))) == "Value(tag='Opaque', payload=(1, 'x'))"
+    assert v == node_value("Add", str_value("1"), list_value([UNIT], "Unit"))
+    assert v != node_value("Add", str_value("1"), list_value([], "Unit"))
+    assert v != node_value("Sub", str_value("1"), list_value([UNIT], "Unit"))
+    assert str_value("x") != Value("Other", "x")
+    assert len({str_value("x"), str_value("x"), v}) == 2
 
 
 def test_render_forms():
