@@ -10,22 +10,29 @@ popped values carry the tags the popping site expects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 from . import rules as r
+from .record import record
 from .values import Tree, Value
 
 WILDCARD = "*"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StackEffect:
     pops: tuple[str, ...] = ()
     pushes: tuple[str, ...] = ()
 
+    # one per composition step while a grammar is checked: set the slots
+    # directly, not through the record's generic constructor
+    def __init__(self, pops: tuple[str, ...] = (), pushes: tuple[str, ...] = ()):
+        _set_pops(self, pops)
+        _set_pushes(self, pushes)
+
     def __str__(self) -> str:
         return f"([{','.join(self.pops)}],[{','.join(self.pushes)}])"
+
+
+_set_pops, _set_pushes = StackEffect.pops.__set__, StackEffect.pushes.__set__
 
 
 NEUTRAL = StackEffect()
@@ -256,13 +263,17 @@ def check_grammar(g: r.Grammar) -> dict[str, StackEffect]:
 # node-building actions
 
 
-@lru_cache(maxsize=None)
-def _cons_fn(label: str, arity: int):
-    def build(*args: Value) -> Value:
-        return Value("Node", Tree(label, tuple(args)))
+@record
+class ConsFn:
+    """The function of a ``cons`` action: builds the node Label(v1..vn).
 
-    build.__name__ = f"cons_{label}_{arity}"
-    return build
+    The engine recognizes it by its type and builds the node itself.
+    """
+
+    label: str
+
+    def __call__(self, *args: Value) -> Value:
+        return Value("Node", Tree(self.label, args))
 
 
 def cons(label: str, arity: int, pops: tuple[str, ...] | None = None,
@@ -273,4 +284,4 @@ def cons(label: str, arity: int, pops: tuple[str, ...] | None = None,
     last child. Pop tags default to wildcards.
     """
     effect = StackEffect(pops if pops is not None else (WILDCARD,) * arity, (push,))
-    return r.Action(arity, _cons_fn(label, arity), effect, name=f"cons({label},{arity})")
+    return r.Action(arity, ConsFn(label), effect, name=f"cons({label},{arity})")

@@ -21,22 +21,22 @@ value, matching what the effect checker reports for them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import rules as r
-from .effects import EffectError, infer_effect, repetition_shape, unify_tag
+from .effects import ConsFn, EffectError, infer_effect, repetition_shape, unify_tag
 from .errors import (MODE_COLLECT, MODE_OFF, ParseError, RuleTrace,
                      build_parse_error, descriptor_of, format_error)
-from .values import StackUnderflow, Value, ValueStack, list_value
+from .record import record
+from .values import StackUnderflow, Tree, Value, ValueStack, list_value
 
 # sentinel an action function returns to report a match failure
 ACTION_FAIL = object()
 
 # opcodes: terminals first, so "op <= ISTR" tells a terminal; a frame is
 # tagged with the opcode of the node that opened it, or with RULE
-_OPS = (CH, ANY, CLASS, STR, EOI, NONE, ICH, ISTR, SEQ, ALT, REF, CHARS, ACTION, CAPTURE,
-        REP, OPT, PRED, PUSH, DROP, QUIET) = range(20)
-RULE = 20
+_OPS = (CH, ANY, CLASS, STR, EOI, NONE, ICH, ISTR, SEQ, ALT, REF, CHARS, ACTION, CONS,
+        CAPTURE, REP, OPT, PRED, PUSH, DROP, QUIET) = range(21)
+RULE = 21
 _QUIET_FRAME = (QUIET,)
 # single-character terminals whose repetitions run as one fused scan
 _FUSED_TYPES = (r.Ch, r.AnyChar, r.CharPred, r.AnyOf, r.NoneOf)
@@ -135,7 +135,7 @@ class ParserState:
         self.reentry_violations: list[tuple[str, int]] = []
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TraceEvent:
     step: int
     summary: str
@@ -150,12 +150,12 @@ def format_trace_event(ev: TraceEvent) -> str:
     return f"step {ev.step}: {ev.summary} @ {ev.cursor} -> {ev.outcome}{tail}"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class InternalFault:
     description: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RunResult:
     """Exactly one of values / error / fault is set."""
 
@@ -295,6 +295,7 @@ class Parser:
         bodies = self._bodies[traced]
         collecting = state.error_mode == MODE_COLLECT
         principal = state.principal
+        check_tags = state.check_tags
         instrumented = traced or state.frames is not None or state.active_rules is not None
         not_depth = quiet_depth = 0
         wrap = False  # traced runs: the node being entered logs its own events
@@ -308,8 +309,8 @@ class Parser:
         frames: list = []
         if rule is not None and instrumented:
             frames.append(self._open_rule(state, rule, pos))
-        (CH, ANY, CLASS, STR, EOI, NONE, ICH, ISTR, SEQ, ALT, REF, CHARS, ACTION, CAPTURE,
-         REP, OPT, PRED, PUSH, DROP, QUIET) = _OPS
+        (CH, ANY, CLASS, STR, EOI, NONE, ICH, ISTR, SEQ, ALT, REF, CHARS, ACTION, CONS,
+         CAPTURE, REP, OPT, PRED, PUSH, DROP, QUIET) = _OPS
         try:
             while True:
                 # -- enter ins --------------------------------------------------
@@ -408,6 +409,12 @@ class Parser:
                             max_cursor = at
                         if collecting and at == principal and not quiet_depth:
                             self._collect(state, ins[2])
+                elif op == CONS:
+                    if check_tags:  # the general path records tag mismatches
+                        ok = self._act(state, ins)
+                    else:
+                        push(Value("Node", Tree(ins[2], tuple(stack.take(ins[3])))))
+                        ok = True
                 elif op == ACTION:
                     ok = self._act(state, ins)
                 elif op == CAPTURE:
@@ -687,6 +694,8 @@ class Parser:
         if t is r.Drop:
             return (DROP, node, node.count)
         if t is r.Action:
+            if type(node.fn) is ConsFn:  # made by effects.cons: the executor builds the node
+                return (CONS, node, node.fn.label, node.arity)
             return (ACTION, node)
         if t is r.RuleRef:
             return (REF, node, node.name)

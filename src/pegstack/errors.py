@@ -10,16 +10,15 @@ collection but behave identically otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import rules as r
+from .record import record
 
 # error modes of a parser state; the trace-collecting rerun selects MODE_COLLECT
 MODE_OFF = "off"
 MODE_COLLECT = "collect_traces"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Position:
     index: int  # 0-based character offset
     line: int  # 1-based
@@ -38,7 +37,7 @@ def position_of(text: str, index: int) -> Position:
     return Position(index, line, index - line_start + 1)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TerminalDescriptor:
     kind: str  # "char" | "string" | "predicate" | "any" | "eoi"
     text: str
@@ -74,7 +73,7 @@ def descriptor_of(node: r.RuleExpr) -> TerminalDescriptor:
     raise TypeError(f"not a terminal: {node!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RuleTrace:
     frames: tuple[str, ...]  # named rules from the start rule to the failure
     terminal: TerminalDescriptor
@@ -83,7 +82,7 @@ class RuleTrace:
         return " / ".join(self.frames) + " / " + self.terminal.render()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ParseError:
     position: Position
     principal_position: Position

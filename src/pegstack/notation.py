@@ -25,19 +25,19 @@ by the same engine, so grammar files get the standard error messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import rules as r
 from .effects import StackEffect, WILDCARD, check_grammar, cons
 from .engine import Parser
 from .errors import ParseError, format_error
+from .record import record
 from .rules import (ALPHA, DIGIT, LOWER_HEX_LETTER, CharPredicate, Grammar, GrammarError,
                     GrammarIssue, RuleDef, expr_text, validate_grammar)
 from .values import Value
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GrammarSource:
     text: str
     name: str = "<grammar>"

@@ -8,13 +8,13 @@ final cursor and reported error unchanged; acceptance criterion 7 checks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
+from .record import record
 from .rules import Grammar, validate_grammar
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RewritePass:
     name: str
     transform: Callable[[Grammar], Grammar]

@@ -1,17 +1,18 @@
 """Immutable rule-expression trees, character predicates and grammars.
 
 A grammar is a mapping from rule names to expression trees plus a start
-rule. Trees are frozen dataclasses, safely shareable across concurrent
-parse runs once validated. ``validate_grammar`` normalizes the tree
-(collapsing one-child sequences/choices), resolves references and rejects
-left recursion, which a plain recursive-descent interpreter cannot execute.
+rule. Trees are frozen records (see ``record``), safely shareable across
+concurrent parse runs once validated. ``validate_grammar`` normalizes the
+tree (collapsing one-child sequences/choices), resolves references and
+rejects left recursion, which a plain recursive-descent interpreter cannot
+execute.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
+from .record import record
 from .values import Value
 
 
@@ -32,7 +33,7 @@ def _range_mask(lo: str, hi: str) -> int:
     return _mask_of(chr(o) for o in range(ord(lo), ord(hi) + 1))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CharPredicate:
     """Character-set membership test.
 
@@ -86,7 +87,7 @@ class RuleExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Ch(RuleExpr):
     char: str
 
@@ -95,7 +96,7 @@ class Ch(RuleExpr):
             raise ValueError("Ch takes exactly one character")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class IgnoreCaseCh(RuleExpr):
     char: str
 
@@ -104,39 +105,39 @@ class IgnoreCaseCh(RuleExpr):
             raise ValueError("IgnoreCaseCh takes exactly one character")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Str(RuleExpr):
     # empty text is rejected by validate_grammar, not at construction,
     # so the textual notation can report it as a positioned diagnostic
     text: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class IgnoreCaseStr(RuleExpr):
     text: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CharPred(RuleExpr):
     pred: CharPredicate
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AnyChar(RuleExpr):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AnyOf(RuleExpr):
     pred: CharPredicate
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class NoneOf(RuleExpr):
     pred: CharPredicate
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class EndOfInput(RuleExpr):
     pass
 
@@ -145,7 +146,7 @@ ANY = AnyChar()
 EOI = EndOfInput()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Sequence(RuleExpr):
     children: tuple[RuleExpr, ...]
 
@@ -154,7 +155,7 @@ class Sequence(RuleExpr):
             raise ValueError("empty sequence")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FirstOf(RuleExpr):
     alternatives: tuple[RuleExpr, ...]
 
@@ -163,42 +164,42 @@ class FirstOf(RuleExpr):
             raise ValueError("empty choice")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Optional(RuleExpr):
     inner: RuleExpr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ZeroOrMore(RuleExpr):
     inner: RuleExpr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class OneOrMore(RuleExpr):
     inner: RuleExpr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AndPredicate(RuleExpr):
     inner: RuleExpr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class NotPredicate(RuleExpr):
     inner: RuleExpr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Capture(RuleExpr):
     inner: RuleExpr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Push(RuleExpr):
     value: Value
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Drop(RuleExpr):
     count: int = 1
 
@@ -207,7 +208,7 @@ class Drop(RuleExpr):
             raise ValueError("Drop count must be >= 1")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Action(RuleExpr):
     """N-ary semantic action.
 
@@ -229,12 +230,12 @@ class Action(RuleExpr):
             raise ValueError("Action arity must equal the length of its effect's pop list")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RuleRef(RuleExpr):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Quiet(RuleExpr):
     """Matches like its inner expression but is excluded from error traces."""
 
@@ -330,13 +331,13 @@ def quiet(inner: RuleExpr) -> Quiet:
 # grammars
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RuleDef:
     expr: RuleExpr
     effect: Any | None = None  # optional declared effects.StackEffect
 
 
-@dataclass(frozen=True)
+@record
 class Grammar:
     rules: dict[str, RuleDef]
     start: str
@@ -365,7 +366,7 @@ def grammar(rules: dict[str, Any], start: str | None = None) -> Grammar:
 # validation
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GrammarIssue:
     kind: str  # "unresolved-ref" | "left-recursion" | "empty-literal" | "missing-start"
     rule: str

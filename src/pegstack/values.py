@@ -8,8 +8,9 @@ undone by restoring a snapshot taken before the attempt.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any, Iterable
+
+from .record import record
 
 
 class StackUnderflow(Exception):
@@ -21,15 +22,21 @@ class StackUnderflow(Exception):
     """
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Tree:
     """Labelled node payload, the shape built by ``cons`` actions."""
 
     label: str
     children: tuple["Value", ...]
 
+    # one per cons action: set the slots directly, not through the
+    # record's generic constructor
+    def __init__(self, label: str, children: tuple["Value", ...]):
+        _set_label(self, label)
+        _set_children(self, children)
 
-@dataclass(frozen=True, slots=True)
+
+@record
 class Value:
     """One stack entry: a symbolic type tag plus a payload.
 
@@ -39,12 +46,17 @@ class Value:
 
     Equality, hashing and ``repr`` walk the tree with explicit stacks, so
     the depth of a value is not bounded by the recursion limit. They agree
-    with the dataclass-generated methods: field by field, with tree
-    children and list elements compared pairwise.
+    with the record's field-by-field methods, with tree children and list
+    elements compared pairwise.
     """
 
     tag: str
     payload: Any
+
+    # one per capture and per cons action, like Tree's
+    def __init__(self, tag: str, payload: Any):
+        _set_tag(self, tag)
+        _set_payload(self, payload)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -114,6 +126,11 @@ class Value:
             else:
                 out.append(repr(payload))
         return "".join(out)
+
+
+# the slot descriptors' setters, which bypass the records' frozen __setattr__
+_set_label, _set_children = Tree.label.__set__, Tree.children.__set__
+_set_tag, _set_payload = Value.tag.__set__, Value.payload.__set__
 
 
 def _push_tuple(todo: list, items: tuple) -> None:

@@ -268,6 +268,47 @@ def test_cons_builds_nodes_in_argument_order():
     assert [render_value(v) for v in result.values] == ['Pair("a","b")']
 
 
+def test_cons_runs_like_an_equivalent_general_action():
+    # the executor builds cons nodes itself; a hand-written action with the
+    # same effect takes the general path and must agree step for step
+    def pair(a, b):
+        return node_value("Pair", a, b)
+
+    general = r.Action(2, pair, StackEffect(("*", "*"), ("Node",)), name="pair")
+    for text in ("ab", "ba", "abab", "a"):
+        outcomes = []
+        for action in (cons("Pair", 2), general):
+            g = _grammar(r.one_or_more(r.seq(r.capture(r.ch("a")), r.capture(r.ch("b")), action)))
+            state = _state(text)
+            ok = Parser(g).match_rule(state, "Top")
+            outcomes.append((ok, state.cursor, state.stack.values(), state.stats.steps,
+                             state.stats.terminal_mismatches))
+        assert outcomes[0] == outcomes[1]
+
+
+def test_cons_with_no_arity_builds_a_leaf():
+    result = Parser(_grammar(cons("Leaf", 0))).run("")
+    assert result.values == (node_value("Leaf"),)
+
+
+def test_cons_underflow_is_the_stack_fault():
+    g = _grammar(r.seq(r.capture(r.ch("a")), cons("Pair", 2)))
+    for check_tags in (False, True):
+        result = Parser(g).run("a", check_tags=check_tags)
+        assert result.fault == InternalFault("value stack underflow: pop from empty value stack")
+
+
+def test_cons_tag_mismatches_are_recorded_when_checked():
+    expr = r.seq(r.capture(r.ch("a")), r.capture(r.ch("b")),
+                 cons("Pair", 2, pops=("Node", "Str")))
+    g = _grammar(expr)
+    for check_tags, mismatches in ((True, [("cons(Pair,2)", "Node", "Str")]), (False, [])):
+        state = ParserState("ab", check_tags=check_tags)
+        assert Parser(g).match_rule(state, "Top")
+        assert state.tag_mismatches == mismatches
+        assert [render_value(v) for v in state.stack.values()] == ['Pair("a","b")']
+
+
 # -- collecting repetitions ------------------------------------------------------------
 
 def test_zero_or_more_collects_single_value_bodies():
