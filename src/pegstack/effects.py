@@ -276,12 +276,12 @@ class ConsFn:
         return Value("Node", Tree(self.label, args))
 
 
-def cons(label: str, arity: int, pops: tuple[str, ...] | None = None,
-         push: str = "Node") -> r.Action:
+def cons(label: str, arity: int, pops: tuple[str, ...] | None = None) -> r.Action:
     """Action that pops ``arity`` values and pushes the node Label(v1..vn).
 
     Arguments are assigned deepest-first: the first popped value becomes the
-    last child. Pop tags default to wildcards.
+    last child. Pop tags default to wildcards; the pushed value is tagged
+    ``Node``, and so is the effect.
     """
-    effect = StackEffect(pops if pops is not None else (WILDCARD,) * arity, (push,))
+    effect = StackEffect(pops if pops is not None else (WILDCARD,) * arity, ("Node",))
     return r.Action(arity, ConsFn(label), effect, name=f"cons({label},{arity})")

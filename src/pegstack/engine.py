@@ -13,6 +13,14 @@ Capture, Optional and Quiet holds one frame, and so does each open rule in
 traced, error-collecting and reentry-checking runs. Nesting depth is
 therefore bounded by the input, not by the interpreter's recursion limit.
 
+Untraced runs open a frame only where backtracking needs one. A Sequence
+whose first child is a terminal tests that terminal first: a mismatch fails
+the sequence at once, and a match opens its frame at the second child. A
+predicate over a terminal resolves in place. A repetition of one
+single-character terminal runs as one fused scan, and so does a Capture of
+such a repetition, which pushes the matched slice itself. Traced runs step
+through every node, and their instructions carry the node's summary text.
+
 Repetition bodies whose effect pushes exactly one value per iteration are
 collecting: the engine bundles the iteration results into a single list
 value, matching what the effect checker reports for them.
@@ -57,6 +65,14 @@ def _run_pattern(inner: r.RuleExpr) -> re.Pattern | None:
     if t is r.NoneOf:  # everything outside the set, non-ASCII included
         return re.compile(f"[^{chars}]*" if chars else ".*", re.DOTALL)
     return re.compile(f"[{chars}]*" if chars else "")
+
+
+def _fused(rep: r.RuleExpr, capture: bool) -> tuple:
+    """CHARS instruction for a repetition of one single-character terminal,
+    run as one scan; with capture, it also stands for a Capture around it."""
+    pattern = _run_pattern(rep.inner)
+    return (CHARS, rep, rep.inner, type(rep) is r.OneOrMore,
+            None if pattern is None else pattern.match, capture)
 
 
 def _touches(node: r.RuleExpr, rules: dict[str, bool]) -> bool:
@@ -207,10 +223,8 @@ class Parser:
         self.grammar = grammar
         self._exprs = {name: rd.expr for name, rd in grammar.rules.items()}
         # compiled rule bodies, one table for plain runs and one for traced
-        # runs, which step through single-character repetitions one by one
+        # runs, which step through every node and log its summary text
         self._bodies: tuple[dict, dict] = ({}, {})
-        self._nodes: dict[tuple[int, bool], tuple] = {}
-        self._summary: dict[int, tuple] = {}
         self._rule_touches: dict[str, bool] | None = None
 
     # -- top level ----------------------------------------------------------
@@ -261,12 +275,7 @@ class Parser:
 
     def match(self, state: ParserState, node: r.RuleExpr) -> bool:
         """Match one expression at the state's cursor."""
-        traced = state.events is not None
-        key = (id(node), traced)
-        compiled = self._nodes.get(key)
-        if compiled is None:
-            compiled = self._nodes[key] = (node, self._compile(node, traced))
-        return self._execute(state, compiled[1], None)
+        return self._execute(state, self._compile(node, state.events is not None), None)
 
     def match_rule(self, state: ParserState, name: str) -> bool:
         """Match the named rule at the state's cursor."""
@@ -280,7 +289,9 @@ class Parser:
         Every node either decides at once or opens a continuation frame on
         ``frames`` and descends into a child; a decided result is then
         handed to the frames from the top down until one of them descends
-        again. No Python call made here re-enters the executor.
+        again. No Python call made here re-enters the executor. A sequence
+        or predicate with a terminal head is held in ``pending`` while that
+        terminal runs, and the terminal's result resolves it.
         """
         text = state.input
         n = len(text)
@@ -298,10 +309,12 @@ class Parser:
         check_tags = state.check_tags
         instrumented = traced or state.frames is not None or state.active_rules is not None
         not_depth = quiet_depth = 0
+        pending = None  # a SEQ or PRED whose terminal head is being tested
         wrap = False  # traced runs: the node being entered logs its own events
         bare = rule is not None  # traced runs: a rule body's events are its rule's
         # continuation frames, by the opcode that opened them:
         #   [SEQ or ALT, children, next child, entry cursor, snapshot, wrap, ins]
+        #     (a SEQ with a terminal head opens at child 1, after it matched)
         #   [REP, ins, iteration entry cursor, snapshot, first match pending, collect base]
         #   (CAPTURE, start)  (OPT, collect tag, collect base)
         #   (PRED, negate, entry cursor, snapshot)  (QUIET,)
@@ -366,19 +379,39 @@ class Parser:
                                 self._collect(state, ins[1])
                         if wrap:
                             state.last_fail_cursor = at
-                            self._emit(state, self._summarize(ins[1]), at, "mismatch")
+                            self._emit(state, ins[-1], at, "mismatch")
                     elif wrap:
-                        self._emit(state, self._summarize(ins[1]), at, "match", at, pos)
+                        self._emit(state, ins[-1], at, "match", at, pos)
+                    if pending is not None:
+                        p = pending
+                        pending = None
+                        if p[0] == SEQ:
+                            # a failed head moved nothing, so the sequence fails
+                            # as it stands; a terminal never touches the stack,
+                            # so a snapshot taken now equals one taken at entry
+                            if ok and p[2][1] is not None:
+                                frames.append([SEQ, p[2], 2, at, snapshot() if p[3] else None,
+                                               False, p])
+                                ins = p[2][1]
+                                continue
+                        else:  # PRED
+                            not_depth -= p[3]
+                            pos = at
+                            ok = ok != p[3]
                 elif op == SEQ:
+                    if ins[4]:  # the terminal head decides before a frame opens
+                        pending = ins
+                        ins = ins[2][0]
+                        continue
                     if wrap:
-                        self._emit(state, self._summarize(ins[1]), pos, "start")
+                        self._emit(state, ins[-1], pos, "start")
                     frames.append([SEQ, ins[2], 1, pos, snapshot() if ins[3] else None, wrap, ins])
                     ins = ins[2][0]
                     continue
                 elif op == ALT:
                     if traced:
                         if wrap:
-                            self._emit(state, self._summarize(ins[1]), pos, "start")
+                            self._emit(state, ins[-1], pos, "start")
                         state.last_fail_cursor = pos
                     frames.append([ALT, ins[2], 1, pos, snapshot() if ins[3] else None, wrap, ins])
                     ins = ins[2][0]
@@ -399,9 +432,11 @@ class Parser:
                     scan = ins[4]
                     at = scan(text, pos).end() if scan is not None else _scan(ins[2], text, pos)
                     count = at - pos
-                    steps += count + 1
+                    steps += count + 1 + ins[5]  # a fused Capture counts its own step
                     ok = count >= ins[3]
                     if ok:
+                        if ins[5]:
+                            push(Value("Str", text[pos:at]))
                         pos = at
                     if not not_depth:
                         mismatches += 1
@@ -413,7 +448,7 @@ class Parser:
                     if check_tags:  # the general path records tag mismatches
                         ok = self._act(state, ins)
                     else:
-                        push(Value("Node", Tree(ins[2], tuple(stack.take(ins[3])))))
+                        push(Value("Node", Tree(ins[2], stack.take(ins[3]))))
                         ok = True
                 elif op == ACTION:
                     ok = self._act(state, ins)
@@ -435,8 +470,11 @@ class Parser:
                     continue
                 elif op == PRED:
                     negate = ins[3]
-                    frames.append((PRED, negate, pos, snapshot() if ins[4] else None))
                     not_depth += negate
+                    if ins[5]:  # a terminal body resolves in place
+                        pending = ins
+                    else:
+                        frames.append((PRED, negate, pos, snapshot() if ins[4] else None))
                     ins = ins[2]
                     continue
                 elif op == PUSH:
@@ -468,7 +506,7 @@ class Parser:
                                 break
                             frames.pop()
                             if f[5]:
-                                self._emit(state, self._summarize(f[6][1]), f[3], "match", f[3], pos)
+                                self._emit(state, f[6][-1], f[3], "match", f[3], pos)
                         else:
                             frames.pop()
                             if traced:
@@ -480,7 +518,7 @@ class Parser:
                         if ok:
                             frames.pop()
                             if f[5]:
-                                self._emit(state, self._summarize(f[6][1]), f[3], "match", f[3], pos)
+                                self._emit(state, f[6][-1], f[3], "match", f[3], pos)
                         else:
                             pos = entry = f[3]
                             if f[4] is not None:
@@ -489,7 +527,7 @@ class Parser:
                             following = f[1][i]
                             if following is not None:
                                 if traced:
-                                    self._emit(state, self._summarize(f[6][1]), entry, "reset",
+                                    self._emit(state, f[6][-1], entry, "reset",
                                                state.last_fail_cursor, entry)
                                     state.last_fail_cursor = entry
                                 f[2] = i + 1
@@ -497,7 +535,7 @@ class Parser:
                                 break
                             frames.pop()
                             if f[5]:
-                                self._emit(state, self._summarize(f[6][1]), entry, "mismatch")
+                                self._emit(state, f[6][-1], entry, "mismatch")
                     elif k == REP:
                         rep = f[1]
                         if f[4]:
@@ -624,13 +662,6 @@ class Parser:
     def _materialize(self, stack: ValueStack, base: int, tag: str) -> None:
         stack.push(list_value(stack.take(stack.size() - base), tag))
 
-    def _summarize(self, node) -> str:
-        cached = self._summary.get(id(node))
-        if cached is None:
-            cached = (node, r.expr_text(node))
-            self._summary[id(node)] = cached
-        return cached[1]
-
     # -- compilation: static facts become instruction operands ----------------
 
     def _rule_body(self, name: str, traced: bool) -> tuple:
@@ -648,8 +679,14 @@ class Parser:
         """Instruction tuple for a node: (opcode, node, operands...).
 
         Rule references stay symbolic and are resolved when first run.
-        Traced runs get no fused charset loops, so every step is logged.
+        Traced runs get no fused charset loops and no terminal heads, so
+        every step is logged, and each of their instructions ends with the
+        node's summary text for its trace events.
         """
+        ins = self._instruction(node, traced)
+        return ins + (r.expr_text(node),) if traced else ins
+
+    def _instruction(self, node, traced: bool) -> tuple:
         t = type(node)
         if t is r.Ch:
             return (CH, node, node.char)
@@ -667,26 +704,31 @@ class Parser:
             return (NONE, node, node.pred.contains)
         if t is r.AnyChar:
             return (ANY, node)
-        if t is r.Sequence or t is r.FirstOf:
-            # the children, then None to mark the end
-            kids = node.children if t is r.Sequence else node.alternatives
-            return (SEQ if t is r.Sequence else ALT, node,
-                    tuple(self._compile(k, traced) for k in kids) + (None,), self._touches(node))
+        if t is r.Sequence:
+            # the children, then None to mark the end; the last operand
+            # tells a terminal head that untraced runs test before the frame
+            kids = tuple(self._compile(k, traced) for k in node.children) + (None,)
+            return (SEQ, node, kids, self._touches(node), not traced and kids[0][0] <= ISTR)
+        if t is r.FirstOf:
+            kids = tuple(self._compile(k, traced) for k in node.alternatives) + (None,)
+            return (ALT, node, kids, self._touches(node))
         if t is r.ZeroOrMore or t is r.OneOrMore:
-            minimum = t is r.OneOrMore
             if not traced and type(node.inner) in _FUSED_TYPES:
-                pattern = _run_pattern(node.inner)
-                return (CHARS, node, node.inner, minimum,
-                        None if pattern is None else pattern.match)
-            return (REP, node, self._compile(node.inner, traced), minimum,
+                return _fused(node, False)
+            return (REP, node, self._compile(node.inner, traced), t is r.OneOrMore,
                     self._collect_tag(node), self._touches(node))
         if t is r.Optional:
             return (OPT, node, self._compile(node.inner, traced), self._collect_tag(node))
         if t is r.AndPredicate or t is r.NotPredicate:
-            return (PRED, node, self._compile(node.inner, traced), t is r.NotPredicate,
-                    self._touches(node.inner))
+            inner = self._compile(node.inner, traced)
+            return (PRED, node, inner, t is r.NotPredicate, self._touches(node.inner),
+                    not traced and inner[0] <= ISTR)
         if t is r.Capture:
-            return (CAPTURE, node, self._compile(node.inner, traced))
+            inner = node.inner
+            if (not traced and type(inner) in (r.ZeroOrMore, r.OneOrMore)
+                    and type(inner.inner) in _FUSED_TYPES):
+                return _fused(inner, True)
+            return (CAPTURE, node, self._compile(inner, traced))
         if t is r.Quiet:
             return (QUIET, node, self._compile(node.inner, traced))
         if t is r.Push:

@@ -221,19 +221,30 @@ class ValueStack:
         self._head = head[1]
         return head[0]
 
-    def take(self, count: int) -> list[Value]:
-        """Pop the top count values; return them bottom-to-top."""
+    def take(self, count: int) -> tuple[Value, ...]:
+        """Pop the top count values; return them bottom-to-top as a tuple.
+
+        One or two values, the arity of most actions, are popped without a
+        loop.
+        """
         head = self._head
         if count > head[2]:
             self._head = _EMPTY  # as count single pops would leave it
             raise StackUnderflow("pop from empty value stack")
+        if count == 2:
+            below = head[1]
+            self._head = below[1]
+            return (below[0], head[0])
+        if count == 1:
+            self._head = head[1]
+            return (head[0],)
         out = []
         for _ in range(count):
             out.append(head[0])
             head = head[1]
         self._head = head
         out.reverse()
-        return out
+        return tuple(out)
 
     def peek(self) -> Value:
         if self._head is _EMPTY:

@@ -9,7 +9,7 @@ from pegstack.effects import (BranchEffectMismatch, EffectCheckError, EffectErro
                               UndeclaredRecursiveRule, UnsupportedRepetitionEffect,
                               WILDCARD, check_grammar, choice_compose, cons, infer_effect,
                               repetition_effect, seq_compose, unify_tag)
-from pegstack.engine import Parser
+from pegstack.engine import Parser, ParserState
 from pegstack.notation import parse_grammar
 from pegstack.rules import DIGIT, validate_grammar
 from pegstack.values import Value, node_value
@@ -200,6 +200,30 @@ def test_undeclared_start_that_pops_is_start_rule_error():
     with pytest.raises(EffectCheckError) as exc:
         check_grammar(g)
     assert any(isinstance(e, StartRulePops) for _, e in exc.value.issues)
+
+
+def test_cons_declares_the_tag_of_the_node_it_builds():
+    # a cons always pushes a Node value, so its effect pushes Node: a popping
+    # action that expects Node checks, and a checked run agrees with it
+    def wrap(node):
+        return node_value("Wrap", node)
+
+    popper = r.Action(1, wrap, StackEffect(("Node",), ("Node",)), name="wrap")
+    g = validate_grammar(r.grammar({"Top": r.seq(r.capture(r.ch("a")), cons("Leaf", 1), popper)}))
+    assert check_grammar(g)["Top"] == StackEffect((), ("Node",))
+    state = ParserState("a", check_tags=True)
+    assert Parser(g).match_rule(state, "Top")
+    assert state.tag_mismatches == []
+    assert state.stack.values() == (node_value("Wrap", node_value("Leaf", Value("Str", "a"))),)
+
+    # no option declares another tag for the node, and a popping action that
+    # expects another tag is rejected before a run
+    with pytest.raises(TypeError):
+        cons("Leaf", 1, push="Leaf")
+    leaf = r.Action(1, wrap, StackEffect(("Leaf",), ("Node",)), name="leaf")
+    g = validate_grammar(r.grammar({"Top": r.seq(r.capture(r.ch("a")), cons("Leaf", 1), leaf)}))
+    with pytest.raises(EffectCheckError):
+        check_grammar(g)
 
 
 def test_declaration_must_unify_with_inferred():

@@ -8,13 +8,13 @@ from pegstack import rules as r
 from pegstack.effects import StackEffect, cons
 from pegstack.engine import (ACTION_FAIL, EngineFault, InternalFault, ParseFailed, Parser,
                              ParserState, format_trace_event, match_expr, run)
-from pegstack.errors import principal_error_index
+from pegstack.errors import MODE_COLLECT, principal_error_index
 from pegstack.notation import load_grammar
 from pegstack.rules import DIGIT, validate_grammar
 from pegstack.values import Value, node_value, render_value, str_value
 
 from conftest import DATA, ROOT
-from generators import big_expression, gen_grammar, gen_input, gen_neutral
+from generators import big_expression, gen_grammar, gen_input, gen_neutral, gen_sound_grammar
 from reference_interp import ref_match, ref_run
 
 
@@ -164,6 +164,76 @@ def test_fused_character_runs_count_like_single_steps():
                             s.stats.terminal_mismatches, s.stats.max_cursor)
                            for s in (plain, traced)]
                 assert results[0] == results[1], (terminal, repeat, text)
+
+
+def _counted(state, ok):
+    stats = state.stats
+    return (ok, state.cursor, [render_value(v) for v in state.stack.values()],
+            stats.steps, stats.terminal_mismatches, stats.max_cursor)
+
+
+def test_plain_runs_agree_with_traced_runs_on_random_grammars():
+    # traced runs step through every node and take none of the plain runs'
+    # shortcuts (terminal heads, predicates resolved in place, fused scans
+    # and captures), so they are the oracle for those shortcuts
+    rng = random.Random(20261018)
+    for i in range(150):
+        g = gen_sound_grammar(rng) if i % 2 else gen_grammar(rng)
+        parser = Parser(g)
+        for _ in range(2):
+            text = gen_input(rng)
+            outcomes = []
+            for events in (None, []):
+                state = ParserState(text, events=events)
+                outcomes.append(_counted(state, parser.match_rule(state, "Top")))
+            assert outcomes[0] == outcomes[1], (g, text)
+
+
+# (expression, input) -> (matched, cursor, rendered stack, steps, terminal
+# mismatches, max cursor) of a plain match of the expression as written,
+# pinned from the engine that opened a frame for every sequence, predicate
+# and capture
+SHORTCUT_CASES = [
+    # a sequence whose only child is a terminal (validation would collapse it)
+    (r.Sequence((r.ch("a"),)), "a", (True, 1, [], 2, 0, 0)),
+    (r.Sequence((r.ch("a"),)), "b", (False, 0, [], 2, 1, 0)),
+    (r.Sequence((r.ch("a"),)), "", (False, 0, [], 2, 1, 0)),
+    # a terminal head followed only by an action
+    (r.seq(r.ch("a"), cons("Leaf", 0)), "a", (True, 1, ["Leaf()"], 3, 0, 0)),
+    (r.seq(r.ch("a"), cons("Leaf", 0)), "b", (False, 0, [], 2, 1, 0)),
+    (r.seq(r.Str("ab"), r.push(str_value("x"))), "ab", (True, 2, ['"x"'], 3, 0, 0)),
+    (r.seq(r.Str("ab"), r.push(str_value("x"))), "ax", (False, 0, [], 2, 1, 0)),
+    # predicates over a terminal: no mismatch is registered under '!'
+    (r.not_pred(r.ch("x")), "x", (False, 0, [], 2, 0, 0)),
+    (r.not_pred(r.ch("x")), "y", (True, 0, [], 2, 0, 0)),
+    (r.not_pred(r.ch("x")), "", (True, 0, [], 2, 0, 0)),
+    (r.and_pred(r.ch("x")), "x", (True, 0, [], 2, 0, 0)),
+    (r.and_pred(r.ch("x")), "y", (False, 0, [], 2, 1, 0)),
+    (r.and_pred(r.ch("x")), "", (False, 0, [], 2, 1, 0)),
+    # fused captures: an empty run pushes "", and a set with a non-ASCII
+    # character scans without a regex
+    (r.capture(r.zero_or_more(r.char_pred(DIGIT))), "a", (True, 0, ['""'], 3, 1, 0)),
+    (r.capture(r.zero_or_more(r.char_pred(DIGIT))), "12a", (True, 2, ['"12"'], 5, 1, 2)),
+    (r.capture(r.one_or_more(r.none_of("bé"))), "aé", (True, 1, ['"a"'], 4, 1, 1)),
+    (r.capture(r.one_or_more(r.none_of("bé"))), "xyzb", (True, 3, ['"xyz"'], 6, 1, 3)),
+    (r.capture(r.one_or_more(r.none_of("bé"))), "b", (False, 0, [], 3, 1, 0)),
+    (r.capture(r.one_or_more(r.none_of("bé"))), "", (False, 0, [], 3, 1, 0)),
+]
+
+
+@pytest.mark.parametrize("expr, text, expected", SHORTCUT_CASES)
+def test_shortcut_runs_are_pinned(expr, text, expected):
+    state = _state(text)
+    assert _counted(state, Parser(_grammar(expr)).match(state, expr)) == expected
+
+
+def test_head_mismatch_at_the_principal_index_is_collected_with_its_rules():
+    g = _grammar(r.seq(r.ch("a"), r.ref("Inner")),
+                 Inner=r.first_of(r.seq(r.ch("b"), r.ch("c")), r.seq(r.ch("d"), r.ch("e"))))
+    state = Parser(g).run_phase("ax", error_mode=MODE_COLLECT, principal=1)
+    assert [(t.frames, t.terminal.text) for t in state.collected] == [
+        (("Top", "Inner"), "b"), (("Top", "Inner"), "d")]
+    assert Parser(g).run("ax").error.traces == tuple(state.collected)
 
 
 def test_prioritized_choice_commits_to_first_success():
