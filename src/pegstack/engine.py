@@ -5,21 +5,27 @@ unmatched character, the value stack and instrumentation counters. Every
 expression match restores cursor and stack to their entry values when it
 fails, so prioritized choice can simply try the next alternative.
 
-A Parser compiles each rule body, on first use, into nested instruction
-tuples that carry the node's static facts (stack-touching, collect tags,
-literal lengths). One iterative executor runs them with an explicit
+A Parser runs the instruction tables of ``pegstack.instructions``: each
+rule body compiles, on first use, into nested tuples that carry the node's
+static facts. One iterative executor runs them with an explicit
 continuation stack: each open Sequence, FirstOf, repetition, predicate,
 Capture, Optional and Quiet holds one frame, and so does each open rule in
 traced, error-collecting and reentry-checking runs. Nesting depth is
 therefore bounded by the input, not by the interpreter's recursion limit.
+
+``Parser.run`` takes the fast table when nothing observes the run (no
+``trace``, ``check_tags`` or ``detect_reentry``). There each stack-free
+fragment runs as one regex, so the run's step and mismatch counters are
+not exact: an RE instruction counts one step and, when it fails, one
+mismatch. ``match``, ``match_rule``, ``run_phase``, the error pass and
+checked runs take the exact table, and traced runs the traced table.
 
 Untraced runs open a frame only where backtracking needs one. A Sequence
 whose first child is a terminal tests that terminal first: a mismatch fails
 the sequence at once, and a match opens its frame at the second child. A
 predicate over a terminal resolves in place. A repetition of one
 single-character terminal runs as one fused scan, and so does a Capture of
-such a repetition, which pushes the matched slice itself. Traced runs step
-through every node, and their instructions carry the node's summary text.
+such a repetition, which pushes the matched slice itself.
 
 Repetition bodies whose effect pushes exactly one value per iteration are
 collecting: the engine bundles the iteration results into a single list
@@ -28,69 +34,18 @@ value, matching what the effect checker reports for them.
 
 from __future__ import annotations
 
-import re
-
 from . import rules as r
-from .effects import ConsFn, EffectError, infer_effect, repetition_shape, unify_tag
-from .errors import (MODE_COLLECT, MODE_OFF, ParseError, RuleTrace,
-                     build_parse_error, descriptor_of, format_error)
+from .effects import unify_tag
+from .errors import (MODE_COLLECT, MODE_OFF, ParseError, build_parse_error, format_error,
+                     rule_traces)
+from .instructions import EXACT, FAST, OPS, QUIET, RULE, TRACED, Tables
 from .record import record
 from .values import StackUnderflow, Tree, Value, ValueStack, list_value
 
 # sentinel an action function returns to report a match failure
 ACTION_FAIL = object()
-
-# opcodes: terminals first, so "op <= ISTR" tells a terminal; a frame is
-# tagged with the opcode of the node that opened it, or with RULE
-_OPS = (CH, ANY, CLASS, STR, EOI, NONE, ICH, ISTR, SEQ, ALT, REF, CHARS, ACTION, CONS,
-        CAPTURE, REP, OPT, PRED, PUSH, DROP, QUIET) = range(21)
-RULE = 21
 _QUIET_FRAME = (QUIET,)
-# single-character terminals whose repetitions run as one fused scan
-_FUSED_TYPES = (r.Ch, r.AnyChar, r.CharPred, r.AnyOf, r.NoneOf)
-
-
-def _run_pattern(inner: r.RuleExpr) -> re.Pattern | None:
-    """Regex for the longest run of inner's characters; None if a predicate
-    decides non-ASCII characters in Python."""
-    t = type(inner)
-    if t is r.Ch:
-        return re.compile(re.escape(inner.char) + "*")
-    if t is r.AnyChar:
-        return re.compile(".*", re.DOTALL)
-    pred = inner.pred
-    if pred.extra is not None:
-        return None
-    chars = "".join(f"\\x{o:02x}" for o in range(128) if (pred.mask >> o) & 1)
-    if t is r.NoneOf:  # everything outside the set, non-ASCII included
-        return re.compile(f"[^{chars}]*" if chars else ".*", re.DOTALL)
-    return re.compile(f"[{chars}]*" if chars else "")
-
-
-def _fused(rep: r.RuleExpr, capture: bool) -> tuple:
-    """CHARS instruction for a repetition of one single-character terminal,
-    run as one scan; with capture, it also stands for a Capture around it."""
-    pattern = _run_pattern(rep.inner)
-    return (CHARS, rep, rep.inner, type(rep) is r.OneOrMore,
-            None if pattern is None else pattern.match, capture)
-
-
-def _touches(node: r.RuleExpr, rules: dict[str, bool]) -> bool:
-    """Whether matching node may change the value stack, given the rules that may."""
-    t = type(node)
-    if t in (r.Capture, r.Push, r.Drop, r.Action):
-        return True
-    if t in (r.AndPredicate, r.NotPredicate):
-        return False  # externally stack-neutral; they restore internally
-    if t is r.Sequence:
-        return any(_touches(c, rules) for c in node.children)
-    if t is r.FirstOf:
-        return any(_touches(a, rules) for a in node.alternatives)
-    if t in (r.Optional, r.ZeroOrMore, r.OneOrMore, r.Quiet):
-        return _touches(node.inner, rules)
-    if t is r.RuleRef:
-        return rules.get(node.name, True)
-    return False  # terminals
+_RULE_FRAME = (RULE,)  # a rule open in a run whose only instrument is error collection
 
 
 def _scan(inner: r.RuleExpr, text: str, i: int) -> int:
@@ -124,13 +79,12 @@ class EngineStats:
 
 class ParserState:
     __slots__ = (
-        "input", "cursor", "stack", "stats", "error_mode", "principal",
-        "frames", "collected", "_trace_seen",
+        "input", "cursor", "stack", "stats", "error_mode", "frontier", "collected",
         "events", "event_seq", "last_fail_cursor", "check_tags",
         "tag_mismatches", "active_rules", "reentry_violations",
     )
 
-    def __init__(self, text: str, *, error_mode: str = MODE_OFF, principal: int = -1,
+    def __init__(self, text: str, *, error_mode: str = MODE_OFF,
                  events: list | None = None, check_tags: bool = False,
                  detect_reentry: bool = False):
         self.input = text
@@ -138,10 +92,11 @@ class ParserState:
         self.stack = ValueStack()
         self.stats = EngineStats()
         self.error_mode = error_mode
-        self.principal = principal
-        self.frames: list[str] | None = [] if error_mode == MODE_COLLECT else None
-        self.collected: list[RuleTrace] = []
-        self._trace_seen: set[RuleTrace] = set()
+        # MODE_COLLECT: (rule path, terminal node) for each mismatch at the
+        # running maximum, paths as cons cells (name, below) ending in ();
+        # when the pass ends, their rule traces
+        self.frontier: list[tuple] = []
+        self.collected: list = []
         self.events = events
         self.event_seq = 0
         self.last_fail_cursor = 0
@@ -221,11 +176,7 @@ class Parser:
 
     def __init__(self, grammar: r.Grammar):
         self.grammar = grammar
-        self._exprs = {name: rd.expr for name, rd in grammar.rules.items()}
-        # compiled rule bodies, one table for plain runs and one for traced
-        # runs, which step through every node and log its summary text
-        self._bodies: tuple[dict, dict] = ({}, {})
-        self._rule_touches: dict[str, bool] | None = None
+        self._tables = Tables(grammar)
 
     # -- top level ----------------------------------------------------------
 
@@ -241,17 +192,21 @@ class Parser:
         state = ParserState(text, events=trace, check_tags=check_tags,
                             detect_reentry=detect_reentry)
         name = start or self.grammar.start
+        # an unobserved run takes the fast table; its errors come from the
+        # exact error pass
+        table = TRACED if trace is not None else (
+            EXACT if check_tags or detect_reentry else FAST)
         try:
-            ok = self.match_rule(state, name)
+            if self._execute(state, self._rule_body(name, table), name, table):
+                result = RunResult(values=state.stack.values())
+            else:
+                result = RunResult(error=build_parse_error(self, text, name))
         except StackUnderflow as exc:
             result = RunResult(fault=InternalFault(f"value stack underflow: {exc}"))
         except ActionRaised as exc:
             result = RunResult(fault=InternalFault(str(exc)))
-        else:
-            if ok:
-                result = RunResult(values=state.stack.values())
-            else:
-                result = RunResult(error=build_parse_error(self, text, name, failed=state))
+        except EngineFault as exc:
+            result = RunResult(fault=exc.fault)
         if mode == "result":
             return result
         if mode == "either":
@@ -267,24 +222,26 @@ class Parser:
         raise ValueError(f"unknown delivery mode {mode!r}")
 
     def run_phase(self, text: str, start: str | None = None,
-                  error_mode: str = MODE_OFF, principal: int = -1) -> ParserState:
-        """Run once under an error mode and hand back the final state."""
-        state = ParserState(text, error_mode=error_mode, principal=principal)
+                  error_mode: str = MODE_OFF) -> ParserState:
+        """Run once on the exact table under an error mode and hand back the final state."""
+        state = ParserState(text, error_mode=error_mode)
         self.match_rule(state, start or self.grammar.start)
         return state
 
     def match(self, state: ParserState, node: r.RuleExpr) -> bool:
         """Match one expression at the state's cursor."""
-        return self._execute(state, self._compile(node, state.events is not None), None)
+        table = TRACED if state.events is not None else EXACT
+        return self._execute(state, self._tables.compile(node, table == TRACED), None, table)
 
     def match_rule(self, state: ParserState, name: str) -> bool:
         """Match the named rule at the state's cursor."""
-        return self._execute(state, self._rule_body(name, state.events is not None), name)
+        table = TRACED if state.events is not None else EXACT
+        return self._execute(state, self._rule_body(name, table), name, table)
 
     # -- the executor -------------------------------------------------------
 
-    def _execute(self, state: ParserState, ins: tuple, rule: str | None) -> bool:
-        """Run one compiled expression (a rule body when rule is its name).
+    def _execute(self, state: ParserState, ins: tuple, rule: str | None, table: int) -> bool:
+        """Run one compiled expression of a table (a rule body when rule is its name).
 
         Every node either decides at once or opens a continuation frame on
         ``frames`` and descends into a child; a decided result is then
@@ -292,6 +249,11 @@ class Parser:
         again. No Python call made here re-enters the executor. A sequence
         or predicate with a terminal head is held in ``pending`` while that
         terminal runs, and the terminal's result resolves it.
+
+        Under MODE_COLLECT the run keeps the mismatch frontier: a mismatch
+        beyond the highest cursor so far clears it, and one at that cursor
+        outside ``quiet`` joins it, so the pass ends with exactly the
+        mismatches at the principal index.
         """
         text = state.input
         n = len(text)
@@ -303,11 +265,13 @@ class Parser:
         stack = state.stack
         snapshot, restore, push, size = stack.snapshot, stack.restore, stack.push, stack.size
         traced = state.events is not None
-        bodies = self._bodies[traced]
+        bodies = self._tables.bodies[table]
         collecting = state.error_mode == MODE_COLLECT
-        principal = state.principal
+        frontier = state.frontier
+        path = ()  # collecting: the open rules, innermost first, as cons cells
         check_tags = state.check_tags
-        instrumented = traced or state.frames is not None or state.active_rules is not None
+        hooks = traced or state.active_rules is not None  # rules call _open_rule/_close_rule
+        instrumented = hooks or collecting
         not_depth = quiet_depth = 0
         pending = None  # a SEQ or PRED whose terminal head is being tested
         wrap = False  # traced runs: the node being entered logs its own events
@@ -318,12 +282,15 @@ class Parser:
         #   [REP, ins, iteration entry cursor, snapshot, first match pending, collect base]
         #   (CAPTURE, start)  (OPT, collect tag, collect base)
         #   (PRED, negate, entry cursor, snapshot)  (QUIET,)
-        #   (RULE, name, entry cursor, reentry key) in instrumented runs only
+        #   (RULE, name, entry cursor, reentry key) in traced and reentry-checking
+        #     runs, _RULE_FRAME in other collecting runs, none in plain runs
         frames: list = []
         if rule is not None and instrumented:
-            frames.append(self._open_rule(state, rule, pos))
+            frames.append(self._open_rule(state, rule, pos) if hooks else _RULE_FRAME)
+            if collecting:
+                path = (rule, path)
         (CH, ANY, CLASS, STR, EOI, NONE, ICH, ISTR, SEQ, ALT, REF, CHARS, ACTION, CONS,
-         CAPTURE, REP, OPT, PRED, PUSH, DROP, QUIET) = _OPS
+         CAPTURE, REP, OPT, PRED, PUSH, DROP, QUIET, RE) = OPS
         try:
             while True:
                 # -- enter ins --------------------------------------------------
@@ -373,10 +340,15 @@ class Parser:
                     if not ok:
                         if not not_depth:
                             mismatches += 1
-                            if at > max_cursor:
+                            if collecting:
+                                if at >= max_cursor:
+                                    if at > max_cursor:
+                                        max_cursor = at
+                                        frontier.clear()
+                                    if not quiet_depth:
+                                        frontier.append((path, ins[1]))
+                            elif at > max_cursor:
                                 max_cursor = at
-                            if collecting and at == principal and not quiet_depth:
-                                self._collect(state, ins[1])
                         if wrap:
                             state.last_fail_cursor = at
                             self._emit(state, ins[-1], at, "mismatch")
@@ -419,9 +391,11 @@ class Parser:
                 elif op == REF:
                     body = bodies.get(ins[2])
                     if body is None:
-                        body = self._rule_body(ins[2], traced)
+                        body = self._rule_body(ins[2], table)
                     if instrumented:
-                        frames.append(self._open_rule(state, ins[2], pos))
+                        frames.append(self._open_rule(state, ins[2], pos) if hooks else _RULE_FRAME)
+                        if collecting:
+                            path = (ins[2], path)
                         bare = True
                     ins = body
                     continue
@@ -440,10 +414,15 @@ class Parser:
                         pos = at
                     if not not_depth:
                         mismatches += 1
-                        if at > max_cursor:
+                        if collecting:
+                            if at >= max_cursor:
+                                if at > max_cursor:
+                                    max_cursor = at
+                                    frontier.clear()
+                                if not quiet_depth:
+                                    frontier.append((path, ins[2]))
+                        elif at > max_cursor:
                             max_cursor = at
-                        if collecting and at == principal and not quiet_depth:
-                            self._collect(state, ins[2])
                 elif op == CONS:
                     if check_tags:  # the general path records tag mismatches
                         ok = self._act(state, ins)
@@ -489,6 +468,22 @@ class Parser:
                     quiet_depth += 1
                     ins = ins[2]
                     continue
+                elif op == RE:
+                    # a lowered fragment (fast table only): one step, and a
+                    # failure counts one mismatch at its entry
+                    m = ins[2](text, pos)
+                    if m is None:
+                        ok = False
+                        if not not_depth:
+                            mismatches += 1
+                            if pos > max_cursor:
+                                max_cursor = pos
+                    else:
+                        ok = True
+                        at = m.end()
+                        if ins[3]:
+                            push(Value("Str", text[pos:at]))
+                        pos = at
                 else:
                     raise TypeError(f"unknown instruction {ins!r}")
 
@@ -576,7 +571,10 @@ class Parser:
                         quiet_depth -= 1
                     else:  # RULE
                         frames.pop()
-                        self._close_rule(state, f, ok, pos)
+                        if collecting:
+                            path = path[1]
+                        if f is not _RULE_FRAME:
+                            self._close_rule(state, f, ok, pos)
                 else:
                     return ok
         finally:
@@ -584,12 +582,18 @@ class Parser:
             stats.steps = steps
             stats.terminal_mismatches = mismatches
             stats.max_cursor = max_cursor
+            if collecting:
+                state.collected = rule_traces(frontier)
 
     # -- helpers the executor calls; each returns before the next node -------
 
+    def _rule_body(self, name: str, table: int) -> tuple:
+        try:
+            return self._tables.body(name, table)
+        except RecursionError:
+            raise EngineFault(InternalFault("grammar nested too deeply to compile")) from None
+
     def _open_rule(self, state: ParserState, name: str, entry: int) -> tuple:
-        if state.frames is not None:
-            state.frames.append(name)
         added = None
         if state.active_rules is not None:
             key = (name, entry)
@@ -604,8 +608,6 @@ class Parser:
 
     def _close_rule(self, state: ParserState, frame: tuple, ok: bool, pos: int) -> None:
         _, name, entry, added = frame
-        if state.frames is not None:
-            state.frames.pop()
         if added is not None:
             state.active_rules.discard(added)
         if state.events is not None:
@@ -618,13 +620,6 @@ class Parser:
         state.event_seq += 1
         state.events.append(TraceEvent(state.event_seq, summary, cursor, outcome,
                                        moved_from, moved_to))
-
-    def _collect(self, state: ParserState, node) -> None:
-        """Record the rule trace of a mismatch at the principal index."""
-        trace = RuleTrace(tuple(state.frames), descriptor_of(node))
-        if trace not in state._trace_seen:
-            state._trace_seen.add(trace)
-            state.collected.append(trace)
 
     def _act(self, state: ParserState, ins: tuple) -> bool:
         node = ins[1]
@@ -661,111 +656,6 @@ class Parser:
 
     def _materialize(self, stack: ValueStack, base: int, tag: str) -> None:
         stack.push(list_value(stack.take(stack.size() - base), tag))
-
-    # -- compilation: static facts become instruction operands ----------------
-
-    def _rule_body(self, name: str, traced: bool) -> tuple:
-        bodies = self._bodies[traced]
-        ins = bodies.get(name)
-        if ins is None:
-            try:
-                expr = self._exprs[name]
-            except KeyError:
-                raise KeyError(f"unknown rule {name!r}") from None
-            ins = bodies[name] = self._compile(expr, traced)
-        return ins
-
-    def _compile(self, node, traced: bool) -> tuple:
-        """Instruction tuple for a node: (opcode, node, operands...).
-
-        Rule references stay symbolic and are resolved when first run.
-        Traced runs get no fused charset loops and no terminal heads, so
-        every step is logged, and each of their instructions ends with the
-        node's summary text for its trace events.
-        """
-        ins = self._instruction(node, traced)
-        return ins + (r.expr_text(node),) if traced else ins
-
-    def _instruction(self, node, traced: bool) -> tuple:
-        t = type(node)
-        if t is r.Ch:
-            return (CH, node, node.char)
-        if t is r.CharPred or t is r.AnyOf:
-            return (CLASS, node, node.pred.mask, node.pred.extra)
-        if t is r.Str:
-            return (STR, node, node.text, len(node.text))
-        if t is r.EndOfInput:
-            return (EOI, node)
-        if t is r.IgnoreCaseCh:
-            return (ICH, node, node.char.lower())
-        if t is r.IgnoreCaseStr:
-            return (ISTR, node, node.text.lower(), len(node.text))
-        if t is r.NoneOf:
-            return (NONE, node, node.pred.contains)
-        if t is r.AnyChar:
-            return (ANY, node)
-        if t is r.Sequence:
-            # the children, then None to mark the end; the last operand
-            # tells a terminal head that untraced runs test before the frame
-            kids = tuple(self._compile(k, traced) for k in node.children) + (None,)
-            return (SEQ, node, kids, self._touches(node), not traced and kids[0][0] <= ISTR)
-        if t is r.FirstOf:
-            kids = tuple(self._compile(k, traced) for k in node.alternatives) + (None,)
-            return (ALT, node, kids, self._touches(node))
-        if t is r.ZeroOrMore or t is r.OneOrMore:
-            if not traced and type(node.inner) in _FUSED_TYPES:
-                return _fused(node, False)
-            return (REP, node, self._compile(node.inner, traced), t is r.OneOrMore,
-                    self._collect_tag(node), self._touches(node))
-        if t is r.Optional:
-            return (OPT, node, self._compile(node.inner, traced), self._collect_tag(node))
-        if t is r.AndPredicate or t is r.NotPredicate:
-            inner = self._compile(node.inner, traced)
-            return (PRED, node, inner, t is r.NotPredicate, self._touches(node.inner),
-                    not traced and inner[0] <= ISTR)
-        if t is r.Capture:
-            inner = node.inner
-            if (not traced and type(inner) in (r.ZeroOrMore, r.OneOrMore)
-                    and type(inner.inner) in _FUSED_TYPES):
-                return _fused(inner, True)
-            return (CAPTURE, node, self._compile(inner, traced))
-        if t is r.Quiet:
-            return (QUIET, node, self._compile(node.inner, traced))
-        if t is r.Push:
-            return (PUSH, node, None if node.value.tag == "Unit" else node.value)
-        if t is r.Drop:
-            return (DROP, node, node.count)
-        if t is r.Action:
-            if type(node.fn) is ConsFn:  # made by effects.cons: the executor builds the node
-                return (CONS, node, node.fn.label, node.arity)
-            return (ACTION, node)
-        if t is r.RuleRef:
-            return (REF, node, node.name)
-        raise TypeError(f"unknown rule expression: {node!r}")
-
-    def _touches(self, node) -> bool:
-        """Whether matching node may change the value stack."""
-        table = self._rule_touches
-        if table is None:
-            # least fixpoint over the rules: a rule touches the stack when
-            # some expression it can reach pushes or pops
-            table = dict.fromkeys(self._exprs, False)
-            changed = True
-            while changed:
-                changed = False
-                for name, expr in self._exprs.items():
-                    if not table[name] and _touches(expr, table):
-                        table[name] = changed = True
-            self._rule_touches = table
-        return _touches(node, table)
-
-    def _collect_tag(self, node) -> str | None:
-        """Element tag when the repetition body is collecting, else None."""
-        try:
-            shape, info = repetition_shape(infer_effect(node.inner, self.grammar))
-        except (EffectError, KeyError, TypeError):
-            return None
-        return info if shape == "collecting" else None
 
 
 def run(grammar: r.Grammar, start: str | None, text: str, mode: str = "result", **kwargs):

@@ -1,11 +1,13 @@
 """Parse-failure analysis: principal error position, rule traces, formatting.
 
-The run that failed already knows the principal error index: the maximum
-cursor at which any terminal matcher registered a mismatch. One
-instrumented rerun then collects, for every terminal mismatch at exactly
-that index, the path of named rules from the start rule plus a descriptor
-of the failed terminal. Rules wrapped in ``quiet`` are skipped during
-collection but behave identically otherwise.
+The principal error index is the maximum cursor at which any terminal
+matcher registered a mismatch. One exact pass over the failing input finds
+it and its rule traces together: it keeps a running maximum, drops what it
+collected whenever a mismatch lands beyond it, and records every mismatch
+that lands on it, with the path of named rules from the start rule plus a
+descriptor of the failed terminal. Mismatches under ``quiet`` still raise
+the maximum but are not recorded; quiet rules behave identically otherwise.
+A failing ``Parser.run`` costs two passes: the run itself and this one.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from . import rules as r
 from .record import record
 
-# error modes of a parser state; the trace-collecting rerun selects MODE_COLLECT
+# error modes of a parser state; the trace-collecting pass selects MODE_COLLECT
 MODE_OFF = "off"
 MODE_COLLECT = "collect_traces"
 
@@ -82,6 +84,24 @@ class RuleTrace:
         return " / ".join(self.frames) + " / " + self.terminal.render()
 
 
+def rule_traces(frontier) -> list[RuleTrace]:
+    """Rule traces of (rule path, terminal node) pairs, deduplicated in
+    first-occurrence order; a path is cons cells (name, below) ending in ()."""
+    paths: dict[int, tuple[str, ...]] = {}
+    traces: dict[RuleTrace, None] = {}
+    for cell, node in frontier:
+        path = paths.get(id(cell))
+        if path is None:
+            names = []
+            below = cell
+            while below:
+                names.append(below[0])
+                below = below[1]
+            path = paths[id(cell)] = tuple(reversed(names))
+        traces[RuleTrace(path, descriptor_of(node))] = None
+    return list(traces)
+
+
 @record
 class ParseError:
     position: Position
@@ -113,20 +133,17 @@ def principal_error_index(parser, text: str, start: str | None = None) -> int:
     return principal_index(parser.run_phase(text, start))
 
 
-def trace_collection(parser, text: str, start: str | None, principal: int) -> tuple[RuleTrace, ...]:
-    state = parser.run_phase(text, start, MODE_COLLECT, principal)
-    return tuple(state.collected)
+def trace_collection(parser, text: str, start: str | None) -> tuple[int, tuple[RuleTrace, ...]]:
+    """Principal error index and its rule traces, from one exact pass."""
+    state = parser.run_phase(text, start, MODE_COLLECT)
+    return principal_index(state), tuple(state.collected)
 
 
-def build_parse_error(parser, text: str, start: str | None = None, *, failed=None) -> ParseError:
-    """Principal position and rule traces of a parse that fails.
-
-    ``failed``, the final state of the run that failed, already holds the
-    principal index; without it one more run computes it.
-    """
-    principal = principal_index(failed if failed is not None else parser.run_phase(text, start))
+def build_parse_error(parser, text: str, start: str | None = None) -> ParseError:
+    """Principal position and rule traces of a parse that fails."""
+    principal, traces = trace_collection(parser, text, start)
     pos = position_of(text, principal)
-    return ParseError(pos, pos, trace_collection(parser, text, start, principal))
+    return ParseError(pos, pos, traces)
 
 
 def establish_principal_error_index(g: r.Grammar, start: str, text: str) -> int:
@@ -135,10 +152,10 @@ def establish_principal_error_index(g: r.Grammar, start: str, text: str) -> int:
     return principal_error_index(Parser(g), text, start)
 
 
-def collect_rule_traces(g: r.Grammar, start: str, text: str, principal: int) -> tuple[RuleTrace, ...]:
+def collect_rule_traces(g: r.Grammar, start: str, text: str) -> tuple[RuleTrace, ...]:
     from .engine import Parser
 
-    return trace_collection(Parser(g), text, start, principal)
+    return trace_collection(Parser(g), text, start)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,316 @@
+"""Rule trees compiled into the instruction tables the engine executes.
+
+A node becomes a tuple (opcode, node, operands...) that carries its static
+facts: whether it touches the value stack, the element tag of a collecting
+repetition, literal lengths. Rule references stay symbolic and are
+resolved when first run. Each rule body compiles into up to three tables:
+
+* EXACT: untraced runs whose step and mismatch counters must be exact
+  (``match``, ``match_rule``, ``run_phase``, the error pass, checked runs).
+  A repetition of one single-character terminal is one fused scan, a
+  sequence with a terminal head tests it before opening a frame, and a
+  predicate over a terminal resolves in place. Each instruction ends with
+  the node's regex source, None when it has none.
+* TRACED: every node is a step, and each instruction ends with the node's
+  summary text for its trace events.
+* FAST: ``Parser.run`` when nothing observes it. It is the exact table with
+  every maximal subtree that touches no stack, runs no action and reaches
+  no reference cycle replaced by one ``re`` match (an RE instruction); a
+  Capture of such a subtree pushes the matched slice. Atomic groups and
+  possessive quantifiers (Python 3.11) give the regex PEG semantics:
+  ``e1 e2`` is concatenation, ``/`` is ``(?>a|b)``, ``*`` ``+`` ``?`` are
+  ``*+`` ``++`` ``?+``, ``&e`` is ``(?=e)``, ``!e`` is ``(?!e)``, ``.`` is
+  ``.`` under DOTALL, EOI is ``\\Z``, and a reference to a rule off every
+  cycle is inlined. Ignore-case terminals (``str.lower`` and
+  ``re.IGNORECASE`` disagree, e.g. on "ſ"), predicates decided by an
+  ``extra`` function, and a fragment that ``re`` rejects stay instructions;
+  a lone terminal, a fused scan and a bare reference gain nothing and stay
+  too. Where nothing lowers, the fast table shares the exact instructions.
+"""
+
+from __future__ import annotations
+
+import re
+
+from . import rules as r
+from .effects import ConsFn, EffectError, infer_effect, repetition_shape
+
+# opcodes: terminals first, so "op <= ISTR" tells a terminal; a frame is
+# tagged with the opcode of the node that opened it, or with RULE
+OPS = (CH, ANY, CLASS, STR, EOI, NONE, ICH, ISTR, SEQ, ALT, REF, CHARS, ACTION, CONS,
+       CAPTURE, REP, OPT, PRED, PUSH, DROP, QUIET, RE) = range(22)
+RULE = 22
+# single-character terminals whose repetitions run as one fused scan
+_FUSED_TYPES = (r.Ch, r.AnyChar, r.CharPred, r.AnyOf, r.NoneOf)
+# compiled tables: exact plain runs, traced runs, unobserved runs
+EXACT, TRACED, FAST = 0, 1, 2
+# instructions worth one regex; a lone terminal, a fused scan and a bare
+# rule reference already run as one instruction
+_LOWERED = (SEQ, ALT, REP, OPT, PRED)
+
+
+def _class_char(o: int) -> str:
+    c = chr(o)
+    return c if c.isalnum() else f"\\x{o:02x}"
+
+
+def _char_class(mask: int, negate: bool) -> str:
+    """Regex for one character of an ASCII set, written as ranges."""
+    spans = []
+    while mask:
+        lo = (mask & -mask).bit_length() - 1  # the lowest member
+        run = mask >> lo
+        n = (run ^ (run + 1)).bit_length() - 1  # members from lo up without a gap
+        hi = lo + n - 1
+        spans.append(_class_char(lo) if lo == hi else f"{_class_char(lo)}-{_class_char(hi)}")
+        mask &= ~(((1 << n) - 1) << lo)
+    if not spans:
+        return "." if negate else "(?!)"
+    return ("[^" if negate else "[") + "".join(spans) + "]"
+
+
+def _terminal_source(node: r.RuleExpr) -> str | None:
+    """Regex (under re.DOTALL) for a terminal; None for ignore-case terminals,
+    where str.lower and re.IGNORECASE differ, and for predicates that decide
+    non-ASCII characters in Python."""
+    t = type(node)
+    if t is r.Ch:
+        return re.escape(node.char)
+    if t is r.Str:
+        return re.escape(node.text)
+    if t is r.AnyChar:
+        return "."
+    if t is r.EndOfInput:
+        return r"\Z"  # "$" would also match before a final newline
+    if t is r.CharPred or t is r.AnyOf or t is r.NoneOf:
+        if node.pred.extra is not None:
+            return None
+        return _char_class(node.pred.mask, t is r.NoneOf)
+    return None
+
+
+def _fused(rep: r.RuleExpr, capture: bool) -> tuple:
+    """CHARS instruction for a repetition of one single-character terminal,
+    run as one scan; with capture, it also stands for a Capture around it.
+    The scan is a regex match unless a predicate decides non-ASCII
+    characters in Python."""
+    source = _terminal_source(rep.inner)
+    scan = None if source is None else re.compile(source + "*", re.DOTALL).match
+    return (CHARS, rep, rep.inner, type(rep) is r.OneOrMore, scan, capture)
+
+
+def _regex(ins: tuple):
+    """Match function of an exact instruction's regex source, or None where
+    one regex gains nothing or ``re`` rejects the source."""
+    source = ins[-1]
+    if source is None or ins[0] not in _LOWERED:
+        return None
+    try:
+        return re.compile(source, re.DOTALL).match
+    except (re.error, RecursionError, OverflowError):
+        return None
+
+
+def _fast(ins: tuple) -> tuple:
+    """Fast-table form of an exact instruction: each maximal regex fragment
+    in it runs as one RE instruction; unchanged parts are shared."""
+    if ins[-1] is not None:
+        match = _regex(ins)
+        return ins if match is None else (RE, ins[1], match, False, ins[-1])
+    op = ins[0]
+    if op == SEQ or op == ALT:
+        kids = tuple(None if k is None else _fast(k) for k in ins[2])
+        return ins if kids == ins[2] else ins[:2] + (kids,) + ins[3:]
+    if op == CAPTURE:
+        match = _regex(ins[2])
+        if match is not None:
+            return (RE, ins[1], match, True, None)
+    if op in (CAPTURE, REP, OPT, PRED, QUIET):
+        inner = _fast(ins[2])
+        return ins if inner is ins[2] else ins[:2] + (inner,) + ins[3:]
+    return ins
+
+
+def _touches(node: r.RuleExpr, rules: dict[str, bool]) -> bool:
+    """Whether matching node may change the value stack, given the rules that may."""
+    t = type(node)
+    if t in (r.Capture, r.Push, r.Drop, r.Action):
+        return True
+    if t in (r.AndPredicate, r.NotPredicate):
+        return False  # externally stack-neutral; they restore internally
+    if t is r.Sequence:
+        return any(_touches(c, rules) for c in node.children)
+    if t is r.FirstOf:
+        return any(_touches(a, rules) for a in node.alternatives)
+    if t in (r.Optional, r.ZeroOrMore, r.OneOrMore, r.Quiet):
+        return _touches(node.inner, rules)
+    if t is r.RuleRef:
+        return rules.get(node.name, True)
+    return False  # terminals
+
+
+class Tables:
+    """The compiled rule bodies of one grammar, by table, and the facts about
+    the grammar they rest on; reusable across runs and threads."""
+
+    def __init__(self, grammar: r.Grammar):
+        self.grammar = grammar
+        self.exprs = {name: rd.expr for name, rd in grammar.rules.items()}
+        self.bodies: tuple[dict, dict, dict] = ({}, {}, {})  # EXACT, TRACED, FAST
+        self._rule_touches: dict[str, bool] | None = None
+        self._order: dict | None = None  # see _acyclic
+
+    def body(self, name: str, table: int) -> tuple:
+        """Compiled body of the named rule in a table, compiled on first use."""
+        bodies = self.bodies[table]
+        ins = bodies.get(name)
+        if ins is None:
+            if name not in self.exprs:
+                raise KeyError(f"unknown rule {name!r}")
+            if table == FAST:
+                ins = _fast(self.body(name, EXACT))
+            else:
+                ins = self.compile(self.exprs[name], table == TRACED)
+            bodies[name] = ins
+        return ins
+
+    def compile(self, node, traced: bool) -> tuple:
+        """Instruction tuple for a node: (opcode, node, operands...).
+
+        Rule references stay symbolic and are resolved when first run.
+        Traced runs get no fused charset loops and no terminal heads, so
+        every step is logged, and each of their instructions ends with the
+        node's summary text for its trace events. Every other instruction
+        ends with the node's regex source, None when it has none.
+        """
+        ins = self._instruction(node, traced)
+        return ins + ((r.expr_text(node),) if traced else (self._source(node, ins),))
+
+    def _source(self, node, ins: tuple) -> str | None:
+        """Regex source of a node, from its compiled children's."""
+        op = ins[0]
+        if op <= ISTR:
+            return _terminal_source(node)
+        if op == SEQ or op == ALT:
+            parts = [k[-1] for k in ins[2][:-1]]
+            if None in parts:
+                return None
+            return "".join(parts) if op == SEQ else "(?>" + "|".join(parts) + ")"
+        if op == CHARS:
+            inner = None if ins[5] else _terminal_source(ins[2])
+            return None if inner is None else inner + ("++" if ins[3] else "*+")
+        if op == REP or op == OPT or op == PRED:
+            inner = ins[2][-1]
+            if inner is None:
+                return None
+            if op == REP:
+                return f"(?:{inner})" + ("++" if ins[3] else "*+")
+            if op == OPT:
+                return f"(?:{inner})?+"
+            return ("(?!" if ins[3] else "(?=") + inner + ")"
+        if op == REF and ins[2] in self._acyclic():
+            return self.body(ins[2], EXACT)[-1]  # inlined
+        return None  # captures, actions and quiet are no regex
+
+    def _acyclic(self) -> dict:
+        """The rules that reach no reference cycle, each after the rules it
+        references. On first use, compile their exact bodies in that order:
+        a reference then finds its rule's regex source, and no compile
+        nests another rule's."""
+        order = self._order
+        if order is None:
+            refs = {name: {n.name for n in r.walk(expr) if type(n) is r.RuleRef}
+                    for name, expr in self.exprs.items()}
+            order = {}
+            ready = True
+            while ready:
+                ready = [name for name, deps in refs.items()
+                         if name not in order and deps <= order.keys()]
+                order.update(dict.fromkeys(ready))
+            self._order = order
+            exact = self.bodies[EXACT]
+            for name in order:
+                if name not in exact:
+                    exact[name] = self.compile(self.exprs[name], False)
+        return order
+
+    def _instruction(self, node, traced: bool) -> tuple:
+        t = type(node)
+        if t is r.Ch:
+            return (CH, node, node.char)
+        if t is r.CharPred or t is r.AnyOf:
+            return (CLASS, node, node.pred.mask, node.pred.extra)
+        if t is r.Str:
+            return (STR, node, node.text, len(node.text))
+        if t is r.EndOfInput:
+            return (EOI, node)
+        if t is r.IgnoreCaseCh:
+            return (ICH, node, node.char.lower())
+        if t is r.IgnoreCaseStr:
+            return (ISTR, node, node.text.lower(), len(node.text))
+        if t is r.NoneOf:
+            return (NONE, node, node.pred.contains)
+        if t is r.AnyChar:
+            return (ANY, node)
+        if t is r.Sequence:
+            # the children, then None to mark the end; the last operand
+            # tells a terminal head that untraced runs test before the frame
+            kids = tuple(self.compile(k, traced) for k in node.children) + (None,)
+            return (SEQ, node, kids, self._touches(node), not traced and kids[0][0] <= ISTR)
+        if t is r.FirstOf:
+            kids = tuple(self.compile(k, traced) for k in node.alternatives) + (None,)
+            return (ALT, node, kids, self._touches(node))
+        if t is r.ZeroOrMore or t is r.OneOrMore:
+            if not traced and type(node.inner) in _FUSED_TYPES:
+                return _fused(node, False)
+            return (REP, node, self.compile(node.inner, traced), t is r.OneOrMore,
+                    self._collect_tag(node), self._touches(node))
+        if t is r.Optional:
+            return (OPT, node, self.compile(node.inner, traced), self._collect_tag(node))
+        if t is r.AndPredicate or t is r.NotPredicate:
+            inner = self.compile(node.inner, traced)
+            return (PRED, node, inner, t is r.NotPredicate, self._touches(node.inner),
+                    not traced and inner[0] <= ISTR)
+        if t is r.Capture:
+            inner = node.inner
+            if (not traced and type(inner) in (r.ZeroOrMore, r.OneOrMore)
+                    and type(inner.inner) in _FUSED_TYPES):
+                return _fused(inner, True)
+            return (CAPTURE, node, self.compile(inner, traced))
+        if t is r.Quiet:
+            return (QUIET, node, self.compile(node.inner, traced))
+        if t is r.Push:
+            return (PUSH, node, None if node.value.tag == "Unit" else node.value)
+        if t is r.Drop:
+            return (DROP, node, node.count)
+        if t is r.Action:
+            if type(node.fn) is ConsFn:  # made by effects.cons: the executor builds the node
+                return (CONS, node, node.fn.label, node.arity)
+            return (ACTION, node)
+        if t is r.RuleRef:
+            return (REF, node, node.name)
+        raise TypeError(f"unknown rule expression: {node!r}")
+
+    def _touches(self, node) -> bool:
+        """Whether matching node may change the value stack."""
+        table = self._rule_touches
+        if table is None:
+            # least fixpoint over the rules: a rule touches the stack when
+            # some expression it can reach pushes or pops
+            table = dict.fromkeys(self.exprs, False)
+            changed = True
+            while changed:
+                changed = False
+                for name, expr in self.exprs.items():
+                    if not table[name] and _touches(expr, table):
+                        table[name] = changed = True
+            self._rule_touches = table
+        return _touches(node, table)
+
+    def _collect_tag(self, node) -> str | None:
+        """Element tag when the repetition body is collecting, else None."""
+        try:
+            shape, info = repetition_shape(infer_effect(node.inner, self.grammar))
+        except (EffectError, KeyError, TypeError):
+            return None
+        return info if shape == "collecting" else None

@@ -19,6 +19,8 @@ from pegstack.effects import StackEffect, WILDCARD, cons
 from pegstack.values import Tree, Value
 
 ALPHABET = "abc"
+# inputs for the lowerable corpus also hold a newline and a non-ASCII letter
+LOWERABLE_ALPHABET = "abc\né"
 
 
 def _concat_fn(a, b):
@@ -28,8 +30,8 @@ def _concat_fn(a, b):
 CONCAT = r.Action(2, _concat_fn, StackEffect(("Str", "Str"), ("Str",)), name="concat")
 
 
-def gen_input(rng: random.Random, max_len: int = 12) -> str:
-    return "".join(rng.choice(ALPHABET) for _ in range(rng.randrange(max_len + 1)))
+def gen_input(rng: random.Random, max_len: int = 12, alphabet: str = ALPHABET) -> str:
+    return "".join(rng.choice(alphabet) for _ in range(rng.randrange(max_len + 1)))
 
 
 def _terminal(rng: random.Random) -> r.RuleExpr:
@@ -142,6 +144,94 @@ def gen_grammar(rng: random.Random, max_depth: int = 4, stack: bool = True) -> r
                else gen_neutral(rng, max_depth, helpers),
         "Help0": gen_consuming(rng, 2, []),
         "Help1": gen_neutral(rng, 2, ["Help0"]),
+    }
+    return r.validate_grammar(r.grammar(defs, start="Top"))
+
+
+def _lowerable_terminal(rng: random.Random) -> r.RuleExpr:
+    roll = rng.random()
+    if roll < 0.8:
+        return _terminal(rng)
+    if roll < 0.9:
+        return r.EOI
+    return r.none_of(rng.choice(ALPHABET) + "é")  # decided in Python, never lowered
+
+
+def gen_lowerable(rng: random.Random, depth: int, helpers: list[str]) -> r.RuleExpr:
+    """Stack-free expression rich in what the fast table lowers to one regex:
+    greedy parts followed by what they may have taken (where PEG, unlike a
+    backtracking regex, never gives input back), nullable repetition
+    bodies, predicates inside choices, EOI inside a fragment and references
+    to helper rules."""
+    if depth <= 0:
+        return _lowerable_terminal(rng)
+
+    def sub():
+        return gen_lowerable(rng, depth - 1, helpers)
+
+    def short():
+        return _terminal(rng) if rng.random() < 0.6 else sub()
+
+    roll = rng.random()
+    if roll < 0.12:
+        greedy = rng.choice((
+            lambda: r.opt(short()),
+            lambda: r.zero_or_more(gen_consuming(rng, depth - 1, [])),
+            lambda: (lambda x: r.first_of(x, r.seq(x, short())))(short()),
+        ))()
+        return r.seq(greedy, short())
+    if roll < 0.22:
+        return _lowerable_terminal(rng)
+    if roll < 0.32:
+        return r.seq(*(sub() for _ in range(rng.randint(2, 3))))
+    if roll < 0.45:
+        preds = (r.not_pred, r.and_pred, lambda e: e)
+        return r.first_of(*(rng.choice(preds)(sub()) for _ in range(rng.randint(2, 3))))
+    if roll < 0.55:
+        body = rng.choice((r.opt, r.zero_or_more, r.and_pred, r.not_pred))(sub())
+        return rng.choice((r.zero_or_more, r.one_or_more))(body)
+    if roll < 0.62:
+        return rng.choice((r.zero_or_more, r.one_or_more))(gen_consuming(rng, depth - 1, []))
+    if roll < 0.7:
+        return r.opt(sub())
+    if roll < 0.78:
+        return r.seq(sub(), r.EOI) if rng.random() < 0.5 else r.first_of(r.EOI, sub())
+    if roll < 0.9 and helpers:
+        return r.ref(rng.choice(helpers))
+    return rng.choice((r.not_pred, r.and_pred))(sub())
+
+
+def gen_lowerable_pusher(rng: random.Random, depth: int, helpers: list[str]) -> r.RuleExpr:
+    """Pusher whose captures hold lowerable fragments, choices among them."""
+    if depth <= 0:
+        return r.capture(gen_lowerable(rng, 1, helpers))
+    roll = rng.random()
+    if roll < 0.3:
+        return r.capture(r.first_of(gen_lowerable(rng, depth - 1, helpers),
+                                    gen_lowerable(rng, depth - 1, helpers)))
+    if roll < 0.5:
+        return r.capture(gen_lowerable(rng, depth, helpers))
+    if roll < 0.7:
+        return r.seq(gen_lowerable(rng, depth - 1, helpers),
+                     gen_lowerable_pusher(rng, depth - 1, helpers))
+    if roll < 0.85:
+        return r.first_of(gen_lowerable_pusher(rng, depth - 1, helpers),
+                          gen_lowerable_pusher(rng, depth - 1, helpers))
+    return r.seq(gen_lowerable_pusher(rng, depth - 1, helpers),
+                 gen_lowerable_pusher(rng, depth - 1, helpers), cons(_label(rng), 2))
+
+
+def gen_lowerable_grammar(rng: random.Random, max_depth: int = 4) -> r.Grammar:
+    """Random validated grammar for the fast table: helper rules off any
+    reference cycle, which fragments inline, and one recursive rule, which
+    they must not."""
+    helpers = ["Help0", "Help1", "Rec"]
+    defs = {
+        "Top": gen_lowerable_pusher(rng, max_depth, helpers) if rng.random() < 0.6
+               else gen_lowerable(rng, max_depth, helpers),
+        "Help0": gen_lowerable(rng, 2, []),
+        "Help1": gen_lowerable(rng, 2, ["Help0"]),
+        "Rec": r.first_of(r.seq(r.Ch(rng.choice(ALPHABET)), r.ref("Rec")), gen_consuming(rng, 1, [])),
     }
     return r.validate_grammar(r.grammar(defs, start="Top"))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from pegstack import rules as r
 from pegstack.engine import ACTION_FAIL
+from pegstack.errors import RuleTrace, descriptor_of
 from pegstack.values import Value
 
 
@@ -20,17 +21,21 @@ class RefFault(Exception):
     """Underflow or raised action inside the reference interpreter."""
 
 
-def ref_match(g, expr, text, pos, stack, mismatches=None):
+def ref_match(g, expr, text, pos, stack, mismatches=None, trail=None):
     """Return (ok, position, stack); on failure the inputs come back unchanged.
 
     ``mismatches`` optionally records the positions of terminal mismatches
     (suppressed inside not-predicates, mirroring the engine's convention).
+    ``trail``, a (sink, rule path, quiet) triple, optionally records each
+    such mismatch outside ``quiet`` as (position, rule path, terminal).
     """
     t = type(expr)
 
     def miss(at):
         if mismatches is not None:
             mismatches.append(at)
+        if trail is not None and not trail[2]:
+            trail[0].append((at, trail[1], expr))
         return False, pos, stack
 
     if t is r.Ch:
@@ -70,45 +75,45 @@ def ref_match(g, expr, text, pos, stack, mismatches=None):
     if t is r.Sequence:
         p, s = pos, stack
         for child in expr.children:
-            ok, p, s = ref_match(g, child, text, p, s, mismatches)
+            ok, p, s = ref_match(g, child, text, p, s, mismatches, trail)
             if not ok:
                 return False, pos, stack
         return True, p, s
     if t is r.FirstOf:
         for alt in expr.alternatives:
-            ok, p, s = ref_match(g, alt, text, pos, stack, mismatches)
+            ok, p, s = ref_match(g, alt, text, pos, stack, mismatches, trail)
             if ok:
                 return True, p, s
         return False, pos, stack
     if t is r.Optional:
-        ok, p, s = ref_match(g, expr.inner, text, pos, stack, mismatches)
+        ok, p, s = ref_match(g, expr.inner, text, pos, stack, mismatches, trail)
         return (True, p, s) if ok else (True, pos, stack)
     if t is r.ZeroOrMore:
         p, s = pos, stack
         while True:
-            ok, p2, s2 = ref_match(g, expr.inner, text, p, s, mismatches)
+            ok, p2, s2 = ref_match(g, expr.inner, text, p, s, mismatches, trail)
             if not ok:
                 return True, p, s
             if p2 == p:  # zero-width success terminates the loop, discarded
                 return True, p, s
             p, s = p2, s2
     if t is r.OneOrMore:
-        ok, p, s = ref_match(g, expr.inner, text, pos, stack, mismatches)
+        ok, p, s = ref_match(g, expr.inner, text, pos, stack, mismatches, trail)
         if not ok:
             return False, pos, stack
         while True:
-            ok, p2, s2 = ref_match(g, expr.inner, text, p, s, mismatches)
+            ok, p2, s2 = ref_match(g, expr.inner, text, p, s, mismatches, trail)
             if not ok or p2 == p:
                 return True, p, s
             p, s = p2, s2
     if t is r.AndPredicate:
-        ok, _, _ = ref_match(g, expr.inner, text, pos, stack, mismatches)
+        ok, _, _ = ref_match(g, expr.inner, text, pos, stack, mismatches, trail)
         return ok, pos, stack
     if t is r.NotPredicate:
         ok, _, _ = ref_match(g, expr.inner, text, pos, stack, None)
         return (not ok), pos, stack
     if t is r.Capture:
-        ok, p, s = ref_match(g, expr.inner, text, pos, stack, mismatches)
+        ok, p, s = ref_match(g, expr.inner, text, pos, stack, mismatches, trail)
         if ok:
             return True, p, s + (Value("Str", text[pos:p]),)
         return False, pos, stack
@@ -138,9 +143,11 @@ def ref_match(g, expr, text, pos, stack, mismatches=None):
             return True, pos, rest + (out,)
         return True, pos, rest + tuple(out)
     if t is r.Quiet:
-        return ref_match(g, expr.inner, text, pos, stack, mismatches)
+        quiet = None if trail is None else (trail[0], trail[1], True)
+        return ref_match(g, expr.inner, text, pos, stack, mismatches, quiet)
     if t is r.RuleRef:
-        return ref_match(g, g.rules[expr.name].expr, text, pos, stack, mismatches)
+        inner = None if trail is None else (trail[0], trail[1] + (expr.name,), trail[2])
+        return ref_match(g, g.rules[expr.name].expr, text, pos, stack, mismatches, inner)
     raise TypeError(f"reference interpreter: unknown expression {expr!r}")
 
 
@@ -148,3 +155,16 @@ def ref_run(g, text, start=None, mismatches=None):
     """Run a grammar's start rule; returns (ok, final position, final stack)."""
     name = start if start is not None else g.start
     return ref_match(g, g.rules[name].expr, text, 0, (), mismatches)
+
+
+def ref_traces(g, text, start=None):
+    """Principal error index and rule traces, the two-phase way: the highest
+    mismatch position, then every mismatch there outside quiet, deduplicated
+    in first-occurrence order."""
+    name = start if start is not None else g.start
+    mismatches, sink = [], []
+    ref_match(g, g.rules[name].expr, text, 0, (), mismatches, (sink, (name,), False))
+    principal = max(mismatches, default=0)
+    traces = {RuleTrace(path, descriptor_of(node)): None
+              for at, path, node in sink if at == principal}
+    return principal, tuple(traces)

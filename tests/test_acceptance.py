@@ -22,8 +22,8 @@ from pegstack.rules import validate_grammar
 from pegstack.values import StackUnderflow, node_value, str_value
 
 from conftest import DATA, GRAMMARS
-from generators import (big_expression, gen_effect, gen_grammar, gen_input,
-                        gen_sound_grammar)
+from generators import (ALPHABET, LOWERABLE_ALPHABET, big_expression, gen_effect, gen_grammar,
+                        gen_input, gen_lowerable_grammar, gen_sound_grammar)
 from reference_interp import ref_run
 
 
@@ -194,22 +194,34 @@ def test_criterion_6_effect_soundness():
 # -- 7: optimizer equivalence -----------------------------------------------------------------
 
 def _report(parser, text):
-    """Match outcome plus what run() reports: kind, error position, expected list."""
+    """Match outcome plus what run() reports: kind, error position, expected list.
+
+    run() takes the fast table, where stack-free fragments run as regexes,
+    and match_rule the exact one: their kind and values must agree.
+    """
     result = parser.run(text)
+    outcome = _outcome(parser, text)
+    assert result.kind == ("success" if outcome[0] else "parse-failure")
+    assert result.values == (outcome[2] if outcome[0] else None)
     error = result.error
-    return (_outcome(parser, text), result.kind,
+    return (outcome, result.kind,
             None if error is None else (error.position, error.expected()))
 
 
 def test_criterion_7_optimizer_equivalence(calc_grammar):
-    with criterion(7, "each pass + pipeline agree with the plain engine, errors too, on 10^4 pairs"):
+    with criterion(7, "fast table, each pass + pipeline agree with the exact engine, errors too,"
+                      " on 10^4 pairs"):
         rng = random.Random(707)
         configs = [(name,) for name in PASSES] + [DEFAULT_PASSES]
+        # every other grammar comes from the family biased toward fragments
+        # the fast table lowers
+        families = ((gen_grammar, ALPHABET), (gen_lowerable_grammar, LOWERABLE_ALPHABET))
         pairs = 0
         while pairs < 10_000:
-            g = gen_grammar(rng)
+            make, alphabet = families[pairs // 5 % 2]
+            g = make(rng)
             parser = Parser(g)
-            inputs = [gen_input(rng) for _ in range(5)]
+            inputs = [gen_input(rng, alphabet=alphabet) for _ in range(5)]
             baselines = [_report(parser, text) for text in inputs]
             optimized = [Parser(optimize(g, config)) for config in configs]
             for text, baseline in zip(inputs, baselines):

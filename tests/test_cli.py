@@ -196,6 +196,16 @@ def test_internal_fault_exit_code(capsys, monkeypatch):
     assert "internal fault" in err
 
 
+def test_grammar_too_deep_to_compile_exits_3_with_one_line(capsys, tmp_path):
+    src = "'a'"
+    for _ in range(200):
+        src = f"('b' {src})?"
+    grammar = tmp_path / "deep.peg"
+    grammar.write_text(f"Top <- {src} EOI\n")
+    code, out, err = run_cli(capsys, "run", "--grammar", str(grammar), "--input", "bba")
+    assert (code, out, err) == (3, "", "internal fault: grammar nested too deeply to compile\n")
+
+
 def test_deep_nesting_parses_at_the_callers_recursion_limit(calc_grammar, capsys):
     limit = sys.getrecursionlimit()
     deep = "(" * 20_000 + "1" + ")" * 20_000

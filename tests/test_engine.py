@@ -7,9 +7,10 @@ import pytest
 from pegstack import rules as r
 from pegstack.effects import StackEffect, cons
 from pegstack.engine import (ACTION_FAIL, EngineFault, InternalFault, ParseFailed, Parser,
-                             ParserState, format_trace_event, match_expr, run)
+                             ParserState, RunResult, format_trace_event, match_expr, run)
 from pegstack.errors import MODE_COLLECT, principal_error_index
-from pegstack.notation import load_grammar
+from pegstack.instructions import FAST, RE
+from pegstack.notation import load_grammar, parse_grammar
 from pegstack.rules import DIGIT, validate_grammar
 from pegstack.values import Value, node_value, render_value, str_value
 
@@ -230,7 +231,8 @@ def test_shortcut_runs_are_pinned(expr, text, expected):
 def test_head_mismatch_at_the_principal_index_is_collected_with_its_rules():
     g = _grammar(r.seq(r.ch("a"), r.ref("Inner")),
                  Inner=r.first_of(r.seq(r.ch("b"), r.ch("c")), r.seq(r.ch("d"), r.ch("e"))))
-    state = Parser(g).run_phase("ax", error_mode=MODE_COLLECT, principal=1)
+    state = Parser(g).run_phase("ax", error_mode=MODE_COLLECT)
+    assert state.stats.max_cursor == principal_error_index(Parser(g), "ax")
     assert [(t.frames, t.terminal.text) for t in state.collected] == [
         (("Top", "Inner"), "b"), (("Top", "Inner"), "d")]
     assert Parser(g).run("ax").error.traces == tuple(state.collected)
@@ -608,6 +610,78 @@ def test_counters_are_pinned(path, text, counters):
     grammar = load_grammar(ROOT / path)
     stats = Parser(grammar).run_phase(text).stats
     assert (stats.steps, stats.terminal_mismatches, stats.max_cursor) == counters
+
+
+# -- the fast table ----------------------------------------------------------------------
+
+def _fragments(parser):
+    """Rule name -> the capture flags of the RE instructions in its fast body."""
+    found = {}
+    for name, body in parser._tables.bodies[FAST].items():
+        todo = [body]
+        while todo:
+            ins = todo.pop()
+            if ins[0] == RE:  # kids tuples start with a tuple
+                found.setdefault(name, []).append(ins[3])
+                continue
+            todo.extend(x for x in ins if isinstance(x, tuple) and x)
+    return found
+
+
+def test_fast_table_lowers_the_json_captures_and_nothing_of_calc(calc_grammar):
+    parser = Parser(load_grammar(ROOT / "bench/json.peg"))
+    assert parser.run('{"a": [1, -2.5e3, true, null], "b": "x\\"y"}').ok
+    assert _fragments(parser) == {"String": [True], "Number": [True], "Literal": [True]}
+    parser = Parser(calc_grammar)
+    assert parser.run("1+(2-3*4)/5").ok
+    assert _fragments(parser) == {}
+
+
+FAST_EDGE_CASES = [
+    # '.' is DOTALL; a none-of set takes non-ASCII letters and newlines
+    (r.seq(r.ANY, r.opt(r.ch("x"))), ["\n", "", "x"], True),
+    (r.seq(r.none_of("+"), r.opt(r.ch("x"))), ["é", "\n", "+"], True),
+    # EOI is \Z: a trailing newline is not the end of the input
+    (r.seq(r.ch("a"), r.EOI), ["a\n", "a"], True),
+    (r.seq(r.Str(""), r.opt(r.ch("a"))), ["a", ""], True),
+    # PEG never gives input back: a choice commits, ? and * keep what they took
+    (r.seq(r.first_of(r.ch("a"), r.Str("ab")), r.ch("c")), ["abc", "ac"], True),
+    (r.seq(r.opt(r.ch("a")), r.ch("a")), ["a", "aa"], True),
+    (r.seq(r.zero_or_more(r.any_of("ab")), r.ch("b")), ["abb", "abc"], True),
+    # nullable repetition bodies end the loop as the engine does
+    (r.zero_or_more(r.opt(r.ch("a"))), ["aab", ""], True),
+    (r.zero_or_more(r.and_pred(r.ch("a"))), ["ab", "b"], True),
+    # decided in Python, or where str.lower and re.IGNORECASE differ: left as instructions
+    (r.seq(r.one_or_more(r.none_of("bé")), r.ch("x")), ["ax", "aéx", "bx"], False),
+    (r.seq(r.ignore_case("k"), r.ch("x")), ["Kx", "\u212ax", "kx", "x"], False),
+]
+
+
+@pytest.mark.parametrize("expr, texts, lowered", FAST_EDGE_CASES)
+def test_fast_table_agrees_with_the_exact_table_on_edge_cases(expr, texts, lowered):
+    # unvalidated, so that the empty literal stays in
+    parser = Parser(r.grammar({"Top": r.capture(expr)}))
+    for text in texts:
+        state = ParserState(text)
+        ok = parser.match_rule(state, "Top")
+        result = parser.run(text)
+        assert result.kind == ("success" if ok else "parse-failure"), text
+        assert result.values == (state.stack.values() if ok else None), text
+    assert _fragments(parser) == ({"Top": [True]} if lowered else {})
+
+
+def test_a_grammar_too_deep_to_compile_is_an_internal_fault():
+    fault = InternalFault("grammar nested too deeply to compile")
+    src = "'a'"
+    for _ in range(200):
+        src = f"('b' {src})?"
+    g = parse_grammar(f"Top <- {src} EOI\n")
+    assert Parser(g).run("bba") == RunResult(fault=fault)
+    assert Parser(g).run("bba", mode="either") == (None, fault)
+    e = r.ch("a")
+    for _ in range(150):
+        e = r.opt(r.seq(r.ch("b"), e))
+    assert Parser(_grammar(e)).run("bb").fault == fault
 
 
 def test_a_fresh_parser_compiles_safely_under_threads(calc_grammar):

@@ -4,14 +4,14 @@ import pytest
 
 from pegstack import rules as r
 from pegstack.engine import Parser
-from pegstack.errors import (MODE_COLLECT, ParseError, Position, build_parse_error,
+from pegstack.errors import (MODE_COLLECT, MODE_OFF, ParseError, Position, build_parse_error,
                              collect_rule_traces, descriptor_of,
                              establish_principal_error_index, format_error, position_of,
                              principal_error_index)
 from pegstack.rules import validate_grammar
 
-from generators import gen_grammar, gen_input
-from reference_interp import ref_run
+from generators import big_expression, gen_grammar, gen_input
+from reference_interp import ref_run, ref_traces
 
 
 # -- positions -------------------------------------------------------------------
@@ -61,7 +61,7 @@ def test_foo_grammar_principal_from_oracle_replay(foo_grammar):
 # -- trace collection ------------------------------------------------------------------
 
 def test_calculator_collects_six_traces(calc_grammar):
-    traces = collect_rule_traces(calc_grammar, "InputLine", "1+2!3", 3)
+    traces = collect_rule_traces(calc_grammar, "InputLine", "1+2!3")
     assert len(traces) == 6
     rendered = {t.terminal.render() for t in traces}
     assert rendered == {"'/'", "'+'", "'*'", "'EOI'", "'-'", "Digit"}
@@ -71,7 +71,7 @@ def test_calculator_collects_six_traces(calc_grammar):
 
 def test_single_trace(calc_grammar):
     g = validate_grammar(r.grammar({"A": r.ch("a")}))
-    traces = collect_rule_traces(g, "A", "b", 0)
+    traces = collect_rule_traces(g, "A", "b")
     assert len(traces) == 1
     assert traces[0].terminal.render() == "'a'"
     assert traces[0].frames == ("A",)
@@ -79,7 +79,7 @@ def test_single_trace(calc_grammar):
 
 def test_quiet_rule_suppresses_traces():
     g = validate_grammar(r.grammar({"A": r.quiet(r.ch("a"))}))
-    traces = collect_rule_traces(g, "A", "b", 0)
+    traces = collect_rule_traces(g, "A", "b")
     assert traces == ()
     # the formatter falls back to an explicit empty expectation
     err = build_parse_error(Parser(g), "b")
@@ -174,10 +174,47 @@ def test_no_collect_mismatch_beyond_principal():
         if ok:
             continue
         principal = principal_error_index(parser, text)
-        collect_state = parser.run_phase(text, None, MODE_COLLECT, principal)
+        collect_state = parser.run_phase(text, None, MODE_COLLECT)
         assert collect_state.stats.max_cursor <= principal
         checked += 1
     assert checked > 40
+
+
+def test_build_parse_error_makes_one_engine_pass(calc_grammar, monkeypatch):
+    modes = []
+    execute = Parser._execute
+
+    def counted(self, state, *args):
+        modes.append(state.error_mode)
+        return execute(self, state, *args)
+
+    monkeypatch.setattr(Parser, "_execute", counted)
+    parser = Parser(calc_grammar)
+    build_parse_error(parser, "1+2!3")
+    assert modes == [MODE_COLLECT]
+    modes.clear()
+    assert not parser.run("1+2!3").ok  # the run, then the error pass
+    assert modes == [MODE_OFF, MODE_COLLECT]
+
+
+def test_one_pass_collects_the_two_phase_traces_on_the_calc_corpus(calc_grammar):
+    # the reference interpreter takes the highest mismatch position first,
+    # then every mismatch at it; the engine keeps a running maximum instead
+    rng = random.Random(61)
+    parser = Parser(calc_grammar)
+    checked = 0
+    for _ in range(300):
+        text = big_expression(rng, rng.randint(1, 60))
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice(["!", "x", "++", ")", "(", "", "."]) + text[at:]
+        if rng.random() < 0.3:
+            text = text[:max(1, len(text) // 2)]
+        if parser.run(text, start="InputLine").ok:
+            continue
+        err = build_parse_error(parser, text, "InputLine")
+        assert (err.position.index, err.traces) == ref_traces(calc_grammar, text, "InputLine")
+        checked += 1
+    assert checked > 200
 
 
 def test_phases_are_deterministic(calc_grammar):
