@@ -5,20 +5,19 @@ unmatched character, the value stack and instrumentation counters. Every
 expression match restores cursor and stack to their entry values when it
 fails, so prioritized choice can simply try the next alternative.
 
-A Parser runs the instruction tables of ``pegstack.instructions``: each
-rule body compiles, on first use, into nested tuples that carry the node's
-static facts. One iterative executor runs them with an explicit
+A Parser runs the instruction tables of ``pegstack.instructions``, which
+it builds when it is built: each rule body becomes nested tuples that carry
+the node's static facts. One iterative executor runs them with an explicit
 continuation stack: each open Sequence, FirstOf, repetition, predicate,
 Capture, Optional and Quiet holds one frame, and so does each open rule in
 traced, error-collecting and reentry-checking runs. Nesting depth is
 therefore bounded by the input, not by the interpreter's recursion limit.
 
-``Parser.run`` takes the fast table when nothing observes the run (no
-``trace``, ``check_tags`` or ``detect_reentry``). There each stack-free
-fragment runs as one regex, so the run's step and mismatch counters are
-not exact: an RE instruction counts one step and, when it fails, one
-mismatch. ``match``, ``match_rule``, ``run_phase``, the error pass and
-checked runs take the exact table, and traced runs the traced table.
+``Parser.run`` takes the fast table unless it is traced. There each
+stack-free fragment runs as one regex, so the run's step and mismatch
+counters are not exact: an RE instruction counts one step and, when it
+fails, one mismatch. ``match``, ``match_rule``, ``run_phase`` and the error
+pass take the exact table, and traced runs the traced table.
 
 Untraced runs open a frame only where backtracking needs one. A Sequence
 whose first child is a terminal tests that terminal first: a mismatch fails
@@ -46,6 +45,7 @@ from .values import StackUnderflow, Tree, Value, ValueStack, list_value
 ACTION_FAIL = object()
 _QUIET_FRAME = (QUIET,)
 _RULE_FRAME = (RULE,)  # a rule open in a run whose only instrument is error collection
+_COMPACT_AT = 64  # the error pass compacts its frontier past twice its kept length plus this
 
 
 def _scan(inner: r.RuleExpr, text: str, i: int) -> int:
@@ -176,28 +176,28 @@ class Parser:
 
     def __init__(self, grammar: r.Grammar):
         self.grammar = grammar
-        self._tables = Tables(grammar)
+        try:
+            self._tables = Tables(grammar)
+        except RecursionError:
+            self._tables = None  # every run is an internal fault
 
     # -- top level ----------------------------------------------------------
 
     def run(self, text: str, start: str | None = None, mode: str = "result",
-            trace: list | None = None, check_tags: bool = False,
-            detect_reentry: bool = False):
+            trace: list | None = None):
         """Run the start rule against text and deliver the result.
 
         mode "result" returns a RunResult union; "either" returns a
         (values, error) pair whose error side is a ParseError or an
         InternalFault; "raising" returns the values or raises.
         """
-        state = ParserState(text, events=trace, check_tags=check_tags,
-                            detect_reentry=detect_reentry)
+        state = ParserState(text, events=trace)
         name = start or self.grammar.start
-        # an unobserved run takes the fast table; its errors come from the
-        # exact error pass
-        table = TRACED if trace is not None else (
-            EXACT if check_tags or detect_reentry else FAST)
         try:
-            if self._execute(state, self._rule_body(name, table), name, table):
+            # an untraced run takes the fast table; its errors come from the
+            # exact error pass
+            bodies = self._bodies(FAST if trace is None else TRACED)
+            if self._execute(state, bodies[name], name, bodies):
                 result = RunResult(values=state.stack.values())
             else:
                 result = RunResult(error=build_parse_error(self, text, name))
@@ -230,17 +230,27 @@ class Parser:
 
     def match(self, state: ParserState, node: r.RuleExpr) -> bool:
         """Match one expression at the state's cursor."""
-        table = TRACED if state.events is not None else EXACT
-        return self._execute(state, self._tables.compile(node, table == TRACED), None, table)
+        traced = state.events is not None
+        bodies = self._bodies(TRACED if traced else EXACT)
+        return self._execute(state, self._tables.compile(node, traced), None, bodies)
 
     def match_rule(self, state: ParserState, name: str) -> bool:
         """Match the named rule at the state's cursor."""
-        table = TRACED if state.events is not None else EXACT
-        return self._execute(state, self._rule_body(name, table), name, table)
+        bodies = self._bodies(TRACED if state.events is not None else EXACT)
+        return self._execute(state, bodies[name], name, bodies)
+
+    def _bodies(self, table: int) -> dict:
+        """The compiled rule bodies of a table, by rule name."""
+        if self._tables is not None:
+            try:
+                return self._tables.traced() if table == TRACED else self._tables.bodies[table]
+            except RecursionError:  # building the traced table
+                pass
+        raise EngineFault(InternalFault("grammar nested too deeply to compile"))
 
     # -- the executor -------------------------------------------------------
 
-    def _execute(self, state: ParserState, ins: tuple, rule: str | None, table: int) -> bool:
+    def _execute(self, state: ParserState, ins: tuple, rule: str | None, bodies: dict) -> bool:
         """Run one compiled expression of a table (a rule body when rule is its name).
 
         Every node either decides at once or opens a continuation frame on
@@ -253,7 +263,9 @@ class Parser:
         Under MODE_COLLECT the run keeps the mismatch frontier: a mismatch
         beyond the highest cursor so far clears it, and one at that cursor
         outside ``quiet`` joins it, so the pass ends with exactly the
-        mismatches at the principal index.
+        mismatches at the principal index. Whenever the frontier doubles, it
+        drops the pairs that repeat a rule trace, so it grows with the
+        traces, not with the work.
         """
         text = state.input
         n = len(text)
@@ -265,9 +277,9 @@ class Parser:
         stack = state.stack
         snapshot, restore, push, size = stack.snapshot, stack.restore, stack.push, stack.size
         traced = state.events is not None
-        bodies = self._tables.bodies[table]
         collecting = state.error_mode == MODE_COLLECT
         frontier = state.frontier
+        compact_at = _COMPACT_AT
         path = ()  # collecting: the open rules, innermost first, as cons cells
         check_tags = state.check_tags
         hooks = traced or state.active_rules is not None  # rules call _open_rule/_close_rule
@@ -347,6 +359,9 @@ class Parser:
                                         frontier.clear()
                                     if not quiet_depth:
                                         frontier.append((path, ins[1]))
+                                        if len(frontier) > compact_at:
+                                            rule_traces(frontier)  # drops repeated traces
+                                            compact_at = 2 * len(frontier) + _COMPACT_AT
                             elif at > max_cursor:
                                 max_cursor = at
                         if wrap:
@@ -389,15 +404,12 @@ class Parser:
                     ins = ins[2][0]
                     continue
                 elif op == REF:
-                    body = bodies.get(ins[2])
-                    if body is None:
-                        body = self._rule_body(ins[2], table)
                     if instrumented:
                         frames.append(self._open_rule(state, ins[2], pos) if hooks else _RULE_FRAME)
                         if collecting:
                             path = (ins[2], path)
                         bare = True
-                    ins = body
+                    ins = bodies[ins[2]]
                     continue
                 elif op == CHARS:
                     # a repetition of one single-character terminal, fused:
@@ -421,6 +433,9 @@ class Parser:
                                     frontier.clear()
                                 if not quiet_depth:
                                     frontier.append((path, ins[2]))
+                                    if len(frontier) > compact_at:
+                                        rule_traces(frontier)  # drops repeated traces
+                                        compact_at = 2 * len(frontier) + _COMPACT_AT
                         elif at > max_cursor:
                             max_cursor = at
                 elif op == CONS:
@@ -586,12 +601,6 @@ class Parser:
                 state.collected = rule_traces(frontier)
 
     # -- helpers the executor calls; each returns before the next node -------
-
-    def _rule_body(self, name: str, table: int) -> tuple:
-        try:
-            return self._tables.body(name, table)
-        except RecursionError:
-            raise EngineFault(InternalFault("grammar nested too deeply to compile")) from None
 
     def _open_rule(self, state: ParserState, name: str, entry: int) -> tuple:
         added = None

@@ -49,7 +49,7 @@ class TerminalDescriptor:
             return f"'{_escape(self.text)}'"
         if self.kind == "eoi":
             return "'EOI'"
-        return self.text  # predicate names and ANY render bare
+        return _escape(self.text)  # predicate names and ANY render bare
 
 
 def _escape(text: str) -> str:
@@ -84,12 +84,14 @@ class RuleTrace:
         return " / ".join(self.frames) + " / " + self.terminal.render()
 
 
-def rule_traces(frontier) -> list[RuleTrace]:
+def rule_traces(frontier: list) -> list[RuleTrace]:
     """Rule traces of (rule path, terminal node) pairs, deduplicated in
-    first-occurrence order; a path is cons cells (name, below) ending in ()."""
+    first-occurrence order; a path is cons cells (name, below) ending in ().
+    Drops from frontier, in place, each pair that repeats an earlier trace."""
     paths: dict[int, tuple[str, ...]] = {}
-    traces: dict[RuleTrace, None] = {}
-    for cell, node in frontier:
+    traces: dict[RuleTrace, tuple] = {}
+    for pair in frontier:
+        cell, node = pair
         path = paths.get(id(cell))
         if path is None:
             names = []
@@ -98,7 +100,8 @@ def rule_traces(frontier) -> list[RuleTrace]:
                 names.append(below[0])
                 below = below[1]
             path = paths[id(cell)] = tuple(reversed(names))
-        traces[RuleTrace(path, descriptor_of(node))] = None
+        traces.setdefault(RuleTrace(path, descriptor_of(node)), pair)
+    frontier[:] = traces.values()
     return list(traces)
 
 

@@ -2,8 +2,10 @@
 
 A node becomes a tuple (opcode, node, operands...) that carries its static
 facts: whether it touches the value stack, the element tag of a collecting
-repetition, literal lengths. Rule references stay symbolic and are
-resolved when first run. Each rule body compiles into up to three tables:
+repetition, literal lengths. Rule references stay symbolic; the executor
+looks each one up in the table it runs. Every rule body is compiled into
+the exact and fast tables when the grammar's Parser is built, and into the
+traced table when a traced run first needs it:
 
 * EXACT: untraced runs whose step and mismatch counters must be exact
   (``match``, ``match_rule``, ``run_phase``, the error pass, checked runs).
@@ -13,7 +15,7 @@ resolved when first run. Each rule body compiles into up to three tables:
   the node's regex source, None when it has none.
 * TRACED: every node is a step, and each instruction ends with the node's
   summary text for its trace events.
-* FAST: ``Parser.run`` when nothing observes it. It is the exact table with
+* FAST: ``Parser.run`` when it is not traced. It is the exact table with
   every maximal subtree that touches no stack, runs no action and reaches
   no reference cycle replaced by one ``re`` match (an RE instruction); a
   Capture of such a subtree pushes the matched slice. Atomic groups and
@@ -42,7 +44,7 @@ OPS = (CH, ANY, CLASS, STR, EOI, NONE, ICH, ISTR, SEQ, ALT, REF, CHARS, ACTION, 
 RULE = 22
 # single-character terminals whose repetitions run as one fused scan
 _FUSED_TYPES = (r.Ch, r.AnyChar, r.CharPred, r.AnyOf, r.NoneOf)
-# compiled tables: exact plain runs, traced runs, unobserved runs
+# compiled tables: exact plain runs, traced runs, untraced Parser.run
 EXACT, TRACED, FAST = 0, 1, 2
 # instructions worth one regex; a lone terminal, a fused scan and a bare
 # rule reference already run as one instruction
@@ -155,29 +157,46 @@ class Tables:
 
     def __init__(self, grammar: r.Grammar):
         self.grammar = grammar
-        self.exprs = {name: rd.expr for name, rd in grammar.rules.items()}
-        self.bodies: tuple[dict, dict, dict] = ({}, {}, {})  # EXACT, TRACED, FAST
-        self._rule_touches: dict[str, bool] | None = None
-        self._order: dict | None = None  # see _acyclic
+        exprs = self.exprs = {name: rd.expr for name, rd in grammar.rules.items()}
+        # least fixpoint over the rules: a rule touches the stack when some
+        # expression it can reach pushes or pops
+        touches = self._rule_touches = dict.fromkeys(exprs, False)
+        changed = True
+        while changed:
+            changed = False
+            for name, expr in exprs.items():
+                if not touches[name] and _touches(expr, touches):
+                    touches[name] = changed = True
+        # the rules that reach no reference cycle, each after the rules it
+        # references: compiled in this order, a reference to one of them
+        # finds its body's regex source ready to inline
+        refs = {name: {n.name for n in r.walk(expr) if type(n) is r.RuleRef}
+                for name, expr in exprs.items()}
+        acyclic = self._acyclic = {}
+        ready = True
+        while ready:
+            ready = [name for name, deps in refs.items()
+                     if name not in acyclic and deps <= acyclic.keys()]
+            acyclic.update(dict.fromkeys(ready))
+        exact: dict[str, tuple] = {}
+        self.bodies: list = [exact, None, None]  # EXACT, TRACED, FAST
+        for name in [*acyclic, *(name for name in exprs if name not in acyclic)]:
+            exact[name] = self.compile(exprs[name], False)
+        self.bodies[FAST] = {name: _fast(ins) for name, ins in exact.items()}
 
-    def body(self, name: str, table: int) -> tuple:
-        """Compiled body of the named rule in a table, compiled on first use."""
-        bodies = self.bodies[table]
-        ins = bodies.get(name)
-        if ins is None:
-            if name not in self.exprs:
-                raise KeyError(f"unknown rule {name!r}")
-            if table == FAST:
-                ins = _fast(self.body(name, EXACT))
-            else:
-                ins = self.compile(self.exprs[name], table == TRACED)
-            bodies[name] = ins
-        return ins
+    def traced(self) -> dict[str, tuple]:
+        """The traced table, built whole the first time a traced run needs it:
+        only tracing does, and an untraced process never pays for it."""
+        bodies = self.bodies[TRACED]
+        if bodies is None:
+            bodies = self.bodies[TRACED] = {name: self.compile(expr, True)
+                                            for name, expr in self.exprs.items()}
+        return bodies
 
     def compile(self, node, traced: bool) -> tuple:
         """Instruction tuple for a node: (opcode, node, operands...).
 
-        Rule references stay symbolic and are resolved when first run.
+        Rule references stay symbolic; the executor looks them up by name.
         Traced runs get no fused charset loops and no terminal heads, so
         every step is logged, and each of their instructions ends with the
         node's summary text for its trace events. Every other instruction
@@ -208,31 +227,9 @@ class Tables:
             if op == OPT:
                 return f"(?:{inner})?+"
             return ("(?!" if ins[3] else "(?=") + inner + ")"
-        if op == REF and ins[2] in self._acyclic():
-            return self.body(ins[2], EXACT)[-1]  # inlined
+        if op == REF and ins[2] in self._acyclic:
+            return self.bodies[EXACT][ins[2]][-1]  # inlined
         return None  # captures, actions and quiet are no regex
-
-    def _acyclic(self) -> dict:
-        """The rules that reach no reference cycle, each after the rules it
-        references. On first use, compile their exact bodies in that order:
-        a reference then finds its rule's regex source, and no compile
-        nests another rule's."""
-        order = self._order
-        if order is None:
-            refs = {name: {n.name for n in r.walk(expr) if type(n) is r.RuleRef}
-                    for name, expr in self.exprs.items()}
-            order = {}
-            ready = True
-            while ready:
-                ready = [name for name, deps in refs.items()
-                         if name not in order and deps <= order.keys()]
-                order.update(dict.fromkeys(ready))
-            self._order = order
-            exact = self.bodies[EXACT]
-            for name in order:
-                if name not in exact:
-                    exact[name] = self.compile(self.exprs[name], False)
-        return order
 
     def _instruction(self, node, traced: bool) -> tuple:
         t = type(node)
@@ -293,19 +290,7 @@ class Tables:
 
     def _touches(self, node) -> bool:
         """Whether matching node may change the value stack."""
-        table = self._rule_touches
-        if table is None:
-            # least fixpoint over the rules: a rule touches the stack when
-            # some expression it can reach pushes or pops
-            table = dict.fromkeys(self.exprs, False)
-            changed = True
-            while changed:
-                changed = False
-                for name, expr in self.exprs.items():
-                    if not table[name] and _touches(expr, table):
-                        table[name] = changed = True
-            self._rule_touches = table
-        return _touches(node, table)
+        return _touches(node, self._rule_touches)
 
     def _collect_tag(self, node) -> str | None:
         """Element tag when the repetition body is collecting, else None."""

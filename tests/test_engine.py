@@ -9,10 +9,10 @@ from pegstack.effects import StackEffect, cons
 from pegstack.engine import (ACTION_FAIL, EngineFault, InternalFault, ParseFailed, Parser,
                              ParserState, RunResult, format_trace_event, match_expr, run)
 from pegstack.errors import MODE_COLLECT, principal_error_index
-from pegstack.instructions import FAST, RE
+from pegstack.instructions import EXACT, FAST, RE, TRACED
 from pegstack.notation import load_grammar, parse_grammar
 from pegstack.rules import DIGIT, validate_grammar
-from pegstack.values import Value, node_value, render_value, str_value
+from pegstack.values import StackUnderflow, Value, node_value, render_value, str_value
 
 from conftest import DATA, ROOT
 from generators import big_expression, gen_grammar, gen_input, gen_neutral, gen_sound_grammar
@@ -365,9 +365,10 @@ def test_cons_with_no_arity_builds_a_leaf():
 
 def test_cons_underflow_is_the_stack_fault():
     g = _grammar(r.seq(r.capture(r.ch("a")), cons("Pair", 2)))
-    for check_tags in (False, True):
-        result = Parser(g).run("a", check_tags=check_tags)
-        assert result.fault == InternalFault("value stack underflow: pop from empty value stack")
+    result = Parser(g).run("a")
+    assert result.fault == InternalFault("value stack underflow: pop from empty value stack")
+    with pytest.raises(StackUnderflow, match="pop from empty value stack"):
+        Parser(g).match_rule(ParserState("a", check_tags=True), "Top")
 
 
 def test_cons_tag_mismatches_are_recorded_when_checked():
@@ -679,14 +680,47 @@ def test_a_grammar_too_deep_to_compile_is_an_internal_fault():
     assert Parser(g).run("bba") == RunResult(fault=fault)
     assert Parser(g).run("bba", mode="either") == (None, fault)
     e = r.ch("a")
+    for _ in range(400):
+        e = r.opt(r.seq(r.ch("b"), e))
+    parser = Parser(r.grammar({"Top": e}))  # unvalidated: validation recurses too
+    assert parser.run("bb").fault == fault
+    with pytest.raises(EngineFault, match="grammar nested too deeply to compile"):
+        parser.match_rule(ParserState("bb"), "Top")
+
+
+def test_a_grammar_150_levels_deep_compiles_and_runs():
+    e = r.ch("a")
     for _ in range(150):
         e = r.opt(r.seq(r.ch("b"), e))
-    assert Parser(_grammar(e)).run("bb").fault == fault
+    parser = Parser(_grammar(e))
+    assert parser.run("bba").values == ()
+    assert parser.run("bb", trace=[]).values == ()
+
+
+def test_a_parser_is_built_whole_before_its_first_run():
+    g = _grammar(r.seq(r.ref("Word"), r.EOI), Word=r.capture(r.one_or_more(r.any_of("ab"))),
+                 Unused=r.seq(r.ch("x"), r.ref("Word")))
+    parser = Parser(g)
+    exact, traced, fast = (parser._tables.bodies[t] for t in (EXACT, TRACED, FAST))
+    assert exact.keys() == fast.keys() == {"Top", "Word", "Unused"}
+    assert traced is None  # only a traced run needs the traced table
+    assert parser.run("ab").ok and parser.run("ax").error is not None
+    assert parser._tables.bodies[TRACED] is None
+    assert parser.run("ab", trace=[]).ok
+    assert parser._tables.bodies[TRACED].keys() == {"Top", "Word", "Unused"}
+    assert parser._tables.bodies[EXACT] is exact and parser._tables.bodies[FAST] is fast
+
+
+def test_an_unknown_start_rule_raises_key_error_naming_it():
+    parser = Parser(_grammar(r.ch("a")))
+    with pytest.raises(KeyError, match="Nope"):
+        parser.run("a", start="Nope")
 
 
 def test_a_fresh_parser_compiles_safely_under_threads(calc_grammar):
-    # rule bodies compile lazily on first use; threads sharing a new Parser
-    # race to fill its tables and must still see one consistent grammar
+    # a Parser's exact and fast tables are built with it, and its traced
+    # table on first use; threads sharing a new Parser must still see one
+    # consistent grammar
     rng = random.Random(77)
     texts = [big_expression(rng, 300) + ("!" if i % 3 == 0 else "") for i in range(24)]
     expected = [Parser(calc_grammar).run(t) for t in texts]

@@ -1,17 +1,19 @@
 import random
+import tracemalloc
 
 import pytest
 
 from pegstack import rules as r
 from pegstack.engine import Parser
-from pegstack.errors import (MODE_COLLECT, MODE_OFF, ParseError, Position, build_parse_error,
-                             collect_rule_traces, descriptor_of,
-                             establish_principal_error_index, format_error, position_of,
-                             principal_error_index)
+from pegstack.errors import (MODE_COLLECT, MODE_OFF, ParseError, Position, RuleTrace,
+                             TerminalDescriptor, build_parse_error, collect_rule_traces,
+                             descriptor_of, establish_principal_error_index, format_error,
+                             position_of, principal_error_index)
 from pegstack.rules import validate_grammar
 
 from generators import big_expression, gen_grammar, gen_input
 from reference_interp import ref_run, ref_traces
+from test_acceptance import _nested_alternation_grammar
 
 
 # -- positions -------------------------------------------------------------------
@@ -217,6 +219,23 @@ def test_one_pass_collects_the_two_phase_traces_on_the_calc_corpus(calc_grammar)
     assert checked > 200
 
 
+def test_the_collect_pass_frontier_grows_with_the_traces_not_the_work():
+    # every nesting level doubles the mismatches at the principal index,
+    # but they repeat the same two rule traces
+    peaks = {}
+    for k in (10, 14):
+        parser = Parser(_nested_alternation_grammar(k))
+        tracemalloc.start()
+        try:
+            state = parser.run_phase("a" * 24, None, MODE_COLLECT)
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        frames = tuple(f"S{i}" for i in range(k, 0, -1))
+        assert state.collected == [RuleTrace(frames, TerminalDescriptor("char", c)) for c in "bc"]
+    assert peaks[14] < 2 * peaks[10], peaks
+
+
 def test_phases_are_deterministic(calc_grammar):
     parser = Parser(calc_grammar)
     first = build_parse_error(parser, "1+2!!")
@@ -233,6 +252,7 @@ def test_descriptor_rendering():
     assert descriptor_of(r.any_of("+-")).render() == "[+-]"
     assert descriptor_of(r.none_of("+-")).render() == "![+-]"
     assert descriptor_of(r.ch("\n")).render() == "'\\n'"
+    assert descriptor_of(r.any_of(" \t\r\n")).render() == "[ \\t\\r\\n]"
 
 
 def test_parse_error_positions_coincide(calc_grammar):

@@ -115,6 +115,15 @@ def test_syntax_error_is_formatted_with_position():
     assert "line 1" in message
 
 
+def test_an_empty_grammar_files_error_head_is_one_line():
+    with pytest.raises(NotationError) as exc:
+        parse_grammar(GrammarSource("", "empty.peg"))
+    head, line, caret = str(exc.value).split("\n")
+    assert head == ("empty.peg: Unexpected end of input, expected [ \\t\\r\\n], '#' or <pred>"
+                    " (line 1, column 1):")
+    assert (line, caret) == ("", "^")
+
+
 def test_branch_effect_mismatch_passes_through():
     with pytest.raises(EffectCheckError):
         parse_grammar("R : (0 -> 1) <- capture('a') / 'b'\n")
