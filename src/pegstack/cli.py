@@ -11,10 +11,10 @@ import json
 import sys
 
 from .effects import EffectCheckError, check_grammar
-from .engine import Parser, format_trace_event
+from .engine import Parser, Trace, format_trace_event
 from .errors import format_error
 from .notation import NotationError, load_grammar
-from .rules import GrammarError
+from .rules import GrammarError, GrammarTooDeep
 from .values import Tree, Value, render_value
 
 EXIT_SUCCESS = 0
@@ -35,7 +35,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     source.add_argument("--input", help="input text")
     source.add_argument("--input-file", help="read the input from a file")
     run_cmd.add_argument("--trace", action="store_true",
-                         help="print one line per engine step")
+                         help="print one line per engine event as it happens")
     run_cmd.add_argument("--json", action="store_true", dest="as_json",
                          help="machine-readable output")
     run_cmd.add_argument("--no-caret", action="store_true",
@@ -88,6 +88,23 @@ def _json_text(obj) -> str:
     return "".join(out)
 
 
+class _Printer:
+    """Trace sink that prints each event as one line when it arrives."""
+
+    def __init__(self, render):
+        self.render = render
+
+    def append(self, event) -> None:
+        print(self.render(event))
+
+
+def _event_json(event) -> str:
+    """One JSON Lines record of a trace event; unset fields are null."""
+    return json.dumps({"step": event.step, "summary": event.summary, "cursor": event.cursor,
+                       "outcome": event.outcome, "moved_from": event.moved_from,
+                       "moved_to": event.moved_to})
+
+
 def _read_input(args) -> str:
     if args.input is not None:
         return args.input
@@ -105,11 +122,10 @@ def _cmd_run(args) -> int:
         print(f"unknown rule {args.start!r}", file=sys.stderr)
         return EXIT_GRAMMAR_ERROR
     text = _read_input(args)
-    events = [] if args.trace else None
-    result = Parser(grammar).run(text, start=args.start, trace=events)
-    if events is not None:
-        for event in events:
-            print(format_trace_event(event))
+    observer = None
+    if args.trace:
+        observer = Trace(_Printer(_event_json if args.as_json else format_trace_event))
+    result = Parser(grammar).run(text, start=args.start, observer=observer)
     if result.values is not None:
         if args.as_json:
             print(_json_text({"result": "success",
@@ -162,6 +178,9 @@ def main(argv: list[str] | None = None) -> int:
     except UnicodeDecodeError as exc:
         print(f"not valid UTF-8: {exc}", file=sys.stderr)
         return EXIT_GRAMMAR_ERROR
+    except GrammarTooDeep as exc:  # a depth limit, reported like the compiler's
+        print(f"internal fault: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_FAULT
     except Exception as exc:  # a bug in pegstack, reported without a traceback
         print(f"internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_FAULT

@@ -236,7 +236,8 @@ def check_grammar(g: r.Grammar) -> dict[str, StackEffect]:
 
     Each inferred effect must unify with the rule's declaration (if any),
     and the start rule must pop nothing, since a run begins with an empty
-    stack. Raises EffectCheckError with all per-rule failures.
+    stack. Raises EffectCheckError with all per-rule failures, and
+    GrammarTooDeep when a rule is nested too deeply to infer.
     """
     issues: list[tuple[str, EffectError]] = []
     report: dict[str, StackEffect] = {}
@@ -252,6 +253,8 @@ def check_grammar(g: r.Grammar) -> dict[str, StackEffect]:
             report[name] = inferred
         except EffectError as err:
             issues.append((name, err))
+        except RecursionError:
+            raise r.GrammarTooDeep() from None
     if g.start in report and report[g.start].pops:
         issues.append((g.start, StartRulePops(g.start, report[g.start].pops)))
     if issues:

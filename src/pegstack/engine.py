@@ -1,25 +1,28 @@
 """Backtracking interpreter over rule trees, run without Python recursion.
 
-One ParserState per run: the input buffer, a cursor pointing at the next
-unmatched character, the value stack and instrumentation counters. Every
-expression match restores cursor and stack to their entry values when it
-fails, so prioritized choice can simply try the next alternative.
+One ParserState per run holds the executor's input, cursor (at the next
+unmatched character), value stack and counters; error collection's
+mismatch frontier; the tag check's findings; and an observer, such as a
+``Trace``, that sees each rule open and close and each traced step. Error
+collection and tag checks stay inline: calls out would slow the error pass.
+Every expression match restores cursor and stack to their entry values
+when it fails, so prioritized choice can simply try the next alternative.
 
 A Parser runs the instruction tables of ``pegstack.instructions``, which
 it builds when it is built: each rule body becomes nested tuples that carry
 the node's static facts. One iterative executor runs them with an explicit
 continuation stack: each open Sequence, FirstOf, repetition, predicate,
 Capture, Optional and Quiet holds one frame, and so does each open rule in
-traced, error-collecting and reentry-checking runs. Nesting depth is
-therefore bounded by the input, not by the interpreter's recursion limit.
+observed and error-collecting runs. Nesting depth is therefore bounded by
+the input, not by the interpreter's recursion limit.
 
-``Parser.run`` takes the fast table unless it is traced. There each
+``Parser.run`` takes the fast table unless it is observed. There each
 stack-free fragment runs as one regex, so the run's step and mismatch
 counters are not exact: an RE instruction counts one step and, when it
 fails, one mismatch. ``match``, ``match_rule``, ``run_phase`` and the error
-pass take the exact table, and traced runs the traced table.
+pass take the exact table, and observed runs the traced table.
 
-Untraced runs open a frame only where backtracking needs one. A Sequence
+Unobserved runs open a frame only where backtracking needs one. A Sequence
 whose first child is a terminal tests that terminal first: a mismatch fails
 the sequence at once, and a match opens its frame at the second child. A
 predicate over a terminal resolves in place. A repetition of one
@@ -44,7 +47,7 @@ from .values import StackUnderflow, Tree, Value, ValueStack, list_value
 # sentinel an action function returns to report a match failure
 ACTION_FAIL = object()
 _QUIET_FRAME = (QUIET,)
-_RULE_FRAME = (RULE,)  # a rule open in a run whose only instrument is error collection
+_RULE_FRAME = (RULE,)  # a rule open in a collecting run that no observer watches
 _COMPACT_AT = 64  # the error pass compacts its frontier past twice its kept length plus this
 
 
@@ -78,15 +81,16 @@ class EngineStats:
 
 
 class ParserState:
-    __slots__ = (
-        "input", "cursor", "stack", "stats", "error_mode", "frontier", "collected",
-        "events", "event_seq", "last_fail_cursor", "check_tags",
-        "tag_mismatches", "active_rules", "reentry_violations",
-    )
+    """One run's data, by owner: the executor's ``input``, ``cursor``, ``stack``
+    and ``stats``; error collection's ``error_mode``, ``frontier`` and
+    ``collected``; ``_act``'s tag check, ``check_tags`` and ``tag_mismatches``;
+    and the ``observer``, which ``events`` sets to a Trace into that list."""
+
+    __slots__ = ("input", "cursor", "stack", "stats", "error_mode", "frontier", "collected",
+                 "check_tags", "tag_mismatches", "observer")
 
     def __init__(self, text: str, *, error_mode: str = MODE_OFF,
-                 events: list | None = None, check_tags: bool = False,
-                 detect_reentry: bool = False):
+                 events: list | None = None, check_tags: bool = False):
         self.input = text
         self.cursor = 0
         self.stack = ValueStack()
@@ -97,13 +101,9 @@ class ParserState:
         # when the pass ends, their rule traces
         self.frontier: list[tuple] = []
         self.collected: list = []
-        self.events = events
-        self.event_seq = 0
-        self.last_fail_cursor = 0
         self.check_tags = check_tags
         self.tag_mismatches: list[tuple[str, str, str]] = []
-        self.active_rules: set | None = set() if detect_reentry else None
-        self.reentry_violations: list[tuple[str, int]] = []
+        self.observer = None if events is None else Trace(events)
 
 
 @record
@@ -119,6 +119,34 @@ class TraceEvent:
 def format_trace_event(ev: TraceEvent) -> str:
     tail = "" if ev.moved_from is None else f" ({ev.moved_from}->{ev.moved_to})"
     return f"step {ev.step}: {ev.summary} @ {ev.cursor} -> {ev.outcome}{tail}"
+
+
+class Trace:
+    """Observer that appends numbered TraceEvents to a sink, anything with ``append``.
+
+    An observer has ``enter(name, at)`` and ``leave(name, at, ok, pos)`` for
+    each rule, and ``event(summary, cursor, outcome, moved_from, moved_to)``
+    for each step the traced table logs; a Trace logs rules as events too.
+    """
+
+    __slots__ = ("append", "step")
+
+    def __init__(self, sink):
+        self.append = sink.append
+        self.step = 0
+
+    def enter(self, name: str, at: int) -> None:
+        self.event(name, at, "start", None, None)
+
+    def leave(self, name: str, at: int, ok: bool, pos: int) -> None:
+        if ok:
+            self.event(name, at, "match", at, pos)
+        else:
+            self.event(name, at, "mismatch", None, None)
+
+    def event(self, summary, cursor, outcome, moved_from, moved_to) -> None:
+        self.step += 1
+        self.append(TraceEvent(self.step, summary, cursor, outcome, moved_from, moved_to))
 
 
 @record
@@ -184,19 +212,20 @@ class Parser:
     # -- top level ----------------------------------------------------------
 
     def run(self, text: str, start: str | None = None, mode: str = "result",
-            trace: list | None = None):
+            observer=None):
         """Run the start rule against text and deliver the result.
 
         mode "result" returns a RunResult union; "either" returns a
         (values, error) pair whose error side is a ParseError or an
-        InternalFault; "raising" returns the values or raises.
+        InternalFault; "raising" returns the values or raises. A run with an
+        observer (see Trace) takes the traced table.
         """
-        state = ParserState(text, events=trace)
+        state = ParserState(text)
+        state.observer = observer
         name = start or self.grammar.start
         try:
-            # an untraced run takes the fast table; its errors come from the
-            # exact error pass
-            bodies = self._bodies(FAST if trace is None else TRACED)
+            # unobserved, the fast table; errors come from the exact error pass
+            bodies = self._bodies(FAST if observer is None else TRACED)
             if self._execute(state, bodies[name], name, bodies):
                 result = RunResult(values=state.stack.values())
             else:
@@ -230,13 +259,13 @@ class Parser:
 
     def match(self, state: ParserState, node: r.RuleExpr) -> bool:
         """Match one expression at the state's cursor."""
-        traced = state.events is not None
+        traced = state.observer is not None
         bodies = self._bodies(TRACED if traced else EXACT)
         return self._execute(state, self._tables.compile(node, traced), None, bodies)
 
     def match_rule(self, state: ParserState, name: str) -> bool:
         """Match the named rule at the state's cursor."""
-        bodies = self._bodies(TRACED if state.events is not None else EXACT)
+        bodies = self._bodies(TRACED if state.observer is not None else EXACT)
         return self._execute(state, bodies[name], name, bodies)
 
     def _bodies(self, table: int) -> dict:
@@ -246,7 +275,7 @@ class Parser:
                 return self._tables.traced() if table == TRACED else self._tables.bodies[table]
             except RecursionError:  # building the traced table
                 pass
-        raise EngineFault(InternalFault("grammar nested too deeply to compile"))
+        raise EngineFault(InternalFault(str(r.GrammarTooDeep())))
 
     # -- the executor -------------------------------------------------------
 
@@ -276,29 +305,30 @@ class Parser:
         max_cursor = stats.max_cursor
         stack = state.stack
         snapshot, restore, push, size = stack.snapshot, stack.restore, stack.push, stack.size
-        traced = state.events is not None
+        observer = state.observer
+        traced = observer is not None  # the traced table: every node is a step
         collecting = state.error_mode == MODE_COLLECT
         frontier = state.frontier
         compact_at = _COMPACT_AT
         path = ()  # collecting: the open rules, innermost first, as cons cells
         check_tags = state.check_tags
-        hooks = traced or state.active_rules is not None  # rules call _open_rule/_close_rule
-        instrumented = hooks or collecting
+        instrumented = traced or collecting  # rules open frames
         not_depth = quiet_depth = 0
         pending = None  # a SEQ or PRED whose terminal head is being tested
-        wrap = False  # traced runs: the node being entered logs its own events
-        bare = rule is not None  # traced runs: a rule body's events are its rule's
         # continuation frames, by the opcode that opened them:
-        #   [SEQ or ALT, children, next child, entry cursor, snapshot, wrap, ins]
+        #   [SEQ or ALT, children, next child, entry cursor, snapshot, ins]
         #     (a SEQ with a terminal head opens at child 1, after it matched)
         #   [REP, ins, iteration entry cursor, snapshot, first match pending, collect base]
         #   (CAPTURE, start)  (OPT, collect tag, collect base)
         #   (PRED, negate, entry cursor, snapshot)  (QUIET,)
-        #   (RULE, name, entry cursor, reentry key) in traced and reentry-checking
-        #     runs, _RULE_FRAME in other collecting runs, none in plain runs
+        #   (RULE, name, entry cursor) in observed runs, _RULE_FRAME in other
+        #     collecting runs; a node entered with a RULE frame on top is a rule
+        #     body's root, which logs no events: its rule's stand for them
         frames: list = []
         if rule is not None and instrumented:
-            frames.append(self._open_rule(state, rule, pos) if hooks else _RULE_FRAME)
+            frames.append((RULE, rule, pos) if traced else _RULE_FRAME)
+            if traced:
+                observer.enter(rule, pos)
             if collecting:
                 path = (rule, path)
         (CH, ANY, CLASS, STR, EOI, NONE, ICH, ISTR, SEQ, ALT, REF, CHARS, ACTION, CONS,
@@ -308,9 +338,6 @@ class Parser:
                 # -- enter ins --------------------------------------------------
                 steps += 1
                 op = ins[0]
-                if traced:
-                    wrap = not bare
-                    bare = False
                 if op <= ISTR:  # a terminal
                     at = pos
                     if op == CH:
@@ -364,11 +391,12 @@ class Parser:
                                             compact_at = 2 * len(frontier) + _COMPACT_AT
                             elif at > max_cursor:
                                 max_cursor = at
-                        if wrap:
-                            state.last_fail_cursor = at
-                            self._emit(state, ins[-1], at, "mismatch")
-                    elif wrap:
-                        self._emit(state, ins[-1], at, "match", at, pos)
+                    if traced and (not frames or frames[-1][0] != RULE):
+                        if ok:
+                            observer.event(ins[-1], at, "match", at, pos)
+                        else:
+                            fail_at = at
+                            observer.event(ins[-1], at, "mismatch", None, None)
                     if pending is not None:
                         p = pending
                         pending = None
@@ -377,8 +405,7 @@ class Parser:
                             # as it stands; a terminal never touches the stack,
                             # so a snapshot taken now equals one taken at entry
                             if ok and p[2][1] is not None:
-                                frames.append([SEQ, p[2], 2, at, snapshot() if p[3] else None,
-                                               False, p])
+                                frames.append([SEQ, p[2], 2, at, snapshot() if p[3] else None, p])
                                 ins = p[2][1]
                                 continue
                         else:  # PRED
@@ -390,25 +417,26 @@ class Parser:
                         pending = ins
                         ins = ins[2][0]
                         continue
-                    if wrap:
-                        self._emit(state, ins[-1], pos, "start")
-                    frames.append([SEQ, ins[2], 1, pos, snapshot() if ins[3] else None, wrap, ins])
+                    if traced and (not frames or frames[-1][0] != RULE):
+                        observer.event(ins[-1], pos, "start", None, None)
+                    frames.append([SEQ, ins[2], 1, pos, snapshot() if ins[3] else None, ins])
                     ins = ins[2][0]
                     continue
                 elif op == ALT:
                     if traced:
-                        if wrap:
-                            self._emit(state, ins[-1], pos, "start")
-                        state.last_fail_cursor = pos
-                    frames.append([ALT, ins[2], 1, pos, snapshot() if ins[3] else None, wrap, ins])
+                        if not frames or frames[-1][0] != RULE:
+                            observer.event(ins[-1], pos, "start", None, None)
+                        fail_at = pos  # a reset reports the cursor of the last failure
+                    frames.append([ALT, ins[2], 1, pos, snapshot() if ins[3] else None, ins])
                     ins = ins[2][0]
                     continue
                 elif op == REF:
                     if instrumented:
-                        frames.append(self._open_rule(state, ins[2], pos) if hooks else _RULE_FRAME)
+                        frames.append((RULE, ins[2], pos) if traced else _RULE_FRAME)
+                        if traced:
+                            observer.enter(ins[2], pos)
                         if collecting:
                             path = (ins[2], path)
-                        bare = True
                     ins = bodies[ins[2]]
                     continue
                 elif op == CHARS:
@@ -515,20 +543,20 @@ class Parser:
                                 ins = following
                                 break
                             frames.pop()
-                            if f[5]:
-                                self._emit(state, f[6][-1], f[3], "match", f[3], pos)
+                            if traced and (not frames or frames[-1][0] != RULE):
+                                observer.event(f[5][-1], f[3], "match", f[3], pos)
                         else:
                             frames.pop()
                             if traced:
-                                state.last_fail_cursor = pos
+                                fail_at = pos
                             pos = f[3]
                             if f[4] is not None:
                                 restore(f[4])
                     elif k == ALT:
                         if ok:
                             frames.pop()
-                            if f[5]:
-                                self._emit(state, f[6][-1], f[3], "match", f[3], pos)
+                            if traced and (not frames or frames[-1][0] != RULE):
+                                observer.event(f[5][-1], f[3], "match", f[3], pos)
                         else:
                             pos = entry = f[3]
                             if f[4] is not None:
@@ -537,15 +565,14 @@ class Parser:
                             following = f[1][i]
                             if following is not None:
                                 if traced:
-                                    self._emit(state, f[6][-1], entry, "reset",
-                                               state.last_fail_cursor, entry)
-                                    state.last_fail_cursor = entry
+                                    observer.event(f[5][-1], entry, "reset", fail_at, entry)
+                                    fail_at = entry
                                 f[2] = i + 1
                                 ins = following
                                 break
                             frames.pop()
-                            if f[5]:
-                                self._emit(state, f[6][-1], entry, "mismatch")
+                            if traced and (not frames or frames[-1][0] != RULE):
+                                observer.event(f[5][-1], entry, "mismatch", None, None)
                     elif k == REP:
                         rep = f[1]
                         if f[4]:
@@ -588,8 +615,8 @@ class Parser:
                         frames.pop()
                         if collecting:
                             path = path[1]
-                        if f is not _RULE_FRAME:
-                            self._close_rule(state, f, ok, pos)
+                        if traced:
+                            observer.leave(f[1], f[2], ok, pos)
                 else:
                     return ok
         finally:
@@ -601,34 +628,6 @@ class Parser:
                 state.collected = rule_traces(frontier)
 
     # -- helpers the executor calls; each returns before the next node -------
-
-    def _open_rule(self, state: ParserState, name: str, entry: int) -> tuple:
-        added = None
-        if state.active_rules is not None:
-            key = (name, entry)
-            if key in state.active_rules:
-                state.reentry_violations.append(key)
-            else:
-                state.active_rules.add(key)
-                added = key
-        if state.events is not None:
-            self._emit(state, name, entry, "start")
-        return (RULE, name, entry, added)
-
-    def _close_rule(self, state: ParserState, frame: tuple, ok: bool, pos: int) -> None:
-        _, name, entry, added = frame
-        if added is not None:
-            state.active_rules.discard(added)
-        if state.events is not None:
-            if ok:
-                self._emit(state, name, entry, "match", entry, pos)
-            else:
-                self._emit(state, name, entry, "mismatch")
-
-    def _emit(self, state, summary, cursor, outcome, moved_from=None, moved_to=None):
-        state.event_seq += 1
-        state.events.append(TraceEvent(state.event_seq, summary, cursor, outcome,
-                                       moved_from, moved_to))
 
     def _act(self, state: ParserState, ins: tuple) -> bool:
         node = ins[1]

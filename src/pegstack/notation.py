@@ -170,8 +170,9 @@ def _make_def(name, effs, expr):
 # ---------------------------------------------------------------------------
 # the meta-grammar
 
-_IDENT_START = ALPHA.union(CharPredicate.from_chars("_"))
-_IDENT_CONT = _IDENT_START.union(DIGIT)
+# named, so that a syntax error where a rule name is expected says so
+_IDENT_START = CharPredicate(ALPHA.mask | 1 << ord("_"), name="[A-Za-z_]")
+_IDENT_CONT = CharPredicate(_IDENT_START.mask | DIGIT.mask, name="[A-Za-z_0-9]")
 
 
 @lru_cache(maxsize=1)

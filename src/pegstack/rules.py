@@ -385,6 +385,14 @@ class GrammarError(Exception):
         super().__init__("; ".join(str(i) for i in issues))
 
 
+class GrammarTooDeep(Exception):
+    """A grammar nested deeper than the recursive passes over rule trees can
+    follow at the interpreter's recursion limit."""
+
+    def __init__(self):
+        super().__init__("grammar nested too deeply to compile")
+
+
 def _normalize(expr: RuleExpr) -> RuleExpr:
     """Collapse one-child sequences/choices, bottom-up."""
     t = type(expr)
@@ -471,8 +479,16 @@ def validate_grammar(g: Grammar) -> Grammar:
 
     Checks: the start rule and every reference resolve, no empty literals,
     and no rule can re-enter itself at the same input position through a
-    nullable prefix (direct or indirect left recursion).
+    nullable prefix (direct or indirect left recursion). Raises
+    GrammarTooDeep when the grammar is nested too deeply to walk.
     """
+    try:
+        return _validate(g)
+    except RecursionError:
+        raise GrammarTooDeep() from None
+
+
+def _validate(g: Grammar) -> Grammar:
     issues: list[GrammarIssue] = []
     defs = {name: RuleDef(_normalize(rd.expr), rd.effect) for name, rd in g.rules.items()}
 

@@ -1,9 +1,11 @@
+import contextlib
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 from pegstack.cli import _json_text, main
@@ -90,6 +92,49 @@ def test_trace_flag_streams_steps(capsys):
     assert len(lines) == 13
     assert lines[0] == "step 1: foo @ 0 -> start"
     assert lines[-1] == "step 13: foo @ 0 -> match (0->3)"
+
+
+def test_trace_json_prints_json_lines(capsys):
+    for text, code, result in (("abd", 0, "success"), ("abx", 1, "error")):
+        got, out, err = run_cli(capsys, "run", "--grammar", FOO, "--input", text,
+                                "--trace", "--json")
+        assert (got, err) == (code, "")
+        records = [json.loads(line) for line in out.splitlines()]
+        *events, last = records
+        assert last["result"] == result
+        assert [e["step"] for e in events] == list(range(1, len(events) + 1))
+        assert all(list(e) == ["step", "summary", "cursor", "outcome", "moved_from", "moved_to"]
+                   for e in events)
+    assert events[0] == {"step": 1, "summary": "foo", "cursor": 0, "outcome": "start",
+                         "moved_from": None, "moved_to": None}
+    assert events[6] == {"step": 7, "summary": "'b' 'c' / 'b' 'd'", "cursor": 1,
+                         "outcome": "reset", "moved_from": 2, "moved_to": 1}
+
+
+def test_trace_memory_does_not_grow_with_the_events(tmp_path):
+    # a streamed trace holds no event after printing it: a traced run peaks
+    # where an untraced one does, though it prints tens of thousands of lines
+    doc = tmp_path / "doc.json"
+    rows = ",".join(f'{{"id": {i}, "name": "n{i}", "ok": true, "xs": [1.5, -2e3]}}'
+                    for i in range(200))
+    doc.write_text(f"[{rows}]")
+    grammar = str(GRAMMARS.parent / "bench" / "json.peg")
+    argv = ["run", "--grammar", grammar, "--input-file", str(doc)]
+    lines = io.StringIO()
+    with contextlib.redirect_stdout(lines):  # also loads what later runs reuse
+        assert main(argv + ["--trace"]) == 0
+    assert lines.getvalue().count("\n") > 50_000
+
+    def peak(*flags):
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(argv + list(flags)) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    assert peak("--trace") < peak() + 256 * 1024
 
 
 def test_default_run_reports_the_error_of_the_grammar_as_written(tmp_path, capsys):
@@ -204,6 +249,18 @@ def test_grammar_too_deep_to_compile_exits_3_with_one_line(capsys, tmp_path):
     grammar.write_text(f"Top <- {src} EOI\n")
     code, out, err = run_cli(capsys, "run", "--grammar", str(grammar), "--input", "bba")
     assert (code, out, err) == (3, "", "internal fault: grammar nested too deeply to compile\n")
+
+
+def test_grammar_too_deep_to_validate_exits_3_with_one_line(capsys, tmp_path):
+    src = "'a'"
+    for _ in range(400):
+        src = f"('b' {src})?"
+    grammar = tmp_path / "deeper.peg"
+    grammar.write_text(f"Top <- {src} EOI\n")
+    for argv in (("run", "--grammar", str(grammar), "--input", "bba"),
+                 ("check", "--grammar", str(grammar))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (3, "", "internal fault: grammar nested too deeply to compile\n")
 
 
 def test_deep_nesting_parses_at_the_callers_recursion_limit(calc_grammar, capsys):

@@ -7,7 +7,8 @@ import pytest
 from pegstack import rules as r
 from pegstack.effects import StackEffect, cons
 from pegstack.engine import (ACTION_FAIL, EngineFault, InternalFault, ParseFailed, Parser,
-                             ParserState, RunResult, format_trace_event, match_expr, run)
+                             ParserState, RunResult, Trace, format_trace_event, match_expr,
+                             run)
 from pegstack.errors import MODE_COLLECT, principal_error_index
 from pegstack.instructions import EXACT, FAST, RE, TRACED
 from pegstack.notation import load_grammar, parse_grammar
@@ -37,12 +38,63 @@ def _state(text, stack=(), cursor=0):
 
 def test_backtracking_walkthrough_trace(foo_grammar):
     events = []
-    result = Parser(foo_grammar).run("abd", trace=events)
+    result = Parser(foo_grammar).run("abd", observer=Trace(events))
     assert result.kind == "success"
     lines = [format_trace_event(e) for e in events]
     golden = (DATA / "foo_trace.golden").read_text().splitlines()
     assert lines == golden
     assert len(lines) == 13
+
+
+def test_a_reset_reports_where_the_failed_alternative_last_failed():
+    # the rule body's root choice logs only its reset, and the reset starts
+    # from the mismatch inside the predicate, not from the choice's entry
+    g = parse_grammar("Top <- !('a' 'b'*) / 'a'\n")
+    events = []
+    assert Parser(g).run("abbc", observer=Trace(events)).values == ()
+    assert [format_trace_event(e) for e in events] == [
+        "step 1: Top @ 0 -> start",
+        "step 2: 'a' 'b'* @ 0 -> start",
+        "step 3: 'a' @ 0 -> match (0->1)",
+        "step 4: 'b' @ 1 -> match (1->2)",
+        "step 5: 'b' @ 2 -> match (2->3)",
+        "step 6: 'b' @ 3 -> mismatch",
+        "step 7: 'a' 'b'* @ 0 -> match (0->3)",
+        "step 8: !('a' 'b'*) / 'a' @ 0 -> reset (3->0)",
+        "step 9: 'a' @ 0 -> match (0->1)",
+        "step 10: Top @ 0 -> match (0->1)",
+    ]
+
+
+class _RuleLog:
+    """Observer that logs rule entries and exits and checks that they nest."""
+
+    def __init__(self):
+        self.open: list[tuple[str, int]] = []
+        self.log: list[tuple] = []
+
+    def enter(self, name, at):
+        self.open.append((name, at))
+        self.log.append((name, at, "start", None, None))
+
+    def leave(self, name, at, ok, pos):
+        assert self.open.pop() == (name, at)
+        self.log.append((name, at, "match", at, pos) if ok else (name, at, "mismatch", None, None))
+
+    def event(self, summary, cursor, outcome, moved_from, moved_to):
+        pass
+
+
+def test_a_custom_observer_sees_the_rule_events_of_a_trace(calc_grammar):
+    parser = Parser(calc_grammar)
+    for text in ("1+(2-3*4)/5", "1+2!3", "((1)", ""):
+        observer, events = _RuleLog(), []
+        assert parser.run(text, observer=observer) == parser.run(text, observer=Trace(events))
+        assert observer.open == []
+        rule_events = [(e.summary, e.cursor, e.outcome, e.moved_from, e.moved_to)
+                       for e in events if e.summary in calc_grammar.rules]
+        assert observer.log == rule_events
+        assert len(rule_events) > 2
 
 
 def test_walkthrough_final_cursor(foo_grammar):
@@ -694,7 +746,7 @@ def test_a_grammar_150_levels_deep_compiles_and_runs():
         e = r.opt(r.seq(r.ch("b"), e))
     parser = Parser(_grammar(e))
     assert parser.run("bba").values == ()
-    assert parser.run("bb", trace=[]).values == ()
+    assert parser.run("bb", observer=Trace([])).values == ()
 
 
 def test_a_parser_is_built_whole_before_its_first_run():
@@ -706,7 +758,7 @@ def test_a_parser_is_built_whole_before_its_first_run():
     assert traced is None  # only a traced run needs the traced table
     assert parser.run("ab").ok and parser.run("ax").error is not None
     assert parser._tables.bodies[TRACED] is None
-    assert parser.run("ab", trace=[]).ok
+    assert parser.run("ab", observer=Trace([])).ok
     assert parser._tables.bodies[TRACED].keys() == {"Top", "Word", "Unused"}
     assert parser._tables.bodies[EXACT] is exact and parser._tables.bodies[FAST] is fast
 

@@ -3,9 +3,10 @@ import pytest
 from pegstack import rules as r
 from pegstack.effects import EffectCheckError, StackEffect, WILDCARD, check_grammar, cons
 from pegstack.engine import Parser
-from pegstack.notation import (GrammarSource, NotationError, meta_grammar, parse_grammar,
-                               pretty_grammar)
-from pegstack.rules import DIGIT, LOWER_HEX_LETTER, GrammarError, validate_grammar
+from pegstack.notation import (GrammarSource, NotationError, load_grammar, meta_grammar,
+                               parse_grammar, pretty_grammar)
+from pegstack.rules import (DIGIT, LOWER_HEX_LETTER, GrammarError, GrammarTooDeep,
+                            validate_grammar)
 from pegstack.values import render_value
 
 CALC_TEXT = """\
@@ -119,9 +120,31 @@ def test_an_empty_grammar_files_error_head_is_one_line():
     with pytest.raises(NotationError) as exc:
         parse_grammar(GrammarSource("", "empty.peg"))
     head, line, caret = str(exc.value).split("\n")
-    assert head == ("empty.peg: Unexpected end of input, expected [ \\t\\r\\n], '#' or <pred>"
+    assert head == ("empty.peg: Unexpected end of input, expected [ \\t\\r\\n], '#' or [A-Za-z_]"
                     " (line 1, column 1):")
     assert (line, caret) == ("", "^")
+
+
+def test_an_error_inside_a_rule_name_names_its_characters():
+    with pytest.raises(NotationError) as exc:
+        parse_grammar("Ab_1")
+    assert "expected [A-Za-z_0-9], [ \\t\\r\\n]" in str(exc.value)
+    assert "<pred>" not in str(exc.value)
+
+
+def test_a_grammar_too_deep_to_validate_raises_grammar_too_deep(tmp_path):
+    src = "'a'"
+    for _ in range(400):
+        src = f"('b' {src})?"
+    path = tmp_path / "deeper.peg"
+    path.write_text(f"Top <- {src} EOI\n")
+    with pytest.raises(GrammarTooDeep, match="^grammar nested too deeply to compile$"):
+        load_grammar(path)
+    e = r.ch("a")
+    for _ in range(400):
+        e = r.opt(r.seq(r.ch("b"), e))
+    with pytest.raises(GrammarTooDeep):
+        validate_grammar(r.grammar({"Top": e}))
 
 
 def test_branch_effect_mismatch_passes_through():

@@ -173,19 +173,42 @@ def test_nullability_facts():
     assert not r.is_nullable(r.seq(r.opt(r.ch("a")), r.ch("b")), nullmap)
 
 
+class _Reentry:
+    """Observer that records each rule entered again at a cursor where it is still open."""
+
+    def __init__(self):
+        self.open: list[tuple[str, int]] = []
+        self.violations: list[tuple[str, int]] = []
+
+    def enter(self, name, at):
+        if (name, at) in self.open:
+            self.violations.append((name, at))
+        self.open.append((name, at))
+
+    def leave(self, name, at, ok, pos):
+        assert self.open.pop() == (name, at)
+
+    def event(self, summary, cursor, outcome, moved_from, moved_to):
+        pass
+
+
+def _reentries(parser, text, start):
+    state = ParserState(text)
+    state.observer = probe = _Reentry()
+    parser.match_rule(state, start)
+    assert probe.open == []
+    return probe.violations
+
+
 def test_validated_grammars_never_reenter_same_rule_same_cursor(calc_grammar):
-    """Engine instrumentation sees no same-position rule re-entry."""
+    """An observer of the engine sees no same-position rule re-entry."""
     parser = Parser(calc_grammar)
     for text in ("1+2*3", "1+(2-3*4)/5", "((((1))))", "1+", "", "hello"):
-        state = ParserState(text, detect_reentry=True)
-        parser.match_rule(state, "InputLine")
-        assert state.reentry_violations == []
+        assert _reentries(parser, text, "InputLine") == []
 
     rng = random.Random(7)
     for _ in range(150):
         g = gen_grammar(rng)
         parser = Parser(g)
         for _ in range(3):
-            state = ParserState(gen_input(rng), detect_reentry=True)
-            parser.match_rule(state, g.start)
-            assert state.reentry_violations == []
+            assert _reentries(parser, gen_input(rng), g.start) == []
