@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 parse failure, 2 grammar or usage error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .effects import EffectCheckError, check_grammar
@@ -15,7 +14,7 @@ from .engine import Parser, Trace, format_trace_event
 from .errors import format_error
 from .notation import NotationError, load_grammar
 from .rules import GrammarError, GrammarTooDeep
-from .values import Tree, Value, render_value
+from .values import Tree, Value, json_string, render_value
 
 EXIT_SUCCESS = 0
 EXIT_PARSE_FAILURE = 1
@@ -68,7 +67,8 @@ def _value_json(value: Value):
 
 
 def _json_text(obj) -> str:
-    """``json.dumps(obj)`` for nested dicts and lists, without recursion."""
+    """``json.dumps(obj)`` for nested dicts and lists of strings, ints and
+    None, without recursion."""
     out: list[str] = []
     todo = [obj]  # objects to write and (text,) for literal text, next one last
     while todo:
@@ -77,14 +77,16 @@ def _json_text(obj) -> str:
             out.append(item[0])
         elif isinstance(item, dict):
             out.append("{")
-            members = [x for k, v in item.items() for x in ((", ",), (json.dumps(k) + ": ",), v)]
+            members = [x for k, v in item.items() for x in ((", ",), (json_string(k) + ": ",), v)]
             todo.extend(reversed(members[1:] + [("}",)]))
         elif isinstance(item, list):
             out.append("[")
             members = [x for v in item for x in ((", ",), v)]
             todo.extend(reversed(members[1:] + [("]",)]))
-        else:
-            out.append(json.dumps(item))
+        elif isinstance(item, str):
+            out.append(json_string(item))
+        else:  # an int or None
+            out.append("null" if item is None else str(item))
     return "".join(out)
 
 
@@ -99,10 +101,13 @@ class _Printer:
 
 
 def _event_json(event) -> str:
-    """One JSON Lines record of a trace event; unset fields are null."""
-    return json.dumps({"step": event.step, "summary": event.summary, "cursor": event.cursor,
-                       "outcome": event.outcome, "moved_from": event.moved_from,
-                       "moved_to": event.moved_to})
+    """One JSON Lines record of a trace event, as ``json.dumps`` writes it;
+    unset fields are null."""
+    moved_from = "null" if event.moved_from is None else event.moved_from
+    moved_to = "null" if event.moved_to is None else event.moved_to
+    return (f'{{"step": {event.step}, "summary": {json_string(event.summary)}, '
+            f'"cursor": {event.cursor}, "outcome": {json_string(event.outcome)}, '
+            f'"moved_from": {moved_from}, "moved_to": {moved_to}}}')
 
 
 def _read_input(args) -> str:
@@ -138,7 +143,7 @@ def _cmd_run(args) -> int:
         err = result.error
         message = format_error(err, text, caret=not args.no_caret)
         if args.as_json:
-            print(json.dumps({
+            print(_json_text({
                 "result": "error",
                 "position": {"index": err.position.index, "line": err.position.line,
                              "column": err.position.column},
@@ -154,7 +159,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     grammar = load_grammar(args.grammar)
-    for name, effect in check_grammar(grammar).items():
+    effects = check_grammar(grammar)
+    fault = Parser(grammar).fault  # a grammar that no run can compile fails here too
+    if fault is not None:
+        print(f"internal fault: {fault.description}", file=sys.stderr)
+        return EXIT_INTERNAL_FAULT
+    for name, effect in effects.items():
         print(f"{name} : ({len(effect.pops)} -> {len(effect.pushes)})")
     return EXIT_SUCCESS
 

@@ -29,6 +29,18 @@ predicate over a terminal resolves in place. A repetition of one
 single-character terminal runs as one fused scan, and so does a Capture of
 such a repetition, which pushes the matched slice itself.
 
+The fast table also dispatches on the next character. A SWITCH looks it
+up (or end of input) and gets the alternatives that can start there: none
+fails at once, one runs in place with no frame, more open the choice's
+usual frame over just them. Skipped alternatives would have failed at
+their first terminal test before running anything else, so no action,
+drop or capture is skipped. A LOOP or MAYBE whose body cannot start at the
+next character ends with no frame (a collecting one pushes its empty list)
+or, for ``+``, fails; between iterations a LOOP tests the head again
+before it re-enters the body. Its body always moves when it matches, so a
+LOOP takes no snapshot. A dispatch that declines counts its one step and
+no mismatch.
+
 Repetition bodies whose effect pushes exactly one value per iteration are
 collecting: the engine bundles the iteration results into a single list
 value, matching what the effect checker reports for them.
@@ -209,6 +221,12 @@ class Parser:
         except RecursionError:
             self._tables = None  # every run is an internal fault
 
+    @property
+    def fault(self) -> InternalFault | None:
+        """The fault every run reports when the grammar is nested too deeply
+        to compile; None when it compiled."""
+        return None if self._tables is not None else InternalFault(str(r.GrammarTooDeep()))
+
     # -- top level ----------------------------------------------------------
 
     def run(self, text: str, start: str | None = None, mode: str = "result",
@@ -319,6 +337,7 @@ class Parser:
         #   [SEQ or ALT, children, next child, entry cursor, snapshot, ins]
         #     (a SEQ with a terminal head opens at child 1, after it matched)
         #   [REP, ins, iteration entry cursor, snapshot, first match pending, collect base]
+        #   [LOOP, ins, first match pending, collect base]
         #   (CAPTURE, start)  (OPT, collect tag, collect base)
         #   (PRED, negate, entry cursor, snapshot)  (QUIET,)
         #   (RULE, name, entry cursor) in observed runs, _RULE_FRAME in other
@@ -332,7 +351,7 @@ class Parser:
             if collecting:
                 path = (rule, path)
         (CH, ANY, CLASS, STR, EOI, NONE, ICH, ISTR, SEQ, ALT, REF, CHARS, ACTION, CONS,
-         CAPTURE, REP, OPT, PRED, PUSH, DROP, QUIET, RE) = OPS
+         CAPTURE, REP, OPT, PRED, PUSH, DROP, QUIET, RE, SWITCH, LOOP, MAYBE) = OPS
         try:
             while True:
                 # -- enter ins --------------------------------------------------
@@ -430,6 +449,29 @@ class Parser:
                     frames.append([ALT, ins[2], 1, pos, snapshot() if ins[3] else None, ins])
                     ins = ins[2][0]
                     continue
+                elif op == SWITCH:
+                    # a choice in the fast table: only the alternatives that
+                    # can start at the next character; one runs in place
+                    cands = ins[2].get(text[pos], ins[3]) if pos < n else ins[4]
+                    first = cands[0]
+                    if first is None:
+                        ok = False
+                    else:
+                        if cands[1] is not None:
+                            frames.append([ALT, cands, 1, pos, snapshot() if ins[5] else None,
+                                           ins])
+                        ins = first
+                        continue
+                elif op == LOOP:
+                    # a repetition of a headed body (fast table only): its
+                    # iterations move, so none is undone and none needs a snapshot
+                    if pos < n and ins[5].get(text[pos], ins[6]):
+                        frames.append([LOOP, ins, ins[3], size() if ins[4] is not None else 0])
+                        ins = ins[2]
+                        continue
+                    ok = not ins[3]  # the body cannot start: * ends empty, + fails
+                    if ok and ins[4] is not None:
+                        push(list_value((), ins[4]))
                 elif op == REF:
                     if instrumented:
                         frames.append((RULE, ins[2], pos) if traced else _RULE_FRAME)
@@ -485,11 +527,18 @@ class Parser:
                                    first, size() if tag is not None else 0])
                     ins = ins[2]
                     continue
-                elif op == OPT:
+                elif op == OPT or op == MAYBE:
                     tag = ins[3]
-                    frames.append((OPT, tag, size() if tag is not None else 0))
-                    ins = ins[2]
-                    continue
+                    # MAYBE, an option of a headed body (fast table only),
+                    # ends empty when the body cannot start
+                    if op == MAYBE and not (pos < n and ins[4].get(text[pos], ins[5])):
+                        ok = True
+                        if tag is not None:
+                            push(list_value((), tag))
+                    else:
+                        frames.append((OPT, tag, size() if tag is not None else 0))
+                        ins = ins[2]
+                        continue
                 elif op == PRED:
                     negate = ins[3]
                     not_depth += negate
@@ -573,6 +622,20 @@ class Parser:
                             frames.pop()
                             if traced and (not frames or frames[-1][0] != RULE):
                                 observer.event(f[5][-1], entry, "mismatch", None, None)
+                    elif k == LOOP:
+                        rep = f[1]
+                        if ok:
+                            f[2] = False
+                            if pos < n and rep[5].get(text[pos], rep[6]):
+                                ins = rep[2]
+                                break
+                        elif f[2]:  # the first iteration of a + failed
+                            frames.pop()
+                            continue
+                        frames.pop()
+                        if rep[4] is not None:
+                            self._materialize(stack, f[3], rep[4])
+                        ok = True
                     elif k == REP:
                         rep = f[1]
                         if f[4]:

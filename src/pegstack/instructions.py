@@ -2,10 +2,11 @@
 
 A node becomes a tuple (opcode, node, operands...) that carries its static
 facts: whether it touches the value stack, the element tag of a collecting
-repetition, literal lengths. Rule references stay symbolic; the executor
-looks each one up in the table it runs. Every rule body is compiled into
-the exact and fast tables when the grammar's Parser is built, and into the
-traced table when a traced run first needs it:
+repetition, literal lengths. Rule references stay symbolic, except to
+acyclic rules in the fast table; the executor looks each one up in the
+table it runs. Every rule body is compiled into the exact and fast tables
+when the grammar's Parser is built, and into the traced table when a
+traced run first needs it:
 
 * EXACT: untraced runs whose step and mismatch counters must be exact
   (``match``, ``match_rule``, ``run_phase``, the error pass, checked runs).
@@ -26,8 +27,14 @@ traced table when a traced run first needs it:
   cycle is inlined. Ignore-case terminals (``str.lower`` and
   ``re.IGNORECASE`` disagree, e.g. on "ſ"), predicates decided by an
   ``extra`` function, and a fragment that ``re`` rejects stay instructions;
-  a lone terminal, a fused scan and a bare reference gain nothing and stay
-  too. Where nothing lowers, the fast table shares the exact instructions.
+  a lone terminal and a fused scan gain nothing and stay too. A reference
+  to a rule off every cycle becomes that rule's fast body, shared. Each
+  instruction whose first action is a terminal test has a head, the
+  characters it can start with: a choice with headed alternatives becomes
+  a SWITCH on the next character, and a ``*``, ``+`` or ``?`` of a headed
+  body a LOOP or MAYBE that ends, or fails, when the body cannot start.
+  In ``calc.peg`` nothing lowers, but every loop is a LOOP and every
+  choice a SWITCH.
 """
 
 from __future__ import annotations
@@ -37,11 +44,12 @@ import re
 from . import rules as r
 from .effects import ConsFn, EffectError, infer_effect, repetition_shape
 
-# opcodes: terminals first, so "op <= ISTR" tells a terminal; a frame is
-# tagged with the opcode of the node that opened it, or with RULE
+# opcodes: terminals first, so "op <= ISTR" tells a terminal; RE, SWITCH,
+# LOOP and MAYBE occur in the fast table only; a frame is tagged with the
+# opcode of the node that opened it, or with RULE
 OPS = (CH, ANY, CLASS, STR, EOI, NONE, ICH, ISTR, SEQ, ALT, REF, CHARS, ACTION, CONS,
-       CAPTURE, REP, OPT, PRED, PUSH, DROP, QUIET, RE) = range(22)
-RULE = 22
+       CAPTURE, REP, OPT, PRED, PUSH, DROP, QUIET, RE, SWITCH, LOOP, MAYBE) = range(25)
+RULE = 25
 # single-character terminals whose repetitions run as one fused scan
 _FUSED_TYPES = (r.Ch, r.AnyChar, r.CharPred, r.AnyOf, r.NoneOf)
 # compiled tables: exact plain runs, traced runs, untraced Parser.run
@@ -49,6 +57,7 @@ EXACT, TRACED, FAST = 0, 1, 2
 # instructions worth one regex; a lone terminal, a fused scan and a bare
 # rule reference already run as one instruction
 _LOWERED = (SEQ, ALT, REP, OPT, PRED)
+_ASCII = (1 << 128) - 1
 
 
 def _class_char(o: int) -> str:
@@ -113,24 +122,68 @@ def _regex(ins: tuple):
         return None
 
 
-def _fast(ins: tuple) -> tuple:
-    """Fast-table form of an exact instruction: each maximal regex fragment
-    in it runs as one RE instruction; unchanged parts are shared."""
-    if ins[-1] is not None:
-        match = _regex(ins)
-        return ins if match is None else (RE, ins[1], match, False, ins[-1])
-    op = ins[0]
-    if op == SEQ or op == ALT:
-        kids = tuple(None if k is None else _fast(k) for k in ins[2])
-        return ins if kids == ins[2] else ins[:2] + (kids,) + ins[3:]
-    if op == CAPTURE:
-        match = _regex(ins[2])
-        if match is not None:
-            return (RE, ins[1], match, True, None)
-    if op in (CAPTURE, REP, OPT, PRED, QUIET):
-        inner = _fast(ins[2])
-        return ins if inner is ins[2] else ins[:2] + (inner,) + ins[3:]
-    return ins
+def _head(node: r.RuleExpr) -> tuple | None:
+    """Head of a terminal: (ASCII mask, other characters, wide), where wide
+    means that it may also take characters at or above 128 that are not
+    listed; None when it can match without taking a character, or when
+    ignore case makes its first character unknown."""
+    t = type(node)
+    if t is r.Ch or (t is r.Str and node.text):
+        c = node.char if t is r.Ch else node.text[0]
+        o = ord(c)
+        return (1 << o, (), False) if o < 128 else (0, (c,), False)
+    if t is r.CharPred or t is r.AnyOf:
+        return node.pred.mask & _ASCII, (), node.pred.extra is not None
+    if t is r.NoneOf:
+        return ~node.pred.mask & _ASCII, (), True
+    if t is r.AnyChar:
+        return _ASCII, (), True
+    return None
+
+
+def _by_char(heads: list) -> tuple[dict[str, int], int, int]:
+    """Bit sets of the heads each character can start, where bit i stands
+    for heads[i] and a None head starts anywhere, end of input included: by
+    listed character, for any other character, and at end of input. Under a
+    wide head every ASCII character is listed, so the others are above 127."""
+    table: dict[str, int] = {}
+    always = wide = 0
+    for i, head in enumerate(heads):
+        if head is None:
+            always |= 1 << i
+            continue
+        mask, chars, w = head
+        wide |= w << i
+        for c in chars:
+            table[c] = table.get(c, 0) | 1 << i
+        while mask:
+            low = mask & -mask
+            c = chr(low.bit_length() - 1)
+            table[c] = table.get(c, 0) | 1 << i
+            mask ^= low
+    if wide:
+        for o in range(128):
+            table.setdefault(chr(o), 0)
+    for c, bits in table.items():
+        table[c] = bits | always | (wide if ord(c) >= 128 else 0)
+    return table, always | wide, always
+
+
+def _switch(ins: tuple, kids: tuple, heads: list) -> tuple:
+    """(SWITCH, node, by character, any other, end of input, touches) for a
+    choice: the alternatives that can start there, in order, each tuple
+    ending with None."""
+    table, other, end = _by_char(heads)
+    tuples: dict[int, tuple] = {}
+
+    def candidates(bits: int) -> tuple:
+        found = tuples.get(bits)
+        if found is None:
+            found = tuples[bits] = tuple(k for i, k in enumerate(kids) if bits >> i & 1) + (None,)
+        return found
+
+    return (SWITCH, ins[1], {c: candidates(bits) for c, bits in table.items()},
+            candidates(other), candidates(end), ins[3])
 
 
 def _touches(node: r.RuleExpr, rules: dict[str, bool]) -> bool:
@@ -182,7 +235,70 @@ class Tables:
         self.bodies: list = [exact, None, None]  # EXACT, TRACED, FAST
         for name in [*acyclic, *(name for name in exprs if name not in acyclic)]:
             exact[name] = self.compile(exprs[name], False)
-        self.bodies[FAST] = {name: _fast(ins) for name, ins in exact.items()}
+        # fast bodies in the same order, so an acyclic rule's is ready for
+        # the references that run it in place
+        fast = self.bodies[FAST] = {}
+        heads = self._heads = {}
+        for name, ins in exact.items():
+            fast[name], heads[name] = self._fast(ins)
+
+    def _fast(self, ins: tuple) -> tuple[tuple, tuple | None]:
+        """Fast-table form of an exact instruction, and its head (see ``_head``),
+        None unless its first action is a terminal test that must pass.
+
+        Each maximal regex fragment runs as one RE instruction, a reference
+        to an acyclic rule as that rule's fast body, a choice with headed
+        alternatives as a SWITCH, and a repetition or option of a headed
+        body as a LOOP or MAYBE; unchanged parts are shared. No head is
+        taken from an RE instruction or through a reference on a cycle.
+        """
+        match = _regex(ins)
+        if match is not None:
+            return (RE, ins[1], match, False, ins[-1]), None
+        op = ins[0]
+        if op <= ISTR:
+            return ins, _head(ins[1])
+        if op == SEQ or op == ALT:
+            kids, heads, changed = [], [], False
+            for kid in ins[2][:-1]:
+                fast, head = self._fast(kid)
+                kids.append(fast)
+                heads.append(head)
+                changed = changed or fast is not kid
+            kids = tuple(kids)
+            if op == ALT and heads.count(None) < len(heads):
+                head = None
+                if None not in heads:  # the union of the alternatives' heads
+                    head = (0, (), False)
+                    for h in heads:
+                        head = (head[0] | h[0], head[1] + h[1], head[2] or h[2])
+                return _switch(ins, kids, heads), head
+            if changed:
+                ins = ins[:2] + (kids + (None,),) + ins[3:]
+            return ins, heads[0] if op == SEQ else None
+        if op == CHARS:
+            return ins, _head(ins[2]) if ins[3] else None
+        if op == REF:
+            name = ins[2]
+            if name in self._acyclic:  # run in place
+                return self.bodies[FAST][name], self._heads[name]
+            return ins, None
+        if op == CAPTURE:
+            match = _regex(ins[2])
+            if match is not None:
+                return (RE, ins[1], match, True, None), None
+        if op in (CAPTURE, REP, OPT, PRED, QUIET):
+            inner, head = self._fast(ins[2])
+            if head is not None and (op == REP or op == OPT):
+                table, other, _ = _by_char([head])  # 1 where the body can start
+                if op == REP:  # (LOOP, node, body, plus, collect tag, table, other)
+                    return (LOOP, ins[1], inner, ins[3], ins[4], table, other), \
+                        head if ins[3] else None
+                return (MAYBE, ins[1], inner, ins[3], table, other), None  # ins[3]: collect tag
+            if inner is not ins[2]:
+                ins = ins[:2] + (inner,) + ins[3:]
+            return ins, head if op == CAPTURE or op == QUIET else None
+        return ins, None
 
     def traced(self) -> dict[str, tuple]:
         """The traced table, built whole the first time a traced run needs it:

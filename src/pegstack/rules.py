@@ -53,11 +53,15 @@ class CharPredicate:
         return bool(self.extra(ch)) if self.extra is not None else False
 
     def union(self, other: "CharPredicate") -> "CharPredicate":
+        """Members of either; named ``a|b`` when both operands are named."""
         ea, eb = self.extra, other.extra
         extra = None
         if ea is not None or eb is not None:
             extra = lambda c: bool(ea and ea(c)) or bool(eb and eb(c))  # noqa: E731
-        return CharPredicate(self.mask | other.mask, extra)
+        name = None
+        if self.name is not None and other.name is not None:
+            name = f"{self.name}|{other.name}"
+        return CharPredicate(self.mask | other.mask, extra, name)
 
     @staticmethod
     def from_chars(chars: str, name: str | None = None) -> "CharPredicate":

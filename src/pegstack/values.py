@@ -7,10 +7,14 @@ undone by restoring a snapshot taken before the attempt.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Iterable
 
 from .record import record
+
+try:  # the C function behind json.dumps(str), without importing the json package
+    from _json import encode_basestring_ascii as json_string
+except ImportError:
+    from json.encoder import encode_basestring_ascii as json_string
 
 
 class StackUnderflow(Exception):
@@ -179,7 +183,7 @@ def render_value(value: Value) -> str:
             children = payload.children if tree else payload
             todo.extend(reversed([x for c in children for x in (",", c)][1:]))
         elif isinstance(payload, str):
-            out.append(json.dumps(payload))
+            out.append(json_string(payload))
         elif payload is None and item.tag == "Unit":
             out.append("()")
         else:

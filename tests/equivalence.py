@@ -1,0 +1,112 @@
+"""Digest of everything a run shows, per random grammar family, to compare two trees.
+
+    python3 tests/equivalence.py --seed 1 --pairs 6000
+
+Run it once under each source tree (a copy of this file in the other tree's
+``tests/``); identical digests mean that the two engines agree on every
+pair. It imports pegstack from the ``src/`` next to this file. For each
+family it prints one SHA-256 over, for each (grammar, input) pair:
+
+* ``Parser.run``: kind, rendered values, error position, expected list and fault;
+* ``run_phase`` on the exact table: steps, mismatches, max cursor and cursor;
+* ``run_phase`` under MODE_COLLECT: the same counters and the collected traces;
+* the traced event stream of ``match_rule`` and of ``Parser.run`` with a Trace.
+
+The families are ``gen_grammar`` at depths 4 and 6, ``gen_sound_grammar``
+and ``gen_lowerable_grammar`` with its alphabet; each grammar gets three
+inputs. Not collected by pytest: its name does not start with ``test_``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from generators import (ALPHABET, LOWERABLE_ALPHABET, gen_grammar, gen_input,  # noqa: E402
+                        gen_lowerable_grammar, gen_sound_grammar)
+from pegstack.engine import Parser, ParserState, Trace, format_trace_event  # noqa: E402
+from pegstack.errors import MODE_COLLECT  # noqa: E402
+from pegstack.values import render_value  # noqa: E402
+
+INPUTS_PER_GRAMMAR = 3
+FAMILIES = {
+    "gen_grammar/4": (lambda rng: gen_grammar(rng, 4), ALPHABET),
+    "gen_grammar/6": (lambda rng: gen_grammar(rng, 6), ALPHABET),
+    "gen_sound_grammar": (gen_sound_grammar, ALPHABET),
+    "gen_lowerable_grammar": (gen_lowerable_grammar, LOWERABLE_ALPHABET),
+}
+
+
+def _guarded(fn) -> str:
+    """fn's text, or the exception it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # a fault is part of what is compared
+        return f"raised {type(exc).__name__}: {exc}"
+
+
+def _run(parser: Parser, text: str) -> str:
+    result = parser.run(text)
+    if result.values is not None:
+        return "success " + " ".join(render_value(v) for v in result.values)
+    if result.error is not None:
+        err = result.error
+        return f"failure {err.position.index} {err.expected()!r}"
+    return f"fault {result.fault.description}"
+
+
+def _phase(parser: Parser, text: str, mode: str) -> str:
+    state = parser.run_phase(text, error_mode=mode)
+    stats = state.stats
+    traces = [str(t) for t in state.collected]
+    return f"{stats.steps} {stats.terminal_mismatches} {stats.max_cursor} {state.cursor} {traces!r}"
+
+
+def _traced_match(parser: Parser, text: str) -> str:
+    events: list = []
+    state = ParserState(text, events=events)
+    ok = parser.match_rule(state, parser.grammar.start)
+    return f"{ok} {state.cursor}\n" + "\n".join(map(format_trace_event, events))
+
+
+def _traced_run(parser: Parser, text: str) -> str:
+    events: list = []
+    result = parser.run(text, observer=Trace(events))
+    return f"{result.kind}\n" + "\n".join(map(format_trace_event, events))
+
+
+def family_digest(name: str, seed: int, pairs: int) -> str:
+    make, alphabet = FAMILIES[name]
+    rng = random.Random(f"{name}:{seed}")
+    digest = hashlib.sha256()
+    for _ in range(-(-pairs // INPUTS_PER_GRAMMAR)):
+        grammar = make(rng)
+        parser = Parser(grammar)
+        for _ in range(INPUTS_PER_GRAMMAR):
+            text = gen_input(rng, alphabet=alphabet)
+            parts = [text, _guarded(lambda: _run(parser, text)),
+                     _guarded(lambda: _phase(parser, text, "off")),
+                     _guarded(lambda: _phase(parser, text, MODE_COLLECT)),
+                     _guarded(lambda: _traced_match(parser, text)),
+                     _guarded(lambda: _traced_run(parser, text))]
+            digest.update("\x00".join(parts).encode("utf-8", "surrogatepass") + b"\x01")
+    return digest.hexdigest()
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--pairs", type=int, default=6000, help="(grammar, input) pairs per family")
+    args = ap.parse_args()
+    for name in FAMILIES:
+        print(f"{name:24} {args.pairs:7} {family_digest(name, args.seed, args.pairs)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

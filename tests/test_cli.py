@@ -8,8 +8,10 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-from pegstack.cli import _json_text, main
-from pegstack.engine import InternalFault, Parser, RunResult
+import pytest
+
+from pegstack.cli import _event_json, _json_text, main
+from pegstack.engine import InternalFault, Parser, RunResult, TraceEvent
 from pegstack.values import render_value
 
 from conftest import GRAMMARS
@@ -177,6 +179,34 @@ def test_json_text_matches_json_dumps():
     assert _json_text(obj) == json.dumps(obj)
 
 
+def test_json_text_writes_the_error_object_like_json_dumps():
+    obj = {"result": "error", "position": {"index": 3, "line": 1, "column": 4},
+           "expected": ["'\\t'", "\u00e9\x01"], "message": "x\n\"y\"", "unset": None}
+    assert _json_text(obj) == json.dumps(obj)
+
+
+@pytest.mark.parametrize("summary, moved", [
+    ("'\"'", (None, None)),
+    ("[\\\\]", (0, 1)),
+    ("'\\n' \t\x00\x1f\x7f", (5, 5)),
+    ("caf\u00e9 \u2028 \U0001f600", (None, None)),
+    ("Rule", (12, 40)),
+])
+def test_a_json_lines_trace_record_is_what_json_dumps_writes(summary, moved):
+    event = TraceEvent(7, summary, 3, "match" if moved[0] is not None else "start", *moved)
+    fields = {"step": 7, "summary": summary, "cursor": 3, "outcome": event.outcome,
+              "moved_from": moved[0], "moved_to": moved[1]}
+    assert _event_json(event) == json.dumps(fields)
+
+
+def test_importing_the_cli_leaves_out_the_json_package():
+    code = "import sys, pegstack.cli; print('json' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(GRAMMARS.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.stdout == "False\n", proc.stderr
+
+
 def test_missing_grammar_file(capsys):
     code, out, err = run_cli(capsys, "run", "--grammar", "does-not-exist.peg",
                              "--input", "x")
@@ -247,8 +277,10 @@ def test_grammar_too_deep_to_compile_exits_3_with_one_line(capsys, tmp_path):
         src = f"('b' {src})?"
     grammar = tmp_path / "deep.peg"
     grammar.write_text(f"Top <- {src} EOI\n")
-    code, out, err = run_cli(capsys, "run", "--grammar", str(grammar), "--input", "bba")
-    assert (code, out, err) == (3, "", "internal fault: grammar nested too deeply to compile\n")
+    for argv in (("run", "--grammar", str(grammar), "--input", "bba"),
+                 ("check", "--grammar", str(grammar))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (3, "", "internal fault: grammar nested too deeply to compile\n")
 
 
 def test_grammar_too_deep_to_validate_exits_3_with_one_line(capsys, tmp_path):

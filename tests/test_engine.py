@@ -6,11 +6,11 @@ import pytest
 
 from pegstack import rules as r
 from pegstack.effects import StackEffect, cons
-from pegstack.engine import (ACTION_FAIL, EngineFault, InternalFault, ParseFailed, Parser,
-                             ParserState, RunResult, Trace, format_trace_event, match_expr,
-                             run)
+from pegstack.engine import (ACTION_FAIL, ActionRaised, EngineFault, InternalFault, ParseFailed,
+                             Parser, ParserState, RunResult, Trace, format_trace_event,
+                             match_expr, run)
 from pegstack.errors import MODE_COLLECT, principal_error_index
-from pegstack.instructions import EXACT, FAST, RE, TRACED
+from pegstack.instructions import EXACT, FAST, LOOP, MAYBE, RE, SWITCH, TRACED
 from pegstack.notation import load_grammar, parse_grammar
 from pegstack.rules import DIGIT, validate_grammar
 from pegstack.values import StackUnderflow, Value, node_value, render_value, str_value
@@ -667,17 +667,35 @@ def test_counters_are_pinned(path, text, counters):
 
 # -- the fast table ----------------------------------------------------------------------
 
-def _fragments(parser):
-    """Rule name -> the capture flags of the RE instructions in its fast body."""
-    found = {}
+def _fast_instructions(parser):
+    """(rule name, instruction) for each instruction of the fast table once,
+    under the first rule whose body holds it: an acyclic rule's body is
+    shared by the rules that reference it."""
+    seen = set()
     for name, body in parser._tables.bodies[FAST].items():
         todo = [body]
         while todo:
             ins = todo.pop()
-            if ins[0] == RE:  # kids tuples start with a tuple
-                found.setdefault(name, []).append(ins[3])
+            if id(ins) in seen:
                 continue
-            todo.extend(x for x in ins if isinstance(x, tuple) and x)
+            seen.add(id(ins))
+            if ins[0] is None or type(ins[0]) is tuple:  # a tuple of children
+                todo.extend(x for x in ins if x is not None)
+                continue
+            yield name, ins
+            if ins[0] == RE:
+                continue
+            for x in ins:  # a choice's candidate tuples are values of its dispatch dict
+                todo.extend(v for v in (x.values() if isinstance(x, dict) else (x,))
+                            if isinstance(v, tuple) and v)
+
+
+def _fragments(parser):
+    """Rule name -> the capture flags of the RE instructions in its fast body."""
+    found = {}
+    for name, ins in _fast_instructions(parser):
+        if ins[0] == RE:
+            found.setdefault(name, []).append(ins[3])
     return found
 
 
@@ -721,6 +739,86 @@ def test_fast_table_agrees_with_the_exact_table_on_edge_cases(expr, texts, lower
         assert result.kind == ("success" if ok else "parse-failure"), text
         assert result.values == (state.stack.values() if ok else None), text
     assert _fragments(parser) == ({"Top": [True]} if lowered else {})
+
+
+_A_OR_E = r.CharPredicate.from_chars("a\u00e9")  # 'é' is decided by its extra function
+
+
+def _boom():
+    raise ZeroDivisionError("1/0")
+
+
+# expression -> texts and the fast-table opcode that dispatches on its head;
+# each alternative captures, so that no regex swallows the choice
+DISPATCH_CASES = [
+    # a non-ASCII next character: a class with extra, a none-of set, a non-ASCII Ch
+    (r.first_of(r.seq(r.char_pred(_A_OR_E), r.capture(r.ANY)), r.capture(r.ch("x"))),
+     ["\u00e9z", "az", "x", "bz", "\u00fcz"], SWITCH),
+    (r.zero_or_more(r.seq(r.char_pred(_A_OR_E), r.capture(r.ANY))),
+     ["\u00e9xa\u00e9", "\u00e9\u00e9b", "b"], LOOP),
+    (r.first_of(r.seq(r.none_of("+"), r.capture(r.ch("x"))), r.capture(r.ch("+"))),
+     ["\u00e9x", "+", "\nx", "\u00e9"], SWITCH),
+    (r.opt(r.seq(r.none_of("+"), r.capture(r.ANY))), ["\u00e9x", "+x", ""], MAYBE),
+    (r.first_of(r.seq(r.ch("\u00e9"), r.capture(r.ANY)), r.seq(r.ch("\u00fc"), r.capture(r.ANY)),
+                r.capture(r.ANY)), ["\u00e9a", "\u00fcb", "\u00f6", "\u00e9"], SWITCH),
+    # end of input starts only what has no head
+    (r.first_of(r.capture(r.ch("a")), r.seq(r.EOI, r.capture(r.lit("")))), ["", "a", "b"], SWITCH),
+    (r.first_of(r.seq(r.ANY, r.capture(r.ANY)), r.capture(r.lit(""))), ["", "a", "ab"], SWITCH),
+    (r.seq(r.zero_or_more(r.capture(r.ch("a"))), r.EOI), ["", "aa", "ab"], LOOP),
+    # no head, so always tried: an empty literal, ignore case, predicates, a
+    # nullable first child
+    (r.first_of(r.seq(r.lit(""), r.capture(r.ch("b"))), r.capture(r.ch("a"))), ["b", "a"], SWITCH),
+    (r.first_of(r.seq(r.ignore_case("k"), r.capture(r.ANY)), r.capture(r.ch("K"))),
+     ["Kx", "kx", "K", "\u212ax"], SWITCH),
+    (r.first_of(r.seq(r.not_pred(r.capture(r.ch("a"))), r.capture(r.ANY)), r.capture(r.ch("a"))),
+     ["b", "a", ""], SWITCH),
+    (r.first_of(r.seq(r.and_pred(r.capture(r.ch("b"))), r.capture(r.ANY)), r.capture(r.ch("c"))),
+     ["b", "c"], SWITCH),
+    (r.first_of(r.seq(r.opt(r.capture(r.ch("a"))), r.capture(r.ch("b"))), r.capture(r.ch("c"))),
+     ["b", "ab", "c"], SWITCH),
+    (r.first_of(r.seq(r.zero_or_more(r.ch("a")), r.capture(r.ch("b"))), r.capture(r.ch("c"))),
+     ["b", "aab", "c"], SWITCH),
+    (r.first_of(r.seq(r.zero_or_more(r.capture(r.ch("a"))), r.capture(r.ch("b"))),
+                r.capture(r.ch("c"))), ["b", "aab", "c"], SWITCH),
+    # an action or drop first in an alternative still runs, and faults
+    (r.first_of(r.seq(r.drop(1), r.capture(r.ch("a"))), r.capture(r.ch("b"))), ["b", "a"], SWITCH),
+    (r.first_of(r.seq(r.Action(0, _boom, StackEffect((), ()), name="boom"), r.capture(r.ch("a"))),
+                r.capture(r.ch("b"))), ["b", "a"], SWITCH),
+    # a collecting * and ? that end at once push their empty list
+    (r.seq(r.zero_or_more(r.capture(r.ch("a"))), r.capture(r.ch("b"))), ["b", "aab", ""], LOOP),
+    (r.seq(r.opt(r.capture(r.ch("a"))), r.capture(r.ch("b"))), ["b", "ab", ""], MAYBE),
+    # a + whose body cannot start fails
+    (r.first_of(r.seq(r.lit(""), r.one_or_more(r.capture(r.ch("a")))), r.capture(r.ch("b"))),
+     ["b", "aa", ""], LOOP),
+    # two candidates for one character, tried in order
+    (r.first_of(r.seq(r.ch("a"), r.capture(r.ch("b"))), r.seq(r.ch("a"), r.capture(r.ch("c"))),
+                r.capture(r.ch("d"))), ["ab", "ac", "ad", "d"], SWITCH),
+    # a none-of set without members takes a newline
+    (r.first_of(r.seq(r.none_of(""), r.capture(r.ANY)), r.capture(r.ch("\n"))),
+     ["\n", "\nx", "x\n"], SWITCH),
+]
+
+
+def _exact_outcome(parser, text):
+    """(kind, values, fault) of match_rule on the exact table."""
+    state = ParserState(text)
+    try:
+        ok = parser.match_rule(state, "Top")
+    except StackUnderflow as exc:
+        return "internal-fault", None, f"value stack underflow: {exc}"
+    except ActionRaised as exc:
+        return "internal-fault", None, str(exc)
+    return ("success", state.stack.values(), None) if ok else ("parse-failure", None, None)
+
+
+@pytest.mark.parametrize("expr, texts, op", DISPATCH_CASES)
+def test_head_dispatch_agrees_with_the_exact_table(expr, texts, op):
+    parser = Parser(r.grammar({"Top": expr}))  # unvalidated, so that empty literals stay
+    assert op in {ins[0] for _, ins in _fast_instructions(parser)}
+    for text in texts:
+        result = parser.run(text)
+        fault = None if result.fault is None else result.fault.description
+        assert (result.kind, result.values, fault) == _exact_outcome(parser, text), text
 
 
 def test_a_grammar_too_deep_to_compile_is_an_internal_fault():

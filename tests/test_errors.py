@@ -130,6 +130,14 @@ def test_single_descriptor_omits_or_clause():
         "Invalid input 'b', expected 'a' (line 1, column 1):\nb"
 
 
+def test_a_union_of_named_predicates_is_named_in_the_expected_list():
+    pred = r.CharPredicate(r.ALPHA.mask, name="A").union(r.DIGIT)
+    g = validate_grammar(r.grammar({"Top": r.seq(r.CharPred(pred), r.EOI)}))
+    err = build_parse_error(Parser(g), "!")
+    assert format_error(err, "!", caret=False) == \
+        "Invalid input '!', expected A|Digit (line 1, column 1):\n!"
+
+
 def test_unexpected_end_of_input():
     g = validate_grammar(r.grammar({"A": r.seq(r.ch("a"), r.ch("b"))}))
     parser = Parser(g)
