@@ -19,15 +19,19 @@ the input, not by the interpreter's recursion limit.
 ``Parser.run`` takes the fast table unless it is observed. There each
 stack-free fragment runs as one regex, so the run's step and mismatch
 counters are not exact: an RE instruction counts one step and, when it
-fails, one mismatch. ``match``, ``match_rule``, ``run_phase`` and the error
-pass take the exact table, and observed runs the traced table.
+fails, one mismatch. ``match``, ``match_rule``, ``run_phase``, the error
+pass and every observed run take the exact table.
 
-Unobserved runs open a frame only where backtracking needs one. A Sequence
+The exact table opens a frame only where backtracking needs one. A Sequence
 whose first child is a terminal tests that terminal first: a mismatch fails
 the sequence at once, and a match opens its frame at the second child. A
 predicate over a terminal resolves in place. A repetition of one
 single-character terminal runs as one fused scan, and so does a Capture of
-such a repetition, which pushes the matched slice itself.
+such a repetition, which pushes the matched slice itself. An observed run
+logs the steps these shortcuts stand for: a headed Sequence its start
+before its head, the terminal that resolves a Sequence or predicate even at
+a rule's root, and a fused scan one match per character and then the
+mismatch that ends it.
 
 The fast table also dispatches on the next character. A SWITCH looks it
 up (or end of input) and gets the alternatives that can start there: none
@@ -52,7 +56,7 @@ from . import rules as r
 from .effects import unify_tag
 from .errors import (MODE_COLLECT, MODE_OFF, ParseError, build_parse_error, format_error,
                      rule_traces)
-from .instructions import EXACT, FAST, OPS, QUIET, RULE, TRACED, Tables
+from .instructions import EXACT, FAST, OPS, QUIET, RULE, Tables
 from .record import record
 from .values import StackUnderflow, Tree, Value, ValueStack, list_value
 
@@ -137,26 +141,35 @@ class Trace:
     """Observer that appends numbered TraceEvents to a sink, anything with ``append``.
 
     An observer has ``enter(name, at)`` and ``leave(name, at, ok, pos)`` for
-    each rule, and ``event(summary, cursor, outcome, moved_from, moved_to)``
-    for each step the traced table logs; a Trace logs rules as events too.
+    each rule, and ``event(node, cursor, outcome, moved_from, moved_to)``
+    for each step the executor logs, with that step's rule-tree node. A
+    Trace logs rules as events too, and renders each node's summary once.
     """
 
-    __slots__ = ("append", "step")
+    __slots__ = ("append", "step", "summaries")
 
     def __init__(self, sink):
         self.append = sink.append
         self.step = 0
+        # id(node) -> (node, summary); holding the node keeps its id unique
+        self.summaries: dict[int, tuple] = {}
 
     def enter(self, name: str, at: int) -> None:
-        self.event(name, at, "start", None, None)
+        self._log(name, at, "start", None, None)
 
     def leave(self, name: str, at: int, ok: bool, pos: int) -> None:
         if ok:
-            self.event(name, at, "match", at, pos)
+            self._log(name, at, "match", at, pos)
         else:
-            self.event(name, at, "mismatch", None, None)
+            self._log(name, at, "mismatch", None, None)
 
-    def event(self, summary, cursor, outcome, moved_from, moved_to) -> None:
+    def event(self, node, cursor, outcome, moved_from, moved_to) -> None:
+        known = self.summaries.get(id(node))
+        if known is None:
+            known = self.summaries[id(node)] = (node, r.expr_text(node))
+        self._log(known[1], cursor, outcome, moved_from, moved_to)
+
+    def _log(self, summary, cursor, outcome, moved_from, moved_to) -> None:
         self.step += 1
         self.append(TraceEvent(self.step, summary, cursor, outcome, moved_from, moved_to))
 
@@ -236,14 +249,14 @@ class Parser:
         mode "result" returns a RunResult union; "either" returns a
         (values, error) pair whose error side is a ParseError or an
         InternalFault; "raising" returns the values or raises. A run with an
-        observer (see Trace) takes the traced table.
+        observer (see Trace) takes the exact table.
         """
         state = ParserState(text)
         state.observer = observer
         name = start or self.grammar.start
         try:
             # unobserved, the fast table; errors come from the exact error pass
-            bodies = self._bodies(FAST if observer is None else TRACED)
+            bodies = self._bodies(FAST if observer is None else EXACT)
             if self._execute(state, bodies[name], name, bodies):
                 result = RunResult(values=state.stack.values())
             else:
@@ -277,23 +290,19 @@ class Parser:
 
     def match(self, state: ParserState, node: r.RuleExpr) -> bool:
         """Match one expression at the state's cursor."""
-        traced = state.observer is not None
-        bodies = self._bodies(TRACED if traced else EXACT)
-        return self._execute(state, self._tables.compile(node, traced), None, bodies)
+        bodies = self._bodies(EXACT)
+        return self._execute(state, self._tables.compile(node), None, bodies)
 
     def match_rule(self, state: ParserState, name: str) -> bool:
         """Match the named rule at the state's cursor."""
-        bodies = self._bodies(TRACED if state.observer is not None else EXACT)
+        bodies = self._bodies(EXACT)
         return self._execute(state, bodies[name], name, bodies)
 
     def _bodies(self, table: int) -> dict:
         """The compiled rule bodies of a table, by rule name."""
-        if self._tables is not None:
-            try:
-                return self._tables.traced() if table == TRACED else self._tables.bodies[table]
-            except RecursionError:  # building the traced table
-                pass
-        raise EngineFault(InternalFault(str(r.GrammarTooDeep())))
+        if self._tables is None:
+            raise EngineFault(self.fault)
+        return self._tables.bodies[table]
 
     # -- the executor -------------------------------------------------------
 
@@ -324,7 +333,7 @@ class Parser:
         stack = state.stack
         snapshot, restore, push, size = stack.snapshot, stack.restore, stack.push, stack.size
         observer = state.observer
-        traced = observer is not None  # the traced table: every node is a step
+        traced = observer is not None  # every step is logged
         collecting = state.error_mode == MODE_COLLECT
         frontier = state.frontier
         compact_at = _COMPACT_AT
@@ -410,12 +419,13 @@ class Parser:
                                             compact_at = 2 * len(frontier) + _COMPACT_AT
                             elif at > max_cursor:
                                 max_cursor = at
-                    if traced and (not frames or frames[-1][0] != RULE):
+                    # a pending SEQ or PRED is the frame above: no rule's root
+                    if traced and (pending is not None or not frames or frames[-1][0] != RULE):
                         if ok:
-                            observer.event(ins[-1], at, "match", at, pos)
+                            observer.event(ins[1], at, "match", at, pos)
                         else:
                             fail_at = at
-                            observer.event(ins[-1], at, "mismatch", None, None)
+                            observer.event(ins[1], at, "mismatch", None, None)
                     if pending is not None:
                         p = pending
                         pending = None
@@ -427,24 +437,26 @@ class Parser:
                                 frames.append([SEQ, p[2], 2, at, snapshot() if p[3] else None, p])
                                 ins = p[2][1]
                                 continue
+                            if ok and traced and (not frames or frames[-1][0] != RULE):
+                                observer.event(p[1], at, "match", at, pos)  # its only child
                         else:  # PRED
                             not_depth -= p[3]
                             pos = at
                             ok = ok != p[3]
                 elif op == SEQ:
+                    if traced and (not frames or frames[-1][0] != RULE):
+                        observer.event(ins[1], pos, "start", None, None)
                     if ins[4]:  # the terminal head decides before a frame opens
                         pending = ins
                         ins = ins[2][0]
                         continue
-                    if traced and (not frames or frames[-1][0] != RULE):
-                        observer.event(ins[-1], pos, "start", None, None)
                     frames.append([SEQ, ins[2], 1, pos, snapshot() if ins[3] else None, ins])
                     ins = ins[2][0]
                     continue
                 elif op == ALT:
                     if traced:
                         if not frames or frames[-1][0] != RULE:
-                            observer.event(ins[-1], pos, "start", None, None)
+                            observer.event(ins[1], pos, "start", None, None)
                         fail_at = pos  # a reset reports the cursor of the last failure
                     frames.append([ALT, ins[2], 1, pos, snapshot() if ins[3] else None, ins])
                     ins = ins[2][0]
@@ -489,6 +501,11 @@ class Parser:
                     at = scan(text, pos).end() if scan is not None else _scan(ins[2], text, pos)
                     count = at - pos
                     steps += count + 1 + ins[5]  # a fused Capture counts its own step
+                    if traced:  # the attempts of the repetition it stands for
+                        for c in range(pos, at):
+                            observer.event(ins[2], c, "match", c, c + 1)
+                        fail_at = at
+                        observer.event(ins[2], at, "mismatch", None, None)
                     ok = count >= ins[3]
                     if ok:
                         if ins[5]:
@@ -593,7 +610,7 @@ class Parser:
                                 break
                             frames.pop()
                             if traced and (not frames or frames[-1][0] != RULE):
-                                observer.event(f[5][-1], f[3], "match", f[3], pos)
+                                observer.event(f[5][1], f[3], "match", f[3], pos)
                         else:
                             frames.pop()
                             if traced:
@@ -605,7 +622,7 @@ class Parser:
                         if ok:
                             frames.pop()
                             if traced and (not frames or frames[-1][0] != RULE):
-                                observer.event(f[5][-1], f[3], "match", f[3], pos)
+                                observer.event(f[5][1], f[3], "match", f[3], pos)
                         else:
                             pos = entry = f[3]
                             if f[4] is not None:
@@ -614,14 +631,14 @@ class Parser:
                             following = f[1][i]
                             if following is not None:
                                 if traced:
-                                    observer.event(f[5][-1], entry, "reset", fail_at, entry)
+                                    observer.event(f[5][1], entry, "reset", fail_at, entry)
                                     fail_at = entry
                                 f[2] = i + 1
                                 ins = following
                                 break
                             frames.pop()
                             if traced and (not frames or frames[-1][0] != RULE):
-                                observer.event(f[5][-1], entry, "mismatch", None, None)
+                                observer.event(f[5][1], entry, "mismatch", None, None)
                     elif k == LOOP:
                         rep = f[1]
                         if ok:

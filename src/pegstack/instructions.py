@@ -4,19 +4,17 @@ A node becomes a tuple (opcode, node, operands...) that carries its static
 facts: whether it touches the value stack, the element tag of a collecting
 repetition, literal lengths. Rule references stay symbolic, except to
 acyclic rules in the fast table; the executor looks each one up in the
-table it runs. Every rule body is compiled into the exact and fast tables
-when the grammar's Parser is built, and into the traced table when a
-traced run first needs it:
+table it runs. Every rule body is compiled into both tables when the
+grammar's Parser is built:
 
-* EXACT: untraced runs whose step and mismatch counters must be exact
-  (``match``, ``match_rule``, ``run_phase``, the error pass, checked runs).
-  A repetition of one single-character terminal is one fused scan, a
-  sequence with a terminal head tests it before opening a frame, and a
-  predicate over a terminal resolves in place. Each instruction ends with
-  the node's regex source, None when it has none.
-* TRACED: every node is a step, and each instruction ends with the node's
-  summary text for its trace events.
-* FAST: ``Parser.run`` when it is not traced. It is the exact table with
+* EXACT: every run whose step and mismatch counters must be exact
+  (``match``, ``match_rule``, ``run_phase``, the error pass, checked runs)
+  and every observed run. A repetition of one single-character terminal is
+  one fused scan, a sequence with a terminal head tests it before opening a
+  frame, and a predicate over a terminal resolves in place; an observed run
+  logs the steps these shortcuts stand for. Each instruction ends with the
+  node's regex source, None when it has none.
+* FAST: ``Parser.run`` when it is not observed. It is the exact table with
   every maximal subtree that touches no stack, runs no action and reaches
   no reference cycle replaced by one ``re`` match (an RE instruction); a
   Capture of such a subtree pushes the matched slice. Atomic groups and
@@ -52,8 +50,8 @@ OPS = (CH, ANY, CLASS, STR, EOI, NONE, ICH, ISTR, SEQ, ALT, REF, CHARS, ACTION, 
 RULE = 25
 # single-character terminals whose repetitions run as one fused scan
 _FUSED_TYPES = (r.Ch, r.AnyChar, r.CharPred, r.AnyOf, r.NoneOf)
-# compiled tables: exact plain runs, traced runs, untraced Parser.run
-EXACT, TRACED, FAST = 0, 1, 2
+# compiled tables: exact and observed runs, unobserved Parser.run
+EXACT, FAST = 0, 1
 # instructions worth one regex; a lone terminal, a fused scan and a bare
 # rule reference already run as one instruction
 _LOWERED = (SEQ, ALT, REP, OPT, PRED)
@@ -210,7 +208,7 @@ class Tables:
 
     def __init__(self, grammar: r.Grammar):
         self.grammar = grammar
-        exprs = self.exprs = {name: rd.expr for name, rd in grammar.rules.items()}
+        exprs = {name: rd.expr for name, rd in grammar.rules.items()}
         # least fixpoint over the rules: a rule touches the stack when some
         # expression it can reach pushes or pops
         touches = self._rule_touches = dict.fromkeys(exprs, False)
@@ -231,13 +229,11 @@ class Tables:
             ready = [name for name, deps in refs.items()
                      if name not in acyclic and deps <= acyclic.keys()]
             acyclic.update(dict.fromkeys(ready))
-        exact: dict[str, tuple] = {}
-        self.bodies: list = [exact, None, None]  # EXACT, TRACED, FAST
+        exact, fast = self.bodies = ({}, {})  # EXACT, FAST
         for name in [*acyclic, *(name for name in exprs if name not in acyclic)]:
-            exact[name] = self.compile(exprs[name], False)
+            exact[name] = self.compile(exprs[name])
         # fast bodies in the same order, so an acyclic rule's is ready for
         # the references that run it in place
-        fast = self.bodies[FAST] = {}
         heads = self._heads = {}
         for name, ins in exact.items():
             fast[name], heads[name] = self._fast(ins)
@@ -300,26 +296,14 @@ class Tables:
             return ins, head if op == CAPTURE or op == QUIET else None
         return ins, None
 
-    def traced(self) -> dict[str, tuple]:
-        """The traced table, built whole the first time a traced run needs it:
-        only tracing does, and an untraced process never pays for it."""
-        bodies = self.bodies[TRACED]
-        if bodies is None:
-            bodies = self.bodies[TRACED] = {name: self.compile(expr, True)
-                                            for name, expr in self.exprs.items()}
-        return bodies
-
-    def compile(self, node, traced: bool) -> tuple:
-        """Instruction tuple for a node: (opcode, node, operands...).
+    def compile(self, node) -> tuple:
+        """Exact instruction tuple for a node: (opcode, node, operands...,
+        regex source), the source None when the node has none.
 
         Rule references stay symbolic; the executor looks them up by name.
-        Traced runs get no fused charset loops and no terminal heads, so
-        every step is logged, and each of their instructions ends with the
-        node's summary text for its trace events. Every other instruction
-        ends with the node's regex source, None when it has none.
         """
-        ins = self._instruction(node, traced)
-        return ins + ((r.expr_text(node),) if traced else (self._source(node, ins),))
+        ins = self._instruction(node)
+        return ins + (self._source(node, ins),)
 
     def _source(self, node, ins: tuple) -> str | None:
         """Regex source of a node, from its compiled children's."""
@@ -347,7 +331,7 @@ class Tables:
             return self.bodies[EXACT][ins[2]][-1]  # inlined
         return None  # captures, actions and quiet are no regex
 
-    def _instruction(self, node, traced: bool) -> tuple:
+    def _instruction(self, node) -> tuple:
         t = type(node)
         if t is r.Ch:
             return (CH, node, node.char)
@@ -367,31 +351,30 @@ class Tables:
             return (ANY, node)
         if t is r.Sequence:
             # the children, then None to mark the end; the last operand
-            # tells a terminal head that untraced runs test before the frame
-            kids = tuple(self.compile(k, traced) for k in node.children) + (None,)
-            return (SEQ, node, kids, self._touches(node), not traced and kids[0][0] <= ISTR)
+            # tells a terminal head that is tested before the frame opens
+            kids = tuple(self.compile(k) for k in node.children) + (None,)
+            return (SEQ, node, kids, self._touches(node), kids[0][0] <= ISTR)
         if t is r.FirstOf:
-            kids = tuple(self.compile(k, traced) for k in node.alternatives) + (None,)
+            kids = tuple(self.compile(k) for k in node.alternatives) + (None,)
             return (ALT, node, kids, self._touches(node))
         if t is r.ZeroOrMore or t is r.OneOrMore:
-            if not traced and type(node.inner) in _FUSED_TYPES:
+            if type(node.inner) in _FUSED_TYPES:
                 return _fused(node, False)
-            return (REP, node, self.compile(node.inner, traced), t is r.OneOrMore,
+            return (REP, node, self.compile(node.inner), t is r.OneOrMore,
                     self._collect_tag(node), self._touches(node))
         if t is r.Optional:
-            return (OPT, node, self.compile(node.inner, traced), self._collect_tag(node))
+            return (OPT, node, self.compile(node.inner), self._collect_tag(node))
         if t is r.AndPredicate or t is r.NotPredicate:
-            inner = self.compile(node.inner, traced)
+            inner = self.compile(node.inner)
             return (PRED, node, inner, t is r.NotPredicate, self._touches(node.inner),
-                    not traced and inner[0] <= ISTR)
+                    inner[0] <= ISTR)
         if t is r.Capture:
             inner = node.inner
-            if (not traced and type(inner) in (r.ZeroOrMore, r.OneOrMore)
-                    and type(inner.inner) in _FUSED_TYPES):
+            if type(inner) in (r.ZeroOrMore, r.OneOrMore) and type(inner.inner) in _FUSED_TYPES:
                 return _fused(inner, True)
-            return (CAPTURE, node, self.compile(inner, traced))
+            return (CAPTURE, node, self.compile(inner))
         if t is r.Quiet:
-            return (QUIET, node, self.compile(node.inner, traced))
+            return (QUIET, node, self.compile(node.inner))
         if t is r.Push:
             return (PUSH, node, None if node.value.tag == "Unit" else node.value)
         if t is r.Drop:

@@ -161,8 +161,8 @@ def gen_lowerable(rng: random.Random, depth: int, helpers: list[str]) -> r.RuleE
     """Stack-free expression rich in what the fast table lowers to one regex:
     greedy parts followed by what they may have taken (where PEG, unlike a
     backtracking regex, never gives input back), nullable repetition
-    bodies, predicates inside choices, EOI inside a fragment and references
-    to helper rules."""
+    bodies, predicates inside choices, a non-ASCII head beside a wide one,
+    EOI inside a fragment and references to helper rules."""
     if depth <= 0:
         return _lowerable_terminal(rng)
 
@@ -184,9 +184,16 @@ def gen_lowerable(rng: random.Random, depth: int, helpers: list[str]) -> r.RuleE
         return _lowerable_terminal(rng)
     if roll < 0.32:
         return r.seq(*(sub() for _ in range(rng.randint(2, 3))))
-    if roll < 0.45:
+    if roll < 0.37:
         preds = (r.not_pred, r.and_pred, lambda e: e)
         return r.first_of(*(rng.choice(preds)(sub()) for _ in range(rng.randint(2, 3))))
+    if roll < 0.45:
+        # a head that takes any non-ASCII character (any character, a none-of
+        # set, a class decided by extra) before a non-ASCII Ch head: a choice
+        # dispatched on the next character must try both there
+        wide = rng.choice((r.ANY, r.none_of(rng.choice(ALPHABET)), r.any_of("aé")))
+        head = r.Ch("é")
+        return r.first_of(r.seq(wide, short()), rng.choice((head, r.seq(head, short()))))
     if roll < 0.55:
         body = rng.choice((r.opt, r.zero_or_more, r.and_pred, r.not_pred))(sub())
         return rng.choice((r.zero_or_more, r.one_or_more))(body)

@@ -21,14 +21,18 @@ class RefFault(Exception):
     """Underflow or raised action inside the reference interpreter."""
 
 
-def ref_match(g, expr, text, pos, stack, mismatches=None, trail=None):
+def ref_match(g, expr, text, pos, stack, mismatches=None, trail=None, steps=None):
     """Return (ok, position, stack); on failure the inputs come back unchanged.
 
     ``mismatches`` optionally records the positions of terminal mismatches
     (suppressed inside not-predicates, mirroring the engine's convention).
     ``trail``, a (sink, rule path, quiet) triple, optionally records each
     such mismatch outside ``quiet`` as (position, rule path, terminal).
+    ``steps``, a one-element list, optionally counts one step per
+    expression matched, as the engine's exact counter does.
     """
+    if steps is not None:
+        steps[0] += 1
     t = type(expr)
 
     def miss(at):
@@ -75,45 +79,45 @@ def ref_match(g, expr, text, pos, stack, mismatches=None, trail=None):
     if t is r.Sequence:
         p, s = pos, stack
         for child in expr.children:
-            ok, p, s = ref_match(g, child, text, p, s, mismatches, trail)
+            ok, p, s = ref_match(g, child, text, p, s, mismatches, trail, steps)
             if not ok:
                 return False, pos, stack
         return True, p, s
     if t is r.FirstOf:
         for alt in expr.alternatives:
-            ok, p, s = ref_match(g, alt, text, pos, stack, mismatches, trail)
+            ok, p, s = ref_match(g, alt, text, pos, stack, mismatches, trail, steps)
             if ok:
                 return True, p, s
         return False, pos, stack
     if t is r.Optional:
-        ok, p, s = ref_match(g, expr.inner, text, pos, stack, mismatches, trail)
+        ok, p, s = ref_match(g, expr.inner, text, pos, stack, mismatches, trail, steps)
         return (True, p, s) if ok else (True, pos, stack)
     if t is r.ZeroOrMore:
         p, s = pos, stack
         while True:
-            ok, p2, s2 = ref_match(g, expr.inner, text, p, s, mismatches, trail)
+            ok, p2, s2 = ref_match(g, expr.inner, text, p, s, mismatches, trail, steps)
             if not ok:
                 return True, p, s
             if p2 == p:  # zero-width success terminates the loop, discarded
                 return True, p, s
             p, s = p2, s2
     if t is r.OneOrMore:
-        ok, p, s = ref_match(g, expr.inner, text, pos, stack, mismatches, trail)
+        ok, p, s = ref_match(g, expr.inner, text, pos, stack, mismatches, trail, steps)
         if not ok:
             return False, pos, stack
         while True:
-            ok, p2, s2 = ref_match(g, expr.inner, text, p, s, mismatches, trail)
+            ok, p2, s2 = ref_match(g, expr.inner, text, p, s, mismatches, trail, steps)
             if not ok or p2 == p:
                 return True, p, s
             p, s = p2, s2
     if t is r.AndPredicate:
-        ok, _, _ = ref_match(g, expr.inner, text, pos, stack, mismatches, trail)
+        ok, _, _ = ref_match(g, expr.inner, text, pos, stack, mismatches, trail, steps)
         return ok, pos, stack
     if t is r.NotPredicate:
-        ok, _, _ = ref_match(g, expr.inner, text, pos, stack, None)
+        ok, _, _ = ref_match(g, expr.inner, text, pos, stack, None, None, steps)
         return (not ok), pos, stack
     if t is r.Capture:
-        ok, p, s = ref_match(g, expr.inner, text, pos, stack, mismatches, trail)
+        ok, p, s = ref_match(g, expr.inner, text, pos, stack, mismatches, trail, steps)
         if ok:
             return True, p, s + (Value("Str", text[pos:p]),)
         return False, pos, stack
@@ -144,17 +148,17 @@ def ref_match(g, expr, text, pos, stack, mismatches=None, trail=None):
         return True, pos, rest + tuple(out)
     if t is r.Quiet:
         quiet = None if trail is None else (trail[0], trail[1], True)
-        return ref_match(g, expr.inner, text, pos, stack, mismatches, quiet)
+        return ref_match(g, expr.inner, text, pos, stack, mismatches, quiet, steps)
     if t is r.RuleRef:
         inner = None if trail is None else (trail[0], trail[1] + (expr.name,), trail[2])
-        return ref_match(g, g.rules[expr.name].expr, text, pos, stack, mismatches, inner)
+        return ref_match(g, g.rules[expr.name].expr, text, pos, stack, mismatches, inner, steps)
     raise TypeError(f"reference interpreter: unknown expression {expr!r}")
 
 
-def ref_run(g, text, start=None, mismatches=None):
+def ref_run(g, text, start=None, mismatches=None, steps=None):
     """Run a grammar's start rule; returns (ok, final position, final stack)."""
     name = start if start is not None else g.start
-    return ref_match(g, g.rules[name].expr, text, 0, (), mismatches)
+    return ref_match(g, g.rules[name].expr, text, 0, (), mismatches, None, steps)
 
 
 def ref_traces(g, text, start=None):

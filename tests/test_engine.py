@@ -10,14 +10,15 @@ from pegstack.engine import (ACTION_FAIL, ActionRaised, EngineFault, InternalFau
                              Parser, ParserState, RunResult, Trace, format_trace_event,
                              match_expr, run)
 from pegstack.errors import MODE_COLLECT, principal_error_index
-from pegstack.instructions import EXACT, FAST, LOOP, MAYBE, RE, SWITCH, TRACED
+from pegstack.instructions import EXACT, FAST, LOOP, MAYBE, RE, SWITCH
 from pegstack.notation import load_grammar, parse_grammar
 from pegstack.rules import DIGIT, validate_grammar
 from pegstack.values import StackUnderflow, Value, node_value, render_value, str_value
 
 from conftest import DATA, ROOT
-from generators import big_expression, gen_grammar, gen_input, gen_neutral, gen_sound_grammar
-from reference_interp import ref_match, ref_run
+from generators import (ALPHABET, LOWERABLE_ALPHABET, big_expression, gen_grammar, gen_input,
+                        gen_lowerable_grammar, gen_neutral, gen_sound_grammar)
+from reference_interp import RefFault, ref_match, ref_run
 
 
 def _grammar(expr, **extra):
@@ -81,7 +82,7 @@ class _RuleLog:
         assert self.open.pop() == (name, at)
         self.log.append((name, at, "match", at, pos) if ok else (name, at, "mismatch", None, None))
 
-    def event(self, summary, cursor, outcome, moved_from, moved_to):
+    def event(self, node, cursor, outcome, moved_from, moved_to):
         pass
 
 
@@ -201,45 +202,67 @@ def test_none_of_complement_accepts_non_ascii():
         assert _outcome(g, text) == (ok, 1 if ok else 0, ())
 
 
+def _exact_counts(parser, text):
+    """(matched, cursor, steps, terminal mismatches, max cursor) of the start
+    rule on the exact table."""
+    state = ParserState(text)
+    ok = parser.match_rule(state, parser.grammar.start)
+    stats = state.stats
+    return ok, state.cursor, stats.steps, stats.terminal_mismatches, stats.max_cursor
+
+
+def _reference_counts(grammar, text):
+    """The same counts from the reference interpreter, which takes no
+    shortcut: one step per expression matched."""
+    mismatches, steps = [], [0]
+    ok, pos, _ = ref_run(grammar, text, mismatches=mismatches, steps=steps)
+    return ok, pos, steps[0], len(mismatches), max(mismatches, default=0)
+
+
 def test_fused_character_runs_count_like_single_steps():
-    # plain runs scan a repeated single-character terminal in one go; traced
-    # runs step through it one attempt at a time and must count the same
+    # the exact table scans a repeated single-character terminal in one go;
+    # the reference steps through it one attempt at a time
     terminals = [r.ch("a"), r.ANY, r.char_pred(DIGIT), r.any_of("a1"), r.any_of("aé"),
                  r.none_of("b"), r.none_of("bé")]
     texts = ["", "a", "aa1b", "éa", "1é1", "bbb", "aéaé", "\n\n"]
     for terminal in terminals:
         for repeat in (r.zero_or_more, r.one_or_more):
-            parser = Parser(_grammar(r.seq(repeat(terminal), r.ANY)))
-            for text in texts:
-                plain = ParserState(text)
-                traced = ParserState(text, events=[])
-                results = [(parser.match_rule(s, "Top"), s.cursor, s.stats.steps,
-                            s.stats.terminal_mismatches, s.stats.max_cursor)
-                           for s in (plain, traced)]
-                assert results[0] == results[1], (terminal, repeat, text)
+            for expr in (repeat(terminal), r.capture(repeat(terminal))):
+                g = _grammar(r.seq(expr, r.ANY))
+                parser = Parser(g)
+                for text in texts:
+                    assert _exact_counts(parser, text) == _reference_counts(g, text), \
+                        (expr, text)
+
+
+def test_exact_runs_count_like_the_reference_on_random_grammars():
+    # the reference takes none of the exact table's shortcuts (terminal
+    # heads, predicates resolved in place, fused scans and captures), so it
+    # is their oracle; stacks are left to the ref_run tests, since the
+    # reference does not bundle collecting repetitions, and a pair where it
+    # faults for that reason is skipped
+    rng = random.Random(20261018)
+    compared = 0
+    for i in range(150):
+        make, alphabet = [(gen_grammar, ALPHABET), (gen_sound_grammar, ALPHABET),
+                          (gen_lowerable_grammar, LOWERABLE_ALPHABET)][i % 3]
+        g = make(rng)
+        parser = Parser(g)
+        for _ in range(3):
+            text = gen_input(rng, alphabet=alphabet)
+            try:
+                expected = _reference_counts(g, text)
+            except RefFault:
+                continue
+            assert _exact_counts(parser, text) == expected, (g, text)
+            compared += 1
+    assert compared > 400
 
 
 def _counted(state, ok):
     stats = state.stats
     return (ok, state.cursor, [render_value(v) for v in state.stack.values()],
             stats.steps, stats.terminal_mismatches, stats.max_cursor)
-
-
-def test_plain_runs_agree_with_traced_runs_on_random_grammars():
-    # traced runs step through every node and take none of the plain runs'
-    # shortcuts (terminal heads, predicates resolved in place, fused scans
-    # and captures), so they are the oracle for those shortcuts
-    rng = random.Random(20261018)
-    for i in range(150):
-        g = gen_sound_grammar(rng) if i % 2 else gen_grammar(rng)
-        parser = Parser(g)
-        for _ in range(2):
-            text = gen_input(rng)
-            outcomes = []
-            for events in (None, []):
-                state = ParserState(text, events=events)
-                outcomes.append(_counted(state, parser.match_rule(state, "Top")))
-            assert outcomes[0] == outcomes[1], (g, text)
 
 
 # (expression, input) -> (matched, cursor, rendered stack, steps, terminal
@@ -278,6 +301,96 @@ SHORTCUT_CASES = [
 def test_shortcut_runs_are_pinned(expr, text, expected):
     state = _state(text)
     assert _counted(state, Parser(_grammar(expr)).match(state, expr)) == expected
+
+
+# the shortcuts of the exact table, by shape, and where the shape sits: as
+# the start rule's root, inside its root choice, or as the root of a rule
+# one reference below; the steps these shortcuts stand for are logged
+SHORTCUT_SHAPES = {
+    "not_pred": r.not_pred(r.ch("a")),
+    "and_pred": r.and_pred(r.ch("a")),
+    "headed_seq": r.seq(r.ch("a"), r.ch("b")),
+    "one_child_seq": r.Sequence((r.ch("a"),)),
+    "fused_star": r.zero_or_more(r.any_of("ab")),
+    "fused_plus": r.one_or_more(r.ch("a")),
+    "fused_capture": r.capture(r.one_or_more(r.char_pred(DIGIT))),
+}
+SHORTCUT_PLACES = {
+    "root": lambda shape: {"Top": shape},
+    "inside": lambda shape: {"Top": r.first_of(shape, r.ch("z"))},
+    "below": lambda shape: {"Top": r.first_of(r.ref("Inner"), r.ch("z")), "Inner": shape},
+}
+# (shape, place, input) -> trace lines without their step numbers, as the
+# engine logged them when observed runs took a table without shortcuts
+SHORTCUT_TRACES = [
+    ('not_pred', 'root', 'a', ['Top @ 0 -> start', "'a' @ 0 -> match (0->1)",
+        'Top @ 0 -> mismatch']),
+    ('and_pred', 'root', 'b', ['Top @ 0 -> start', "'a' @ 0 -> mismatch", 'Top @ 0 -> mismatch']),
+    ('headed_seq', 'root', 'ab', ['Top @ 0 -> start', "'a' @ 0 -> match (0->1)",
+        "'b' @ 1 -> match (1->2)", 'Top @ 0 -> match (0->2)']),
+    ('headed_seq', 'root', 'ac', ['Top @ 0 -> start', "'a' @ 0 -> match (0->1)",
+        "'b' @ 1 -> mismatch", 'Top @ 0 -> mismatch']),
+    ('one_child_seq', 'root', 'a', ['Top @ 0 -> start', "'a' @ 0 -> match (0->1)",
+        'Top @ 0 -> match (0->1)']),
+    ('fused_star', 'root', 'abz', ['Top @ 0 -> start', '[ab] @ 0 -> match (0->1)',
+        '[ab] @ 1 -> match (1->2)', '[ab] @ 2 -> mismatch', 'Top @ 0 -> match (0->2)']),
+    ('fused_plus', 'root', 'b', ['Top @ 0 -> start', "'a' @ 0 -> mismatch",
+        'Top @ 0 -> mismatch']),
+    ('fused_capture', 'root', '12x', ['Top @ 0 -> start', '[0-9] @ 0 -> match (0->1)',
+        '[0-9] @ 1 -> match (1->2)', '[0-9] @ 2 -> mismatch', 'Top @ 0 -> match (0->2)']),
+    ('not_pred', 'inside', 'a', ['Top @ 0 -> start', "'a' @ 0 -> match (0->1)",
+        "!'a' / 'z' @ 0 -> reset (0->0)", "'z' @ 0 -> mismatch", 'Top @ 0 -> mismatch']),
+    ('and_pred', 'inside', 'b', ['Top @ 0 -> start', "'a' @ 0 -> mismatch",
+        "&'a' / 'z' @ 0 -> reset (0->0)", "'z' @ 0 -> mismatch", 'Top @ 0 -> mismatch']),
+    ('headed_seq', 'inside', 'ab', ['Top @ 0 -> start', "'a' 'b' @ 0 -> start",
+        "'a' @ 0 -> match (0->1)", "'b' @ 1 -> match (1->2)", "'a' 'b' @ 0 -> match (0->2)",
+        'Top @ 0 -> match (0->2)']),
+    ('headed_seq', 'inside', 'ac', ['Top @ 0 -> start', "'a' 'b' @ 0 -> start",
+        "'a' @ 0 -> match (0->1)", "'b' @ 1 -> mismatch", "'a' 'b' / 'z' @ 0 -> reset (1->0)",
+        "'z' @ 0 -> mismatch", 'Top @ 0 -> mismatch']),
+    ('one_child_seq', 'inside', 'a', ['Top @ 0 -> start', "'a' @ 0 -> start",
+        "'a' @ 0 -> match (0->1)", "'a' @ 0 -> match (0->1)", 'Top @ 0 -> match (0->1)']),
+    ('fused_star', 'inside', 'abz', ['Top @ 0 -> start', '[ab] @ 0 -> match (0->1)',
+        '[ab] @ 1 -> match (1->2)', '[ab] @ 2 -> mismatch', 'Top @ 0 -> match (0->2)']),
+    ('fused_plus', 'inside', 'b', ['Top @ 0 -> start', "'a' @ 0 -> mismatch",
+        "'a'+ / 'z' @ 0 -> reset (0->0)", "'z' @ 0 -> mismatch", 'Top @ 0 -> mismatch']),
+    ('fused_capture', 'inside', '12x', ['Top @ 0 -> start', '[0-9] @ 0 -> match (0->1)',
+        '[0-9] @ 1 -> match (1->2)', '[0-9] @ 2 -> mismatch', 'Top @ 0 -> match (0->2)']),
+    ('not_pred', 'below', 'a', ['Top @ 0 -> start', 'Inner @ 0 -> start',
+        "'a' @ 0 -> match (0->1)", 'Inner @ 0 -> mismatch', "Inner / 'z' @ 0 -> reset (0->0)",
+        "'z' @ 0 -> mismatch", 'Top @ 0 -> mismatch']),
+    ('and_pred', 'below', 'b', ['Top @ 0 -> start', 'Inner @ 0 -> start', "'a' @ 0 -> mismatch",
+        'Inner @ 0 -> mismatch', "Inner / 'z' @ 0 -> reset (0->0)", "'z' @ 0 -> mismatch",
+        'Top @ 0 -> mismatch']),
+    ('headed_seq', 'below', 'ab', ['Top @ 0 -> start', 'Inner @ 0 -> start',
+        "'a' @ 0 -> match (0->1)", "'b' @ 1 -> match (1->2)", 'Inner @ 0 -> match (0->2)',
+        'Top @ 0 -> match (0->2)']),
+    ('headed_seq', 'below', 'ac', ['Top @ 0 -> start', 'Inner @ 0 -> start',
+        "'a' @ 0 -> match (0->1)", "'b' @ 1 -> mismatch", 'Inner @ 0 -> mismatch',
+        "Inner / 'z' @ 0 -> reset (1->0)", "'z' @ 0 -> mismatch", 'Top @ 0 -> mismatch']),
+    ('one_child_seq', 'below', 'a', ['Top @ 0 -> start', 'Inner @ 0 -> start',
+        "'a' @ 0 -> match (0->1)", 'Inner @ 0 -> match (0->1)', 'Top @ 0 -> match (0->1)']),
+    ('fused_star', 'below', 'abz', ['Top @ 0 -> start', 'Inner @ 0 -> start',
+        '[ab] @ 0 -> match (0->1)', '[ab] @ 1 -> match (1->2)', '[ab] @ 2 -> mismatch',
+        'Inner @ 0 -> match (0->2)', 'Top @ 0 -> match (0->2)']),
+    ('fused_plus', 'below', 'b', ['Top @ 0 -> start', 'Inner @ 0 -> start', "'a' @ 0 -> mismatch",
+        'Inner @ 0 -> mismatch', "Inner / 'z' @ 0 -> reset (0->0)", "'z' @ 0 -> mismatch",
+        'Top @ 0 -> mismatch']),
+    ('fused_capture', 'below', '12x', ['Top @ 0 -> start', 'Inner @ 0 -> start',
+        '[0-9] @ 0 -> match (0->1)', '[0-9] @ 1 -> match (1->2)', '[0-9] @ 2 -> mismatch',
+        'Inner @ 0 -> match (0->2)', 'Top @ 0 -> match (0->2)']),
+]
+
+
+@pytest.mark.parametrize("shape, place, text, expected", SHORTCUT_TRACES)
+def test_shortcuts_trace_the_steps_they_stand_for(shape, place, text, expected):
+    parser = Parser(r.grammar(SHORTCUT_PLACES[place](SHORTCUT_SHAPES[shape])))
+    ran, matched = [], []
+    parser.run(text, observer=Trace(ran))
+    parser.match_rule(ParserState(text, events=matched), "Top")
+    for events in (ran, matched):
+        assert [e.step for e in events] == list(range(1, len(events) + 1))
+        assert [format_trace_event(e).split(": ", 1)[1] for e in events] == expected
 
 
 def test_head_mismatch_at_the_principal_index_is_collected_with_its_rules():
@@ -851,14 +964,15 @@ def test_a_parser_is_built_whole_before_its_first_run():
     g = _grammar(r.seq(r.ref("Word"), r.EOI), Word=r.capture(r.one_or_more(r.any_of("ab"))),
                  Unused=r.seq(r.ch("x"), r.ref("Word")))
     parser = Parser(g)
-    exact, traced, fast = (parser._tables.bodies[t] for t in (EXACT, TRACED, FAST))
+    tables = parser._tables
+    exact, fast = tables.bodies[EXACT], tables.bodies[FAST]
     assert exact.keys() == fast.keys() == {"Top", "Word", "Unused"}
-    assert traced is None  # only a traced run needs the traced table
+    before = dict(vars(tables)), dict(exact), dict(fast)
     assert parser.run("ab").ok and parser.run("ax").error is not None
-    assert parser._tables.bodies[TRACED] is None
-    assert parser.run("ab", observer=Trace([])).ok
-    assert parser._tables.bodies[TRACED].keys() == {"Top", "Word", "Unused"}
-    assert parser._tables.bodies[EXACT] is exact and parser._tables.bodies[FAST] is fast
+    assert parser.run("ab", observer=Trace([])).ok  # a traced run adds no table either
+    assert parser.match_rule(ParserState("ab", events=[]), "Top")
+    assert parser._tables is tables
+    assert (dict(vars(tables)), dict(exact), dict(fast)) == before
 
 
 def test_an_unknown_start_rule_raises_key_error_naming_it():
@@ -868,18 +982,28 @@ def test_an_unknown_start_rule_raises_key_error_naming_it():
 
 
 def test_a_fresh_parser_compiles_safely_under_threads(calc_grammar):
-    # a Parser's exact and fast tables are built with it, and its traced
-    # table on first use; threads sharing a new Parser must still see one
-    # consistent grammar
+    # a Parser's tables are built with it, and runs only read them; threads
+    # sharing a new Parser must still see one consistent grammar, and each
+    # thread's Trace the events a single-threaded run logs
     rng = random.Random(77)
     texts = [big_expression(rng, 300) + ("!" if i % 3 == 0 else "") for i in range(24)]
     expected = [Parser(calc_grammar).run(t) for t in texts]
+    alone, expected_events = Parser(calc_grammar), []
+    for k in range(4):
+        events = []
+        observer = Trace(events)
+        for i in range(k, len(texts), 4):
+            alone.run(texts[i], observer=observer)
+        expected_events.append(events)
     shared = Parser(calc_grammar)
     results = [None] * len(texts)
+    traced = [[] for _ in range(4)]
 
     def work(k):
+        observer = Trace(traced[k])
         for i in range(k, len(texts), 4):
             results[i] = shared.run(texts[i])
+            shared.run(texts[i], observer=observer)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -893,3 +1017,5 @@ def test_a_fresh_parser_compiles_safely_under_threads(calc_grammar):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == expected
+    assert traced == expected_events
+    assert all(len(events) > 1000 for events in traced)

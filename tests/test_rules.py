@@ -188,7 +188,7 @@ class _Reentry:
     def leave(self, name, at, ok, pos):
         assert self.open.pop() == (name, at)
 
-    def event(self, summary, cursor, outcome, moved_from, moved_to):
+    def event(self, node, cursor, outcome, moved_from, moved_to):
         pass
 
 
