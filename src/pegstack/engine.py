@@ -38,7 +38,8 @@ up (or end of input) and gets the alternatives that can start there: none
 fails at once, one runs in place with no frame, more open the choice's
 usual frame over just them. Skipped alternatives would have failed at
 their first terminal test before running anything else, so no action,
-drop or capture is skipped. A LOOP or MAYBE whose body cannot start at the
+drop or capture is skipped; a rule reference has its rule's head, also on
+a reference cycle. A LOOP or MAYBE whose body cannot start at the
 next character ends with no frame (a collecting one pushes its empty list)
 or, for ``+``, fails; between iterations a LOOP tests the head again
 before it re-enters the body. Its body always moves when it matches, so a

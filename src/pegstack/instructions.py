@@ -5,7 +5,10 @@ facts: whether it touches the value stack, the element tag of a collecting
 repetition, literal lengths. Rule references stay symbolic, except to
 acyclic rules in the fast table; the executor looks each one up in the
 table it runs. Every rule body is compiled into both tables when the
-grammar's Parser is built:
+grammar's Parser is built. One walk of each rule body first gives the
+rule's references and whether its own nodes touch the stack; a least
+fixpoint over the rules then gives which rules touch it, and compiling a
+node takes its own flag from its children's.
 
 * EXACT: every run whose step and mismatch counters must be exact
   (``match``, ``match_rule``, ``run_phase``, the error pass, checked runs)
@@ -31,8 +34,10 @@ grammar's Parser is built:
   characters it can start with: a choice with headed alternatives becomes
   a SWITCH on the next character, and a ``*``, ``+`` or ``?`` of a headed
   body a LOOP or MAYBE that ends, or fails, when the body cannot start.
-  In ``calc.peg`` nothing lowers, but every loop is a LOOP and every
-  choice a SWITCH.
+  A reference has its rule's head; those of the rules on cycles are one
+  least fixpoint over the rules, so json's ``Value`` offers its recursive
+  ``Object`` only at ``{``. In ``calc.peg`` nothing lowers, but every loop
+  is a LOOP and every choice a SWITCH.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ EXACT, FAST = 0, 1
 # rule reference already run as one instruction
 _LOWERED = (SEQ, ALT, REP, OPT, PRED)
 _ASCII = (1 << 128) - 1
+_WRAPPERS = (r.Optional, r.ZeroOrMore, r.OneOrMore, r.Capture, r.Quiet)
 
 
 def _class_char(o: int) -> str:
@@ -120,7 +126,7 @@ def _regex(ins: tuple):
         return None
 
 
-def _head(node: r.RuleExpr) -> tuple | None:
+def _terminal_head(node: r.RuleExpr) -> tuple | None:
     """Head of a terminal: (ASCII mask, other characters, wide), where wide
     means that it may also take characters at or above 128 that are not
     listed; None when it can match without taking a character, or when
@@ -184,22 +190,31 @@ def _switch(ins: tuple, kids: tuple, heads: list) -> tuple:
             candidates(other), candidates(end), ins[3])
 
 
-def _touches(node: r.RuleExpr, rules: dict[str, bool]) -> bool:
-    """Whether matching node may change the value stack, given the rules that may."""
-    t = type(node)
-    if t in (r.Capture, r.Push, r.Drop, r.Action):
-        return True
-    if t in (r.AndPredicate, r.NotPredicate):
-        return False  # externally stack-neutral; they restore internally
-    if t is r.Sequence:
-        return any(_touches(c, rules) for c in node.children)
-    if t is r.FirstOf:
-        return any(_touches(a, rules) for a in node.alternatives)
-    if t in (r.Optional, r.ZeroOrMore, r.OneOrMore, r.Quiet):
-        return _touches(node.inner, rules)
-    if t is r.RuleRef:
-        return rules.get(node.name, True)
-    return False  # terminals
+def _facts(expr: r.RuleExpr) -> tuple[set, set, bool]:
+    """Facts of a rule body, from one walk: the rules it references, those
+    it references outside predicates, and whether one of its own nodes
+    outside predicates pushes or pops (predicates restore the stack)."""
+    refs, calls, touches = set(), set(), False
+    todo, inside = [expr], []  # nodes to visit: outside every predicate, inside one
+    while todo or inside:
+        counts = bool(todo)  # outside: the node's pushes, pops and calls count
+        into = todo if counts else inside
+        node = into.pop()
+        t = type(node)
+        if t is r.RuleRef:
+            (calls if counts else refs).add(node.name)
+        elif t is r.Sequence:
+            into.extend(node.children)
+        elif t is r.FirstOf:
+            into.extend(node.alternatives)
+        elif t is r.AndPredicate or t is r.NotPredicate:
+            inside.append(node.inner)
+        elif t in _WRAPPERS:
+            touches = touches or counts and t is r.Capture
+            into.append(node.inner)
+        elif t is r.Push or t is r.Drop or t is r.Action:
+            touches = touches or counts
+    return refs | calls, calls, touches
 
 
 class Tables:
@@ -209,92 +224,121 @@ class Tables:
     def __init__(self, grammar: r.Grammar):
         self.grammar = grammar
         exprs = {name: rd.expr for name, rd in grammar.rules.items()}
-        # least fixpoint over the rules: a rule touches the stack when some
-        # expression it can reach pushes or pops
-        touches = self._rule_touches = dict.fromkeys(exprs, False)
+        facts = {name: _facts(expr) for name, expr in exprs.items()}
+        # least fixpoint over the rules: a rule touches the stack when one of
+        # its nodes pushes or pops, or when it calls a rule that does
+        touches = self._rule_touches = {name: f[2] for name, f in facts.items()}
         changed = True
         while changed:
             changed = False
-            for name, expr in exprs.items():
-                if not touches[name] and _touches(expr, touches):
+            for name, (_, calls, _) in facts.items():
+                if not touches[name] and any(touches.get(n, True) for n in calls):
                     touches[name] = changed = True
         # the rules that reach no reference cycle, each after the rules it
         # references: compiled in this order, a reference to one of them
         # finds its body's regex source ready to inline
-        refs = {name: {n.name for n in r.walk(expr) if type(n) is r.RuleRef}
-                for name, expr in exprs.items()}
         acyclic = self._acyclic = {}
         ready = True
         while ready:
-            ready = [name for name, deps in refs.items()
-                     if name not in acyclic and deps <= acyclic.keys()]
+            ready = [name for name, (refs, _, _) in facts.items()
+                     if name not in acyclic and refs <= acyclic.keys()]
             acyclic.update(dict.fromkeys(ready))
+        cyclic = [name for name in exprs if name not in acyclic]
         exact, fast = self.bodies = ({}, {})  # EXACT, FAST
-        for name in [*acyclic, *(name for name in exprs if name not in acyclic)]:
+        for name in [*acyclic, *cyclic]:
             exact[name] = self.compile(exprs[name])
-        # fast bodies in the same order, so an acyclic rule's is ready for
-        # the references that run it in place
+        # heads, then fast bodies, in the same order, so an acyclic rule's
+        # are ready for the references that run it in place. The heads of
+        # the rules that reach a cycle are one least fixpoint: each starts
+        # from the empty head and only grows, so the rounds end; validation
+        # rejected left recursion, so no head is made of its own rule's.
         heads = self._heads = {}
-        for name, ins in exact.items():
-            fast[name], heads[name] = self._fast(ins)
+        for name in acyclic:
+            heads[name] = self._head(exact[name])
+            fast[name] = self._fast(exact[name])
+        heads.update(dict.fromkeys(cyclic, (0, (), False)))  # the empty head
+        changed = True
+        while changed:
+            changed = False
+            for name in cyclic:
+                head = self._head(exact[name])
+                if head != heads[name]:
+                    heads[name], changed = head, True
+        for name in cyclic:
+            fast[name] = self._fast(exact[name])
 
-    def _fast(self, ins: tuple) -> tuple[tuple, tuple | None]:
-        """Fast-table form of an exact instruction, and its head (see ``_head``),
-        None unless its first action is a terminal test that must pass.
+    def _head(self, ins: tuple) -> tuple | None:
+        """Head of an exact instruction's fast form, in the form of
+        ``_terminal_head``: None unless its first action is a terminal test
+        that must pass, so None for an RE instruction. A reference takes
+        its rule's head; the others combine those of their children in head
+        position, so a node is visited once for each choice, loop or option
+        whose head it decides."""
+        if _regex(ins) is not None:
+            return None
+        op = ins[0]
+        if op <= ISTR:
+            return _terminal_head(ins[1])
+        if op == SEQ:
+            return self._head(ins[2][0])
+        if op == ALT:  # the union of the alternatives' heads
+            mask, chars, wide = 0, set(), False
+            for kid in ins[2][:-1]:
+                head = self._head(kid)
+                if head is None:
+                    return None
+                mask, wide = mask | head[0], wide or head[2]
+                chars.update(head[1])
+            return mask, tuple(sorted(chars)), wide  # sorted: equal heads are equal
+        if op == CHARS:
+            return _terminal_head(ins[2]) if ins[3] else None
+        if op == REF:
+            return self._heads.get(ins[2])
+        if op == CAPTURE:
+            return None if _regex(ins[2]) is not None else self._head(ins[2])
+        if op == QUIET or op == REP and ins[3]:
+            return self._head(ins[2])
+        return None
+
+    def _fast(self, ins: tuple) -> tuple:
+        """Fast-table form of an exact instruction.
 
         Each maximal regex fragment runs as one RE instruction, a reference
         to an acyclic rule as that rule's fast body, a choice with headed
         alternatives as a SWITCH, and a repetition or option of a headed
-        body as a LOOP or MAYBE; unchanged parts are shared. No head is
-        taken from an RE instruction or through a reference on a cycle.
+        body as a LOOP or MAYBE; unchanged parts are shared. A reference
+        to a rule on a cycle stays as it is.
         """
         match = _regex(ins)
         if match is not None:
-            return (RE, ins[1], match, False, ins[-1]), None
+            return (RE, ins[1], match, False, ins[-1])
         op = ins[0]
-        if op <= ISTR:
-            return ins, _head(ins[1])
         if op == SEQ or op == ALT:
-            kids, heads, changed = [], [], False
-            for kid in ins[2][:-1]:
-                fast, head = self._fast(kid)
-                kids.append(fast)
-                heads.append(head)
-                changed = changed or fast is not kid
-            kids = tuple(kids)
-            if op == ALT and heads.count(None) < len(heads):
-                head = None
-                if None not in heads:  # the union of the alternatives' heads
-                    head = (0, (), False)
-                    for h in heads:
-                        head = (head[0] | h[0], head[1] + h[1], head[2] or h[2])
-                return _switch(ins, kids, heads), head
-            if changed:
+            kids = tuple(self._fast(kid) for kid in ins[2][:-1])
+            if op == ALT:
+                heads = [self._head(kid) for kid in ins[2][:-1]]
+                if heads.count(None) < len(heads):
+                    return _switch(ins, kids, heads)
+            if any(fast is not kid for fast, kid in zip(kids, ins[2])):
                 ins = ins[:2] + (kids + (None,),) + ins[3:]
-            return ins, heads[0] if op == SEQ else None
-        if op == CHARS:
-            return ins, _head(ins[2]) if ins[3] else None
-        if op == REF:
-            name = ins[2]
-            if name in self._acyclic:  # run in place
-                return self.bodies[FAST][name], self._heads[name]
-            return ins, None
+            return ins
+        if op == REF and ins[2] in self._acyclic:  # run in place
+            return self.bodies[FAST][ins[2]]
         if op == CAPTURE:
             match = _regex(ins[2])
             if match is not None:
-                return (RE, ins[1], match, True, None), None
+                return (RE, ins[1], match, True, None)
         if op in (CAPTURE, REP, OPT, PRED, QUIET):
-            inner, head = self._fast(ins[2])
-            if head is not None and (op == REP or op == OPT):
+            inner = self._fast(ins[2])
+            head = self._head(ins[2]) if op == REP or op == OPT else None
+            if head is not None:
                 table, other, _ = _by_char([head])  # 1 where the body can start
                 if op == REP:  # (LOOP, node, body, plus, collect tag, table, other)
-                    return (LOOP, ins[1], inner, ins[3], ins[4], table, other), \
-                        head if ins[3] else None
-                return (MAYBE, ins[1], inner, ins[3], table, other), None  # ins[3]: collect tag
+                    return (LOOP, ins[1], inner, ins[3], ins[4], table, other)
+                return (MAYBE, ins[1], inner, ins[3], table, other)  # ins[3]: collect tag
             if inner is not ins[2]:
                 ins = ins[:2] + (inner,) + ins[3:]
-            return ins, head if op == CAPTURE or op == QUIET else None
-        return ins, None
+        return ins
 
     def compile(self, node) -> tuple:
         """Exact instruction tuple for a node: (opcode, node, operands...,
@@ -302,8 +346,14 @@ class Tables:
 
         Rule references stay symbolic; the executor looks them up by name.
         """
-        ins = self._instruction(node)
-        return ins + (self._source(node, ins),)
+        return self._compile(node)[0]
+
+    def _compile(self, node) -> tuple[tuple, bool]:
+        """Exact instruction for a node, and whether matching it may change
+        the value stack, from its children's: a node whose children touch
+        nothing touches nothing unless it pushes or pops itself."""
+        ins, touches = self._instruction(node)
+        return ins + (self._source(node, ins),), touches
 
     def _source(self, node, ins: tuple) -> str | None:
         """Regex source of a node, from its compiled children's."""
@@ -331,65 +381,64 @@ class Tables:
             return self.bodies[EXACT][ins[2]][-1]  # inlined
         return None  # captures, actions and quiet are no regex
 
-    def _instruction(self, node) -> tuple:
+    def _instruction(self, node) -> tuple[tuple, bool]:
         t = type(node)
         if t is r.Ch:
-            return (CH, node, node.char)
+            return (CH, node, node.char), False
         if t is r.CharPred or t is r.AnyOf:
-            return (CLASS, node, node.pred.mask, node.pred.extra)
+            return (CLASS, node, node.pred.mask, node.pred.extra), False
         if t is r.Str:
-            return (STR, node, node.text, len(node.text))
+            return (STR, node, node.text, len(node.text)), False
         if t is r.EndOfInput:
-            return (EOI, node)
+            return (EOI, node), False
         if t is r.IgnoreCaseCh:
-            return (ICH, node, node.char.lower())
+            return (ICH, node, node.char.lower()), False
         if t is r.IgnoreCaseStr:
-            return (ISTR, node, node.text.lower(), len(node.text))
+            return (ISTR, node, node.text.lower(), len(node.text)), False
         if t is r.NoneOf:
-            return (NONE, node, node.pred.contains)
+            return (NONE, node, node.pred.contains), False
         if t is r.AnyChar:
-            return (ANY, node)
-        if t is r.Sequence:
-            # the children, then None to mark the end; the last operand
+            return (ANY, node), False
+        if t is r.Sequence or t is r.FirstOf:
+            # the children, then None to mark the end; a SEQ's last operand
             # tells a terminal head that is tested before the frame opens
-            kids = tuple(self.compile(k) for k in node.children) + (None,)
-            return (SEQ, node, kids, self._touches(node), kids[0][0] <= ISTR)
-        if t is r.FirstOf:
-            kids = tuple(self.compile(k) for k in node.alternatives) + (None,)
-            return (ALT, node, kids, self._touches(node))
+            kids, touched = zip(*(self._compile(k) for k in
+                                  (node.children if t is r.Sequence else node.alternatives)))
+            touches = any(touched)
+            kids += (None,)
+            if t is r.FirstOf:
+                return (ALT, node, kids, touches), touches
+            return (SEQ, node, kids, touches, kids[0][0] <= ISTR), touches
         if t is r.ZeroOrMore or t is r.OneOrMore:
             if type(node.inner) in _FUSED_TYPES:
-                return _fused(node, False)
-            return (REP, node, self.compile(node.inner), t is r.OneOrMore,
-                    self._collect_tag(node), self._touches(node))
+                return _fused(node, False), False
+            inner, touches = self._compile(node.inner)
+            return (REP, node, inner, t is r.OneOrMore, self._collect_tag(node), touches), touches
         if t is r.Optional:
-            return (OPT, node, self.compile(node.inner), self._collect_tag(node))
+            inner, touches = self._compile(node.inner)
+            return (OPT, node, inner, self._collect_tag(node)), touches
         if t is r.AndPredicate or t is r.NotPredicate:
-            inner = self.compile(node.inner)
-            return (PRED, node, inner, t is r.NotPredicate, self._touches(node.inner),
-                    inner[0] <= ISTR)
+            inner, touches = self._compile(node.inner)
+            return (PRED, node, inner, t is r.NotPredicate, touches, inner[0] <= ISTR), False
         if t is r.Capture:
             inner = node.inner
             if type(inner) in (r.ZeroOrMore, r.OneOrMore) and type(inner.inner) in _FUSED_TYPES:
-                return _fused(inner, True)
-            return (CAPTURE, node, self.compile(inner))
+                return _fused(inner, True), True
+            return (CAPTURE, node, self._compile(inner)[0]), True
         if t is r.Quiet:
-            return (QUIET, node, self.compile(node.inner))
+            inner, touches = self._compile(node.inner)
+            return (QUIET, node, inner), touches
         if t is r.Push:
-            return (PUSH, node, None if node.value.tag == "Unit" else node.value)
+            return (PUSH, node, None if node.value.tag == "Unit" else node.value), True
         if t is r.Drop:
-            return (DROP, node, node.count)
+            return (DROP, node, node.count), True
         if t is r.Action:
             if type(node.fn) is ConsFn:  # made by effects.cons: the executor builds the node
-                return (CONS, node, node.fn.label, node.arity)
-            return (ACTION, node)
+                return (CONS, node, node.fn.label, node.arity), True
+            return (ACTION, node), True
         if t is r.RuleRef:
-            return (REF, node, node.name)
+            return (REF, node, node.name), self._rule_touches.get(node.name, True)
         raise TypeError(f"unknown rule expression: {node!r}")
-
-    def _touches(self, node) -> bool:
-        """Whether matching node may change the value stack."""
-        return _touches(node, self._rule_touches)
 
     def _collect_tag(self, node) -> str | None:
         """Element tag when the repetition body is collecting, else None."""

@@ -12,6 +12,11 @@ family it prints one SHA-256 over, for each (grammar, input) pair:
 * ``run_phase`` under MODE_COLLECT: the same counters and the collected traces;
 * the traced event stream of ``match_rule`` and of ``Parser.run`` with a Trace.
 
+Next to each digest it prints how many SWITCH, LOOP and MAYBE instructions
+the family's fast tables hold, each counted once: a family whose count is 0
+never reaches the code that dispatches on the next character. The count
+is not part of the digest.
+
 The families are ``gen_grammar`` at depths 4 and 6, ``gen_sound_grammar``
 and ``gen_lowerable_grammar`` with its alphabet; each grammar gets three
 inputs. Not collected by pytest: its name does not start with ``test_``.
@@ -32,6 +37,8 @@ from generators import (ALPHABET, LOWERABLE_ALPHABET, gen_grammar, gen_input,  #
                         gen_lowerable_grammar, gen_sound_grammar)
 from pegstack.engine import Parser, ParserState, Trace, format_trace_event  # noqa: E402
 from pegstack.errors import MODE_COLLECT  # noqa: E402
+from pegstack.instructions import (ALT, CAPTURE, FAST, LOOP, MAYBE, OPT, PRED, QUIET,  # noqa: E402
+                                   REP, SEQ, SWITCH)
 from pegstack.values import render_value  # noqa: E402
 
 INPUTS_PER_GRAMMAR = 3
@@ -81,13 +88,39 @@ def _traced_run(parser: Parser, text: str) -> str:
     return f"{result.kind}\n" + "\n".join(map(format_trace_event, events))
 
 
-def family_digest(name: str, seed: int, pairs: int) -> str:
+def dispatch_count(parser: Parser) -> int:
+    """SWITCH, LOOP and MAYBE instructions in a parser's fast table, each
+    counted once: an acyclic rule's fast body is shared by its references."""
+    count, seen = 0, set()
+    todo = list(parser._tables.bodies[FAST].values())
+    while todo:
+        ins = todo.pop()
+        if ins is None or id(ins) in seen:
+            continue
+        seen.add(id(ins))
+        op = ins[0]
+        count += op in (SWITCH, LOOP, MAYBE)
+        if op == SEQ or op == ALT:
+            todo.extend(ins[2])
+        elif op == SWITCH:
+            for candidates in (*ins[2].values(), ins[3], ins[4]):
+                todo.extend(candidates)
+        elif op in (REP, OPT, PRED, CAPTURE, QUIET, LOOP, MAYBE):
+            todo.append(ins[2])
+    return count
+
+
+def family_digest(name: str, seed: int, pairs: int) -> tuple[str, int]:
+    """The family's digest over pairs (grammar, input) pairs, and the
+    dispatch instructions in its grammars' fast tables."""
     make, alphabet = FAMILIES[name]
     rng = random.Random(f"{name}:{seed}")
     digest = hashlib.sha256()
+    dispatches = 0
     for _ in range(-(-pairs // INPUTS_PER_GRAMMAR)):
         grammar = make(rng)
         parser = Parser(grammar)
+        dispatches += dispatch_count(parser)
         for _ in range(INPUTS_PER_GRAMMAR):
             text = gen_input(rng, alphabet=alphabet)
             parts = [text, _guarded(lambda: _run(parser, text)),
@@ -96,7 +129,7 @@ def family_digest(name: str, seed: int, pairs: int) -> str:
                      _guarded(lambda: _traced_match(parser, text)),
                      _guarded(lambda: _traced_run(parser, text))]
             digest.update("\x00".join(parts).encode("utf-8", "surrogatepass") + b"\x01")
-    return digest.hexdigest()
+    return digest.hexdigest(), dispatches
 
 
 def main() -> None:
@@ -105,7 +138,8 @@ def main() -> None:
     ap.add_argument("--pairs", type=int, default=6000, help="(grammar, input) pairs per family")
     args = ap.parse_args()
     for name in FAMILIES:
-        print(f"{name:24} {args.pairs:7} {family_digest(name, args.seed, args.pairs)}", flush=True)
+        digest, dispatches = family_digest(name, args.seed, args.pairs)
+        print(f"{name:24} {args.pairs:7} {digest} {dispatches:7}", flush=True)
 
 
 if __name__ == "__main__":

@@ -3,11 +3,11 @@
 Two grammar corpora:
 
 * the oracle corpus (actions limited to capture/push/cons) keeps repetition
-  bodies stack-neutral or in the canonical reduction shape, so the reference
-  interpreter needs no list-collecting extension;
-* the soundness corpus additionally exercises drop, string-concat actions
-  and collecting repetitions, and builds every expression so that values are
-  always pushed before anything pops them.
+  bodies stack-neutral or in the canonical reduction shape;
+* the soundness corpus additionally exercises drop, string-concat actions,
+  collecting repetitions and a helper rule on a reference cycle, and builds
+  every expression so that values are always pushed before anything pops
+  them.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 
 from pegstack import rules as r
-from pegstack.effects import StackEffect, WILDCARD, cons
+from pegstack.effects import NEUTRAL, StackEffect, WILDCARD, cons
 from pegstack.values import Tree, Value
 
 ALPHABET = "abc"
@@ -319,10 +319,14 @@ def gen_sound_expr(rng: random.Random, depth: int, helpers: list[str]) -> r.Rule
 
 
 def gen_sound_grammar(rng: random.Random, max_depth: int = 4) -> r.Grammar:
-    helpers = ["Help0"]
+    """Random validated soundness-corpus grammar. Its helper ``Rec`` is on a
+    reference cycle and starts with a terminal in each alternative, so the
+    choices and loops that reference it can dispatch on its head."""
+    helpers = ["Help0", "Rec"]
     defs = {
         "Top": gen_sound_expr(rng, max_depth, helpers),
         "Help0": gen_consuming(rng, 2, []),
+        "Rec": (r.first_of(r.seq(_terminal(rng), r.ref("Rec")), _terminal(rng)), NEUTRAL),
     }
     return r.validate_grammar(r.grammar(defs, start="Top"))
 

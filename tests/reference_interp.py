@@ -5,20 +5,37 @@ stack) triples: standard expressions leave the stack unchanged; push appends
 a value; a successful capture pushes the matched input slice; an action of
 arity n pops v1..vn (the first value popped is vn, assigned deepest-first)
 and pushes the function result; failures return the original position and
-stack. Implemented functionally over immutable tuples, so there is no
-snapshot/restore machinery to share bugs with the engine under test.
+stack. A repetition or option whose body pushes exactly one value and pops
+nothing (a collecting body, as the effect checker classifies it) bundles
+the values of its iterations into one list value. Implemented functionally
+over immutable tuples, so there is no snapshot/restore machinery to share
+bugs with the engine under test.
 """
 
 from __future__ import annotations
 
 from pegstack import rules as r
+from pegstack.effects import EffectError, infer_effect, repetition_shape
 from pegstack.engine import ACTION_FAIL
 from pegstack.errors import RuleTrace, descriptor_of
-from pegstack.values import Value
+from pegstack.values import Value, list_value
 
 
 class RefFault(Exception):
     """Underflow or raised action inside the reference interpreter."""
+
+
+def _bundled(g, expr, stack, result):
+    """result of a repetition or option that began on stack; a collecting
+    one leaves its iterations' values as one list value."""
+    try:
+        shape, tag = repetition_shape(infer_effect(expr.inner, g))
+    except (EffectError, KeyError, TypeError):
+        return result
+    ok, pos, s = result
+    if not ok or shape != "collecting":
+        return result
+    return ok, pos, stack + (list_value(s[len(stack):], tag),)
 
 
 def ref_match(g, expr, text, pos, stack, mismatches=None, trail=None, steps=None):
@@ -89,27 +106,8 @@ def ref_match(g, expr, text, pos, stack, mismatches=None, trail=None, steps=None
             if ok:
                 return True, p, s
         return False, pos, stack
-    if t is r.Optional:
-        ok, p, s = ref_match(g, expr.inner, text, pos, stack, mismatches, trail, steps)
-        return (True, p, s) if ok else (True, pos, stack)
-    if t is r.ZeroOrMore:
-        p, s = pos, stack
-        while True:
-            ok, p2, s2 = ref_match(g, expr.inner, text, p, s, mismatches, trail, steps)
-            if not ok:
-                return True, p, s
-            if p2 == p:  # zero-width success terminates the loop, discarded
-                return True, p, s
-            p, s = p2, s2
-    if t is r.OneOrMore:
-        ok, p, s = ref_match(g, expr.inner, text, pos, stack, mismatches, trail, steps)
-        if not ok:
-            return False, pos, stack
-        while True:
-            ok, p2, s2 = ref_match(g, expr.inner, text, p, s, mismatches, trail, steps)
-            if not ok or p2 == p:
-                return True, p, s
-            p, s = p2, s2
+    if t is r.Optional or t is r.ZeroOrMore or t is r.OneOrMore:
+        return _bundled(g, expr, stack, _repeat(g, expr, text, pos, stack, mismatches, trail, steps))
     if t is r.AndPredicate:
         ok, _, _ = ref_match(g, expr.inner, text, pos, stack, mismatches, trail, steps)
         return ok, pos, stack
@@ -153,6 +151,23 @@ def ref_match(g, expr, text, pos, stack, mismatches=None, trail=None, steps=None
         inner = None if trail is None else (trail[0], trail[1] + (expr.name,), trail[2])
         return ref_match(g, g.rules[expr.name].expr, text, pos, stack, mismatches, inner, steps)
     raise TypeError(f"reference interpreter: unknown expression {expr!r}")
+
+
+def _repeat(g, expr, text, pos, stack, mismatches, trail, steps):
+    """ref_match of a repetition or option, before bundling."""
+    t = type(expr)
+    ok, p, s = ref_match(g, expr.inner, text, pos, stack, mismatches, trail, steps)
+    if not ok:
+        return t is not r.OneOrMore, pos, stack
+    if t is r.Optional:
+        return True, p, s
+    if t is r.ZeroOrMore and p == pos:  # zero-width success terminates the loop, discarded
+        return True, pos, stack
+    while True:
+        ok, p2, s2 = ref_match(g, expr.inner, text, p, s, mismatches, trail, steps)
+        if not ok or p2 == p:
+            return True, p, s
+        p, s = p2, s2
 
 
 def ref_run(g, text, start=None, mismatches=None, steps=None):

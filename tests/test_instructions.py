@@ -1,0 +1,111 @@
+"""The facts the instruction tables rest on, against their recursive definitions.
+
+``Tables`` takes whether a node touches the value stack from its children
+while it compiles the node, and a rule's from one walk of its body and a
+least fixpoint over the rules. A node's head comes from its children's in
+head position, and a reference's from its rule's, which for the rules on
+cycles is one least fixpoint. The recursive definitions below walk a
+node's whole subtree, and a reference's rule body, instead; they are the
+oracle.
+"""
+
+import random
+
+from pegstack import rules as r
+from pegstack.engine import Parser
+from pegstack.instructions import (ALT, CAPTURE, CHARS, EXACT, ISTR, QUIET, REF, REP, SEQ,
+                                   _regex, _terminal_head)
+from pegstack.notation import load_grammar, meta_grammar
+
+from conftest import ROOT
+from generators import gen_grammar, gen_lowerable_grammar, gen_sound_grammar
+
+
+def _touches(node, rules):
+    """Whether matching node may change the value stack, given the rules that may."""
+    t = type(node)
+    if t in (r.Capture, r.Push, r.Drop, r.Action):
+        return True
+    if t in (r.AndPredicate, r.NotPredicate):
+        return False  # externally stack-neutral; they restore internally
+    if t is r.Sequence:
+        return any(_touches(c, rules) for c in node.children)
+    if t is r.FirstOf:
+        return any(_touches(a, rules) for a in node.alternatives)
+    if t in (r.Optional, r.ZeroOrMore, r.OneOrMore, r.Quiet):
+        return _touches(node.inner, rules)
+    if t is r.RuleRef:
+        return rules.get(node.name, True)
+    return False  # terminals
+
+
+def _rule_touches(grammar):
+    touches = dict.fromkeys(grammar.rules, False)
+    changed = True
+    while changed:
+        changed = False
+        for name, rd in grammar.rules.items():
+            if not touches[name] and _touches(rd.expr, touches):
+                touches[name] = changed = True
+    return touches
+
+
+def _same(head):
+    """A head with its characters as a set, for comparing."""
+    return None if head is None else (head[0], frozenset(head[1]), head[2])
+
+
+def _fast_head(tables, ins):
+    """Head of an exact instruction's fast form, or None: through a
+    reference, the head of the rule's body, which ends because validation
+    rejects left recursion."""
+    if _regex(ins) is not None:  # an RE instruction
+        return None
+    op = ins[0]
+    if op <= ISTR:
+        return _same(_terminal_head(ins[1]))
+    if op == SEQ:
+        return _fast_head(tables, ins[2][0])
+    if op == ALT:
+        heads = [_fast_head(tables, k) for k in ins[2][:-1]]
+        if None in heads:
+            return None
+        mask = 0
+        for h in heads:
+            mask |= h[0]
+        return mask, frozenset().union(*(h[1] for h in heads)), any(h[2] for h in heads)
+    if op == CHARS:
+        return _same(_terminal_head(ins[2])) if ins[3] else None
+    if op == REF:
+        return _fast_head(tables, tables.bodies[EXACT][ins[2]])
+    if op == CAPTURE and _regex(ins[2]) is None or op == QUIET or op == REP and ins[3]:
+        return _fast_head(tables, ins[2])
+    return None
+
+
+def _grammars():
+    rng = random.Random(20261019)
+    for i in range(180):
+        yield (lambda g: gen_grammar(g, 4), gen_sound_grammar, gen_lowerable_grammar)[i % 3](rng)
+    for path in ("grammars/calc.peg", "bench/json.peg"):
+        yield load_grammar(ROOT / path)
+    yield meta_grammar()
+    # pushes and calls inside a predicate do not count: only Peek touches
+    yield r.grammar({"Top": r.seq(r.and_pred(r.ref("Peek")), r.ref("Look")),
+                     "Peek": r.capture(r.ch("a")), "Look": r.not_pred(r.capture(r.ch("b")))})
+
+
+def test_the_facts_pass_agrees_with_the_recursive_definitions():
+    cyclic_heads = 0
+    for grammar in _grammars():
+        tables = Parser(grammar)._tables
+        touches = _rule_touches(grammar)
+        assert tables._rule_touches == touches  # rule by rule
+        for name, rd in grammar.rules.items():
+            assert _same(tables._heads[name]) == _fast_head(tables, tables.bodies[EXACT][name]), name
+            cyclic_heads += name not in tables._acyclic and tables._heads[name] is not None
+            for node in r.walk(rd.expr):  # node by node
+                ins, touched = tables._compile(node)
+                assert touched == _touches(node, touches), node
+                assert _same(tables._head(ins)) == _fast_head(tables, ins), node
+    assert cyclic_heads > 50  # rules on cycles with a head are covered
