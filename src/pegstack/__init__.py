@@ -13,15 +13,13 @@ from .effects import (BranchEffectMismatch, EffectCheckError, EffectError, Effec
                       UnsupportedRepetitionEffect, WILDCARD, check_grammar, choice_compose,
                       cons, infer_effect, repetition_effect, seq_compose)
 from .engine import (ACTION_FAIL, EngineFault, InternalFault, ParseFailed, Parser,
-                     ParserState, RunResult, Trace, format_trace_event, match_expr, run)
-from .errors import (ParseError, Position, RuleTrace, TerminalDescriptor,
-                     collect_rule_traces, establish_principal_error_index, format_error,
-                     position_of)
+                     ParserState, RunResult, Trace, format_trace_event)
+from .errors import ParseError, Position, RuleTrace, TerminalDescriptor, format_error, position_of
 from .notation import (GrammarSource, NotationError, load_grammar, parse_grammar,
                        pretty_grammar)
 from .rules import (ALPHA, ANY, DIGIT, EOI, LOWER_HEX_LETTER, CharPredicate, Grammar,
                     GrammarError, GrammarIssue, GrammarTooDeep, RuleDef, RuleExpr, expr_text,
-                    grammar, predicate_contains, validate_grammar)
+                    grammar, validate_grammar)
 from .values import (StackUnderflow, Tree, UNIT, Value, ValueStack, list_value,
                      node_value, render_value, str_value)
 

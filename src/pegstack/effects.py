@@ -183,52 +183,63 @@ def repetition_effect(inner: StackEffect, kind: str) -> StackEffect:
 _REP_KIND = {r.Optional: "optional", r.ZeroOrMore: "zeroOrMore", r.OneOrMore: "oneOrMore"}
 
 
-def infer_effect(expr: r.RuleExpr, g: r.Grammar, _active: frozenset[str] = frozenset()) -> StackEffect:
+def infer_effect(expr: r.RuleExpr, g: r.Grammar, _active: frozenset[str] = frozenset(),
+                 _memo: dict | None = None) -> StackEffect:
     """Infer the stack effect of an expression within a grammar.
 
     Basic matchers are neutral. References use the declared effect when one
     exists; otherwise inference recurses through the target, which must not
     be cyclic (cyclic rules require declarations).
+
+    ``_memo`` keeps successful results, by rule name for references and by
+    node id otherwise, so each is inferred once; share one only while the
+    grammar and its nodes live. A success does not depend on ``_active``:
+    one that reached an active rule would reach it again through its own
+    cycle. Failures are not kept, so each raises as it would without a memo.
     """
     t = type(expr)
     if t in r.TERMINALS:
         return NEUTRAL
+    if _memo is None:
+        _memo = {}
+    key = expr.name if t is r.RuleRef else id(expr)
+    eff = _memo.get(key)
+    if eff is not None:
+        return eff
     if t is r.Capture:
-        inner = infer_effect(expr.inner, g, _active)
-        return StackEffect(inner.pops, inner.pushes + ("Str",))
-    if t is r.Push:
-        if expr.value.tag == "Unit":
-            return NEUTRAL
-        return StackEffect((), (expr.value.tag,))
-    if t is r.Drop:
-        return StackEffect((WILDCARD,) * expr.count, ())
-    if t is r.Action:
-        return expr.effect
-    if t is r.Quiet:
-        return infer_effect(expr.inner, g, _active)
-    if t in (r.AndPredicate, r.NotPredicate):
-        infer_effect(expr.inner, g, _active)  # the body must still check
-        return NEUTRAL
-    if t is r.Sequence:
+        inner = infer_effect(expr.inner, g, _active, _memo)
+        eff = StackEffect(inner.pops, inner.pushes + ("Str",))
+    elif t is r.Push:
+        eff = NEUTRAL if expr.value.tag == "Unit" else StackEffect((), (expr.value.tag,))
+    elif t is r.Drop:
+        eff = StackEffect((WILDCARD,) * expr.count, ())
+    elif t is r.Action:
+        eff = expr.effect
+    elif t is r.Quiet:
+        eff = infer_effect(expr.inner, g, _active, _memo)
+    elif t in (r.AndPredicate, r.NotPredicate):
+        infer_effect(expr.inner, g, _active, _memo)  # the body must still check
+        eff = NEUTRAL
+    elif t is r.Sequence:
         eff = NEUTRAL
         for child in expr.children:
-            eff = seq_compose(eff, infer_effect(child, g, _active))
-        return eff
-    if t is r.FirstOf:
-        branches = [infer_effect(a, g, _active) for a in expr.alternatives]
-        if len(branches) == 1:
-            return branches[0]
-        return choice_compose(branches)
-    if t in _REP_KIND:
-        return repetition_effect(infer_effect(expr.inner, g, _active), _REP_KIND[t])
-    if t is r.RuleRef:
+            eff = seq_compose(eff, infer_effect(child, g, _active, _memo))
+    elif t is r.FirstOf:
+        branches = [infer_effect(a, g, _active, _memo) for a in expr.alternatives]
+        eff = branches[0] if len(branches) == 1 else choice_compose(branches)
+    elif t in _REP_KIND:
+        eff = repetition_effect(infer_effect(expr.inner, g, _active, _memo), _REP_KIND[t])
+    elif t is r.RuleRef:
         rd = g.rules[expr.name]
-        if rd.effect is not None:
-            return rd.effect
-        if expr.name in _active:
-            raise UndeclaredRecursiveRule(expr.name)
-        return infer_effect(rd.expr, g, _active | {expr.name})
-    raise TypeError(f"unknown rule expression: {expr!r}")
+        eff = rd.effect
+        if eff is None:
+            if expr.name in _active:
+                raise UndeclaredRecursiveRule(expr.name)
+            eff = infer_effect(rd.expr, g, _active | {expr.name}, _memo)
+    else:
+        raise TypeError(f"unknown rule expression: {expr!r}")
+    _memo[key] = eff
+    return eff
 
 
 def check_grammar(g: r.Grammar) -> dict[str, StackEffect]:
@@ -241,9 +252,10 @@ def check_grammar(g: r.Grammar) -> dict[str, StackEffect]:
     """
     issues: list[tuple[str, EffectError]] = []
     report: dict[str, StackEffect] = {}
+    memo: dict = {}
     for name, rd in g.rules.items():
         try:
-            inferred = infer_effect(rd.expr, g, frozenset({name}))
+            inferred = infer_effect(rd.expr, g, frozenset({name}), memo)
             if rd.effect is not None:
                 pops = _unify_lists(inferred.pops, rd.effect.pops)
                 pushes = _unify_lists(inferred.pushes, rd.effect.pushes)

@@ -2,9 +2,9 @@
 
 One ParserState per run holds the executor's input, cursor (at the next
 unmatched character), value stack and counters; error collection's
-mismatch frontier; the tag check's findings; and an observer, such as a
-``Trace``, that sees each rule open and close and each traced step. Error
-collection and tag checks stay inline: calls out would slow the error pass.
+mismatch frontier; and an observer, such as a ``Trace``, that sees each
+rule open and close and each traced step. Error collection stays inline:
+calls out would slow the error pass.
 Every expression match restores cursor and stack to their entry values
 when it fails, so prioritized choice can simply try the next alternative.
 
@@ -54,7 +54,6 @@ value, matching what the effect checker reports for them.
 from __future__ import annotations
 
 from . import rules as r
-from .effects import unify_tag
 from .errors import (MODE_COLLECT, MODE_OFF, ParseError, build_parse_error, format_error,
                      rule_traces)
 from .instructions import EXACT, FAST, OPS, QUIET, RULE, Tables
@@ -100,14 +99,13 @@ class EngineStats:
 class ParserState:
     """One run's data, by owner: the executor's ``input``, ``cursor``, ``stack``
     and ``stats``; error collection's ``error_mode``, ``frontier`` and
-    ``collected``; ``_act``'s tag check, ``check_tags`` and ``tag_mismatches``;
-    and the ``observer``, which ``events`` sets to a Trace into that list."""
+    ``collected``; and the ``observer``, which ``events`` sets to a Trace into
+    that list."""
 
     __slots__ = ("input", "cursor", "stack", "stats", "error_mode", "frontier", "collected",
-                 "check_tags", "tag_mismatches", "observer")
+                 "observer")
 
-    def __init__(self, text: str, *, error_mode: str = MODE_OFF,
-                 events: list | None = None, check_tags: bool = False):
+    def __init__(self, text: str, *, error_mode: str = MODE_OFF, events: list | None = None):
         self.input = text
         self.cursor = 0
         self.stack = ValueStack()
@@ -118,8 +116,6 @@ class ParserState:
         # when the pass ends, their rule traces
         self.frontier: list[tuple] = []
         self.collected: list = []
-        self.check_tags = check_tags
-        self.tag_mismatches: list[tuple[str, str, str]] = []
         self.observer = None if events is None else Trace(events)
 
 
@@ -339,7 +335,6 @@ class Parser:
         frontier = state.frontier
         compact_at = _COMPACT_AT
         path = ()  # collecting: the open rules, innermost first, as cons cells
-        check_tags = state.check_tags
         instrumented = traced or collecting  # rules open frames
         not_depth = quiet_depth = 0
         pending = None  # a SEQ or PRED whose terminal head is being tested
@@ -360,8 +355,8 @@ class Parser:
                 observer.enter(rule, pos)
             if collecting:
                 path = (rule, path)
-        (CH, ANY, CLASS, STR, EOI, NONE, ICH, ISTR, SEQ, ALT, REF, CHARS, ACTION, CONS,
-         CAPTURE, REP, OPT, PRED, PUSH, DROP, QUIET, RE, SWITCH, LOOP, MAYBE) = OPS
+        (CH, CLASS, STR, EOI, ISTR, SEQ, ALT, REF, CHARS, ACTION, CONS, CAPTURE, REP, OPT,
+         PRED, PUSH, DROP, QUIET, RE, SWITCH, LOOP, MAYBE) = OPS
         try:
             while True:
                 # -- enter ins --------------------------------------------------
@@ -371,10 +366,6 @@ class Parser:
                     at = pos
                     if op == CH:
                         ok = pos < n and text[pos] == ins[2]
-                        if ok:
-                            pos += 1
-                    elif op == ANY:
-                        ok = pos < n
                         if ok:
                             pos += 1
                     elif op == CLASS:
@@ -392,14 +383,6 @@ class Parser:
                             pos += ins[3]
                     elif op == EOI:
                         ok = pos == n
-                    elif op == NONE:
-                        ok = pos < n and not ins[2](text[pos])
-                        if ok:
-                            pos += 1
-                    elif op == ICH:
-                        ok = pos < n and text[pos].lower() == ins[2]
-                        if ok:
-                            pos += 1
                     else:  # ISTR
                         end = pos + ins[3]
                         ok = text[pos:end].lower() == ins[2]
@@ -527,11 +510,8 @@ class Parser:
                         elif at > max_cursor:
                             max_cursor = at
                 elif op == CONS:
-                    if check_tags:  # the general path records tag mismatches
-                        ok = self._act(state, ins)
-                    else:
-                        push(Value("Node", Tree(ins[2], stack.take(ins[3]))))
-                        ok = True
+                    push(Value("Node", Tree(ins[2], stack.take(ins[3]))))
+                    ok = True
                 elif op == ACTION:
                     ok = self._act(state, ins)
                 elif op == CAPTURE:
@@ -717,12 +697,6 @@ class Parser:
         if n:
             snap = stack.snapshot()
             args = stack.take(n)  # deepest first
-            if state.check_tags:
-                pops = node.effect.pops
-                for j in range(n - 1, -1, -1):  # in popping order
-                    if unify_tag(pops[j], args[j].tag) is None:
-                        state.tag_mismatches.append(
-                            (node.name or "<action>", pops[j], args[j].tag))
         else:
             snap = None
             args = ()
@@ -746,12 +720,3 @@ class Parser:
     def _materialize(self, stack: ValueStack, base: int, tag: str) -> None:
         stack.push(list_value(stack.take(stack.size() - base), tag))
 
-
-def run(grammar: r.Grammar, start: str | None, text: str, mode: str = "result", **kwargs):
-    """One-shot convenience over Parser(grammar).run(...)."""
-    return Parser(grammar).run(text, start=start, mode=mode, **kwargs)
-
-
-def match_expr(state: ParserState, expr: r.RuleExpr, grammar: r.Grammar) -> bool:
-    """Match a single expression against the state's current position."""
-    return Parser(grammar).match(state, expr)

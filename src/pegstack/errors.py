@@ -149,18 +149,6 @@ def build_parse_error(parser, text: str, start: str | None = None) -> ParseError
     return ParseError(pos, pos, traces)
 
 
-def establish_principal_error_index(g: r.Grammar, start: str, text: str) -> int:
-    from .engine import Parser
-
-    return principal_error_index(Parser(g), text, start)
-
-
-def collect_rule_traces(g: r.Grammar, start: str, text: str) -> tuple[RuleTrace, ...]:
-    from .engine import Parser
-
-    return trace_collection(Parser(g), text, start)[1]
-
-
 # ---------------------------------------------------------------------------
 # formatting
 

@@ -11,8 +11,8 @@ fixpoint over the rules then gives which rules touch it, and compiling a
 node takes its own flag from its children's.
 
 * EXACT: every run whose step and mismatch counters must be exact
-  (``match``, ``match_rule``, ``run_phase``, the error pass, checked runs)
-  and every observed run. A repetition of one single-character terminal is
+  (``match``, ``match_rule``, ``run_phase``, the error pass) and every
+  observed run. A repetition of one single-character terminal is
   one fused scan, a sequence with a terminal head tests it before opening a
   frame, and a predicate over a terminal resolves in place; an observed run
   logs the steps these shortcuts stand for. Each instruction ends with the
@@ -27,8 +27,9 @@ node takes its own flag from its children's.
   ``.`` under DOTALL, EOI is ``\\Z``, and a reference to a rule off every
   cycle is inlined. Ignore-case terminals (``str.lower`` and
   ``re.IGNORECASE`` disagree, e.g. on "ſ"), predicates decided by an
-  ``extra`` function, and a fragment that ``re`` rejects stay instructions;
-  a lone terminal and a fused scan gain nothing and stay too. A reference
+  ``extra`` function, a source longer than ``_MAX_SOURCE`` and a fragment
+  that ``re`` rejects stay instructions; a lone terminal and a fused scan
+  gain nothing and stay too. A reference
   to a rule off every cycle becomes that rule's fast body, shared. Each
   instruction whose first action is a terminal test has a head, the
   characters it can start with: a choice with headed alternatives becomes
@@ -47,11 +48,13 @@ import re
 from . import rules as r
 from .effects import ConsFn, EffectError, infer_effect, repetition_shape
 
-# opcodes: terminals first, so "op <= ISTR" tells a terminal; RE, SWITCH,
-# LOOP and MAYBE occur in the fast table only; a frame is tagged with the
-# opcode of the node that opened it, or with RULE
-OPS = (CH, ANY, CLASS, STR, EOI, NONE, ICH, ISTR, SEQ, ALT, REF, CHARS, ACTION, CONS,
-       CAPTURE, REP, OPT, PRED, PUSH, DROP, QUIET, RE, SWITCH, LOOP, MAYBE) = range(25)
+# opcodes: terminals first, so "op <= ISTR" tells a terminal (a CLASS also
+# stands for "." and a none-of set, an ISTR for an ignore-case character);
+# RE, SWITCH, LOOP and MAYBE occur in the fast table only; a frame is tagged
+# with the opcode of the node that opened it, or with RULE. Numbered from 3,
+# so that RE to RULE keep the values that parametrized test ids show
+OPS = (CH, CLASS, STR, EOI, ISTR, SEQ, ALT, REF, CHARS, ACTION, CONS, CAPTURE, REP, OPT,
+       PRED, PUSH, DROP, QUIET, RE, SWITCH, LOOP, MAYBE) = range(3, 25)
 RULE = 25
 # single-character terminals whose repetitions run as one fused scan
 _FUSED_TYPES = (r.Ch, r.AnyChar, r.CharPred, r.AnyOf, r.NoneOf)
@@ -61,7 +64,15 @@ EXACT, FAST = 0, 1
 # rule reference already run as one instruction
 _LOWERED = (SEQ, ALT, REP, OPT, PRED)
 _ASCII = (1 << 128) - 1
+# longest regex source a node keeps: inlining each acyclic rule's source
+# into every reference to it can double the source per rule
+_MAX_SOURCE = 10_000
 _WRAPPERS = (r.Optional, r.ZeroOrMore, r.OneOrMore, r.Capture, r.Quiet)
+
+
+def _always(c: str) -> bool:
+    """Membership above ASCII of "." and of a none-of set without ``extra``."""
+    return True
 
 
 def _class_char(o: int) -> str:
@@ -223,6 +234,7 @@ class Tables:
 
     def __init__(self, grammar: r.Grammar):
         self.grammar = grammar
+        self._effects: dict | None = {}  # infer_effect's memo while the rules compile
         exprs = {name: rd.expr for name, rd in grammar.rules.items()}
         facts = {name: _facts(expr) for name, expr in exprs.items()}
         # least fixpoint over the rules: a rule touches the stack when one of
@@ -247,6 +259,7 @@ class Tables:
         exact, fast = self.bodies = ({}, {})  # EXACT, FAST
         for name in [*acyclic, *cyclic]:
             exact[name] = self.compile(exprs[name])
+        self._effects = None  # compile() of a node outside the rules infers afresh
         # heads, then fast bodies, in the same order, so an acyclic rule's
         # are ready for the references that run it in place. The heads of
         # the rules that reach a cycle are one least fixpoint: each starts
@@ -353,7 +366,10 @@ class Tables:
         the value stack, from its children's: a node whose children touch
         nothing touches nothing unless it pushes or pops itself."""
         ins, touches = self._instruction(node)
-        return ins + (self._source(node, ins),), touches
+        source = self._source(node, ins)
+        if source is not None and len(source) > _MAX_SOURCE:
+            source = None
+        return ins + (source,), touches
 
     def _source(self, node, ins: tuple) -> str | None:
         """Regex source of a node, from its compiled children's."""
@@ -391,14 +407,15 @@ class Tables:
             return (STR, node, node.text, len(node.text)), False
         if t is r.EndOfInput:
             return (EOI, node), False
-        if t is r.IgnoreCaseCh:
-            return (ICH, node, node.char.lower()), False
-        if t is r.IgnoreCaseStr:
-            return (ISTR, node, node.text.lower(), len(node.text)), False
+        if t is r.IgnoreCaseStr or t is r.IgnoreCaseCh:
+            text = node.text if t is r.IgnoreCaseStr else node.char
+            return (ISTR, node, text.lower(), len(text)), False
         if t is r.NoneOf:
-            return (NONE, node, node.pred.contains), False
+            extra = node.pred.extra
+            return (CLASS, node, ~node.pred.mask & _ASCII,
+                    _always if extra is None else lambda c: not extra(c)), False
         if t is r.AnyChar:
-            return (ANY, node), False
+            return (CLASS, node, _ASCII, _always), False
         if t is r.Sequence or t is r.FirstOf:
             # the children, then None to mark the end; a SEQ's last operand
             # tells a terminal head that is tested before the frame opens
@@ -443,7 +460,8 @@ class Tables:
     def _collect_tag(self, node) -> str | None:
         """Element tag when the repetition body is collecting, else None."""
         try:
-            shape, info = repetition_shape(infer_effect(node.inner, self.grammar))
+            shape, info = repetition_shape(infer_effect(node.inner, self.grammar,
+                                                        _memo=self._effects))
         except (EffectError, KeyError, TypeError):
             return None
         return info if shape == "collecting" else None

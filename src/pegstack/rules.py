@@ -70,10 +70,6 @@ class CharPredicate:
         return CharPredicate(_mask_of(chars), extra, name)
 
 
-def predicate_contains(pred: CharPredicate, ch: str) -> bool:
-    return pred.contains(ch)
-
-
 DIGIT = CharPredicate(_range_mask("0", "9"), name="Digit")
 ALPHA = CharPredicate(_range_mask("a", "z") | _range_mask("A", "Z"), name="Alpha")
 LOWER_HEX_LETTER = CharPredicate(_range_mask("a", "f"), name="LowerHexLetter")

@@ -5,7 +5,9 @@
 Run it once under each source tree (a copy of this file in the other tree's
 ``tests/``); identical digests mean that the two engines agree on every
 pair. It imports pegstack from the ``src/`` next to this file. For each
-family it prints one SHA-256 over, for each (grammar, input) pair:
+family it prints one SHA-256 over ``check_grammar``'s outcome for each
+grammar (the report, or the error's text) and, for each (grammar, input)
+pair:
 
 * ``Parser.run``: kind, rendered values, error position, expected list and fault;
 * ``run_phase`` on the exact table: steps, mismatches, max cursor and cursor;
@@ -35,6 +37,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from generators import (ALPHABET, LOWERABLE_ALPHABET, gen_grammar, gen_input,  # noqa: E402
                         gen_lowerable_grammar, gen_sound_grammar)
+from pegstack.effects import check_grammar  # noqa: E402
 from pegstack.engine import Parser, ParserState, Trace, format_trace_event  # noqa: E402
 from pegstack.errors import MODE_COLLECT  # noqa: E402
 from pegstack.instructions import (ALT, CAPTURE, FAST, LOOP, MAYBE, OPT, PRED, QUIET,  # noqa: E402
@@ -56,6 +59,10 @@ def _guarded(fn) -> str:
         return fn()
     except Exception as exc:  # a fault is part of what is compared
         return f"raised {type(exc).__name__}: {exc}"
+
+
+def _check(grammar) -> str:
+    return "\n".join(f"{name} {effect}" for name, effect in check_grammar(grammar).items())
 
 
 def _run(parser: Parser, text: str) -> str:
@@ -119,6 +126,7 @@ def family_digest(name: str, seed: int, pairs: int) -> tuple[str, int]:
     dispatches = 0
     for _ in range(-(-pairs // INPUTS_PER_GRAMMAR)):
         grammar = make(rng)
+        digest.update(_guarded(lambda: _check(grammar)).encode("utf-8", "surrogatepass") + b"\x02")
         parser = Parser(grammar)
         dispatches += dispatch_count(parser)
         for _ in range(INPUTS_PER_GRAMMAR):

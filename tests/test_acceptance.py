@@ -25,6 +25,7 @@ from conftest import DATA, GRAMMARS
 from generators import (ALPHABET, LOWERABLE_ALPHABET, big_expression, gen_effect, gen_grammar,
                         gen_input, gen_lowerable_grammar, gen_sound_grammar)
 from reference_interp import ref_run
+from tag_check import tag_checked
 
 
 @contextmanager
@@ -179,15 +180,16 @@ def test_criterion_6_effect_soundness():
         while cases < 10_000:
             g = gen_sound_grammar(rng)
             check_grammar(g)  # generated to pass; a failure here fails the test
-            parser = Parser(g)
+            checked, findings = tag_checked(g)
+            parser = Parser(checked)
             for _ in range(4):
                 text = gen_input(rng)
-                state = ParserState(text, check_tags=True)
+                state = ParserState(text)
                 try:
                     parser.match_rule(state, g.start)
                 except StackUnderflow:
                     pytest.fail(f"underflow on checked grammar, input {text!r}")
-                assert state.tag_mismatches == []
+                assert findings == []
                 cases += 1
 
 

@@ -16,6 +16,7 @@ from pegstack.values import Value, node_value
 
 from generators import gen_effect
 from reference_interp import RefFault, ref_run
+from tag_check import tag_checked
 
 
 def eff(pops, pushes):
@@ -211,9 +212,10 @@ def test_cons_declares_the_tag_of_the_node_it_builds():
     popper = r.Action(1, wrap, StackEffect(("Node",), ("Node",)), name="wrap")
     g = validate_grammar(r.grammar({"Top": r.seq(r.capture(r.ch("a")), cons("Leaf", 1), popper)}))
     assert check_grammar(g)["Top"] == StackEffect((), ("Node",))
-    state = ParserState("a", check_tags=True)
-    assert Parser(g).match_rule(state, "Top")
-    assert state.tag_mismatches == []
+    checked, findings = tag_checked(g)
+    state = ParserState("a")
+    assert Parser(checked).match_rule(state, "Top")
+    assert findings == []
     assert state.stack.values() == (node_value("Wrap", node_value("Leaf", Value("Str", "a"))),)
 
     # no option declares another tag for the node, and a popping action that

@@ -7,8 +7,7 @@ import pytest
 from pegstack import rules as r
 from pegstack.effects import StackEffect, cons
 from pegstack.engine import (ACTION_FAIL, ActionRaised, EngineFault, InternalFault, ParseFailed,
-                             Parser, ParserState, RunResult, Trace, format_trace_event,
-                             match_expr, run)
+                             Parser, ParserState, RunResult, Trace, format_trace_event)
 from pegstack.errors import MODE_COLLECT, principal_error_index
 from pegstack.instructions import EXACT, FAST, LOOP, MAYBE, RE, REF, SWITCH
 from pegstack.notation import load_grammar, parse_grammar
@@ -19,6 +18,7 @@ from conftest import DATA, ROOT
 from generators import (ALPHABET, LOWERABLE_ALPHABET, big_expression, gen_grammar, gen_input,
                         gen_lowerable_grammar, gen_neutral, gen_sound_grammar)
 from reference_interp import ref_match, ref_run
+from tag_check import tag_checked
 
 
 def _grammar(expr, **extra):
@@ -108,7 +108,7 @@ def test_walkthrough_final_cursor(foo_grammar):
 def test_str_match_advances_and_leaves_stack():
     g = _grammar(r.Str("ab"))
     state = _state("abc", stack=[str_value("keep")])
-    assert match_expr(state, r.Str("ab"), g)
+    assert Parser(g).match(state, r.Str("ab"))
     assert state.cursor == 2
     assert state.stack.values() == (str_value("keep"),)
 
@@ -116,7 +116,7 @@ def test_str_match_advances_and_leaves_stack():
 def test_not_predicate_inverts_and_restores():
     g = _grammar(r.ch("a"))
     state = _state("abc")
-    assert not match_expr(state, r.not_pred(r.ch("a")), g)
+    assert not Parser(g).match(state, r.not_pred(r.ch("a")))
     assert state.cursor == 0
     assert state.stack.values() == ()
 
@@ -124,7 +124,7 @@ def test_not_predicate_inverts_and_restores():
 def test_and_predicate_restores_cursor_and_stack():
     g = _grammar(r.ch("a"))
     state = _state("abc")
-    assert match_expr(state, r.and_pred(r.capture(r.Str("ab"))), g)
+    assert Parser(g).match(state, r.and_pred(r.capture(r.Str("ab"))))
     assert state.cursor == 0
     assert state.stack.values() == ()
 
@@ -137,7 +137,7 @@ def test_capture_pushes_matched_slice():
     assert (ok, pos, stack) == (True, 2, (str_value("42"),))
 
     state = _state("42+")
-    assert match_expr(state, expr, g)
+    assert Parser(g).match(state, expr)
     assert state.cursor == 2
     assert state.stack.values() == (str_value("42"),)
 
@@ -146,7 +146,7 @@ def test_capture_failure_pushes_nothing():
     expr = r.capture(r.one_or_more(r.CharPred(DIGIT)))
     g = _grammar(expr)
     state = _state("x1")
-    assert not match_expr(state, expr, g)
+    assert not Parser(g).match(state, expr)
     assert state.cursor == 0
     assert state.stack.values() == ()
 
@@ -154,26 +154,39 @@ def test_capture_failure_pushes_nothing():
 def test_ignore_case_matchers():
     g = _grammar(r.IgnoreCaseStr("ab"))
     state = _state("AbC")
-    assert match_expr(state, r.IgnoreCaseStr("aB"), g)
+    assert Parser(g).match(state, r.IgnoreCaseStr("aB"))
     assert state.cursor == 2
     state = _state("zZ")
-    assert match_expr(state, r.IgnoreCaseCh("Z"), g) and state.cursor == 1
+    assert Parser(g).match(state, r.IgnoreCaseCh("Z")) and state.cursor == 1
+
+
+def test_ignore_case_and_none_of_steps_are_traced_by_their_notation():
+    g = _grammar(r.seq(r.IgnoreCaseCh("z"), r.one_or_more(r.none_of("+-"))))
+    events = []
+    assert Parser(g).run("Zq+", observer=Trace(events)).ok
+    assert [format_trace_event(e) for e in events] == [
+        "step 1: Top @ 0 -> start",
+        'step 2: ^"z" @ 0 -> match (0->1)',
+        "step 3: ![+-] . @ 1 -> match (1->2)",
+        "step 4: ![+-] . @ 2 -> mismatch",
+        "step 5: Top @ 0 -> match (0->2)",
+    ]
 
 
 def test_end_of_input_never_advances():
     g = _grammar(r.EOI)
     state = _state("ab", cursor=2)
-    assert match_expr(state, r.EOI, g)
+    assert Parser(g).match(state, r.EOI)
     assert state.cursor == 2
     state = _state("ab")
-    assert not match_expr(state, r.EOI, g)
+    assert not Parser(g).match(state, r.EOI)
 
 
 def test_any_char_fails_only_at_end():
     g = _grammar(r.ANY)
     state = _state("x")
-    assert match_expr(state, r.ANY, g) and state.cursor == 1
-    assert not match_expr(state, r.ANY, g)
+    assert Parser(g).match(state, r.ANY) and state.cursor == 1
+    assert not Parser(g).match(state, r.ANY)
     assert state.cursor == 1
 
 
@@ -407,7 +420,7 @@ def test_prioritized_choice_commits_to_first_success():
     expr = r.first_of(r.seq(r.ch("a"), probe(1)), r.seq(r.ch("a"), probe(2)))
     g = _grammar(expr)
     state = _state("a")
-    assert match_expr(state, expr, g)
+    assert Parser(g).match(state, expr)
     assert calls == [1]  # the second alternative is never attempted
 
 
@@ -417,7 +430,7 @@ def test_zero_or_more_is_total():
     for _ in range(300):
         inner = gen_neutral(rng, 3, [])
         state = _state(gen_input(rng))
-        assert match_expr(state, r.zero_or_more(inner), g)
+        assert Parser(g).match(state, r.zero_or_more(inner))
 
 
 def test_nullable_repetition_body_terminates():
@@ -452,7 +465,7 @@ def test_action_argument_order_is_deepest_first():
                  r.Action(3, fn, StackEffect(("Str", "Str", "Str"), ()), name="probe"))
     g = _grammar(expr)
     state = _state("")
-    assert match_expr(state, expr, g)
+    assert Parser(g).match(state, expr)
     assert seen["args"] == (str_value("bottom"), str_value("mid"), str_value("top"))
     assert state.stack.values() == ()  # unit action pushes nothing
 
@@ -465,12 +478,12 @@ def test_action_failure_restores_popped_values():
     expr = r.seq(r.push(str_value("v")), action)
     g = _grammar(expr)
     state = _state("")
-    assert not match_expr(state, expr, g)
+    assert not Parser(g).match(state, expr)
     assert state.stack.values() == ()  # sequence failure restored everything
 
     state = _state("")
     state.stack.push(str_value("v"))
-    assert not match_expr(state, action, g)
+    assert not Parser(g).match(state, action)
     assert state.stack.values() == (str_value("v"),)
 
 
@@ -481,7 +494,7 @@ def test_action_can_push_multiple_values():
     action = r.Action(0, fn, StackEffect((), ("Str", "Str")), name="two")
     g = _grammar(action)
     state = _state("")
-    assert match_expr(state, action, g)
+    assert Parser(g).match(state, action)
     assert state.stack.values() == (str_value("1"), str_value("2"))
 
 
@@ -526,17 +539,19 @@ def test_cons_underflow_is_the_stack_fault():
     result = Parser(g).run("a")
     assert result.fault == InternalFault("value stack underflow: pop from empty value stack")
     with pytest.raises(StackUnderflow, match="pop from empty value stack"):
-        Parser(g).match_rule(ParserState("a", check_tags=True), "Top")
+        Parser(tag_checked(g)[0]).match_rule(ParserState("a"), "Top")
 
 
 def test_cons_tag_mismatches_are_recorded_when_checked():
     expr = r.seq(r.capture(r.ch("a")), r.capture(r.ch("b")),
                  cons("Pair", 2, pops=("Node", "Str")))
     g = _grammar(expr)
-    for check_tags, mismatches in ((True, [("cons(Pair,2)", "Node", "Str")]), (False, [])):
-        state = ParserState("ab", check_tags=check_tags)
-        assert Parser(g).match_rule(state, "Top")
-        assert state.tag_mismatches == mismatches
+    checked, findings = tag_checked(g)
+    for grammar, mismatches in ((checked, [("cons(Pair,2)", "Node", "Str")]), (g, [])):
+        state = ParserState("ab")
+        assert Parser(grammar).match_rule(state, "Top")
+        assert findings == mismatches
+        findings.clear()
         assert [render_value(v) for v in state.stack.values()] == ['Pair("a","b")']
 
 
@@ -603,7 +618,7 @@ def test_standard_expressions_never_change_stack():
         if _has_stack_ops(expr):
             continue
         state = _state(gen_input(rng), stack=[str_value("s")])
-        match_expr(state, expr, g)
+        Parser(g).match(state, expr)
         assert state.stack.values() == (str_value("s"),)
 
 
@@ -650,36 +665,36 @@ def test_run_full_expression_ast(calc_grammar):
 
 
 def test_delivery_mode_result(calc_grammar):
-    result = run(calc_grammar, "InputLine", "1+2", mode="result")
+    result = Parser(calc_grammar).run("1+2", start="InputLine", mode="result")
     assert result.ok and result.error is None and result.fault is None
 
 
 def test_delivery_mode_either(calc_grammar):
-    values, err = run(calc_grammar, "InputLine", "1+2", mode="either")
+    values, err = Parser(calc_grammar).run("1+2", start="InputLine", mode="either")
     assert err is None and len(values) == 1
-    values, err = run(calc_grammar, "InputLine", "1+2!3", mode="either")
+    values, err = Parser(calc_grammar).run("1+2!3", start="InputLine", mode="either")
     assert values is None and err.position.index == 3
 
     g = _grammar(r.seq(r.ch("a"), r.drop(1)))  # underflows at runtime
-    values, err = run(g, "Top", "a", mode="either")
+    values, err = Parser(g).run("a", start="Top", mode="either")
     assert values is None and isinstance(err, InternalFault)
 
 
 def test_delivery_mode_raising(calc_grammar):
-    values = run(calc_grammar, "InputLine", "1+2", mode="raising")
+    values = Parser(calc_grammar).run("1+2", start="InputLine", mode="raising")
     assert len(values) == 1
     with pytest.raises(ParseFailed) as exc:
-        run(calc_grammar, "InputLine", "1+2!3", mode="raising")
+        Parser(calc_grammar).run("1+2!3", start="InputLine", mode="raising")
     assert "Invalid input" in str(exc.value)
 
     g = _grammar(r.seq(r.ch("a"), r.drop(1)))
     with pytest.raises(EngineFault):
-        run(g, "Top", "a", mode="raising")
+        Parser(g).run("a", start="Top", mode="raising")
 
 
 def test_unknown_delivery_mode(calc_grammar):
     with pytest.raises(ValueError):
-        run(calc_grammar, "InputLine", "1", mode="maybe")
+        Parser(calc_grammar).run("1", start="InputLine", mode="maybe")
 
 
 def test_action_exception_becomes_internal_fault():

@@ -6,9 +6,8 @@ import pytest
 from pegstack import rules as r
 from pegstack.engine import Parser
 from pegstack.errors import (MODE_COLLECT, MODE_OFF, ParseError, Position, RuleTrace,
-                             TerminalDescriptor, build_parse_error, collect_rule_traces,
-                             descriptor_of, establish_principal_error_index, format_error,
-                             position_of, principal_error_index)
+                             TerminalDescriptor, build_parse_error, descriptor_of, format_error,
+                             position_of, principal_error_index, trace_collection)
 from pegstack.rules import validate_grammar
 
 from generators import big_expression, gen_grammar, gen_input
@@ -43,12 +42,12 @@ def test_position_of_bounds():
 # -- principal error index ----------------------------------------------------------
 
 def test_calculator_principal_index(calc_grammar):
-    assert establish_principal_error_index(calc_grammar, "InputLine", "1+2!3") == 3
+    assert principal_error_index(Parser(calc_grammar), "1+2!3", "InputLine") == 3
 
 
 def test_single_char_grammar_principal_is_zero():
     g = validate_grammar(r.grammar({"A": r.ch("a")}))
-    assert establish_principal_error_index(g, "A", "b") == 0
+    assert principal_error_index(Parser(g), "b", "A") == 0
 
 
 def test_foo_grammar_principal_from_oracle_replay(foo_grammar):
@@ -57,13 +56,13 @@ def test_foo_grammar_principal_from_oracle_replay(foo_grammar):
     ok, _, _ = ref_run(foo_grammar, "abx", mismatches=mismatches)
     assert not ok
     assert max(mismatches) == 2
-    assert establish_principal_error_index(foo_grammar, "foo", "abx") == 2
+    assert principal_error_index(Parser(foo_grammar), "abx", "foo") == 2
 
 
 # -- trace collection ------------------------------------------------------------------
 
 def test_calculator_collects_six_traces(calc_grammar):
-    traces = collect_rule_traces(calc_grammar, "InputLine", "1+2!3")
+    traces = trace_collection(Parser(calc_grammar), "1+2!3", "InputLine")[1]
     assert len(traces) == 6
     rendered = {t.terminal.render() for t in traces}
     assert rendered == {"'/'", "'+'", "'*'", "'EOI'", "'-'", "Digit"}
@@ -73,7 +72,7 @@ def test_calculator_collects_six_traces(calc_grammar):
 
 def test_single_trace(calc_grammar):
     g = validate_grammar(r.grammar({"A": r.ch("a")}))
-    traces = collect_rule_traces(g, "A", "b")
+    traces = trace_collection(Parser(g), "b", "A")[1]
     assert len(traces) == 1
     assert traces[0].terminal.render() == "'a'"
     assert traces[0].frames == ("A",)
@@ -81,7 +80,7 @@ def test_single_trace(calc_grammar):
 
 def test_quiet_rule_suppresses_traces():
     g = validate_grammar(r.grammar({"A": r.quiet(r.ch("a"))}))
-    traces = collect_rule_traces(g, "A", "b")
+    traces = trace_collection(Parser(g), "b", "A")[1]
     assert traces == ()
     # the formatter falls back to an explicit empty expectation
     err = build_parse_error(Parser(g), "b")
@@ -242,6 +241,19 @@ def test_the_collect_pass_frontier_grows_with_the_traces_not_the_work():
         frames = tuple(f"S{i}" for i in range(k, 0, -1))
         assert state.collected == [RuleTrace(frames, TerminalDescriptor("char", c)) for c in "bc"]
     assert peaks[14] < 2 * peaks[10], peaks
+
+
+def test_the_collect_pass_compacts_a_frontier_of_fused_scans():
+    # every S0 call ends its 'x'* scan with a mismatch at the principal
+    # index, so the frontier passes its compaction bound on those scans
+    rules = {"S0": r.zero_or_more(r.ch("x"))}
+    for i in range(1, 9):
+        below = r.ref(f"S{i - 1}")
+        rules[f"S{i}"] = r.first_of(r.seq(below, r.ch("b")), r.seq(below, r.ch("c")))
+    g = validate_grammar(r.grammar(rules, start="S8"))
+    parser = Parser(g)
+    for text in ("", "xxx", "xxxd"):
+        assert trace_collection(parser, text, None) == ref_traces(g, text)
 
 
 def test_phases_are_deterministic(calc_grammar):

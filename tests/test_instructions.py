@@ -10,8 +10,10 @@ oracle.
 """
 
 import random
+import time
 
 from pegstack import rules as r
+from pegstack.effects import NEUTRAL, check_grammar
 from pegstack.engine import Parser
 from pegstack.instructions import (ALT, CAPTURE, CHARS, EXACT, ISTR, QUIET, REF, REP, SEQ,
                                    _regex, _terminal_head)
@@ -109,3 +111,22 @@ def test_the_facts_pass_agrees_with_the_recursive_definitions():
                 assert touched == _touches(node, touches), node
                 assert _same(tables._head(ins)) == _fast_head(tables, ins), node
     assert cyclic_heads > 50  # rules on cycles with a head are covered
+
+
+def test_a_chain_of_rules_that_double_checks_and_builds_in_linear_time():
+    # R_i <- R_i+1 R_i+1 / 'x': each undeclared rule's effect is inferred
+    # once, not once per reference, and the regex source that references
+    # inline stops growing at a bound instead of doubling per rule
+    rules = {f"R{i}": r.first_of(r.seq(r.ref(f"R{i + 1}"), r.ref(f"R{i + 1}")), r.ch("x"))
+             for i in range(40)}
+    rules["R40"] = r.ch("a")
+    grammar = r.validate_grammar(r.grammar(rules, start="R0"))
+    start = time.perf_counter()
+    report = check_grammar(grammar)
+    parser = Parser(grammar)
+    assert time.perf_counter() - start < 1.0
+    assert set(report.values()) == {NEUTRAL}
+    assert parser.run("x").values == ()
+    assert parser.run_phase("xx").cursor == 2
+    error = parser.run("aa").error
+    assert (error.position.index, error.expected()) == (2, ["'a'", "'x'"])

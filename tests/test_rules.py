@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from pegstack import rules as r
 from pegstack.engine import Parser, ParserState
 from pegstack.rules import (ALPHA, DIGIT, LOWER_HEX_LETTER, CharPredicate, GrammarError,
-                            predicate_contains, validate_grammar)
+                            validate_grammar)
 
 from generators import gen_grammar, gen_input
 
@@ -14,14 +14,14 @@ from generators import gen_grammar, gen_input
 # -- character predicates ----------------------------------------------------
 
 def test_digit_membership():
-    assert predicate_contains(DIGIT, "7")
-    assert not predicate_contains(DIGIT, "a")
+    assert DIGIT.contains("7")
+    assert not DIGIT.contains("a")
 
 
 def test_lower_hex_letter():
-    assert predicate_contains(LOWER_HEX_LETTER, "f")
-    assert not predicate_contains(LOWER_HEX_LETTER, "g")
-    assert not predicate_contains(LOWER_HEX_LETTER, "A")
+    assert LOWER_HEX_LETTER.contains("f")
+    assert not LOWER_HEX_LETTER.contains("g")
+    assert not LOWER_HEX_LETTER.contains("A")
 
 
 def test_alpha_matches_class_definition():
