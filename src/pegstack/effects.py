@@ -248,25 +248,37 @@ def check_grammar(g: r.Grammar) -> dict[str, StackEffect]:
     Each inferred effect must unify with the rule's declaration (if any),
     and the start rule must pop nothing, since a run begins with an empty
     stack. Raises EffectCheckError with all per-rule failures, and
-    GrammarTooDeep when a rule is nested too deeply to infer.
+    GrammarTooDeep when a rule is nested too deeply to infer. Rules are
+    inferred callee first and reported in grammar order.
     """
-    issues: list[tuple[str, EffectError]] = []
-    report: dict[str, StackEffect] = {}
+    # every rule after the undeclared rules it references: a reference then
+    # finds its rule's effect in the memo, so no inference recurses through
+    # a chain of references
+    undeclared = {name for name, rd in g.rules.items() if rd.effect is None}
+    calls = {name: [n.name for n in r.walk(rd.expr)
+                    if type(n) is r.RuleRef and n.name in undeclared]
+             for name, rd in g.rules.items()}
+    outcome: dict[str, StackEffect | EffectError] = {}
     memo: dict = {}
-    for name, rd in g.rules.items():
-        try:
-            inferred = infer_effect(rd.expr, g, frozenset({name}), memo)
-            if rd.effect is not None:
-                pops = _unify_lists(inferred.pops, rd.effect.pops)
-                pushes = _unify_lists(inferred.pushes, rd.effect.pushes)
-                if pops is None or pushes is None:
-                    raise EffectMismatch(0, str(rd.effect), str(inferred))
-                inferred = StackEffect(pops, pushes)
-            report[name] = inferred
-        except EffectError as err:
-            issues.append((name, err))
-        except RecursionError:
-            raise r.GrammarTooDeep() from None
+    try:
+        for name in r.depth_first(calls)[0]:
+            rd = g.rules[name]
+            try:
+                inferred = infer_effect(rd.expr, g, frozenset({name}), memo)
+                if rd.effect is not None:
+                    pops = _unify_lists(inferred.pops, rd.effect.pops)
+                    pushes = _unify_lists(inferred.pushes, rd.effect.pushes)
+                    if pops is None or pushes is None:
+                        raise EffectMismatch(0, str(rd.effect), str(inferred))
+                    inferred = StackEffect(pops, pushes)
+                outcome[name] = inferred
+            except EffectError as err:
+                outcome[name] = err
+    except RecursionError:
+        raise r.GrammarTooDeep() from None
+    report = {name: outcome[name] for name in g.rules
+              if not isinstance(outcome[name], EffectError)}
+    issues = [(name, outcome[name]) for name in g.rules if name not in report]
     if g.start in report and report[g.start].pops:
         issues.append((g.start, StartRulePops(g.start, report[g.start].pops)))
     if issues:

@@ -14,7 +14,10 @@ the node's static facts. One iterative executor runs them with an explicit
 continuation stack: each open Sequence, FirstOf, repetition, predicate,
 Capture, Optional and Quiet holds one frame, and so does each open rule in
 observed and error-collecting runs. Nesting depth is therefore bounded by
-the input, not by the interpreter's recursion limit.
+the input, not by the interpreter's recursion limit. The executor knows
+five terminal opcodes and no node types: a CLASS carries the ASCII mask
+and the function for other characters of a predicate, a none-of set or
+".", and an ACTION the function and arity of an action, a push or a drop.
 
 ``Parser.run`` takes the fast table unless it is observed. There each
 stack-free fragment runs as one regex, so the run's step and mismatch
@@ -67,15 +70,10 @@ _RULE_FRAME = (RULE,)  # a rule open in a collecting run that no observer watche
 _COMPACT_AT = 64  # the error pass compacts its frontier past twice its kept length plus this
 
 
-def _scan(inner: r.RuleExpr, text: str, i: int) -> int:
-    """End of the run of inner's characters from i, for predicates without a regex."""
+def _scan(mask: int, extra, text: str, i: int) -> int:
+    """End of the run from i of a CLASS's characters, (ASCII mask, function
+    for the others), for a class without a regex."""
     n = len(text)
-    pred = inner.pred
-    if type(inner) is r.NoneOf:
-        while i < n and not pred.contains(text[i]):
-            i += 1
-        return i
-    mask, extra = pred.mask, pred.extra
     while i < n:
         c = text[i]
         o = ord(c)
@@ -356,7 +354,7 @@ class Parser:
             if collecting:
                 path = (rule, path)
         (CH, CLASS, STR, EOI, ISTR, SEQ, ALT, REF, CHARS, ACTION, CONS, CAPTURE, REP, OPT,
-         PRED, PUSH, DROP, QUIET, RE, SWITCH, LOOP, MAYBE) = OPS
+         PRED, QUIET, RE, SWITCH, LOOP, MAYBE) = OPS
         try:
             while True:
                 # -- enter ins --------------------------------------------------
@@ -482,14 +480,16 @@ class Parser:
                     # each attempt counts one step, and the attempt that
                     # ends the run is a mismatch either way
                     scan = ins[4]
-                    at = scan(text, pos).end() if scan is not None else _scan(ins[2], text, pos)
+                    term = ins[2]
+                    at = (scan(text, pos).end() if scan is not None
+                          else _scan(term[2], term[3], text, pos))
                     count = at - pos
                     steps += count + 1 + ins[5]  # a fused Capture counts its own step
                     if traced:  # the attempts of the repetition it stands for
                         for c in range(pos, at):
-                            observer.event(ins[2], c, "match", c, c + 1)
+                            observer.event(term[1], c, "match", c, c + 1)
                         fail_at = at
-                        observer.event(ins[2], at, "mismatch", None, None)
+                        observer.event(term[1], at, "mismatch", None, None)
                     ok = count >= ins[3]
                     if ok:
                         if ins[5]:
@@ -503,7 +503,7 @@ class Parser:
                                     max_cursor = at
                                     frontier.clear()
                                 if not quiet_depth:
-                                    frontier.append((path, ins[2]))
+                                    frontier.append((path, term[1]))
                                     if len(frontier) > compact_at:
                                         rule_traces(frontier)  # drops repeated traces
                                         compact_at = 2 * len(frontier) + _COMPACT_AT
@@ -546,13 +546,6 @@ class Parser:
                         frames.append((PRED, negate, pos, snapshot() if ins[4] else None))
                     ins = ins[2]
                     continue
-                elif op == PUSH:
-                    if ins[2] is not None:  # unit-like values push nothing
-                        push(ins[2])
-                    ok = True
-                elif op == DROP:
-                    stack.take(ins[2])
-                    ok = True
                 elif op == QUIET:
                     frames.append(_QUIET_FRAME)
                     quiet_depth += 1
@@ -691,9 +684,10 @@ class Parser:
     # -- helpers the executor calls; each returns before the next node -------
 
     def _act(self, state: ParserState, ins: tuple) -> bool:
-        node = ins[1]
+        """Run an ACTION instruction, (ACTION, node, fn, arity): an action,
+        a push or a drop."""
         stack = state.stack
-        n = node.arity
+        n = ins[3]
         if n:
             snap = stack.snapshot()
             args = stack.take(n)  # deepest first
@@ -701,9 +695,9 @@ class Parser:
             snap = None
             args = ()
         try:
-            out = node.fn(*args)
+            out = ins[2](*args)
         except Exception as exc:
-            raise ActionRaised(node, exc) from exc
+            raise ActionRaised(ins[1], exc) from exc
         if out is ACTION_FAIL:
             if snap is not None:
                 stack.restore(snap)

@@ -58,7 +58,7 @@ def _escape(text: str) -> str:
 
 def descriptor_of(node: r.RuleExpr) -> TerminalDescriptor:
     t = type(node)
-    if t in (r.Ch, r.IgnoreCaseCh):
+    if t is r.Ch:
         return TerminalDescriptor("char", node.char)
     if t in (r.Str, r.IgnoreCaseStr):
         return TerminalDescriptor("string", node.text)
@@ -68,8 +68,6 @@ def descriptor_of(node: r.RuleExpr) -> TerminalDescriptor:
         return TerminalDescriptor("any", "ANY")
     if t is r.CharPred:
         return TerminalDescriptor("predicate", node.pred.name or "<pred>")
-    if t is r.AnyOf:
-        return TerminalDescriptor("predicate", node.pred.name or "<set>")
     if t is r.NoneOf:
         return TerminalDescriptor("predicate", "!" + (node.pred.name or "<set>"))
     raise TypeError(f"not a terminal: {node!r}")

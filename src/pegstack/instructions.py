@@ -10,6 +10,16 @@ rule's references and whether its own nodes touch the stack; a least
 fixpoint over the rules then gives which rules touch it, and compiling a
 node takes its own flag from its children's.
 
+A terminal compiles to one of five opcodes, and its other facts (its
+head, its regex source, whether a repetition of it is one fused scan) are
+read from the instruction's operands, not from the node type. A CLASS is
+an ASCII mask and a function for the other characters: a character
+predicate, a none-of set (its mask complemented, its function negated or
+``_always``) and "." (every ASCII bit and ``_always``); bits at or above
+128 name no member and are cut. An ignore-case terminal is an ISTR, also
+for one character. Push, drop and other actions are one ACTION, which
+carries its function and arity; a ``cons`` is a CONS, built in place.
+
 * EXACT: every run whose step and mismatch counters must be exact
   (``match``, ``match_rule``, ``run_phase``, the error pass) and every
   observed run. A repetition of one single-character terminal is
@@ -49,15 +59,13 @@ from . import rules as r
 from .effects import ConsFn, EffectError, infer_effect, repetition_shape
 
 # opcodes: terminals first, so "op <= ISTR" tells a terminal (a CLASS also
-# stands for "." and a none-of set, an ISTR for an ignore-case character);
-# RE, SWITCH, LOOP and MAYBE occur in the fast table only; a frame is tagged
-# with the opcode of the node that opened it, or with RULE. Numbered from 3,
-# so that RE to RULE keep the values that parametrized test ids show
+# stands for "." and a none-of set); an ACTION also stands for push and
+# drop; RE, SWITCH, LOOP and MAYBE occur in the fast table only; a frame is
+# tagged with the opcode of the node that opened it, or with RULE. Numbered
+# from 5, so that RE to RULE keep the values that parametrized test ids show
 OPS = (CH, CLASS, STR, EOI, ISTR, SEQ, ALT, REF, CHARS, ACTION, CONS, CAPTURE, REP, OPT,
-       PRED, PUSH, DROP, QUIET, RE, SWITCH, LOOP, MAYBE) = range(3, 25)
+       PRED, QUIET, RE, SWITCH, LOOP, MAYBE) = range(5, 25)
 RULE = 25
-# single-character terminals whose repetitions run as one fused scan
-_FUSED_TYPES = (r.Ch, r.AnyChar, r.CharPred, r.AnyOf, r.NoneOf)
 # compiled tables: exact and observed runs, unobserved Parser.run
 EXACT, FAST = 0, 1
 # instructions worth one regex; a lone terminal, a fused scan and a bare
@@ -73,6 +81,10 @@ _WRAPPERS = (r.Optional, r.ZeroOrMore, r.OneOrMore, r.Capture, r.Quiet)
 def _always(c: str) -> bool:
     """Membership above ASCII of "." and of a none-of set without ``extra``."""
     return True
+
+
+def _nothing(*values) -> None:
+    """The function of a drop: it takes its values and pushes nothing."""
 
 
 def _class_char(o: int) -> str:
@@ -95,34 +107,21 @@ def _char_class(mask: int, negate: bool) -> str:
     return ("[^" if negate else "[") + "".join(spans) + "]"
 
 
-def _terminal_source(node: r.RuleExpr) -> str | None:
-    """Regex (under re.DOTALL) for a terminal; None for ignore-case terminals,
-    where str.lower and re.IGNORECASE differ, and for predicates that decide
-    non-ASCII characters in Python."""
-    t = type(node)
-    if t is r.Ch:
-        return re.escape(node.char)
-    if t is r.Str:
-        return re.escape(node.text)
-    if t is r.AnyChar:
-        return "."
-    if t is r.EndOfInput:
+def _terminal_source(ins: tuple) -> str | None:
+    """Regex (under re.DOTALL) for a terminal instruction; None for an ISTR,
+    where str.lower and re.IGNORECASE differ, and for a CLASS whose function
+    decides non-ASCII characters in Python."""
+    op = ins[0]
+    if op == CH or op == STR:
+        return re.escape(ins[2])
+    if op == EOI:
         return r"\Z"  # "$" would also match before a final newline
-    if t is r.CharPred or t is r.AnyOf or t is r.NoneOf:
-        if node.pred.extra is not None:
-            return None
-        return _char_class(node.pred.mask, t is r.NoneOf)
+    if op == CLASS:
+        if ins[3] is None:
+            return _char_class(ins[2], False)
+        if ins[3] is _always:  # every character but the ASCII non-members
+            return _char_class(~ins[2] & _ASCII, True)
     return None
-
-
-def _fused(rep: r.RuleExpr, capture: bool) -> tuple:
-    """CHARS instruction for a repetition of one single-character terminal,
-    run as one scan; with capture, it also stands for a Capture around it.
-    The scan is a regex match unless a predicate decides non-ASCII
-    characters in Python."""
-    source = _terminal_source(rep.inner)
-    scan = None if source is None else re.compile(source + "*", re.DOTALL).match
-    return (CHARS, rep, rep.inner, type(rep) is r.OneOrMore, scan, capture)
 
 
 def _regex(ins: tuple):
@@ -137,22 +136,18 @@ def _regex(ins: tuple):
         return None
 
 
-def _terminal_head(node: r.RuleExpr) -> tuple | None:
-    """Head of a terminal: (ASCII mask, other characters, wide), where wide
-    means that it may also take characters at or above 128 that are not
-    listed; None when it can match without taking a character, or when
-    ignore case makes its first character unknown."""
-    t = type(node)
-    if t is r.Ch or (t is r.Str and node.text):
-        c = node.char if t is r.Ch else node.text[0]
+def _terminal_head(ins: tuple) -> tuple | None:
+    """Head of a terminal instruction: (ASCII mask, other characters, wide),
+    where wide means that it may also take characters at or above 128 that
+    are not listed; None when it can match without taking a character, or
+    when ignore case makes its first character unknown."""
+    op = ins[0]
+    if op == CH or op == STR and ins[2]:
+        c = ins[2][0]
         o = ord(c)
         return (1 << o, (), False) if o < 128 else (0, (c,), False)
-    if t is r.CharPred or t is r.AnyOf:
-        return node.pred.mask & _ASCII, (), node.pred.extra is not None
-    if t is r.NoneOf:
-        return ~node.pred.mask & _ASCII, (), True
-    if t is r.AnyChar:
-        return _ASCII, (), True
+    if op == CLASS:
+        return ins[2], (), ins[3] is not None
     return None
 
 
@@ -291,7 +286,7 @@ class Tables:
             return None
         op = ins[0]
         if op <= ISTR:
-            return _terminal_head(ins[1])
+            return _terminal_head(ins)
         if op == SEQ:
             return self._head(ins[2][0])
         if op == ALT:  # the union of the alternatives' heads
@@ -366,23 +361,23 @@ class Tables:
         the value stack, from its children's: a node whose children touch
         nothing touches nothing unless it pushes or pops itself."""
         ins, touches = self._instruction(node)
-        source = self._source(node, ins)
+        source = self._source(ins)
         if source is not None and len(source) > _MAX_SOURCE:
             source = None
         return ins + (source,), touches
 
-    def _source(self, node, ins: tuple) -> str | None:
+    def _source(self, ins: tuple) -> str | None:
         """Regex source of a node, from its compiled children's."""
         op = ins[0]
         if op <= ISTR:
-            return _terminal_source(node)
+            return _terminal_source(ins)
         if op == SEQ or op == ALT:
             parts = [k[-1] for k in ins[2][:-1]]
             if None in parts:
                 return None
             return "".join(parts) if op == SEQ else "(?>" + "|".join(parts) + ")"
         if op == CHARS:
-            inner = None if ins[5] else _terminal_source(ins[2])
+            inner = None if ins[5] else ins[2][-1]
             return None if inner is None else inner + ("++" if ins[3] else "*+")
         if op == REP or op == OPT or op == PRED:
             inner = ins[2][-1]
@@ -398,18 +393,21 @@ class Tables:
         return None  # captures, actions and quiet are no regex
 
     def _instruction(self, node) -> tuple[tuple, bool]:
+        """Exact instruction for a node, without its regex source, and
+        whether it touches the stack. The only place that tells terminal
+        node types apart: the other facts of a terminal come from its
+        operands, and a CLASS mask holds ASCII members only."""
         t = type(node)
         if t is r.Ch:
             return (CH, node, node.char), False
-        if t is r.CharPred or t is r.AnyOf:
-            return (CLASS, node, node.pred.mask, node.pred.extra), False
+        if t is r.CharPred:
+            return (CLASS, node, node.pred.mask & _ASCII, node.pred.extra), False
         if t is r.Str:
             return (STR, node, node.text, len(node.text)), False
         if t is r.EndOfInput:
             return (EOI, node), False
-        if t is r.IgnoreCaseStr or t is r.IgnoreCaseCh:
-            text = node.text if t is r.IgnoreCaseStr else node.char
-            return (ISTR, node, text.lower(), len(text)), False
+        if t is r.IgnoreCaseStr:
+            return (ISTR, node, node.text.lower(), len(node.text)), False
         if t is r.NoneOf:
             extra = node.pred.extra
             return (CLASS, node, ~node.pred.mask & _ASCII,
@@ -427,9 +425,14 @@ class Tables:
                 return (ALT, node, kids, touches), touches
             return (SEQ, node, kids, touches, kids[0][0] <= ISTR), touches
         if t is r.ZeroOrMore or t is r.OneOrMore:
-            if type(node.inner) in _FUSED_TYPES:
-                return _fused(node, False), False
             inner, touches = self._compile(node.inner)
+            if inner[0] == CH or inner[0] == CLASS:
+                # one character per iteration: (CHARS, node, the terminal,
+                # plus, regex scan, capture), the scan None when the class
+                # decides non-ASCII characters in Python
+                source = inner[-1]
+                scan = None if source is None else re.compile(source + "*", re.DOTALL).match
+                return (CHARS, node, inner, t is r.OneOrMore, scan, False), False
             return (REP, node, inner, t is r.OneOrMore, self._collect_tag(node), touches), touches
         if t is r.Optional:
             inner, touches = self._compile(node.inner)
@@ -438,21 +441,22 @@ class Tables:
             inner, touches = self._compile(node.inner)
             return (PRED, node, inner, t is r.NotPredicate, touches, inner[0] <= ISTR), False
         if t is r.Capture:
-            inner = node.inner
-            if type(inner) in (r.ZeroOrMore, r.OneOrMore) and type(inner.inner) in _FUSED_TYPES:
-                return _fused(inner, True), True
-            return (CAPTURE, node, self._compile(inner)[0]), True
+            inner = self._compile(node.inner)[0]
+            if inner[0] == CHARS:  # the scan pushes what it matched
+                return inner[:5] + (True,), True
+            return (CAPTURE, node, inner), True
         if t is r.Quiet:
             inner, touches = self._compile(node.inner)
             return (QUIET, node, inner), touches
-        if t is r.Push:
-            return (PUSH, node, None if node.value.tag == "Unit" else node.value), True
-        if t is r.Drop:
-            return (DROP, node, node.count), True
         if t is r.Action:
             if type(node.fn) is ConsFn:  # made by effects.cons: the executor builds the node
                 return (CONS, node, node.fn.label, node.arity), True
-            return (ACTION, node), True
+            return (ACTION, node, node.fn, node.arity), True
+        if t is r.Push:  # an action that pushes its value; a unit-like value pushes nothing
+            value = None if node.value.tag == "Unit" else node.value
+            return (ACTION, node, lambda: value, 0), True
+        if t is r.Drop:
+            return (ACTION, node, _nothing, node.count), True
         if t is r.RuleRef:
             return (REF, node, node.name), self._rule_touches.get(node.name, True)
         raise TypeError(f"unknown rule expression: {node!r}")

@@ -6,6 +6,14 @@ concurrent parse runs once validated. ``validate_grammar`` normalizes the
 tree (collapsing one-child sequences/choices), resolves references and
 rejects left recursion, which a plain recursive-descent interpreter cannot
 execute.
+
+Each behaviour has one node type. The seven terminals (``TERMINALS``)
+test a character, a string, a string ignoring case, a character class, a
+none-of set, any character and end of input. The builders keep the
+notation's vocabulary: ``ignore_case`` builds an ``IgnoreCaseStr`` also for
+one character, and ``any_of`` a ``CharPred`` named after its characters.
+``Push`` and ``Drop`` stay nodes, for the effect checker and the trace
+text, but the compiler runs them as actions.
 """
 
 from __future__ import annotations
@@ -74,8 +82,6 @@ DIGIT = CharPredicate(_range_mask("0", "9"), name="Digit")
 ALPHA = CharPredicate(_range_mask("a", "z") | _range_mask("A", "Z"), name="Alpha")
 LOWER_HEX_LETTER = CharPredicate(_range_mask("a", "f"), name="LowerHexLetter")
 
-PREDICATES = {p.name: p for p in (DIGIT, ALPHA, LOWER_HEX_LETTER)}
-
 
 # ---------------------------------------------------------------------------
 # rule expressions
@@ -94,15 +100,6 @@ class Ch(RuleExpr):
     def __post_init__(self):
         if len(self.char) != 1:
             raise ValueError("Ch takes exactly one character")
-
-
-@record
-class IgnoreCaseCh(RuleExpr):
-    char: str
-
-    def __post_init__(self):
-        if len(self.char) != 1:
-            raise ValueError("IgnoreCaseCh takes exactly one character")
 
 
 @record
@@ -125,11 +122,6 @@ class CharPred(RuleExpr):
 @record
 class AnyChar(RuleExpr):
     pass
-
-
-@record
-class AnyOf(RuleExpr):
-    pred: CharPredicate
 
 
 @record
@@ -243,8 +235,7 @@ class Quiet(RuleExpr):
 
 
 _WRAPPERS = (Optional, ZeroOrMore, OneOrMore, AndPredicate, NotPredicate, Capture, Quiet)
-TERMINALS = (Ch, IgnoreCaseCh, Str, IgnoreCaseStr, CharPred, AnyChar, AnyOf, NoneOf,
-             EndOfInput)
+TERMINALS = (Ch, Str, IgnoreCaseStr, CharPred, AnyChar, NoneOf, EndOfInput)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +262,12 @@ def lit(text: str) -> Str:
     return Str(text)
 
 
-def ignore_case(text: str) -> RuleExpr:
-    return IgnoreCaseCh(text) if len(text) == 1 else IgnoreCaseStr(text)
+def ignore_case(text: str) -> IgnoreCaseStr:
+    return IgnoreCaseStr(text)
 
 
-def any_of(chars: str) -> AnyOf:
-    return AnyOf(CharPredicate.from_chars(chars, name=f"[{chars}]"))
+def any_of(chars: str) -> CharPred:
+    return CharPred(CharPredicate.from_chars(chars, name=f"[{chars}]"))
 
 
 def none_of(chars: str) -> NoneOf:
@@ -454,7 +445,7 @@ def is_nullable(expr: RuleExpr, nullmap: dict[str, bool]) -> bool:
         return nullmap.get(expr.name, False)
     if t in (Str, IgnoreCaseStr):
         return expr.text == ""
-    return False  # Ch, IgnoreCaseCh, CharPred, AnyOf, NoneOf, AnyChar
+    return False  # Ch, CharPred, NoneOf, AnyChar
 
 
 def _head_refs(expr: RuleExpr, nullmap: dict[str, bool], acc: set[str]) -> None:
@@ -506,12 +497,12 @@ def _validate(g: Grammar) -> Grammar:
     if not issues:
         normalized = Grammar(defs, g.start)
         nullmap = nullable_rules(normalized)
-        graph: dict[str, set[str]] = {}
+        graph: dict[str, list[str]] = {}
         for name, rd in defs.items():
             heads: set[str] = set()
             _head_refs(rd.expr, nullmap, heads)
-            graph[name] = {h for h in heads if h in defs}
-        for cycle in _ref_cycles(graph):
+            graph[name] = sorted(h for h in heads if h in defs)
+        for cycle in depth_first(graph)[1]:
             issues.append(GrammarIssue(
                 "left-recursion", cycle[0],
                 "left-recursive cycle: " + " -> ".join(cycle + (cycle[0],)),
@@ -523,31 +514,39 @@ def _validate(g: Grammar) -> Grammar:
     return Grammar(defs, g.start, validated=True)
 
 
-def _ref_cycles(graph: dict[str, set[str]]) -> list[tuple[str, ...]]:
+def depth_first(graph: dict[str, list[str]]) -> tuple[list[str], list[tuple[str, ...]]]:
+    """Walk a graph depth first, from each node in order and to successors in
+    the order listed, without recursion, so a long chain cannot overflow.
+    Returns the nodes in post-order and the cycles that back edges close,
+    one per set of nodes."""
+    order: list[str] = []
     cycles: list[tuple[str, ...]] = []
     seen: set[frozenset] = set()
-    color = {name: 0 for name in graph}  # 0 white, 1 on path, 2 done
+    color = dict.fromkeys(graph, 0)  # 0 white, 1 on path, 2 done
     path: list[str] = []
-
-    def visit(u: str) -> None:
-        color[u] = 1
-        path.append(u)
-        for v in sorted(graph[u]):
-            if color[v] == 1:
-                cycle = tuple(path[path.index(v):])
-                key = frozenset(cycle)
-                if key not in seen:
-                    seen.add(key)
-                    cycles.append(cycle)
-            elif color[v] == 0:
-                visit(v)
-        path.pop()
-        color[u] = 2
-
-    for name in graph:
-        if color[name] == 0:
-            visit(name)
-    return cycles
+    for root in graph:
+        if color[root]:
+            continue
+        color[root] = 1
+        path.append(root)
+        todo = [iter(graph[root])]  # the successors still to visit, along path
+        while todo:
+            for v in todo[-1]:
+                if color[v] == 1:
+                    cycle = tuple(path[path.index(v):])
+                    if frozenset(cycle) not in seen:
+                        seen.add(frozenset(cycle))
+                        cycles.append(cycle)
+                elif color[v] == 0:
+                    color[v] = 1
+                    path.append(v)
+                    todo.append(iter(graph[v]))
+                    break
+            else:
+                todo.pop()
+                order.append(path.pop())
+                color[order[-1]] = 2
+    return order, cycles
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +582,6 @@ def expr_text(expr: RuleExpr, prec: int = _PREC_CHOICE) -> str:
         return f"({out})" if prec > _PREC_SUFFIX else out
     if t is Ch:
         return f"'{expr.char}'"
-    if t is IgnoreCaseCh:
-        return f'^"{expr.char}"'
     if t is Str:
         return f'"{expr.text}"'
     if t is IgnoreCaseStr:
@@ -592,8 +589,6 @@ def expr_text(expr: RuleExpr, prec: int = _PREC_CHOICE) -> str:
     if t is CharPred:
         name = expr.pred.name
         return _CLASS_TEXT.get(name, name or "[<pred>]")
-    if t is AnyOf:
-        return expr.pred.name or "[<set>]"
     if t is NoneOf:
         return "!" + (expr.pred.name or "[<set>]") + " ."
     if t is AnyChar:

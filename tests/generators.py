@@ -49,7 +49,7 @@ def _terminal(rng: random.Random) -> r.RuleExpr:
     if roll < 0.85:
         return r.ANY
     if roll < 0.95:
-        return r.IgnoreCaseCh(rng.choice(ALPHABET.upper()))
+        return r.ignore_case(rng.choice(ALPHABET.upper()))
     return r.IgnoreCaseStr(rng.choice(("AB", "bC")))
 
 

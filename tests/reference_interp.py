@@ -63,10 +63,6 @@ def ref_match(g, expr, text, pos, stack, mismatches=None, trail=None, steps=None
         if pos < len(text) and text[pos] == expr.char:
             return True, pos + 1, stack
         return miss(pos)
-    if t is r.IgnoreCaseCh:
-        if pos < len(text) and text[pos].lower() == expr.char.lower():
-            return True, pos + 1, stack
-        return miss(pos)
     if t is r.Str:
         if text.startswith(expr.text, pos):
             return True, pos + len(expr.text), stack
@@ -76,7 +72,7 @@ def ref_match(g, expr, text, pos, stack, mismatches=None, trail=None, steps=None
         if text[pos:end].lower() == expr.text.lower():
             return True, end, stack
         return miss(pos)
-    if t in (r.CharPred, r.AnyOf):
+    if t is r.CharPred:
         if pos < len(text) and expr.pred.contains(text[pos]):
             return True, pos + 1, stack
         return miss(pos)

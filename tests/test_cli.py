@@ -295,6 +295,16 @@ def test_grammar_too_deep_to_validate_exits_3_with_one_line(capsys, tmp_path):
         assert (code, out, err) == (3, "", "internal fault: grammar nested too deeply to compile\n")
 
 
+def test_a_flat_chain_of_1500_rules_checks_with_exit_0(capsys, tmp_path):
+    # R_i <- R_i+1 'x': neither validation nor the effect check recurses
+    # through the references
+    grammar = tmp_path / "chain.peg"
+    grammar.write_text("".join(f"R{i} <- R{i + 1} 'x'\n" for i in range(1500)) + "R1500 <- 'a'\n")
+    code, out, err = run_cli(capsys, "check", "--grammar", str(grammar))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"R{i} : (0 -> 0)" for i in range(1501)]
+
+
 def test_deep_nesting_parses_at_the_callers_recursion_limit(calc_grammar, capsys):
     limit = sys.getrecursionlimit()
     deep = "(" * 20_000 + "1" + ")" * 20_000

@@ -69,6 +69,26 @@ def test_undeclared_recursive_rule():
         check_grammar(g)
 
 
+def test_a_long_chain_of_undeclared_rules_checks():
+    # R_i <- R_i+1 'x': each rule is inferred after the rules it references,
+    # so no inference recurses through the chain
+    rules = {f"R{i}": r.seq(r.ref(f"R{i + 1}"), r.ch("x")) for i in range(1500)}
+    rules["R1500"] = r.capture(r.ch("a"))
+    report = check_grammar(validate_grammar(r.grammar(rules, start="R0")))
+    assert list(report) == list(rules)  # grammar order
+    assert set(report.values()) == {eff([], ["Str"])}
+
+
+def test_effect_errors_are_reported_in_grammar_order():
+    # B is inferred before A, which references it; both report B's mismatch
+    g = r.grammar({"A": r.seq(r.ch("x"), r.ref("B")), "C": r.ch("z"),
+                   "B": r.first_of(r.capture(r.ch("y")), r.ch("z"))})
+    with pytest.raises(EffectCheckError) as exc:
+        check_grammar(g)
+    assert [(name, type(err)) for name, err in exc.value.issues] == [
+        ("A", BranchEffectMismatch), ("B", BranchEffectMismatch)]
+
+
 # -- sequence composition --------------------------------------------------------
 
 def test_seq_compose_disjoint_pushes():

@@ -157,11 +157,11 @@ def test_ignore_case_matchers():
     assert Parser(g).match(state, r.IgnoreCaseStr("aB"))
     assert state.cursor == 2
     state = _state("zZ")
-    assert Parser(g).match(state, r.IgnoreCaseCh("Z")) and state.cursor == 1
+    assert Parser(g).match(state, r.ignore_case("Z")) and state.cursor == 1
 
 
 def test_ignore_case_and_none_of_steps_are_traced_by_their_notation():
-    g = _grammar(r.seq(r.IgnoreCaseCh("z"), r.one_or_more(r.none_of("+-"))))
+    g = _grammar(r.seq(r.ignore_case("z"), r.one_or_more(r.none_of("+-"))))
     events = []
     assert Parser(g).run("Zq+", observer=Trace(events)).ok
     assert [format_trace_event(e) for e in events] == [
@@ -213,6 +213,31 @@ def test_none_of_complement_accepts_non_ascii():
     g = _grammar(r.none_of("+-"))
     for text, ok in (("é", True), ("+", False), ("q", True)):
         assert _outcome(g, text) == (ok, 1 if ok else 0, ())
+
+
+# the mask decides ASCII only: its bit 0xE9 makes no member of "\u00e9",
+# which has no extra function
+_HIGH_BIT = r.CharPredicate((1 << 97) | (1 << 0xE9))
+
+
+@pytest.mark.parametrize("expr, text, ok", [
+    (r.seq(r.capture(r.seq(r.char_pred(_HIGH_BIT), r.ch("!"))), r.EOI), "\u00e9!", False),
+    (r.seq(r.capture(r.one_or_more(r.char_pred(_HIGH_BIT))), r.EOI), "\u00e9", False),
+    (r.seq(r.capture(r.seq(r.NoneOf(_HIGH_BIT), r.ch("!"))), r.EOI), "\u00e9!", True),
+])
+def test_mask_bits_at_or_above_128_are_no_members_on_any_path(expr, text, ok):
+    # a regex fragment of the fast table, a fused scan in both tables and a
+    # none-of set, each against the reference
+    assert _HIGH_BIT.contains("\u00e9") is False
+    g = _grammar(expr)
+    parser = Parser(g)
+    expected = ref_run(g, text)
+    assert expected[0] is ok
+    values = expected[2] if ok else None
+    assert parser.run(text).values == values
+    assert parser.run(text, observer=Trace([])).values == values
+    state = parser.run_phase(text)
+    assert (state.cursor, state.stack.values()) == expected[1:]
 
 
 def _exact_counts(parser, text):

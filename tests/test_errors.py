@@ -266,6 +266,8 @@ def test_phases_are_deterministic(calc_grammar):
 def test_descriptor_rendering():
     assert descriptor_of(r.ch("x")).render() == "'x'"
     assert descriptor_of(r.Str("abc")).render() == "'abc'"
+    assert descriptor_of(r.ignore_case("c")) == TerminalDescriptor("string", "c")
+    assert descriptor_of(r.ignore_case("c")).render() == "'c'"
     assert descriptor_of(r.EOI).render() == "'EOI'"
     assert descriptor_of(r.ANY).render() == "ANY"
     assert descriptor_of(r.CharPred(r.DIGIT)).render() == "Digit"

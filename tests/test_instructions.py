@@ -1,4 +1,4 @@
-"""The facts the instruction tables rest on, against their recursive definitions.
+"""The facts the instruction tables rest on, against their definitions.
 
 ``Tables`` takes whether a node touches the value stack from its children
 while it compiles the node, and a rule's from one walk of its body and a
@@ -6,17 +6,20 @@ least fixpoint over the rules. A node's head comes from its children's in
 head position, and a reference's from its rule's, which for the rules on
 cycles is one least fixpoint. The recursive definitions below walk a
 node's whole subtree, and a reference's rule body, instead; they are the
-oracle.
+oracle. A terminal's head, regex source and fused scan come from the
+operands of its compiled instruction; their oracle defines them by the
+terminal's node type.
 """
 
 import random
+import re
 import time
 
 from pegstack import rules as r
 from pegstack.effects import NEUTRAL, check_grammar
 from pegstack.engine import Parser
-from pegstack.instructions import (ALT, CAPTURE, CHARS, EXACT, ISTR, QUIET, REF, REP, SEQ,
-                                   _regex, _terminal_head)
+from pegstack.instructions import (_ASCII, ALT, CAPTURE, CHARS, EXACT, ISTR, QUIET, REF, REP,
+                                   SEQ, _char_class, _regex, _terminal_head, _terminal_source)
 from pegstack.notation import load_grammar, meta_grammar
 
 from conftest import ROOT
@@ -65,7 +68,7 @@ def _fast_head(tables, ins):
         return None
     op = ins[0]
     if op <= ISTR:
-        return _same(_terminal_head(ins[1]))
+        return _same(_terminal_head(ins))
     if op == SEQ:
         return _fast_head(tables, ins[2][0])
     if op == ALT:
@@ -83,6 +86,44 @@ def _fast_head(tables, ins):
     if op == CAPTURE and _regex(ins[2]) is None or op == QUIET or op == REP and ins[3]:
         return _fast_head(tables, ins[2])
     return None
+
+
+def _node_head(node):
+    """A terminal's head by its node type, in the form of ``_terminal_head``."""
+    t = type(node)
+    if t is r.Ch or (t is r.Str and node.text):
+        c = node.char if t is r.Ch else node.text[0]
+        o = ord(c)
+        return (1 << o, (), False) if o < 128 else (0, (c,), False)
+    if t is r.CharPred:
+        return node.pred.mask & _ASCII, (), node.pred.extra is not None
+    if t is r.NoneOf:
+        return ~node.pred.mask & _ASCII, (), True
+    if t is r.AnyChar:
+        return _ASCII, (), True
+    return None  # end of input, ignore case, the empty string
+
+
+def _node_source(node):
+    """A terminal's regex source by its node type; a mask holds only its
+    ASCII members, since a higher bit names no member."""
+    t = type(node)
+    if t is r.Ch:
+        return re.escape(node.char)
+    if t is r.Str:
+        return re.escape(node.text)
+    if t is r.AnyChar:
+        return "."
+    if t is r.EndOfInput:
+        return r"\Z"
+    if t is r.CharPred or t is r.NoneOf:
+        if node.pred.extra is not None:
+            return None
+        return _char_class(node.pred.mask & _ASCII, t is r.NoneOf)
+    return None  # ignore case: str.lower and re.IGNORECASE differ
+
+
+_FUSED = (r.Ch, r.AnyChar, r.CharPred, r.NoneOf)  # one character per repetition
 
 
 def _grammars():
@@ -130,3 +171,26 @@ def test_a_chain_of_rules_that_double_checks_and_builds_in_linear_time():
     assert parser.run_phase("xx").cursor == 2
     error = parser.run("aa").error
     assert (error.position.index, error.expected()) == (2, ["'a'", "'x'"])
+
+
+def test_terminal_facts_from_the_instruction_agree_with_the_node_definitions():
+    high = r.CharPredicate((1 << 97) | (1 << 0xE9))  # a bit at 0xE9 names no member
+    edge = [r.Ch("\u00e9"), r.Ch("\n"), r.Ch("."), r.Str("\u00e9a"), r.Str("a.b"), r.Str(""),
+            r.char_pred(r.CharPredicate.from_chars("a\u00e9")), r.char_pred(r.DIGIT),
+            r.char_pred(high), r.char_pred(r.CharPredicate(0)), r.any_of("+-"), r.none_of("ab"),
+            r.none_of("a\u00e9"), r.none_of(""), r.NoneOf(high), r.ANY, r.EOI,
+            r.ignore_case("k"), r.ignore_case("Ab")]
+    terminals = [node for grammar in _grammars() for rd in grammar.rules.values()
+                 for node in r.walk(rd.expr) if type(node) in r.TERMINALS]
+    tables = Parser(r.grammar({"Top": r.ANY}))._tables
+    for node in terminals + edge:
+        ins = tables.compile(node)
+        assert _terminal_head(ins) == _node_head(node), node
+        assert _terminal_source(ins) == _node_source(node), node
+        fused = tables.compile(r.one_or_more(node))
+        assert (fused[0] == CHARS) == (type(node) in _FUSED), node
+        if fused[0] == CHARS:
+            source = _node_source(node)
+            scan = fused[4]
+            assert (scan is None) == (source is None), node
+            assert scan is None or scan.__self__.pattern == source + "*", node

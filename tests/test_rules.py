@@ -89,6 +89,22 @@ def test_direct_left_recursion_rejected():
     assert issues and issues[0].cycle == ("A",)
 
 
+def _chain(n, last):
+    """R_i <- R_i+1 'x' for i < n, then R_n <- last."""
+    rules = {f"R{i}": r.seq(r.ref(f"R{i + 1}"), r.ch("x")) for i in range(n)}
+    rules[f"R{n}"] = last
+    return r.grammar(rules, start="R0")
+
+
+def test_a_long_chain_of_references_validates_and_its_cycle_is_named_in_order():
+    # the walk for left recursion follows references without recursing
+    assert validate_grammar(_chain(1500, r.ch("a"))).validated
+    with pytest.raises(GrammarError) as exc:
+        validate_grammar(_chain(1500, r.seq(r.ref("R0"), r.ch("y"))))
+    [issue] = exc.value.issues
+    assert issue.cycle == tuple(f"R{i}" for i in range(1501))
+
+
 def _nullable_prefix_reach(rules_nullable, rules_heads):
     """Tiny fixpoint oracle: transitive same-position reachability pairs."""
     pairs = {(a, b) for a, heads in rules_heads.items() for b in heads}
