@@ -191,11 +191,14 @@ def infer_effect(expr: r.RuleExpr, g: r.Grammar, _active: frozenset[str] = froze
     exists; otherwise inference recurses through the target, which must not
     be cyclic (cyclic rules require declarations).
 
-    ``_memo`` keeps successful results, by rule name for references and by
-    node id otherwise, so each is inferred once; share one only while the
-    grammar and its nodes live. A success does not depend on ``_active``:
-    one that reached an active rule would reach it again through its own
-    cycle. Failures are not kept, so each raises as it would without a memo.
+    ``_memo`` keeps results, by rule name for references and by node id
+    otherwise, so each is inferred once; share one only while the grammar
+    and its nodes live. A success does not depend on ``_active``: one that
+    reached an active rule would reach it again through its own cycle. Nor
+    does a failure other than UndeclaredRecursiveRule, which passes through
+    every enclosing node unchanged: the memo keeps the error and raises it
+    again, but not that one, so a rule chain that ends in a failing rule
+    fails without recursing through the chain.
     """
     t = type(expr)
     if t in r.TERMINALS:
@@ -205,39 +208,46 @@ def infer_effect(expr: r.RuleExpr, g: r.Grammar, _active: frozenset[str] = froze
     key = expr.name if t is r.RuleRef else id(expr)
     eff = _memo.get(key)
     if eff is not None:
+        if isinstance(eff, EffectError):
+            raise eff.with_traceback(None)
         return eff
-    if t is r.Capture:
-        inner = infer_effect(expr.inner, g, _active, _memo)
-        eff = StackEffect(inner.pops, inner.pushes + ("Str",))
-    elif t is r.Push:
-        eff = NEUTRAL if expr.value.tag == "Unit" else StackEffect((), (expr.value.tag,))
-    elif t is r.Drop:
-        eff = StackEffect((WILDCARD,) * expr.count, ())
-    elif t is r.Action:
-        eff = expr.effect
-    elif t is r.Quiet:
-        eff = infer_effect(expr.inner, g, _active, _memo)
-    elif t in (r.AndPredicate, r.NotPredicate):
-        infer_effect(expr.inner, g, _active, _memo)  # the body must still check
-        eff = NEUTRAL
-    elif t is r.Sequence:
-        eff = NEUTRAL
-        for child in expr.children:
-            eff = seq_compose(eff, infer_effect(child, g, _active, _memo))
-    elif t is r.FirstOf:
-        branches = [infer_effect(a, g, _active, _memo) for a in expr.alternatives]
-        eff = branches[0] if len(branches) == 1 else choice_compose(branches)
-    elif t in _REP_KIND:
-        eff = repetition_effect(infer_effect(expr.inner, g, _active, _memo), _REP_KIND[t])
-    elif t is r.RuleRef:
-        rd = g.rules[expr.name]
-        eff = rd.effect
-        if eff is None:
-            if expr.name in _active:
-                raise UndeclaredRecursiveRule(expr.name)
-            eff = infer_effect(rd.expr, g, _active | {expr.name}, _memo)
-    else:
-        raise TypeError(f"unknown rule expression: {expr!r}")
+    try:
+        if t is r.Capture:
+            inner = infer_effect(expr.inner, g, _active, _memo)
+            eff = StackEffect(inner.pops, inner.pushes + ("Str",))
+        elif t is r.Push:
+            eff = NEUTRAL if expr.value.tag == "Unit" else StackEffect((), (expr.value.tag,))
+        elif t is r.Drop:
+            eff = StackEffect((WILDCARD,) * expr.count, ())
+        elif t is r.Action:
+            eff = expr.effect
+        elif t is r.Quiet:
+            eff = infer_effect(expr.inner, g, _active, _memo)
+        elif t in (r.AndPredicate, r.NotPredicate):
+            infer_effect(expr.inner, g, _active, _memo)  # the body must still check
+            eff = NEUTRAL
+        elif t is r.Sequence:
+            eff = NEUTRAL
+            for child in expr.children:
+                eff = seq_compose(eff, infer_effect(child, g, _active, _memo))
+        elif t is r.FirstOf:
+            branches = [infer_effect(a, g, _active, _memo) for a in expr.alternatives]
+            eff = branches[0] if len(branches) == 1 else choice_compose(branches)
+        elif t in _REP_KIND:
+            eff = repetition_effect(infer_effect(expr.inner, g, _active, _memo), _REP_KIND[t])
+        elif t is r.RuleRef:
+            rd = g.rules[expr.name]
+            eff = rd.effect
+            if eff is None:
+                if expr.name in _active:
+                    raise UndeclaredRecursiveRule(expr.name)
+                eff = infer_effect(rd.expr, g, _active | {expr.name}, _memo)
+        else:
+            raise TypeError(f"unknown rule expression: {expr!r}")
+    except EffectError as err:
+        if type(err) is not UndeclaredRecursiveRule:
+            _memo[key] = err
+        raise
     _memo[key] = eff
     return eff
 

@@ -22,8 +22,12 @@ and the function for other characters of a predicate, a none-of set or
 ``Parser.run`` takes the fast table unless it is observed. There each
 stack-free fragment runs as one regex, so the run's step and mismatch
 counters are not exact: an RE instruction counts one step and, when it
-fails, one mismatch. ``match``, ``match_rule``, ``run_phase``, the error
-pass and every observed run take the exact table.
+fails, one mismatch, but leaves ``max_cursor`` as it is, so the fast run's
+``max_cursor`` is at most the exact table's. ``match``, ``match_rule``,
+``run_phase``, the error pass and every observed run take the exact table.
+A failed run hands its ``max_cursor`` to the error pass, which starts its
+running maximum there and, below it, dispatches the exact table's choices,
+repetitions and options on the next character (see ``pegstack.errors``).
 
 The exact table opens a frame only where backtracking needs one. A Sequence
 whose first child is a terminal tests that terminal first: a mismatch fails
@@ -254,8 +258,9 @@ class Parser:
             bodies = self._bodies(FAST if observer is None else EXACT)
             if self._execute(state, bodies[name], name, bodies):
                 result = RunResult(values=state.stack.values())
-            else:
-                result = RunResult(error=build_parse_error(self, text, name))
+            else:  # the run's furthest mismatch bounds the principal index from below
+                result = RunResult(error=build_parse_error(self, text, name,
+                                                           state.stats.max_cursor))
         except StackUnderflow as exc:
             result = RunResult(fault=InternalFault(f"value stack underflow: {exc}"))
         except ActionRaised as exc:
@@ -276,11 +281,19 @@ class Parser:
             raise EngineFault(result.fault)
         raise ValueError(f"unknown delivery mode {mode!r}")
 
-    def run_phase(self, text: str, start: str | None = None,
-                  error_mode: str = MODE_OFF) -> ParserState:
-        """Run once on the exact table under an error mode and hand back the final state."""
+    def run_phase(self, text: str, start: str | None = None, error_mode: str = MODE_OFF,
+                  bound: int | None = None) -> ParserState:
+        """Run once on the exact table under an error mode and hand back the
+        final state. A MODE_COLLECT pass given a bound, which must not exceed
+        the principal index, starts its running maximum there and, below
+        that maximum, runs only the alternatives, iterations and options
+        that can start at the next character."""
         state = ParserState(text, error_mode=error_mode)
-        self.match_rule(state, start or self.grammar.start)
+        name = start or self.grammar.start
+        bodies = self._bodies(EXACT)
+        if bound is not None:
+            state.stats.max_cursor = bound
+        self._execute(state, bodies[name], name, bodies, bound is not None)
         return state
 
     def match(self, state: ParserState, node: r.RuleExpr) -> bool:
@@ -301,7 +314,8 @@ class Parser:
 
     # -- the executor -------------------------------------------------------
 
-    def _execute(self, state: ParserState, ins: tuple, rule: str | None, bodies: dict) -> bool:
+    def _execute(self, state: ParserState, ins: tuple, rule: str | None, bodies: dict,
+                 headed: bool = False) -> bool:
         """Run one compiled expression of a table (a rule body when rule is its name).
 
         Every node either decides at once or opens a continuation frame on
@@ -316,7 +330,10 @@ class Parser:
         outside ``quiet`` joins it, so the pass ends with exactly the
         mismatches at the principal index. Whenever the frontier doubles, it
         drops the pairs that repeat a rule trace, so it grows with the
-        traces, not with the work.
+        traces, not with the work. A headed, unobserved pass runs the
+        dispatch operands of choices, repetitions and options wherever the
+        cursor is below the highest cursor so far: there a skipped
+        alternative's only mismatch would not be reported.
         """
         text = state.input
         n = len(text)
@@ -330,6 +347,7 @@ class Parser:
         observer = state.observer
         traced = observer is not None  # every step is logged
         collecting = state.error_mode == MODE_COLLECT
+        headed = headed and collecting and not traced
         frontier = state.frontier
         compact_at = _COMPACT_AT
         path = ()  # collecting: the open rules, innermost first, as cons cells
@@ -436,13 +454,26 @@ class Parser:
                     ins = ins[2][0]
                     continue
                 elif op == ALT:
-                    if traced:
-                        if not frames or frames[-1][0] != RULE:
-                            observer.event(ins[1], pos, "start", None, None)
-                        fail_at = pos  # a reset reports the cursor of the last failure
-                    frames.append([ALT, ins[2], 1, pos, snapshot() if ins[3] else None, ins])
-                    ins = ins[2][0]
-                    continue
+                    if headed and pos < max_cursor and ins[4]:
+                        # only the alternatives that can start at the next
+                        # character, as in a SWITCH; pos < max_cursor <= n
+                        cands = ins[4][0].get(text[pos], ins[4][1])
+                        if cands[0] is None:
+                            ok = False
+                        else:
+                            if cands[1] is not None:
+                                frames.append([ALT, cands, 1, pos, snapshot() if ins[3] else None,
+                                               ins])
+                            ins = cands[0]
+                            continue
+                    else:
+                        if traced:
+                            if not frames or frames[-1][0] != RULE:
+                                observer.event(ins[1], pos, "start", None, None)
+                            fail_at = pos  # a reset reports the cursor of the last failure
+                        frames.append([ALT, ins[2], 1, pos, snapshot() if ins[3] else None, ins])
+                        ins = ins[2][0]
+                        continue
                 elif op == SWITCH:
                     # a choice in the fast table: only the alternatives that
                     # can start at the next character; one runs in place
@@ -520,16 +551,25 @@ class Parser:
                     continue
                 elif op == REP:
                     tag = ins[4]
-                    first = ins[3]  # OneOrMore: the first match may fail the loop
-                    frames.append([REP, ins, pos, None if first or not ins[5] else snapshot(),
-                                   first, size() if tag is not None else 0])
-                    ins = ins[2]
-                    continue
+                    if (headed and pos < max_cursor and ins[6]
+                            and not ins[6][0].get(text[pos], ins[6][1])):
+                        ok = not ins[3]  # the body cannot start, as in a LOOP
+                        if ok and tag is not None:
+                            push(list_value((), tag))
+                    else:
+                        first = ins[3]  # OneOrMore: the first match may fail the loop
+                        frames.append([REP, ins, pos, None if first or not ins[5] else snapshot(),
+                                       first, size() if tag is not None else 0])
+                        ins = ins[2]
+                        continue
                 elif op == OPT or op == MAYBE:
                     tag = ins[3]
                     # MAYBE, an option of a headed body (fast table only),
-                    # ends empty when the body cannot start
-                    if op == MAYBE and not (pos < n and ins[4].get(text[pos], ins[5])):
+                    # ends empty when the body cannot start, and so does a
+                    # headed OPT below the running maximum
+                    dispatch = ins[4]
+                    if ((op == MAYBE or headed and pos < max_cursor and dispatch)
+                            and not (pos < n and dispatch[0].get(text[pos], dispatch[1]))):
                         ok = True
                         if tag is not None:
                             push(list_value((), tag))
@@ -558,9 +598,9 @@ class Parser:
                     if m is None:
                         ok = False
                         if not not_depth:
+                            # a mismatch, but no new maximum: the exact table
+                            # may fail the fragment through "!" with none at all
                             mismatches += 1
-                            if pos > max_cursor:
-                                max_cursor = pos
                     else:
                         ok = True
                         at = m.end()
@@ -641,6 +681,12 @@ class Parser:
                             if rep[4] is not None:
                                 self._materialize(stack, f[5], rep[4])
                             ok = True
+                            continue
+                        if (headed and pos < max_cursor and rep[6]
+                                and not rep[6][0].get(text[pos], rep[6][1])):
+                            frames.pop()  # the body cannot start again
+                            if rep[4] is not None:
+                                self._materialize(stack, f[5], rep[4])
                             continue
                         f[2] = pos
                         f[3] = snapshot() if rep[5] else None

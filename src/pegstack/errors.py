@@ -7,7 +7,18 @@ collected whenever a mismatch lands beyond it, and records every mismatch
 that lands on it, with the path of named rules from the start rule plus a
 descriptor of the failed terminal. Mismatches under ``quiet`` still raise
 the maximum but are not recorded; quiet rules behave identically otherwise.
+
 A failing ``Parser.run`` costs two passes: the run itself and this one.
+The run hands over its ``max_cursor``, the furthest mismatch it saw. That
+bounds the principal index from below: the fast table's terminals
+mismatch only where the exact table's do, and a failing regex fragment
+does not raise it, since the exact table may fail the fragment through a
+``!`` with no mismatch. The pass starts its running maximum at that bound.
+Below the maximum no mismatch is ever recorded, so there the pass runs
+only the alternatives, iterations and options that can start at the next
+character, as the fast table's SWITCH, LOOP and MAYBE do; at or past it,
+every alternative runs. The rule paths and the order of the mismatches
+at the principal index stay as in a pass without a bound.
 """
 
 from __future__ import annotations
@@ -134,15 +145,19 @@ def principal_error_index(parser, text: str, start: str | None = None) -> int:
     return principal_index(parser.run_phase(text, start))
 
 
-def trace_collection(parser, text: str, start: str | None) -> tuple[int, tuple[RuleTrace, ...]]:
-    """Principal error index and its rule traces, from one exact pass."""
-    state = parser.run_phase(text, start, MODE_COLLECT)
+def trace_collection(parser, text: str, start: str | None,
+                     bound: int | None = None) -> tuple[int, tuple[RuleTrace, ...]]:
+    """Principal error index and its rule traces, from one exact pass; a
+    bound, at most the principal index, lets the pass dispatch below it."""
+    state = parser.run_phase(text, start, MODE_COLLECT, bound)
     return principal_index(state), tuple(state.collected)
 
 
-def build_parse_error(parser, text: str, start: str | None = None) -> ParseError:
-    """Principal position and rule traces of a parse that fails."""
-    principal, traces = trace_collection(parser, text, start)
+def build_parse_error(parser, text: str, start: str | None = None,
+                      bound: int | None = None) -> ParseError:
+    """Principal position and rule traces of a parse that fails; bound as
+    for ``trace_collection``."""
+    principal, traces = trace_collection(parser, text, start, bound)
     pos = position_of(text, principal)
     return ParseError(pos, pos, traces)
 

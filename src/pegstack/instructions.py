@@ -26,7 +26,11 @@ carries its function and arity; a ``cons`` is a CONS, built in place.
   one fused scan, a sequence with a terminal head tests it before opening a
   frame, and a predicate over a terminal resolves in place; an observed run
   logs the steps these shortcuts stand for. Each instruction ends with the
-  node's regex source, None when it has none.
+  node's regex source, None when it has none. A choice, repetition or
+  option carries a dispatch operand, filled once every head is known:
+  which of its alternatives, or whether its body, can start at each next
+  character. The error pass dispatches through it below its running
+  maximum, and the fast table's SWITCH, LOOP and MAYBE are built from it.
 * FAST: ``Parser.run`` when it is not observed. It is the exact table with
   every maximal subtree that touches no stack, runs no action and reaches
   no reference cycle replaced by one ``re`` match (an RE instruction); a
@@ -61,11 +65,10 @@ from .effects import ConsFn, EffectError, infer_effect, repetition_shape
 # opcodes: terminals first, so "op <= ISTR" tells a terminal (a CLASS also
 # stands for "." and a none-of set); an ACTION also stands for push and
 # drop; RE, SWITCH, LOOP and MAYBE occur in the fast table only; a frame is
-# tagged with the opcode of the node that opened it, or with RULE. Numbered
-# from 5, so that RE to RULE keep the values that parametrized test ids show
+# tagged with the opcode of the node that opened it, or with RULE
 OPS = (CH, CLASS, STR, EOI, ISTR, SEQ, ALT, REF, CHARS, ACTION, CONS, CAPTURE, REP, OPT,
-       PRED, QUIET, RE, SWITCH, LOOP, MAYBE) = range(5, 25)
-RULE = 25
+       PRED, QUIET, RE, SWITCH, LOOP, MAYBE) = range(20)
+RULE = 20
 # compiled tables: exact and observed runs, unobserved Parser.run
 EXACT, FAST = 0, 1
 # instructions worth one regex; a lone terminal, a fused scan and a bare
@@ -179,11 +182,12 @@ def _by_char(heads: list) -> tuple[dict[str, int], int, int]:
     return table, always | wide, always
 
 
-def _switch(ins: tuple, kids: tuple, heads: list) -> tuple:
-    """(SWITCH, node, by character, any other, end of input, touches) for a
-    choice: the alternatives that can start there, in order, each tuple
-    ending with None."""
-    table, other, end = _by_char(heads)
+def _switch(kids: tuple, bits: tuple) -> tuple[dict[str, tuple], tuple, tuple]:
+    """The alternatives of a choice that can start at each character, in
+    order, each tuple ending with None, from the ``_by_char`` bit sets of
+    their heads: by listed character, for any other character, and at end
+    of input."""
+    table, other, end = bits
     tuples: dict[int, tuple] = {}
 
     def candidates(bits: int) -> tuple:
@@ -192,8 +196,7 @@ def _switch(ins: tuple, kids: tuple, heads: list) -> tuple:
             found = tuples[bits] = tuple(k for i, k in enumerate(kids) if bits >> i & 1) + (None,)
         return found
 
-    return (SWITCH, ins[1], {c: candidates(bits) for c, bits in table.items()},
-            candidates(other), candidates(end), ins[3])
+    return {c: candidates(bits) for c, bits in table.items()}, candidates(other), candidates(end)
 
 
 def _facts(expr: r.RuleExpr) -> tuple[set, set, bool]:
@@ -255,15 +258,14 @@ class Tables:
         for name in [*acyclic, *cyclic]:
             exact[name] = self.compile(exprs[name])
         self._effects = None  # compile() of a node outside the rules infers afresh
-        # heads, then fast bodies, in the same order, so an acyclic rule's
-        # are ready for the references that run it in place. The heads of
-        # the rules that reach a cycle are one least fixpoint: each starts
-        # from the empty head and only grows, so the rounds end; validation
-        # rejected left recursion, so no head is made of its own rule's.
+        # heads, in the same order, so an acyclic rule's are ready for the
+        # references to it. The heads of the rules that reach a cycle are
+        # one least fixpoint: each starts from the empty head and only
+        # grows, so the rounds end; validation rejected left recursion, so
+        # no head is made of its own rule's.
         heads = self._heads = {}
         for name in acyclic:
             heads[name] = self._head(exact[name])
-            fast[name] = self._fast(exact[name])
         heads.update(dict.fromkeys(cyclic, (0, (), False)))  # the empty head
         changed = True
         while changed:
@@ -272,8 +274,40 @@ class Tables:
                 head = self._head(exact[name])
                 if head != heads[name]:
                     heads[name], changed = head, True
-        for name in cyclic:
+        for body in exact.values():
+            self._fill_dispatch(body)
+        # fast bodies, acyclic rules first, so that theirs are ready for the
+        # references that run them in place
+        for name in [*acyclic, *cyclic]:
             fast[name] = self._fast(exact[name])
+
+    def _fill_dispatch(self, body: tuple) -> None:
+        """Fill the dispatch operand of each choice, repetition and option
+        in an exact rule body, from the heads of its alternatives or its
+        body: for a choice, (by character, any other) of ``_switch`` and
+        the ``_by_char`` bit sets they come from; for a repetition or
+        option, (by character, any other) of ``_by_char``, nonzero where
+        the body can start. Left empty where no alternative, or no body,
+        has a head. The error pass dispatches through them below its
+        running maximum, and the fast table's SWITCH, LOOP and MAYBE are
+        built from them."""
+        todo = [body]
+        while todo:
+            ins = todo.pop()
+            op = ins[0]
+            if op == SEQ or op == ALT:
+                kids = ins[2][:-1]
+                todo.extend(kids)
+                if op == ALT:
+                    heads = [self._head(kid) for kid in kids]
+                    if heads.count(None) < len(heads):
+                        bits = _by_char(heads)
+                        ins[4][:] = *_switch(kids, bits)[:2], bits
+            elif op in (REP, OPT, PRED, CAPTURE, QUIET):
+                todo.append(ins[2])
+                head = self._head(ins[2]) if op == REP or op == OPT else None
+                if head is not None:  # the operand before the regex source
+                    ins[-2][:] = _by_char([head])[:2]
 
     def _head(self, ins: tuple) -> tuple | None:
         """Head of an exact instruction's fast form, in the form of
@@ -323,10 +357,8 @@ class Tables:
         op = ins[0]
         if op == SEQ or op == ALT:
             kids = tuple(self._fast(kid) for kid in ins[2][:-1])
-            if op == ALT:
-                heads = [self._head(kid) for kid in ins[2][:-1]]
-                if heads.count(None) < len(heads):
-                    return _switch(ins, kids, heads)
+            if op == ALT and ins[4]:  # some alternative has a head
+                return (SWITCH, ins[1], *_switch(kids, ins[4][2]), ins[3])
             if any(fast is not kid for fast, kid in zip(kids, ins[2])):
                 ins = ins[:2] + (kids + (None,),) + ins[3:]
             return ins
@@ -338,12 +370,10 @@ class Tables:
                 return (RE, ins[1], match, True, None)
         if op in (CAPTURE, REP, OPT, PRED, QUIET):
             inner = self._fast(ins[2])
-            head = self._head(ins[2]) if op == REP or op == OPT else None
-            if head is not None:
-                table, other, _ = _by_char([head])  # 1 where the body can start
-                if op == REP:  # (LOOP, node, body, plus, collect tag, table, other)
-                    return (LOOP, ins[1], inner, ins[3], ins[4], table, other)
-                return (MAYBE, ins[1], inner, ins[3], table, other)  # ins[3]: collect tag
+            if op == REP and ins[6]:  # (LOOP, node, body, plus, collect tag, by char, other)
+                return (LOOP, ins[1], inner, ins[3], ins[4], *ins[6])
+            if op == OPT and ins[4]:  # (MAYBE, node, body, collect tag, dispatch)
+                return (MAYBE, ins[1], inner, ins[3], ins[4])
             if inner is not ins[2]:
                 ins = ins[:2] + (inner,) + ins[3:]
         return ins
@@ -421,8 +451,8 @@ class Tables:
                                   (node.children if t is r.Sequence else node.alternatives)))
             touches = any(touched)
             kids += (None,)
-            if t is r.FirstOf:
-                return (ALT, node, kids, touches), touches
+            if t is r.FirstOf:  # the dispatch operand is filled once the heads are known
+                return (ALT, node, kids, touches, []), touches
             return (SEQ, node, kids, touches, kids[0][0] <= ISTR), touches
         if t is r.ZeroOrMore or t is r.OneOrMore:
             inner, touches = self._compile(node.inner)
@@ -433,10 +463,11 @@ class Tables:
                 source = inner[-1]
                 scan = None if source is None else re.compile(source + "*", re.DOTALL).match
                 return (CHARS, node, inner, t is r.OneOrMore, scan, False), False
-            return (REP, node, inner, t is r.OneOrMore, self._collect_tag(node), touches), touches
+            return (REP, node, inner, t is r.OneOrMore, self._collect_tag(node), touches,
+                    []), touches
         if t is r.Optional:
             inner, touches = self._compile(node.inner)
-            return (OPT, node, inner, self._collect_tag(node)), touches
+            return (OPT, node, inner, self._collect_tag(node), []), touches
         if t is r.AndPredicate or t is r.NotPredicate:
             inner, touches = self._compile(node.inner)
             return (PRED, node, inner, t is r.NotPredicate, touches, inner[0] <= ISTR), False

@@ -1,23 +1,27 @@
-"""Digest of everything a run shows, per random grammar family, to compare two trees.
+"""Digests of what a run shows, per random grammar family, to compare two trees.
 
     python3 tests/equivalence.py --seed 1 --pairs 6000
 
 Run it once under each source tree (a copy of this file in the other tree's
-``tests/``); identical digests mean that the two engines agree on every
-pair. It imports pegstack from the ``src/`` next to this file. For each
-family it prints one SHA-256 over ``check_grammar``'s outcome for each
-grammar (the report, or the error's text) and, for each (grammar, input)
-pair:
+``tests/``). It imports pegstack from the ``src/`` next to this file. For
+each family it prints two SHA-256 digests. The behaviour digest must match
+between two trees that claim the same behaviour; it covers
+``check_grammar``'s outcome for each grammar (the report, or the error's
+text) and, for each (grammar, input) pair:
 
-* ``Parser.run``: kind, rendered values, error position, expected list and fault;
-* ``run_phase`` on the exact table: steps, mismatches, max cursor and cursor;
-* ``run_phase`` under MODE_COLLECT: the same counters and the collected traces;
+* ``Parser.run``: kind, rendered values, error position, expected list,
+  rule traces and fault;
+* ``run_phase`` on the exact table, and under MODE_COLLECT: its final
+  cursor, and the collected traces;
 * the traced event stream of ``match_rule`` and of ``Parser.run`` with a Trace.
 
-Next to each digest it prints how many SWITCH, LOOP and MAYBE instructions
+The counter digest covers the steps, mismatches and max cursor of each
+``run_phase``; a change to how much work a pass does may move it.
+
+Next to the digests it prints how many SWITCH, LOOP and MAYBE instructions
 the family's fast tables hold, each counted once: a family whose count is 0
 never reaches the code that dispatches on the next character. The count
-is not part of the digest.
+is part of neither digest.
 
 The families are ``gen_grammar`` at depths 4 and 6, ``gen_sound_grammar``
 and ``gen_lowerable_grammar`` with its alphabet; each grammar gets three
@@ -71,15 +75,21 @@ def _run(parser: Parser, text: str) -> str:
         return "success " + " ".join(render_value(v) for v in result.values)
     if result.error is not None:
         err = result.error
-        return f"failure {err.position.index} {err.expected()!r}"
+        return f"failure {err.position.index} {err.expected()!r} {[str(t) for t in err.traces]!r}"
     return f"fault {result.fault.description}"
 
 
-def _phase(parser: Parser, text: str, mode: str) -> str:
-    state = parser.run_phase(text, error_mode=mode)
+def _phase(parser: Parser, text: str, mode: str) -> tuple[str, str]:
+    """(behaviour, counters) of one run_phase; a fault is both."""
+    try:
+        state = parser.run_phase(text, error_mode=mode)
+    except Exception as exc:
+        raised = f"raised {type(exc).__name__}: {exc}"
+        return raised, raised
     stats = state.stats
     traces = [str(t) for t in state.collected]
-    return f"{stats.steps} {stats.terminal_mismatches} {stats.max_cursor} {state.cursor} {traces!r}"
+    return (f"{state.cursor} {traces!r}",
+            f"{stats.steps} {stats.terminal_mismatches} {stats.max_cursor}")
 
 
 def _traced_match(parser: Parser, text: str) -> str:
@@ -117,27 +127,32 @@ def dispatch_count(parser: Parser) -> int:
     return count
 
 
-def family_digest(name: str, seed: int, pairs: int) -> tuple[str, int]:
-    """The family's digest over pairs (grammar, input) pairs, and the
-    dispatch instructions in its grammars' fast tables."""
+def _encode(text: str) -> bytes:
+    return text.encode("utf-8", "surrogatepass")
+
+
+def family_digest(name: str, seed: int, pairs: int) -> tuple[str, str, int]:
+    """The family's behaviour and counter digests over pairs (grammar,
+    input) pairs, and the dispatch instructions in its grammars' fast tables."""
     make, alphabet = FAMILIES[name]
     rng = random.Random(f"{name}:{seed}")
-    digest = hashlib.sha256()
+    behaviour, counters = hashlib.sha256(), hashlib.sha256()
     dispatches = 0
     for _ in range(-(-pairs // INPUTS_PER_GRAMMAR)):
         grammar = make(rng)
-        digest.update(_guarded(lambda: _check(grammar)).encode("utf-8", "surrogatepass") + b"\x02")
+        behaviour.update(_encode(_guarded(lambda: _check(grammar))) + b"\x02")
         parser = Parser(grammar)
         dispatches += dispatch_count(parser)
         for _ in range(INPUTS_PER_GRAMMAR):
             text = gen_input(rng, alphabet=alphabet)
-            parts = [text, _guarded(lambda: _run(parser, text)),
-                     _guarded(lambda: _phase(parser, text, "off")),
-                     _guarded(lambda: _phase(parser, text, MODE_COLLECT)),
+            (off, off_counts), (collect, collect_counts) = (_phase(parser, text, "off"),
+                                                            _phase(parser, text, MODE_COLLECT))
+            parts = [text, _guarded(lambda: _run(parser, text)), off, collect,
                      _guarded(lambda: _traced_match(parser, text)),
                      _guarded(lambda: _traced_run(parser, text))]
-            digest.update("\x00".join(parts).encode("utf-8", "surrogatepass") + b"\x01")
-    return digest.hexdigest(), dispatches
+            behaviour.update(_encode("\x00".join(parts)) + b"\x01")
+            counters.update(_encode("\x00".join((text, off_counts, collect_counts))) + b"\x01")
+    return behaviour.hexdigest(), counters.hexdigest(), dispatches
 
 
 def main() -> None:
@@ -145,9 +160,10 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=6000, help="(grammar, input) pairs per family")
     args = ap.parse_args()
+    print(f"{'family':24} {'pairs':>7} {'behaviour':64} {'counters':64} dispatches")
     for name in FAMILIES:
-        digest, dispatches = family_digest(name, args.seed, args.pairs)
-        print(f"{name:24} {args.pairs:7} {digest} {dispatches:7}", flush=True)
+        behaviour, counters, dispatches = family_digest(name, args.seed, args.pairs)
+        print(f"{name:24} {args.pairs:7} {behaviour} {counters} {dispatches:7}", flush=True)
 
 
 if __name__ == "__main__":

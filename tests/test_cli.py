@@ -305,6 +305,17 @@ def test_a_flat_chain_of_1500_rules_checks_with_exit_0(capsys, tmp_path):
     assert out.splitlines() == [f"R{i} : (0 -> 0)" for i in range(1501)]
 
 
+def test_a_chain_of_600_rules_ending_in_a_failing_rule_exits_2(capsys, tmp_path):
+    # each rule reports the last rule's effect error, not a depth fault
+    grammar = tmp_path / "chain.peg"
+    grammar.write_text("".join(f"R{i} <- R{i + 1} 'x'\n" for i in range(600))
+                       + "R600 <- capture('a') / 'b'\n")
+    code, out, err = run_cli(capsys, "check", "--grammar", str(grammar))
+    message = "alternative 1 does not unify with the preceding alternatives: ([],[Str]) vs ([],[])"
+    assert (code, out) == (2, "")
+    assert err == "; ".join(f"R{i}: {message}" for i in range(601)) + "\n"
+
+
 def test_deep_nesting_parses_at_the_callers_recursion_limit(calc_grammar, capsys):
     limit = sys.getrecursionlimit()
     deep = "(" * 20_000 + "1" + ")" * 20_000

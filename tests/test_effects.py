@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from pegstack import rules as r
+from pegstack import effects, rules as r
 from pegstack.effects import (BranchEffectMismatch, EffectCheckError, EffectError,
                               EffectMismatch, NEUTRAL, StackEffect, StartRulePops,
                               UndeclaredRecursiveRule, UnsupportedRepetitionEffect,
@@ -87,6 +87,59 @@ def test_effect_errors_are_reported_in_grammar_order():
         check_grammar(g)
     assert [(name, type(err)) for name, err in exc.value.issues] == [
         ("A", BranchEffectMismatch), ("B", BranchEffectMismatch)]
+
+
+@pytest.mark.parametrize("length", [3, 600, 1500])
+def test_a_chain_ending_in_a_failing_rule_reports_each_rule_without_recursing(length):
+    # R_i <- R_i+1 'x' ending in capture('a') / 'b': the memo keeps the
+    # failure, so each reference raises it again instead of re-inferring
+    # the rest of the chain, and every rule reports the last rule's error
+    rules = {f"R{i}": r.seq(r.ref(f"R{i + 1}"), r.ch("x")) for i in range(length)}
+    rules[f"R{length}"] = r.first_of(r.capture(r.ch("a")), r.ch("b"))
+    with pytest.raises(EffectCheckError) as exc:
+        check_grammar(validate_grammar(r.grammar(rules, start="R0")))
+    assert [name for name, _ in exc.value.issues] == list(rules)
+    assert {str(err) for _, err in exc.value.issues} == {
+        "alternative 1 does not unify with the preceding alternatives: ([],[Str]) vs ([],[])"}
+
+
+def test_a_failure_that_depends_on_the_active_rules_is_not_kept():
+    # inferring A's body with A active fails, but A itself checks once
+    # inferred from outside, with no rule active
+    g = r.grammar({"A": r.first_of(r.seq(r.ch("x"), r.ref("B")), r.ch("y")),
+                   "B": r.seq(r.ch("z"), r.ref("A"))})
+    memo: dict = {}
+    with pytest.raises(UndeclaredRecursiveRule):
+        infer_effect(g.rules["A"].expr, g, frozenset({"A"}), memo)
+    assert not any(isinstance(v, EffectError) for v in memo.values())
+    bad = r.seq(r.ch("x"), r.first_of(r.capture(r.ch("a")), r.ch("b")))
+    for _ in range(2):  # the second time from the memo
+        with pytest.raises(BranchEffectMismatch):
+            infer_effect(bad, g, frozenset(), memo)
+
+
+def test_a_nest_of_options_over_a_failing_option_builds_in_linear_time():
+    # ('b' e)? around drop?: each enclosing option's collect tag raises the
+    # kept failure of its body instead of re-inferring the whole nest
+    def calls(levels):
+        expr = r.opt(r.drop(1))
+        for _ in range(levels):
+            expr = r.opt(r.seq(r.ch("b"), expr))
+        counted = []
+        original = effects.infer_effect
+
+        def counting(*args, **kwargs):
+            counted.append(1)
+            return original(*args, **kwargs)
+
+        effects.infer_effect = counting
+        try:
+            Parser(r.grammar({"Top": expr}))
+        finally:
+            effects.infer_effect = original
+        return len(counted)
+
+    assert calls(180) < 3.5 * calls(60)
 
 
 # -- sequence composition --------------------------------------------------------

@@ -8,7 +8,7 @@ from pegstack import rules as r
 from pegstack.effects import StackEffect, cons
 from pegstack.engine import (ACTION_FAIL, ActionRaised, EngineFault, InternalFault, ParseFailed,
                              Parser, ParserState, RunResult, Trace, format_trace_event)
-from pegstack.errors import MODE_COLLECT, principal_error_index
+from pegstack.errors import MODE_COLLECT, build_parse_error, principal_error_index
 from pegstack.instructions import EXACT, FAST, LOOP, MAYBE, RE, REF, SWITCH
 from pegstack.notation import load_grammar, parse_grammar
 from pegstack.rules import DIGIT, validate_grammar
@@ -957,7 +957,11 @@ def _exact_outcome(parser, text):
     return ("success", state.stack.values(), None) if ok else ("parse-failure", None, None)
 
 
-@pytest.mark.parametrize("expr, texts, op", DISPATCH_CASES)
+_DISPATCH_NAMES = {SWITCH: "SWITCH", LOOP: "LOOP", MAYBE: "MAYBE"}
+
+
+@pytest.mark.parametrize("expr, texts, op", DISPATCH_CASES,
+                         ids=[f"{i}-{_DISPATCH_NAMES[case[2]]}" for i, case in enumerate(DISPATCH_CASES)])
 def test_head_dispatch_agrees_with_the_exact_table(expr, texts, op):
     parser = Parser(r.grammar({"Top": expr}))  # unvalidated, so that empty literals stay
     assert op in {ins[0] for _, ins in _fast_instructions(parser)}
@@ -965,6 +969,8 @@ def test_head_dispatch_agrees_with_the_exact_table(expr, texts, op):
         result = parser.run(text)
         fault = None if result.fault is None else result.fault.description
         assert (result.kind, result.values, fault) == _exact_outcome(parser, text), text
+        if result.error is not None:  # the error pass that dispatches below its bound
+            assert result.error == build_parse_error(parser, text), text
 
 
 def test_json_value_dispatches_through_the_rules_on_its_cycle(calc_grammar):

@@ -1,16 +1,20 @@
+import json
 import random
 import tracemalloc
 
 import pytest
 
-from pegstack import rules as r
-from pegstack.engine import Parser
+from pegstack import engine, rules as r
+from pegstack.engine import Parser, Trace
 from pegstack.errors import (MODE_COLLECT, MODE_OFF, ParseError, Position, RuleTrace,
                              TerminalDescriptor, build_parse_error, descriptor_of, format_error,
                              position_of, principal_error_index, trace_collection)
+from pegstack.notation import load_grammar
 from pegstack.rules import validate_grammar
 
-from generators import big_expression, gen_grammar, gen_input
+from conftest import ROOT
+from generators import (ALPHABET, LOWERABLE_ALPHABET, big_expression, gen_grammar, gen_input,
+                        gen_lowerable_grammar, gen_sound_grammar)
 from reference_interp import ref_run, ref_traces
 from test_acceptance import _nested_alternation_grammar
 
@@ -187,6 +191,123 @@ def test_no_collect_mismatch_beyond_principal():
         assert collect_state.stats.max_cursor <= principal
         checked += 1
     assert checked > 40
+
+
+def handed_over_bounds(parser, text, start=None):
+    """(error, bound) of Parser.run's failure, first unobserved and then
+    observed: the bound that each run hands to its error pass."""
+    bounds = []
+    build = engine.build_parse_error
+
+    def spy(parser, text, start=None, bound=None):
+        bounds.append(bound)
+        return build(parser, text, start, bound)
+
+    engine.build_parse_error = spy
+    try:
+        errors = [parser.run(text, start).error, parser.run(text, start, observer=Trace([])).error]
+    finally:
+        engine.build_parse_error = build
+    return list(zip(errors, bounds))
+
+
+def assert_the_bound_keeps_the_error(parser, text, start=None) -> bool:
+    """Each bound a failing run hands over is at most the principal index,
+    and the error equals the one of the pass without a bound; whether the
+    run failed."""
+    failures = handed_over_bounds(parser, text, start)
+    if not failures or failures[0][0] is None:
+        return False
+    exact = build_parse_error(parser, text, start)
+    principal = principal_error_index(parser, text, start)
+    for error, bound in failures:
+        assert bound <= principal, (text, bound, principal)
+        assert error == exact, text
+    assert failures[1][1] == principal  # an observed run runs the exact table
+    return True
+
+
+def test_a_fragment_that_fails_through_a_not_predicate_hands_over_no_mismatch():
+    # the fragment 'x' capture(!'z' 'y') fails at 1 on "xz", where the
+    # exact table fails only by its predicate: a bound of 1 would lose 'w'
+    g = validate_grammar(r.grammar({"S": r.first_of(
+        r.seq(r.ch("x"), r.capture(r.seq(r.not_pred(r.ch("z")), r.ch("y")))),
+        r.capture(r.ch("w")))}))
+    parser = Parser(g)
+    (error, bound), _ = handed_over_bounds(parser, "xz")
+    assert bound == 0
+    assert (error.position.index, error.expected()) == (0, ["'w'"])
+    assert assert_the_bound_keeps_the_error(parser, "xz")
+
+
+FAMILIES = [(lambda rng: gen_grammar(rng, 4), ALPHABET), (lambda rng: gen_grammar(rng, 6), ALPHABET),
+            (gen_sound_grammar, ALPHABET), (gen_lowerable_grammar, LOWERABLE_ALPHABET)]
+
+
+@pytest.mark.parametrize("family", range(len(FAMILIES)))
+def test_the_handed_over_bound_keeps_the_error_on_random_grammars(family):
+    make, alphabet = FAMILIES[family]
+    rng = random.Random(family)
+    failed = 0
+    for _ in range(120):
+        parser = Parser(make(rng))
+        for _ in range(3):
+            failed += assert_the_bound_keeps_the_error(parser, gen_input(rng, alphabet=alphabet))
+    assert failed > 100
+
+
+def test_the_handed_over_bound_keeps_the_error_on_the_calc_corpus(calc_grammar):
+    rng = random.Random(71)
+    parser = Parser(calc_grammar)
+    failed = 0
+    for _ in range(150):
+        text = big_expression(rng, rng.randint(1, 400))
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice(["!", "x", "++", ")", "(", "", "*/"]) + text[at:]
+        if rng.random() < 0.3:
+            text = text[:max(1, len(text) // 2)]
+        failed += assert_the_bound_keeps_the_error(parser, text, "InputLine")
+    assert failed > 100
+
+
+def _json_value(rng, depth):
+    kind = rng.randrange(7 if depth else 4)
+    if kind == 0:
+        return rng.choice([0, -7, 12, 2.5, -0.25, 1e21])
+    if kind == 1:
+        return "".join(rng.choice('ab"\\\n\u00e9 ') for _ in range(rng.randrange(5)))
+    if kind in (2, 3):
+        return rng.choice([True, False, None])
+    if kind in (4, 5):
+        return [_json_value(rng, depth - 1) for _ in range(rng.randrange(4))]
+    return {f"k{i}": _json_value(rng, depth - 1) for i in range(rng.randrange(4))}
+
+
+def test_the_handed_over_bound_keeps_the_error_on_json_documents():
+    rng = random.Random(72)
+    parser = Parser(load_grammar(ROOT / "bench/json.peg"))
+    failed = 0
+    for _ in range(150):
+        text = json.dumps(_json_value(rng, 4))
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice(["!", "x", "]", "}", ",", ":", '"', "tru", "-", ""]) + text[at:]
+        if rng.random() < 0.3:
+            text = text[:max(1, len(text) // 2)]
+        failed += assert_the_bound_keeps_the_error(parser, text)
+    assert failed > 100
+
+
+def test_a_bound_cuts_the_collect_steps_not_the_traces(calc_grammar):
+    parser = Parser(calc_grammar)
+    text = "1+(2*3-4)/5*(6+7)-8!9"
+    exact = parser.run_phase(text, None, MODE_COLLECT)
+    steps = []
+    for bound in (0, 10, 19):  # 19 is the principal index
+        headed = parser.run_phase(text, None, MODE_COLLECT, bound)
+        assert (headed.stats.max_cursor, headed.collected) == (19, exact.collected)
+        steps.append(headed.stats.steps)
+    # from 0 the running maximum stands where the parse does: nothing to skip
+    assert exact.stats.steps == steps[0] > steps[1] > steps[2]
 
 
 def test_build_parse_error_makes_one_engine_pass(calc_grammar, monkeypatch):
