@@ -65,10 +65,12 @@ from .effects import ConsFn, EffectError, infer_effect, repetition_shape
 # opcodes: terminals first, so "op <= ISTR" tells a terminal (a CLASS also
 # stands for "." and a none-of set); an ACTION also stands for push and
 # drop; RE, SWITCH, LOOP and MAYBE occur in the fast table only; a frame is
-# tagged with the opcode of the node that opened it, or with RULE
+# tagged with the opcode of the node that opened it, or with RULE. Numbered
+# from 5, so that SWITCH, LOOP and MAYBE keep the values that parametrized
+# test ids show
 OPS = (CH, CLASS, STR, EOI, ISTR, SEQ, ALT, REF, CHARS, ACTION, CONS, CAPTURE, REP, OPT,
-       PRED, QUIET, RE, SWITCH, LOOP, MAYBE) = range(20)
-RULE = 20
+       PRED, QUIET, RE, SWITCH, LOOP, MAYBE) = range(5, 25)
+RULE = 25
 # compiled tables: exact and observed runs, unobserved Parser.run
 EXACT, FAST = 0, 1
 # instructions worth one regex; a lone terminal, a fused scan and a bare

@@ -957,11 +957,7 @@ def _exact_outcome(parser, text):
     return ("success", state.stack.values(), None) if ok else ("parse-failure", None, None)
 
 
-_DISPATCH_NAMES = {SWITCH: "SWITCH", LOOP: "LOOP", MAYBE: "MAYBE"}
-
-
-@pytest.mark.parametrize("expr, texts, op", DISPATCH_CASES,
-                         ids=[f"{i}-{_DISPATCH_NAMES[case[2]]}" for i, case in enumerate(DISPATCH_CASES)])
+@pytest.mark.parametrize("expr, texts, op", DISPATCH_CASES)
 def test_head_dispatch_agrees_with_the_exact_table(expr, texts, op):
     parser = Parser(r.grammar({"Top": expr}))  # unvalidated, so that empty literals stay
     assert op in {ins[0] for _, ins in _fast_instructions(parser)}
