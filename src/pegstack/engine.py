@@ -28,17 +28,24 @@ fails, one mismatch, but leaves ``max_cursor`` as it is, so the fast run's
 A failed run hands its ``max_cursor`` to the error pass, which starts its
 running maximum there and, below it, dispatches the exact table's choices,
 repetitions and options on the next character (see ``pegstack.errors``).
+When the grammar's values decide no match (every action is a ``cons``, a
+push or a drop), that pass builds no values either: a capture pushes
+nothing, a CONS or ACTION only succeeds, a collecting repetition or option
+builds no list, and no snapshot is taken. Its steps and mismatches are
+counted as in a pass that builds them.
 
 The exact table opens a frame only where backtracking needs one. A Sequence
 whose first child is a terminal tests that terminal first: a mismatch fails
 the sequence at once, and a match opens its frame at the second child. A
 predicate over a terminal resolves in place. A repetition of one
 single-character terminal runs as one fused scan, and so does a Capture of
-such a repetition, which pushes the matched slice itself. An observed run
-logs the steps these shortcuts stand for: a headed Sequence its start
-before its head, the terminal that resolves a Sequence or predicate even at
-a rule's root, and a fused scan one match per character and then the
-mismatch that ends it.
+such a repetition, which pushes the matched slice itself. A repetition
+whose body has a head takes no snapshot: one would only undo an iteration
+that matched without moving, and such a body moves when it matches. An
+observed run logs the steps these shortcuts stand for: a headed Sequence
+its start before its head, the terminal that resolves a Sequence or
+predicate even at a rule's root, and a fused scan one match per character
+and then the mismatch that ends it.
 
 The fast table also dispatches on the next character. A SWITCH looks it
 up (or end of input) and gets the alternatives that can start there: none
@@ -72,6 +79,10 @@ ACTION_FAIL = object()
 _QUIET_FRAME = (QUIET,)
 _RULE_FRAME = (RULE,)  # a rule open in a collecting run that no observer watches
 _COMPACT_AT = 64  # the error pass compacts its frontier past twice its kept length plus this
+
+
+def _no_snapshot() -> None:
+    """The snapshot of a pass that builds no values: none."""
 
 
 def _scan(mask: int, extra, text: str, i: int) -> int:
@@ -284,10 +295,14 @@ class Parser:
     def run_phase(self, text: str, start: str | None = None, error_mode: str = MODE_OFF,
                   bound: int | None = None) -> ParserState:
         """Run once on the exact table under an error mode and hand back the
-        final state. A MODE_COLLECT pass given a bound, which must not exceed
-        the principal index, starts its running maximum there and, below
-        that maximum, runs only the alternatives, iterations and options
-        that can start at the next character."""
+        final state. A MODE_COLLECT pass given a bound starts its running
+        maximum there and, below that maximum, runs only the alternatives,
+        iterations and options that can start at the next character.
+
+        A bound must come from a run of the same text that failed without a
+        fault, and must not exceed the principal index. When the grammar's
+        values decide no match, such a pass builds none and leaves
+        ``state.stack`` empty."""
         state = ParserState(text, error_mode=error_mode)
         name = start or self.grammar.start
         bodies = self._bodies(EXACT)
@@ -333,7 +348,8 @@ class Parser:
         traces, not with the work. A headed, unobserved pass runs the
         dispatch operands of choices, repetitions and options wherever the
         cursor is below the highest cursor so far: there a skipped
-        alternative's only mismatch would not be reported.
+        alternative's only mismatch would not be reported. When the
+        grammar's values decide no match, that pass does no value work.
         """
         text = state.input
         n = len(text)
@@ -348,6 +364,10 @@ class Parser:
         traced = observer is not None  # every step is logged
         collecting = state.error_mode == MODE_COLLECT
         headed = headed and collecting and not traced
+        # a headed pass over a grammar whose values decide no match builds none
+        valued = not (headed and self._tables.value_free)
+        if not valued:
+            snapshot = _no_snapshot  # so nothing is ever restored
         frontier = state.frontier
         compact_at = _COMPACT_AT
         path = ()  # collecting: the open rules, innermost first, as cons cells
@@ -357,7 +377,8 @@ class Parser:
         # continuation frames, by the opcode that opened them:
         #   [SEQ or ALT, children, next child, entry cursor, snapshot, ins]
         #     (a SEQ with a terminal head opens at child 1, after it matched)
-        #   [REP, ins, iteration entry cursor, snapshot, first match pending, collect base]
+        #   [REP, ins, iteration entry cursor, snapshot, first match pending,
+        #    collect base or None]
         #   [LOOP, ins, first match pending, collect base]
         #   (CAPTURE, start)  (OPT, collect tag, collect base)
         #   (PRED, negate, entry cursor, snapshot)  (QUIET,)
@@ -523,7 +544,7 @@ class Parser:
                         observer.event(term[1], at, "mismatch", None, None)
                     ok = count >= ins[3]
                     if ok:
-                        if ins[5]:
+                        if ins[5] and valued:
                             push(Value("Str", text[pos:at]))
                         pos = at
                     if not not_depth:
@@ -541,29 +562,34 @@ class Parser:
                         elif at > max_cursor:
                             max_cursor = at
                 elif op == CONS:
-                    push(Value("Node", Tree(ins[2], stack.take(ins[3]))))
+                    if valued:
+                        push(Value("Node", Tree(ins[2], stack.take(ins[3]))))
                     ok = True
                 elif op == ACTION:
-                    ok = self._act(state, ins)
+                    ok = self._act(state, ins) if valued else True
                 elif op == CAPTURE:
-                    frames.append((CAPTURE, pos))
+                    if valued:
+                        frames.append((CAPTURE, pos))
                     ins = ins[2]
                     continue
                 elif op == REP:
-                    tag = ins[4]
+                    tag = ins[4] if valued else None
                     if (headed and pos < max_cursor and ins[6]
                             and not ins[6][0].get(text[pos], ins[6][1])):
                         ok = not ins[3]  # the body cannot start, as in a LOOP
                         if ok and tag is not None:
                             push(list_value((), tag))
                     else:
+                        # a snapshot undoes a zero-width iteration, so a body
+                        # with a head, which moves when it matches, needs none
                         first = ins[3]  # OneOrMore: the first match may fail the loop
-                        frames.append([REP, ins, pos, None if first or not ins[5] else snapshot(),
-                                       first, size() if tag is not None else 0])
+                        frames.append([REP, ins, pos,
+                                       None if first or not ins[5] or ins[6] else snapshot(),
+                                       first, size() if tag is not None else None])
                         ins = ins[2]
                         continue
                 elif op == OPT or op == MAYBE:
-                    tag = ins[3]
+                    tag = ins[3] if valued else None
                     # MAYBE, an option of a headed body (fast table only),
                     # ends empty when the body cannot start, and so does a
                     # headed OPT below the running maximum
@@ -678,18 +704,18 @@ class Parser:
                             if ok and f[3] is not None:
                                 restore(f[3])  # a zero-width iteration ends the loop undone
                             frames.pop()
-                            if rep[4] is not None:
+                            if f[5] is not None:
                                 self._materialize(stack, f[5], rep[4])
                             ok = True
                             continue
                         if (headed and pos < max_cursor and rep[6]
                                 and not rep[6][0].get(text[pos], rep[6][1])):
                             frames.pop()  # the body cannot start again
-                            if rep[4] is not None:
+                            if f[5] is not None:
                                 self._materialize(stack, f[5], rep[4])
                             continue
                         f[2] = pos
-                        f[3] = snapshot() if rep[5] else None
+                        f[3] = snapshot() if rep[5] and not rep[6] else None
                         ins = rep[2]
                         break
                     elif k == CAPTURE:

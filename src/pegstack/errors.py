@@ -19,6 +19,16 @@ only the alternatives, iterations and options that can start at the next
 character, as the fast table's SWITCH, LOOP and MAYBE do; at or past it,
 every alternative runs. The rule paths and the order of the mismatches
 at the principal index stay as in a pass without a bound.
+
+Given a bound, the pass also builds no values when the grammar's values
+decide no match: every action is a ``cons``, a push or a drop, and none of
+them can return ``ACTION_FAIL``. The pass makes the same action calls, in
+the same order, as the failed run, whose dispatch skips only alternatives
+that fail before any action; so a ``cons`` or drop that could underflow
+has already faulted that run, and no error pass follows. A user action
+anywhere in the grammar, also inside a predicate, may fail on the values
+it pops and so decide which mismatches are reached: there the pass builds
+every value.
 """
 
 from __future__ import annotations

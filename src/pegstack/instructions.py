@@ -6,9 +6,12 @@ repetition, literal lengths. Rule references stay symbolic, except to
 acyclic rules in the fast table; the executor looks each one up in the
 table it runs. Every rule body is compiled into both tables when the
 grammar's Parser is built. One walk of each rule body first gives the
-rule's references and whether its own nodes touch the stack; a least
-fixpoint over the rules then gives which rules touch it, and compiling a
-node takes its own flag from its children's.
+rule's references, whether its own nodes touch the stack and whether it
+holds an action other than a ``cons``; a least fixpoint over the rules
+then gives which rules touch it, and compiling a node takes its own flag
+from its children's. A grammar with no such action, only ``cons``, push
+and drop, is ``value_free``: its values decide no match, so the error pass
+may leave them out.
 
 A terminal compiles to one of five opcodes, and its other facts (its
 head, its regex source, whether a repetition of it is one fused scan) are
@@ -201,11 +204,13 @@ def _switch(kids: tuple, bits: tuple) -> tuple[dict[str, tuple], tuple, tuple]:
     return {c: candidates(bits) for c, bits in table.items()}, candidates(other), candidates(end)
 
 
-def _facts(expr: r.RuleExpr) -> tuple[set, set, bool]:
+def _facts(expr: r.RuleExpr) -> tuple[set, set, bool, bool]:
     """Facts of a rule body, from one walk: the rules it references, those
-    it references outside predicates, and whether one of its own nodes
-    outside predicates pushes or pops (predicates restore the stack)."""
-    refs, calls, touches = set(), set(), False
+    it references outside predicates, whether one of its own nodes outside
+    predicates pushes or pops (predicates restore the stack), and whether
+    one of them, inside a predicate or not, is an action other than a
+    ``cons``, whose values may decide a match."""
+    refs, calls, touches, acts = set(), set(), False, False
     todo, inside = [expr], []  # nodes to visit: outside every predicate, inside one
     while todo or inside:
         counts = bool(todo)  # outside: the node's pushes, pops and calls count
@@ -225,7 +230,8 @@ def _facts(expr: r.RuleExpr) -> tuple[set, set, bool]:
             into.append(node.inner)
         elif t is r.Push or t is r.Drop or t is r.Action:
             touches = touches or counts
-    return refs | calls, calls, touches
+            acts = acts or t is r.Action and type(node.fn) is not ConsFn
+    return refs | calls, calls, touches, acts
 
 
 class Tables:
@@ -237,13 +243,16 @@ class Tables:
         self._effects: dict | None = {}  # infer_effect's memo while the rules compile
         exprs = {name: rd.expr for name, rd in grammar.rules.items()}
         facts = {name: _facts(expr) for name, expr in exprs.items()}
+        # no action but cons, push and drop: values decide no match, so an
+        # error pass given a bound may leave them out (see engine)
+        self.value_free = not any(f[3] for f in facts.values())
         # least fixpoint over the rules: a rule touches the stack when one of
         # its nodes pushes or pops, or when it calls a rule that does
         touches = self._rule_touches = {name: f[2] for name, f in facts.items()}
         changed = True
         while changed:
             changed = False
-            for name, (_, calls, _) in facts.items():
+            for name, (_, calls, _, _) in facts.items():
                 if not touches[name] and any(touches.get(n, True) for n in calls):
                     touches[name] = changed = True
         # the rules that reach no reference cycle, each after the rules it
@@ -252,7 +261,7 @@ class Tables:
         acyclic = self._acyclic = {}
         ready = True
         while ready:
-            ready = [name for name, (refs, _, _) in facts.items()
+            ready = [name for name, (refs, _, _, _) in facts.items()
                      if name not in acyclic and refs <= acyclic.keys()]
             acyclic.update(dict.fromkeys(ready))
         cyclic = [name for name in exprs if name not in acyclic]

@@ -5,12 +5,15 @@ import tracemalloc
 import pytest
 
 from pegstack import engine, rules as r
-from pegstack.engine import Parser, Trace
+from pegstack.effects import StackEffect, cons
+from pegstack.engine import ACTION_FAIL, Parser, Trace
 from pegstack.errors import (MODE_COLLECT, MODE_OFF, ParseError, Position, RuleTrace,
                              TerminalDescriptor, build_parse_error, descriptor_of, format_error,
                              position_of, principal_error_index, trace_collection)
+from pegstack.instructions import ALT, CAPTURE, EXACT, OPT, PRED, QUIET, REP, SEQ
 from pegstack.notation import load_grammar
 from pegstack.rules import validate_grammar
+from pegstack.values import ValueStack
 
 from conftest import ROOT
 from generators import (ALPHABET, LOWERABLE_ALPHABET, big_expression, gen_grammar, gen_input,
@@ -308,6 +311,146 @@ def test_a_bound_cuts_the_collect_steps_not_the_traces(calc_grammar):
         steps.append(headed.stats.steps)
     # from 0 the running maximum stands where the parse does: nothing to skip
     assert exact.stats.steps == steps[0] > steps[1] > steps[2]
+
+
+def _count_value_work(monkeypatch) -> dict:
+    """Counts of the values, trees and lists that the engine builds and of
+    the snapshots and restores of its stacks, through the names it imports."""
+    counts = dict.fromkeys(("Value", "Tree", "list_value", "snapshot", "restore"), 0)
+
+    def counted(name, make):
+        def build(*args):
+            counts[name] += 1
+            return make(*args)
+        return build
+
+    for name in ("Value", "Tree", "list_value"):
+        monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
+
+    class CountedStack(ValueStack):
+        __slots__ = ()
+
+        def snapshot(self):
+            counts["snapshot"] += 1
+            return ValueStack.snapshot(self)
+
+        def restore(self, token):
+            counts["restore"] += 1
+            ValueStack.restore(self, token)
+
+    monkeypatch.setattr(engine, "ValueStack", CountedStack)
+    return counts
+
+
+def _instructions(body):
+    """Every instruction of a compiled body, rule references not followed."""
+    todo = [body]
+    while todo:
+        ins = todo.pop()
+        yield ins
+        if ins[0] in (SEQ, ALT):
+            todo.extend(ins[2][:-1])
+        elif ins[0] in (REP, OPT, PRED, CAPTURE, QUIET):
+            todo.append(ins[2])
+
+
+def test_a_repetition_of_a_headed_body_takes_no_snapshot(calc_grammar, monkeypatch):
+    # the snapshot of an iteration only undoes one that matched without
+    # moving, and a body with a head moves when it matches; with the
+    # dispatch operands emptied, each exact REP takes one again at entry and
+    # after each iteration
+    parser, unheaded = Parser(calc_grammar), Parser(calc_grammar)
+    reps = [ins for body in unheaded._tables.bodies[EXACT].values()
+            for ins in _instructions(body) if ins[0] == REP]
+    assert len(reps) == 2 and all(ins[6] for ins in reps)  # Expression's and Term's loops
+    for ins in reps:
+        ins[6].clear()
+    counts = _count_value_work(monkeypatch)
+    runs = []
+    for p in (unheaded, parser):
+        events = []
+        counts["snapshot"] = 0
+        assert p.run("1+2*3-(4/5)", observer=Trace(events)).ok
+        runs.append((counts["snapshot"], events))
+    # the same run, less 6 loop entries and 4 iterations: '+', '-', '*' and '/'
+    assert runs[0][1] == runs[1][1]
+    assert (runs[0][0], runs[1][0]) == (44, 34)
+
+
+def test_a_bounded_pass_over_calc_builds_no_values(calc_grammar, monkeypatch):
+    parser = Parser(calc_grammar)
+    assert parser._tables.value_free  # only cons actions
+    text = "1+(2*3-4)/5*(6+7)-8!9"
+    counts = _count_value_work(monkeypatch)
+    exact = parser.run_phase(text, None, MODE_COLLECT)
+    assert counts["Value"] and counts["Tree"] and counts["snapshot"]  # without a bound
+    for bound in (0, 10, 19):  # 19 is the principal index
+        counts.update(dict.fromkeys(counts, 0))
+        bare = parser.run_phase(text, None, MODE_COLLECT, bound)
+        assert counts == dict.fromkeys(counts, 0), bound
+        assert (bare.stack.size(), bare.collected) == (0, exact.collected)
+
+
+def _corrupted(rng, text, junk):
+    at = rng.randrange(len(text) + 1)
+    return text[:at] + rng.choice(junk) + text[at:]
+
+
+def test_a_pass_without_values_counts_like_one_with_them_on_calc_and_json(calc_grammar):
+    rng = random.Random(73)
+    corpora = [(calc_grammar, [_corrupted(rng, big_expression(rng, rng.randint(1, 300)),
+                                          ["!", "x", "++", ")", "(", "*/"]) for _ in range(60)]),
+               (load_grammar(ROOT / "bench/json.peg"),
+                [_corrupted(rng, json.dumps(_json_value(rng, 4)), ["!", "]", "}", ",", '"', "tru"])
+                 for _ in range(60)])]
+    failed = 0
+    for grammar, corpus in corpora:
+        parser, valued = Parser(grammar), Parser(grammar)
+        valued._tables.value_free = False  # builds every value, as with a user action
+        for text in corpus:
+            failures = handed_over_bounds(parser, text)
+            if not failures:
+                continue
+            bound = failures[0][1]  # the unobserved run's
+            bare, built = (p.run_phase(text, None, MODE_COLLECT, bound) for p in (parser, valued))
+            assert ((bare.stats.steps, bare.stats.terminal_mismatches, bare.stats.max_cursor,
+                     bare.collected)
+                    == (built.stats.steps, built.stats.terminal_mismatches,
+                        built.stats.max_cursor, built.collected)), text
+            assert bare.stack.size() == 0
+            failed += 1
+    assert failed > 90
+
+
+def test_a_user_action_that_fails_decides_the_error_of_a_bounded_pass():
+    # "only_a" fails on a captured "z", so there the first alternative ends
+    # before its 'b' is tried: a pass that let every action succeed would
+    # expect 'b' too; the same with the action only inside a predicate
+    def only_a(value):
+        return value if value.payload == "a" else ACTION_FAIL
+
+    check = r.Action(1, only_a, StackEffect(("Str",), ("Str",)), name="only_a")
+    az = r.any_of("az")
+    for first in (r.seq(r.capture(az), check, r.ch("b")),
+                  r.seq(r.and_pred(r.seq(r.capture(az), check, r.drop())), az, r.ch("b"))):
+        parser = Parser(validate_grammar(r.grammar({"S": r.first_of(first,
+                                                                    r.seq(az, r.ch("c")))})))
+        assert not parser._tables.value_free
+        for text, expected in (("zd", ["'c'"]), ("ad", ["'b'", "'c'"])):
+            assert assert_the_bound_keeps_the_error(parser, text)
+            assert parser.run(text).error.expected() == expected
+
+
+def test_a_cons_that_underflows_is_a_fault_not_a_parse_error():
+    # not checked: the cons pops two values where there are none
+    parser = Parser(validate_grammar(r.grammar({"S": r.first_of(
+        r.seq(r.ch("a"), cons("X", 2), r.ch("b")), r.seq(r.ch("a"), r.ch("c")))})))
+    assert parser._tables.value_free
+    for text in ("ac", "ad"):
+        for observer in (None, Trace([])):
+            result = parser.run(text, observer=observer)
+            assert (result.kind, result.error) == ("internal-fault", None), text
+            assert result.fault.description.startswith("value stack underflow"), text
 
 
 def test_build_parse_error_makes_one_engine_pass(calc_grammar, monkeypatch):

@@ -8,7 +8,8 @@ cycles is one least fixpoint. The recursive definitions below walk a
 node's whole subtree, and a reference's rule body, instead; they are the
 oracle. A terminal's head, regex source and fused scan come from the
 operands of its compiled instruction; their oracle defines them by the
-terminal's node type.
+terminal's node type. Whether the grammar's values decide no match is one
+more output of the walk of each rule body; its oracle walks every node.
 """
 
 import random
@@ -16,11 +17,12 @@ import re
 import time
 
 from pegstack import rules as r
-from pegstack.effects import NEUTRAL, check_grammar
+from pegstack.effects import NEUTRAL, ConsFn, StackEffect, check_grammar, cons
 from pegstack.engine import Parser
 from pegstack.instructions import (_ASCII, ALT, CAPTURE, CHARS, EXACT, ISTR, QUIET, REF, REP,
                                    SEQ, _char_class, _regex, _terminal_head, _terminal_source)
 from pegstack.notation import load_grammar, meta_grammar
+from pegstack.values import str_value
 
 from conftest import ROOT
 from generators import gen_grammar, gen_lowerable_grammar, gen_sound_grammar
@@ -152,6 +154,39 @@ def test_the_facts_pass_agrees_with_the_recursive_definitions():
                 assert touched == _touches(node, touches), node
                 assert _same(tables._head(ins)) == _fast_head(tables, ins), node
     assert cyclic_heads > 50  # rules on cycles with a head are covered
+
+
+def _value_free(grammar):
+    """Whether no action but a cons occurs anywhere in the grammar's rules,
+    inside predicates too."""
+    return not any(type(node) is r.Action and type(node.fn) is not ConsFn
+                   for rd in grammar.rules.values() for node in r.walk(rd.expr))
+
+
+def test_values_decide_no_match_where_every_action_is_a_cons_a_push_or_a_drop():
+    def same(*values):
+        return values
+
+    user = r.Action(1, same, StackEffect(("Str",), ("Str",)), name="same")
+    calc, json = (Parser(load_grammar(ROOT / path))._tables.value_free
+                  for path in ("grammars/calc.peg", "bench/json.peg"))
+    assert calc and json
+    push_drop = r.grammar({"Top": r.seq(r.push(str_value("a")), r.ch("a"), r.ref("Gone")),
+                           "Gone": r.first_of(r.seq(r.ch("b"), r.drop()), r.drop())})
+    assert Parser(push_drop)._tables.value_free
+    outside = r.grammar({"Top": r.seq(r.capture(r.ch("a")), r.ref("Same")),
+                         "Same": r.first_of(user, r.seq(r.drop(), r.ch("b")))})
+    assert not Parser(outside)._tables.value_free
+    for pred in (r.and_pred, r.not_pred):  # a user action only inside a predicate
+        inside = r.grammar({"Top": r.seq(pred(r.seq(r.capture(r.ch("a")), user)),
+                                         r.capture(r.ch("a")), cons("A", 1))})
+        assert not Parser(inside)._tables.value_free
+    kinds = set()
+    for grammar in _grammars():
+        value_free = Parser(grammar)._tables.value_free
+        assert value_free == _value_free(grammar)
+        kinds.add(value_free)
+    assert kinds == {True, False}  # both kinds of grammar are covered
 
 
 def test_a_chain_of_rules_that_double_checks_and_builds_in_linear_time():
