@@ -14,7 +14,7 @@ from .engine import Parser, Trace, format_trace_event
 from .errors import format_error
 from .notation import NotationError, load_grammar
 from .rules import GrammarError, GrammarTooDeep
-from .values import Tree, Value, json_string, render_value
+from .values import Node, Tree, Value, json_string, render_value
 
 EXIT_SUCCESS = 0
 EXIT_PARSE_FAILURE = 1
@@ -46,7 +46,9 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _value_json(value: Value):
-    """JSON form of a value; iterative, like ``render_value``."""
+    """JSON form of a value as nested dicts and lists; iterative. The CLI
+    writes the same form directly (``_json_values``); the benchmark checks
+    against this one."""
     root: list = []
     todo = [(value, root)]  # each value with the array its JSON form joins
     while todo:
@@ -66,28 +68,51 @@ def _value_json(value: Value):
     return root[0]
 
 
-def _json_text(obj) -> str:
-    """``json.dumps(obj)`` for nested dicts and lists of strings, ints and
-    None, without recursion."""
+def _json_values(values) -> str:
+    """``json.dumps`` of the list of the values' ``_value_json`` forms,
+    written in one walk over the values, without recursion."""
     out: list[str] = []
-    todo = [obj]  # objects to write and (text,) for literal text, next one last
+    todo: list = [values]  # values and tuples of them to write, literal text; next one last
     while todo:
         item = todo.pop()
-        if isinstance(item, tuple):
-            out.append(item[0])
-        elif isinstance(item, dict):
-            out.append("{")
-            members = [x for k, v in item.items() for x in ((", ",), (json_string(k) + ": ",), v)]
-            todo.extend(reversed(members[1:] + [("}",)]))
-        elif isinstance(item, list):
+        if type(item) is str:
+            out.append(item)
+            continue
+        if item.__class__ is tuple:
+            label, children = None, item
+        elif item.__class__ is Node:
+            label, children = item.label, item.children
+        else:
+            payload = item.payload
+            if isinstance(payload, Tree):
+                label, children = payload.label, payload.children
+            elif isinstance(payload, tuple):
+                label, children = None, payload
+            else:
+                if isinstance(payload, str):
+                    out.append(json_string(payload))
+                elif payload is None and item.tag == "Unit":
+                    out.append("null")
+                else:
+                    out.append(json_string(repr(payload)))
+                continue
+        if label is None:
             out.append("[")
-            members = [x for v in item for x in ((", ",), v)]
-            todo.extend(reversed(members[1:] + [("]",)]))
-        elif isinstance(item, str):
-            out.append(json_string(item))
-        else:  # an int or None
-            out.append("null" if item is None else str(item))
+            todo.append("]")
+        else:
+            out.append('{"label": ' + json_string(label) + ', "children": [')
+            todo.append("]}")
+        todo.extend(reversed([x for c in children for x in (", ", c)][1:]))
     return "".join(out)
+
+
+def _error_json(err, message: str) -> str:
+    """The JSON error object of a parse error, as ``json.dumps`` writes it."""
+    at = err.position
+    expected = ", ".join(map(json_string, err.expected()))
+    return (f'{{"result": "error", "position": {{"index": {at.index}, "line": {at.line}, '
+            f'"column": {at.column}}}, "expected": [{expected}], '
+            f'"message": {json_string(message)}}}')
 
 
 class _Printer:
@@ -133,8 +158,7 @@ def _cmd_run(args) -> int:
     result = Parser(grammar).run(text, start=args.start, observer=observer)
     if result.values is not None:
         if args.as_json:
-            print(_json_text({"result": "success",
-                              "values": [_value_json(v) for v in result.values]}))
+            print(f'{{"result": "success", "values": {_json_values(result.values)}}}')
         else:
             for value in result.values:
                 print(render_value(value))
@@ -143,13 +167,7 @@ def _cmd_run(args) -> int:
         err = result.error
         message = format_error(err, text, caret=not args.no_caret)
         if args.as_json:
-            print(_json_text({
-                "result": "error",
-                "position": {"index": err.position.index, "line": err.position.line,
-                             "column": err.position.column},
-                "expected": err.expected(),
-                "message": message,
-            }))
+            print(_error_json(err, message))
         else:
             print(message, file=sys.stderr)
         return EXIT_PARSE_FAILURE

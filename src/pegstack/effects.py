@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import rules as r
 from .record import record
-from .values import Tree, Value
+from .values import Node, Value
 
 WILDCARD = "*"
 
@@ -310,7 +310,7 @@ class ConsFn:
     label: str
 
     def __call__(self, *args: Value) -> Value:
-        return Value("Node", Tree(self.label, args))
+        return Node(self.label, args)
 
 
 def cons(label: str, arity: int, pops: tuple[str, ...] | None = None) -> r.Action:

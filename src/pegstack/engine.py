@@ -72,7 +72,7 @@ from .errors import (MODE_COLLECT, MODE_OFF, ParseError, build_parse_error, form
                      rule_traces)
 from .instructions import EXACT, FAST, OPS, QUIET, RULE, Tables
 from .record import record
-from .values import StackUnderflow, Tree, Value, ValueStack, list_value
+from .values import Node, StackUnderflow, Value, ValueStack, list_value
 
 # sentinel an action function returns to report a match failure
 ACTION_FAIL = object()
@@ -563,7 +563,7 @@ class Parser:
                             max_cursor = at
                 elif op == CONS:
                     if valued:
-                        push(Value("Node", Tree(ins[2], stack.take(ins[3]))))
+                        push(Node(ins[2], stack.take(ins[3])))
                     ok = True
                 elif op == ACTION:
                     ok = self._act(state, ins) if valued else True

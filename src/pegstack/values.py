@@ -3,6 +3,11 @@
 Semantic actions communicate through a LIFO stack of tagged values. A stack
 belongs to exactly one parse run and is never shared; failed alternatives are
 undone by restoring a snapshot taken before the attempt.
+
+A node has two equal forms: ``Value("Node", Tree(label, children))``, which
+user code may build, and ``Node(label, children)``, the one object (plus its
+children tuple) that ``cons`` actions and ``node_value`` build. Equality,
+hashing, ``repr`` and ``render_value`` treat the two alike.
 """
 
 from __future__ import annotations
@@ -28,12 +33,13 @@ class StackUnderflow(Exception):
 
 @record
 class Tree:
-    """Labelled node payload, the shape built by ``cons`` actions."""
+    """Labelled node payload: of ``Value("Node", Tree(...))``, and the view
+    that a ``Node``'s ``payload`` returns."""
 
     label: str
     children: tuple["Value", ...]
 
-    # one per cons action: set the slots directly, not through the
+    # one per payload view: set the slots directly, not through the
     # record's generic constructor
     def __init__(self, label: str, children: tuple["Value", ...]):
         _set_label(self, label)
@@ -46,44 +52,49 @@ class Value:
 
     The tag is fixed for the value's lifetime. Payloads are text (tag
     ``Str``), a Tree (tag ``Node``), a tuple of values (``ListOf(...)``
-    tags), or an arbitrary host object for opaque values.
+    tags), or an arbitrary host object for opaque values. A ``Node`` is the
+    same value as ``Value("Node", Tree(label, children))`` in one object.
 
     Equality, hashing and ``repr`` walk the tree with explicit stacks, so
     the depth of a value is not bounded by the recursion limit. They agree
     with the record's field-by-field methods, with tree children and list
-    elements compared pairwise.
+    elements compared pairwise, and read a ``Node``'s label and children
+    directly.
     """
 
     tag: str
     payload: Any
 
-    # one per capture and per cons action, like Tree's
+    # one per capture: set the slots directly, not through the record's
+    # generic constructor
     def __init__(self, tag: str, payload: Any):
         _set_tag(self, tag)
         _set_payload(self, payload)
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
+        if self.__class__ not in _FORMS or other.__class__ not in _FORMS:
             return NotImplemented
         todo = [(self, other)]
         while todo:
             a, b = todo.pop()
             if a is b:
                 continue
-            if a.__class__ is not Value or b.__class__ is not Value:
+            if a.__class__ not in _FORMS or b.__class__ not in _FORMS:
                 if a != b:
                     return False
                 continue
             if a.tag != b.tag:
                 return False
+            ta, tb = _tree(a), _tree(b)
+            if ta is not None and tb is not None:
+                if ta[0] != tb[0] or len(ta[1]) != len(tb[1]):
+                    return False
+                todo.extend(zip(ta[1], tb[1]))
+                continue
             pa, pb = a.payload, b.payload
             if pa is pb:
                 continue
-            if type(pa) is Tree and type(pb) is Tree:
-                if pa.label != pb.label or len(pa.children) != len(pb.children):
-                    return False
-                todo.extend(zip(pa.children, pb.children))
-            elif type(pa) is tuple and type(pb) is tuple:
+            if type(pa) is tuple and type(pb) is tuple:
                 if len(pa) != len(pb):
                     return False
                 todo.extend(zip(pa, pb))
@@ -96,14 +107,16 @@ class Value:
         todo = [self]
         while todo:
             item = todo.pop()
-            if item.__class__ is not Value:
+            if item.__class__ not in _FORMS:
                 parts.append(hash(item))
                 continue
+            tree = _tree(item)
+            if tree is not None:
+                parts.append((item.tag, "Tree", tree[0], len(tree[1])))
+                todo.extend(tree[1])
+                continue
             payload = item.payload
-            if type(payload) is Tree:
-                parts.append((item.tag, "Tree", payload.label, len(payload.children)))
-                todo.extend(payload.children)
-            elif type(payload) is tuple:
+            if type(payload) is tuple:
                 parts.append((item.tag, "tuple", len(payload)))
                 todo.extend(payload)
             else:
@@ -120,21 +133,57 @@ class Value:
                 continue
             out.append(f"Value(tag={item.tag!r}, payload=")
             todo.append(")")
-            payload = item.payload
-            if type(payload) is Tree:
-                out.append(f"Tree(label={payload.label!r}, children=")
+            tree = _tree(item)
+            if tree is not None:
+                out.append(f"Tree(label={tree[0]!r}, children=")
                 todo.append(")")
-                _push_tuple(todo, payload.children)
-            elif type(payload) is tuple:
-                _push_tuple(todo, payload)
+                _push_tuple(todo, tree[1])
+            elif type(item.payload) is tuple:
+                _push_tuple(todo, item.payload)
             else:
-                out.append(repr(payload))
+                out.append(repr(item.payload))
         return "".join(out)
+
+
+class Node(Value):
+    """The node ``Label(children...)`` as one object: the value
+    ``Value("Node", Tree(label, children))``, equal to it, hashing and
+    printing the same.
+
+    ``cons`` actions and ``node_value`` build this form. Its ``payload`` is
+    a fresh ``Tree`` view, built on each access; walkers read ``label`` and
+    ``children`` instead.
+    """
+
+    __slots__ = ("label", "children")
+    tag = "Node"  # tag and payload shadow Value's slots, which a Node leaves empty
+
+    # one per cons action
+    def __init__(self, label: str, children: tuple[Value, ...]):
+        _set_node_label(self, label)
+        _set_node_children(self, children)
+
+    @property
+    def payload(self) -> Tree:
+        return Tree(self.label, self.children)
+
+    def __reduce__(self):
+        return Node, (self.label, self.children)
 
 
 # the slot descriptors' setters, which bypass the records' frozen __setattr__
 _set_label, _set_children = Tree.label.__set__, Tree.children.__set__
 _set_tag, _set_payload = Value.tag.__set__, Value.payload.__set__
+_set_node_label, _set_node_children = Node.label.__set__, Node.children.__set__
+_FORMS = (Value, Node)  # the classes whose instances the walkers take apart
+
+
+def _tree(value: Value) -> tuple | None:
+    """A node's (label, children) in either form; None for other values."""
+    if value.__class__ is Node:
+        return value.label, value.children
+    payload = value.payload
+    return (payload.label, payload.children) if type(payload) is Tree else None
 
 
 def _push_tuple(todo: list, items: tuple) -> None:
@@ -143,7 +192,7 @@ def _push_tuple(todo: list, items: tuple) -> None:
     for i, item in enumerate(items):
         if i:
             parts.append(", ")
-        parts.append(item if item.__class__ is Value else repr(item))
+        parts.append(item if item.__class__ in _FORMS else repr(item))
     parts.append(",)" if len(items) == 1 else ")")
     todo.extend(reversed(parts))
 
@@ -156,7 +205,7 @@ def str_value(text: str) -> Value:
 
 
 def node_value(label: str, *children: Value) -> Value:
-    return Value("Node", Tree(label, tuple(children)))
+    return Node(label, children)
 
 
 def list_value(values: Iterable[Value], element_tag: str = "*") -> Value:
@@ -175,19 +224,25 @@ def render_value(value: Value) -> str:
         if type(item) is str:
             out.append(item)
             continue
-        payload = item.payload
-        if isinstance(payload, (Tree, tuple)):
-            tree = isinstance(payload, Tree)
-            out.append(payload.label + "(" if tree else "[")
-            todo.append(")" if tree else "]")
-            children = payload.children if tree else payload
-            todo.extend(reversed([x for c in children for x in (",", c)][1:]))
-        elif isinstance(payload, str):
-            out.append(json_string(payload))
-        elif payload is None and item.tag == "Unit":
-            out.append("()")
+        if item.__class__ is Node:
+            label, children = item.label, item.children
         else:
-            out.append(repr(payload))
+            payload = item.payload
+            if isinstance(payload, Tree):
+                label, children = payload.label, payload.children
+            elif isinstance(payload, tuple):
+                label, children = None, payload
+            else:
+                if isinstance(payload, str):
+                    out.append(json_string(payload))
+                elif payload is None and item.tag == "Unit":
+                    out.append("()")
+                else:
+                    out.append(repr(payload))
+                continue
+        out.append("[" if label is None else label + "(")
+        todo.append("]" if label is None else ")")
+        todo.extend(reversed([x for c in children for x in (",", c)][1:]))
     return "".join(out)
 
 

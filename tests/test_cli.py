@@ -10,9 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from pegstack.cli import _event_json, _json_text, main
+from pegstack import rules as r
+from pegstack.cli import _error_json, _event_json, _json_values, _value_json, main
 from pegstack.engine import InternalFault, Parser, RunResult, TraceEvent
-from pegstack.values import render_value
+from pegstack.errors import format_error
+from pegstack.values import (UNIT, Tree, Value, list_value, node_value, render_value,
+                             str_value)
 
 from conftest import GRAMMARS
 from generators import big_expression
@@ -174,15 +177,23 @@ def test_large_valid_input_prints_without_traceback(calc_grammar, capsys):
 
 
 def test_json_text_matches_json_dumps():
-    obj = {"result": "success", "values": [
-        {"label": "N", "children": []}, "\u00e9\n\"", None, [[], ["x", {"k": "v"}]]]}
-    assert _json_text(obj) == json.dumps(obj)
+    leaf = str_value("\u00e9\n\"")
+    values = (node_value("N"), Value("Node", Tree("T", (leaf, UNIT))), leaf, UNIT,
+              list_value([list_value([]), list_value([str_value("x"), node_value("k", leaf)])]),
+              Value("Odd", None), Value("Int", 3))
+    for items in (values, values[:1], ()):
+        assert _json_values(items) == json.dumps([_value_json(v) for v in items])
 
 
 def test_json_text_writes_the_error_object_like_json_dumps():
-    obj = {"result": "error", "position": {"index": 3, "line": 1, "column": 4},
-           "expected": ["'\\t'", "\u00e9\x01"], "message": "x\n\"y\"", "unset": None}
-    assert _json_text(obj) == json.dumps(obj)
+    g = r.grammar({"S": r.seq(r.first_of(r.ch("\t"), r.lit("\u00e9\x01")), r.EOI)})
+    text = 'x"y"\n'
+    err = Parser(g).run(text).error
+    message = format_error(err, text)
+    obj = {"result": "error", "position": {"index": 0, "line": 1, "column": 1},
+           "expected": err.expected(), "message": message}
+    assert len(obj["expected"]) == 2 and "\n" in message and '"' in message
+    assert _error_json(err, message) == json.dumps(obj)
 
 
 @pytest.mark.parametrize("summary, moved", [

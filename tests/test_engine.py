@@ -1,3 +1,5 @@
+import gc
+import json
 import random
 import sys
 import threading
@@ -12,7 +14,7 @@ from pegstack.errors import MODE_COLLECT, build_parse_error, principal_error_ind
 from pegstack.instructions import EXACT, FAST, LOOP, MAYBE, RE, REF, SWITCH
 from pegstack.notation import load_grammar, parse_grammar
 from pegstack.rules import DIGIT, validate_grammar
-from pegstack.values import StackUnderflow, Value, node_value, render_value, str_value
+from pegstack.values import StackUnderflow, Tree, Value, node_value, render_value, str_value
 
 from conftest import DATA, ROOT
 from generators import (ALPHABET, LOWERABLE_ALPHABET, big_expression, gen_grammar, gen_input,
@@ -617,6 +619,55 @@ def test_reduction_repetition_is_not_collected(calc_grammar):
     result = Parser(calc_grammar).run("1+2+3", start="Expression")
     assert len(result.values) == 1
     assert render_value(result.values[0]) == 'Add(Add(Val("1"),Val("2")),Val("3"))'
+
+
+# -- the objects a value is made of -----------------------------------------------------
+
+def _shape(value):
+    """Counts of the nodes, lists and other values in a value, read through
+    payloads, so the same for either node form."""
+    nodes = lists = leaves = 0
+    todo = [value]
+    while todo:
+        payload = todo.pop().payload
+        if isinstance(payload, Tree):
+            nodes += 1
+            todo.extend(payload.children)
+        elif type(payload) is tuple:
+            lists += 1
+            todo.extend(payload)
+        else:
+            leaves += 1
+    return nodes, lists, leaves
+
+
+def _tracked(root):
+    """The GC-tracked objects reachable from root; classes are not followed."""
+    seen, todo, count = {id(root)}, [root], 0
+    while todo:
+        obj = todo.pop()
+        if not gc.is_tracked(obj) or isinstance(obj, type):
+            continue
+        count += 1
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen:
+                seen.add(id(ref))
+                todo.append(ref)
+    return count
+
+
+@pytest.mark.parametrize("grammar, text", [
+    ("grammars/calc.peg", big_expression(random.Random(7), 5_000)),
+    ("bench/json.peg", json.dumps([{"id": i, "name": f"n{i}", "ok": i % 2 == 0,
+                                    "xs": [1.5, -2e3], "none": None} for i in range(60)])),
+], ids=["calc", "json"])
+def test_a_node_is_one_tracked_object_besides_its_children(grammar, text):
+    # a cons node and its children tuple; a capture, one Value; a collected
+    # list, one Value and its tuple
+    value, = Parser(load_grammar(ROOT / grammar)).run(text).values
+    nodes, lists, leaves = _shape(value)
+    assert nodes > 1_000 and (lists > 100) == grammar.startswith("bench")
+    assert _tracked(value) <= 2 * nodes + 2 * lists + leaves + 4
 
 
 # -- restoration and stack invariants ----------------------------------------------------

@@ -314,9 +314,9 @@ def test_a_bound_cuts_the_collect_steps_not_the_traces(calc_grammar):
 
 
 def _count_value_work(monkeypatch) -> dict:
-    """Counts of the values, trees and lists that the engine builds and of
+    """Counts of the values, nodes and lists that the engine builds and of
     the snapshots and restores of its stacks, through the names it imports."""
-    counts = dict.fromkeys(("Value", "Tree", "list_value", "snapshot", "restore"), 0)
+    counts = dict.fromkeys(("Value", "Node", "list_value", "snapshot", "restore"), 0)
 
     def counted(name, make):
         def build(*args):
@@ -324,7 +324,7 @@ def _count_value_work(monkeypatch) -> dict:
             return make(*args)
         return build
 
-    for name in ("Value", "Tree", "list_value"):
+    for name in ("Value", "Node", "list_value"):
         monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
 
     class CountedStack(ValueStack):
@@ -383,7 +383,7 @@ def test_a_bounded_pass_over_calc_builds_no_values(calc_grammar, monkeypatch):
     text = "1+(2*3-4)/5*(6+7)-8!9"
     counts = _count_value_work(monkeypatch)
     exact = parser.run_phase(text, None, MODE_COLLECT)
-    assert counts["Value"] and counts["Tree"] and counts["snapshot"]  # without a bound
+    assert counts["Value"] and counts["Node"] and counts["snapshot"]  # without a bound
     for bound in (0, 10, 19):  # 19 is the principal index
         counts.update(dict.fromkeys(counts, 0))
         bare = parser.run_phase(text, None, MODE_COLLECT, bound)

@@ -1,7 +1,13 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
-from pegstack.values import (StackUnderflow, Tree, UNIT, Value, ValueStack, list_value,
+from pegstack.cli import _json_values
+from pegstack.engine import Parser
+from pegstack.record import FrozenInstanceError
+from pegstack.values import (Node, StackUnderflow, Tree, UNIT, Value, ValueStack, list_value,
                              node_value, render_value, str_value)
 
 
@@ -121,11 +127,15 @@ def test_snapshot_is_the_stack_itself_not_a_copy():
     assert stack.snapshot() is token
 
 
-def _add_chain(depth, last="9"):
-    value = node_value("Val", str_value("0"))
+def _old_node(label, *children):
+    return Value("Node", Tree(label, children))
+
+
+def _add_chain(depth, last="9", node=node_value):
+    value = node("Val", str_value("0"))
     for i in range(depth):
         leaf = last if i == depth - 1 else str(i % 10)
-        value = node_value("Add", value, node_value("Val", str_value(leaf)))
+        value = node("Add", value, node("Val", str_value(leaf)))
     return value
 
 
@@ -136,6 +146,58 @@ def test_deep_values_compare_hash_and_repr_without_recursion():
     assert hash(a) == hash(b)
     assert a != _add_chain(20_000, last="8")
     assert repr(a).startswith("Value(tag='Node', payload=Tree(label='Add', children=(")
+
+
+def test_deep_values_of_both_node_forms_compare_hash_print_and_render_alike():
+    new, old = _add_chain(20_000), _add_chain(20_000, node=_old_node)
+    assert (type(new), type(old)) == (Node, Value)
+    assert new == old and old == new
+    assert hash(new) == hash(old)
+    assert repr(new) == repr(old)
+    assert render_value(new) == render_value(old)
+    assert _json_values((new,)) == _json_values((old,))
+    assert old != _add_chain(20_000, last="8") and _add_chain(20_000, last="8") != old
+
+
+def test_an_engine_built_node_equals_the_old_form_and_node_value(calc_grammar):
+    value, = Parser(calc_grammar).run("1+2*3").values
+    old = _old_node("Add", _old_node("Val", str_value("1")),
+                    _old_node("Mul", _old_node("Val", str_value("2")),
+                              _old_node("Val", str_value("3"))))
+    built = node_value("Add", node_value("Val", str_value("1")),
+                       node_value("Mul", node_value("Val", str_value("2")),
+                                  node_value("Val", str_value("3"))))
+    assert type(value) is Node and type(old) is Value
+    for other in (old, built):
+        assert value == other and other == value
+        assert not (value != other or other != value)
+        assert hash(value) == hash(other)
+        assert repr(value) == repr(other)
+        assert render_value(value) == render_value(other) == 'Add(Val("1"),Mul(Val("2"),Val("3")))'
+        assert _json_values((value,)) == _json_values((other,))
+    assert value != Value("Other", old.payload) and Value("Other", old.payload) != value
+    assert value != node_value("Add", str_value("1")) != old
+
+
+def test_a_node_copies_and_pickles_as_a_node():
+    v = node_value("Add", str_value("1"), list_value([UNIT], "Unit"))
+    for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert type(twin) is Node and twin == v and repr(twin) == repr(v)
+    old = _old_node("Val", str_value("1"))
+    assert type(pickle.loads(pickle.dumps(old))) is Value
+
+
+def test_a_node_reads_like_a_value_holding_a_tree():
+    child = str_value("1")
+    v = node_value("Val", child)
+    assert isinstance(v, Value) and v.tag == "Node"
+    assert isinstance(v.payload, Tree) and v.payload == Tree("Val", (child,))
+    assert (v.payload.label, v.payload.children) == ("Val", (child,))
+    for field in ("tag", "payload", "label", "children"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(v, field, "x")
+        with pytest.raises(FrozenInstanceError):
+            delattr(v, field)
 
 
 def test_value_methods_agree_with_the_dataclass_forms():
