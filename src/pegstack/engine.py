@@ -26,13 +26,12 @@ fails, one mismatch, but leaves ``max_cursor`` as it is, so the fast run's
 ``max_cursor`` is at most the exact table's. ``match``, ``match_rule``,
 ``run_phase``, the error pass and every observed run take the exact table.
 A failed run hands its ``max_cursor`` to the error pass, which starts its
-running maximum there and, below it, dispatches the exact table's choices,
-repetitions and options on the next character (see ``pegstack.errors``).
-When the grammar's values decide no match (every action is a ``cons``, a
-push or a drop), that pass builds no values either: a capture pushes
-nothing, a CONS or ACTION only succeeds, a collecting repetition or option
-builds no list, and no snapshot is taken. Its steps and mismatches are
-counted as in a pass that builds them.
+running maximum there (see ``pegstack.errors``). When the grammar's values
+decide no match (every action is a ``cons``, a push or a drop), that pass
+builds no values either: a capture pushes nothing, a CONS or ACTION only
+succeeds, a collecting repetition or option builds no list, and no
+snapshot is taken. Its steps and mismatches are counted as in a pass that
+builds them.
 
 The exact table opens a frame only where backtracking needs one. A Sequence
 whose first child is a terminal tests that terminal first: a mismatch fails
@@ -47,18 +46,20 @@ its start before its head, the terminal that resolves a Sequence or
 predicate even at a rule's root, and a fused scan one match per character
 and then the mismatch that ends it.
 
-The fast table also dispatches on the next character. A SWITCH looks it
-up (or end of input) and gets the alternatives that can start there: none
-fails at once, one runs in place with no frame, more open the choice's
-usual frame over just them. Skipped alternatives would have failed at
-their first terminal test before running anything else, so no action,
-drop or capture is skipped; a rule reference has its rule's head, also on
-a reference cycle. A LOOP or MAYBE whose body cannot start at the
-next character ends with no frame (a collecting one pushes its empty list)
-or, for ``+``, fails; between iterations a LOOP tests the head again
-before it re-enters the body. Its body always moves when it matches, so a
-LOOP takes no snapshot. A dispatch that declines counts its one step and
-no mismatch.
+Choices, repetitions and options dispatch on the next character through
+their dispatch operands, where those are filled: everywhere in the fast
+run, and in the error pass below its running maximum, where a skipped
+alternative's only mismatch would not be reported. A choice looks up the
+next character (or end of input) and gets the alternatives that can start
+there: none fails at once, one runs in place with no frame, more open the
+choice's usual frame over just them. Skipped alternatives would have
+failed at their first terminal test before running anything else, so no
+action, drop or capture is skipped; a rule reference has its rule's head,
+also on a reference cycle. A repetition or option whose body cannot start
+at the next character ends with no frame (a collecting one pushes its
+empty list) or, for ``+``, fails; between iterations a repetition tests
+the head again before it re-enters the body. A dispatch that declines
+counts its one step and no mismatch.
 
 Repetition bodies whose effect pushes exactly one value per iteration are
 collecting: the engine bundles the iteration results into a single list
@@ -345,11 +346,12 @@ class Parser:
         outside ``quiet`` joins it, so the pass ends with exactly the
         mismatches at the principal index. Whenever the frontier doubles, it
         drops the pairs that repeat a rule trace, so it grows with the
-        traces, not with the work. A headed, unobserved pass runs the
-        dispatch operands of choices, repetitions and options wherever the
-        cursor is below the highest cursor so far: there a skipped
-        alternative's only mismatch would not be reported. When the
-        grammar's values decide no match, that pass does no value work.
+        traces, not with the work. The dispatch operands of choices,
+        repetitions and options run everywhere on the fast table, and in a
+        headed, unobserved pass wherever the cursor is below the highest
+        cursor so far: there a skipped alternative's only mismatch would not
+        be reported. When the grammar's values decide no match, that pass
+        does no value work.
         """
         text = state.input
         n = len(text)
@@ -364,6 +366,7 @@ class Parser:
         traced = observer is not None  # every step is logged
         collecting = state.error_mode == MODE_COLLECT
         headed = headed and collecting and not traced
+        fast = bodies is self._tables.bodies[FAST]  # dispatches everywhere
         # a headed pass over a grammar whose values decide no match builds none
         valued = not (headed and self._tables.value_free)
         if not valued:
@@ -379,7 +382,6 @@ class Parser:
         #     (a SEQ with a terminal head opens at child 1, after it matched)
         #   [REP, ins, iteration entry cursor, snapshot, first match pending,
         #    collect base or None]
-        #   [LOOP, ins, first match pending, collect base]
         #   (CAPTURE, start)  (OPT, collect tag, collect base)
         #   (PRED, negate, entry cursor, snapshot)  (QUIET,)
         #   (RULE, name, entry cursor) in observed runs, _RULE_FRAME in other
@@ -393,7 +395,7 @@ class Parser:
             if collecting:
                 path = (rule, path)
         (CH, CLASS, STR, EOI, ISTR, SEQ, ALT, REF, CHARS, ACTION, CONS, CAPTURE, REP, OPT,
-         PRED, QUIET, RE, SWITCH, LOOP, MAYBE) = OPS
+         PRED, QUIET, RE) = OPS
         try:
             while True:
                 # -- enter ins --------------------------------------------------
@@ -464,6 +466,8 @@ class Parser:
                             not_depth -= p[3]
                             pos = at
                             ok = ok != p[3]
+                # the other opcodes, tested in the order of how often the fast runs
+                # of calc.peg and json.peg reach them
                 elif op == SEQ:
                     if traced and (not frames or frames[-1][0] != RULE):
                         observer.event(ins[1], pos, "start", None, None)
@@ -475,10 +479,11 @@ class Parser:
                     ins = ins[2][0]
                     continue
                 elif op == ALT:
-                    if headed and pos < max_cursor and ins[4]:
+                    dispatch = ins[4]
+                    if dispatch and (fast or headed and pos < max_cursor):
                         # only the alternatives that can start at the next
-                        # character, as in a SWITCH; pos < max_cursor <= n
-                        cands = ins[4][0].get(text[pos], ins[4][1])
+                        # character, or at the end of the input; one runs in place
+                        cands = dispatch[0].get(text[pos], dispatch[1]) if pos < n else dispatch[2]
                         if cands[0] is None:
                             ok = False
                         else:
@@ -495,29 +500,10 @@ class Parser:
                         frames.append([ALT, ins[2], 1, pos, snapshot() if ins[3] else None, ins])
                         ins = ins[2][0]
                         continue
-                elif op == SWITCH:
-                    # a choice in the fast table: only the alternatives that
-                    # can start at the next character; one runs in place
-                    cands = ins[2].get(text[pos], ins[3]) if pos < n else ins[4]
-                    first = cands[0]
-                    if first is None:
-                        ok = False
-                    else:
-                        if cands[1] is not None:
-                            frames.append([ALT, cands, 1, pos, snapshot() if ins[5] else None,
-                                           ins])
-                        ins = first
-                        continue
-                elif op == LOOP:
-                    # a repetition of a headed body (fast table only): its
-                    # iterations move, so none is undone and none needs a snapshot
-                    if pos < n and ins[5].get(text[pos], ins[6]):
-                        frames.append([LOOP, ins, ins[3], size() if ins[4] is not None else 0])
-                        ins = ins[2]
-                        continue
-                    ok = not ins[3]  # the body cannot start: * ends empty, + fails
-                    if ok and ins[4] is not None:
-                        push(list_value((), ins[4]))
+                elif op == CONS:
+                    if valued:
+                        push(Node(ins[2], stack.take(ins[3])))
+                    ok = True
                 elif op == REF:
                     if instrumented:
                         frames.append((RULE, ins[2], pos) if traced else _RULE_FRAME)
@@ -561,62 +547,6 @@ class Parser:
                                         compact_at = 2 * len(frontier) + _COMPACT_AT
                         elif at > max_cursor:
                             max_cursor = at
-                elif op == CONS:
-                    if valued:
-                        push(Node(ins[2], stack.take(ins[3])))
-                    ok = True
-                elif op == ACTION:
-                    ok = self._act(state, ins) if valued else True
-                elif op == CAPTURE:
-                    if valued:
-                        frames.append((CAPTURE, pos))
-                    ins = ins[2]
-                    continue
-                elif op == REP:
-                    tag = ins[4] if valued else None
-                    if (headed and pos < max_cursor and ins[6]
-                            and not ins[6][0].get(text[pos], ins[6][1])):
-                        ok = not ins[3]  # the body cannot start, as in a LOOP
-                        if ok and tag is not None:
-                            push(list_value((), tag))
-                    else:
-                        # a snapshot undoes a zero-width iteration, so a body
-                        # with a head, which moves when it matches, needs none
-                        first = ins[3]  # OneOrMore: the first match may fail the loop
-                        frames.append([REP, ins, pos,
-                                       None if first or not ins[5] or ins[6] else snapshot(),
-                                       first, size() if tag is not None else None])
-                        ins = ins[2]
-                        continue
-                elif op == OPT or op == MAYBE:
-                    tag = ins[3] if valued else None
-                    # MAYBE, an option of a headed body (fast table only),
-                    # ends empty when the body cannot start, and so does a
-                    # headed OPT below the running maximum
-                    dispatch = ins[4]
-                    if ((op == MAYBE or headed and pos < max_cursor and dispatch)
-                            and not (pos < n and dispatch[0].get(text[pos], dispatch[1]))):
-                        ok = True
-                        if tag is not None:
-                            push(list_value((), tag))
-                    else:
-                        frames.append((OPT, tag, size() if tag is not None else 0))
-                        ins = ins[2]
-                        continue
-                elif op == PRED:
-                    negate = ins[3]
-                    not_depth += negate
-                    if ins[5]:  # a terminal body resolves in place
-                        pending = ins
-                    else:
-                        frames.append((PRED, negate, pos, snapshot() if ins[4] else None))
-                    ins = ins[2]
-                    continue
-                elif op == QUIET:
-                    frames.append(_QUIET_FRAME)
-                    quiet_depth += 1
-                    ins = ins[2]
-                    continue
                 elif op == RE:
                     # a lowered fragment (fast table only): one step, and a
                     # failure counts one mismatch at its entry
@@ -633,6 +563,56 @@ class Parser:
                         if ins[3]:
                             push(Value("Str", text[pos:at]))
                         pos = at
+                elif op == REP:
+                    tag = ins[4] if valued else None
+                    dispatch = ins[6]
+                    if (dispatch and (fast or headed and pos < max_cursor)
+                            and not (pos < n and dispatch[0].get(text[pos], dispatch[1]))):
+                        ok = not ins[3]  # the body cannot start: * ends empty, + fails
+                        if ok and tag is not None:
+                            push(list_value((), tag))
+                    else:
+                        # a snapshot undoes a zero-width iteration, so a body
+                        # with a head, which moves when it matches, needs none
+                        first = ins[3]  # OneOrMore: the first match may fail the loop
+                        frames.append([REP, ins, pos,
+                                       None if dispatch or first or not ins[5] else snapshot(),
+                                       first, size() if tag is not None else None])
+                        ins = ins[2]
+                        continue
+                elif op == OPT:
+                    tag = ins[3] if valued else None
+                    dispatch = ins[4]  # the option ends empty when its body cannot start
+                    if (dispatch and (fast or headed and pos < max_cursor)
+                            and not (pos < n and dispatch[0].get(text[pos], dispatch[1]))):
+                        ok = True
+                        if tag is not None:
+                            push(list_value((), tag))
+                    else:
+                        frames.append((OPT, tag, size() if tag is not None else 0))
+                        ins = ins[2]
+                        continue
+                elif op == ACTION:
+                    ok = self._act(state, ins) if valued else True
+                elif op == CAPTURE:
+                    if valued:
+                        frames.append((CAPTURE, pos))
+                    ins = ins[2]
+                    continue
+                elif op == PRED:
+                    negate = ins[3]
+                    not_depth += negate
+                    if ins[5]:  # a terminal body resolves in place
+                        pending = ins
+                    else:
+                        frames.append((PRED, negate, pos, snapshot() if ins[4] else None))
+                    ins = ins[2]
+                    continue
+                elif op == QUIET:
+                    frames.append(_QUIET_FRAME)
+                    quiet_depth += 1
+                    ins = ins[2]
+                    continue
                 else:
                     raise TypeError(f"unknown instruction {ins!r}")
 
@@ -679,20 +659,6 @@ class Parser:
                             frames.pop()
                             if traced and (not frames or frames[-1][0] != RULE):
                                 observer.event(f[5][1], entry, "mismatch", None, None)
-                    elif k == LOOP:
-                        rep = f[1]
-                        if ok:
-                            f[2] = False
-                            if pos < n and rep[5].get(text[pos], rep[6]):
-                                ins = rep[2]
-                                break
-                        elif f[2]:  # the first iteration of a + failed
-                            frames.pop()
-                            continue
-                        frames.pop()
-                        if rep[4] is not None:
-                            self._materialize(stack, f[3], rep[4])
-                        ok = True
                     elif k == REP:
                         rep = f[1]
                         if f[4]:
@@ -708,14 +674,16 @@ class Parser:
                                 self._materialize(stack, f[5], rep[4])
                             ok = True
                             continue
-                        if (headed and pos < max_cursor and rep[6]
-                                and not rep[6][0].get(text[pos], rep[6][1])):
+                        dispatch = rep[6]
+                        if (dispatch and (fast or headed and pos < max_cursor)
+                                and not (pos < n and dispatch[0].get(text[pos], dispatch[1]))):
                             frames.pop()  # the body cannot start again
                             if f[5] is not None:
                                 self._materialize(stack, f[5], rep[4])
                             continue
                         f[2] = pos
-                        f[3] = snapshot() if rep[5] and not rep[6] else None
+                        if rep[5] and not dispatch:  # a headed body moves: nothing to undo
+                            f[3] = snapshot()
                         ins = rep[2]
                         break
                     elif k == CAPTURE:

@@ -16,9 +16,9 @@ does not raise it, since the exact table may fail the fragment through a
 ``!`` with no mismatch. The pass starts its running maximum at that bound.
 Below the maximum no mismatch is ever recorded, so there the pass runs
 only the alternatives, iterations and options that can start at the next
-character, as the fast table's SWITCH, LOOP and MAYBE do; at or past it,
-every alternative runs. The rule paths and the order of the mismatches
-at the principal index stay as in a pass without a bound.
+character, through the dispatch operands the fast run uses everywhere; at
+or past it, every alternative runs. The rule paths and the order of the
+mismatches at the principal index stay as in a pass without a bound.
 
 Given a bound, the pass also builds no values when the grammar's values
 decide no match: every action is a ``cons``, a push or a drop, and none of

@@ -33,7 +33,7 @@ carries its function and arity; a ``cons`` is a CONS, built in place.
   option carries a dispatch operand, filled once every head is known:
   which of its alternatives, or whether its body, can start at each next
   character. The error pass dispatches through it below its running
-  maximum, and the fast table's SWITCH, LOOP and MAYBE are built from it.
+  maximum.
 * FAST: ``Parser.run`` when it is not observed. It is the exact table with
   every maximal subtree that touches no stack, runs no action and reaches
   no reference cycle replaced by one ``re`` match (an RE instruction); a
@@ -47,15 +47,15 @@ carries its function and arity; a ``cons`` is a CONS, built in place.
   ``extra`` function, a source longer than ``_MAX_SOURCE`` and a fragment
   that ``re`` rejects stay instructions; a lone terminal and a fused scan
   gain nothing and stay too. A reference
-  to a rule off every cycle becomes that rule's fast body, shared. Each
-  instruction whose first action is a terminal test has a head, the
-  characters it can start with: a choice with headed alternatives becomes
-  a SWITCH on the next character, and a ``*``, ``+`` or ``?`` of a headed
-  body a LOOP or MAYBE that ends, or fails, when the body cannot start.
-  A reference has its rule's head; those of the rules on cycles are one
-  least fixpoint over the rules, so json's ``Value`` offers its recursive
-  ``Object`` only at ``{``. In ``calc.peg`` nothing lowers, but every loop
-  is a LOOP and every choice a SWITCH.
+  to a rule off every cycle becomes that rule's fast body, shared. The
+  run dispatches through every filled operand: a choice keeps its exact
+  operand's candidates, rebuilt over its fast children, and a ``*``,
+  ``+`` or ``?`` keeps its operand as it is. Each instruction whose first
+  action is a terminal test has a head, the characters it can start
+  with; a reference has its rule's head, and those of the rules on
+  cycles are one least fixpoint over the rules, so json's ``Value``
+  offers its recursive ``Object`` only at ``{``. In ``calc.peg`` nothing
+  lowers, but every loop and every choice dispatches.
 """
 
 from __future__ import annotations
@@ -67,13 +67,11 @@ from .effects import ConsFn, EffectError, infer_effect, repetition_shape
 
 # opcodes: terminals first, so "op <= ISTR" tells a terminal (a CLASS also
 # stands for "." and a none-of set); an ACTION also stands for push and
-# drop; RE, SWITCH, LOOP and MAYBE occur in the fast table only; a frame is
-# tagged with the opcode of the node that opened it, or with RULE. Numbered
-# from 5, so that SWITCH, LOOP and MAYBE keep the values that parametrized
-# test ids show
+# drop; RE occurs in the fast table only; a frame is tagged with the opcode
+# of the node that opened it, or with RULE
 OPS = (CH, CLASS, STR, EOI, ISTR, SEQ, ALT, REF, CHARS, ACTION, CONS, CAPTURE, REP, OPT,
-       PRED, QUIET, RE, SWITCH, LOOP, MAYBE) = range(5, 25)
-RULE = 25
+       PRED, QUIET, RE) = range(17)
+RULE = 17
 # compiled tables: exact and observed runs, unobserved Parser.run
 EXACT, FAST = 0, 1
 # instructions worth one regex; a lone terminal, a fused scan and a bare
@@ -295,13 +293,12 @@ class Tables:
     def _fill_dispatch(self, body: tuple) -> None:
         """Fill the dispatch operand of each choice, repetition and option
         in an exact rule body, from the heads of its alternatives or its
-        body: for a choice, (by character, any other) of ``_switch`` and
-        the ``_by_char`` bit sets they come from; for a repetition or
-        option, (by character, any other) of ``_by_char``, nonzero where
-        the body can start. Left empty where no alternative, or no body,
-        has a head. The error pass dispatches through them below its
-        running maximum, and the fast table's SWITCH, LOOP and MAYBE are
-        built from them."""
+        body: for a choice, (by character, any other, end of input) of
+        ``_switch`` and the ``_by_char`` bit sets they come from; for a
+        repetition or option, (by character, any other) of ``_by_char``,
+        nonzero where the body can start. Left empty where no alternative,
+        or no body, has a head. The fast run and the error pass dispatch
+        through them."""
         todo = [body]
         while todo:
             ins = todo.pop()
@@ -313,7 +310,7 @@ class Tables:
                     heads = [self._head(kid) for kid in kids]
                     if heads.count(None) < len(heads):
                         bits = _by_char(heads)
-                        ins[4][:] = *_switch(kids, bits)[:2], bits
+                        ins[4][:] = *_switch(kids, bits), bits
             elif op in (REP, OPT, PRED, CAPTURE, QUIET):
                 todo.append(ins[2])
                 head = self._head(ins[2]) if op == REP or op == OPT else None
@@ -356,11 +353,11 @@ class Tables:
     def _fast(self, ins: tuple) -> tuple:
         """Fast-table form of an exact instruction.
 
-        Each maximal regex fragment runs as one RE instruction, a reference
-        to an acyclic rule as that rule's fast body, a choice with headed
-        alternatives as a SWITCH, and a repetition or option of a headed
-        body as a LOOP or MAYBE; unchanged parts are shared. A reference
-        to a rule on a cycle stays as it is.
+        Each maximal regex fragment runs as one RE instruction and a
+        reference to an acyclic rule as that rule's fast body; a choice's
+        dispatch candidates are rebuilt over its fast children, and
+        unchanged parts are shared. A reference to a rule on a cycle stays
+        as it is.
         """
         match = _regex(ins)
         if match is not None:
@@ -368,10 +365,11 @@ class Tables:
         op = ins[0]
         if op == SEQ or op == ALT:
             kids = tuple(self._fast(kid) for kid in ins[2][:-1])
-            if op == ALT and ins[4]:  # some alternative has a head
-                return (SWITCH, ins[1], *_switch(kids, ins[4][2]), ins[3])
             if any(fast is not kid for fast, kid in zip(kids, ins[2])):
                 ins = ins[:2] + (kids + (None,),) + ins[3:]
+                if op == ALT and ins[4]:  # some alternative has a head
+                    bits = ins[4][3]
+                    ins = ins[:4] + ([*_switch(kids, bits), bits],) + ins[5:]
             return ins
         if op == REF and ins[2] in self._acyclic:  # run in place
             return self.bodies[FAST][ins[2]]
@@ -381,10 +379,6 @@ class Tables:
                 return (RE, ins[1], match, True, None)
         if op in (CAPTURE, REP, OPT, PRED, QUIET):
             inner = self._fast(ins[2])
-            if op == REP and ins[6]:  # (LOOP, node, body, plus, collect tag, by char, other)
-                return (LOOP, ins[1], inner, ins[3], ins[4], *ins[6])
-            if op == OPT and ins[4]:  # (MAYBE, node, body, collect tag, dispatch)
-                return (MAYBE, ins[1], inner, ins[3], ins[4])
             if inner is not ins[2]:
                 ins = ins[:2] + (inner,) + ins[3:]
         return ins

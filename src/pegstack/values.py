@@ -12,6 +12,7 @@ hashing, ``repr`` and ``render_value`` treat the two alike.
 
 from __future__ import annotations
 
+from operator import eq
 from typing import Any, Iterable
 
 from .record import record
@@ -55,11 +56,12 @@ class Value:
     tags), or an arbitrary host object for opaque values. A ``Node`` is the
     same value as ``Value("Node", Tree(label, children))`` in one object.
 
-    Equality, hashing and ``repr`` walk the tree with explicit stacks, so
-    the depth of a value is not bounded by the recursion limit. They agree
-    with the record's field-by-field methods, with tree children and list
-    elements compared pairwise, and read a ``Node``'s label and children
-    directly.
+    Equality, hashing, ``repr``, copy and pickle walk the tree with
+    explicit stacks, so the depth of a value is not bounded by the
+    recursion limit. They agree with the record's field-by-field methods,
+    with tree children and list elements compared pairwise, and read a
+    ``Node``'s label and children directly. Copy and pickle keep each
+    node's form; a value that occurs twice in a tree comes back as two.
     """
 
     tag: str
@@ -74,54 +76,16 @@ class Value:
     def __eq__(self, other):
         if self.__class__ not in _FORMS or other.__class__ not in _FORMS:
             return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            if a.__class__ not in _FORMS or b.__class__ not in _FORMS:
-                if a != b:
-                    return False
-                continue
-            if a.tag != b.tag:
-                return False
-            ta, tb = _tree(a), _tree(b)
-            if ta is not None and tb is not None:
-                if ta[0] != tb[0] or len(ta[1]) != len(tb[1]):
-                    return False
-                todo.extend(zip(ta[1], tb[1]))
-                continue
-            pa, pb = a.payload, b.payload
-            if pa is pb:
-                continue
-            if type(pa) is tuple and type(pb) is tuple:
-                if len(pa) != len(pb):
-                    return False
-                todo.extend(zip(pa, pb))
-            elif pa != pb:
-                return False
-        return True
+        return self is other or all(map(eq, _walk(self), _walk(other)))
 
     def __hash__(self):
-        parts = []
-        todo = [self]
-        while todo:
-            item = todo.pop()
-            if item.__class__ not in _FORMS:
-                parts.append(hash(item))
-                continue
-            tree = _tree(item)
-            if tree is not None:
-                parts.append((item.tag, "Tree", tree[0], len(tree[1])))
-                todo.extend(tree[1])
-                continue
-            payload = item.payload
-            if type(payload) is tuple:
-                parts.append((item.tag, "tuple", len(payload)))
-                todo.extend(payload)
-            else:
-                parts.append((item.tag, hash(payload)))
-        return hash(tuple(parts))
+        return hash(tuple(_walk(self)))
+
+    def __reduce__(self):
+        if self.__class__ not in _FORMS:  # a subclass rebuilds through its constructor
+            node = isinstance(self, Node)
+            return self.__class__, (self.label, self.children) if node else (self.tag, self.payload)
+        return _rebuild, ([*_walk(self, True)],)
 
     def __repr__(self):
         out: list[str] = []
@@ -167,9 +131,6 @@ class Node(Value):
     def payload(self) -> Tree:
         return Tree(self.label, self.children)
 
-    def __reduce__(self):
-        return Node, (self.label, self.children)
-
 
 # the slot descriptors' setters, which bypass the records' frozen __setattr__
 _set_label, _set_children = Tree.label.__set__, Tree.children.__set__
@@ -184,6 +145,50 @@ def _tree(value: Value) -> tuple | None:
         return value.label, value.children
     payload = value.payload
     return (payload.label, payload.children) if type(payload) is Tree else None
+
+
+def _walk(value: Value, forms: bool = False):
+    """The entries of a value from the top down, children last to first,
+    so that reversed each comes after its children: (kind, tag, data, count
+    of children) per value, kind ``Tree`` (a node, data its label),
+    ``tuple`` (a list's items) or ``Value`` (data the payload), and (None,
+    None, item, 0) per item that is no value. Two values are equal when
+    their entries are. With ``forms``, kind ``Node`` marks the one-object
+    form of a node, so that ``_rebuild`` keeps it."""
+    todo = [value]
+    while todo:
+        item = todo.pop()
+        if item.__class__ not in _FORMS:
+            yield None, None, item, 0
+            continue
+        tree = _tree(item)
+        kids = ()
+        if tree is not None:
+            kind, data, kids = Node if forms and item.__class__ is Node else Tree, *tree
+        elif type(item.payload) is tuple:
+            kind, data, kids = tuple, None, item.payload
+        else:
+            kind, data = Value, item.payload
+        yield kind, item.tag, data, len(kids)
+        todo.extend(kids)
+
+
+def _rebuild(entries: list[tuple]) -> Value:
+    """The value whose ``_walk`` gave entries, rebuilt with an explicit stack."""
+    stack = []
+    for kind, tag, data, count in reversed(entries):
+        kids = ()
+        if count:
+            kids = tuple(stack[-count:])
+            del stack[-count:]
+        if kind is Node:
+            data = Node(data, kids)
+        elif kind is Tree:
+            data = Value(tag, Tree(data, kids))
+        elif kind is not None:
+            data = Value(tag, kids if kind is tuple else data)
+        stack.append(data)
+    return stack[0]
 
 
 def _push_tuple(todo: list, items: tuple) -> None:

@@ -1,11 +1,14 @@
 """Digests of what a run shows, per random grammar family, to compare two trees.
 
     python3 tests/equivalence.py --seed 1 --pairs 6000
+    python3 tests/equivalence.py --seed 1 --pairs 6000 --against ../other-tree
 
-Run it once under each source tree (a copy of this file in the other tree's
-``tests/``). It imports pegstack from the ``src/`` next to this file. For
-each family it prints two SHA-256 digests. The behaviour digest must match
-between two trees that claim the same behaviour; it covers
+It imports pegstack from the ``src/`` next to this file, or from the
+directory ``--src`` names. ``--against TREE`` also runs this script, with
+these generators, on TREE's ``src/``, prints both sets of digests and
+exits 1 when a behaviour digest differs. For each family it prints two
+SHA-256 digests. The behaviour digest must match between two trees that
+claim the same behaviour; it covers
 ``check_grammar``'s outcome for each grammar (the report, or the error's
 text) and, for each (grammar, input) pair:
 
@@ -18,10 +21,11 @@ text) and, for each (grammar, input) pair:
 The counter digest covers the steps, mismatches and max cursor of each
 ``run_phase``; a change to how much work a pass does may move it.
 
-Next to the digests it prints how many SWITCH, LOOP and MAYBE instructions
-the family's fast tables hold, each counted once: a family whose count is 0
-never reaches the code that dispatches on the next character. The count
-is part of neither digest.
+Next to the digests it prints how many choices, repetitions and options
+with a filled dispatch operand the family's fast tables hold, each counted
+once: a family whose count is 0 never reaches the code that dispatches on
+the next character. The count is part of neither digest, and follows this
+script's reading of the tables also for the other tree of ``--against``.
 
 The families are ``gen_grammar`` at depths 4 and 6, ``gen_sound_grammar``
 and ``gen_lowerable_grammar`` with its alphabet; each grammar gets three
@@ -33,19 +37,24 @@ from __future__ import annotations
 import argparse
 import hashlib
 import random
+import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+# --src is read before the imports below, since the generators import pegstack too
+_early = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+_early.add_argument("--src", default=str(ROOT / "src"))
+SRC = _early.parse_known_args()[0].src
+sys.path[:0] = [SRC, str(ROOT / "tests")]
 
 from generators import (ALPHABET, LOWERABLE_ALPHABET, gen_grammar, gen_input,  # noqa: E402
                         gen_lowerable_grammar, gen_sound_grammar)
 from pegstack.effects import check_grammar  # noqa: E402
 from pegstack.engine import Parser, ParserState, Trace, format_trace_event  # noqa: E402
 from pegstack.errors import MODE_COLLECT  # noqa: E402
-from pegstack.instructions import (ALT, CAPTURE, FAST, LOOP, MAYBE, OPT, PRED, QUIET,  # noqa: E402
-                                   REP, SEQ, SWITCH)
+from pegstack.instructions import (ALT, CAPTURE, FAST, OPT, PRED, QUIET, REP,  # noqa: E402
+                                   SEQ)
 from pegstack.values import render_value  # noqa: E402
 
 INPUTS_PER_GRAMMAR = 3
@@ -105,9 +114,14 @@ def _traced_run(parser: Parser, text: str) -> str:
     return f"{result.kind}\n" + "\n".join(map(format_trace_event, events))
 
 
+# where each dispatching opcode keeps its operand
+DISPATCH_AT = {ALT: 4, REP: 6, OPT: 4}
+
+
 def dispatch_count(parser: Parser) -> int:
-    """SWITCH, LOOP and MAYBE instructions in a parser's fast table, each
-    counted once: an acyclic rule's fast body is shared by its references."""
+    """Choices, repetitions and options with a filled dispatch operand in a
+    parser's fast table, each counted once: an acyclic rule's fast body is
+    shared by its references."""
     count, seen = 0, set()
     todo = list(parser._tables.bodies[FAST].values())
     while todo:
@@ -116,13 +130,10 @@ def dispatch_count(parser: Parser) -> int:
             continue
         seen.add(id(ins))
         op = ins[0]
-        count += op in (SWITCH, LOOP, MAYBE)
+        count += op in DISPATCH_AT and bool(ins[DISPATCH_AT[op]])
         if op == SEQ or op == ALT:
             todo.extend(ins[2])
-        elif op == SWITCH:
-            for candidates in (*ins[2].values(), ins[3], ins[4]):
-                todo.extend(candidates)
-        elif op in (REP, OPT, PRED, CAPTURE, QUIET, LOOP, MAYBE):
+        elif op in (REP, OPT, PRED, CAPTURE, QUIET):
             todo.append(ins[2])
     return count
 
@@ -155,16 +166,39 @@ def family_digest(name: str, seed: int, pairs: int) -> tuple[str, str, int]:
     return behaviour.hexdigest(), counters.hexdigest(), dispatches
 
 
-def main() -> None:
+HEADER = f"{'family':24} {'pairs':>7} {'behaviour':64} {'counters':64} dispatches"
+
+
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=6000, help="(grammar, input) pairs per family")
+    ap.add_argument("--src", default=SRC, help="the directory to import pegstack from")
+    ap.add_argument("--against", type=Path, metavar="TREE",
+                    help="also run on TREE's src/ and exit 1 when a behaviour digest differs")
     args = ap.parse_args()
-    print(f"{'family':24} {'pairs':>7} {'behaviour':64} {'counters':64} dispatches")
+    other = None
+    if args.against is not None:  # runs beside this process's own families
+        other = subprocess.Popen(
+            [sys.executable, __file__, "--seed", str(args.seed), "--pairs", str(args.pairs),
+             "--src", str(args.against.resolve() / "src")], stdout=subprocess.PIPE, text=True)
+    print(f"{SRC}\n{HEADER}", flush=True)
+    ours = {}
     for name in FAMILIES:
         behaviour, counters, dispatches = family_digest(name, args.seed, args.pairs)
+        ours[name] = behaviour
         print(f"{name:24} {args.pairs:7} {behaviour} {counters} {dispatches:7}", flush=True)
+    if other is None:
+        return 0
+    out, _ = other.communicate()
+    print(out, end="")
+    if other.returncode:
+        return other.returncode
+    theirs = dict(line.split()[:3:2] for line in out.splitlines()[2:])  # family: behaviour
+    differ = [name for name in FAMILIES if theirs.get(name) != ours[name]]
+    print("behaviour differs: " + ", ".join(differ) if differ else "behaviour digests equal")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -11,7 +11,7 @@ from pegstack.effects import StackEffect, cons
 from pegstack.engine import (ACTION_FAIL, ActionRaised, EngineFault, InternalFault, ParseFailed,
                              Parser, ParserState, RunResult, Trace, format_trace_event)
 from pegstack.errors import MODE_COLLECT, build_parse_error, principal_error_index
-from pegstack.instructions import EXACT, FAST, LOOP, MAYBE, RE, REF, SWITCH
+from pegstack.instructions import ALT, EXACT, FAST, OPS, OPT, RE, REF, REP
 from pegstack.notation import load_grammar, parse_grammar
 from pegstack.rules import DIGIT, validate_grammar
 from pegstack.values import StackUnderflow, Tree, Value, node_value, render_value, str_value
@@ -864,12 +864,12 @@ def test_counters_are_pinned(path, text, counters):
 
 # -- the fast table ----------------------------------------------------------------------
 
-def _fast_instructions(parser):
-    """(rule name, instruction) for each instruction of the fast table once,
-    under the first rule whose body holds it: an acyclic rule's body is
-    shared by the rules that reference it."""
+def _fast_instructions(parser, table=FAST):
+    """(rule name, instruction) for each instruction of a table, the fast
+    one unless told, once, under the first rule whose body holds it: an
+    acyclic rule's fast body is shared by the rules that reference it."""
     seen = set()
-    for name, body in parser._tables.bodies[FAST].items():
+    for name, body in parser._tables.bodies[table].items():
         todo = [body]
         while todo:
             ins = todo.pop()
@@ -882,9 +882,7 @@ def _fast_instructions(parser):
             yield name, ins
             if ins[0] == RE:
                 continue
-            for x in ins:  # a choice's candidate tuples are values of its dispatch dict
-                todo.extend(v for v in (x.values() if isinstance(x, dict) else (x,))
-                            if isinstance(v, tuple) and v)
+            todo.extend(x for x in ins if isinstance(x, tuple) and x)
 
 
 def _fragments(parser):
@@ -945,54 +943,55 @@ def _boom():
     raise ZeroDivisionError("1/0")
 
 
-# expression -> texts and the fast-table opcode that dispatches on its head;
-# each alternative captures, so that no regex swallows the choice
+# expression -> texts and the opcode of the fast-table choice, repetition or
+# option that dispatches on its head; each alternative captures, so that no
+# regex swallows the choice
 DISPATCH_CASES = [
     # a non-ASCII next character: a class with extra, a none-of set, a non-ASCII Ch
     (r.first_of(r.seq(r.char_pred(_A_OR_E), r.capture(r.ANY)), r.capture(r.ch("x"))),
-     ["\u00e9z", "az", "x", "bz", "\u00fcz"], SWITCH),
+     ["\u00e9z", "az", "x", "bz", "\u00fcz"], ALT),
     (r.zero_or_more(r.seq(r.char_pred(_A_OR_E), r.capture(r.ANY))),
-     ["\u00e9xa\u00e9", "\u00e9\u00e9b", "b"], LOOP),
+     ["\u00e9xa\u00e9", "\u00e9\u00e9b", "b"], REP),
     (r.first_of(r.seq(r.none_of("+"), r.capture(r.ch("x"))), r.capture(r.ch("+"))),
-     ["\u00e9x", "+", "\nx", "\u00e9"], SWITCH),
-    (r.opt(r.seq(r.none_of("+"), r.capture(r.ANY))), ["\u00e9x", "+x", ""], MAYBE),
+     ["\u00e9x", "+", "\nx", "\u00e9"], ALT),
+    (r.opt(r.seq(r.none_of("+"), r.capture(r.ANY))), ["\u00e9x", "+x", ""], OPT),
     (r.first_of(r.seq(r.ch("\u00e9"), r.capture(r.ANY)), r.seq(r.ch("\u00fc"), r.capture(r.ANY)),
-                r.capture(r.ANY)), ["\u00e9a", "\u00fcb", "\u00f6", "\u00e9"], SWITCH),
+                r.capture(r.ANY)), ["\u00e9a", "\u00fcb", "\u00f6", "\u00e9"], ALT),
     # end of input starts only what has no head
-    (r.first_of(r.capture(r.ch("a")), r.seq(r.EOI, r.capture(r.lit("")))), ["", "a", "b"], SWITCH),
-    (r.first_of(r.seq(r.ANY, r.capture(r.ANY)), r.capture(r.lit(""))), ["", "a", "ab"], SWITCH),
-    (r.seq(r.zero_or_more(r.capture(r.ch("a"))), r.EOI), ["", "aa", "ab"], LOOP),
+    (r.first_of(r.capture(r.ch("a")), r.seq(r.EOI, r.capture(r.lit("")))), ["", "a", "b"], ALT),
+    (r.first_of(r.seq(r.ANY, r.capture(r.ANY)), r.capture(r.lit(""))), ["", "a", "ab"], ALT),
+    (r.seq(r.zero_or_more(r.capture(r.ch("a"))), r.EOI), ["", "aa", "ab"], REP),
     # no head, so always tried: an empty literal, ignore case, predicates, a
     # nullable first child
-    (r.first_of(r.seq(r.lit(""), r.capture(r.ch("b"))), r.capture(r.ch("a"))), ["b", "a"], SWITCH),
+    (r.first_of(r.seq(r.lit(""), r.capture(r.ch("b"))), r.capture(r.ch("a"))), ["b", "a"], ALT),
     (r.first_of(r.seq(r.ignore_case("k"), r.capture(r.ANY)), r.capture(r.ch("K"))),
-     ["Kx", "kx", "K", "\u212ax"], SWITCH),
+     ["Kx", "kx", "K", "\u212ax"], ALT),
     (r.first_of(r.seq(r.not_pred(r.capture(r.ch("a"))), r.capture(r.ANY)), r.capture(r.ch("a"))),
-     ["b", "a", ""], SWITCH),
+     ["b", "a", ""], ALT),
     (r.first_of(r.seq(r.and_pred(r.capture(r.ch("b"))), r.capture(r.ANY)), r.capture(r.ch("c"))),
-     ["b", "c"], SWITCH),
+     ["b", "c"], ALT),
     (r.first_of(r.seq(r.opt(r.capture(r.ch("a"))), r.capture(r.ch("b"))), r.capture(r.ch("c"))),
-     ["b", "ab", "c"], SWITCH),
+     ["b", "ab", "c"], ALT),
     (r.first_of(r.seq(r.zero_or_more(r.ch("a")), r.capture(r.ch("b"))), r.capture(r.ch("c"))),
-     ["b", "aab", "c"], SWITCH),
+     ["b", "aab", "c"], ALT),
     (r.first_of(r.seq(r.zero_or_more(r.capture(r.ch("a"))), r.capture(r.ch("b"))),
-                r.capture(r.ch("c"))), ["b", "aab", "c"], SWITCH),
+                r.capture(r.ch("c"))), ["b", "aab", "c"], ALT),
     # an action or drop first in an alternative still runs, and faults
-    (r.first_of(r.seq(r.drop(1), r.capture(r.ch("a"))), r.capture(r.ch("b"))), ["b", "a"], SWITCH),
+    (r.first_of(r.seq(r.drop(1), r.capture(r.ch("a"))), r.capture(r.ch("b"))), ["b", "a"], ALT),
     (r.first_of(r.seq(r.Action(0, _boom, StackEffect((), ()), name="boom"), r.capture(r.ch("a"))),
-                r.capture(r.ch("b"))), ["b", "a"], SWITCH),
+                r.capture(r.ch("b"))), ["b", "a"], ALT),
     # a collecting * and ? that end at once push their empty list
-    (r.seq(r.zero_or_more(r.capture(r.ch("a"))), r.capture(r.ch("b"))), ["b", "aab", ""], LOOP),
-    (r.seq(r.opt(r.capture(r.ch("a"))), r.capture(r.ch("b"))), ["b", "ab", ""], MAYBE),
+    (r.seq(r.zero_or_more(r.capture(r.ch("a"))), r.capture(r.ch("b"))), ["b", "aab", ""], REP),
+    (r.seq(r.opt(r.capture(r.ch("a"))), r.capture(r.ch("b"))), ["b", "ab", ""], OPT),
     # a + whose body cannot start fails
     (r.first_of(r.seq(r.lit(""), r.one_or_more(r.capture(r.ch("a")))), r.capture(r.ch("b"))),
-     ["b", "aa", ""], LOOP),
+     ["b", "aa", ""], REP),
     # two candidates for one character, tried in order
     (r.first_of(r.seq(r.ch("a"), r.capture(r.ch("b"))), r.seq(r.ch("a"), r.capture(r.ch("c"))),
-                r.capture(r.ch("d"))), ["ab", "ac", "ad", "d"], SWITCH),
+                r.capture(r.ch("d"))), ["ab", "ac", "ad", "d"], ALT),
     # a none-of set without members takes a newline
     (r.first_of(r.seq(r.none_of(""), r.capture(r.ANY)), r.capture(r.ch("\n"))),
-     ["\n", "\nx", "x\n"], SWITCH),
+     ["\n", "\nx", "x\n"], ALT),
 ]
 
 
@@ -1008,16 +1007,45 @@ def _exact_outcome(parser, text):
     return ("success", state.stack.values(), None) if ok else ("parse-failure", None, None)
 
 
-@pytest.mark.parametrize("expr, texts, op", DISPATCH_CASES)
+# where each dispatching opcode keeps its operand
+_DISPATCH_AT = {ALT: 4, REP: 6, OPT: 4}
+
+
+def _dispatching(parser):
+    """Opcodes of the fast-table instructions that dispatch: the choices,
+    repetitions and options with a filled operand."""
+    return [ins[0] for _, ins in _fast_instructions(parser)
+            if ins[0] in _DISPATCH_AT and ins[_DISPATCH_AT[ins[0]]]]
+
+
+# explicit ids, which keep the names the suite has always reported for these
+# cases; their numbers follow no opcode
+_DISPATCH_IDS = [f"expr{i}-texts{i}-{ {ALT: 22, REP: 23, OPT: 24}[case[2]] }"
+                 for i, case in enumerate(DISPATCH_CASES)]
+
+
+@pytest.mark.parametrize("expr, texts, op", DISPATCH_CASES, ids=_DISPATCH_IDS)
 def test_head_dispatch_agrees_with_the_exact_table(expr, texts, op):
     parser = Parser(r.grammar({"Top": expr}))  # unvalidated, so that empty literals stay
-    assert op in {ins[0] for _, ins in _fast_instructions(parser)}
+    assert op in _dispatching(parser)
     for text in texts:
         result = parser.run(text)
         fault = None if result.fault is None else result.fault.description
         assert (result.kind, result.values, fault) == _exact_outcome(parser, text), text
         if result.error is not None:  # the error pass that dispatches below its bound
             assert result.error == build_parse_error(parser, text), text
+
+
+def test_a_choice_at_the_end_of_the_input_runs_only_what_has_no_head():
+    # a none-of set has a wide head: any character it does not list may start
+    # it, but the end of the input does not; no outcome shows the difference
+    expr = r.first_of(r.seq(r.none_of("+"), r.capture(r.ANY)), r.capture(r.lit("")))
+    parser = Parser(r.grammar({"Top": expr}))
+    bodies = parser._tables.bodies[FAST]
+    for text, counters in (("", (3, 0)), ("+", (3, 0)), ("xy", (5, 0))):
+        state = ParserState(text)
+        assert parser._execute(state, bodies["Top"], "Top", bodies), text
+        assert (state.stats.steps, state.stats.terminal_mismatches) == counters, text
 
 
 def test_json_value_dispatches_through_the_rules_on_its_cycle(calc_grammar):
@@ -1027,11 +1055,11 @@ def test_json_value_dispatches_through_the_rules_on_its_cycle(calc_grammar):
     parser = Parser(load_grammar(ROOT / "bench/json.peg"))
     fast = parser._tables.bodies[FAST]
     value = fast["Value"]
-    assert value[0] == SWITCH
+    assert value[0] == ALT and value[4]
 
     def offered(c):
         return [ins[2] if ins[0] == REF else next(n for n, body in fast.items() if body is ins)
-                for ins in value[2].get(c, value[3])[:-1]]
+                for ins in value[4][0].get(c, value[4][1])[:-1]]
 
     assert offered('"') == ["String", "Number", "Literal"]
     assert offered("{") == ["Object", "Number", "Literal"]
@@ -1041,9 +1069,20 @@ def test_json_value_dispatches_through_the_rules_on_its_cycle(calc_grammar):
                  '{"a" 1}', "[1, 2", '"x', "[tru]", "{}}", ""]:
         assert parser.run(text) == parser.run(text, observer=Trace([])), text  # the exact table
     # calc's heads do not change: its rules on a cycle are never offered by a choice or loop
-    dispatches = [ins[0] for _, ins in _fast_instructions(Parser(calc_grammar))
-                  if ins[0] in (SWITCH, LOOP, MAYBE)]
-    assert sorted(dispatches) == [SWITCH] * 3 + [LOOP] * 2
+    assert sorted(_dispatching(Parser(calc_grammar))) == [ALT] * 3 + [REP] * 2
+
+
+def test_the_fast_table_holds_only_exact_opcodes_and_re(calc_grammar):
+    # the fast table dispatches through the exact table's instructions: a
+    # fragment's RE is the one opcode of its own
+    exprs = [case[0] for case in DISPATCH_CASES + FAST_EDGE_CASES]
+    grammars = [calc_grammar, load_grammar(ROOT / "bench/json.peg"),
+                *(r.grammar({"Top": r.capture(e)}) for e in exprs)]
+    for grammar in grammars:
+        parser = Parser(grammar)
+        exact = {ins[0] for _, ins in _fast_instructions(parser, EXACT)}
+        fast = {ins[0] for _, ins in _fast_instructions(parser)}
+        assert exact <= set(OPS) - {RE} and fast <= exact | {RE}, grammar
 
 
 def test_a_grammar_too_deep_to_compile_is_an_internal_fault():

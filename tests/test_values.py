@@ -187,6 +187,17 @@ def test_a_node_copies_and_pickles_as_a_node():
     assert type(pickle.loads(pickle.dumps(old))) is Value
 
 
+def test_deep_values_of_both_node_forms_copy_and_pickle_without_recursion():
+    for node in (node_value, _old_node):
+        value = _add_chain(5_000, node=node)
+        for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value and twin is not value
+            assert type(twin.payload.children[0]) is type(value)  # each level keeps its form
+    mixed = Value("ListOf(Node)", (node_value("A", str_value("1")), _old_node("B"), 7))
+    twin = pickle.loads(pickle.dumps(mixed))
+    assert [type(x) for x in twin.payload] == [Node, Value, int] and twin == mixed
+
+
 def test_a_node_reads_like_a_value_holding_a_tree():
     child = str_value("1")
     v = node_value("Val", child)
