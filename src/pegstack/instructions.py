@@ -50,12 +50,17 @@ carries its function and arity; a ``cons`` is a CONS, built in place.
   to a rule off every cycle becomes that rule's fast body, shared. The
   run dispatches through every filled operand: a choice keeps its exact
   operand's candidates, rebuilt over its fast children, and a ``*``,
-  ``+`` or ``?`` keeps its operand as it is. Each instruction whose first
-  action is a terminal test has a head, the characters it can start
-  with; a reference has its rule's head, and those of the rules on
-  cycles are one least fixpoint over the rules, so json's ``Value``
-  offers its recursive ``Object`` only at ``{``. In ``calc.peg`` nothing
+  ``+`` or ``?`` keeps its operand as it is. In ``calc.peg`` nothing
   lowers, but every loop and every choice dispatches.
+
+Each instruction whose first action in the fast table is a terminal test
+has a head, the characters it can start with. Compiling a node gives its
+head from its children's, so each node's head is taken once; a node that
+lowers to one regex has none, decided without compiling the regex, which
+only ``_fast`` does. A reference to a rule on a cycle has a head that
+names the rule; the heads of those rules are one least fixpoint, joined
+in when the dispatch operands are filled, so json's ``Value`` offers its
+recursive ``Object`` only at ``{``.
 """
 
 from __future__ import annotations
@@ -143,18 +148,40 @@ def _regex(ins: tuple):
 
 
 def _terminal_head(ins: tuple) -> tuple | None:
-    """Head of a terminal instruction: (ASCII mask, other characters, wide),
-    where wide means that it may also take characters at or above 128 that
-    are not listed; None when it can match without taking a character, or
-    when ignore case makes its first character unknown."""
+    """Head of a terminal instruction: (ASCII mask, other characters, wide,
+    rules), where wide means that it may also take characters at or above
+    128 that are not listed, and rules names the rules on cycles whose heads
+    are still to be joined in (none for a terminal); None when it can match
+    without taking a character, or when ignore case makes its first
+    character unknown."""
     op = ins[0]
     if op == CH or op == STR and ins[2]:
         c = ins[2][0]
         o = ord(c)
-        return (1 << o, (), False) if o < 128 else (0, (c,), False)
+        return (1 << o, (), False, ()) if o < 128 else (0, (c,), False, ())
     if op == CLASS:
-        return ins[2], (), ins[3] is not None
+        return ins[2], (), ins[3] is not None, ()
     return None
+
+
+def _union(heads) -> tuple | None:
+    """Union of heads; None when one of them is None. Sorted: equal heads
+    are equal."""
+    mask, chars, wide, rules = 0, set(), False, set()
+    for head in heads:
+        if head is None:
+            return None
+        mask, wide = mask | head[0], wide or head[2]
+        chars.update(head[1])
+        rules.update(head[3])
+    return mask, tuple(sorted(chars)), wide, tuple(sorted(rules))
+
+
+def _resolve(head: tuple | None, cyclic: dict) -> tuple | None:
+    """A head with the heads of the rules it names, from cyclic, joined in."""
+    if head is None or not head[3]:
+        return head
+    return _union([head[:3] + ((),), *(cyclic.get(name) for name in head[3])])
 
 
 def _by_char(heads: list) -> tuple[dict[str, int], int, int]:
@@ -168,7 +195,7 @@ def _by_char(heads: list) -> tuple[dict[str, int], int, int]:
         if head is None:
             always |= 1 << i
             continue
-        mask, chars, w = head
+        mask, chars, w, _ = head
         wide |= w << i
         for c in chars:
             table[c] = table.get(c, 0) | 1 << i
@@ -234,7 +261,9 @@ def _facts(expr: r.RuleExpr) -> tuple[set, set, bool, bool]:
 
 class Tables:
     """The compiled rule bodies of one grammar, by table, and the facts about
-    the grammar they rest on; reusable across runs and threads."""
+    the grammar they rest on; reusable across runs and threads.
+    ``_acyclic`` holds the head of each rule off every cycle, ``_cyclic``
+    that of each rule on one."""
 
     def __init__(self, grammar: r.Grammar):
         self.grammar = grammar
@@ -255,7 +284,8 @@ class Tables:
                     touches[name] = changed = True
         # the rules that reach no reference cycle, each after the rules it
         # references: compiled in this order, a reference to one of them
-        # finds its body's regex source ready to inline
+        # finds its body's regex source and its head ready, the head as its
+        # value here
         acyclic = self._acyclic = {}
         ready = True
         while ready:
@@ -264,91 +294,40 @@ class Tables:
             acyclic.update(dict.fromkeys(ready))
         cyclic = [name for name in exprs if name not in acyclic]
         exact, fast = self.bodies = ({}, {})  # EXACT, FAST
+        self._operands = []  # each dispatch operand, with what fills it
+        named = {}  # the heads of the rules on cycles, naming those rules
         for name in [*acyclic, *cyclic]:
-            exact[name] = self.compile(exprs[name])
-        self._effects = None  # compile() of a node outside the rules infers afresh
-        # heads, in the same order, so an acyclic rule's are ready for the
-        # references to it. The heads of the rules that reach a cycle are
-        # one least fixpoint: each starts from the empty head and only
-        # grows, so the rounds end; validation rejected left recursion, so
-        # no head is made of its own rule's.
-        heads = self._heads = {}
-        for name in acyclic:
-            heads[name] = self._head(exact[name])
-        heads.update(dict.fromkeys(cyclic, (0, (), False)))  # the empty head
+            exact[name], _, head = self._compile(exprs[name])
+            (acyclic if name in acyclic else named)[name] = head
+        operands = self._operands
+        # compile() of a node outside the rules infers afresh and fills nothing
+        self._effects = self._operands = None
+        # the heads of the rules on cycles are one least fixpoint: each
+        # starts from the empty head and only grows, so the rounds end;
+        # validation rejected left recursion, so no head is made of its own
+        # rule's
+        heads = self._cyclic = dict.fromkeys(cyclic, (0, (), False, ()))
         changed = True
         while changed:
             changed = False
-            for name in cyclic:
-                head = self._head(exact[name])
+            for name, head in named.items():
+                head = _resolve(head, heads)
                 if head != heads[name]:
                     heads[name], changed = head, True
-        for body in exact.values():
-            self._fill_dispatch(body)
+        # each dispatch operand, left empty where no alternative, or no
+        # body, has a head: for a choice, (by character, any other, end of
+        # input) of _switch and the _by_char bit sets they come from; for a
+        # repetition or option, (by character, any other) of _by_char,
+        # nonzero where the body can start
+        for operand, kids, kid_heads in operands:
+            kid_heads = [_resolve(head, heads) for head in kid_heads]
+            if kid_heads.count(None) < len(kid_heads):
+                bits = _by_char(kid_heads)
+                operand[:] = (*_switch(kids, bits), bits) if kids else bits[:2]
         # fast bodies, acyclic rules first, so that theirs are ready for the
         # references that run them in place
         for name in [*acyclic, *cyclic]:
             fast[name] = self._fast(exact[name])
-
-    def _fill_dispatch(self, body: tuple) -> None:
-        """Fill the dispatch operand of each choice, repetition and option
-        in an exact rule body, from the heads of its alternatives or its
-        body: for a choice, (by character, any other, end of input) of
-        ``_switch`` and the ``_by_char`` bit sets they come from; for a
-        repetition or option, (by character, any other) of ``_by_char``,
-        nonzero where the body can start. Left empty where no alternative,
-        or no body, has a head. The fast run and the error pass dispatch
-        through them."""
-        todo = [body]
-        while todo:
-            ins = todo.pop()
-            op = ins[0]
-            if op == SEQ or op == ALT:
-                kids = ins[2][:-1]
-                todo.extend(kids)
-                if op == ALT:
-                    heads = [self._head(kid) for kid in kids]
-                    if heads.count(None) < len(heads):
-                        bits = _by_char(heads)
-                        ins[4][:] = *_switch(kids, bits), bits
-            elif op in (REP, OPT, PRED, CAPTURE, QUIET):
-                todo.append(ins[2])
-                head = self._head(ins[2]) if op == REP or op == OPT else None
-                if head is not None:  # the operand before the regex source
-                    ins[-2][:] = _by_char([head])[:2]
-
-    def _head(self, ins: tuple) -> tuple | None:
-        """Head of an exact instruction's fast form, in the form of
-        ``_terminal_head``: None unless its first action is a terminal test
-        that must pass, so None for an RE instruction. A reference takes
-        its rule's head; the others combine those of their children in head
-        position, so a node is visited once for each choice, loop or option
-        whose head it decides."""
-        if _regex(ins) is not None:
-            return None
-        op = ins[0]
-        if op <= ISTR:
-            return _terminal_head(ins)
-        if op == SEQ:
-            return self._head(ins[2][0])
-        if op == ALT:  # the union of the alternatives' heads
-            mask, chars, wide = 0, set(), False
-            for kid in ins[2][:-1]:
-                head = self._head(kid)
-                if head is None:
-                    return None
-                mask, wide = mask | head[0], wide or head[2]
-                chars.update(head[1])
-            return mask, tuple(sorted(chars)), wide  # sorted: equal heads are equal
-        if op == CHARS:
-            return _terminal_head(ins[2]) if ins[3] else None
-        if op == REF:
-            return self._heads.get(ins[2])
-        if op == CAPTURE:
-            return None if _regex(ins[2]) is not None else self._head(ins[2])
-        if op == QUIET or op == REP and ins[3]:
-            return self._head(ins[2])
-        return None
 
     def _fast(self, ins: tuple) -> tuple:
         """Fast-table form of an exact instruction.
@@ -391,15 +370,30 @@ class Tables:
         """
         return self._compile(node)[0]
 
-    def _compile(self, node) -> tuple[tuple, bool]:
-        """Exact instruction for a node, and whether matching it may change
-        the value stack, from its children's: a node whose children touch
-        nothing touches nothing unless it pushes or pops itself."""
-        ins, touches = self._instruction(node)
+    def _compile(self, node) -> tuple[tuple, bool, tuple | None]:
+        """Exact instruction for a node, whether matching it may change the
+        value stack, and the head of its fast form, each from its
+        children's: a node whose children touch nothing touches nothing
+        unless it pushes or pops itself, and a node that lowers to one regex
+        has no head. A head may name rules on cycles, joined in later."""
+        ins, touches, head = self._instruction(node)
         source = self._source(ins)
         if source is not None and len(source) > _MAX_SOURCE:
             source = None
-        return ins + (source,), touches
+        if ins[0] <= ISTR:
+            head = _terminal_head(ins)
+        elif source is not None and ins[0] in _LOWERED:
+            head = None  # an RE instruction in the fast table
+        return ins + (source,), touches, head
+
+    def _operand(self, kids: tuple | None, heads: tuple) -> list:
+        """An empty dispatch operand; while the rules compile, it is recorded
+        with the alternatives of a choice (None for a repetition or option)
+        and the heads of those, or of the body, that fill it."""
+        operand = []
+        if self._operands is not None:
+            self._operands.append((operand, kids, heads))
+        return operand
 
     def _source(self, ins: tuple) -> str | None:
         """Regex source of a node, from its compiled children's."""
@@ -427,74 +421,81 @@ class Tables:
             return self.bodies[EXACT][ins[2]][-1]  # inlined
         return None  # captures, actions and quiet are no regex
 
-    def _instruction(self, node) -> tuple[tuple, bool]:
-        """Exact instruction for a node, without its regex source, and
-        whether it touches the stack. The only place that tells terminal
-        node types apart: the other facts of a terminal come from its
-        operands, and a CLASS mask holds ASCII members only."""
+    def _instruction(self, node) -> tuple[tuple, bool, tuple | None]:
+        """Exact instruction for a node, without its regex source, whether
+        it touches the stack, and its head from its children's (None for a
+        terminal, whose head ``_compile`` reads from its operands). The only
+        place that tells terminal node types apart: the other facts of a
+        terminal come from its operands, and a CLASS mask holds ASCII
+        members only."""
         t = type(node)
         if t is r.Ch:
-            return (CH, node, node.char), False
+            return (CH, node, node.char), False, None
         if t is r.CharPred:
-            return (CLASS, node, node.pred.mask & _ASCII, node.pred.extra), False
+            return (CLASS, node, node.pred.mask & _ASCII, node.pred.extra), False, None
         if t is r.Str:
-            return (STR, node, node.text, len(node.text)), False
+            return (STR, node, node.text, len(node.text)), False, None
         if t is r.EndOfInput:
-            return (EOI, node), False
+            return (EOI, node), False, None
         if t is r.IgnoreCaseStr:
-            return (ISTR, node, node.text.lower(), len(node.text)), False
+            return (ISTR, node, node.text.lower(), len(node.text)), False, None
         if t is r.NoneOf:
             extra = node.pred.extra
             return (CLASS, node, ~node.pred.mask & _ASCII,
-                    _always if extra is None else lambda c: not extra(c)), False
+                    _always if extra is None else lambda c: not extra(c)), False, None
         if t is r.AnyChar:
-            return (CLASS, node, _ASCII, _always), False
+            return (CLASS, node, _ASCII, _always), False, None
         if t is r.Sequence or t is r.FirstOf:
             # the children, then None to mark the end; a SEQ's last operand
             # tells a terminal head that is tested before the frame opens
-            kids, touched = zip(*(self._compile(k) for k in
-                                  (node.children if t is r.Sequence else node.alternatives)))
+            kids, touched, heads = zip(*(self._compile(k) for k in
+                                         (node.children if t is r.Sequence else node.alternatives)))
             touches = any(touched)
-            kids += (None,)
-            if t is r.FirstOf:  # the dispatch operand is filled once the heads are known
-                return (ALT, node, kids, touches, []), touches
-            return (SEQ, node, kids, touches, kids[0][0] <= ISTR), touches
+            if t is r.FirstOf:
+                return ((ALT, node, kids + (None,), touches, self._operand(kids, heads)), touches,
+                        _union(heads))
+            return (SEQ, node, kids + (None,), touches, kids[0][0] <= ISTR), touches, heads[0]
         if t is r.ZeroOrMore or t is r.OneOrMore:
-            inner, touches = self._compile(node.inner)
+            inner, touches, head = self._compile(node.inner)
+            plus = t is r.OneOrMore
             if inner[0] == CH or inner[0] == CLASS:
                 # one character per iteration: (CHARS, node, the terminal,
                 # plus, regex scan, capture), the scan None when the class
                 # decides non-ASCII characters in Python
                 source = inner[-1]
                 scan = None if source is None else re.compile(source + "*", re.DOTALL).match
-                return (CHARS, node, inner, t is r.OneOrMore, scan, False), False
-            return (REP, node, inner, t is r.OneOrMore, self._collect_tag(node), touches,
-                    []), touches
+                return (CHARS, node, inner, plus, scan, False), False, head if plus else None
+            return ((REP, node, inner, plus, self._collect_tag(node), touches,
+                     self._operand(None, (head,))), touches, head if plus else None)
         if t is r.Optional:
-            inner, touches = self._compile(node.inner)
-            return (OPT, node, inner, self._collect_tag(node), []), touches
+            inner, touches, head = self._compile(node.inner)
+            return ((OPT, node, inner, self._collect_tag(node), self._operand(None, (head,))),
+                    touches, None)
         if t is r.AndPredicate or t is r.NotPredicate:
-            inner, touches = self._compile(node.inner)
-            return (PRED, node, inner, t is r.NotPredicate, touches, inner[0] <= ISTR), False
+            inner, touches, _ = self._compile(node.inner)
+            return ((PRED, node, inner, t is r.NotPredicate, touches, inner[0] <= ISTR), False,
+                    None)
         if t is r.Capture:
-            inner = self._compile(node.inner)[0]
+            inner, _, head = self._compile(node.inner)
             if inner[0] == CHARS:  # the scan pushes what it matched
-                return inner[:5] + (True,), True
-            return (CAPTURE, node, inner), True
+                return inner[:5] + (True,), True, head
+            return (CAPTURE, node, inner), True, head
         if t is r.Quiet:
-            inner, touches = self._compile(node.inner)
-            return (QUIET, node, inner), touches
+            inner, touches, head = self._compile(node.inner)
+            return (QUIET, node, inner), touches, head
         if t is r.Action:
             if type(node.fn) is ConsFn:  # made by effects.cons: the executor builds the node
-                return (CONS, node, node.fn.label, node.arity), True
-            return (ACTION, node, node.fn, node.arity), True
+                return (CONS, node, node.fn.label, node.arity), True, None
+            return (ACTION, node, node.fn, node.arity), True, None
         if t is r.Push:  # an action that pushes its value; a unit-like value pushes nothing
             value = None if node.value.tag == "Unit" else node.value
-            return (ACTION, node, lambda: value, 0), True
+            return (ACTION, node, lambda: value, 0), True, None
         if t is r.Drop:
-            return (ACTION, node, _nothing, node.count), True
+            return (ACTION, node, _nothing, node.count), True, None
         if t is r.RuleRef:
-            return (REF, node, node.name), self._rule_touches.get(node.name, True)
+            name = node.name  # a rule on a cycle: a head that names it
+            return ((REF, node, name), self._rule_touches.get(name, True),
+                    self._acyclic.get(name, (0, (), False, (name,))))
         raise TypeError(f"unknown rule expression: {node!r}")
 
     def _collect_tag(self, node) -> str | None:

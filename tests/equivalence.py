@@ -5,7 +5,8 @@
 
 It imports pegstack from the ``src/`` next to this file, or from the
 directory ``--src`` names. ``--against TREE`` also runs this script, with
-these generators, on TREE's ``src/``, prints both sets of digests and
+these generators, on TREE's ``src/``, prints both sets of digests, says
+whether the behaviour digests and the counter digests are equal, and
 exits 1 when a behaviour digest differs. For each family it prints two
 SHA-256 digests. The behaviour digest must match between two trees that
 claim the same behaviour; it covers
@@ -19,7 +20,10 @@ text) and, for each (grammar, input) pair:
 * the traced event stream of ``match_rule`` and of ``Parser.run`` with a Trace.
 
 The counter digest covers the steps, mismatches and max cursor of each
-``run_phase``; a change to how much work a pass does may move it.
+``run_phase``, and of the fast-table run that an unobserved ``Parser.run``
+makes; when that run fails without a fault, also those of the error pass
+bounded by its max cursor. A change to how much work a pass does may move
+it.
 
 Next to the digests it prints how many choices, repetitions and options
 with a filled dispatch operand the family's fast tables hold, each counted
@@ -88,10 +92,10 @@ def _run(parser: Parser, text: str) -> str:
     return f"fault {result.fault.description}"
 
 
-def _phase(parser: Parser, text: str, mode: str) -> tuple[str, str]:
+def _phase(parser: Parser, text: str, mode: str, bound: int | None = None) -> tuple[str, str]:
     """(behaviour, counters) of one run_phase; a fault is both."""
     try:
-        state = parser.run_phase(text, error_mode=mode)
+        state = parser.run_phase(text, error_mode=mode, bound=bound)
     except Exception as exc:
         raised = f"raised {type(exc).__name__}: {exc}"
         return raised, raised
@@ -99,6 +103,21 @@ def _phase(parser: Parser, text: str, mode: str) -> tuple[str, str]:
     traces = [str(t) for t in state.collected]
     return (f"{state.cursor} {traces!r}",
             f"{stats.steps} {stats.terminal_mismatches} {stats.max_cursor}")
+
+
+def _fast_counters(parser: Parser, text: str) -> str:
+    """Counters of the fast-table run of an unobserved Parser.run, then,
+    when it fails without a fault, those of the error pass it bounds."""
+    state = ParserState(text)
+    name = parser.grammar.start
+    try:
+        bodies = parser._bodies(FAST)
+        ok = parser._execute(state, bodies[name], name, bodies)
+    except Exception as exc:
+        return f"raised {type(exc).__name__}: {exc}"
+    stats = state.stats
+    counts = f"{stats.steps} {stats.terminal_mismatches} {stats.max_cursor}"
+    return counts if ok else counts + " " + _phase(parser, text, MODE_COLLECT, stats.max_cursor)[1]
 
 
 def _traced_match(parser: Parser, text: str) -> str:
@@ -162,7 +181,8 @@ def family_digest(name: str, seed: int, pairs: int) -> tuple[str, str, int]:
                      _guarded(lambda: _traced_match(parser, text)),
                      _guarded(lambda: _traced_run(parser, text))]
             behaviour.update(_encode("\x00".join(parts)) + b"\x01")
-            counters.update(_encode("\x00".join((text, off_counts, collect_counts))) + b"\x01")
+            counters.update(_encode("\x00".join((text, off_counts, collect_counts,
+                                                 _fast_counters(parser, text)))) + b"\x01")
     return behaviour.hexdigest(), counters.hexdigest(), dispatches
 
 
@@ -186,7 +206,7 @@ def main() -> int:
     ours = {}
     for name in FAMILIES:
         behaviour, counters, dispatches = family_digest(name, args.seed, args.pairs)
-        ours[name] = behaviour
+        ours[name] = behaviour, counters
         print(f"{name:24} {args.pairs:7} {behaviour} {counters} {dispatches:7}", flush=True)
     if other is None:
         return 0
@@ -194,10 +214,12 @@ def main() -> int:
     print(out, end="")
     if other.returncode:
         return other.returncode
-    theirs = dict(line.split()[:3:2] for line in out.splitlines()[2:])  # family: behaviour
-    differ = [name for name in FAMILIES if theirs.get(name) != ours[name]]
-    print("behaviour differs: " + ", ".join(differ) if differ else "behaviour digests equal")
-    return 1 if differ else 0
+    theirs = {fields[0]: tuple(fields[2:4]) for fields in map(str.split, out.splitlines()[2:])}
+    differ = [[name for name in FAMILIES if theirs.get(name, ("", ""))[i] != ours[name][i]]
+              for i in (0, 1)]
+    for digest, names in zip(("behaviour", "counter"), differ):
+        print(f"{digest} digests " + ("differ: " + ", ".join(names) if names else "equal"))
+    return 1 if differ[0] else 0  # counters may move with the work a change saves
 
 
 if __name__ == "__main__":

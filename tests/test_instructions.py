@@ -3,10 +3,11 @@
 ``Tables`` takes whether a node touches the value stack from its children
 while it compiles the node, and a rule's from one walk of its body and a
 least fixpoint over the rules. A node's head comes from its children's in
-head position, and a reference's from its rule's, which for the rules on
-cycles is one least fixpoint. The recursive definitions below walk a
-node's whole subtree, and a reference's rule body, instead; they are the
-oracle. A terminal's head, regex source and fused scan come from the
+head position, also while it compiles, and a reference's from its rule's;
+a reference to a rule on a cycle names the rule, whose head is one least
+fixpoint over those rules, joined in later. The recursive definitions
+below walk a node's whole subtree, and a reference's rule body, instead;
+they are the oracle. A terminal's head, regex source and fused scan come from the
 operands of its compiled instruction; their oracle defines them by the
 terminal's node type. Whether the grammar's values decide no match is one
 more output of the walk of each rule body; its oracle walks every node.
@@ -16,11 +17,13 @@ import random
 import re
 import time
 
+from pegstack import instructions
 from pegstack import rules as r
 from pegstack.effects import NEUTRAL, ConsFn, StackEffect, check_grammar, cons
 from pegstack.engine import Parser
-from pegstack.instructions import (_ASCII, ALT, CAPTURE, CHARS, EXACT, ISTR, QUIET, REF, REP,
-                                   SEQ, _char_class, _regex, _terminal_head, _terminal_source)
+from pegstack.instructions import (_ASCII, ALT, CAPTURE, CHARS, EXACT, FAST, ISTR, OPT, PRED,
+                                   QUIET, RE, REF, REP, SEQ, _char_class, _regex, _resolve,
+                                   _terminal_head, _terminal_source)
 from pegstack.notation import load_grammar, meta_grammar
 from pegstack.values import str_value
 
@@ -60,6 +63,14 @@ def _rule_touches(grammar):
 def _same(head):
     """A head with its characters as a set, for comparing."""
     return None if head is None else (head[0], frozenset(head[1]), head[2])
+
+
+def _resolved(tables, head):
+    """A head from the compile walk with the heads of the rules on cycles
+    that it names joined in, for comparing."""
+    head = _resolve(head, tables._cyclic)
+    assert head is None or head[3] == ()  # it names no rule any more
+    return _same(head)
 
 
 def _fast_head(tables, ins):
@@ -138,6 +149,9 @@ def _grammars():
     # pushes and calls inside a predicate do not count: only Peek touches
     yield r.grammar({"Top": r.seq(r.and_pred(r.ref("Peek")), r.ref("Look")),
                      "Peek": r.capture(r.ch("a")), "Look": r.not_pred(r.capture(r.ch("b")))})
+    # a choice and a loop that start with a rule on a cycle: its head is joined in
+    yield r.grammar({"List": r.first_of(r.ref("Group"), r.ch("x")),
+                     "Group": r.seq(r.ch("("), r.zero_or_more(r.ref("List")), r.ch(")"))})
 
 
 def test_the_facts_pass_agrees_with_the_recursive_definitions():
@@ -147,12 +161,14 @@ def test_the_facts_pass_agrees_with_the_recursive_definitions():
         touches = _rule_touches(grammar)
         assert tables._rule_touches == touches  # rule by rule
         for name, rd in grammar.rules.items():
-            assert _same(tables._heads[name]) == _fast_head(tables, tables.bodies[EXACT][name]), name
-            cyclic_heads += name not in tables._acyclic and tables._heads[name] is not None
+            acyclic = name in tables._acyclic
+            head = tables._acyclic[name] if acyclic else tables._cyclic[name]
+            assert _resolved(tables, head) == _fast_head(tables, tables.bodies[EXACT][name]), name
+            cyclic_heads += not acyclic and head is not None
             for node in r.walk(rd.expr):  # node by node
-                ins, touched = tables._compile(node)
+                ins, touched, head = tables._compile(node)
                 assert touched == _touches(node, touches), node
-                assert _same(tables._head(ins)) == _fast_head(tables, ins), node
+                assert _resolved(tables, head) == _fast_head(tables, ins), node
     assert cyclic_heads > 50  # rules on cycles with a head are covered
 
 
@@ -220,7 +236,7 @@ def test_terminal_facts_from_the_instruction_agree_with_the_node_definitions():
     tables = Parser(r.grammar({"Top": r.ANY}))._tables
     for node in terminals + edge:
         ins = tables.compile(node)
-        assert _terminal_head(ins) == _node_head(node), node
+        assert _same(_terminal_head(ins)) == _same(_node_head(node)), node
         assert _terminal_source(ins) == _node_source(node), node
         fused = tables.compile(r.one_or_more(node))
         assert (fused[0] == CHARS) == (type(node) in _FUSED), node
@@ -229,3 +245,53 @@ def test_terminal_facts_from_the_instruction_agree_with_the_node_definitions():
             scan = fused[4]
             assert (scan is None) == (source is None), node
             assert scan is None or scan.__self__.pattern == source + "*", node
+
+
+def _instructions(bodies):
+    """Every instruction of a table, each once: the fast table shares an
+    acyclic rule's body among its references."""
+    seen, todo = {}, list(bodies.values())
+    while todo:
+        ins = todo.pop()
+        if ins is None or id(ins) in seen:
+            continue
+        seen[id(ins)] = ins
+        if ins[0] == SEQ or ins[0] == ALT:
+            todo.extend(ins[2])
+        elif ins[0] in (CHARS, REP, OPT, PRED, CAPTURE, QUIET):
+            todo.append(ins[2])
+    return seen.values()
+
+
+def test_each_regex_is_compiled_once_while_a_parser_is_built(monkeypatch):
+    # one re.compile per RE instruction of the fast table and per fused scan
+    calls = []
+    compile_ = re.compile
+    monkeypatch.setattr(re, "compile", lambda *args: calls.append(args) or compile_(*args))
+    chain = {f"R{i}": r.seq(r.ref(f"R{i + 1}"), r.ch("x")) for i in range(300)}
+    chain["R300"] = r.ch("a")
+    for grammar, count in ((load_grammar(ROOT / "bench/json.peg"), 3 + 14),
+                           (meta_grammar(), 5 + 7),
+                           (r.validate_grammar(r.grammar(chain, start="R0")), 300 + 0)):
+        calls.clear()
+        tables = Parser(grammar)._tables
+        regexes = sum(ins[0] == RE for ins in _instructions(tables.bodies[FAST]))
+        scans = sum(ins[0] == CHARS and ins[4] is not None
+                    for ins in _instructions(tables.bodies[EXACT]))
+        assert len(calls) == regexes + scans == count
+
+
+def test_the_head_of_each_node_is_computed_once(monkeypatch):
+    # each choice offers its own alternative or the next choice: a walk that
+    # takes a node's head again for every choice whose head it decides
+    # visits the terminals of this nest quadratically often
+    heads = []
+    terminal_head = instructions._terminal_head
+    monkeypatch.setattr(instructions, "_terminal_head",
+                        lambda ins: heads.append(ins) or terminal_head(ins))
+    expr = r.ch("e")
+    for i in range(150):
+        expr = r.first_of(r.seq(r.ch(chr(ord("0") + i % 64)), r.capture(r.ch("b"))), expr)
+    tables = Parser(r.grammar({"Top": expr}))._tables
+    assert len(heads) == 2 * 150 + 1  # once per terminal
+    assert tables.bodies[EXACT]["Top"][4]  # and the choices dispatch
