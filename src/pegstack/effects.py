@@ -265,12 +265,12 @@ def check_grammar(g: r.Grammar) -> dict[str, StackEffect]:
     # finds its rule's effect in the memo, so no inference recurses through
     # a chain of references
     undeclared = {name for name, rd in g.rules.items() if rd.effect is None}
-    calls = {name: [n.name for n in r.walk(rd.expr)
-                    if type(n) is r.RuleRef and n.name in undeclared]
-             for name, rd in g.rules.items()}
     outcome: dict[str, StackEffect | EffectError] = {}
     memo: dict = {}
     try:
+        calls = {name: [n.name for n in r.walk(rd.expr)
+                        if type(n) is r.RuleRef and n.name in undeclared]
+                 for name, rd in g.rules.items()}
         for name in r.depth_first(calls)[0]:
             rd = g.rules[name]
             try:

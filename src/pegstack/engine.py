@@ -33,18 +33,12 @@ succeeds, a collecting repetition or option builds no list, and no
 snapshot is taken. Its steps and mismatches are counted as in a pass that
 builds them.
 
-The exact table opens a frame only where backtracking needs one. A Sequence
-whose first child is a terminal tests that terminal first: a mismatch fails
-the sequence at once, and a match opens its frame at the second child. A
-predicate over a terminal resolves in place. A repetition of one
-single-character terminal runs as one fused scan, and so does a Capture of
-such a repetition, which pushes the matched slice itself. A repetition
-whose body has a head takes no snapshot: one would only undo an iteration
-that matched without moving, and such a body moves when it matches. An
-observed run logs the steps these shortcuts stand for: a headed Sequence
-its start before its head, the terminal that resolves a Sequence or
-predicate even at a rule's root, and a fused scan one match per character
-and then the mismatch that ends it.
+A repetition of one single-character terminal runs as one fused scan, and
+so does a Capture of such a repetition, which pushes the matched slice
+itself; an observed run logs one match per character and then the mismatch
+that ends the scan. A repetition whose body has a head takes no snapshot:
+one would only undo an iteration that matched without moving, and such a
+body moves when it matches.
 
 Choices, repetitions and options dispatch on the next character through
 their dispatch operands, where those are filled: everywhere in the fast
@@ -337,9 +331,7 @@ class Parser:
         Every node either decides at once or opens a continuation frame on
         ``frames`` and descends into a child; a decided result is then
         handed to the frames from the top down until one of them descends
-        again. No Python call made here re-enters the executor. A sequence
-        or predicate with a terminal head is held in ``pending`` while that
-        terminal runs, and the terminal's result resolves it.
+        again. No Python call made here re-enters the executor.
 
         Under MODE_COLLECT the run keeps the mismatch frontier: a mismatch
         beyond the highest cursor so far clears it, and one at that cursor
@@ -376,10 +368,8 @@ class Parser:
         path = ()  # collecting: the open rules, innermost first, as cons cells
         instrumented = traced or collecting  # rules open frames
         not_depth = quiet_depth = 0
-        pending = None  # a SEQ or PRED whose terminal head is being tested
         # continuation frames, by the opcode that opened them:
         #   [SEQ or ALT, children, next child, entry cursor, snapshot, ins]
-        #     (a SEQ with a terminal head opens at child 1, after it matched)
         #   [REP, ins, iteration entry cursor, snapshot, first match pending,
         #    collect base or None]
         #   (CAPTURE, start)  (OPT, collect tag, collect base)
@@ -442,39 +432,17 @@ class Parser:
                                             compact_at = 2 * len(frontier) + _COMPACT_AT
                             elif at > max_cursor:
                                 max_cursor = at
-                    # a pending SEQ or PRED is the frame above: no rule's root
-                    if traced and (pending is not None or not frames or frames[-1][0] != RULE):
+                    if traced and (not frames or frames[-1][0] != RULE):
                         if ok:
                             observer.event(ins[1], at, "match", at, pos)
                         else:
                             fail_at = at
                             observer.event(ins[1], at, "mismatch", None, None)
-                    if pending is not None:
-                        p = pending
-                        pending = None
-                        if p[0] == SEQ:
-                            # a failed head moved nothing, so the sequence fails
-                            # as it stands; a terminal never touches the stack,
-                            # so a snapshot taken now equals one taken at entry
-                            if ok and p[2][1] is not None:
-                                frames.append([SEQ, p[2], 2, at, snapshot() if p[3] else None, p])
-                                ins = p[2][1]
-                                continue
-                            if ok and traced and (not frames or frames[-1][0] != RULE):
-                                observer.event(p[1], at, "match", at, pos)  # its only child
-                        else:  # PRED
-                            not_depth -= p[3]
-                            pos = at
-                            ok = ok != p[3]
                 # the other opcodes, tested in the order of how often the fast runs
                 # of calc.peg and json.peg reach them
                 elif op == SEQ:
                     if traced and (not frames or frames[-1][0] != RULE):
                         observer.event(ins[1], pos, "start", None, None)
-                    if ins[4]:  # the terminal head decides before a frame opens
-                        pending = ins
-                        ins = ins[2][0]
-                        continue
                     frames.append([SEQ, ins[2], 1, pos, snapshot() if ins[3] else None, ins])
                     ins = ins[2][0]
                     continue
@@ -602,10 +570,7 @@ class Parser:
                 elif op == PRED:
                     negate = ins[3]
                     not_depth += negate
-                    if ins[5]:  # a terminal body resolves in place
-                        pending = ins
-                    else:
-                        frames.append((PRED, negate, pos, snapshot() if ins[4] else None))
+                    frames.append((PRED, negate, pos, snapshot() if ins[4] else None))
                     ins = ins[2]
                     continue
                 elif op == QUIET:

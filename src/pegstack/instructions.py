@@ -25,15 +25,13 @@ carries its function and arity; a ``cons`` is a CONS, built in place.
 
 * EXACT: every run whose step and mismatch counters must be exact
   (``match``, ``match_rule``, ``run_phase``, the error pass) and every
-  observed run. A repetition of one single-character terminal is
-  one fused scan, a sequence with a terminal head tests it before opening a
-  frame, and a predicate over a terminal resolves in place; an observed run
-  logs the steps these shortcuts stand for. Each instruction ends with the
-  node's regex source, None when it has none. A choice, repetition or
-  option carries a dispatch operand, filled once every head is known:
-  which of its alternatives, or whether its body, can start at each next
-  character. The error pass dispatches through it below its running
-  maximum.
+  observed run. A repetition of one single-character terminal is one
+  fused scan; an observed run logs the steps it stands for. Each
+  instruction ends with the node's regex source, None when it has none. A
+  choice, repetition or option carries a dispatch operand, filled once
+  every head is known: which of its alternatives, or whether its body, can
+  start at each next character. The error pass dispatches through it below
+  its running maximum.
 * FAST: ``Parser.run`` when it is not observed. It is the exact table with
   every maximal subtree that touches no stack, runs no action and reaches
   no reference cycle replaced by one ``re`` match (an RE instruction); a
@@ -273,25 +271,30 @@ class Tables:
         # no action but cons, push and drop: values decide no match, so an
         # error pass given a bound may leave them out (see engine)
         self.value_free = not any(f[3] for f in facts.values())
+        # every rule after the rules it references, but for the back edges
+        # that close cycles
+        order = r.depth_first({name: sorted(n for n in f[0] if n in facts)
+                               for name, f in facts.items()})[0]
         # least fixpoint over the rules: a rule touches the stack when one of
-        # its nodes pushes or pops, or when it calls a rule that does
+        # its nodes pushes or pops, or when it calls a rule that does; in
+        # that order, a round settles every rule off a cycle
         touches = self._rule_touches = {name: f[2] for name, f in facts.items()}
         changed = True
         while changed:
             changed = False
-            for name, (_, calls, _, _) in facts.items():
-                if not touches[name] and any(touches.get(n, True) for n in calls):
+            for name in order:
+                if not touches[name] and any(touches.get(n, True) for n in facts[name][1]):
                     touches[name] = changed = True
         # the rules that reach no reference cycle, each after the rules it
         # references: compiled in this order, a reference to one of them
         # finds its body's regex source and its head ready, the head as its
-        # value here
+        # value here. The target of a back edge comes later, so a rule on a
+        # cycle, and one that reaches a cycle, never has all its references
+        # here.
         acyclic = self._acyclic = {}
-        ready = True
-        while ready:
-            ready = [name for name, (refs, _, _, _) in facts.items()
-                     if name not in acyclic and refs <= acyclic.keys()]
-            acyclic.update(dict.fromkeys(ready))
+        for name in order:
+            if facts[name][0] <= acyclic.keys():
+                acyclic[name] = None
         cyclic = [name for name in exprs if name not in acyclic]
         exact, fast = self.bodies = ({}, {})  # EXACT, FAST
         self._operands = []  # each dispatch operand, with what fills it
@@ -446,15 +449,14 @@ class Tables:
         if t is r.AnyChar:
             return (CLASS, node, _ASCII, _always), False, None
         if t is r.Sequence or t is r.FirstOf:
-            # the children, then None to mark the end; a SEQ's last operand
-            # tells a terminal head that is tested before the frame opens
+            # the children, then None to mark the end
             kids, touched, heads = zip(*(self._compile(k) for k in
                                          (node.children if t is r.Sequence else node.alternatives)))
             touches = any(touched)
             if t is r.FirstOf:
                 return ((ALT, node, kids + (None,), touches, self._operand(kids, heads)), touches,
                         _union(heads))
-            return (SEQ, node, kids + (None,), touches, kids[0][0] <= ISTR), touches, heads[0]
+            return (SEQ, node, kids + (None,), touches), touches, heads[0]
         if t is r.ZeroOrMore or t is r.OneOrMore:
             inner, touches, head = self._compile(node.inner)
             plus = t is r.OneOrMore
@@ -473,8 +475,7 @@ class Tables:
                     touches, None)
         if t is r.AndPredicate or t is r.NotPredicate:
             inner, touches, _ = self._compile(node.inner)
-            return ((PRED, node, inner, t is r.NotPredicate, touches, inner[0] <= ISTR), False,
-                    None)
+            return (PRED, node, inner, t is r.NotPredicate, touches), False, None
         if t is r.Capture:
             inner, _, head = self._compile(node.inner)
             if inner[0] == CHARS:  # the scan pushes what it matched

@@ -1,0 +1,63 @@
+"""Code lines of each ``src/pegstack`` module, without docstrings, comments or
+blank lines.
+
+    python3 tests/code_lines.py
+    python3 tests/code_lines.py --src ../other-tree/src
+
+A line counts when it holds a token other than a comment or a docstring:
+the string that opens a module, class or function body. A line that only
+continues a bracketed expression counts too. Prints one line per module,
+then the total. Not collected by pytest: its name does not start with
+``test_``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import io
+import pathlib
+import tokenize
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+_SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER, tokenize.ENCODING}
+
+
+def _docstring_lines(tree: ast.Module) -> set[int]:
+    """Line numbers of the docstrings of a module and of its classes and functions."""
+    lines: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                lines.update(range(body[0].lineno, body[0].end_lineno + 1))
+    return lines
+
+
+def code_lines(source: str) -> int:
+    """Lines of a module's source that hold code."""
+    docstrings = _docstring_lines(ast.parse(source))
+    lines: set[int] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _SKIPPED:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", type=pathlib.Path, default=SRC,
+                    help="the src directory that holds pegstack (default: this tree's)")
+    args = ap.parse_args()
+    total = 0
+    for path in sorted((args.src / "pegstack").glob("*.py")):
+        count = code_lines(path.read_text(encoding="utf-8"))
+        total += count
+        print(f"{path.name:20} {count:6,}")
+    print(f"{'total':20} {total:6,}")
+
+
+if __name__ == "__main__":
+    main()

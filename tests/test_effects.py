@@ -79,6 +79,16 @@ def test_a_long_chain_of_undeclared_rules_checks():
     assert set(report.values()) == {eff([], ["Str"])}
 
 
+def test_a_deep_nest_checks_as_too_deep_not_as_a_recursion_error():
+    # an unvalidated 600-level ('b' e)? nest: the walk that lists each
+    # rule's references recurses too, and must report the same fault
+    expr = r.ch("a")
+    for _ in range(600):
+        expr = r.opt(r.seq(r.ch("b"), expr))
+    with pytest.raises(r.GrammarTooDeep):
+        check_grammar(r.grammar({"Top": expr}))
+
+
 def test_effect_errors_are_reported_in_grammar_order():
     # B is inferred before A, which references it; both report B's mismatch
     g = r.grammar({"A": r.seq(r.ch("x"), r.ref("B")), "C": r.ch("z"),

@@ -277,10 +277,9 @@ def test_fused_character_runs_count_like_single_steps():
 
 
 def test_exact_runs_count_like_the_reference_on_random_grammars():
-    # the reference takes none of the exact table's shortcuts (terminal
-    # heads, predicates resolved in place, fused scans and captures), so it
-    # is their oracle; it bundles collecting repetitions as the engine does,
-    # so the stacks must agree too
+    # the reference takes none of the exact table's shortcuts (fused scans
+    # and captures), so it is their oracle; it bundles collecting
+    # repetitions as the engine does, so the stacks must agree too
     rng = random.Random(20261018)
     for i in range(150):
         make, alphabet = [(gen_grammar, ALPHABET), (gen_sound_grammar, ALPHABET),
@@ -300,8 +299,8 @@ def _counted(state, ok):
 
 # (expression, input) -> (matched, cursor, rendered stack, steps, terminal
 # mismatches, max cursor) of a plain match of the expression as written,
-# pinned from the engine that opened a frame for every sequence, predicate
-# and capture
+# pinned from an engine that opened a frame for every sequence, predicate
+# and capture, as this one does for all but the fused captures
 SHORTCUT_CASES = [
     # a sequence whose only child is a terminal (validation would collapse it)
     (r.Sequence((r.ch("a"),)), "a", (True, 1, [], 2, 0, 0)),
@@ -336,9 +335,10 @@ def test_shortcut_runs_are_pinned(expr, text, expected):
     assert _counted(state, Parser(_grammar(expr)).match(state, expr)) == expected
 
 
-# the shortcuts of the exact table, by shape, and where the shape sits: as
-# the start rule's root, inside its root choice, or as the root of a rule
-# one reference below; the steps these shortcuts stand for are logged
+# sequences and predicates over a terminal, and fused scans, by shape, and
+# where the shape sits: as the start rule's root, inside its root choice,
+# or as the root of a rule one reference below; a fused scan logs the steps
+# it stands for
 SHORTCUT_SHAPES = {
     "not_pred": r.not_pred(r.ch("a")),
     "and_pred": r.and_pred(r.ch("a")),

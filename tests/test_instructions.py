@@ -224,6 +224,25 @@ def test_a_chain_of_rules_that_double_checks_and_builds_in_linear_time():
     assert (error.position.index, error.expected()) == (2, ["'a'", "'x'"])
 
 
+def test_a_long_chain_of_rules_is_ordered_and_touches_in_linear_time():
+    # R_i <- R_i+1 'x' ending in capture('x'): the touches flag travels
+    # up the whole chain, and one depth-first order settles it in one round
+    # and puts every rule after the rules it references; the capture keeps
+    # every source None, so no regex is compiled
+    rules = {f"R{i}": r.seq(r.ref(f"R{i + 1}"), r.ch("x")) for i in range(2000)}
+    rules["R2000"] = r.capture(r.ch("x"))
+    grammar = r.grammar(rules, start="R0")
+    start = time.perf_counter()
+    tables = Parser(grammar)._tables
+    assert time.perf_counter() - start < 1.0
+    assert tables._acyclic.keys() == rules.keys()
+    assert all(tables._rule_touches[name] for name in rules)
+    seen = set()
+    for name in tables._acyclic:
+        assert {n.name for n in r.walk(rules[name]) if type(n) is r.RuleRef} <= seen, name
+        seen.add(name)
+
+
 def test_terminal_facts_from_the_instruction_agree_with_the_node_definitions():
     high = r.CharPredicate((1 << 97) | (1 << 0xE9))  # a bit at 0xE9 names no member
     edge = [r.Ch("\u00e9"), r.Ch("\n"), r.Ch("."), r.Str("\u00e9a"), r.Str("a.b"), r.Str(""),
