@@ -19,19 +19,23 @@ five terminal opcodes and no node types: a CLASS carries the ASCII mask
 and the function for other characters of a predicate, a none-of set or
 ".", and an ACTION the function and arity of an action, a push or a drop.
 
-``Parser.run`` takes the fast table unless it is observed. There each
-stack-free fragment runs as one regex, so the run's step and mismatch
-counters are not exact: an RE instruction counts one step and, when it
-fails, one mismatch, but leaves ``max_cursor`` as it is, so the fast run's
-``max_cursor`` is at most the exact table's. ``match``, ``match_rule``,
-``run_phase``, the error pass and every observed run take the exact table.
-A failed run hands its ``max_cursor`` to the error pass, which starts its
-running maximum there (see ``pegstack.errors``). When the grammar's values
-decide no match (every action is a ``cons``, a push or a drop), that pass
-builds no values either: a capture pushes nothing, a CONS or ACTION only
-succeeds, a collecting repetition or option builds no list, and no
-snapshot is taken. Its steps and mismatches are counted as in a pass that
-builds them.
+A Parser also writes its grammar's Python module when it is built
+(``pegstack.generate``), and ``Parser.run`` calls it unless the run is
+observed. There every choice, repetition and option dispatches on the next
+character, and each stack-free fragment runs as one regex, so the run's
+step and mismatch counters are not exact: a fragment counts one step and,
+when it fails, one mismatch, but leaves ``max_cursor`` as it is, so the
+run's ``max_cursor`` is at most the exact table's. When the generated code
+opens too many functions, or raises ``RecursionError``, the run starts
+again on the exact table, and actions run a second time. ``match``,
+``match_rule``, ``run_phase``, the error pass and every observed run take
+the exact table. A failed run hands its ``max_cursor`` to the error pass,
+which starts its running maximum there (see ``pegstack.errors``). When
+the grammar's values decide no match (every action is a ``cons``, a push
+or a drop), that pass builds no values either: a capture pushes nothing,
+a CONS or ACTION only succeeds, a collecting repetition or option builds
+no list, and no snapshot is taken. Its steps and mismatches are counted
+as in a pass that builds them.
 
 A repetition of one single-character terminal runs as one fused scan, and
 so does a Capture of such a repetition, which pushes the matched slice
@@ -41,19 +45,19 @@ one would only undo an iteration that matched without moving, and such a
 body moves when it matches.
 
 Choices, repetitions and options dispatch on the next character through
-their dispatch operands, where those are filled: everywhere in the fast
-run, and in the error pass below its running maximum, where a skipped
-alternative's only mismatch would not be reported. A choice looks up the
-next character (or end of input) and gets the alternatives that can start
-there: none fails at once, one runs in place with no frame, more open the
-choice's usual frame over just them. Skipped alternatives would have
-failed at their first terminal test before running anything else, so no
-action, drop or capture is skipped; a rule reference has its rule's head,
-also on a reference cycle. A repetition or option whose body cannot start
-at the next character ends with no frame (a collecting one pushes its
-empty list) or, for ``+``, fails; between iterations a repetition tests
-the head again before it re-enters the body. A dispatch that declines
-counts its one step and no mismatch.
+their dispatch operands, where those are filled: everywhere in the
+generated code, and in the error pass below its running maximum, where a
+skipped alternative's only mismatch would not be reported. A choice looks
+up the next character (or end of input) and gets the alternatives that
+can start there: none fails at once, one runs in place with no frame,
+more open the choice's usual frame over just them. Skipped alternatives
+would have failed at their first terminal test before running anything
+else, so no action, drop or capture is skipped; a rule reference has its
+rule's head, also on a reference cycle. A repetition or option whose body
+cannot start at the next character ends with no frame (a collecting one
+pushes its empty list) or, for ``+``, fails; between iterations a
+repetition tests the head again before it re-enters the body. A dispatch
+that declines counts its one step and no mismatch.
 
 Repetition bodies whose effect pushes exactly one value per iteration are
 collecting: the engine bundles the iteration results into a single list
@@ -65,7 +69,8 @@ from __future__ import annotations
 from . import rules as r
 from .errors import (MODE_COLLECT, MODE_OFF, ParseError, build_parse_error, format_error,
                      rule_traces)
-from .instructions import EXACT, FAST, OPS, QUIET, RULE, Tables
+from .generate import TooDeep, generate
+from .instructions import OPS, QUIET, RULE, Tables
 from .record import record
 from .values import Node, StackUnderflow, Value, ValueStack, list_value
 
@@ -229,6 +234,40 @@ class ActionRaised(Exception):
         super().__init__(f"action {name} raised {type(cause).__name__}: {cause}")
 
 
+def _act(state: ParserState, ins: tuple) -> bool:
+    """Run an ACTION instruction, (ACTION, node, fn, arity): an action,
+    a push or a drop."""
+    stack = state.stack
+    n = ins[3]
+    if n:
+        snap = stack.snapshot()
+        args = stack.take(n)  # deepest first
+    else:
+        snap = None
+        args = ()
+    try:
+        out = ins[2](*args)
+    except Exception as exc:
+        raise ActionRaised(ins[1], exc) from exc
+    if out is ACTION_FAIL:
+        if snap is not None:
+            stack.restore(snap)
+        return False
+    if out is None:
+        return True
+    if isinstance(out, Value):
+        stack.push(out)
+        return True
+    for v in out:
+        stack.push(v)
+    return True
+
+
+# what generated code calls besides the grammar's own objects
+_RUNTIME = {"Node": Node, "Value": Value, "list_value": list_value, "act": _act, "scan": _scan,
+            "TooDeep": TooDeep}
+
+
 class Parser:
     """Executes one validated grammar; reusable across runs and threads."""
 
@@ -238,6 +277,9 @@ class Parser:
             self._tables = Tables(grammar)
         except RecursionError:
             self._tables = None  # every run is an internal fault
+        else:
+            # the grammar's module: unobserved runs call its closure factory
+            self._parse, self._source = generate(self._tables, _RUNTIME)
 
     @property
     def fault(self) -> InternalFault | None:
@@ -260,9 +302,13 @@ class Parser:
         state.observer = observer
         name = start or self.grammar.start
         try:
-            # unobserved, the fast table; errors come from the exact error pass
-            bodies = self._bodies(FAST if observer is None else EXACT)
-            if self._execute(state, bodies[name], name, bodies):
+            # unobserved, the generated code; errors come from the exact error pass
+            bodies = self._bodies()
+            if observer is None:
+                ok = self._generated(state, name, bodies)
+            else:
+                ok = self._execute(state, bodies[name], name, bodies)
+            if ok:
                 result = RunResult(values=state.stack.values())
             else:  # the run's furthest mismatch bounds the principal index from below
                 result = RunResult(error=build_parse_error(self, text, name,
@@ -300,7 +346,7 @@ class Parser:
         ``state.stack`` empty."""
         state = ParserState(text, error_mode=error_mode)
         name = start or self.grammar.start
-        bodies = self._bodies(EXACT)
+        bodies = self._bodies()
         if bound is not None:
             state.stats.max_cursor = bound
         self._execute(state, bodies[name], name, bodies, bound is not None)
@@ -308,19 +354,31 @@ class Parser:
 
     def match(self, state: ParserState, node: r.RuleExpr) -> bool:
         """Match one expression at the state's cursor."""
-        bodies = self._bodies(EXACT)
+        bodies = self._bodies()
         return self._execute(state, self._tables.compile(node), None, bodies)
 
     def match_rule(self, state: ParserState, name: str) -> bool:
         """Match the named rule at the state's cursor."""
-        bodies = self._bodies(EXACT)
+        bodies = self._bodies()
         return self._execute(state, bodies[name], name, bodies)
 
-    def _bodies(self, table: int) -> dict:
-        """The compiled rule bodies of a table, by rule name."""
+    def _bodies(self) -> dict:
+        """The exact rule bodies, by rule name."""
         if self._tables is None:
             raise EngineFault(self.fault)
-        return self._tables.bodies[table]
+        return self._tables.bodies
+
+    def _generated(self, state: ParserState, name: str, bodies: dict) -> bool:
+        """Run the named rule through the grammar's generated code, or, when
+        that nests too deeply, again from the start on the exact table, whose
+        actions then run a second time."""
+        try:
+            return self._parse(state, name)
+        except (TooDeep, RecursionError):
+            state.cursor = 0
+            state.stack = ValueStack()
+            state.stats = EngineStats()
+            return self._execute(state, bodies[name], name, bodies)
 
     # -- the executor -------------------------------------------------------
 
@@ -339,11 +397,10 @@ class Parser:
         mismatches at the principal index. Whenever the frontier doubles, it
         drops the pairs that repeat a rule trace, so it grows with the
         traces, not with the work. The dispatch operands of choices,
-        repetitions and options run everywhere on the fast table, and in a
-        headed, unobserved pass wherever the cursor is below the highest
-        cursor so far: there a skipped alternative's only mismatch would not
-        be reported. When the grammar's values decide no match, that pass
-        does no value work.
+        repetitions and options run in a headed, unobserved pass wherever
+        the cursor is below the highest cursor so far: there a skipped
+        alternative's only mismatch would not be reported. When the
+        grammar's values decide no match, that pass does no value work.
         """
         text = state.input
         n = len(text)
@@ -358,7 +415,6 @@ class Parser:
         traced = observer is not None  # every step is logged
         collecting = state.error_mode == MODE_COLLECT
         headed = headed and collecting and not traced
-        fast = bodies is self._tables.bodies[FAST]  # dispatches everywhere
         # a headed pass over a grammar whose values decide no match builds none
         valued = not (headed and self._tables.value_free)
         if not valued:
@@ -385,7 +441,7 @@ class Parser:
             if collecting:
                 path = (rule, path)
         (CH, CLASS, STR, EOI, ISTR, SEQ, ALT, REF, CHARS, ACTION, CONS, CAPTURE, REP, OPT,
-         PRED, QUIET, RE) = OPS
+         PRED, QUIET) = OPS
         try:
             while True:
                 # -- enter ins --------------------------------------------------
@@ -438,8 +494,8 @@ class Parser:
                         else:
                             fail_at = at
                             observer.event(ins[1], at, "mismatch", None, None)
-                # the other opcodes, tested in the order of how often the fast runs
-                # of calc.peg and json.peg reach them
+                # the other opcodes, tested in the order of how often the runs of
+                # calc.peg and json.peg reach them
                 elif op == SEQ:
                     if traced and (not frames or frames[-1][0] != RULE):
                         observer.event(ins[1], pos, "start", None, None)
@@ -448,7 +504,7 @@ class Parser:
                     continue
                 elif op == ALT:
                     dispatch = ins[4]
-                    if dispatch and (fast or headed and pos < max_cursor):
+                    if dispatch and headed and pos < max_cursor:
                         # only the alternatives that can start at the next
                         # character, or at the end of the input; one runs in place
                         cands = dispatch[0].get(text[pos], dispatch[1]) if pos < n else dispatch[2]
@@ -515,26 +571,10 @@ class Parser:
                                         compact_at = 2 * len(frontier) + _COMPACT_AT
                         elif at > max_cursor:
                             max_cursor = at
-                elif op == RE:
-                    # a lowered fragment (fast table only): one step, and a
-                    # failure counts one mismatch at its entry
-                    m = ins[2](text, pos)
-                    if m is None:
-                        ok = False
-                        if not not_depth:
-                            # a mismatch, but no new maximum: the exact table
-                            # may fail the fragment through "!" with none at all
-                            mismatches += 1
-                    else:
-                        ok = True
-                        at = m.end()
-                        if ins[3]:
-                            push(Value("Str", text[pos:at]))
-                        pos = at
                 elif op == REP:
                     tag = ins[4] if valued else None
                     dispatch = ins[6]
-                    if (dispatch and (fast or headed and pos < max_cursor)
+                    if (dispatch and headed and pos < max_cursor
                             and not (pos < n and dispatch[0].get(text[pos], dispatch[1]))):
                         ok = not ins[3]  # the body cannot start: * ends empty, + fails
                         if ok and tag is not None:
@@ -551,7 +591,7 @@ class Parser:
                 elif op == OPT:
                     tag = ins[3] if valued else None
                     dispatch = ins[4]  # the option ends empty when its body cannot start
-                    if (dispatch and (fast or headed and pos < max_cursor)
+                    if (dispatch and headed and pos < max_cursor
                             and not (pos < n and dispatch[0].get(text[pos], dispatch[1]))):
                         ok = True
                         if tag is not None:
@@ -561,7 +601,7 @@ class Parser:
                         ins = ins[2]
                         continue
                 elif op == ACTION:
-                    ok = self._act(state, ins) if valued else True
+                    ok = _act(state, ins) if valued else True
                 elif op == CAPTURE:
                     if valued:
                         frames.append((CAPTURE, pos))
@@ -640,7 +680,7 @@ class Parser:
                             ok = True
                             continue
                         dispatch = rep[6]
-                        if (dispatch and (fast or headed and pos < max_cursor)
+                        if (dispatch and headed and pos < max_cursor
                                 and not (pos < n and dispatch[0].get(text[pos], dispatch[1]))):
                             frames.pop()  # the body cannot start again
                             if f[5] is not None:
@@ -686,35 +726,7 @@ class Parser:
             if collecting:
                 state.collected = rule_traces(frontier)
 
-    # -- helpers the executor calls; each returns before the next node -------
-
-    def _act(self, state: ParserState, ins: tuple) -> bool:
-        """Run an ACTION instruction, (ACTION, node, fn, arity): an action,
-        a push or a drop."""
-        stack = state.stack
-        n = ins[3]
-        if n:
-            snap = stack.snapshot()
-            args = stack.take(n)  # deepest first
-        else:
-            snap = None
-            args = ()
-        try:
-            out = ins[2](*args)
-        except Exception as exc:
-            raise ActionRaised(ins[1], exc) from exc
-        if out is ACTION_FAIL:
-            if snap is not None:
-                stack.restore(snap)
-            return False
-        if out is None:
-            return True
-        if isinstance(out, Value):
-            stack.push(out)
-            return True
-        for v in out:
-            stack.push(v)
-        return True
+    # -- a helper the executor calls; it returns before the next node ---------
 
     def _materialize(self, stack: ValueStack, base: int, tag: str) -> None:
         stack.push(list_value(stack.take(stack.size() - base), tag))

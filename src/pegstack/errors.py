@@ -10,14 +10,14 @@ the maximum but are not recorded; quiet rules behave identically otherwise.
 
 A failing ``Parser.run`` costs two passes: the run itself and this one.
 The run hands over its ``max_cursor``, the furthest mismatch it saw. That
-bounds the principal index from below: the fast table's terminals
+bounds the principal index from below: the generated code's terminals
 mismatch only where the exact table's do, and a failing regex fragment
 does not raise it, since the exact table may fail the fragment through a
 ``!`` with no mismatch. The pass starts its running maximum at that bound.
 Below the maximum no mismatch is ever recorded, so there the pass runs
 only the alternatives, iterations and options that can start at the next
-character, through the dispatch operands the fast run uses everywhere; at
-or past it, every alternative runs. The rule paths and the order of the
+character, through the dispatch operands the generated code uses
+everywhere; at or past it, every alternative runs. The rule paths and the order of the
 mismatches at the principal index stay as in a pass without a bound.
 
 Given a bound, the pass also builds no values when the grammar's values

@@ -1,0 +1,562 @@
+"""Python source expanded from a grammar's exact instruction table.
+
+A Parser writes one module per grammar when it is built. The module holds
+one closure factory, ``parse(state, start)``: each unobserved
+``Parser.run`` calls it once, and it makes one function per rule over that
+run's input, value stack and counters, runs the start rule's function and
+writes the counters into the run's ``ParserState``. A function takes the
+cursor and the number of generated functions open below it, and returns
+the cursor past its match or -1.
+
+The code counts the work it does as the executor would if it dispatched
+everywhere: one step per instruction entered, summed per straight-line
+block into the run's locals; a regex fragment is one step and, when it
+fails, one mismatch that leaves ``max_cursor`` as it is; a fused scan
+counts a step per character; nothing inside a ``!`` counts a mismatch. It
+calls ``snapshot``, ``restore``, ``push`` and ``take`` of the run's
+``ValueStack`` where such an executor would:
+
+* a sequence that touches the stack snapshots at entry and restores when it
+  fails; a choice with a frame snapshots at entry and restores after each
+  alternative that fails;
+* a choice branches on the next character through its dispatch operand:
+  none of its alternatives fails at once, one runs in place with no frame,
+  more run in order with one. Where no alternative can start at two
+  characters that start different sets, the branches are an ``if`` chain;
+  otherwise the alternatives run in order, each guarded by a bit of the
+  character's set;
+* ``*``, ``+`` and ``?`` are ``while`` and ``if``, tested first on the next
+  character where their operand is filled; a loop over a body without a
+  head snapshots before each iteration and restores one that matched
+  without moving;
+* the largest fragment that lowers to one regex (see
+  ``pegstack.instructions``) is one call of the compiled regex, and a
+  capture of one pushes the slice it matched;
+* a reference to a rule on a cycle calls that rule's function. A
+  reference to a rule off every cycle runs the rule's code in place when
+  it is at most ``_INLINE_AT_MOST`` instructions long, and calls its
+  function otherwise; it is no step of its own either way.
+
+The source names every grammar object (action, regex, character set)
+through the module's namespace, so equal grammars give equal source, and
+the code object is cached by that source (``_CODES``). A construct nested
+deeper than ``_SPLIT_AT`` indentation levels becomes a function of its
+own, so the source stays within Python's limits on indentation and on
+nested loops. Every function raises ``TooDeep`` when more than
+``DEPTH_BOUND`` generated functions are open; the Parser then runs the
+input again on the exact table, which has no such bound.
+"""
+
+from __future__ import annotations
+
+from .instructions import (ACTION, ALT, CAPTURE, CH, CHARS, CLASS, CONS, EOI, ISTR, OPT, PRED,
+                           QUIET, REF, REP, SEQ, STR, _ASCII, _LOWERED, Tables, _always,
+                           _regex)
+
+# generated functions open at once past which a run goes to the exact table;
+# well under the default recursion limit, so that actions keep room
+DEPTH_BOUND = 200
+# indentation past which a compound instruction gets a function of its own:
+# CPython allows 100 levels of indentation and 20 nested loops
+_SPLIT_AT = 12
+# instructions of a rule off every cycle that a reference copies in place
+_INLINE_AT_MOST = 3
+# members of a character set that the source lists; larger sets are named
+_LISTED_AT_MOST = 8
+# instructions whose code nests the code of others
+_NESTING = (SEQ, ALT, CAPTURE, REP, OPT, PRED, QUIET)
+_CODES: dict = {}  # source -> code object, oldest first
+_CACHE_SIZE = 64
+
+
+# the module: the run's names, the helpers that count mismatches, the
+# functions, and the start rule's call; the functions call each other through
+# R, one name for all of them, which keeps compile() linear in their number
+_MODULE = '''\
+def parse(state, start):
+    text = state.input
+    n = len(text)
+    stack = state.stack
+    snapshot, restore, push, take, size = (stack.snapshot, stack.restore, stack.push,
+                                           stack.take, stack.size)
+    steps = mm = mc = 0
+    R = [None] * {count}
+
+    def miss(at):  # a terminal's mismatch
+        nonlocal mm, mc
+        mm += 1
+        if at > mc: mc = at
+        return -1
+
+    def fail():  # a regex fragment's mismatch
+        nonlocal mm
+        mm += 1
+        return -1
+
+{functions}
+
+    try:
+        pos = R[{entry}[start]](0, 0)
+    finally:
+        stats = state.stats
+        stats.steps, stats.terminal_mismatches, stats.max_cursor = steps, mm, mc
+        R.clear()  # the run's closures go now, not in a later collection of cycles
+    state.cursor = max(pos, 0)
+    return pos >= 0
+'''
+
+
+class TooDeep(Exception):
+    """Raised by generated code when too many of its functions are open."""
+
+
+def _code(source: str):
+    """The code object of a module's source, compiled once per source."""
+    code = _CODES.get(source)
+    if code is None:
+        if len(_CODES) >= _CACHE_SIZE:
+            try:  # as re drops its oldest pattern
+                del _CODES[next(iter(_CODES))]
+            except (StopIteration, RuntimeError, KeyError):
+                pass
+        code = _CODES[source] = compile(source, "<pegstack grammar>", "exec")
+    return code
+
+
+class _Function:
+    """The lines of one generated function, and the steps counted but not
+    yet written for its current straight-line block."""
+
+    def __init__(self, index: int, label: str):
+        self.index = index
+        self.lines = [f"    def f(pos, d):{label}", "        nonlocal steps, mm, mc",
+                      f"        if d > {DEPTH_BOUND}: raise TooDeep"]
+        self.indent = 2
+        self.pending = 0
+        self.locals = 0
+        self.opened: list[int] = []  # the line count where each open block starts
+
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.indent + text)
+
+    def flush(self) -> None:
+        """Write the pending steps: the block they belong to ends here."""
+        if self.pending:
+            self.line(f"steps += {self.pending}")
+            self.pending = 0
+
+    def open(self, header: str) -> None:
+        self.flush()
+        self.line(header)
+        self.indent += 1
+        self.opened.append(len(self.lines))
+
+    def close(self) -> None:
+        self.flush()
+        if len(self.lines) == self.opened.pop():
+            self.line("pass")
+        self.indent -= 1
+
+    def fresh(self, prefix: str) -> str:
+        self.locals += 1
+        return f"{prefix}{self.locals}"
+
+    def end(self) -> list[str]:
+        self.flush()
+        self.line("return pos")
+        self.lines.append(f"    R[{self.index}] = f")
+        return self.lines
+
+
+class _Module:
+    """The source of one grammar's module and the namespace it runs in."""
+
+    def __init__(self, tables: Tables, runtime: dict):
+        self.tables = tables
+        self.bodies = tables.bodies
+        self.namespace = dict(runtime)
+        self.names: dict = {}  # id or value of a namespace object -> its name
+        self.regexes: dict[int, object] = {}  # id(ins) -> its regex's match, or None
+        self.functions: list[list[str]] = []
+        self.helpers = 0
+        self.sizes: dict[str, int] = {}  # rule off every cycle -> instructions in its code
+        self.emitted = 0  # instructions written so far
+        # each rule's function in R, by the rule's position in the grammar
+        self.entry = {name: i for i, name in enumerate(self.bodies)}
+        self.labels = {name: f"  # {name}" if name.isascii() and name.isidentifier()
+                       else f"  # rule {i}" for name, i in self.entry.items()}
+        for name in [*tables._acyclic, *(n for n in self.bodies if n not in tables._acyclic)]:
+            start = self.emitted
+            code = _Function(self.entry[name], self.labels[name])
+            self.emit(code, self.bodies[name], True)
+            self.functions.append(code.end())
+            self.sizes[name] = self.emitted - start
+
+    def source(self) -> str:
+        return _MODULE.format(count=len(self.functions), entry=self.name(self.entry, "E"),
+                              functions="\n\n".join("\n".join(f) for f in self.functions))
+
+    def name(self, obj, prefix: str, key=None) -> str:
+        """The namespace name of obj, one per key (obj's identity unless given)."""
+        key = id(obj) if key is None else key
+        found = self.names.get(key)
+        if found is None:
+            found = self.names[key] = f"{prefix}{len(self.names)}"
+            self.namespace[found] = obj
+        return found
+
+    def members(self, chars) -> str:
+        """An expression for a set of characters that ``in`` tests."""
+        chars = sorted(chars)
+        if len(chars) <= _LISTED_AT_MOST:
+            return repr("".join(chars))
+        return self.name(frozenset(chars), "S", ("S", *chars))
+
+    def regex(self, ins: tuple):
+        """The match function of an instruction's regex, compiled once, or None."""
+        key = id(ins)
+        if key not in self.regexes:
+            self.regexes[key] = _regex(ins)
+        return self.regexes[key]
+
+    # -- instructions ---------------------------------------------------------
+
+    def emit(self, code: _Function, ins: tuple, counted: bool, known: str | None = None) -> bool:
+        """Code that matches ins at ``pos``: it leaves ``pos`` past the match,
+        or -1 when it fails. counted: mismatches count here (outside every
+        ``!`` of this function); known: the next character, where a choice
+        branched on it. Returns whether the code can fail."""
+        op = ins[0]
+        if op == REF and ins[2] in self.tables._acyclic:  # in place, with no step
+            name = ins[2]
+            if self.sizes[name] <= _INLINE_AT_MOST:
+                return self.emit(code, self.bodies[name], counted, known)
+            self.call(code, self.entry[name], self.labels[name])
+            return True
+        self.emitted += 1
+        if op in _LOWERED and self.regex(ins) is not None:
+            if op == OPT or op == REP and not ins[3]:  # matches everywhere
+                code.pending += 1
+                code.line(f"pos = {self.name(self.regex(ins), 'M')}(text, pos).end()")
+                return False
+            return self.fragment(code, self.regex(ins), False, counted)
+        if op == CAPTURE and ins[2][0] in _LOWERED and self.regex(ins[2]) is not None:
+            return self.fragment(code, self.regex(ins[2]), True, counted)
+        if op in _NESTING and code.indent > _SPLIT_AT:
+            return self.helper(code, ins, counted)
+        code.pending += 1
+        if op <= ISTR:
+            return self.terminal(code, ins, counted, known)
+        if op == SEQ:
+            snap = code.fresh("s") if ins[3] else None
+            if snap:
+                code.line(f"{snap} = snapshot()")
+            fails = guarded = last = False
+            for kid in ins[2][:-1]:
+                if last:  # the children after one that can fail run only if it matched
+                    if guarded:
+                        code.close()
+                    code.open("if pos >= 0:")
+                    guarded = True
+                last = self.emit(code, kid, counted, known)
+                fails, known = fails or last, None
+            if guarded:
+                code.close()
+            if snap and fails:
+                code.line(f"if pos < 0: restore({snap})")
+            return fails
+        if op == ALT:
+            return self.choice(code, ins, counted)
+        if op == REF:
+            self.call(code, self.entry[ins[2]], self.labels[ins[2]])
+            return True
+        if op == CHARS:
+            return self.scan(code, ins, counted)
+        if op == CONS:
+            code.line(f"push(Node({ins[2]!r}, take({ins[3]})))")
+            return False
+        if op == ACTION:
+            code.line(f"if not act(state, {self.name(ins, 'A')}): pos = -1")
+            return True
+        if op == REP:
+            return self.loop(code, ins, counted)
+        if op == OPT:
+            tag, start = ins[3], self.starts(ins[4])
+            if start:
+                code.open(f"if {start}:")
+            base, entry = code.fresh("b") if tag is not None else None, code.fresh("p")
+            if base:
+                code.line(f"{base} = size()")
+            code.line(f"{entry} = pos")
+            if self.emit(code, ins[2], counted):
+                code.line(f"if pos < 0: pos = {entry}")
+            if base:
+                code.line(f"push(list_value(take(size() - {base}), {tag!r}))")
+            if start:
+                code.close()
+                if tag is not None:
+                    code.open("else:")
+                    code.line(f"push(list_value((), {tag!r}))")
+                    code.close()
+            return False
+        if op == CAPTURE:
+            entry = code.fresh("p")
+            code.line(f"{entry} = pos")
+            fails = self.emit(code, ins[2], counted, known)
+            code.line(("if pos >= 0: " if fails else "") + f"push(Value('Str', text[{entry}:pos]))")
+            return fails
+        if op == PRED:
+            negate = ins[3]
+            entry, snap = code.fresh("p"), code.fresh("s") if ins[4] else None
+            code.line(f"{entry} = pos")
+            if snap:
+                code.line(f"{snap} = snapshot()")
+            kept = negate and counted  # the rules it calls count mismatches: undone
+            if kept:
+                code.line(f"{entry}m, {entry}c = mm, mc")
+            self.emit(code, ins[2], counted and not negate)
+            if kept:
+                code.line(f"mm, mc = {entry}m, {entry}c")
+            if snap:
+                code.line(f"restore({snap})")
+            code.line(f"pos = {entry} if pos < 0 else -1" if negate
+                      else f"if pos >= 0: pos = {entry}")
+            return True
+        if op == QUIET:
+            return self.emit(code, ins[2], counted, known)
+        raise TypeError(f"unknown instruction {ins!r}")
+
+    def call(self, code: _Function, index: int, label: str = "") -> None:
+        code.flush()
+        code.line(f"pos = R[{index}](pos, d + 1){label}")
+
+    def helper(self, code: _Function, ins: tuple, counted: bool) -> bool:
+        """Move a deeply nested instruction into a function of its own."""
+        self.emitted -= 1  # emit counts it again
+        self.helpers += 1
+        inner = _Function(len(self.bodies) + self.helpers - 1, "")
+        fails = self.emit(inner, ins, counted)
+        self.functions.append(inner.end())
+        self.call(code, inner.index)
+        return fails
+
+    def terminal(self, code: _Function, ins: tuple, counted: bool, known) -> bool:
+        """A terminal's test; where the next character is known, a one-character
+        terminal that takes it only moves."""
+        op = ins[0]
+        miss = "miss(pos)" if counted else "-1"
+        if op == STR and not ins[2]:
+            return False  # the empty string matches everywhere
+        if known is not None and (op == CH and ins[2] == known
+                                  or op == CLASS and known < "\x80" and ins[2] >> ord(known) & 1):
+            code.line("pos += 1")
+            return False
+        if op == EOI:
+            code.line(f"if pos != n: pos = {miss}")
+            return True
+        width = 1
+        if op == CH:
+            test = f"pos < n and text[pos] == {ins[2]!r}"
+        elif op == CLASS:
+            mask, extra = ins[2], ins[3]
+            members = self.members(chr(o) for o in range(128) if mask >> o & 1)
+            if extra is None:
+                test = f"pos < n and text[pos] in {members}"
+            elif extra is _always:
+                test = ("pos < n" if mask == _ASCII
+                        else f"pos < n and ((c := text[pos]) in {members} or c >= '\\x80')")
+            else:
+                test = (f"pos < n and (c in {members} if (c := text[pos]) < '\\x80'"
+                        f" else {self.name(extra, 'X')}(c))")
+        elif op == STR:
+            test, width = f"text.startswith({ins[2]!r}, pos)", ins[3]
+        else:  # ISTR
+            test, width = f"text[pos:pos + {ins[3]}].lower() == {ins[2]!r}", ins[3]
+        code.line(f"pos = pos + {width} if {test} else {miss}")
+        return True
+
+    def fragment(self, code: _Function, match, capture: bool, counted: bool) -> bool:
+        """One regex: one step, and a failure is one mismatch at no new maximum."""
+        code.pending += 1
+        m, fail = code.fresh("m"), "fail()" if counted else "-1"
+        if capture:
+            code.line(f"{m} = {self.name(match, 'M')}(text, pos)")
+            code.line(f"if {m}: push(Value('Str', text[pos:{m}.end()])); pos = {m}.end()")
+            code.line(f"else: pos = {fail}")
+        else:
+            code.line(f"pos = {m}.end() if ({m} := {self.name(match, 'M')}(text, pos)) else {fail}")
+        return True
+
+    def scan(self, code: _Function, ins: tuple, counted: bool) -> bool:
+        """A fused one-character loop: a step per character, the entry's and
+        the mismatch's, and a capture's own."""
+        term, plus, scan, capture = ins[2], ins[3], ins[4], ins[5]
+        if scan is not None:
+            code.line(f"at = {self.name(scan, 'M')}(text, pos).end()")
+        else:
+            code.line(f"at = scan({self.name(term[2], 'K', ('K', term[2]))}, "
+                      f"{self.name(term[3], 'X')}, text, pos)")
+        code.line(f"steps += at - pos + {code.pending + 1 + capture}")
+        code.pending = 0
+        if counted:
+            code.line("mm += 1")
+            code.line("if at > mc: mc = at")
+        push = "push(Value('Str', text[pos:at])); " if capture else ""
+        if plus:
+            code.line(f"if at > pos: {push}pos = at")
+            code.line("else: pos = -1")
+            return True
+        code.line(f"{push}pos = at")
+        return False
+
+    def starts(self, operand) -> str | None:
+        """The test that a repetition's or option's body can start at the next
+        character, from its dispatch operand; None when the operand is empty."""
+        if not operand:
+            return None
+        table, other = operand
+        if not other:
+            return f"pos < n and text[pos] in {self.members(c for c, b in table.items() if b)}"
+        outside = [c for c, b in table.items() if not b]
+        return f"pos < n and text[pos] not in {self.members(outside)}" if outside else "pos < n"
+
+    def loop(self, code: _Function, ins: tuple, counted: bool) -> bool:
+        inner, plus, tag, touches, operand = ins[2:7]
+        start = self.starts(operand)
+        snap = code.fresh("s") if touches and not operand else None
+        if start:
+            code.open(f"if {start}:")
+        base = code.fresh("b") if tag is not None else None
+        if base:
+            code.line(f"{base} = size()")
+        entry = code.fresh("p")
+        code.line(f"{entry} = {-1 if plus else 'pos'}")  # -1: the first iteration may fail the +
+        if snap and not plus:
+            code.line(f"{snap} = snapshot()")
+        code.open("while True:")
+        self.emit(code, inner, counted)
+        code.open("if pos < 0:")
+        if plus:
+            code.line(f"if {entry} < 0: break")
+        code.line(f"pos = {entry}")
+        code.line("break")
+        code.close()
+        code.open(f"if pos == {entry}:")  # an iteration that matched without moving
+        if snap:
+            code.line(f"restore({snap})")
+        code.line("break")
+        code.close()
+        if start:
+            code.line(f"if not ({start}): break")
+        code.line(f"{entry} = pos")
+        if snap:
+            code.line(f"{snap} = snapshot()")
+        code.close()
+        if base:
+            code.line(("if pos >= 0: " if plus else "")
+                      + f"push(list_value(take(size() - {base}), {tag!r}))")
+        if start:
+            code.close()
+            if plus or tag is not None:
+                code.open("else:")
+                code.line("pos = -1" if plus else f"push(list_value((), {tag!r}))")
+                code.close()
+        return plus
+
+    # -- choices --------------------------------------------------------------
+
+    def choice(self, code: _Function, ins: tuple, counted: bool) -> bool:
+        kids, touches, operand = ins[2][:-1], ins[3], ins[4]
+        if not operand:
+            self.alternatives(code, kids, touches, counted)
+            return True
+        by_char, other, end = operand[3]
+        keys = {c: bits for c, bits in by_char.items() if bits != other}
+        if end != other:
+            keys[None] = end  # the end of the input
+        groups: dict[int, list] = {}
+        for key, bits in keys.items():
+            groups.setdefault(bits, []).append(key)
+        masks = [*groups, other]
+        if any(sum(m >> i & 1 for m in masks) > 1 for i in range(len(kids))):
+            self.shared(code, kids, operand[3], touches, counted)
+            return True
+        first = True
+        if groups:
+            code.line("c = text[pos] if pos < n else None")
+        for bits in sorted(groups, key=lambda b: (b & -b, b)):
+            chars = sorted(groups[bits], key=lambda k: (k is not None, k or ""))
+            if len(chars) == 1:
+                test = f"c == {chars[0]!r}" if chars[0] is not None else "c is None"
+            elif len(chars) <= _LISTED_AT_MOST:
+                test = f"c in ({', '.join(map(repr, chars))})"
+            else:
+                test = f"c in {self.name(frozenset(chars), 'S', ('S', *map(repr, chars)))}"
+            code.open(f"{'if' if first else 'elif'} {test}:")
+            one = chars[0] if len(chars) == 1 else None  # the next character, known
+            self.candidates(code, kids, bits, touches, counted, one)
+            code.close()
+            first = False
+        if first:
+            self.candidates(code, kids, other, touches, counted)
+        else:
+            code.open("else:")
+            self.candidates(code, kids, other, touches, counted)
+            code.close()
+        return True
+
+    def candidates(self, code: _Function, kids: tuple, bits: int, touches: bool,
+                   counted: bool, known: str | None = None) -> None:
+        """The alternatives in bits: none fails at once, one runs in place."""
+        chosen = [kid for i, kid in enumerate(kids) if bits >> i & 1]
+        if not chosen:
+            code.line("pos = -1")
+        elif len(chosen) == 1:
+            self.emit(code, chosen[0], counted, known)
+        else:
+            self.alternatives(code, chosen, touches, counted, known)
+
+    def alternatives(self, code: _Function, kids, touches: bool, counted: bool,
+                     known: str | None = None) -> None:
+        """Alternatives tried in order from one entry, as a choice's frame does."""
+        entry, snap = code.fresh("p"), code.fresh("s") if touches else None
+        code.line(f"{entry} = pos")
+        if snap:
+            code.line(f"{snap} = snapshot()")
+        for i, kid in enumerate(kids):
+            if i:
+                code.open("if pos < 0:")
+                code.line(f"pos = {entry}")
+            fails = self.emit(code, kid, counted, known)
+            if snap and fails:
+                code.line(f"if pos < 0: restore({snap})")
+            if i:
+                code.close()
+
+    def shared(self, code: _Function, kids, operand, touches: bool, counted: bool) -> None:
+        """A choice whose candidate sets share alternatives: each alternative
+        once, run when its bit is in the set of the next character."""
+        by_char, other, end = operand
+        bits, entry = code.fresh("k"), code.fresh("p")
+        snap = code.fresh("s") if touches else None
+        table = self.name(by_char, "D")
+        code.line(f"{bits} = {table}.get(text[pos], {other}) if pos < n else {end}")
+        code.line(f"{entry} = pos")
+        if snap:  # a frame only for more than one candidate
+            code.line(f"{snap} = snapshot() if {bits} & ({bits} - 1) else None")
+        code.line("pos = -1")
+        for i, kid in enumerate(kids):
+            code.open(f"if {bits} & {1 << i}:" if i == 0 else f"if pos < 0 and {bits} & {1 << i}:")
+            code.line(f"pos = {entry}")
+            if self.emit(code, kid, counted) and snap:
+                code.line(f"if pos < 0 and {snap} is not None: restore({snap})")
+            code.close()
+
+
+def generate(tables: Tables, runtime: dict) -> tuple:
+    """The closure factory of a grammar's module, and the module's source.
+    runtime names what the source calls that is not a grammar object."""
+    module = _Module(tables, runtime)
+    source = module.source()
+    exec(_code(source), module.namespace)
+    return module.namespace["parse"], source

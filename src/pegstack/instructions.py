@@ -1,10 +1,9 @@
-"""Rule trees compiled into the instruction tables the engine executes.
+"""Rule trees compiled into the instruction table the engine executes.
 
 A node becomes a tuple (opcode, node, operands...) that carries its static
 facts: whether it touches the value stack, the element tag of a collecting
-repetition, literal lengths. Rule references stay symbolic, except to
-acyclic rules in the fast table; the executor looks each one up in the
-table it runs. Every rule body is compiled into both tables when the
+repetition, literal lengths. Rule references stay symbolic; the executor
+looks each one up in the table. Every rule body is compiled when the
 grammar's Parser is built. One walk of each rule body first gives the
 rule's references, whether its own nodes touch the stack and whether it
 holds an action other than a ``cons``; a least fixpoint over the rules
@@ -23,42 +22,37 @@ predicate, a none-of set (its mask complemented, its function negated or
 for one character. Push, drop and other actions are one ACTION, which
 carries its function and arity; a ``cons`` is a CONS, built in place.
 
-* EXACT: every run whose step and mismatch counters must be exact
-  (``match``, ``match_rule``, ``run_phase``, the error pass) and every
-  observed run. A repetition of one single-character terminal is one
-  fused scan; an observed run logs the steps it stands for. Each
-  instruction ends with the node's regex source, None when it has none. A
-  choice, repetition or option carries a dispatch operand, filled once
-  every head is known: which of its alternatives, or whether its body, can
-  start at each next character. The error pass dispatches through it below
-  its running maximum.
-* FAST: ``Parser.run`` when it is not observed. It is the exact table with
-  every maximal subtree that touches no stack, runs no action and reaches
-  no reference cycle replaced by one ``re`` match (an RE instruction); a
-  Capture of such a subtree pushes the matched slice. Atomic groups and
-  possessive quantifiers (Python 3.11) give the regex PEG semantics:
-  ``e1 e2`` is concatenation, ``/`` is ``(?>a|b)``, ``*`` ``+`` ``?`` are
-  ``*+`` ``++`` ``?+``, ``&e`` is ``(?=e)``, ``!e`` is ``(?!e)``, ``.`` is
-  ``.`` under DOTALL, EOI is ``\\Z``, and a reference to a rule off every
-  cycle is inlined. Ignore-case terminals (``str.lower`` and
-  ``re.IGNORECASE`` disagree, e.g. on "ſ"), predicates decided by an
-  ``extra`` function, a source longer than ``_MAX_SOURCE`` and a fragment
-  that ``re`` rejects stay instructions; a lone terminal and a fused scan
-  gain nothing and stay too. A reference
-  to a rule off every cycle becomes that rule's fast body, shared. The
-  run dispatches through every filled operand: a choice keeps its exact
-  operand's candidates, rebuilt over its fast children, and a ``*``,
-  ``+`` or ``?`` keeps its operand as it is. In ``calc.peg`` nothing
-  lowers, but every loop and every choice dispatches.
+The table serves every run whose step and mismatch counters must be exact
+(``match``, ``match_rule``, ``run_phase``, the error pass) and every
+observed run; ``pegstack.generate`` expands it into the Python code of
+unobserved runs. A repetition of one single-character terminal is one
+fused scan; an observed run logs the steps it stands for. Each
+instruction ends with the node's regex source, None when it has none: a
+maximal subtree that touches no stack, runs no action and reaches no
+reference cycle is one ``re`` match in the generated code (``_regex``),
+and a Capture of one pushes the matched slice. Atomic groups and
+possessive quantifiers (Python 3.11) give the regex PEG semantics: ``e1
+e2`` is concatenation, ``/`` is ``(?>a|b)``, ``*`` ``+`` ``?`` are ``*+``
+``++`` ``?+``, ``&e`` is ``(?=e)``, ``!e`` is ``(?!e)``, ``.`` is ``.``
+under DOTALL, EOI is ``\\Z``, and a reference to a rule off every cycle is
+inlined. Ignore-case terminals (``str.lower`` and ``re.IGNORECASE``
+disagree, e.g. on "ſ"), predicates decided by an ``extra`` function, a
+source longer than ``_MAX_SOURCE`` and a fragment that ``re`` rejects
+have no regex; a lone terminal and a fused scan gain nothing from one. A
+choice, repetition or option carries a dispatch operand, filled once
+every head is known: which of its alternatives, or whether its body, can
+start at each next character. The generated code dispatches through every
+filled operand, the error pass below its running maximum. In ``calc.peg``
+nothing lowers, but every loop and every choice dispatches.
 
-Each instruction whose first action in the fast table is a terminal test
-has a head, the characters it can start with. Compiling a node gives its
-head from its children's, so each node's head is taken once; a node that
-lowers to one regex has none, decided without compiling the regex, which
-only ``_fast`` does. A reference to a rule on a cycle has a head that
-names the rule; the heads of those rules are one least fixpoint, joined
-in when the dispatch operands are filled, so json's ``Value`` offers its
-recursive ``Object`` only at ``{``.
+Each instruction whose first action in the generated code is a terminal
+test has a head, the characters it can start with. Compiling a node gives
+its head from its children's, so each node's head is taken once; a node
+that lowers to one regex has none, decided without compiling the regex,
+which only the generator does. A reference to a rule on a cycle has a
+head that names the rule; the heads of those rules are one least
+fixpoint, joined in when the dispatch operands are filled, so json's
+``Value`` offers its recursive ``Object`` only at ``{``.
 """
 
 from __future__ import annotations
@@ -70,13 +64,11 @@ from .effects import ConsFn, EffectError, infer_effect, repetition_shape
 
 # opcodes: terminals first, so "op <= ISTR" tells a terminal (a CLASS also
 # stands for "." and a none-of set); an ACTION also stands for push and
-# drop; RE occurs in the fast table only; a frame is tagged with the opcode
-# of the node that opened it, or with RULE
+# drop; a frame is tagged with the opcode of the node that opened it, or
+# with RULE
 OPS = (CH, CLASS, STR, EOI, ISTR, SEQ, ALT, REF, CHARS, ACTION, CONS, CAPTURE, REP, OPT,
-       PRED, QUIET, RE) = range(17)
-RULE = 17
-# compiled tables: exact and observed runs, unobserved Parser.run
-EXACT, FAST = 0, 1
+       PRED, QUIET) = range(16)
+RULE = 16
 # instructions worth one regex; a lone terminal, a fused scan and a bare
 # rule reference already run as one instruction
 _LOWERED = (SEQ, ALT, REP, OPT, PRED)
@@ -258,8 +250,8 @@ def _facts(expr: r.RuleExpr) -> tuple[set, set, bool, bool]:
 
 
 class Tables:
-    """The compiled rule bodies of one grammar, by table, and the facts about
-    the grammar they rest on; reusable across runs and threads.
+    """The compiled rule bodies of one grammar, by rule name, and the facts
+    about the grammar they rest on; reusable across runs and threads.
     ``_acyclic`` holds the head of each rule off every cycle, ``_cyclic``
     that of each rule on one."""
 
@@ -296,7 +288,7 @@ class Tables:
             if facts[name][0] <= acyclic.keys():
                 acyclic[name] = None
         cyclic = [name for name in exprs if name not in acyclic]
-        exact, fast = self.bodies = ({}, {})  # EXACT, FAST
+        exact = self.bodies = {}
         self._operands = []  # each dispatch operand, with what fills it
         named = {}  # the heads of the rules on cycles, naming those rules
         for name in [*acyclic, *cyclic]:
@@ -327,43 +319,6 @@ class Tables:
             if kid_heads.count(None) < len(kid_heads):
                 bits = _by_char(kid_heads)
                 operand[:] = (*_switch(kids, bits), bits) if kids else bits[:2]
-        # fast bodies, acyclic rules first, so that theirs are ready for the
-        # references that run them in place
-        for name in [*acyclic, *cyclic]:
-            fast[name] = self._fast(exact[name])
-
-    def _fast(self, ins: tuple) -> tuple:
-        """Fast-table form of an exact instruction.
-
-        Each maximal regex fragment runs as one RE instruction and a
-        reference to an acyclic rule as that rule's fast body; a choice's
-        dispatch candidates are rebuilt over its fast children, and
-        unchanged parts are shared. A reference to a rule on a cycle stays
-        as it is.
-        """
-        match = _regex(ins)
-        if match is not None:
-            return (RE, ins[1], match, False, ins[-1])
-        op = ins[0]
-        if op == SEQ or op == ALT:
-            kids = tuple(self._fast(kid) for kid in ins[2][:-1])
-            if any(fast is not kid for fast, kid in zip(kids, ins[2])):
-                ins = ins[:2] + (kids + (None,),) + ins[3:]
-                if op == ALT and ins[4]:  # some alternative has a head
-                    bits = ins[4][3]
-                    ins = ins[:4] + ([*_switch(kids, bits), bits],) + ins[5:]
-            return ins
-        if op == REF and ins[2] in self._acyclic:  # run in place
-            return self.bodies[FAST][ins[2]]
-        if op == CAPTURE:
-            match = _regex(ins[2])
-            if match is not None:
-                return (RE, ins[1], match, True, None)
-        if op in (CAPTURE, REP, OPT, PRED, QUIET):
-            inner = self._fast(ins[2])
-            if inner is not ins[2]:
-                ins = ins[:2] + (inner,) + ins[3:]
-        return ins
 
     def compile(self, node) -> tuple:
         """Exact instruction tuple for a node: (opcode, node, operands...,
@@ -375,7 +330,7 @@ class Tables:
 
     def _compile(self, node) -> tuple[tuple, bool, tuple | None]:
         """Exact instruction for a node, whether matching it may change the
-        value stack, and the head of its fast form, each from its
+        value stack, and the head of its generated code, each from its
         children's: a node whose children touch nothing touches nothing
         unless it pushes or pops itself, and a node that lowers to one regex
         has no head. A head may name rules on cycles, joined in later."""
@@ -386,7 +341,7 @@ class Tables:
         if ins[0] <= ISTR:
             head = _terminal_head(ins)
         elif source is not None and ins[0] in _LOWERED:
-            head = None  # an RE instruction in the fast table
+            head = None  # one regex in the generated code
         return ins + (source,), touches, head
 
     def _operand(self, kids: tuple | None, heads: tuple) -> list:
@@ -421,7 +376,7 @@ class Tables:
                 return f"(?:{inner})?+"
             return ("(?!" if ins[3] else "(?=") + inner + ")"
         if op == REF and ins[2] in self._acyclic:
-            return self.bodies[EXACT][ins[2]][-1]  # inlined
+            return self.bodies[ins[2]][-1]  # inlined
         return None  # captures, actions and quiet are no regex
 
     def _instruction(self, node) -> tuple[tuple, bool, tuple | None]:

@@ -557,29 +557,54 @@ _CLASS_TEXT = {"Digit": "[0-9]", "Alpha": "[A-Za-z]", "LowerHexLetter": "[a-f]"}
 _PREC_CHOICE, _PREC_SEQ, _PREC_PREFIX, _PREC_SUFFIX = 0, 1, 2, 3
 
 
+_SUFFIX_MARK = {Optional: "?", ZeroOrMore: "*", OneOrMore: "+"}
+
+
 def expr_text(expr: RuleExpr, prec: int = _PREC_CHOICE) -> str:
     """Render an expression in the textual grammar notation.
 
     Constructs the notation cannot express (none-of sets, arbitrary host
-    actions) fall back to a readable debug form.
+    actions) fall back to a readable debug form. Iterative, so the depth of
+    an expression is not bounded by the recursion limit.
     """
+    out: list[str] = []
+    todo: list = [(expr, prec)]  # (expression, precedence) to render and literal text, next last
+    while todo:
+        item = todo.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        expr, prec = item
+        t = type(expr)
+        if t is FirstOf or t is Sequence:
+            kids, inner, sep, at = ((expr.alternatives, _PREC_SEQ, " / ", _PREC_CHOICE)
+                                    if t is FirstOf else
+                                    (expr.children, _PREC_PREFIX, " ", _PREC_SEQ))
+            parts = [x for kid in kids for x in (sep, (kid, inner))][1:]
+            _wrapped(todo, parts, prec > at)
+        elif t is AndPredicate or t is NotPredicate:
+            mark = "&" if t is AndPredicate else "!"
+            _wrapped(todo, [mark, (expr.inner, _PREC_SUFFIX)], prec > _PREC_PREFIX)
+        elif t in _SUFFIX_MARK:
+            _wrapped(todo, [(expr.inner, _PREC_SUFFIX + 1), _SUFFIX_MARK[t]], prec > _PREC_SUFFIX)
+        elif t is Quiet or t is Capture:
+            _wrapped(todo, ["quiet(" if t is Quiet else "capture(",
+                            (expr.inner, _PREC_CHOICE), ")"], False)
+        else:
+            out.append(_leaf_text(expr))
+    return "".join(out)
+
+
+def _wrapped(todo: list, parts: list, parens: bool) -> None:
+    """Schedule parts in order, in parentheses when parens."""
+    if parens:
+        parts = ["(", *parts, ")"]
+    todo.extend(reversed(parts))
+
+
+def _leaf_text(expr: RuleExpr) -> str:
+    """The text of an expression that holds no other."""
     t = type(expr)
-    if t is FirstOf:
-        out = " / ".join(expr_text(a, _PREC_SEQ) for a in expr.alternatives)
-        return f"({out})" if prec > _PREC_CHOICE else out
-    if t is Sequence:
-        out = " ".join(expr_text(c, _PREC_PREFIX) for c in expr.children)
-        return f"({out})" if prec > _PREC_SEQ else out
-    if t is AndPredicate:
-        out = "&" + expr_text(expr.inner, _PREC_SUFFIX)
-        return f"({out})" if prec > _PREC_PREFIX else out
-    if t is NotPredicate:
-        out = "!" + expr_text(expr.inner, _PREC_SUFFIX)
-        return f"({out})" if prec > _PREC_PREFIX else out
-    if t in (Optional, ZeroOrMore, OneOrMore):
-        mark = {Optional: "?", ZeroOrMore: "*", OneOrMore: "+"}[t]
-        out = expr_text(expr.inner, _PREC_SUFFIX + 1) + mark
-        return f"({out})" if prec > _PREC_SUFFIX else out
     if t is Ch:
         return f"'{expr.char}'"
     if t is Str:
@@ -595,10 +620,6 @@ def expr_text(expr: RuleExpr, prec: int = _PREC_CHOICE) -> str:
         return "."
     if t is EndOfInput:
         return "EOI"
-    if t is Quiet:
-        return f"quiet({expr_text(expr.inner)})"
-    if t is Capture:
-        return f"capture({expr_text(expr.inner)})"
     if t is Push:
         payload = expr.value.payload
         return f'push("{payload}")' if isinstance(payload, str) else f"push({payload!r})"

@@ -20,16 +20,20 @@ text) and, for each (grammar, input) pair:
 * the traced event stream of ``match_rule`` and of ``Parser.run`` with a Trace.
 
 The counter digest covers the steps, mismatches and max cursor of each
-``run_phase``, and of the fast-table run that an unobserved ``Parser.run``
-makes; when that run fails without a fault, also those of the error pass
-bounded by its max cursor. A change to how much work a pass does may move
-it.
+``run_phase``, and of each engine state that an unobserved ``Parser.run``
+creates, read as the benchmark reads them (``run_states``): the run's own
+and, when it fails without a fault, the error pass's, bounded by the run's
+max cursor. For a run that faults it covers the fault instead. A change to
+how much work a pass does may move it. ``--against`` exits 1 when a
+behaviour digest differs, 2 when only a counter digest does, and 0 when
+both are equal.
 
 Next to the digests it prints how many choices, repetitions and options
-with a filled dispatch operand the family's fast tables hold, each counted
-once: a family whose count is 0 never reaches the code that dispatches on
-the next character. The count is part of neither digest, and follows this
-script's reading of the tables also for the other tree of ``--against``.
+with a filled dispatch operand the family's exact tables hold, each
+counted once: a family whose count is 0 never reaches the code that
+dispatches on the next character. The count is part of neither digest,
+and follows this script's reading of the tables also for the other tree
+of ``--against``.
 
 The families are ``gen_grammar`` at depths 4 and 6, ``gen_sound_grammar``
 and ``gen_lowerable_grammar`` with its alphabet; each grammar gets three
@@ -57,9 +61,9 @@ from generators import (ALPHABET, LOWERABLE_ALPHABET, gen_grammar, gen_input,  #
 from pegstack.effects import check_grammar  # noqa: E402
 from pegstack.engine import Parser, ParserState, Trace, format_trace_event  # noqa: E402
 from pegstack.errors import MODE_COLLECT  # noqa: E402
-from pegstack.instructions import (ALT, CAPTURE, FAST, OPT, PRED, QUIET, REP,  # noqa: E402
-                                   SEQ)
+from pegstack.instructions import ALT, CAPTURE, OPT, PRED, QUIET, REP, SEQ  # noqa: E402
 from pegstack.values import render_value  # noqa: E402
+from run_states import recorded_states  # noqa: E402
 
 INPUTS_PER_GRAMMAR = 3
 FAMILIES = {
@@ -105,19 +109,14 @@ def _phase(parser: Parser, text: str, mode: str, bound: int | None = None) -> tu
             f"{stats.steps} {stats.terminal_mismatches} {stats.max_cursor}")
 
 
-def _fast_counters(parser: Parser, text: str) -> str:
-    """Counters of the fast-table run of an unobserved Parser.run, then,
-    when it fails without a fault, those of the error pass it bounds."""
-    state = ParserState(text)
-    name = parser.grammar.start
-    try:
-        bodies = parser._bodies(FAST)
-        ok = parser._execute(state, bodies[name], name, bodies)
-    except Exception as exc:
-        return f"raised {type(exc).__name__}: {exc}"
-    stats = state.stats
-    counts = f"{stats.steps} {stats.terminal_mismatches} {stats.max_cursor}"
-    return counts if ok else counts + " " + _phase(parser, text, MODE_COLLECT, stats.max_cursor)[1]
+def _run_counters(parser: Parser, text: str) -> str:
+    """Counters of each state an unobserved Parser.run creates, or its fault."""
+    with recorded_states() as states:
+        result = parser.run(text)
+    if result.fault is not None:
+        return f"fault {result.fault.description}"
+    return " ".join(f"{s.stats.steps} {s.stats.terminal_mismatches} {s.stats.max_cursor}"
+                    for s in states)
 
 
 def _traced_match(parser: Parser, text: str) -> str:
@@ -139,10 +138,12 @@ DISPATCH_AT = {ALT: 4, REP: 6, OPT: 4}
 
 def dispatch_count(parser: Parser) -> int:
     """Choices, repetitions and options with a filled dispatch operand in a
-    parser's fast table, each counted once: an acyclic rule's fast body is
-    shared by its references."""
+    parser's exact table, each counted once."""
+    bodies = parser._tables.bodies
+    if isinstance(bodies, tuple):  # a tree that also keeps a fast table, first
+        bodies = bodies[0]
     count, seen = 0, set()
-    todo = list(parser._tables.bodies[FAST].values())
+    todo = list(bodies.values())
     while todo:
         ins = todo.pop()
         if ins is None or id(ins) in seen:
@@ -163,7 +164,7 @@ def _encode(text: str) -> bytes:
 
 def family_digest(name: str, seed: int, pairs: int) -> tuple[str, str, int]:
     """The family's behaviour and counter digests over pairs (grammar,
-    input) pairs, and the dispatch instructions in its grammars' fast tables."""
+    input) pairs, and the dispatch instructions in its grammars' exact tables."""
     make, alphabet = FAMILIES[name]
     rng = random.Random(f"{name}:{seed}")
     behaviour, counters = hashlib.sha256(), hashlib.sha256()
@@ -181,8 +182,9 @@ def family_digest(name: str, seed: int, pairs: int) -> tuple[str, str, int]:
                      _guarded(lambda: _traced_match(parser, text)),
                      _guarded(lambda: _traced_run(parser, text))]
             behaviour.update(_encode("\x00".join(parts)) + b"\x01")
-            counters.update(_encode("\x00".join((text, off_counts, collect_counts,
-                                                 _fast_counters(parser, text)))) + b"\x01")
+            run_counts = _guarded(lambda: _run_counters(parser, text))
+            counters.update(_encode("\x00".join((text, off_counts, collect_counts, run_counts)))
+                            + b"\x01")
     return behaviour.hexdigest(), counters.hexdigest(), dispatches
 
 
@@ -195,7 +197,8 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, default=6000, help="(grammar, input) pairs per family")
     ap.add_argument("--src", default=SRC, help="the directory to import pegstack from")
     ap.add_argument("--against", type=Path, metavar="TREE",
-                    help="also run on TREE's src/ and exit 1 when a behaviour digest differs")
+                    help="also run on TREE's src/; exit 1 when a behaviour digest differs, "
+                         "2 when only a counter digest does")
     args = ap.parse_args()
     other = None
     if args.against is not None:  # runs beside this process's own families
@@ -219,7 +222,7 @@ def main() -> int:
               for i in (0, 1)]
     for digest, names in zip(("behaviour", "counter"), differ):
         print(f"{digest} digests " + ("differ: " + ", ".join(names) if names else "equal"))
-    return 1 if differ[0] else 0  # counters may move with the work a change saves
+    return 1 if differ[0] else 2 if differ[1] else 0
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from conftest import DATA, GRAMMARS
 from generators import (ALPHABET, LOWERABLE_ALPHABET, big_expression, gen_effect, gen_grammar,
                         gen_input, gen_lowerable_grammar, gen_sound_grammar)
 from reference_interp import ref_run
+from run_states import recorded_states
 from tag_check import tag_checked
 
 
@@ -198,8 +199,8 @@ def test_criterion_6_effect_soundness():
 def _report(parser, text):
     """Match outcome plus what run() reports: kind, error position, expected list.
 
-    run() takes the fast table, where stack-free fragments run as regexes,
-    and match_rule the exact one: their kind and values must agree.
+    run() takes the generated code, where stack-free fragments run as
+    regexes, and match_rule the exact table: their kind and values must agree.
     """
     result = parser.run(text)
     outcome = _outcome(parser, text)
@@ -210,13 +211,43 @@ def _report(parser, text):
             None if error is None else (error.position, error.expected()))
 
 
+class _Silent:
+    """An observer that takes nothing: its run takes the exact table."""
+
+    def enter(self, name, at):
+        pass
+
+    def leave(self, name, at, ok, pos):
+        pass
+
+    def event(self, node, cursor, outcome, moved_from, moved_to):
+        pass
+
+
+def _same_as_observed(parser, text):
+    """An unobserved run (the generated code) and an observed one (the exact
+    table) report the same kind, values, cursor, error position and ordered
+    expected list, or the same fault."""
+    with recorded_states() as states:
+        plain = parser.run(text)
+    with recorded_states() as observed_states:
+        observed = parser.run(text, observer=_Silent())
+    assert (plain.kind, plain.values, plain.fault) == (observed.kind, observed.values,
+                                                      observed.fault), text
+    if plain.fault is None:
+        assert states[0].cursor == observed_states[0].cursor, text
+    if plain.error is not None:
+        assert (plain.error.position, plain.error.expected()) == (
+            observed.error.position, observed.error.expected()), text
+
+
 def test_criterion_7_optimizer_equivalence(calc_grammar):
-    with criterion(7, "fast table, each pass + pipeline agree with the exact engine, errors too,"
-                      " on 10^4 pairs"):
+    with criterion(7, "generated code, each pass + pipeline agree with the exact engine and with"
+                      " observed runs, errors too, on 10^4 pairs"):
         rng = random.Random(707)
         configs = [(name,) for name in PASSES] + [DEFAULT_PASSES]
         # every other grammar comes from the family biased toward fragments
-        # the fast table lowers
+        # the generated code lowers to regexes
         families = ((gen_grammar, ALPHABET), (gen_lowerable_grammar, LOWERABLE_ALPHABET))
         pairs = 0
         while pairs < 10_000:
@@ -227,6 +258,7 @@ def test_criterion_7_optimizer_equivalence(calc_grammar):
             baselines = [_report(parser, text) for text in inputs]
             optimized = [Parser(optimize(g, config)) for config in configs]
             for text, baseline in zip(inputs, baselines):
+                _same_as_observed(parser, text)
                 for opt_parser in optimized:
                     assert _report(opt_parser, text) == baseline
                 pairs += 1
@@ -239,6 +271,7 @@ def test_criterion_7_optimizer_equivalence(calc_grammar):
         corpus += [_malformed(rng) for _ in range(500)]
         plain_steps = opt_steps = 0
         for text in corpus:
+            _same_as_observed(plain_parser, text)
             a = plain_parser.run(text, start="InputLine")
             b = opt_parser.run(text, start="InputLine")
             assert a.kind == b.kind

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import re
 import sys
 import threading
 
@@ -11,7 +12,7 @@ from pegstack.effects import StackEffect, cons
 from pegstack.engine import (ACTION_FAIL, ActionRaised, EngineFault, InternalFault, ParseFailed,
                              Parser, ParserState, RunResult, Trace, format_trace_event)
 from pegstack.errors import MODE_COLLECT, build_parse_error, principal_error_index
-from pegstack.instructions import ALT, EXACT, FAST, OPS, OPT, RE, REF, REP
+from pegstack.instructions import ALT, OPT, REF, REP
 from pegstack.notation import load_grammar, parse_grammar
 from pegstack.rules import DIGIT, validate_grammar
 from pegstack.values import StackUnderflow, Tree, Value, node_value, render_value, str_value
@@ -20,6 +21,7 @@ from conftest import DATA, ROOT
 from generators import (ALPHABET, LOWERABLE_ALPHABET, big_expression, gen_grammar, gen_input,
                         gen_lowerable_grammar, gen_neutral, gen_sound_grammar)
 from reference_interp import ref_match, ref_run
+from run_states import recorded_states
 from tag_check import tag_checked
 
 
@@ -228,7 +230,7 @@ _HIGH_BIT = r.CharPredicate((1 << 97) | (1 << 0xE9))
     (r.seq(r.capture(r.seq(r.NoneOf(_HIGH_BIT), r.ch("!"))), r.EOI), "\u00e9!", True),
 ])
 def test_mask_bits_at_or_above_128_are_no_members_on_any_path(expr, text, ok):
-    # a regex fragment of the fast table, a fused scan in both tables and a
+    # a regex fragment of the generated code, a fused scan in both forms and a
     # none-of set, each against the reference
     assert _HIGH_BIT.contains("\u00e9") is False
     g = _grammar(expr)
@@ -862,39 +864,42 @@ def test_counters_are_pinned(path, text, counters):
     assert (stats.steps, stats.terminal_mismatches, stats.max_cursor) == counters
 
 
-# -- the fast table ----------------------------------------------------------------------
+# -- the generated code -------------------------------------------------------------------
 
-def _fast_instructions(parser, table=FAST):
-    """(rule name, instruction) for each instruction of a table, the fast
-    one unless told, once, under the first rule whose body holds it: an
-    acyclic rule's fast body is shared by the rules that reference it."""
-    seen = set()
-    for name, body in parser._tables.bodies[table].items():
+def _exact_instructions(parser):
+    """(rule name, instruction) for each instruction of the exact table, once,
+    under the rule whose body holds it."""
+    for name, body in parser._tables.bodies.items():
         todo = [body]
         while todo:
             ins = todo.pop()
-            if id(ins) in seen:
-                continue
-            seen.add(id(ins))
             if ins[0] is None or type(ins[0]) is tuple:  # a tuple of children
                 todo.extend(x for x in ins if x is not None)
                 continue
             yield name, ins
-            if ins[0] == RE:
-                continue
             todo.extend(x for x in ins if isinstance(x, tuple) and x)
 
 
 def _fragments(parser):
-    """Rule name -> the capture flags of the RE instructions in its fast body."""
-    found = {}
-    for name, ins in _fast_instructions(parser):
-        if ins[0] == RE:
-            found.setdefault(name, []).append(ins[3])
+    """Generated function (a rule's by the rule's name) -> the capture flags
+    of the regex fragments its code runs, read from the kept source: a
+    fragment that captures pushes the slice it matched, one that cannot
+    fail only moves."""
+    found, function = {}, None
+    for line in parser._source.splitlines():
+        opened = re.match(r"    def f\(pos, d\):  # (\w+)$", line)
+        if opened:
+            function = opened.group(1)
+        fragment = re.search(r"if m\d+: push\(|pos = (m\d+)\.end\(\) if \(\1 := "
+                             r"|pos = M\d+\(text, pos\)\.end\(\)$", line)
+        if fragment:
+            found.setdefault(function, []).append(fragment.group(0).startswith("if"))
     return found
 
 
 def test_fast_table_lowers_the_json_captures_and_nothing_of_calc(calc_grammar):
+    # the generated code, which replaced the fast table, lowers the same
+    # fragments, each in its rule's own function
     parser = Parser(load_grammar(ROOT / "bench/json.peg"))
     assert parser.run('{"a": [1, -2.5e3, true, null], "b": "x\\"y"}').ok
     assert _fragments(parser) == {"String": [True], "Number": [True], "Literal": [True]}
@@ -925,7 +930,8 @@ FAST_EDGE_CASES = [
 
 @pytest.mark.parametrize("expr, texts, lowered", FAST_EDGE_CASES)
 def test_fast_table_agrees_with_the_exact_table_on_edge_cases(expr, texts, lowered):
-    # unvalidated, so that the empty literal stays in
+    # the generated code, which replaced the fast table; unvalidated, so
+    # that the empty literal stays in
     parser = Parser(r.grammar({"Top": r.capture(expr)}))
     for text in texts:
         state = ParserState(text)
@@ -943,7 +949,7 @@ def _boom():
     raise ZeroDivisionError("1/0")
 
 
-# expression -> texts and the opcode of the fast-table choice, repetition or
+# expression -> texts and the opcode of the generated choice, repetition or
 # option that dispatches on its head; each alternative captures, so that no
 # regex swallows the choice
 DISPATCH_CASES = [
@@ -1012,9 +1018,9 @@ _DISPATCH_AT = {ALT: 4, REP: 6, OPT: 4}
 
 
 def _dispatching(parser):
-    """Opcodes of the fast-table instructions that dispatch: the choices,
-    repetitions and options with a filled operand."""
-    return [ins[0] for _, ins in _fast_instructions(parser)
+    """Opcodes of the exact instructions that dispatch in the generated code:
+    the choices, repetitions and options with a filled operand."""
+    return [ins[0] for _, ins in _exact_instructions(parser)
             if ins[0] in _DISPATCH_AT and ins[_DISPATCH_AT[ins[0]]]]
 
 
@@ -1041,10 +1047,10 @@ def test_a_choice_at_the_end_of_the_input_runs_only_what_has_no_head():
     # it, but the end of the input does not; no outcome shows the difference
     expr = r.first_of(r.seq(r.none_of("+"), r.capture(r.ANY)), r.capture(r.lit("")))
     parser = Parser(r.grammar({"Top": expr}))
-    bodies = parser._tables.bodies[FAST]
     for text, counters in (("", (3, 0)), ("+", (3, 0)), ("xy", (5, 0))):
-        state = ParserState(text)
-        assert parser._execute(state, bodies["Top"], "Top", bodies), text
+        with recorded_states() as states:
+            assert parser.run(text).ok, text
+        (state,) = states
         assert (state.stats.steps, state.stats.terminal_mismatches) == counters, text
 
 
@@ -1053,13 +1059,13 @@ def test_json_value_dispatches_through_the_rules_on_its_cycle(calc_grammar):
     # ('{' and '[') leave them out where the next character rules them out;
     # Number and Literal start with a regex, which has no head
     parser = Parser(load_grammar(ROOT / "bench/json.peg"))
-    fast = parser._tables.bodies[FAST]
-    value = fast["Value"]
+    value = parser._tables.bodies["Value"]
     assert value[0] == ALT and value[4]
 
     def offered(c):
-        return [ins[2] if ins[0] == REF else next(n for n, body in fast.items() if body is ins)
-                for ins in value[4][0].get(c, value[4][1])[:-1]]
+        candidates = value[4][0].get(c, value[4][1])[:-1]
+        assert all(ins[0] == REF for ins in candidates)
+        return [ins[2] for ins in candidates]
 
     assert offered('"') == ["String", "Number", "Literal"]
     assert offered("{") == ["Object", "Number", "Literal"]
@@ -1070,19 +1076,6 @@ def test_json_value_dispatches_through_the_rules_on_its_cycle(calc_grammar):
         assert parser.run(text) == parser.run(text, observer=Trace([])), text  # the exact table
     # calc's heads do not change: its rules on a cycle are never offered by a choice or loop
     assert sorted(_dispatching(Parser(calc_grammar))) == [ALT] * 3 + [REP] * 2
-
-
-def test_the_fast_table_holds_only_exact_opcodes_and_re(calc_grammar):
-    # the fast table dispatches through the exact table's instructions: a
-    # fragment's RE is the one opcode of its own
-    exprs = [case[0] for case in DISPATCH_CASES + FAST_EDGE_CASES]
-    grammars = [calc_grammar, load_grammar(ROOT / "bench/json.peg"),
-                *(r.grammar({"Top": r.capture(e)}) for e in exprs)]
-    for grammar in grammars:
-        parser = Parser(grammar)
-        exact = {ins[0] for _, ins in _fast_instructions(parser, EXACT)}
-        fast = {ins[0] for _, ins in _fast_instructions(parser)}
-        assert exact <= set(OPS) - {RE} and fast <= exact | {RE}, grammar
 
 
 def test_a_grammar_too_deep_to_compile_is_an_internal_fault():
@@ -1115,15 +1108,16 @@ def test_a_parser_is_built_whole_before_its_first_run():
     g = _grammar(r.seq(r.ref("Word"), r.EOI), Word=r.capture(r.one_or_more(r.any_of("ab"))),
                  Unused=r.seq(r.ch("x"), r.ref("Word")))
     parser = Parser(g)
-    tables = parser._tables
-    exact, fast = tables.bodies[EXACT], tables.bodies[FAST]
-    assert exact.keys() == fast.keys() == {"Top", "Word", "Unused"}
-    before = dict(vars(tables)), dict(exact), dict(fast)
+    tables, parse, source = parser._tables, parser._parse, parser._source
+    exact = tables.bodies
+    assert exact.keys() == {"Top", "Word", "Unused"}
+    assert all(f"def f(pos, d):  # {name}\n" in source for name in exact)
+    before = dict(vars(tables)), dict(exact)
     assert parser.run("ab").ok and parser.run("ax").error is not None
     assert parser.run("ab", observer=Trace([])).ok  # a traced run adds no table either
     assert parser.match_rule(ParserState("ab", events=[]), "Top")
-    assert parser._tables is tables
-    assert (dict(vars(tables)), dict(exact), dict(fast)) == before
+    assert (parser._tables, parser._parse, parser._source) == (tables, parse, source)
+    assert (dict(vars(tables)), dict(exact)) == before
 
 
 def test_an_unknown_start_rule_raises_key_error_naming_it():

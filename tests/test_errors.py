@@ -10,7 +10,7 @@ from pegstack.engine import ACTION_FAIL, Parser, Trace
 from pegstack.errors import (MODE_COLLECT, MODE_OFF, ParseError, Position, RuleTrace,
                              TerminalDescriptor, build_parse_error, descriptor_of, format_error,
                              position_of, principal_error_index, trace_collection)
-from pegstack.instructions import ALT, CAPTURE, EXACT, OPT, PRED, QUIET, REP, SEQ
+from pegstack.instructions import ALT, CAPTURE, OPT, PRED, QUIET, REP, SEQ
 from pegstack.notation import load_grammar
 from pegstack.rules import validate_grammar
 from pegstack.values import ValueStack
@@ -19,6 +19,7 @@ from conftest import ROOT
 from generators import (ALPHABET, LOWERABLE_ALPHABET, big_expression, gen_grammar, gen_input,
                         gen_lowerable_grammar, gen_sound_grammar)
 from reference_interp import ref_run, ref_traces
+from run_states import recorded_states
 from test_acceptance import _nested_alternation_grammar
 
 
@@ -360,7 +361,7 @@ def test_a_repetition_of_a_headed_body_takes_no_snapshot(calc_grammar, monkeypat
     # dispatch operands emptied, each exact REP takes one again at entry and
     # after each iteration
     parser, unheaded = Parser(calc_grammar), Parser(calc_grammar)
-    reps = [ins for body in unheaded._tables.bodies[EXACT].values()
+    reps = [ins for body in unheaded._tables.bodies.values()
             for ins in _instructions(body) if ins[0] == REP]
     assert len(reps) == 2 and all(ins[6] for ins in reps)  # Expression's and Term's loops
     for ins in reps:
@@ -455,21 +456,15 @@ def test_a_cons_that_underflows_is_a_fault_not_a_parse_error():
             assert result.fault.description.startswith("value stack underflow"), text
 
 
-def test_build_parse_error_makes_one_engine_pass(calc_grammar, monkeypatch):
-    modes = []
-    execute = Parser._execute
-
-    def counted(self, state, *args):
-        modes.append(state.error_mode)
-        return execute(self, state, *args)
-
-    monkeypatch.setattr(Parser, "_execute", counted)
+def test_build_parse_error_makes_one_engine_pass(calc_grammar):
+    # one engine state per pass, whether the executor or the generated code runs it
     parser = Parser(calc_grammar)
-    build_parse_error(parser, "1+2!3")
-    assert modes == [MODE_COLLECT]
-    modes.clear()
-    assert not parser.run("1+2!3").ok  # the run, then the error pass
-    assert modes == [MODE_OFF, MODE_COLLECT]
+    with recorded_states() as states:
+        build_parse_error(parser, "1+2!3")
+    assert [state.error_mode for state in states] == [MODE_COLLECT]
+    with recorded_states() as states:
+        assert not parser.run("1+2!3").ok  # the run, then the error pass
+    assert [state.error_mode for state in states] == [MODE_OFF, MODE_COLLECT]
 
 
 def test_one_pass_collects_the_two_phase_traces_on_the_calc_corpus(calc_grammar):

@@ -1,0 +1,204 @@
+"""The Python module a Parser writes for its grammar, against the exact table.
+
+An unobserved ``Parser.run`` calls the generated code; an observed run, and
+``run_phase``, take the exact table. Each test here fails on a mutation of
+``pegstack.generate`` or of the rerun in ``Parser``: the depth bound, the
+splitting of deep nests into functions of their own, the code cache.
+"""
+
+import re
+import sys
+import threading
+
+import pytest
+
+from pegstack import generate
+from pegstack import rules as r
+from pegstack.effects import StackEffect, cons
+from pegstack.engine import InternalFault, Parser
+from pegstack.notation import load_grammar, meta_grammar
+from pegstack.rules import validate_grammar
+from pegstack.values import Value
+
+from conftest import GRAMMARS, ROOT
+from test_acceptance import _same_as_observed
+
+
+def _reruns(parser, monkeypatch):
+    """A list that receives the text of every unobserved run the executor
+    makes for parser: the reruns of runs the generated code gave up."""
+    texts = []
+    execute = parser._execute
+
+    def counted(state, ins, rule, bodies, headed=False):
+        if state.observer is None and state.error_mode == "off":
+            texts.append(state.input)
+        return execute(state, ins, rule, bodies, headed)
+
+    monkeypatch.setattr(parser, "_execute", counted)
+    return texts
+
+
+def _in_thread(fn):
+    """fn() on a fresh thread, whose stack starts empty: the nests below
+    compile there as in a plain script."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join(timeout=120)
+    return out[0]
+
+
+# -- the depth bound -----------------------------------------------------------------------
+
+def _ticking(ticks):
+    """Nest <- '(' tick Nest ')' ~> cons(P,1) / capture('a'): tick counts
+    each level as it is entered, before the levels below it are."""
+    tick = r.Action(0, lambda: ticks.append(None), StackEffect((), ()), name="tick")
+    return validate_grammar(r.grammar({
+        "Top": r.seq(r.ref("Nest"), r.EOI),
+        "Nest": r.first_of(r.seq(r.ch("("), tick, r.ref("Nest"), r.ch(")"), cons("P", 1)),
+                           r.capture(r.ch("a")))}))
+
+
+def test_an_input_just_past_the_depth_bound_runs_again_on_the_exact_table(monkeypatch):
+    # Top's function is open at depth 0 and level k's Nest at depth k; the
+    # innermost Nest of DEPTH_BOUND levels is one past the bound
+    ticks = []
+    parser = Parser(_ticking(ticks))
+    for levels in (generate.DEPTH_BOUND - 1, generate.DEPTH_BOUND):
+        text = "(" * levels + "a" + ")" * levels
+        expected = parser.run_phase(text).stack.values()
+        assert len(expected) == 1
+        ticks.clear()
+        with monkeypatch.context() as patch:
+            reruns = _reruns(parser, patch)
+            assert parser.run(text).values == expected
+        past = levels == generate.DEPTH_BOUND
+        # the abandoned run's ticks ran, and the rerun's ran again
+        assert len(ticks) == (2 * levels if past else levels)
+        assert reruns == ([text] if past else [])
+
+
+def test_a_recursion_error_in_the_generated_code_runs_again_on_the_exact_table(monkeypatch):
+    # well under the depth bound, but past a recursion limit set low
+    parser = Parser(validate_grammar(r.grammar({
+        "Top": r.seq(r.ref("Nest"), r.EOI),
+        "Nest": r.first_of(r.seq(r.ch("("), r.ref("Nest"), r.ch(")"), cons("P", 1)),
+                           r.capture(r.ch("a")))})))
+    text = "(" * 150 + "a" + ")" * 150
+    expected = parser.run_phase(text).stack.values()
+    reruns = _reruns(parser, monkeypatch)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        result = parser.run(text)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.values == expected
+    assert reruns == [text]
+
+
+def test_a_recursion_error_inside_an_action_is_a_fault_not_a_rerun(monkeypatch):
+    calls = []
+
+    def deep():
+        calls.append(None)
+        raise RecursionError("too deep inside")
+
+    parser = Parser(r.grammar({"Top": r.seq(r.ch("a"), r.Action(0, deep, StackEffect((), ()),
+                                                                  name="deep"))}))
+    reruns = _reruns(parser, monkeypatch)
+    result = parser.run("a")
+    assert result.fault == InternalFault("action deep raised RecursionError: too deep inside")
+    assert (len(calls), reruns) == (1, [])
+
+
+# -- grammars that nest deeply or are large ----------------------------------------------
+
+def _nest(levels, core):
+    """('b' ('b' ... core)?)? with levels options."""
+    e = core
+    for _ in range(levels):
+        e = r.opt(r.seq(r.ch("b"), e))
+    return e
+
+
+@pytest.mark.parametrize("levels, core", [(150, "lowered"), (197, "lowered"),
+                                          (150, "captured"), (190, "captured")])
+def test_deep_option_nests_generate_and_agree_with_the_exact_table(levels, core, monkeypatch):
+    # a nest of plain characters is one regex; a capture at its core keeps
+    # every level in the generated code, split into functions of their own.
+    # 197 plain levels, and 190 with the capture's, are about the deepest
+    # that the instruction tables compile
+    inner = r.ch("a") if core == "lowered" else r.capture(r.ch("a"))
+    parser = _in_thread(lambda: Parser(validate_grammar(r.grammar({"Top": _nest(levels, inner)}))))
+    assert parser.fault is None
+    reruns = _reruns(parser, monkeypatch)
+    for text in ("", "a", "bba", "b" * levels + "a", "b" * (levels + 1) + "a", "bbx"):
+        _same_as_observed(parser, text)
+    assert reruns == []
+    functions = parser._source.count("    def f(pos, d):")
+    assert functions == 1 if core == "lowered" else functions > levels // 10
+
+
+def test_twenty_five_nested_loops_generate_and_agree_with_the_exact_table(monkeypatch):
+    # more loops than CPython nests in one function
+    e = r.capture(r.ch("x"))
+    for _ in range(25):
+        e = r.zero_or_more(r.seq(r.ch("a"), e))
+    parser = Parser(validate_grammar(r.grammar({"Top": e})))
+    assert parser.fault is None
+    reruns = _reruns(parser, monkeypatch)
+    for text in ("", "x", "ax", "aaax", "aaaxa", "a" * 30 + "x"):
+        _same_as_observed(parser, text)
+    assert reruns == []
+    assert parser._source.count("while True:") == 25
+
+
+def test_a_chain_of_2000_rules_generates_and_agrees_with_the_exact_table():
+    rules = {f"R{i}": r.seq(r.ref(f"R{i + 1}"), r.ch("x")) for i in range(2000)}
+    rules["R2000"] = r.capture(r.ch("x"))
+    parser = Parser(validate_grammar(r.grammar(rules, start="R0")))
+    assert parser.fault is None
+    for text in ("x" * 2001, "x" * 2000, "x" * 2002):
+        _same_as_observed(parser, text)
+    assert parser.run("xxx", start="R1998").values == (Value("Str", "x"),)
+
+
+def test_the_meta_grammar_generates_and_agrees_with_the_exact_table():
+    parser = Parser(meta_grammar())
+    texts = [path.read_text(encoding="utf-8")
+             for path in (GRAMMARS / "calc.peg", GRAMMARS / "foo.peg", ROOT / "bench/json.peg")]
+    texts += ["A <- 'a' B\nB <- [0-9]+ ~> cons(N,0)\n", "A <- (", "A <- 'a' /", ""]
+    for text in texts:
+        _same_as_observed(parser, text)
+
+
+# -- the code cache --------------------------------------------------------------------------
+
+def test_a_second_parser_over_an_equal_grammar_compiles_nothing(monkeypatch):
+    calls = []
+    grammars = [load_grammar(GRAMMARS / "calc.peg") for _ in range(2)]  # equal, built apart
+    assert grammars[1] is not grammars[0] and grammars[1] == grammars[0]
+    monkeypatch.setattr(generate, "_CODES", {})
+    monkeypatch.setattr(generate, "compile", lambda *args: calls.append(args) or compile(*args),
+                        raising=False)
+    first = Parser(grammars[0])
+    assert len(calls) == 1
+    second = Parser(grammars[1])
+    assert len(calls) == 1 and second._source == first._source
+    assert second.run("1+2*(3-4)") == first.run("1+2*(3-4)")
+
+
+# -- the README's excerpt ---------------------------------------------------------------------
+
+def test_the_readme_shows_calcs_generated_term_function(calc_grammar):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### From grammar to runtime code"):]
+    excerpt = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    assert "# Term" in excerpt.splitlines()[0]
+    assert excerpt in Parser(calc_grammar)._source

@@ -21,9 +21,9 @@ from pegstack import instructions
 from pegstack import rules as r
 from pegstack.effects import NEUTRAL, ConsFn, StackEffect, check_grammar, cons
 from pegstack.engine import Parser
-from pegstack.instructions import (_ASCII, ALT, CAPTURE, CHARS, EXACT, FAST, ISTR, OPT, PRED,
-                                   QUIET, RE, REF, REP, SEQ, _char_class, _regex, _resolve,
-                                   _terminal_head, _terminal_source)
+from pegstack.instructions import (_ASCII, ALT, CAPTURE, CHARS, ISTR, OPT, PRED, QUIET, REF, REP,
+                                   SEQ, _char_class, _regex, _resolve, _terminal_head,
+                                   _terminal_source)
 from pegstack.notation import load_grammar, meta_grammar
 from pegstack.values import str_value
 
@@ -73,19 +73,19 @@ def _resolved(tables, head):
     return _same(head)
 
 
-def _fast_head(tables, ins):
-    """Head of an exact instruction's fast form, or None: through a
+def _code_head(tables, ins):
+    """Head of an exact instruction's generated code, or None: through a
     reference, the head of the rule's body, which ends because validation
     rejects left recursion."""
-    if _regex(ins) is not None:  # an RE instruction
+    if _regex(ins) is not None:  # one regex
         return None
     op = ins[0]
     if op <= ISTR:
         return _same(_terminal_head(ins))
     if op == SEQ:
-        return _fast_head(tables, ins[2][0])
+        return _code_head(tables, ins[2][0])
     if op == ALT:
-        heads = [_fast_head(tables, k) for k in ins[2][:-1]]
+        heads = [_code_head(tables, k) for k in ins[2][:-1]]
         if None in heads:
             return None
         mask = 0
@@ -95,9 +95,9 @@ def _fast_head(tables, ins):
     if op == CHARS:
         return _same(_terminal_head(ins[2])) if ins[3] else None
     if op == REF:
-        return _fast_head(tables, tables.bodies[EXACT][ins[2]])
+        return _code_head(tables, tables.bodies[ins[2]])
     if op == CAPTURE and _regex(ins[2]) is None or op == QUIET or op == REP and ins[3]:
-        return _fast_head(tables, ins[2])
+        return _code_head(tables, ins[2])
     return None
 
 
@@ -163,12 +163,12 @@ def test_the_facts_pass_agrees_with_the_recursive_definitions():
         for name, rd in grammar.rules.items():
             acyclic = name in tables._acyclic
             head = tables._acyclic[name] if acyclic else tables._cyclic[name]
-            assert _resolved(tables, head) == _fast_head(tables, tables.bodies[EXACT][name]), name
+            assert _resolved(tables, head) == _code_head(tables, tables.bodies[name]), name
             cyclic_heads += not acyclic and head is not None
             for node in r.walk(rd.expr):  # node by node
                 ins, touched, head = tables._compile(node)
                 assert touched == _touches(node, touches), node
-                assert _resolved(tables, head) == _fast_head(tables, ins), node
+                assert _resolved(tables, head) == _code_head(tables, ins), node
     assert cyclic_heads > 50  # rules on cycles with a head are covered
 
 
@@ -267,8 +267,7 @@ def test_terminal_facts_from_the_instruction_agree_with_the_node_definitions():
 
 
 def _instructions(bodies):
-    """Every instruction of a table, each once: the fast table shares an
-    acyclic rule's body among its references."""
+    """Every instruction of a table, each once."""
     seen, todo = {}, list(bodies.values())
     while todo:
         ins = todo.pop()
@@ -283,7 +282,8 @@ def _instructions(bodies):
 
 
 def test_each_regex_is_compiled_once_while_a_parser_is_built(monkeypatch):
-    # one re.compile per RE instruction of the fast table and per fused scan
+    # one re.compile per regex fragment of the generated code and per fused
+    # scan; a fragment runs wherever its rule's code is copied
     calls = []
     compile_ = re.compile
     monkeypatch.setattr(re, "compile", lambda *args: calls.append(args) or compile_(*args))
@@ -293,10 +293,11 @@ def test_each_regex_is_compiled_once_while_a_parser_is_built(monkeypatch):
                            (meta_grammar(), 5 + 7),
                            (r.validate_grammar(r.grammar(chain, start="R0")), 300 + 0)):
         calls.clear()
-        tables = Parser(grammar)._tables
-        regexes = sum(ins[0] == RE for ins in _instructions(tables.bodies[FAST]))
+        parser = Parser(grammar)
+        regexes = len(set(re.findall(r"(?:m\d+ = |:= |pos = )(M\d+)\(text, pos\)",
+                                     parser._source)))
         scans = sum(ins[0] == CHARS and ins[4] is not None
-                    for ins in _instructions(tables.bodies[EXACT]))
+                    for ins in _instructions(parser._tables.bodies))
         assert len(calls) == regexes + scans == count
 
 
@@ -313,4 +314,4 @@ def test_the_head_of_each_node_is_computed_once(monkeypatch):
         expr = r.first_of(r.seq(r.ch(chr(ord("0") + i % 64)), r.capture(r.ch("b"))), expr)
     tables = Parser(r.grammar({"Top": expr}))._tables
     assert len(heads) == 2 * 150 + 1  # once per terminal
-    assert tables.bodies[EXACT]["Top"][4]  # and the choices dispatch
+    assert tables.bodies["Top"][4]  # and the choices dispatch

@@ -138,11 +138,13 @@ def test_importing_the_cli_generates_no_code():
     assert "inspect" not in out
 
 
-def test_program_calls_no_code_generation_builtins():
+def test_only_the_grammar_module_writer_calls_code_generation_builtins():
+    # records and the rest of the program generate no code; a Parser's
+    # grammar module is compiled and run in one place
     calls = []
     for path in sorted((ROOT / "src" / "pegstack").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id in ("exec", "eval", "compile")):
-                calls.append(f"{path.name}:{node.lineno} {node.func.id}")
-    assert calls == []
+                calls.append((path.name, node.func.id))
+    assert sorted(calls) == [("generate.py", "compile"), ("generate.py", "exec")]

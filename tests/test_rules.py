@@ -8,7 +8,7 @@ from pegstack.engine import Parser, ParserState
 from pegstack.rules import (ALPHA, DIGIT, LOWER_HEX_LETTER, CharPredicate, GrammarError,
                             validate_grammar)
 
-from generators import gen_grammar, gen_input
+from generators import gen_grammar, gen_input, gen_lowerable_grammar, gen_sound_grammar
 
 
 # -- character predicates ----------------------------------------------------
@@ -228,3 +228,54 @@ def test_validated_grammars_never_reenter_same_rule_same_cursor(calc_grammar):
         parser = Parser(g)
         for _ in range(3):
             assert _reentries(parser, gen_input(rng), g.start) == []
+
+
+# -- rendering expressions -------------------------------------------------------
+
+_PRECEDENCE = (0, 1, 2, 3)  # choice, sequence, prefix, suffix
+
+
+def _recursive_text(expr, prec=0):
+    """The notation of an expression, by recursion: the oracle of expr_text
+    on trees shallow enough to recurse through."""
+    t = type(expr)
+    if t is r.FirstOf:
+        out = " / ".join(_recursive_text(a, 1) for a in expr.alternatives)
+        return f"({out})" if prec > 0 else out
+    if t is r.Sequence:
+        out = " ".join(_recursive_text(c, 2) for c in expr.children)
+        return f"({out})" if prec > 1 else out
+    if t in (r.AndPredicate, r.NotPredicate):
+        out = ("&" if t is r.AndPredicate else "!") + _recursive_text(expr.inner, 3)
+        return f"({out})" if prec > 2 else out
+    if t in (r.Optional, r.ZeroOrMore, r.OneOrMore):
+        mark = {r.Optional: "?", r.ZeroOrMore: "*", r.OneOrMore: "+"}[t]
+        out = _recursive_text(expr.inner, 4) + mark
+        return f"({out})" if prec > 3 else out
+    if t is r.Quiet:
+        return f"quiet({_recursive_text(expr.inner)})"
+    if t is r.Capture:
+        return f"capture({_recursive_text(expr.inner)})"
+    return r.expr_text(expr)  # a leaf
+
+
+def test_expr_text_agrees_with_a_recursive_rendering_on_random_grammars():
+    rng = random.Random(2026)
+    for i in range(300):
+        grammar = (gen_grammar, gen_sound_grammar, gen_lowerable_grammar)[i % 3](rng)
+        for rd in grammar.rules.values():
+            for node in r.walk(rd.expr):
+                for prec in _PRECEDENCE:
+                    assert r.expr_text(node, prec) == _recursive_text(node, prec), node
+
+
+def test_expr_text_renders_a_nest_deeper_than_the_recursion_limit():
+    # unvalidated: validation recurses and rejects the nest first
+    e = r.ch("a")
+    for _ in range(600):
+        e = r.opt(r.seq(r.ch("b"), e))
+    assert r.expr_text(e) == "('b' " * 600 + "'a'" + ")?" * 600
+    e = r.ch("a")
+    for _ in range(3000):
+        e = r.first_of(r.seq(r.ch("b"), e), r.ch("c"))
+    assert r.expr_text(e) == "'b' (" * 2999 + "'b' 'a' / 'c'" + ") / 'c'" * 2999
