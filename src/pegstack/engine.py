@@ -28,36 +28,18 @@ when it fails, one mismatch, but leaves ``max_cursor`` as it is, so the
 run's ``max_cursor`` is at most the exact table's. When the generated code
 opens too many functions, or raises ``RecursionError``, the run starts
 again on the exact table, and actions run a second time. ``match``,
-``match_rule``, ``run_phase``, the error pass and every observed run take
-the exact table. A failed run hands its ``max_cursor`` to the error pass,
-which starts its running maximum there (see ``pegstack.errors``). When
-the grammar's values decide no match (every action is a ``cons``, a push
-or a drop), that pass builds no values either: a capture pushes nothing,
-a CONS or ACTION only succeeds, a collecting repetition or option builds
-no list, and no snapshot is taken. Its steps and mismatches are counted
-as in a pass that builds them.
+``match_rule``, ``run_phase`` and every observed run, with its error pass,
+take the exact table. A failed unobserved run hands its ``max_cursor`` to
+its error pass, which runs the grammar's generated collect code, written
+on the first such failure, from there (see ``pegstack.errors``).
 
 A repetition of one single-character terminal runs as one fused scan, and
 so does a Capture of such a repetition, which pushes the matched slice
 itself; an observed run logs one match per character and then the mismatch
 that ends the scan. A repetition whose body has a head takes no snapshot:
 one would only undo an iteration that matched without moving, and such a
-body moves when it matches.
-
-Choices, repetitions and options dispatch on the next character through
-their dispatch operands, where those are filled: everywhere in the
-generated code, and in the error pass below its running maximum, where a
-skipped alternative's only mismatch would not be reported. A choice looks
-up the next character (or end of input) and gets the alternatives that
-can start there: none fails at once, one runs in place with no frame,
-more open the choice's usual frame over just them. Skipped alternatives
-would have failed at their first terminal test before running anything
-else, so no action, drop or capture is skipped; a rule reference has its
-rule's head, also on a reference cycle. A repetition or option whose body
-cannot start at the next character ends with no frame (a collecting one
-pushes its empty list) or, for ``+``, fails; between iterations a
-repetition tests the head again before it re-enters the body. A dispatch
-that declines counts its one step and no mismatch.
+body moves when it matches. The executor runs every alternative, iteration
+and option; the dispatch on the next character is the generated code's.
 
 Repetition bodies whose effect pushes exactly one value per iteration are
 collecting: the engine bundles the iteration results into a single list
@@ -79,10 +61,6 @@ ACTION_FAIL = object()
 _QUIET_FRAME = (QUIET,)
 _RULE_FRAME = (RULE,)  # a rule open in a collecting run that no observer watches
 _COMPACT_AT = 64  # the error pass compacts its frontier past twice its kept length plus this
-
-
-def _no_snapshot() -> None:
-    """The snapshot of a pass that builds no values: none."""
 
 
 def _scan(mask: int, extra, text: str, i: int) -> int:
@@ -265,7 +243,7 @@ def _act(state: ParserState, ins: tuple) -> bool:
 
 # what generated code calls besides the grammar's own objects
 _RUNTIME = {"Node": Node, "Value": Value, "list_value": list_value, "act": _act, "scan": _scan,
-            "TooDeep": TooDeep}
+            "TooDeep": TooDeep, "traces": rule_traces, "COMPACT_AT": _COMPACT_AT}
 
 
 class Parser:
@@ -280,6 +258,9 @@ class Parser:
         else:
             # the grammar's module: unobserved runs call its closure factory
             self._parse, self._source = generate(self._tables, _RUNTIME)
+        # the factory of the grammar's collect module, written on the first
+        # failed unobserved run, so that a grammar that never fails compiles none
+        self._collect = None
 
     @property
     def fault(self) -> InternalFault | None:
@@ -296,23 +277,27 @@ class Parser:
         mode "result" returns a RunResult union; "either" returns a
         (values, error) pair whose error side is a ParseError or an
         InternalFault; "raising" returns the values or raises. A run with an
-        observer (see Trace) takes the exact table.
+        observer (see Trace) takes the exact table, and so does its error
+        pass; an unobserved run's error pass runs the grammar's generated
+        collect code (see ``error_pass``).
         """
         state = ParserState(text)
         state.observer = observer
         name = start or self.grammar.start
         try:
-            # unobserved, the generated code; errors come from the exact error pass
+            # unobserved, the generated code, whose furthest mismatch bounds the
+            # principal index from below and starts the generated error pass
             bodies = self._bodies()
             if observer is None:
                 ok = self._generated(state, name, bodies)
+                bound = state.stats.max_cursor
             else:
                 ok = self._execute(state, bodies[name], name, bodies)
+                bound = None
             if ok:
                 result = RunResult(values=state.stack.values())
-            else:  # the run's furthest mismatch bounds the principal index from below
-                result = RunResult(error=build_parse_error(self, text, name,
-                                                           state.stats.max_cursor))
+            else:
+                result = RunResult(error=build_parse_error(self, text, name, bound))
         except StackUnderflow as exc:
             result = RunResult(fault=InternalFault(f"value stack underflow: {exc}"))
         except ActionRaised as exc:
@@ -333,23 +318,40 @@ class Parser:
             raise EngineFault(result.fault)
         raise ValueError(f"unknown delivery mode {mode!r}")
 
-    def run_phase(self, text: str, start: str | None = None, error_mode: str = MODE_OFF,
-                  bound: int | None = None) -> ParserState:
+    def run_phase(self, text: str, start: str | None = None,
+                  error_mode: str = MODE_OFF) -> ParserState:
         """Run once on the exact table under an error mode and hand back the
-        final state. A MODE_COLLECT pass given a bound starts its running
-        maximum there and, below that maximum, runs only the alternatives,
-        iterations and options that can start at the next character.
-
-        A bound must come from a run of the same text that failed without a
-        fault, and must not exceed the principal index. When the grammar's
-        values decide no match, such a pass builds none and leaves
-        ``state.stack`` empty."""
+        final state; under MODE_COLLECT its ``collected`` holds the rule
+        traces at the principal index. Every alternative, iteration and
+        option runs, and every value is built."""
         state = ParserState(text, error_mode=error_mode)
         name = start or self.grammar.start
         bodies = self._bodies()
-        if bound is not None:
-            state.stats.max_cursor = bound
-        self._execute(state, bodies[name], name, bodies, bound is not None)
+        self._execute(state, bodies[name], name, bodies)
+        return state
+
+    def error_pass(self, text: str, start: str | None = None,
+                   bound: int | None = None) -> ParserState:
+        """The MODE_COLLECT pass over a failing text, as ``run_phase`` hands
+        it back. Without a bound it is ``run_phase``'s. A bound is the
+        ``max_cursor`` of an unobserved run of the same text that failed
+        without a fault, at most the principal index: the pass then runs the
+        grammar's generated collect code, written on first use, with its
+        running maximum starting there (see ``pegstack.errors``). When that
+        code opens too many functions, or raises ``RecursionError``, the
+        pass starts again on the exact table, in the same state."""
+        if bound is None:
+            return self.run_phase(text, start, MODE_COLLECT)
+        bodies = self._bodies()
+        state = ParserState(text, error_mode=MODE_COLLECT)
+        name = start or self.grammar.start
+        if self._collect is None:
+            self._collect = generate(self._tables, _RUNTIME, collect=True)[0]
+        try:
+            self._collect(state, name, bound)
+        except (TooDeep, RecursionError):
+            state.stack = ValueStack()  # the counters and traces are written only at the end
+            self._execute(state, bodies[name], name, bodies)
         return state
 
     def match(self, state: ParserState, node: r.RuleExpr) -> bool:
@@ -382,8 +384,7 @@ class Parser:
 
     # -- the executor -------------------------------------------------------
 
-    def _execute(self, state: ParserState, ins: tuple, rule: str | None, bodies: dict,
-                 headed: bool = False) -> bool:
+    def _execute(self, state: ParserState, ins: tuple, rule: str | None, bodies: dict) -> bool:
         """Run one compiled expression of a table (a rule body when rule is its name).
 
         Every node either decides at once or opens a continuation frame on
@@ -396,11 +397,9 @@ class Parser:
         outside ``quiet`` joins it, so the pass ends with exactly the
         mismatches at the principal index. Whenever the frontier doubles, it
         drops the pairs that repeat a rule trace, so it grows with the
-        traces, not with the work. The dispatch operands of choices,
-        repetitions and options run in a headed, unobserved pass wherever
-        the cursor is below the highest cursor so far: there a skipped
-        alternative's only mismatch would not be reported. When the
-        grammar's values decide no match, that pass does no value work.
+        traces, not with the work. Every alternative, iteration and option
+        runs, and every value is built: the dispatch that skips what cannot
+        start at the next character is the generated code's.
         """
         text = state.input
         n = len(text)
@@ -414,11 +413,6 @@ class Parser:
         observer = state.observer
         traced = observer is not None  # every step is logged
         collecting = state.error_mode == MODE_COLLECT
-        headed = headed and collecting and not traced
-        # a headed pass over a grammar whose values decide no match builds none
-        valued = not (headed and self._tables.value_free)
-        if not valued:
-            snapshot = _no_snapshot  # so nothing is ever restored
         frontier = state.frontier
         compact_at = _COMPACT_AT
         path = ()  # collecting: the open rules, innermost first, as cons cells
@@ -503,30 +497,15 @@ class Parser:
                     ins = ins[2][0]
                     continue
                 elif op == ALT:
-                    dispatch = ins[4]
-                    if dispatch and headed and pos < max_cursor:
-                        # only the alternatives that can start at the next
-                        # character, or at the end of the input; one runs in place
-                        cands = dispatch[0].get(text[pos], dispatch[1]) if pos < n else dispatch[2]
-                        if cands[0] is None:
-                            ok = False
-                        else:
-                            if cands[1] is not None:
-                                frames.append([ALT, cands, 1, pos, snapshot() if ins[3] else None,
-                                               ins])
-                            ins = cands[0]
-                            continue
-                    else:
-                        if traced:
-                            if not frames or frames[-1][0] != RULE:
-                                observer.event(ins[1], pos, "start", None, None)
-                            fail_at = pos  # a reset reports the cursor of the last failure
-                        frames.append([ALT, ins[2], 1, pos, snapshot() if ins[3] else None, ins])
-                        ins = ins[2][0]
-                        continue
+                    if traced:
+                        if not frames or frames[-1][0] != RULE:
+                            observer.event(ins[1], pos, "start", None, None)
+                        fail_at = pos  # a reset reports the cursor of the last failure
+                    frames.append([ALT, ins[2], 1, pos, snapshot() if ins[3] else None, ins])
+                    ins = ins[2][0]
+                    continue
                 elif op == CONS:
-                    if valued:
-                        push(Node(ins[2], stack.take(ins[3])))
+                    push(Node(ins[2], stack.take(ins[3])))
                     ok = True
                 elif op == REF:
                     if instrumented:
@@ -554,7 +533,7 @@ class Parser:
                         observer.event(term[1], at, "mismatch", None, None)
                     ok = count >= ins[3]
                     if ok:
-                        if ins[5] and valued:
+                        if ins[5]:
                             push(Value("Str", text[pos:at]))
                         pos = at
                     if not not_depth:
@@ -572,39 +551,23 @@ class Parser:
                         elif at > max_cursor:
                             max_cursor = at
                 elif op == REP:
-                    tag = ins[4] if valued else None
-                    dispatch = ins[6]
-                    if (dispatch and headed and pos < max_cursor
-                            and not (pos < n and dispatch[0].get(text[pos], dispatch[1]))):
-                        ok = not ins[3]  # the body cannot start: * ends empty, + fails
-                        if ok and tag is not None:
-                            push(list_value((), tag))
-                    else:
-                        # a snapshot undoes a zero-width iteration, so a body
-                        # with a head, which moves when it matches, needs none
-                        first = ins[3]  # OneOrMore: the first match may fail the loop
-                        frames.append([REP, ins, pos,
-                                       None if dispatch or first or not ins[5] else snapshot(),
-                                       first, size() if tag is not None else None])
-                        ins = ins[2]
-                        continue
+                    # a snapshot undoes a zero-width iteration, so a body with
+                    # a head (a filled dispatch operand), which moves when it
+                    # matches, needs none
+                    first = ins[3]  # OneOrMore: the first match may fail the loop
+                    frames.append([REP, ins, pos,
+                                   None if ins[6] or first or not ins[5] else snapshot(),
+                                   first, size() if ins[4] is not None else None])
+                    ins = ins[2]
+                    continue
                 elif op == OPT:
-                    tag = ins[3] if valued else None
-                    dispatch = ins[4]  # the option ends empty when its body cannot start
-                    if (dispatch and headed and pos < max_cursor
-                            and not (pos < n and dispatch[0].get(text[pos], dispatch[1]))):
-                        ok = True
-                        if tag is not None:
-                            push(list_value((), tag))
-                    else:
-                        frames.append((OPT, tag, size() if tag is not None else 0))
-                        ins = ins[2]
-                        continue
+                    frames.append((OPT, ins[3], size() if ins[3] is not None else 0))
+                    ins = ins[2]
+                    continue
                 elif op == ACTION:
-                    ok = _act(state, ins) if valued else True
+                    ok = _act(state, ins)
                 elif op == CAPTURE:
-                    if valued:
-                        frames.append((CAPTURE, pos))
+                    frames.append((CAPTURE, pos))
                     ins = ins[2]
                     continue
                 elif op == PRED:
@@ -679,15 +642,8 @@ class Parser:
                                 self._materialize(stack, f[5], rep[4])
                             ok = True
                             continue
-                        dispatch = rep[6]
-                        if (dispatch and headed and pos < max_cursor
-                                and not (pos < n and dispatch[0].get(text[pos], dispatch[1]))):
-                            frames.pop()  # the body cannot start again
-                            if f[5] is not None:
-                                self._materialize(stack, f[5], rep[4])
-                            continue
                         f[2] = pos
-                        if rep[5] and not dispatch:  # a headed body moves: nothing to undo
+                        if rep[5] and not rep[6]:  # a headed body moves: nothing to undo
                             f[3] = snapshot()
                         ins = rep[2]
                         break

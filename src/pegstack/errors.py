@@ -1,34 +1,41 @@
 """Parse-failure analysis: principal error position, rule traces, formatting.
 
 The principal error index is the maximum cursor at which any terminal
-matcher registered a mismatch. One exact pass over the failing input finds
-it and its rule traces together: it keeps a running maximum, drops what it
+matcher registered a mismatch. One pass over the failing input finds it
+and its rule traces together: it keeps a running maximum, drops what it
 collected whenever a mismatch lands beyond it, and records every mismatch
 that lands on it, with the path of named rules from the start rule plus a
 descriptor of the failed terminal. Mismatches under ``quiet`` still raise
 the maximum but are not recorded; quiet rules behave identically otherwise.
+Mismatches inside ``!`` neither count nor raise it.
 
 A failing ``Parser.run`` costs two passes: the run itself and this one.
-The run hands over its ``max_cursor``, the furthest mismatch it saw. That
-bounds the principal index from below: the generated code's terminals
-mismatch only where the exact table's do, and a failing regex fragment
-does not raise it, since the exact table may fail the fragment through a
-``!`` with no mismatch. The pass starts its running maximum at that bound.
-Below the maximum no mismatch is ever recorded, so there the pass runs
-only the alternatives, iterations and options that can start at the next
-character, through the dispatch operands the generated code uses
-everywhere; at or past it, every alternative runs. The rule paths and the order of the
-mismatches at the principal index stay as in a pass without a bound.
+An observed run's pass runs on the exact table (``Parser.run_phase``),
+which tries every alternative. An unobserved run hands over its
+``max_cursor``, the furthest mismatch it saw, and its pass runs the
+grammar's generated collect code (``pegstack.generate``), as parboiled2
+re-runs its generated parser to analyse an error. The bound is at most the
+principal index: the generated code's terminals mismatch only where the
+exact table's do, and a failing regex fragment does not raise it, since
+the exact table may fail the fragment through a ``!`` with no mismatch.
+The pass starts its running maximum at that bound. Below the maximum no
+mismatch is ever recorded, so there a choice, repetition or option runs
+only what can start at the next character, as the parse does; at or past
+it, everything runs. No fragment runs as a regex there, since a regex
+cannot report the mismatches inside it; a fused one-character scan, which
+has one mismatch at its end, stays. The rule paths and the order of the
+mismatches at the principal index are those of the exact pass.
 
-Given a bound, the pass also builds no values when the grammar's values
-decide no match: every action is a ``cons``, a push or a drop, and none of
-them can return ``ACTION_FAIL``. The pass makes the same action calls, in
-the same order, as the failed run, whose dispatch skips only alternatives
-that fail before any action; so a ``cons`` or drop that could underflow
-has already faulted that run, and no error pass follows. A user action
-anywhere in the grammar, also inside a predicate, may fail on the values
-it pops and so decide which mismatches are reached: there the pass builds
-every value.
+The generated pass builds no values when the grammar's values decide no
+match: every action is a ``cons``, a push or a drop, and none of them can
+return ``ACTION_FAIL``. The pass makes the same action calls, in the same
+order, as the failed run, whose dispatch skips only alternatives that fail
+before any action; so a ``cons`` or drop that could underflow has already
+faulted that run, and no error pass follows. A user action anywhere in
+the grammar, also inside a predicate, may fail on the values it pops and
+so decide which mismatches are reached: there the pass builds every value.
+When the generated pass nests too deeply, it starts again on the exact
+table.
 """
 
 from __future__ import annotations
@@ -157,9 +164,10 @@ def principal_error_index(parser, text: str, start: str | None = None) -> int:
 
 def trace_collection(parser, text: str, start: str | None,
                      bound: int | None = None) -> tuple[int, tuple[RuleTrace, ...]]:
-    """Principal error index and its rule traces, from one exact pass; a
-    bound, at most the principal index, lets the pass dispatch below it."""
-    state = parser.run_phase(text, start, MODE_COLLECT, bound)
+    """Principal error index and its rule traces, from one pass: the exact
+    one, or, given the ``max_cursor`` of a failed unobserved run as bound,
+    the generated one that starts there (``Parser.error_pass``)."""
+    state = parser.error_pass(text, start, bound)
     return principal_index(state), tuple(state.collected)
 
 

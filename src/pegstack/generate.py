@@ -1,7 +1,7 @@
 """Python source expanded from a grammar's exact instruction table.
 
-A Parser writes one module per grammar when it is built. The module holds
-one closure factory, ``parse(state, start)``: each unobserved
+A Parser writes its grammar's parse module when it is built. The module
+holds one closure factory, ``parse(state, start)``: each unobserved
 ``Parser.run`` calls it once, and it makes one function per rule over that
 run's input, value stack and counters, runs the start rule's function and
 writes the counters into the run's ``ParserState``. A function takes the
@@ -45,6 +45,27 @@ own, so the source stays within Python's limits on indentation and on
 nested loops. Every function raises ``TooDeep`` when more than
 ``DEPTH_BOUND`` generated functions are open; the Parser then runs the
 input again on the exact table, which has no such bound.
+
+The same walk, in collect mode, writes the grammar's collect module, whose
+factory ``collect(state, start, bound)`` runs the error pass of a failed
+unobserved run (see ``pegstack.errors``); a Parser writes it on its first
+such failure. It differs from the parse module in this:
+
+* it keeps the running maximum ``mc`` from ``bound``, and the frontier of
+  (rule path, terminal node) pairs at it, which it hands to the state as
+  rule traces when it ends;
+* each rule's function, and each rule's code run in place, opens its rule
+  on the path, a cons cell, and closes it again; ``!`` and ``quiet`` are
+  counters that a mismatch reads;
+* a choice, ``*``, ``+`` and ``?`` dispatch only while ``pos < mc``, a
+  choice through the bits of the character's set; at or past ``mc``
+  every alternative runs;
+* nothing lowers to a regex, which cannot report its inner mismatches; a
+  fused scan, whose one mismatch is where it ends, stays;
+* a rule reference counts its step, so the module counts what the
+  executor would if it dispatched below ``mc``;
+* when the grammar's values decide no match (``Tables.value_free``), it
+  holds no value code: no snapshot, capture, node, list or action.
 """
 
 from __future__ import annotations
@@ -69,16 +90,14 @@ _CODES: dict = {}  # source -> code object, oldest first
 _CACHE_SIZE = 64
 
 
-# the module: the run's names, the helpers that count mismatches, the
+# the parse module: the run's names, the helpers that count mismatches, the
 # functions, and the start rule's call; the functions call each other through
 # R, one name for all of them, which keeps compile() linear in their number
-_MODULE = '''\
+_PARSE = '''\
 def parse(state, start):
     text = state.input
     n = len(text)
-    stack = state.stack
-    snapshot, restore, push, take, size = (stack.snapshot, stack.restore, stack.push,
-                                           stack.take, stack.size)
+{values}
     steps = mm = mc = 0
     R = [None] * {count}
 
@@ -105,6 +124,54 @@ def parse(state, start):
     return pos >= 0
 '''
 
+# the collect module: the same, but for the rule path, the ``!`` and ``quiet``
+# counters and the frontier of mismatches at the running maximum, which the
+# state receives only when the pass ends
+_COLLECT = '''\
+def collect(state, start, bound):
+    text = state.input
+    n = len(text)
+{values}
+    steps = mm = nots = quiets = 0
+    mc = bound
+    path = ()  # the open rules, innermost first, as cons cells
+    frontier = []  # (rule path, terminal node) of each mismatch at mc
+    compact = COMPACT_AT
+    R = [None] * {count}
+
+    def miss(at, t):  # the mismatch of terminal node t
+        nonlocal mm, mc, compact
+        if nots:
+            return -1
+        mm += 1
+        if at >= mc:
+            if at > mc:
+                mc = at
+                frontier.clear()
+            if not quiets:
+                frontier.append((path, t))
+                if len(frontier) > compact:
+                    traces(frontier)  # drops repeated traces
+                    compact = 2 * len(frontier) + COMPACT_AT
+        return -1
+
+{functions}
+
+    try:
+        pos = R[{entry}[start]](0, 0)
+    finally:
+        R.clear()
+    stats = state.stats
+    stats.steps, stats.terminal_mismatches, stats.max_cursor = steps, mm, mc
+    state.cursor = max(pos, 0)
+    state.collected = traces(frontier)
+    return pos >= 0
+'''
+_VALUES = '''\
+    stack = state.stack
+    snapshot, restore, push, take, size = (stack.snapshot, stack.restore, stack.push,
+                                           stack.take, stack.size)'''
+
 
 class TooDeep(Exception):
     """Raised by generated code when too many of its functions are open."""
@@ -125,16 +192,20 @@ def _code(source: str):
 
 class _Function:
     """The lines of one generated function, and the steps counted but not
-    yet written for its current straight-line block."""
+    yet written for its current straight-line block. A rule's function in
+    the collect module opens its rule on the path and closes it on return."""
 
-    def __init__(self, index: int, label: str):
+    def __init__(self, index: int, label: str, names: str, rule: str | None = None):
         self.index = index
-        self.lines = [f"    def f(pos, d):{label}", "        nonlocal steps, mm, mc",
+        self.lines = [f"    def f(pos, d):{label}", f"        nonlocal {names}",
                       f"        if d > {DEPTH_BOUND}: raise TooDeep"]
         self.indent = 2
         self.pending = 0
         self.locals = 0
         self.opened: list[int] = []  # the line count where each open block starts
+        self.rule = rule
+        if rule is not None:
+            self.line(f"path = ({rule!r}, path)")
 
     def line(self, text: str) -> None:
         self.lines.append("    " * self.indent + text)
@@ -163,17 +234,24 @@ class _Function:
 
     def end(self) -> list[str]:
         self.flush()
+        if self.rule is not None:
+            self.line("path = path[1]")
         self.line("return pos")
         self.lines.append(f"    R[{self.index}] = f")
         return self.lines
 
 
 class _Module:
-    """The source of one grammar's module and the namespace it runs in."""
+    """The source of one grammar's module and the namespace it runs in: the
+    parse module, or, with collect, the collect module."""
 
-    def __init__(self, tables: Tables, runtime: dict):
+    def __init__(self, tables: Tables, runtime: dict, collect: bool = False):
         self.tables = tables
         self.bodies = tables.bodies
+        self.collect = collect
+        # the collect module of a grammar whose values decide no match builds none
+        self.valued = not (collect and tables.value_free)
+        self.nonlocals = "steps, mm, path, nots, quiets" if collect else "steps, mm, mc"
         self.namespace = dict(runtime)
         self.names: dict = {}  # id or value of a namespace object -> its name
         self.regexes: dict[int, object] = {}  # id(ins) -> its regex's match, or None
@@ -187,14 +265,17 @@ class _Module:
                        else f"  # rule {i}" for name, i in self.entry.items()}
         for name in [*tables._acyclic, *(n for n in self.bodies if n not in tables._acyclic)]:
             start = self.emitted
-            code = _Function(self.entry[name], self.labels[name])
+            code = _Function(self.entry[name], self.labels[name], self.nonlocals,
+                             name if collect else None)
             self.emit(code, self.bodies[name], True)
             self.functions.append(code.end())
             self.sizes[name] = self.emitted - start
 
     def source(self) -> str:
-        return _MODULE.format(count=len(self.functions), entry=self.name(self.entry, "E"),
-                              functions="\n\n".join("\n".join(f) for f in self.functions))
+        return (_COLLECT if self.collect else _PARSE).format(
+            values=_VALUES if self.valued else "", count=len(self.functions),
+            entry=self.name(self.entry, "E"),
+            functions="\n\n".join("\n".join(f) for f in self.functions))
 
     def name(self, obj, prefix: str, key=None) -> str:
         """The namespace name of obj, one per key (obj's identity unless given)."""
@@ -213,10 +294,12 @@ class _Module:
         return self.name(frozenset(chars), "S", ("S", *chars))
 
     def regex(self, ins: tuple):
-        """The match function of an instruction's regex, compiled once, or None."""
+        """The match function of an instruction's regex, compiled once, or
+        None; always None in the collect module, where a regex could not
+        report the mismatches inside it."""
         key = id(ins)
         if key not in self.regexes:
-            self.regexes[key] = _regex(ins)
+            self.regexes[key] = None if self.collect else _regex(ins)
         return self.regexes[key]
 
     # -- instructions ---------------------------------------------------------
@@ -224,13 +307,20 @@ class _Module:
     def emit(self, code: _Function, ins: tuple, counted: bool, known: str | None = None) -> bool:
         """Code that matches ins at ``pos``: it leaves ``pos`` past the match,
         or -1 when it fails. counted: mismatches count here (outside every
-        ``!`` of this function); known: the next character, where a choice
-        branched on it. Returns whether the code can fail."""
+        ``!`` of this function; the collect module counts the open ``!`` as
+        it runs); known: the next character, where a choice branched on it.
+        Returns whether the code can fail."""
         op = ins[0]
-        if op == REF and ins[2] in self.tables._acyclic:  # in place, with no step
+        if op == REF and ins[2] in self.tables._acyclic:  # in place
             name = ins[2]
+            code.pending += self.collect  # the executor's step for the reference
             if self.sizes[name] <= _INLINE_AT_MOST:
-                return self.emit(code, self.bodies[name], counted, known)
+                if self.collect:
+                    code.line(f"path = ({name!r}, path)")
+                fails = self.emit(code, self.bodies[name], counted, known)
+                if self.collect:
+                    code.line("path = path[1]")
+                return fails
             self.call(code, self.entry[name], self.labels[name])
             return True
         self.emitted += 1
@@ -248,7 +338,7 @@ class _Module:
         if op <= ISTR:
             return self.terminal(code, ins, counted, known)
         if op == SEQ:
-            snap = code.fresh("s") if ins[3] else None
+            snap = code.fresh("s") if ins[3] and self.valued else None
             if snap:
                 code.line(f"{snap} = snapshot()")
             fails = guarded = last = False
@@ -273,15 +363,18 @@ class _Module:
         if op == CHARS:
             return self.scan(code, ins, counted)
         if op == CONS:
-            code.line(f"push(Node({ins[2]!r}, take({ins[3]})))")
+            if self.valued:
+                code.line(f"push(Node({ins[2]!r}, take({ins[3]})))")
             return False
         if op == ACTION:
+            if not self.valued:  # a push or a drop
+                return False
             code.line(f"if not act(state, {self.name(ins, 'A')}): pos = -1")
             return True
         if op == REP:
             return self.loop(code, ins, counted)
         if op == OPT:
-            tag, start = ins[3], self.starts(ins[4])
+            tag, start = ins[3] if self.valued else None, self.starts(ins[4])
             if start:
                 code.open(f"if {start}:")
             base, entry = code.fresh("b") if tag is not None else None, code.fresh("p")
@@ -300,6 +393,8 @@ class _Module:
                     code.close()
             return False
         if op == CAPTURE:
+            if not self.valued:
+                return self.emit(code, ins[2], counted, known)
             entry = code.fresh("p")
             code.line(f"{entry} = pos")
             fails = self.emit(code, ins[2], counted, known)
@@ -307,23 +402,35 @@ class _Module:
             return fails
         if op == PRED:
             negate = ins[3]
-            entry, snap = code.fresh("p"), code.fresh("s") if ins[4] else None
+            entry, snap = code.fresh("p"), code.fresh("s") if ins[4] and self.valued else None
             code.line(f"{entry} = pos")
             if snap:
                 code.line(f"{snap} = snapshot()")
-            kept = negate and counted  # the rules it calls count mismatches: undone
-            if kept:
-                code.line(f"{entry}m, {entry}c = mm, mc")
-            self.emit(code, ins[2], counted and not negate)
-            if kept:
-                code.line(f"mm, mc = {entry}m, {entry}c")
+            if self.collect:
+                if negate:
+                    code.line("nots += 1")
+                self.emit(code, ins[2], counted)
+                if negate:
+                    code.line("nots -= 1")
+            else:
+                kept = negate and counted  # the rules it calls count mismatches: undone
+                if kept:
+                    code.line(f"{entry}m, {entry}c = mm, mc")
+                self.emit(code, ins[2], counted and not negate)
+                if kept:
+                    code.line(f"mm, mc = {entry}m, {entry}c")
             if snap:
                 code.line(f"restore({snap})")
             code.line(f"pos = {entry} if pos < 0 else -1" if negate
                       else f"if pos >= 0: pos = {entry}")
             return True
         if op == QUIET:
-            return self.emit(code, ins[2], counted, known)
+            if not self.collect:
+                return self.emit(code, ins[2], counted, known)
+            code.line("quiets += 1")
+            fails = self.emit(code, ins[2], counted, known)
+            code.line("quiets -= 1")
+            return fails
         raise TypeError(f"unknown instruction {ins!r}")
 
     def call(self, code: _Function, index: int, label: str = "") -> None:
@@ -334,7 +441,7 @@ class _Module:
         """Move a deeply nested instruction into a function of its own."""
         self.emitted -= 1  # emit counts it again
         self.helpers += 1
-        inner = _Function(len(self.bodies) + self.helpers - 1, "")
+        inner = _Function(len(self.bodies) + self.helpers - 1, "", self.nonlocals)
         fails = self.emit(inner, ins, counted)
         self.functions.append(inner.end())
         self.call(code, inner.index)
@@ -344,7 +451,10 @@ class _Module:
         """A terminal's test; where the next character is known, a one-character
         terminal that takes it only moves."""
         op = ins[0]
-        miss = "miss(pos)" if counted else "-1"
+        if self.collect:
+            miss = f"miss(pos, {self.name(ins[1], 'T')})"
+        else:
+            miss = "miss(pos)" if counted else "-1"
         if op == STR and not ins[2]:
             return False  # the empty string matches everywhere
         if known is not None and (op == CH and ins[2] == known
@@ -398,10 +508,13 @@ class _Module:
                       f"{self.name(term[3], 'X')}, text, pos)")
         code.line(f"steps += at - pos + {code.pending + 1 + capture}")
         code.pending = 0
-        if counted:
+        if self.collect:  # below the running maximum, only counted
+            code.line(f"if at >= mc or nots: miss(at, {self.name(term[1], 'T')})")
+            code.line("else: mm += 1")
+        elif counted:
             code.line("mm += 1")
             code.line("if at > mc: mc = at")
-        push = "push(Value('Str', text[pos:at])); " if capture else ""
+        push = "push(Value('Str', text[pos:at])); " if capture and self.valued else ""
         if plus:
             code.line(f"if at > pos: {push}pos = at")
             code.line("else: pos = -1")
@@ -411,17 +524,22 @@ class _Module:
 
     def starts(self, operand) -> str | None:
         """The test that a repetition's or option's body can start at the next
-        character, from its dispatch operand; None when the operand is empty."""
+        character, from its dispatch operand; None when the operand is empty.
+        The collect module tests only below its running maximum."""
         if not operand:
             return None
         table, other = operand
         if not other:
-            return f"pos < n and text[pos] in {self.members(c for c, b in table.items() if b)}"
-        outside = [c for c, b in table.items() if not b]
-        return f"pos < n and text[pos] not in {self.members(outside)}" if outside else "pos < n"
+            test = f"pos < n and text[pos] in {self.members(c for c, b in table.items() if b)}"
+        else:
+            outside = [c for c, b in table.items() if not b]
+            test = f"pos < n and text[pos] not in {self.members(outside)}" if outside else "pos < n"
+        return f"pos >= mc or {test}" if self.collect else test
 
     def loop(self, code: _Function, ins: tuple, counted: bool) -> bool:
         inner, plus, tag, touches, operand = ins[2:7]
+        if not self.valued:
+            tag = touches = None
         start = self.starts(operand)
         snap = code.fresh("s") if touches and not operand else None
         if start:
@@ -466,9 +584,12 @@ class _Module:
     # -- choices --------------------------------------------------------------
 
     def choice(self, code: _Function, ins: tuple, counted: bool) -> bool:
-        kids, touches, operand = ins[2][:-1], ins[3], ins[4]
+        kids, touches, operand = ins[2][:-1], ins[3] and self.valued, ins[4]
         if not operand:
             self.alternatives(code, kids, touches, counted)
+            return True
+        if self.collect:  # one branch per alternative, whichever run
+            self.shared(code, kids, operand[3], touches, counted)
             return True
         by_char, other, end = operand[3]
         keys = {c: bits for c, bits in by_char.items() if bits != other}
@@ -535,12 +656,16 @@ class _Module:
 
     def shared(self, code: _Function, kids, operand, touches: bool, counted: bool) -> None:
         """A choice whose candidate sets share alternatives: each alternative
-        once, run when its bit is in the set of the next character."""
+        once, run when its bit is in the set of the next character. In the
+        collect module every alternative runs at or past the running maximum."""
         by_char, other, end = operand
         bits, entry = code.fresh("k"), code.fresh("p")
         snap = code.fresh("s") if touches else None
         table = self.name(by_char, "D")
-        code.line(f"{bits} = {table}.get(text[pos], {other}) if pos < n else {end}")
+        lookup = f"{table}.get(text[pos], {other}) if pos < n else {end}"
+        if self.collect:
+            lookup = f"({lookup}) if pos < mc else {(1 << len(kids)) - 1}"
+        code.line(f"{bits} = {lookup}")
         code.line(f"{entry} = pos")
         if snap:  # a frame only for more than one candidate
             code.line(f"{snap} = snapshot() if {bits} & ({bits} - 1) else None")
@@ -553,10 +678,11 @@ class _Module:
             code.close()
 
 
-def generate(tables: Tables, runtime: dict) -> tuple:
-    """The closure factory of a grammar's module, and the module's source.
-    runtime names what the source calls that is not a grammar object."""
-    module = _Module(tables, runtime)
+def generate(tables: Tables, runtime: dict, collect: bool = False) -> tuple:
+    """The closure factory of a grammar's module, and the module's source:
+    ``parse``, or with collect ``collect``. runtime names what the source
+    calls that is not a grammar object."""
+    module = _Module(tables, runtime, collect)
     source = module.source()
     exec(_code(source), module.namespace)
-    return module.namespace["parse"], source
+    return module.namespace["collect" if collect else "parse"], source

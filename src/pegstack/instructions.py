@@ -23,13 +23,14 @@ for one character. Push, drop and other actions are one ACTION, which
 carries its function and arity; a ``cons`` is a CONS, built in place.
 
 The table serves every run whose step and mismatch counters must be exact
-(``match``, ``match_rule``, ``run_phase``, the error pass) and every
-observed run; ``pegstack.generate`` expands it into the Python code of
-unobserved runs. A repetition of one single-character terminal is one
-fused scan; an observed run logs the steps it stands for. Each
+(``match``, ``match_rule``, ``run_phase``) and every observed run, with
+its error pass; ``pegstack.generate`` expands it into the Python code of
+unobserved runs and of their error passes. A repetition of one
+single-character terminal is one fused scan; an observed run logs the
+steps it stands for. Each
 instruction ends with the node's regex source, None when it has none: a
 maximal subtree that touches no stack, runs no action and reaches no
-reference cycle is one ``re`` match in the generated code (``_regex``),
+reference cycle is one ``re`` match in the generated parse code (``_regex``),
 and a Capture of one pushes the matched slice. Atomic groups and
 possessive quantifiers (Python 3.11) give the regex PEG semantics: ``e1
 e2`` is concatenation, ``/`` is ``(?>a|b)``, ``*`` ``+`` ``?`` are ``*+``
@@ -42,8 +43,9 @@ have no regex; a lone terminal and a fused scan gain nothing from one. A
 choice, repetition or option carries a dispatch operand, filled once
 every head is known: which of its alternatives, or whether its body, can
 start at each next character. The generated code dispatches through every
-filled operand, the error pass below its running maximum. In ``calc.peg``
-nothing lowers, but every loop and every choice dispatches.
+filled operand, its error pass below its running maximum; the executor
+reads an operand only to learn that a repetition's body has a head. In
+``calc.peg`` nothing lowers, but every loop and every choice dispatches.
 
 Each instruction whose first action in the generated code is a terminal
 test has a head, the characters it can start with. Compiling a node gives
@@ -260,8 +262,8 @@ class Tables:
         self._effects: dict | None = {}  # infer_effect's memo while the rules compile
         exprs = {name: rd.expr for name, rd in grammar.rules.items()}
         facts = {name: _facts(expr) for name, expr in exprs.items()}
-        # no action but cons, push and drop: values decide no match, so an
-        # error pass given a bound may leave them out (see engine)
+        # no action but cons, push and drop: values decide no match, so the
+        # generated error pass leaves them out (see generate)
         self.value_free = not any(f[3] for f in facts.values())
         # every rule after the rules it references, but for the back edges
         # that close cycles

@@ -89,20 +89,82 @@ def _bind(name: str, fields: tuple[str, ...], defaults: dict, args: tuple,
     return values
 
 
+class _Text(str):
+    """Literal text of a repr, told apart from a field's str value."""
+
+    __slots__ = ()
+
+
 def _eq(self, other):
-    if other.__class__ is self.__class__:
-        return self._values(self) == other._values(other)
-    return NotImplemented
+    """Field-wise equality within one class. Records, tuples and lists in
+    the fields are compared from an explicit stack, so a deep nest takes
+    no recursion."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    todo = [(self._values(self), other._values(other))]  # sequences of one length
+    while todo:
+        for a, b in zip(*todo.pop()):
+            if a is b:
+                continue
+            cls = a.__class__
+            if b.__class__ is not cls:
+                if not a == b:
+                    return False
+            elif cls.__eq__ is _eq:
+                todo.append((a._values(a), b._values(b)))
+            elif cls is tuple or cls is list:
+                if len(a) != len(b):
+                    return False
+                todo.append((a, b))
+            elif not a == b:
+                return False
+    return True
 
 
 def _hash(self):
-    return hash(self._values(self))
+    """The hash of the field values, with every record and tuple among them
+    opened in place from an explicit stack, so a deep nest takes no
+    recursion; equal records give equal sequences of values."""
+    flat = []
+    todo = [self._values(self)]
+    while todo:
+        for item in todo.pop():
+            if item.__class__.__hash__ is _hash:
+                item = item._values(item)
+            elif not isinstance(item, tuple):
+                flat.append(item)
+                continue
+            flat.append(len(item))
+            todo.append(item)
+    return hash(tuple(flat))
 
 
 def _repr(self):
-    parts = ", ".join(f"{name}={value!r}"
-                      for name, value in zip(self.__slots__, self._values(self)))
-    return f"{self.__class__.__qualname__}({parts})"
+    """``Name(field=value, ...)``. Records, tuples and lists in the fields
+    are written from an explicit stack, so a deep nest takes no recursion."""
+    out = []
+    todo = [self]  # values to write and literal text, the next one last
+    while todo:
+        item = todo.pop()
+        cls = item.__class__
+        if cls is _Text:
+            out.append(item)
+            continue
+        if cls.__repr__ is _repr:
+            parts = [_Text(cls.__qualname__ + "(")]
+            for i, (name, value) in enumerate(zip(item.__slots__, item._values(item))):
+                parts += [_Text(f", {name}=" if i else f"{name}="), value]
+            parts.append(_Text(")"))
+        elif cls is tuple or cls is list:
+            parts = [_Text("(" if cls is tuple else "[")]
+            for i, value in enumerate(item):
+                parts += [_Text(", "), value] if i else [value]
+            parts.append(_Text(("," if len(item) == 1 else "") + ")" if cls is tuple else "]"))
+        else:
+            out.append(repr(item))
+            continue
+        todo.extend(reversed(parts))
+    return "".join(out)
 
 
 def _setattr(self, name, value):

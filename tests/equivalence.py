@@ -14,7 +14,11 @@ claim the same behaviour; it covers
 text) and, for each (grammar, input) pair:
 
 * ``Parser.run``: kind, rendered values, error position, expected list,
-  rule traces and fault;
+  rule traces and fault; and, for a parse failure, whether its error has
+  the principal index and the ordered rule traces of the exact
+  MODE_COLLECT pass (``run_phase``), which tries every alternative. A run
+  whose error differs from that pass's is marked, so its family's digest
+  differs from that of a tree where the two agree;
 * ``run_phase`` on the exact table, and under MODE_COLLECT: its final
   cursor, and the collected traces;
 * the traced event stream of ``match_rule`` and of ``Parser.run`` with a Trace.
@@ -22,18 +26,19 @@ text) and, for each (grammar, input) pair:
 The counter digest covers the steps, mismatches and max cursor of each
 ``run_phase``, and of each engine state that an unobserved ``Parser.run``
 creates, read as the benchmark reads them (``run_states``): the run's own
-and, when it fails without a fault, the error pass's, bounded by the run's
-max cursor. For a run that faults it covers the fault instead. A change to
-how much work a pass does may move it. ``--against`` exits 1 when a
-behaviour digest differs, 2 when only a counter digest does, and 0 when
-both are equal.
+and, when it fails without a fault, its error pass's, which runs the
+grammar's generated collect code from the run's max cursor. For a run that
+faults it covers the fault instead. A change to how much work a pass does
+may move it. ``--against`` exits 1 when a behaviour digest differs, 2 when
+only a counter digest does, and 0 when both are equal.
 
 Next to the digests it prints how many choices, repetitions and options
 with a filled dispatch operand the family's exact tables hold, each
 counted once: a family whose count is 0 never reaches the code that
 dispatches on the next character. The count is part of neither digest,
 and follows this script's reading of the tables also for the other tree
-of ``--against``.
+of ``--against``. Then it prints how many pairs end in a parse failure,
+and of those how many report an error that differs from the exact pass's.
 
 The families are ``gen_grammar`` at depths 4 and 6, ``gen_sound_grammar``
 and ``gen_lowerable_grammar`` with its alphabet; each grammar gets three
@@ -60,7 +65,7 @@ from generators import (ALPHABET, LOWERABLE_ALPHABET, gen_grammar, gen_input,  #
                         gen_lowerable_grammar, gen_sound_grammar)
 from pegstack.effects import check_grammar  # noqa: E402
 from pegstack.engine import Parser, ParserState, Trace, format_trace_event  # noqa: E402
-from pegstack.errors import MODE_COLLECT  # noqa: E402
+from pegstack.errors import MODE_COLLECT, principal_index  # noqa: E402
 from pegstack.instructions import ALT, CAPTURE, OPT, PRED, QUIET, REP, SEQ  # noqa: E402
 from pegstack.values import render_value  # noqa: E402
 from run_states import recorded_states  # noqa: E402
@@ -86,27 +91,37 @@ def _check(grammar) -> str:
     return "\n".join(f"{name} {effect}" for name, effect in check_grammar(grammar).items())
 
 
-def _run(parser: Parser, text: str) -> str:
+def _run(parser: Parser, text: str, exact, tally: list) -> str:
+    """What Parser.run reports. exact is the state of run_phase under
+    MODE_COLLECT, None when that raised. tally counts a parse failure and,
+    when its error differs from exact's, counts and marks the difference."""
     result = parser.run(text)
     if result.values is not None:
         return "success " + " ".join(render_value(v) for v in result.values)
     if result.error is not None:
         err = result.error
-        return f"failure {err.position.index} {err.expected()!r} {[str(t) for t in err.traces]!r}"
+        report = f"failure {err.position.index} {err.expected()!r} {[str(t) for t in err.traces]!r}"
+        tally[0] += 1
+        if exact is None or (err.position.index, list(err.traces)) != (principal_index(exact),
+                                                                        list(exact.collected)):
+            tally[1] += 1
+            report += " differs from the exact pass"
+        return report
     return f"fault {result.fault.description}"
 
 
-def _phase(parser: Parser, text: str, mode: str, bound: int | None = None) -> tuple[str, str]:
-    """(behaviour, counters) of one run_phase; a fault is both."""
+def _phase(parser: Parser, text: str, mode: str) -> tuple[str, str, object]:
+    """(behaviour, counters, final state) of one run_phase; a fault is both,
+    and no state."""
     try:
-        state = parser.run_phase(text, error_mode=mode, bound=bound)
+        state = parser.run_phase(text, error_mode=mode)
     except Exception as exc:
         raised = f"raised {type(exc).__name__}: {exc}"
-        return raised, raised
+        return raised, raised, None
     stats = state.stats
     traces = [str(t) for t in state.collected]
     return (f"{state.cursor} {traces!r}",
-            f"{stats.steps} {stats.terminal_mismatches} {stats.max_cursor}")
+            f"{stats.steps} {stats.terminal_mismatches} {stats.max_cursor}", state)
 
 
 def _run_counters(parser: Parser, text: str) -> str:
@@ -162,13 +177,14 @@ def _encode(text: str) -> bytes:
     return text.encode("utf-8", "surrogatepass")
 
 
-def family_digest(name: str, seed: int, pairs: int) -> tuple[str, str, int]:
+def family_digest(name: str, seed: int, pairs: int) -> tuple[str, str, int, list]:
     """The family's behaviour and counter digests over pairs (grammar,
-    input) pairs, and the dispatch instructions in its grammars' exact tables."""
+    input) pairs, the dispatch instructions in its grammars' exact tables,
+    and [parse failures, errors that differ from the exact pass's]."""
     make, alphabet = FAMILIES[name]
     rng = random.Random(f"{name}:{seed}")
     behaviour, counters = hashlib.sha256(), hashlib.sha256()
-    dispatches = 0
+    dispatches, tally = 0, [0, 0]
     for _ in range(-(-pairs // INPUTS_PER_GRAMMAR)):
         grammar = make(rng)
         behaviour.update(_encode(_guarded(lambda: _check(grammar))) + b"\x02")
@@ -176,19 +192,20 @@ def family_digest(name: str, seed: int, pairs: int) -> tuple[str, str, int]:
         dispatches += dispatch_count(parser)
         for _ in range(INPUTS_PER_GRAMMAR):
             text = gen_input(rng, alphabet=alphabet)
-            (off, off_counts), (collect, collect_counts) = (_phase(parser, text, "off"),
-                                                            _phase(parser, text, MODE_COLLECT))
-            parts = [text, _guarded(lambda: _run(parser, text)), off, collect,
+            off, off_counts, _ = _phase(parser, text, "off")
+            collect, collect_counts, exact = _phase(parser, text, MODE_COLLECT)
+            parts = [text, _guarded(lambda: _run(parser, text, exact, tally)), off, collect,
                      _guarded(lambda: _traced_match(parser, text)),
                      _guarded(lambda: _traced_run(parser, text))]
             behaviour.update(_encode("\x00".join(parts)) + b"\x01")
             run_counts = _guarded(lambda: _run_counters(parser, text))
             counters.update(_encode("\x00".join((text, off_counts, collect_counts, run_counts)))
                             + b"\x01")
-    return behaviour.hexdigest(), counters.hexdigest(), dispatches
+    return behaviour.hexdigest(), counters.hexdigest(), dispatches, tally
 
 
-HEADER = f"{'family':24} {'pairs':>7} {'behaviour':64} {'counters':64} dispatches"
+HEADER = (f"{'family':24} {'pairs':>7} {'behaviour':64} {'counters':64} dispatches"
+          " failing differing")
 
 
 def main() -> int:
@@ -208,9 +225,11 @@ def main() -> int:
     print(f"{SRC}\n{HEADER}", flush=True)
     ours = {}
     for name in FAMILIES:
-        behaviour, counters, dispatches = family_digest(name, args.seed, args.pairs)
+        behaviour, counters, dispatches, (failing, differing) = family_digest(name, args.seed,
+                                                                             args.pairs)
         ours[name] = behaviour, counters
-        print(f"{name:24} {args.pairs:7} {behaviour} {counters} {dispatches:7}", flush=True)
+        print(f"{name:24} {args.pairs:7} {behaviour} {counters} {dispatches:10} {failing:7}"
+              f" {differing:9}", flush=True)
     if other is None:
         return 0
     out, _ = other.communicate()

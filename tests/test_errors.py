@@ -216,18 +216,19 @@ def handed_over_bounds(parser, text, start=None):
 
 
 def assert_the_bound_keeps_the_error(parser, text, start=None) -> bool:
-    """Each bound a failing run hands over is at most the principal index,
-    and the error equals the one of the pass without a bound; whether the
-    run failed."""
+    """The bound an unobserved failing run hands over is at most the
+    principal index, and the error of its generated pass equals the one of
+    the exact pass; an observed run hands over none, so its pass is the
+    exact one. Returns whether the run failed."""
     failures = handed_over_bounds(parser, text, start)
     if not failures or failures[0][0] is None:
         return False
     exact = build_parse_error(parser, text, start)
     principal = principal_error_index(parser, text, start)
-    for error, bound in failures:
-        assert bound <= principal, (text, bound, principal)
-        assert error == exact, text
-    assert failures[1][1] == principal  # an observed run runs the exact table
+    (error, bound), (observed, none) = failures
+    assert bound <= principal, (text, bound, principal)
+    assert error == observed == exact, text
+    assert none is None  # an observed run runs the exact table
     return True
 
 
@@ -302,21 +303,24 @@ def test_the_handed_over_bound_keeps_the_error_on_json_documents():
 
 
 def test_a_bound_cuts_the_collect_steps_not_the_traces(calc_grammar):
+    # the generated pass dispatches below its running maximum and counts
+    # steps as the exact table would
     parser = Parser(calc_grammar)
     text = "1+(2*3-4)/5*(6+7)-8!9"
     exact = parser.run_phase(text, None, MODE_COLLECT)
     steps = []
     for bound in (0, 10, 19):  # 19 is the principal index
-        headed = parser.run_phase(text, None, MODE_COLLECT, bound)
-        assert (headed.stats.max_cursor, headed.collected) == (19, exact.collected)
-        steps.append(headed.stats.steps)
+        generated = parser.error_pass(text, None, bound)
+        assert (generated.stats.max_cursor, generated.collected) == (19, exact.collected)
+        steps.append(generated.stats.steps)
     # from 0 the running maximum stands where the parse does: nothing to skip
     assert exact.stats.steps == steps[0] > steps[1] > steps[2]
 
 
 def _count_value_work(monkeypatch) -> dict:
     """Counts of the values, nodes and lists that the engine builds and of
-    the snapshots and restores of its stacks, through the names it imports."""
+    the snapshots and restores of its stacks, through the names it imports
+    and those it hands to the modules it writes from now on."""
     counts = dict.fromkeys(("Value", "Node", "list_value", "snapshot", "restore"), 0)
 
     def counted(name, make):
@@ -327,6 +331,7 @@ def _count_value_work(monkeypatch) -> dict:
 
     for name in ("Value", "Node", "list_value"):
         monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
+        monkeypatch.setitem(engine._RUNTIME, name, getattr(engine, name))
 
     class CountedStack(ValueStack):
         __slots__ = ()
@@ -381,17 +386,21 @@ def test_a_repetition_of_a_headed_body_takes_no_snapshot(calc_grammar, monkeypat
 
 
 def test_a_bounded_pass_over_calc_builds_no_values(calc_grammar, monkeypatch):
-    parser = Parser(calc_grammar)
+    parser, valued = Parser(calc_grammar), Parser(calc_grammar)
     assert parser._tables.value_free  # only cons actions
+    valued._tables.value_free = False  # builds every value, as with a user action
     text = "1+(2*3-4)/5*(6+7)-8!9"
-    counts = _count_value_work(monkeypatch)
+    counts = _count_value_work(monkeypatch)  # before either collect module is written
     exact = parser.run_phase(text, None, MODE_COLLECT)
     assert counts["Value"] and counts["Node"] and counts["snapshot"]  # without a bound
     for bound in (0, 10, 19):  # 19 is the principal index
         counts.update(dict.fromkeys(counts, 0))
-        bare = parser.run_phase(text, None, MODE_COLLECT, bound)
+        built = valued.error_pass(text, None, bound)
+        assert counts["Value"] and counts["Node"] and counts["snapshot"], bound
+        counts.update(dict.fromkeys(counts, 0))
+        bare = parser.error_pass(text, None, bound)
         assert counts == dict.fromkeys(counts, 0), bound
-        assert (bare.stack.size(), bare.collected) == (0, exact.collected)
+        assert (bare.stack.size(), bare.collected, built.collected) == (0, *[exact.collected] * 2)
 
 
 def _corrupted(rng, text, junk):
@@ -415,7 +424,7 @@ def test_a_pass_without_values_counts_like_one_with_them_on_calc_and_json(calc_g
             if not failures:
                 continue
             bound = failures[0][1]  # the unobserved run's
-            bare, built = (p.run_phase(text, None, MODE_COLLECT, bound) for p in (parser, valued))
+            bare, built = (p.error_pass(text, None, bound) for p in (parser, valued))
             assert ((bare.stats.steps, bare.stats.terminal_mismatches, bare.stats.max_cursor,
                      bare.collected)
                     == (built.stats.steps, built.stats.terminal_mismatches,

@@ -1,11 +1,14 @@
-"""The Python module a Parser writes for its grammar, against the exact table.
+"""The Python modules a Parser writes for its grammar, against the exact table.
 
-An unobserved ``Parser.run`` calls the generated code; an observed run, and
-``run_phase``, take the exact table. Each test here fails on a mutation of
-``pegstack.generate`` or of the rerun in ``Parser``: the depth bound, the
-splitting of deep nests into functions of their own, the code cache.
+An unobserved ``Parser.run`` calls the generated parse code, and when it
+fails, the generated collect code; an observed run, and ``run_phase``,
+take the exact table. Each test here fails on a mutation of
+``pegstack.generate`` or of the reruns in ``Parser``: the depth bound, the
+splitting of deep nests into functions of their own, the code cache, the
+collect module's dispatch, rule path, counters and values.
 """
 
+import random
 import re
 import sys
 import threading
@@ -15,25 +18,30 @@ import pytest
 from pegstack import generate
 from pegstack import rules as r
 from pegstack.effects import StackEffect, cons
-from pegstack.engine import InternalFault, Parser
+from pegstack.engine import ACTION_FAIL, InternalFault, Parser, Trace
+from pegstack.errors import MODE_COLLECT, MODE_OFF, build_parse_error, principal_index
 from pegstack.notation import load_grammar, meta_grammar
 from pegstack.rules import validate_grammar
 from pegstack.values import Value
 
 from conftest import GRAMMARS, ROOT
+from generators import (ALPHABET, LOWERABLE_ALPHABET, gen_grammar, gen_input,
+                        gen_lowerable_grammar, gen_sound_grammar)
+from run_states import recorded_states
 from test_acceptance import _same_as_observed
 
 
-def _reruns(parser, monkeypatch):
-    """A list that receives the text of every unobserved run the executor
-    makes for parser: the reruns of runs the generated code gave up."""
+def _reruns(parser, monkeypatch, mode=MODE_OFF):
+    """A list that receives the text of every unobserved run under mode that
+    the executor makes for parser: the reruns of runs, or with MODE_COLLECT
+    of error passes, that the generated code gave up."""
     texts = []
     execute = parser._execute
 
-    def counted(state, ins, rule, bodies, headed=False):
-        if state.observer is None and state.error_mode == "off":
+    def counted(state, ins, rule, bodies):
+        if state.observer is None and state.error_mode == mode:
             texts.append(state.input)
-        return execute(state, ins, rule, bodies, headed)
+        return execute(state, ins, rule, bodies)
 
     monkeypatch.setattr(parser, "_execute", counted)
     return texts
@@ -176,6 +184,109 @@ def test_the_meta_grammar_generates_and_agrees_with_the_exact_table():
     texts += ["A <- 'a' B\nB <- [0-9]+ ~> cons(N,0)\n", "A <- (", "A <- 'a' /", ""]
     for text in texts:
         _same_as_observed(parser, text)
+
+
+# -- the collect module ------------------------------------------------------------------------
+
+def _collected(state):
+    """Principal index, ordered expected list and rule traces of a collect pass."""
+    traces = tuple(state.collected)
+    expected = list(dict.fromkeys(t.terminal.render() for t in traces))
+    return principal_index(state), expected, traces
+
+
+def _assert_collect_is_exact(parser, text) -> bool:
+    """The generated collect pass, from the failed run's max cursor and from
+    0, reports what the exact pass without a bound does; whether the run
+    failed."""
+    with recorded_states() as states:
+        result = parser.run(text)
+    if result.error is None:
+        return False
+    exact = _collected(parser.run_phase(text, None, MODE_COLLECT))
+    for bound in (states[0].stats.max_cursor, 0):
+        assert _collected(parser.error_pass(text, None, bound)) == exact, (text, bound)
+    error = result.error
+    assert (error.position.index, error.expected(), error.traces) == exact, text
+    return True
+
+
+_FAMILIES = [(lambda rng: gen_grammar(rng, 4), ALPHABET), (lambda rng: gen_grammar(rng, 6), ALPHABET),
+             (gen_sound_grammar, ALPHABET), (gen_lowerable_grammar, LOWERABLE_ALPHABET)]
+
+
+@pytest.mark.parametrize("family", range(len(_FAMILIES)))
+def test_the_generated_collect_pass_reports_what_the_exact_pass_does(family):
+    make, alphabet = _FAMILIES[family]
+    rng = random.Random(f"collect:{family}")
+    failed, kinds = 0, set()
+    for _ in range(150):
+        grammar = make(rng)
+        kinds.update(type(node).__name__ for rd in grammar.rules.values()
+                     for node in r.walk(rd.expr))
+        parser = Parser(grammar)
+        for _ in range(3):
+            failed += _assert_collect_is_exact(parser, gen_input(rng, alphabet=alphabet))
+    assert failed > 150
+    assert {"NotPredicate", "AndPredicate", "FirstOf", "ZeroOrMore"} <= kinds
+    assert ("Quiet" in kinds) == (make is not gen_lowerable_grammar)  # quiet is no regex
+
+
+def test_the_generated_collect_pass_runs_actions_that_fail():
+    # "only_a" fails on a captured "z", so the first alternative of S ends
+    # there before its 'b'; inside a predicate, and in a quiet rule, too
+    def only_a(value):
+        return value if value.payload == "a" else ACTION_FAIL
+
+    check = r.Action(1, only_a, StackEffect(("Str",), ("Str",)), name="only_a")
+    az = r.any_of("az")
+    rng = random.Random(11)
+    failed = 0
+    for first in (r.seq(r.capture(az), check, r.ch("b"), r.drop()),
+                  r.seq(r.and_pred(r.seq(r.capture(az), check, r.drop())), az, r.ch("b")),
+                  r.seq(r.quiet(r.ref("Q")), r.ch("b"))):
+        parser = Parser(validate_grammar(r.grammar({
+            "S": r.seq(r.one_or_more(r.first_of(first, r.seq(az, r.ch("c")))), r.EOI),
+            "Q": r.seq(r.capture(az), check, r.drop())}, start="S")))
+        assert not parser._tables.value_free
+        for _ in range(60):
+            failed += _assert_collect_is_exact(parser, gen_input(rng, 8, "azbcd"))
+    assert failed > 100
+
+
+def test_a_collect_pass_past_the_depth_bound_runs_again_on_the_exact_table(calc_grammar,
+                                                                           monkeypatch):
+    # a calc paren level opens three generated functions
+    parser = Parser(calc_grammar)
+    for levels, deep in ((60, False), (generate.DEPTH_BOUND, True)):
+        text = "(" * levels + "1!" + ")" * levels
+        exact = build_parse_error(parser, text)  # without a bound: the exact pass
+        with monkeypatch.context() as patch:
+            reruns = _reruns(parser, patch, MODE_COLLECT)
+            with recorded_states() as states:
+                error = parser.run(text).error
+        assert error == exact
+        assert [state.error_mode for state in states] == [MODE_OFF, MODE_COLLECT]
+        assert reruns == ([text] if deep else [])
+
+
+def test_only_the_first_failing_run_writes_the_collect_module(calc_grammar, monkeypatch):
+    calls = []
+    monkeypatch.setattr(generate, "_CODES", {})
+    monkeypatch.setattr(generate, "compile", lambda *args: calls.append(args) or compile(*args),
+                        raising=False)
+    parser = Parser(calc_grammar)
+    assert len(calls) == 1
+    for text in ("1+2", "(3*4)-5", "6"):
+        assert parser.run(text).ok
+    assert parser.run("1+2!", observer=Trace([])).error is not None  # the exact pass
+    assert len(calls) == 1
+    assert parser.run("1+2!").error is not None
+    assert len(calls) == 2 and calls[1][0].startswith("def collect(state, start, bound):")
+    collect = parser._collect
+    for text in ("1+", "2*!", ")"):
+        assert parser.run(text).error is not None
+    assert len(calls) == 2 and parser._collect is collect  # nor written again
 
 
 # -- the code cache --------------------------------------------------------------------------

@@ -103,6 +103,29 @@ def test_post_init_checks_still_run():
         r.Action(1, len, StackEffect(("*", "*"), ()))
 
 
+def _nest(core: str):
+    """('b' ('b' ... core)?)? with 600 options: unvalidated, since
+    validation rejects so deep a nest."""
+    e = r.ch(core)
+    for _ in range(600):
+        e = r.opt(r.seq(r.ch("b"), e))
+    return e
+
+
+def test_repr_hash_and_equality_of_a_nest_deeper_than_the_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the default
+    try:
+        e, copy, other = _nest("a"), _nest("a"), _nest("c")
+        text = repr(e)
+        assert (e == copy, e != other, copy == e) == (True, True, True)
+        assert hash(e) == hash(copy) != hash(other)
+    finally:
+        sys.setrecursionlimit(limit)
+    level = "Optional(inner=Sequence(children=(Ch(char='b'), "
+    assert text == level * 600 + "Ch(char='a')" + ")))" * 600
+
+
 def test_grammar_is_unhashable():
     g = r.grammar({"S": r.ch("a")})
     with pytest.raises(TypeError):
