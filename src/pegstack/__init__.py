@@ -20,7 +20,7 @@ from .notation import (GrammarSource, NotationError, load_grammar, parse_grammar
 from .rules import (ALPHA, ANY, DIGIT, EOI, LOWER_HEX_LETTER, CharPredicate, Grammar,
                     GrammarError, GrammarIssue, GrammarTooDeep, RuleDef, RuleExpr, expr_text,
                     grammar, validate_grammar)
-from .values import (Node, StackUnderflow, Tree, UNIT, Value, ValueStack, list_value,
+from .values import (Node, StackUnderflow, UNIT, Value, ValueStack, list_value,
                      node_value, render_value, str_value)
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from .engine import Parser, Trace, format_trace_event
 from .errors import format_error
 from .notation import NotationError, load_grammar
 from .rules import GrammarError, GrammarTooDeep
-from .values import Node, Tree, Value, json_string, render_value
+from .values import Node, Value, json_string, render_value
 
 EXIT_SUCCESS = 0
 EXIT_PARSE_FAILURE = 1
@@ -53,12 +53,11 @@ def _value_json(value: Value):
     todo = [(value, root)]  # each value with the array its JSON form joins
     while todo:
         value, into = todo.pop()
-        payload = value.payload
-        if isinstance(payload, (Tree, tuple)):
+        payload, node = value.payload, value.__class__ is Node
+        if node or isinstance(payload, tuple):
             items: list = []
-            tree = isinstance(payload, Tree)
-            into.append({"label": payload.label, "children": items} if tree else items)
-            todo.extend((c, items) for c in reversed(payload.children if tree else payload))
+            into.append({"label": value.label, "children": items} if node else items)
+            todo.extend((c, items) for c in reversed(value.children if node else payload))
         elif isinstance(payload, str):
             into.append(payload)
         elif payload is None and value.tag == "Unit":
@@ -84,9 +83,7 @@ def _json_values(values) -> str:
             label, children = item.label, item.children
         else:
             payload = item.payload
-            if isinstance(payload, Tree):
-                label, children = payload.label, payload.children
-            elif isinstance(payload, tuple):
+            if isinstance(payload, tuple):
                 label, children = None, payload
             else:
                 if isinstance(payload, str):

@@ -31,7 +31,9 @@ again on the exact table, and actions run a second time. ``match``,
 ``match_rule``, ``run_phase`` and every observed run, with its error pass,
 take the exact table. A failed unobserved run hands its ``max_cursor`` to
 its error pass, which runs the grammar's generated collect code, written
-on the first such failure, from there (see ``pegstack.errors``).
+on the first such failure, from there (see ``pegstack.errors``); a run
+that started again on the exact table hands over no bound, so its error
+pass is the exact one.
 
 A repetition of one single-character terminal runs as one fused scan, and
 so does a Capture of such a repetition, which pushes the matched slice
@@ -289,11 +291,9 @@ class Parser:
             # principal index from below and starts the generated error pass
             bodies = self._bodies()
             if observer is None:
-                ok = self._generated(state, name, bodies)
-                bound = state.stats.max_cursor
+                ok, bound = self._generated(state, name, bodies)
             else:
-                ok = self._execute(state, bodies[name], name, bodies)
-                bound = None
+                ok, bound = self._execute(state, bodies[name], name, bodies), None
             if ok:
                 result = RunResult(values=state.stack.values())
             else:
@@ -334,7 +334,7 @@ class Parser:
                    bound: int | None = None) -> ParserState:
         """The MODE_COLLECT pass over a failing text, as ``run_phase`` hands
         it back. Without a bound it is ``run_phase``'s. A bound is the
-        ``max_cursor`` of an unobserved run of the same text that failed
+        ``max_cursor`` of a generated run of the same text that failed
         without a fault, at most the principal index: the pass then runs the
         grammar's generated collect code, written on first use, with its
         running maximum starting there (see ``pegstack.errors``). When that
@@ -370,17 +370,19 @@ class Parser:
             raise EngineFault(self.fault)
         return self._tables.bodies
 
-    def _generated(self, state: ParserState, name: str, bodies: dict) -> bool:
+    def _generated(self, state: ParserState, name: str, bodies: dict) -> tuple[bool, int | None]:
         """Run the named rule through the grammar's generated code, or, when
         that nests too deeply, again from the start on the exact table, whose
-        actions then run a second time."""
+        actions then run a second time. Hand back whether it matched and the
+        bound of its error pass: the run's ``max_cursor``, or None after
+        the rerun, since the generated collect code would nest as deeply."""
         try:
-            return self._parse(state, name)
+            return self._parse(state, name), state.stats.max_cursor
         except (TooDeep, RecursionError):
             state.cursor = 0
             state.stack = ValueStack()
             state.stats = EngineStats()
-            return self._execute(state, bodies[name], name, bodies)
+            return self._execute(state, bodies[name], name, bodies), None
 
     # -- the executor -------------------------------------------------------
 

@@ -35,7 +35,8 @@ faulted that run, and no error pass follows. A user action anywhere in
 the grammar, also inside a predicate, may fail on the values it pops and
 so decide which mismatches are reached: there the pass builds every value.
 When the generated pass nests too deeply, it starts again on the exact
-table.
+table. A run whose generated parse nested too deeply hands over no bound,
+so its pass is the exact one from the start.
 """
 
 from __future__ import annotations

@@ -589,9 +589,9 @@ class _Module:
             self.alternatives(code, kids, touches, counted)
             return True
         if self.collect:  # one branch per alternative, whichever run
-            self.shared(code, kids, operand[3], touches, counted)
+            self.shared(code, kids, operand, touches, counted)
             return True
-        by_char, other, end = operand[3]
+        by_char, other, end = operand
         keys = {c: bits for c, bits in by_char.items() if bits != other}
         if end != other:
             keys[None] = end  # the end of the input
@@ -600,7 +600,7 @@ class _Module:
             groups.setdefault(bits, []).append(key)
         masks = [*groups, other]
         if any(sum(m >> i & 1 for m in masks) > 1 for i in range(len(kids))):
-            self.shared(code, kids, operand[3], touches, counted)
+            self.shared(code, kids, operand, touches, counted)
             return True
         first = True
         if groups:

@@ -41,11 +41,12 @@ disagree, e.g. on "ſ"), predicates decided by an ``extra`` function, a
 source longer than ``_MAX_SOURCE`` and a fragment that ``re`` rejects
 have no regex; a lone terminal and a fused scan gain nothing from one. A
 choice, repetition or option carries a dispatch operand, filled once
-every head is known: which of its alternatives, or whether its body, can
-start at each next character. The generated code dispatches through every
-filled operand, its error pass below its running maximum; the executor
-reads an operand only to learn that a repetition's body has a head. In
-``calc.peg`` nothing lowers, but every loop and every choice dispatches.
+every head is known: the bit sets of which of its alternatives, or
+whether its body, can start at each next character. The generated code
+dispatches through every filled operand, its error pass below its running
+maximum; the executor reads an operand only to learn that a repetition's
+body has a head. In ``calc.peg`` nothing lowers, but every loop and every
+choice dispatches.
 
 Each instruction whose first action in the generated code is a terminal
 test has a head, the characters it can start with. Compiling a node gives
@@ -204,23 +205,6 @@ def _by_char(heads: list) -> tuple[dict[str, int], int, int]:
     return table, always | wide, always
 
 
-def _switch(kids: tuple, bits: tuple) -> tuple[dict[str, tuple], tuple, tuple]:
-    """The alternatives of a choice that can start at each character, in
-    order, each tuple ending with None, from the ``_by_char`` bit sets of
-    their heads: by listed character, for any other character, and at end
-    of input."""
-    table, other, end = bits
-    tuples: dict[int, tuple] = {}
-
-    def candidates(bits: int) -> tuple:
-        found = tuples.get(bits)
-        if found is None:
-            found = tuples[bits] = tuple(k for i, k in enumerate(kids) if bits >> i & 1) + (None,)
-        return found
-
-    return {c: candidates(bits) for c, bits in table.items()}, candidates(other), candidates(end)
-
-
 def _facts(expr: r.RuleExpr) -> tuple[set, set, bool, bool]:
     """Facts of a rule body, from one walk: the rules it references, those
     it references outside predicates, whether one of its own nodes outside
@@ -312,15 +296,14 @@ class Tables:
                 if head != heads[name]:
                     heads[name], changed = head, True
         # each dispatch operand, left empty where no alternative, or no
-        # body, has a head: for a choice, (by character, any other, end of
-        # input) of _switch and the _by_char bit sets they come from; for a
-        # repetition or option, (by character, any other) of _by_char,
-        # nonzero where the body can start
-        for operand, kids, kid_heads in operands:
+        # body, has a head: the _by_char bit sets (by character, any other,
+        # end of input) of a choice's alternatives; for a repetition or
+        # option, (by character, any other), nonzero where the body can start
+        for operand, choice, kid_heads in operands:
             kid_heads = [_resolve(head, heads) for head in kid_heads]
             if kid_heads.count(None) < len(kid_heads):
                 bits = _by_char(kid_heads)
-                operand[:] = (*_switch(kids, bits), bits) if kids else bits[:2]
+                operand[:] = bits if choice else bits[:2]
 
     def compile(self, node) -> tuple:
         """Exact instruction tuple for a node: (opcode, node, operands...,
@@ -346,13 +329,13 @@ class Tables:
             head = None  # one regex in the generated code
         return ins + (source,), touches, head
 
-    def _operand(self, kids: tuple | None, heads: tuple) -> list:
+    def _operand(self, choice: bool, heads: tuple) -> list:
         """An empty dispatch operand; while the rules compile, it is recorded
-        with the alternatives of a choice (None for a repetition or option)
-        and the heads of those, or of the body, that fill it."""
+        with whether it is a choice's and the heads of the alternatives, or
+        of the body, that fill it."""
         operand = []
         if self._operands is not None:
-            self._operands.append((operand, kids, heads))
+            self._operands.append((operand, choice, heads))
         return operand
 
     def _source(self, ins: tuple) -> str | None:
@@ -411,7 +394,7 @@ class Tables:
                                          (node.children if t is r.Sequence else node.alternatives)))
             touches = any(touched)
             if t is r.FirstOf:
-                return ((ALT, node, kids + (None,), touches, self._operand(kids, heads)), touches,
+                return ((ALT, node, kids + (None,), touches, self._operand(True, heads)), touches,
                         _union(heads))
             return (SEQ, node, kids + (None,), touches), touches, heads[0]
         if t is r.ZeroOrMore or t is r.OneOrMore:
@@ -425,10 +408,10 @@ class Tables:
                 scan = None if source is None else re.compile(source + "*", re.DOTALL).match
                 return (CHARS, node, inner, plus, scan, False), False, head if plus else None
             return ((REP, node, inner, plus, self._collect_tag(node), touches,
-                     self._operand(None, (head,))), touches, head if plus else None)
+                     self._operand(False, (head,))), touches, head if plus else None)
         if t is r.Optional:
             inner, touches, head = self._compile(node.inner)
-            return ((OPT, node, inner, self._collect_tag(node), self._operand(None, (head,))),
+            return ((OPT, node, inner, self._collect_tag(node), self._operand(False, (head,))),
                     touches, None)
         if t is r.AndPredicate or t is r.NotPredicate:
             inner, touches, _ = self._compile(node.inner)

@@ -4,10 +4,8 @@ Semantic actions communicate through a LIFO stack of tagged values. A stack
 belongs to exactly one parse run and is never shared; failed alternatives are
 undone by restoring a snapshot taken before the attempt.
 
-A node has two equal forms: ``Value("Node", Tree(label, children))``, which
-user code may build, and ``Node(label, children)``, the one object (plus its
-children tuple) that ``cons`` actions and ``node_value`` build. Equality,
-hashing, ``repr`` and ``render_value`` treat the two alike.
+A node ``Label(children...)`` is one ``Node`` object (plus its children
+tuple), the form that ``cons`` actions and ``node_value`` build.
 """
 
 from __future__ import annotations
@@ -33,35 +31,19 @@ class StackUnderflow(Exception):
 
 
 @record
-class Tree:
-    """Labelled node payload: of ``Value("Node", Tree(...))``, and the view
-    that a ``Node``'s ``payload`` returns."""
-
-    label: str
-    children: tuple["Value", ...]
-
-    # one per payload view: set the slots directly, not through the
-    # record's generic constructor
-    def __init__(self, label: str, children: tuple["Value", ...]):
-        _set_label(self, label)
-        _set_children(self, children)
-
-
-@record
 class Value:
     """One stack entry: a symbolic type tag plus a payload.
 
     The tag is fixed for the value's lifetime. Payloads are text (tag
-    ``Str``), a Tree (tag ``Node``), a tuple of values (``ListOf(...)``
-    tags), or an arbitrary host object for opaque values. A ``Node`` is the
-    same value as ``Value("Node", Tree(label, children))`` in one object.
+    ``Str``), a tuple of values (``ListOf(...)`` tags), or an arbitrary
+    host object for opaque values; a node is a ``Node``.
 
     Equality, hashing, ``repr``, copy and pickle walk the tree with
     explicit stacks, so the depth of a value is not bounded by the
     recursion limit. They agree with the record's field-by-field methods,
-    with tree children and list elements compared pairwise, and read a
-    ``Node``'s label and children directly. Copy and pickle keep each
-    node's form; a value that occurs twice in a tree comes back as two.
+    with a node's children and a list's elements compared pairwise. A
+    value that occurs twice in a tree comes back from copy and pickle as
+    two.
     """
 
     tag: str
@@ -85,7 +67,7 @@ class Value:
         if self.__class__ not in _FORMS:  # a subclass rebuilds through its constructor
             node = isinstance(self, Node)
             return self.__class__, (self.label, self.children) if node else (self.tag, self.payload)
-        return _rebuild, ([*_walk(self, True)],)
+        return _rebuild, ([*_walk(self)],)
 
     def __repr__(self):
         out: list[str] = []
@@ -95,14 +77,13 @@ class Value:
             if item.__class__ is str:
                 out.append(item)
                 continue
-            out.append(f"Value(tag={item.tag!r}, payload=")
             todo.append(")")
-            tree = _tree(item)
-            if tree is not None:
-                out.append(f"Tree(label={tree[0]!r}, children=")
-                todo.append(")")
-                _push_tuple(todo, tree[1])
-            elif type(item.payload) is tuple:
+            if isinstance(item, Node):  # a subclass too: its payload is itself
+                out.append(f"Node(label={item.label!r}, children=")
+                _push_tuple(todo, item.children)
+                continue
+            out.append(f"Value(tag={item.tag!r}, payload=")
+            if type(item.payload) is tuple:
                 _push_tuple(todo, item.payload)
             else:
                 out.append(repr(item.payload))
@@ -110,13 +91,10 @@ class Value:
 
 
 class Node(Value):
-    """The node ``Label(children...)`` as one object: the value
-    ``Value("Node", Tree(label, children))``, equal to it, hashing and
-    printing the same.
-
-    ``cons`` actions and ``node_value`` build this form. Its ``payload`` is
-    a fresh ``Tree`` view, built on each access; walkers read ``label`` and
-    ``children`` instead.
+    """The node ``Label(children...)``: a value tagged ``Node`` that holds
+    its label and children in slots of its own, built by ``cons`` actions
+    and ``node_value``. Its ``payload`` is the node itself, so
+    ``value.payload.label`` reads a node's label too.
     """
 
     __slots__ = ("label", "children")
@@ -128,48 +106,37 @@ class Node(Value):
         _set_node_children(self, children)
 
     @property
-    def payload(self) -> Tree:
-        return Tree(self.label, self.children)
+    def payload(self) -> Node:
+        return self
 
 
 # the slot descriptors' setters, which bypass the records' frozen __setattr__
-_set_label, _set_children = Tree.label.__set__, Tree.children.__set__
 _set_tag, _set_payload = Value.tag.__set__, Value.payload.__set__
 _set_node_label, _set_node_children = Node.label.__set__, Node.children.__set__
 _FORMS = (Value, Node)  # the classes whose instances the walkers take apart
 
 
-def _tree(value: Value) -> tuple | None:
-    """A node's (label, children) in either form; None for other values."""
-    if value.__class__ is Node:
-        return value.label, value.children
-    payload = value.payload
-    return (payload.label, payload.children) if type(payload) is Tree else None
-
-
-def _walk(value: Value, forms: bool = False):
+def _walk(value: Value):
     """The entries of a value from the top down, children last to first,
     so that reversed each comes after its children: (kind, tag, data, count
-    of children) per value, kind ``Tree`` (a node, data its label),
+    of children) per value, kind ``Node`` (data its label, no tag),
     ``tuple`` (a list's items) or ``Value`` (data the payload), and (None,
     None, item, 0) per item that is no value. Two values are equal when
-    their entries are. With ``forms``, kind ``Node`` marks the one-object
-    form of a node, so that ``_rebuild`` keeps it."""
+    their entries are."""
     todo = [value]
     while todo:
         item = todo.pop()
-        if item.__class__ not in _FORMS:
+        cls = item.__class__
+        if cls is Node:
+            kind, tag, data, kids = Node, None, item.label, item.children
+        elif cls is not Value:
             yield None, None, item, 0
             continue
-        tree = _tree(item)
-        kids = ()
-        if tree is not None:
-            kind, data, kids = Node if forms and item.__class__ is Node else Tree, *tree
         elif type(item.payload) is tuple:
-            kind, data, kids = tuple, None, item.payload
+            kind, tag, data, kids = tuple, item.tag, None, item.payload
         else:
-            kind, data = Value, item.payload
-        yield kind, item.tag, data, len(kids)
+            kind, tag, data, kids = Value, item.tag, item.payload, ()
+        yield kind, tag, data, len(kids)
         todo.extend(kids)
 
 
@@ -183,8 +150,6 @@ def _rebuild(entries: list[tuple]) -> Value:
             del stack[-count:]
         if kind is Node:
             data = Node(data, kids)
-        elif kind is Tree:
-            data = Value(tag, Tree(data, kids))
         elif kind is not None:
             data = Value(tag, kids if kind is tuple else data)
         stack.append(data)
@@ -233,9 +198,7 @@ def render_value(value: Value) -> str:
             label, children = item.label, item.children
         else:
             payload = item.payload
-            if isinstance(payload, Tree):
-                label, children = payload.label, payload.children
-            elif isinstance(payload, tuple):
+            if isinstance(payload, tuple):
                 label, children = None, payload
             else:
                 if isinstance(payload, str):

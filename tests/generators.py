@@ -7,7 +7,8 @@ Two grammar corpora:
 * the soundness corpus additionally exercises drop, string-concat actions,
   collecting repetitions and a helper rule on a reference cycle, and builds
   every expression so that values are always pushed before anything pops
-  them.
+  them. Its concat fails the match when its two strings are equal, so
+  values decide which alternatives run on.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import random
 
 from pegstack import rules as r
 from pegstack.effects import NEUTRAL, StackEffect, WILDCARD, cons
-from pegstack.values import Tree, Value
+from pegstack.engine import ACTION_FAIL
+from pegstack.values import Node, Value
 
 ALPHABET = "abc"
 # inputs for the lowerable corpus also hold a newline and a non-ASCII letter
@@ -24,6 +26,8 @@ LOWERABLE_ALPHABET = "abc\né"
 
 
 def _concat_fn(a, b):
+    if a.payload == b.payload:
+        return ACTION_FAIL
     return Value("Str", a.payload + b.payload)
 
 
@@ -263,7 +267,7 @@ def gen_pusher_str(rng: random.Random, depth: int, helpers: list[str]) -> r.Rule
 
 
 def _node_leaf(rng: random.Random) -> r.RuleExpr:
-    return r.push(Value("Node", Tree(_label(rng), ())))
+    return r.push(Node(_label(rng), ()))
 
 
 def gen_pusher_node(rng: random.Random, depth: int, helpers: list[str]) -> r.RuleExpr:

@@ -14,7 +14,7 @@ from pegstack import rules as r
 from pegstack.cli import _error_json, _event_json, _json_values, _value_json, main
 from pegstack.engine import InternalFault, Parser, RunResult, TraceEvent
 from pegstack.errors import format_error
-from pegstack.values import (UNIT, Tree, Value, list_value, node_value, render_value,
+from pegstack.values import (UNIT, Value, list_value, node_value, render_value,
                              str_value)
 
 from conftest import GRAMMARS
@@ -178,7 +178,7 @@ def test_large_valid_input_prints_without_traceback(calc_grammar, capsys):
 
 def test_json_text_matches_json_dumps():
     leaf = str_value("\u00e9\n\"")
-    values = (node_value("N"), Value("Node", Tree("T", (leaf, UNIT))), leaf, UNIT,
+    values = (node_value("N"), node_value("T", leaf, UNIT), leaf, UNIT,
               list_value([list_value([]), list_value([str_value("x"), node_value("k", leaf)])]),
               Value("Odd", None), Value("Int", 3))
     for items in (values, values[:1], ()):

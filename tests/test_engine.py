@@ -15,7 +15,7 @@ from pegstack.errors import MODE_COLLECT, build_parse_error, principal_error_ind
 from pegstack.instructions import ALT, OPT, REF, REP
 from pegstack.notation import load_grammar, parse_grammar
 from pegstack.rules import DIGIT, validate_grammar
-from pegstack.values import StackUnderflow, Tree, Value, node_value, render_value, str_value
+from pegstack.values import Node, StackUnderflow, Value, node_value, render_value, str_value
 
 from conftest import DATA, ROOT
 from generators import (ALPHABET, LOWERABLE_ALPHABET, big_expression, gen_grammar, gen_input,
@@ -626,13 +626,12 @@ def test_reduction_repetition_is_not_collected(calc_grammar):
 # -- the objects a value is made of -----------------------------------------------------
 
 def _shape(value):
-    """Counts of the nodes, lists and other values in a value, read through
-    payloads, so the same for either node form."""
+    """Counts of the nodes, lists and other values in a value."""
     nodes = lists = leaves = 0
     todo = [value]
     while todo:
         payload = todo.pop().payload
-        if isinstance(payload, Tree):
+        if isinstance(payload, Node):
             nodes += 1
             todo.extend(payload.children)
         elif type(payload) is tuple:
@@ -1063,7 +1062,9 @@ def test_json_value_dispatches_through_the_rules_on_its_cycle(calc_grammar):
     assert value[0] == ALT and value[4]
 
     def offered(c):
-        candidates = value[4][0].get(c, value[4][1])[:-1]
+        kids, (by_char, other, _) = value[2][:-1], value[4]
+        bits = by_char.get(c, other)
+        candidates = [kids[i] for i in range(len(kids)) if bits >> i & 1]
         assert all(ins[0] == REF for ins in candidates)
         return [ins[2] for ins in candidates]
 

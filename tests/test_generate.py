@@ -24,6 +24,7 @@ from pegstack.notation import load_grammar, meta_grammar
 from pegstack.rules import validate_grammar
 from pegstack.values import Value
 
+import generators
 from conftest import GRAMMARS, ROOT
 from generators import (ALPHABET, LOWERABLE_ALPHABET, gen_grammar, gen_input,
                         gen_lowerable_grammar, gen_sound_grammar)
@@ -254,20 +255,65 @@ def test_the_generated_collect_pass_runs_actions_that_fail():
     assert failed > 100
 
 
+def test_the_sound_family_has_concats_that_fail_in_the_parse_and_in_the_error_pass(
+        monkeypatch):
+    # its concat fails on two equal strings, so that values decide which
+    # alternatives run on in random grammars too, in the generated parse and
+    # in the generated error pass
+    fails = {MODE_OFF: 0, MODE_COLLECT: 0}
+    mode = [MODE_OFF]
+    error_pass = Parser.error_pass
+
+    def concat(a, b):
+        out = generators._concat_fn(a, b)
+        fails[mode[0]] += out is ACTION_FAIL
+        return out
+
+    def counted(self, *args):
+        mode[0] = MODE_COLLECT
+        return error_pass(self, *args)
+
+    monkeypatch.setattr(generators, "CONCAT",
+                        r.Action(2, concat, generators.CONCAT.effect, name="concat"))
+    monkeypatch.setattr(Parser, "error_pass", counted)
+    rng = random.Random("concat")
+    for _ in range(1_000):
+        mode[0] = MODE_OFF
+        Parser(gen_sound_grammar(rng)).run(gen_input(rng))
+        if all(fails.values()):
+            break
+    assert all(fails.values()), fails
+
+
 def test_a_collect_pass_past_the_depth_bound_runs_again_on_the_exact_table(calc_grammar,
                                                                            monkeypatch):
-    # a calc paren level opens three generated functions
+    # a calc paren level opens three generated functions. A run past the
+    # depth bound starts again on the exact table and hands its error pass
+    # no bound, so that pass is the exact one from the start: it neither
+    # writes the collect module nor calls the one already written
     parser = Parser(calc_grammar)
-    for levels, deep in ((60, False), (generate.DEPTH_BOUND, True)):
+
+    def fail(levels):
+        """The exact reruns of the run and of its error pass, and the calls
+        of the collect module, when the parser fails that deep."""
         text = "(" * levels + "1!" + ")" * levels
-        exact = build_parse_error(parser, text)  # without a bound: the exact pass
+        collect, called = parser._collect, []
         with monkeypatch.context() as patch:
-            reruns = _reruns(parser, patch, MODE_COLLECT)
+            runs, passes = _reruns(parser, patch), _reruns(parser, patch, MODE_COLLECT)
+            if collect is not None:
+                patch.setattr(parser, "_collect",
+                              lambda *args: called.append(args) or collect(*args))
             with recorded_states() as states:
                 error = parser.run(text).error
-        assert error == exact
+        assert error == build_parse_error(parser, text)  # without a bound: the exact pass
         assert [state.error_mode for state in states] == [MODE_OFF, MODE_COLLECT]
-        assert reruns == ([text] if deep else [])
+        return len(runs), len(passes), len(called)
+
+    deep = generate.DEPTH_BOUND
+    assert fail(deep) == (1, 1, 0) and parser._collect is None
+    assert fail(60) == (0, 0, 0) and parser._collect is not None  # written here
+    assert fail(60) == (0, 0, 1)
+    assert fail(deep) == (1, 1, 0)
 
 
 def test_only_the_first_failing_run_writes_the_collect_module(calc_grammar, monkeypatch):

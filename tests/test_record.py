@@ -11,9 +11,9 @@ import pytest
 from pegstack import rules as r
 from pegstack.effects import StackEffect
 from pegstack.engine import InternalFault, RunResult
-from pegstack.errors import Position
+from pegstack.errors import Position, RuleTrace, TerminalDescriptor
 from pegstack.record import FrozenInstanceError, record
-from pegstack.values import Tree, Value
+from pegstack.values import Value
 
 from conftest import ROOT
 
@@ -23,7 +23,8 @@ def test_repr_names_every_field():
     assert repr(r.AnyChar()) == "AnyChar()"
     assert repr(RunResult(values=())) == "RunResult(values=(), error=None, fault=None)"
     assert repr(Position(3, 1, 4)) == "Position(index=3, line=1, column=4)"
-    assert repr(Tree("L", ())) == "Tree(label='L', children=())"
+    assert repr(RuleTrace((), TerminalDescriptor("eoi", "EOI"))) == (
+        "RuleTrace(frames=(), terminal=TerminalDescriptor(kind='eoi', text='EOI'))")
     assert repr(r.Drop()) == "Drop(count=1)"
 
 

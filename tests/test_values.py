@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from pegstack.cli import _json_values
 from pegstack.engine import Parser
 from pegstack.record import FrozenInstanceError
-from pegstack.values import (Node, StackUnderflow, Tree, UNIT, Value, ValueStack, list_value,
+from pegstack.values import (Node, StackUnderflow, UNIT, Value, ValueStack, list_value,
                              node_value, render_value, str_value)
 
 
@@ -127,15 +127,11 @@ def test_snapshot_is_the_stack_itself_not_a_copy():
     assert stack.snapshot() is token
 
 
-def _old_node(label, *children):
-    return Value("Node", Tree(label, children))
-
-
-def _add_chain(depth, last="9", node=node_value):
-    value = node("Val", str_value("0"))
+def _add_chain(depth, last="9"):
+    value = node_value("Val", str_value("0"))
     for i in range(depth):
         leaf = last if i == depth - 1 else str(i % 10)
-        value = node("Add", value, node("Val", str_value(leaf)))
+        value = node_value("Add", value, node_value("Val", str_value(leaf)))
     return value
 
 
@@ -144,78 +140,83 @@ def test_deep_values_compare_hash_and_repr_without_recursion():
     assert a is not b
     assert a == b
     assert hash(a) == hash(b)
-    assert a != _add_chain(20_000, last="8")
-    assert repr(a).startswith("Value(tag='Node', payload=Tree(label='Add', children=(")
+    assert a != _add_chain(20_000, last="8") and _add_chain(20_000, last="8") != a
+    assert repr(a) == repr(b) and repr(a).startswith("Node(label='Add', children=(Node(")
+    assert render_value(a) == render_value(b) and render_value(a).startswith("Add(Add(")
+    assert _json_values((a,)) == _json_values((b,))
+    assert _json_values((a,)).startswith('[{"label": "Add", "children": [{"label": "Add"')
 
 
-def test_deep_values_of_both_node_forms_compare_hash_print_and_render_alike():
-    new, old = _add_chain(20_000), _add_chain(20_000, node=_old_node)
-    assert (type(new), type(old)) == (Node, Value)
-    assert new == old and old == new
-    assert hash(new) == hash(old)
-    assert repr(new) == repr(old)
-    assert render_value(new) == render_value(old)
-    assert _json_values((new,)) == _json_values((old,))
-    assert old != _add_chain(20_000, last="8") and _add_chain(20_000, last="8") != old
-
-
-def test_an_engine_built_node_equals_the_old_form_and_node_value(calc_grammar):
+def test_an_engine_built_node_equals_node_value(calc_grammar):
     value, = Parser(calc_grammar).run("1+2*3").values
-    old = _old_node("Add", _old_node("Val", str_value("1")),
-                    _old_node("Mul", _old_node("Val", str_value("2")),
-                              _old_node("Val", str_value("3"))))
     built = node_value("Add", node_value("Val", str_value("1")),
                        node_value("Mul", node_value("Val", str_value("2")),
                                   node_value("Val", str_value("3"))))
-    assert type(value) is Node and type(old) is Value
-    for other in (old, built):
-        assert value == other and other == value
-        assert not (value != other or other != value)
-        assert hash(value) == hash(other)
-        assert repr(value) == repr(other)
-        assert render_value(value) == render_value(other) == 'Add(Val("1"),Mul(Val("2"),Val("3")))'
-        assert _json_values((value,)) == _json_values((other,))
-    assert value != Value("Other", old.payload) and Value("Other", old.payload) != value
-    assert value != node_value("Add", str_value("1")) != old
+    assert type(value) is Node and type(built) is Node
+    assert value == built and built == value
+    assert not (value != built or built != value)
+    assert hash(value) == hash(built)
+    assert repr(value) == repr(built)
+    assert render_value(value) == render_value(built) == 'Add(Val("1"),Mul(Val("2"),Val("3")))'
+    assert _json_values((value,)) == _json_values((built,))
+    assert value != Value("Node", built.children) and Value("Node", built.children) != value
+    assert value != node_value("Add", str_value("1"))
+    assert value != Value("Node", built) and Value("Node", built) != value
 
 
 def test_a_node_copies_and_pickles_as_a_node():
     v = node_value("Add", str_value("1"), list_value([UNIT], "Unit"))
     for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
         assert type(twin) is Node and twin == v and repr(twin) == repr(v)
-    old = _old_node("Val", str_value("1"))
-    assert type(pickle.loads(pickle.dumps(old))) is Value
 
 
-def test_deep_values_of_both_node_forms_copy_and_pickle_without_recursion():
-    for node in (node_value, _old_node):
-        value = _add_chain(5_000, node=node)
-        for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-            assert type(twin) is type(value) and twin == value and twin is not value
-            assert type(twin.payload.children[0]) is type(value)  # each level keeps its form
-    mixed = Value("ListOf(Node)", (node_value("A", str_value("1")), _old_node("B"), 7))
+def test_deep_values_copy_and_pickle_without_recursion():
+    value = _add_chain(5_000)
+    for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is Node and twin == value and twin is not value
+        assert type(twin.children[0]) is Node and twin.children[0] is not value.children[0]
+    mixed = Value("ListOf(Node)", (node_value("A", str_value("1")), node_value("B"), 7))
     twin = pickle.loads(pickle.dumps(mixed))
-    assert [type(x) for x in twin.payload] == [Node, Value, int] and twin == mixed
+    assert [type(x) for x in twin.payload] == [Node, Node, int] and twin == mixed
 
 
-def test_a_node_reads_like_a_value_holding_a_tree():
+def test_a_node_is_its_own_payload():
     child = str_value("1")
     v = node_value("Val", child)
     assert isinstance(v, Value) and v.tag == "Node"
-    assert isinstance(v.payload, Tree) and v.payload == Tree("Val", (child,))
-    assert (v.payload.label, v.payload.children) == ("Val", (child,))
+    assert v.payload is v
     for field in ("tag", "payload", "label", "children"):
         with pytest.raises(FrozenInstanceError):
             setattr(v, field, "x")
         with pytest.raises(FrozenInstanceError):
             delattr(v, field)
+    # a walk through payloads alone, as the benchmark's checker
+    # (bench/workloads.value_tokens) reads values: text, a list's tuple, or
+    # a node's label and children
+    value = node_value("Add", v, list_value([node_value("Neg", UNIT)], "Node"))
+    tokens, todo = [], [value]
+    while todo:
+        payload = todo.pop().payload
+        if isinstance(payload, str):
+            tokens.append(("S", payload))
+        elif isinstance(payload, tuple):
+            tokens.append(("L", len(payload)))
+            todo.extend(reversed(payload))
+        elif hasattr(payload, "label") and hasattr(payload, "children"):
+            tokens.append(("N", payload.label, len(payload.children)))
+            todo.extend(reversed(payload.children))
+        else:
+            tokens.append(("?", payload))
+    assert tokens == [("N", "Add", 2), ("N", "Val", 1), ("S", "1"), ("L", 1), ("N", "Neg", 1),
+                      ("?", None)]
 
 
 def test_value_methods_agree_with_the_dataclass_forms():
     v = node_value("Add", str_value("1"), list_value([UNIT], "Unit"))
-    assert repr(v) == ("Value(tag='Node', payload=Tree(label='Add', children=("
+    assert repr(v) == ("Node(label='Add', children=("
                        "Value(tag='Str', payload='1'), Value(tag='ListOf(Unit)', "
-                       "payload=(Value(tag='Unit', payload=None),)))))")
+                       "payload=(Value(tag='Unit', payload=None),))))")
+    assert eval(repr(v)) == v
     assert repr(Value("Opaque", (1, "x"))) == "Value(tag='Opaque', payload=(1, 'x'))"
     assert v == node_value("Add", str_value("1"), list_value([UNIT], "Unit"))
     assert v != node_value("Add", str_value("1"), list_value([], "Unit"))
@@ -235,6 +236,6 @@ def test_render_forms():
 def test_value_tags_are_stable():
     v = node_value("Val", str_value("1"))
     assert v.tag == "Node"
-    assert isinstance(v.payload, Tree)
+    assert v.payload is v
     with pytest.raises(Exception):
         v.tag = "Other"  # frozen
