@@ -142,9 +142,22 @@ def test_deep_values_compare_hash_and_repr_without_recursion():
     assert hash(a) == hash(b)
     assert a != _add_chain(20_000, last="8") and _add_chain(20_000, last="8") != a
     assert repr(a) == repr(b) and repr(a).startswith("Node(label='Add', children=(Node(")
-    assert render_value(a) == render_value(b) and render_value(a).startswith("Add(Add(")
-    assert _json_values((a,)) == _json_values((b,))
-    assert _json_values((a,)).startswith('[{"label": "Add", "children": [{"label": "Add"')
+
+
+def test_deep_values_of_both_node_forms_compare_hash_print_and_render_alike(calc_grammar):
+    # a node built by the engine's cons actions and one built by node_value
+    depth = 20_000
+    text = "0" + "".join("+" + ("9" if i == depth - 1 else str(i % 10)) for i in range(depth))
+    parsed, = Parser(calc_grammar).run(text).values
+    built = _add_chain(depth)
+    assert parsed is not built
+    assert parsed == built and built == parsed
+    assert hash(parsed) == hash(built)
+    assert repr(parsed) == repr(built)
+    assert render_value(parsed) == render_value(built) and render_value(parsed).startswith("Add(Add(")
+    assert _json_values((parsed,)) == _json_values((built,))
+    assert _json_values((parsed,)).startswith('[{"label": "Add", "children": [{"label": "Add"')
+    assert parsed != _add_chain(depth, last="8") and _add_chain(depth, last="8") != parsed
 
 
 def test_an_engine_built_node_equals_node_value(calc_grammar):
