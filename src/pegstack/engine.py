@@ -19,21 +19,25 @@ five terminal opcodes and no node types: a CLASS carries the ASCII mask
 and the function for other characters of a predicate, a none-of set or
 ".", and an ACTION the function and arity of an action, a push or a drop.
 
-A Parser also writes its grammar's Python module when it is built
-(``pegstack.generate``), and ``Parser.run`` calls it unless the run is
-observed. There every choice, repetition and option dispatches on the next
-character, and each stack-free fragment runs as one regex, so the run's
-step and mismatch counters are not exact: a fragment counts one step and,
-when it fails, one mismatch, but leaves ``max_cursor`` as it is, so the
-run's ``max_cursor`` is at most the exact table's. When the generated code
-opens too many functions, or raises ``RecursionError``, the run starts
-again on the exact table, and actions run a second time. ``match``,
-``match_rule``, ``run_phase`` and every observed run, with its error pass,
-take the exact table. A failed unobserved run hands its ``max_cursor`` to
-its error pass, which runs the grammar's generated collect code, written
-on the first such failure, from there (see ``pegstack.errors``); a run
-that started again on the exact table hands over no bound, so its error
-pass is the exact one.
+A Parser writes its grammar's Python module (``pegstack.generate``) once
+its unobserved runs have been asked to parse ``GENERATE_AT`` characters,
+the current run's included, and calls it from then on: a short-lived
+Parser that sees little input never pays for ``compile()``, and one that
+sees much pays once. Below that, and in every observed run, the run takes
+the exact table, and so does its error pass. In the generated code every
+choice, repetition and option dispatches on the next character, and each
+stack-free fragment runs as one regex, so the run's step and mismatch
+counters are not exact: a fragment counts one step and, when it fails,
+one mismatch, but leaves ``max_cursor`` as it is, so the run's
+``max_cursor`` is at most the exact table's. When the generated code
+opens too many functions (``TooDeep``), or raises ``RecursionError``, the
+run starts again on the exact table, and actions run a second time.
+``match``, ``match_rule`` and ``run_phase`` take the exact table. A failed
+generated run hands its ``max_cursor`` to its error pass, which runs the
+grammar's generated collect code, written on the first such failure, from
+there (see ``pegstack.errors``); a run that took the exact table, or
+started again on it, hands over no bound, so its error pass is the exact
+one.
 
 A repetition of one single-character terminal runs as one fused scan, and
 so does a Capture of such a repetition, which pushes the matched slice
@@ -53,7 +57,6 @@ from __future__ import annotations
 from . import rules as r
 from .errors import (MODE_COLLECT, MODE_OFF, ParseError, build_parse_error, format_error,
                      rule_traces)
-from .generate import TooDeep, generate
 from .instructions import OPS, QUIET, RULE, Tables
 from .record import record
 from .values import Node, StackUnderflow, Value, ValueStack, list_value
@@ -63,6 +66,12 @@ ACTION_FAIL = object()
 _QUIET_FRAME = (QUIET,)
 _RULE_FRAME = (RULE,)  # a rule open in a collecting run that no observer watches
 _COMPACT_AT = 64  # the error pass compacts its frontier past twice its kept length plus this
+# characters a Parser's unobserved runs are asked to parse, in all, before
+# it writes its grammar's module. Writing and compiling the module costs
+# what the exact table loses to it on 1.3 KB of input (json) to 2.6 KB (the
+# meta-grammar), and on 12 KB (calc) when the first Parser of a process
+# also imports the writer: this is about the geometric mean of the extremes
+GENERATE_AT = 4096
 
 
 def _scan(mask: int, extra, text: str, i: int) -> int:
@@ -204,6 +213,10 @@ class EngineFault(Exception):
         super().__init__(fault.description)
 
 
+class TooDeep(Exception):
+    """Raised by generated code when too many of its functions are open."""
+
+
 class ActionRaised(Exception):
     """Internal: an action function raised; surfaces as an InternalFault."""
 
@@ -257,11 +270,13 @@ class Parser:
             self._tables = Tables(grammar)
         except RecursionError:
             self._tables = None  # every run is an internal fault
-        else:
-            # the grammar's module: unobserved runs call its closure factory
-            self._parse, self._source = generate(self._tables, _RUNTIME)
+        # characters the unobserved runs have been asked to parse, until the
+        # grammar's module is written; then unobserved runs call its closure
+        # factory, and _source keeps its source
+        self._asked = 0
+        self._parse = self._source = None
         # the factory of the grammar's collect module, written on the first
-        # failed unobserved run, so that a grammar that never fails compiles none
+        # failed generated run, so that a grammar that never fails compiles none
         self._collect = None
 
     @property
@@ -280,15 +295,19 @@ class Parser:
         (values, error) pair whose error side is a ParseError or an
         InternalFault; "raising" returns the values or raises. A run with an
         observer (see Trace) takes the exact table, and so does its error
-        pass; an unobserved run's error pass runs the grammar's generated
-        collect code (see ``error_pass``).
+        pass; so does an unobserved run until the Parser's unobserved runs,
+        this one included, have been asked to parse ``GENERATE_AT``
+        characters. From then on unobserved runs take the grammar's
+        generated code, and the error pass of one that fails runs the
+        generated collect code (see ``error_pass``).
         """
         state = ParserState(text)
         state.observer = observer
         name = start or self.grammar.start
         try:
-            # unobserved, the generated code, whose furthest mismatch bounds the
-            # principal index from below and starts the generated error pass
+            # unobserved, the generated code once the input pays for it: its
+            # furthest mismatch bounds the principal index from below and
+            # starts the generated error pass
             bodies = self._bodies()
             if observer is None:
                 ok, bound = self._generated(state, name, bodies)
@@ -346,6 +365,7 @@ class Parser:
         state = ParserState(text, error_mode=MODE_COLLECT)
         name = start or self.grammar.start
         if self._collect is None:
+            from .generate import generate
             self._collect = generate(self._tables, _RUNTIME, collect=True)[0]
         try:
             self._collect(state, name, bound)
@@ -370,14 +390,31 @@ class Parser:
             raise EngineFault(self.fault)
         return self._tables.bodies
 
+    def _generate(self):
+        """Write the grammar's parse module now and hand back its factory.
+        Two threads may both write it; each assigns an equal factory."""
+        from .generate import generate
+        self._parse, self._source = generate(self._tables, _RUNTIME)
+        return self._parse
+
     def _generated(self, state: ParserState, name: str, bodies: dict) -> tuple[bool, int | None]:
-        """Run the named rule through the grammar's generated code, or, when
-        that nests too deeply, again from the start on the exact table, whose
-        actions then run a second time. Hand back whether it matched and the
-        bound of its error pass: the run's ``max_cursor``, or None after
-        the rerun, since the generated collect code would nest as deeply."""
+        """Run the named rule through the grammar's generated code, written
+        once the unobserved runs, this one included, have been asked to
+        parse ``GENERATE_AT`` characters; below that, on the exact table.
+        When the generated code nests too deeply, run again from the start
+        on the exact table, whose actions then run a second time. Hand back
+        whether it matched and the bound of its error pass: the generated
+        run's ``max_cursor``, or None after a run on the exact table, whose
+        error pass is the exact one too; after a rerun the generated collect
+        code would nest as deeply."""
+        parse = self._parse
+        if parse is None:
+            self._asked += len(state.input)
+            if self._asked < GENERATE_AT:
+                return self._execute(state, bodies[name], name, bodies), None
+            parse = self._generate()
         try:
-            return self._parse(state, name), state.stats.max_cursor
+            return parse(state, name), state.stats.max_cursor
         except (TooDeep, RecursionError):
             state.cursor = 0
             state.stack = ValueStack()

@@ -10,21 +10,22 @@ the maximum but are not recorded; quiet rules behave identically otherwise.
 Mismatches inside ``!`` neither count nor raise it.
 
 A failing ``Parser.run`` costs two passes: the run itself and this one.
-An observed run's pass runs on the exact table (``Parser.run_phase``),
-which tries every alternative. An unobserved run hands over its
-``max_cursor``, the furthest mismatch it saw, and its pass runs the
-grammar's generated collect code (``pegstack.generate``), as parboiled2
-re-runs its generated parser to analyse an error. The bound is at most the
-principal index: the generated code's terminals mismatch only where the
-exact table's do, and a failing regex fragment does not raise it, since
-the exact table may fail the fragment through a ``!`` with no mismatch.
-The pass starts its running maximum at that bound. Below the maximum no
-mismatch is ever recorded, so there a choice, repetition or option runs
-only what can start at the next character, as the parse does; at or past
-it, everything runs. No fragment runs as a regex there, since a regex
-cannot report the mismatches inside it; a fused one-character scan, which
-has one mismatch at its end, stays. The rule paths and the order of the
-mismatches at the principal index are those of the exact pass.
+The pass of an observed run, or of one that took the exact table, runs on
+the exact table (``Parser.run_phase``), which tries every alternative. A
+run that took the grammar's generated code hands over its ``max_cursor``,
+the furthest mismatch it saw, and its pass runs the grammar's generated
+collect code (``pegstack.generate``), as parboiled2 re-runs its generated
+parser to analyse an error. The bound is at most the principal index: the
+generated code's terminals mismatch only where the exact table's do, and a
+failing regex fragment does not raise it, since the exact table may fail
+the fragment through a ``!`` with no mismatch. The pass starts its running
+maximum at that bound. Below the maximum no mismatch is ever recorded, so
+there a choice, repetition or option runs only what can start at the next
+character, as the parse does; at or past it, everything runs. No fragment
+runs as a regex there, since a regex cannot report the mismatches inside
+it; a fused one-character scan, which has one mismatch at its end, stays.
+The rule paths and the order of the mismatches at the principal index are
+those of the exact pass.
 
 The generated pass builds no values when the grammar's values decide no
 match: every action is a ``cons``, a push or a drop, and none of them can
@@ -166,7 +167,7 @@ def principal_error_index(parser, text: str, start: str | None = None) -> int:
 def trace_collection(parser, text: str, start: str | None,
                      bound: int | None = None) -> tuple[int, tuple[RuleTrace, ...]]:
     """Principal error index and its rule traces, from one pass: the exact
-    one, or, given the ``max_cursor`` of a failed unobserved run as bound,
+    one, or, given the ``max_cursor`` of a failed generated run as bound,
     the generated one that starts there (``Parser.error_pass``)."""
     state = parser.error_pass(text, start, bound)
     return principal_index(state), tuple(state.collected)

@@ -1,12 +1,14 @@
 """Python source expanded from a grammar's exact instruction table.
 
-A Parser writes its grammar's parse module when it is built. The module
-holds one closure factory, ``parse(state, start)``: each unobserved
-``Parser.run`` calls it once, and it makes one function per rule over that
-run's input, value stack and counters, runs the start rule's function and
-writes the counters into the run's ``ParserState``. A function takes the
-cursor and the number of generated functions open below it, and returns
-the cursor past its match or -1.
+A Parser writes its grammar's parse module once its unobserved runs have
+been asked to parse ``engine.GENERATE_AT`` characters, and imports this
+module only then; before that, and in observed runs, it takes the exact
+table. The module holds one closure factory, ``parse(state, start)``: each
+unobserved ``Parser.run`` from then on calls it once, and it makes one
+function per rule over that run's input, value stack and counters, runs
+the start rule's function and writes the counters into the run's
+``ParserState``. A function takes the cursor and the number of generated
+functions open below it, and returns the cursor past its match or -1.
 
 The code counts the work it does as the executor would if it dispatched
 everywhere: one step per instruction entered, summed per straight-line
@@ -42,13 +44,14 @@ through the module's namespace, so equal grammars give equal source, and
 the code object is cached by that source (``_CODES``). A construct nested
 deeper than ``_SPLIT_AT`` indentation levels becomes a function of its
 own, so the source stays within Python's limits on indentation and on
-nested loops. Every function raises ``TooDeep`` when more than
-``DEPTH_BOUND`` generated functions are open; the Parser then runs the
-input again on the exact table, which has no such bound.
+nested loops. Every function raises the engine's ``TooDeep``, which the
+runtime names, when more than ``DEPTH_BOUND`` generated functions are
+open; the Parser then runs the input again on the exact table, which has
+no such bound.
 
 The same walk, in collect mode, writes the grammar's collect module, whose
 factory ``collect(state, start, bound)`` runs the error pass of a failed
-unobserved run (see ``pegstack.errors``); a Parser writes it on its first
+generated run (see ``pegstack.errors``); a Parser writes it on its first
 such failure. It differs from the parse module in this:
 
 * it keeps the running maximum ``mc`` from ``bound``, and the frontier of
@@ -171,10 +174,6 @@ _VALUES = '''\
     stack = state.stack
     snapshot, restore, push, take, size = (stack.snapshot, stack.restore, stack.push,
                                            stack.take, stack.size)'''
-
-
-class TooDeep(Exception):
-    """Raised by generated code when too many of its functions are open."""
 
 
 def _code(source: str):

@@ -23,9 +23,10 @@ for one character. Push, drop and other actions are one ACTION, which
 carries its function and arity; a ``cons`` is a CONS, built in place.
 
 The table serves every run whose step and mismatch counters must be exact
-(``match``, ``match_rule``, ``run_phase``) and every observed run, with
-its error pass; ``pegstack.generate`` expands it into the Python code of
-unobserved runs and of their error passes. A repetition of one
+(``match``, ``match_rule``, ``run_phase``), every observed run and every
+unobserved run before its Parser generates, with their error passes;
+``pegstack.generate`` expands it into the Python code of the unobserved
+runs after that and of their error passes. A repetition of one
 single-character terminal is one fused scan; an observed run logs the
 steps it stands for. Each
 instruction ends with the node's regex source, None when it has none: a

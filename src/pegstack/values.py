@@ -61,6 +61,8 @@ class Value:
         return self is other or all(map(eq, _walk(self), _walk(other)))
 
     def __hash__(self):
+        if self.__class__ not in _FORMS:  # equal only to itself, as __eq__ leaves it
+            return object.__hash__(self)
         return hash(tuple(_walk(self)))
 
     def __reduce__(self):

@@ -8,6 +8,7 @@ for entry in (ROOT / "src", ROOT / "tests"):
 
 import pytest
 
+from pegstack.engine import Parser
 from pegstack.notation import load_grammar
 
 GRAMMARS = ROOT / "grammars"
@@ -22,3 +23,11 @@ def calc_grammar():
 @pytest.fixture(scope="session")
 def foo_grammar():
     return load_grammar(GRAMMARS / "foo.peg")
+
+
+def generated(grammar) -> Parser:
+    """A Parser over grammar that has written its parse module, so that its
+    unobserved runs take the generated code however short their input."""
+    parser = Parser(grammar)
+    parser._generate()
+    return parser

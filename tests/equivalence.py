@@ -23,6 +23,10 @@ text) and, for each (grammar, input) pair:
   cursor, and the collected traces;
 * the traced event stream of ``match_rule`` and of ``Parser.run`` with a Trace.
 
+Each Parser writes its parse module before its first run, where the tree
+has ``Parser._generate``, so that ``Parser.run`` takes the generated code
+on these short inputs, as in a tree that generates when a Parser is built.
+
 The counter digest covers the steps, mismatches and max cursor of each
 ``run_phase``, and of each engine state that an unobserved ``Parser.run``
 creates, read as the benchmark reads them (``run_states``): the run's own
@@ -193,6 +197,8 @@ def family_digest(name: str, seed: int, pairs: int) -> tuple[str, str, int, list
         grammar = make(rng)
         behaviour.update(_encode(_guarded(lambda: _check(grammar))) + b"\x02")
         parser = Parser(grammar)
+        if parser.fault is None and hasattr(parser, "_generate"):
+            parser._generate()
         dispatches += dispatch_count(parser)
         for _ in range(INPUTS_PER_GRAMMAR):
             text = gen_input(rng, alphabet=alphabet)

@@ -21,7 +21,7 @@ from pegstack.optimize import DEFAULT_PASSES, PASSES, optimize
 from pegstack.rules import validate_grammar
 from pegstack.values import StackUnderflow, node_value, str_value
 
-from conftest import DATA, GRAMMARS
+from conftest import DATA, GRAMMARS, generated
 from generators import (ALPHABET, LOWERABLE_ALPHABET, big_expression, gen_effect, gen_grammar,
                         gen_input, gen_lowerable_grammar, gen_sound_grammar)
 from reference_interp import ref_run
@@ -199,8 +199,9 @@ def test_criterion_6_effect_soundness():
 def _report(parser, text):
     """Match outcome plus what run() reports: kind, error position, expected list.
 
-    run() takes the generated code, where stack-free fragments run as
-    regexes, and match_rule the exact table: their kind and values must agree.
+    run() takes the generated code of a Parser that has written it, where
+    stack-free fragments run as regexes, and match_rule the exact table:
+    their kind and values must agree.
     """
     result = parser.run(text)
     outcome = _outcome(parser, text)
@@ -225,9 +226,9 @@ class _Silent:
 
 
 def _same_as_observed(parser, text):
-    """An unobserved run (the generated code) and an observed one (the exact
-    table) report the same kind, values, cursor, error position and ordered
-    expected list, or the same fault."""
+    """An unobserved run (the generated code, once the Parser has written
+    it) and an observed one (the exact table) report the same kind, values,
+    cursor, error position and ordered expected list, or the same fault."""
     with recorded_states() as states:
         plain = parser.run(text)
     with recorded_states() as observed_states:
@@ -253,10 +254,10 @@ def test_criterion_7_optimizer_equivalence(calc_grammar):
         while pairs < 10_000:
             make, alphabet = families[pairs // 5 % 2]
             g = make(rng)
-            parser = Parser(g)
+            parser = generated(g)
             inputs = [gen_input(rng, alphabet=alphabet) for _ in range(5)]
             baselines = [_report(parser, text) for text in inputs]
-            optimized = [Parser(optimize(g, config)) for config in configs]
+            optimized = [generated(optimize(g, config)) for config in configs]
             for text, baseline in zip(inputs, baselines):
                 _same_as_observed(parser, text)
                 for opt_parser in optimized:
@@ -266,7 +267,7 @@ def test_criterion_7_optimizer_equivalence(calc_grammar):
         # calculator corpus: identical results and error positions
         started = time.perf_counter()
         opt = optimize(calc_grammar)
-        plain_parser, opt_parser = Parser(calc_grammar), Parser(opt)
+        plain_parser, opt_parser = generated(calc_grammar), generated(opt)
         corpus = [_well_formed(rng) for _ in range(500)]
         corpus += [_malformed(rng) for _ in range(500)]
         plain_steps = opt_steps = 0

@@ -14,6 +14,7 @@ from pegstack import rules as r
 from pegstack.cli import _error_json, _event_json, _json_values, _value_json, main
 from pegstack.engine import InternalFault, Parser, RunResult, TraceEvent
 from pegstack.errors import format_error
+from pegstack.notation import _meta_parser
 from pegstack.values import (UNIT, Value, list_value, node_value, render_value,
                              str_value)
 
@@ -128,7 +129,11 @@ def test_trace_memory_does_not_grow_with_the_events(tmp_path):
     lines = io.StringIO()
     with contextlib.redirect_stdout(lines):  # also loads what later runs reuse
         assert main(argv + ["--trace"]) == 0
+        assert main(argv) == 0  # json's module, compiled once; each Parser writes its source
     assert lines.getvalue().count("\n") > 50_000
+    # the process's meta-grammar Parser writes its module in whichever grammar
+    # load takes its input past the threshold; here, before either peak
+    _meta_parser()._generate()
 
     def peak(*flags):
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
@@ -216,6 +221,22 @@ def test_importing_the_cli_leaves_out_the_json_package():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=60)
     assert proc.stdout == "False\n", proc.stderr
+
+
+def test_a_small_run_leaves_out_the_code_generator():
+    # neither the meta-parse of calc.peg nor a parse of 100 characters reaches
+    # the threshold, so the process never imports the module writer; a long
+    # input does
+    short, long = "1+" * 49 + "12", "1+" * 3000 + "1"
+    code = ("import sys, pegstack.cli\n"
+            f"for text in ({short!r}, {long!r}):\n"
+            f"    code = pegstack.cli.main(['run', '--grammar', {CALC!r}, '--input', text])\n"
+            "    print(code, 'pegstack.generate' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(GRAMMARS.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    lines = proc.stdout.splitlines()
+    assert (len(short), lines[1], lines[3]) == (100, "0 False", "0 True"), proc.stderr
 
 
 def test_missing_grammar_file(capsys):

@@ -9,15 +9,16 @@ import pytest
 
 from pegstack import rules as r
 from pegstack.effects import StackEffect, cons
-from pegstack.engine import (ACTION_FAIL, ActionRaised, EngineFault, InternalFault, ParseFailed,
-                             Parser, ParserState, RunResult, Trace, format_trace_event)
+from pegstack.engine import (ACTION_FAIL, GENERATE_AT, ActionRaised, EngineFault, InternalFault,
+                             ParseFailed, Parser, ParserState, RunResult, Trace,
+                             format_trace_event)
 from pegstack.errors import MODE_COLLECT, build_parse_error, principal_error_index
 from pegstack.instructions import ALT, OPT, REF, REP
 from pegstack.notation import load_grammar, parse_grammar
 from pegstack.rules import DIGIT, validate_grammar
 from pegstack.values import Node, StackUnderflow, Value, node_value, render_value, str_value
 
-from conftest import DATA, ROOT
+from conftest import DATA, ROOT, generated
 from generators import (ALPHABET, LOWERABLE_ALPHABET, big_expression, gen_grammar, gen_input,
                         gen_lowerable_grammar, gen_neutral, gen_sound_grammar)
 from reference_interp import ref_match, ref_run
@@ -234,7 +235,7 @@ def test_mask_bits_at_or_above_128_are_no_members_on_any_path(expr, text, ok):
     # none-of set, each against the reference
     assert _HIGH_BIT.contains("\u00e9") is False
     g = _grammar(expr)
-    parser = Parser(g)
+    parser = generated(g)
     expected = ref_run(g, text)
     assert expected[0] is ok
     values = expected[2] if ok else None
@@ -435,7 +436,7 @@ def test_head_mismatch_at_the_principal_index_is_collected_with_its_rules():
     assert state.stats.max_cursor == principal_error_index(Parser(g), "ax")
     assert [(t.frames, t.terminal.text) for t in state.collected] == [
         (("Top", "Inner"), "b"), (("Top", "Inner"), "d")]
-    assert Parser(g).run("ax").error.traces == tuple(state.collected)
+    assert generated(g).run("ax").error.traces == tuple(state.collected)
 
 
 def test_prioritized_choice_commits_to_first_success():
@@ -899,10 +900,10 @@ def _fragments(parser):
 def test_fast_table_lowers_the_json_captures_and_nothing_of_calc(calc_grammar):
     # the generated code, which replaced the fast table, lowers the same
     # fragments, each in its rule's own function
-    parser = Parser(load_grammar(ROOT / "bench/json.peg"))
+    parser = generated(load_grammar(ROOT / "bench/json.peg"))
     assert parser.run('{"a": [1, -2.5e3, true, null], "b": "x\\"y"}').ok
     assert _fragments(parser) == {"String": [True], "Number": [True], "Literal": [True]}
-    parser = Parser(calc_grammar)
+    parser = generated(calc_grammar)
     assert parser.run("1+(2-3*4)/5").ok
     assert _fragments(parser) == {}
 
@@ -931,7 +932,7 @@ FAST_EDGE_CASES = [
 def test_fast_table_agrees_with_the_exact_table_on_edge_cases(expr, texts, lowered):
     # the generated code, which replaced the fast table; unvalidated, so
     # that the empty literal stays in
-    parser = Parser(r.grammar({"Top": r.capture(expr)}))
+    parser = generated(r.grammar({"Top": r.capture(expr)}))
     for text in texts:
         state = ParserState(text)
         ok = parser.match_rule(state, "Top")
@@ -1031,7 +1032,7 @@ _DISPATCH_IDS = [f"expr{i}-texts{i}-{ {ALT: 22, REP: 23, OPT: 24}[case[2]] }"
 
 @pytest.mark.parametrize("expr, texts, op", DISPATCH_CASES, ids=_DISPATCH_IDS)
 def test_head_dispatch_agrees_with_the_exact_table(expr, texts, op):
-    parser = Parser(r.grammar({"Top": expr}))  # unvalidated, so that empty literals stay
+    parser = generated(r.grammar({"Top": expr}))  # unvalidated, so that empty literals stay
     assert op in _dispatching(parser)
     for text in texts:
         result = parser.run(text)
@@ -1045,7 +1046,7 @@ def test_a_choice_at_the_end_of_the_input_runs_only_what_has_no_head():
     # a none-of set has a wide head: any character it does not list may start
     # it, but the end of the input does not; no outcome shows the difference
     expr = r.first_of(r.seq(r.none_of("+"), r.capture(r.ANY)), r.capture(r.lit("")))
-    parser = Parser(r.grammar({"Top": expr}))
+    parser = generated(r.grammar({"Top": expr}))
     for text, counters in (("", (3, 0)), ("+", (3, 0)), ("xy", (5, 0))):
         with recorded_states() as states:
             assert parser.run(text).ok, text
@@ -1057,7 +1058,7 @@ def test_json_value_dispatches_through_the_rules_on_its_cycle(calc_grammar):
     # Object and Array are on Value's reference cycle, and their heads
     # ('{' and '[') leave them out where the next character rules them out;
     # Number and Literal start with a regex, which has no head
-    parser = Parser(load_grammar(ROOT / "bench/json.peg"))
+    parser = generated(load_grammar(ROOT / "bench/json.peg"))
     value = parser._tables.bodies["Value"]
     assert value[0] == ALT and value[4]
 
@@ -1100,7 +1101,7 @@ def test_a_grammar_150_levels_deep_compiles_and_runs():
     e = r.ch("a")
     for _ in range(150):
         e = r.opt(r.seq(r.ch("b"), e))
-    parser = Parser(_grammar(e))
+    parser = generated(_grammar(e))
     assert parser.run("bba").values == ()
     assert parser.run("bb", observer=Trace([])).values == ()
 
@@ -1108,7 +1109,7 @@ def test_a_grammar_150_levels_deep_compiles_and_runs():
 def test_a_parser_is_built_whole_before_its_first_run():
     g = _grammar(r.seq(r.ref("Word"), r.EOI), Word=r.capture(r.one_or_more(r.any_of("ab"))),
                  Unused=r.seq(r.ch("x"), r.ref("Word")))
-    parser = Parser(g)
+    parser = generated(g)
     tables, parse, source = parser._tables, parser._parse, parser._source
     exact = tables.bodies
     assert exact.keys() == {"Top", "Word", "Unused"}
@@ -1130,7 +1131,9 @@ def test_an_unknown_start_rule_raises_key_error_naming_it():
 def test_a_fresh_parser_compiles_safely_under_threads(calc_grammar):
     # a Parser's tables are built with it, and runs only read them; threads
     # sharing a new Parser must still see one consistent grammar, and each
-    # thread's Trace the events a single-threaded run logs
+    # thread's Trace the events a single-threaded run logs. The threads take
+    # the shared Parser past GENERATE_AT, unlocked: two that cross together
+    # both write the module, and a lost update of the count only delays it
     rng = random.Random(77)
     texts = [big_expression(rng, 300) + ("!" if i % 3 == 0 else "") for i in range(24)]
     expected = [Parser(calc_grammar).run(t) for t in texts]
@@ -1142,6 +1145,7 @@ def test_a_fresh_parser_compiles_safely_under_threads(calc_grammar):
             alone.run(texts[i], observer=observer)
         expected_events.append(events)
     shared = Parser(calc_grammar)
+    assert sum(map(len, texts)) > GENERATE_AT
     results = [None] * len(texts)
     traced = [[] for _ in range(4)]
 
@@ -1162,6 +1166,7 @@ def test_a_fresh_parser_compiles_safely_under_threads(calc_grammar):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    assert shared._parse is not None
     assert results == expected
     assert traced == expected_events
     assert all(len(events) > 1000 for events in traced)

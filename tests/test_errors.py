@@ -15,7 +15,7 @@ from pegstack.notation import load_grammar
 from pegstack.rules import validate_grammar
 from pegstack.values import ValueStack
 
-from conftest import ROOT
+from conftest import ROOT, generated
 from generators import (ALPHABET, LOWERABLE_ALPHABET, big_expression, gen_grammar, gen_input,
                         gen_lowerable_grammar, gen_sound_grammar)
 from reference_interp import ref_run, ref_traces
@@ -238,7 +238,7 @@ def test_a_fragment_that_fails_through_a_not_predicate_hands_over_no_mismatch():
     g = validate_grammar(r.grammar({"S": r.first_of(
         r.seq(r.ch("x"), r.capture(r.seq(r.not_pred(r.ch("z")), r.ch("y")))),
         r.capture(r.ch("w")))}))
-    parser = Parser(g)
+    parser = generated(g)
     (error, bound), _ = handed_over_bounds(parser, "xz")
     assert bound == 0
     assert (error.position.index, error.expected()) == (0, ["'w'"])
@@ -255,7 +255,7 @@ def test_the_handed_over_bound_keeps_the_error_on_random_grammars(family):
     rng = random.Random(family)
     failed = 0
     for _ in range(120):
-        parser = Parser(make(rng))
+        parser = generated(make(rng))
         for _ in range(3):
             failed += assert_the_bound_keeps_the_error(parser, gen_input(rng, alphabet=alphabet))
     assert failed > 100
@@ -263,7 +263,7 @@ def test_the_handed_over_bound_keeps_the_error_on_random_grammars(family):
 
 def test_the_handed_over_bound_keeps_the_error_on_the_calc_corpus(calc_grammar):
     rng = random.Random(71)
-    parser = Parser(calc_grammar)
+    parser = generated(calc_grammar)
     failed = 0
     for _ in range(150):
         text = big_expression(rng, rng.randint(1, 400))
@@ -290,7 +290,7 @@ def _json_value(rng, depth):
 
 def test_the_handed_over_bound_keeps_the_error_on_json_documents():
     rng = random.Random(72)
-    parser = Parser(load_grammar(ROOT / "bench/json.peg"))
+    parser = generated(load_grammar(ROOT / "bench/json.peg"))
     failed = 0
     for _ in range(150):
         text = json.dumps(_json_value(rng, 4))
@@ -417,7 +417,7 @@ def test_a_pass_without_values_counts_like_one_with_them_on_calc_and_json(calc_g
                  for _ in range(60)])]
     failed = 0
     for grammar, corpus in corpora:
-        parser, valued = Parser(grammar), Parser(grammar)
+        parser, valued = generated(grammar), Parser(grammar)
         valued._tables.value_free = False  # builds every value, as with a user action
         for text in corpus:
             failures = handed_over_bounds(parser, text)
@@ -445,8 +445,8 @@ def test_a_user_action_that_fails_decides_the_error_of_a_bounded_pass():
     az = r.any_of("az")
     for first in (r.seq(r.capture(az), check, r.ch("b")),
                   r.seq(r.and_pred(r.seq(r.capture(az), check, r.drop())), az, r.ch("b"))):
-        parser = Parser(validate_grammar(r.grammar({"S": r.first_of(first,
-                                                                    r.seq(az, r.ch("c")))})))
+        parser = generated(validate_grammar(r.grammar({"S": r.first_of(first,
+                                                                        r.seq(az, r.ch("c")))})))
         assert not parser._tables.value_free
         for text, expected in (("zd", ["'c'"]), ("ad", ["'b'", "'c'"])):
             assert assert_the_bound_keeps_the_error(parser, text)
@@ -455,7 +455,7 @@ def test_a_user_action_that_fails_decides_the_error_of_a_bounded_pass():
 
 def test_a_cons_that_underflows_is_a_fault_not_a_parse_error():
     # not checked: the cons pops two values where there are none
-    parser = Parser(validate_grammar(r.grammar({"S": r.first_of(
+    parser = generated(validate_grammar(r.grammar({"S": r.first_of(
         r.seq(r.ch("a"), cons("X", 2), r.ch("b")), r.seq(r.ch("a"), r.ch("c")))})))
     assert parser._tables.value_free
     for text in ("ac", "ad"):

@@ -1,11 +1,15 @@
 """The Python modules a Parser writes for its grammar, against the exact table.
 
-An unobserved ``Parser.run`` calls the generated parse code, and when it
-fails, the generated collect code; an observed run, and ``run_phase``,
-take the exact table. Each test here fails on a mutation of
-``pegstack.generate`` or of the reruns in ``Parser``: the depth bound, the
-splitting of deep nests into functions of their own, the code cache, the
-collect module's dispatch, rule path, counters and values.
+Once a Parser has written its parse module, an unobserved ``Parser.run``
+calls the generated parse code, and when it fails, the generated collect
+code; an observed run, and ``run_phase``, take the exact table. A Parser
+writes the module when its unobserved runs have been asked to parse
+``GENERATE_AT`` characters; the tests here write it at once with
+``Parser._generate()``, so that their small inputs run the generated code.
+Each test here fails on a mutation of ``pegstack.generate``, of the reruns
+in ``Parser`` or of when it generates: the depth bound, the splitting of
+deep nests into functions of their own, the code cache, the collect
+module's dispatch, rule path, counters and values, and the threshold.
 """
 
 import random
@@ -15,18 +19,18 @@ import threading
 
 import pytest
 
-from pegstack import generate
+from pegstack import engine, generate
 from pegstack import rules as r
 from pegstack.effects import StackEffect, cons
-from pegstack.engine import ACTION_FAIL, InternalFault, Parser, Trace
+from pegstack.engine import ACTION_FAIL, GENERATE_AT, InternalFault, Parser, Trace
 from pegstack.errors import MODE_COLLECT, MODE_OFF, build_parse_error, principal_index
 from pegstack.notation import load_grammar, meta_grammar
 from pegstack.rules import validate_grammar
 from pegstack.values import Value
 
 import generators
-from conftest import GRAMMARS, ROOT
-from generators import (ALPHABET, LOWERABLE_ALPHABET, gen_grammar, gen_input,
+from conftest import GRAMMARS, ROOT, generated
+from generators import (ALPHABET, LOWERABLE_ALPHABET, big_expression, gen_grammar, gen_input,
                         gen_lowerable_grammar, gen_sound_grammar)
 from run_states import recorded_states
 from test_acceptance import _same_as_observed
@@ -74,7 +78,7 @@ def test_an_input_just_past_the_depth_bound_runs_again_on_the_exact_table(monkey
     # Top's function is open at depth 0 and level k's Nest at depth k; the
     # innermost Nest of DEPTH_BOUND levels is one past the bound
     ticks = []
-    parser = Parser(_ticking(ticks))
+    parser = generated(_ticking(ticks))
     for levels in (generate.DEPTH_BOUND - 1, generate.DEPTH_BOUND):
         text = "(" * levels + "a" + ")" * levels
         expected = parser.run_phase(text).stack.values()
@@ -91,7 +95,7 @@ def test_an_input_just_past_the_depth_bound_runs_again_on_the_exact_table(monkey
 
 def test_a_recursion_error_in_the_generated_code_runs_again_on_the_exact_table(monkeypatch):
     # well under the depth bound, but past a recursion limit set low
-    parser = Parser(validate_grammar(r.grammar({
+    parser = generated(validate_grammar(r.grammar({
         "Top": r.seq(r.ref("Nest"), r.EOI),
         "Nest": r.first_of(r.seq(r.ch("("), r.ref("Nest"), r.ch(")"), cons("P", 1)),
                            r.capture(r.ch("a")))})))
@@ -118,12 +122,104 @@ def test_a_recursion_error_inside_an_action_is_a_fault_not_a_rerun(monkeypatch):
         calls.append(None)
         raise RecursionError("too deep inside")
 
-    parser = Parser(r.grammar({"Top": r.seq(r.ch("a"), r.Action(0, deep, StackEffect((), ()),
-                                                                  name="deep"))}))
+    parser = generated(r.grammar({"Top": r.seq(r.ch("a"), r.Action(0, deep, StackEffect((), ()),
+                                                                      name="deep"))}))
     reruns = _reruns(parser, monkeypatch)
     result = parser.run("a")
     assert result.fault == InternalFault("action deep raised RecursionError: too deep inside")
     assert (len(calls), reruns) == (1, [])
+
+
+# -- when a Parser generates ------------------------------------------------------------
+
+def test_runs_below_and_above_the_threshold_agree_and_the_module_is_written_once(
+        calc_grammar, monkeypatch):
+    # while the characters asked for stay below GENERATE_AT, runs take the
+    # exact table and their error pass is the exact one; the run that takes
+    # the sum to GENERATE_AT writes the module and runs it
+    written, write = [], generate.generate
+    monkeypatch.setattr(generate, "generate", lambda tables, runtime, collect=False: (
+        written.append("collect" if collect else "parse") or write(tables, runtime, collect)))
+    parser = Parser(calc_grammar)
+    texts = ["1+2*(3-4)/5", "((1)", "1+2!3", "", "7*", "(((8)))-9", "1+", ")"]
+    texts += [big_expression(random.Random(i), 30) for i in range(3)]
+    texts += [text[:len(text) // 2] + "!" + text[len(text) // 2:] for text in texts[-3:]]
+
+    def reports():
+        out = []
+        for text in texts:
+            with recorded_states() as states:
+                result = parser.run(text)
+            error = result.error
+            out.append((result.kind, result.values, states[0].cursor,
+                        None if error is None else (error.position, error.expected(),
+                                                    error.traces)))
+        return out
+
+    below = reports()
+    assert sum(kind == "parse-failure" for kind, *_ in below) >= 8
+    filler = "1" * (GENERATE_AT - sum(map(len, texts)) - 1)  # one character short of it
+    assert parser.run(filler).ok
+    assert (written, parser._parse, parser._collect) == ([], None, None)
+    assert parser.run("2").ok  # reaches it
+    assert written == ["parse"] and parser._parse is not None
+    assert reports() == below
+    assert written == ["parse", "collect"]
+    assert reports() == below
+    assert written == ["parse", "collect"]  # neither written again
+
+
+def test_a_deep_calc_nest_below_the_threshold_runs_each_action_once(calc_grammar, monkeypatch):
+    # a calc paren level opens three generated functions, so the generated
+    # code gives this nest up past DEPTH_BOUND and runs it again on the exact
+    # table, where the Val nodes of the levels it had entered are built twice
+    text = "(1+" * 70 + "1" + ")" * 70
+    assert 3 * 70 > generate.DEPTH_BOUND and len(text) < GENERATE_AT
+    built, node = [], engine.Node
+
+    def counted(*args):
+        built.append(args[0])
+        return node(*args)
+
+    monkeypatch.setattr(engine, "Node", counted)
+    monkeypatch.setitem(engine._RUNTIME, "Node", counted)
+    expected = Parser(calc_grammar).run_phase(text).stack.values()
+    assert len(built) == 141
+
+    def nodes_built(parser):
+        built.clear()
+        with monkeypatch.context() as patch:
+            reruns = _reruns(parser, patch)
+            assert parser.run(text).values == expected
+        assert reruns == [text]  # the exact run, or the exact rerun of the generated one
+        return len(built)
+
+    below = Parser(calc_grammar)
+    assert nodes_built(below) == 141 and below._parse is None
+    assert nodes_built(generated(calc_grammar)) > 141
+
+
+def test_building_a_parser_compiles_no_regex_and_no_module(monkeypatch):
+    # R_i <- R_i+1 'a': writing the module of a long chain of rules is
+    # quadratic in its length (ROADMAP item 2), and a Parser leaves it to the
+    # runs whose input pays for it
+    calls = []
+    for owner, name in ((generate, "_code"), (re, "compile")):
+        monkeypatch.setattr(owner, name, lambda *args, fn=getattr(owner, name), name=name:
+                            calls.append(name) or fn(*args))
+
+    def chain(length):
+        rules = {f"R{i}": r.seq(r.ref(f"R{i + 1}"), r.ch("a")) for i in range(length)}
+        rules[f"R{length}"] = r.ch("a")
+        return validate_grammar(r.grammar(rules, start="R0"))
+
+    grammar = chain(2000)
+    calls.clear()  # from here, what building the Parser compiles
+    parser = Parser(grammar)
+    assert parser.fault is None and calls == [] and parser._parse is None
+    assert parser.run("a" * 2001).values == () and calls == []  # on the exact table
+    generated(chain(3))
+    assert calls.count("_code") == 1 and calls.count("compile") == 3
 
 
 # -- grammars that nest deeply or are large ----------------------------------------------
@@ -144,7 +240,8 @@ def test_deep_option_nests_generate_and_agree_with_the_exact_table(levels, core,
     # 197 plain levels, and 190 with the capture's, are about the deepest
     # that the instruction tables compile
     inner = r.ch("a") if core == "lowered" else r.capture(r.ch("a"))
-    parser = _in_thread(lambda: Parser(validate_grammar(r.grammar({"Top": _nest(levels, inner)}))))
+    parser = _in_thread(lambda: generated(validate_grammar(r.grammar({"Top": _nest(levels,
+                                                                                 inner)}))))
     assert parser.fault is None
     reruns = _reruns(parser, monkeypatch)
     for text in ("", "a", "bba", "b" * levels + "a", "b" * (levels + 1) + "a", "bbx"):
@@ -159,7 +256,7 @@ def test_twenty_five_nested_loops_generate_and_agree_with_the_exact_table(monkey
     e = r.capture(r.ch("x"))
     for _ in range(25):
         e = r.zero_or_more(r.seq(r.ch("a"), e))
-    parser = Parser(validate_grammar(r.grammar({"Top": e})))
+    parser = generated(validate_grammar(r.grammar({"Top": e})))
     assert parser.fault is None
     reruns = _reruns(parser, monkeypatch)
     for text in ("", "x", "ax", "aaax", "aaaxa", "a" * 30 + "x"):
@@ -171,7 +268,7 @@ def test_twenty_five_nested_loops_generate_and_agree_with_the_exact_table(monkey
 def test_a_chain_of_2000_rules_generates_and_agrees_with_the_exact_table():
     rules = {f"R{i}": r.seq(r.ref(f"R{i + 1}"), r.ch("x")) for i in range(2000)}
     rules["R2000"] = r.capture(r.ch("x"))
-    parser = Parser(validate_grammar(r.grammar(rules, start="R0")))
+    parser = generated(validate_grammar(r.grammar(rules, start="R0")))
     assert parser.fault is None
     for text in ("x" * 2001, "x" * 2000, "x" * 2002):
         _same_as_observed(parser, text)
@@ -179,7 +276,7 @@ def test_a_chain_of_2000_rules_generates_and_agrees_with_the_exact_table():
 
 
 def test_the_meta_grammar_generates_and_agrees_with_the_exact_table():
-    parser = Parser(meta_grammar())
+    parser = generated(meta_grammar())
     texts = [path.read_text(encoding="utf-8")
              for path in (GRAMMARS / "calc.peg", GRAMMARS / "foo.peg", ROOT / "bench/json.peg")]
     texts += ["A <- 'a' B\nB <- [0-9]+ ~> cons(N,0)\n", "A <- (", "A <- 'a' /", ""]
@@ -225,7 +322,7 @@ def test_the_generated_collect_pass_reports_what_the_exact_pass_does(family):
         grammar = make(rng)
         kinds.update(type(node).__name__ for rd in grammar.rules.values()
                      for node in r.walk(rd.expr))
-        parser = Parser(grammar)
+        parser = generated(grammar)
         for _ in range(3):
             failed += _assert_collect_is_exact(parser, gen_input(rng, alphabet=alphabet))
     assert failed > 150
@@ -246,7 +343,7 @@ def test_the_generated_collect_pass_runs_actions_that_fail():
     for first in (r.seq(r.capture(az), check, r.ch("b"), r.drop()),
                   r.seq(r.and_pred(r.seq(r.capture(az), check, r.drop())), az, r.ch("b")),
                   r.seq(r.quiet(r.ref("Q")), r.ch("b"))):
-        parser = Parser(validate_grammar(r.grammar({
+        parser = generated(validate_grammar(r.grammar({
             "S": r.seq(r.one_or_more(r.first_of(first, r.seq(az, r.ch("c")))), r.EOI),
             "Q": r.seq(r.capture(az), check, r.drop())}, start="S")))
         assert not parser._tables.value_free
@@ -279,7 +376,7 @@ def test_the_sound_family_has_concats_that_fail_in_the_parse_and_in_the_error_pa
     rng = random.Random("concat")
     for _ in range(1_000):
         mode[0] = MODE_OFF
-        Parser(gen_sound_grammar(rng)).run(gen_input(rng))
+        generated(gen_sound_grammar(rng)).run(gen_input(rng))
         if all(fails.values()):
             break
     assert all(fails.values()), fails
@@ -291,7 +388,7 @@ def test_a_collect_pass_past_the_depth_bound_runs_again_on_the_exact_table(calc_
     # depth bound starts again on the exact table and hands its error pass
     # no bound, so that pass is the exact one from the start: it neither
     # writes the collect module nor calls the one already written
-    parser = Parser(calc_grammar)
+    parser = generated(calc_grammar)
 
     def fail(levels):
         """The exact reruns of the run and of its error pass, and the calls
@@ -321,7 +418,7 @@ def test_only_the_first_failing_run_writes_the_collect_module(calc_grammar, monk
     monkeypatch.setattr(generate, "_CODES", {})
     monkeypatch.setattr(generate, "compile", lambda *args: calls.append(args) or compile(*args),
                         raising=False)
-    parser = Parser(calc_grammar)
+    parser = generated(calc_grammar)
     assert len(calls) == 1
     for text in ("1+2", "(3*4)-5", "6"):
         assert parser.run(text).ok
@@ -344,9 +441,9 @@ def test_a_second_parser_over_an_equal_grammar_compiles_nothing(monkeypatch):
     monkeypatch.setattr(generate, "_CODES", {})
     monkeypatch.setattr(generate, "compile", lambda *args: calls.append(args) or compile(*args),
                         raising=False)
-    first = Parser(grammars[0])
+    first = generated(grammars[0])
     assert len(calls) == 1
-    second = Parser(grammars[1])
+    second = generated(grammars[1])
     assert len(calls) == 1 and second._source == first._source
     assert second.run("1+2*(3-4)") == first.run("1+2*(3-4)")
 
@@ -358,4 +455,4 @@ def test_the_readme_shows_calcs_generated_term_function(calc_grammar):
     section = readme[readme.index("### From grammar to runtime code"):]
     excerpt = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     assert "# Term" in excerpt.splitlines()[0]
-    assert excerpt in Parser(calc_grammar)._source
+    assert excerpt in generated(calc_grammar)._source

@@ -27,7 +27,7 @@ from pegstack.instructions import (_ASCII, ALT, CAPTURE, CHARS, ISTR, OPT, PRED,
 from pegstack.notation import load_grammar, meta_grammar
 from pegstack.values import str_value
 
-from conftest import ROOT
+from conftest import ROOT, generated
 from generators import gen_grammar, gen_lowerable_grammar, gen_sound_grammar
 
 
@@ -215,7 +215,7 @@ def test_a_chain_of_rules_that_double_checks_and_builds_in_linear_time():
     grammar = r.validate_grammar(r.grammar(rules, start="R0"))
     start = time.perf_counter()
     report = check_grammar(grammar)
-    parser = Parser(grammar)
+    parser = generated(grammar)
     assert time.perf_counter() - start < 1.0
     assert set(report.values()) == {NEUTRAL}
     assert parser.run("x").values == ()
@@ -283,7 +283,8 @@ def _instructions(bodies):
 
 def test_each_regex_is_compiled_once_while_a_parser_is_built(monkeypatch):
     # one re.compile per regex fragment of the generated code and per fused
-    # scan; a fragment runs wherever its rule's code is copied
+    # scan, between building the Parser and writing its module; a fragment
+    # runs wherever its rule's code is copied
     calls = []
     compile_ = re.compile
     monkeypatch.setattr(re, "compile", lambda *args: calls.append(args) or compile_(*args))
@@ -293,7 +294,7 @@ def test_each_regex_is_compiled_once_while_a_parser_is_built(monkeypatch):
                            (meta_grammar(), 5 + 7),
                            (r.validate_grammar(r.grammar(chain, start="R0")), 300 + 0)):
         calls.clear()
-        parser = Parser(grammar)
+        parser = generated(grammar)
         regexes = len(set(re.findall(r"(?:m\d+ = |:= |pos = )(M\d+)\(text, pos\)",
                                      parser._source)))
         scans = sum(ins[0] == CHARS and ins[4] is not None

@@ -193,6 +193,24 @@ def test_deep_values_copy_and_pickle_without_recursion():
     assert [type(x) for x in twin.payload] == [Node, Node, int] and twin == mixed
 
 
+def test_a_subclass_instance_hashes_like_the_identity_it_compares_by():
+    # __eq__ returns NotImplemented for a subclass, so equality falls back to
+    # identity; its hash must agree, alone and inside a value
+    class Tagged(Value):
+        __slots__ = ()
+
+    class Labelled(Node):
+        __slots__ = ()
+
+    for v in (Tagged("Str", "x"), Labelled("A", (str_value("1"),))):
+        assert hash(v) == object.__hash__(v)
+        assert v == v and v != copy.copy(v)
+        assert len({v, v, copy.copy(v)}) == 2
+        outer, twin = Value("ListOf(Str)", (v,)), Value("ListOf(Str)", (v,))
+        assert hash(outer) == hash(twin) and outer == twin
+        assert outer != Value("ListOf(Str)", (copy.copy(v),))
+
+
 def test_a_node_is_its_own_payload():
     child = str_value("1")
     v = node_value("Val", child)
