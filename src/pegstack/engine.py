@@ -31,13 +31,14 @@ counters are not exact: a fragment counts one step and, when it fails,
 one mismatch, but leaves ``max_cursor`` as it is, so the run's
 ``max_cursor`` is at most the exact table's. When the generated code
 opens too many functions (``TooDeep``), or raises ``RecursionError``, the
-run starts again on the exact table, and actions run a second time.
-``match``, ``match_rule`` and ``run_phase`` take the exact table. A failed
-generated run hands its ``max_cursor`` to its error pass, which runs the
-grammar's generated collect code, written on the first such failure, from
-there (see ``pegstack.errors``); a run that took the exact table, or
-started again on it, hands over no bound, so its error pass is the exact
-one.
+run starts again on the exact table, and actions run a second time; a
+grammar that nests too deeply to write its module from the caller's stack
+keeps the exact table. ``match``, ``match_rule`` and ``run_phase`` take
+the exact table. A failed generated run hands its ``max_cursor`` to its
+error pass, which runs the grammar's generated collect code, written on
+the first such failure, from there (see ``pegstack.errors``); a run that
+took the exact table, or started again on it, hands over no bound, so its
+error pass is the exact one.
 
 A repetition of one single-character terminal runs as one fused scan, and
 so does a Capture of such a repetition, which pushes the matched slice
@@ -68,10 +69,12 @@ _RULE_FRAME = (RULE,)  # a rule open in a collecting run that no observer watche
 _COMPACT_AT = 64  # the error pass compacts its frontier past twice its kept length plus this
 # characters a Parser's unobserved runs are asked to parse, in all, before
 # it writes its grammar's module. Writing and compiling the module costs
-# what the exact table loses to it on 1.3 KB of input (json) to 2.6 KB (the
-# meta-grammar), and on 12 KB (calc) when the first Parser of a process
-# also imports the writer: this is about the geometric mean of the extremes
-GENERATE_AT = 4096
+# what the exact table loses to it on 1.3 KB (json) to 2.6 KB (the
+# meta-grammar) of input in a process that has imported the writer, and on
+# 12-16 KB (calc) in a one-shot ``pegstack run`` process, which also
+# imports it from source. A long-lived Parser passes any of these within
+# its first few inputs, so the one-shot break-even sets the constant
+GENERATE_AT = 12288
 
 
 def _scan(mask: int, extra, text: str, i: int) -> int:
@@ -217,6 +220,12 @@ class TooDeep(Exception):
     """Raised by generated code when too many of its functions are open."""
 
 
+def _gives_up(*_):
+    """The factory a Parser keeps for a module it could not write: each run
+    of it gives up at once, and the exact table runs instead."""
+    raise TooDeep
+
+
 class ActionRaised(Exception):
     """Internal: an action function raised; surfaces as an InternalFault."""
 
@@ -272,7 +281,8 @@ class Parser:
             self._tables = None  # every run is an internal fault
         # characters the unobserved runs have been asked to parse, until the
         # grammar's module is written; then unobserved runs call its closure
-        # factory, and _source keeps its source
+        # factory, and _source keeps its source (or _gives_up, when the
+        # module nests too deeply to write)
         self._asked = 0
         self._parse = self._source = None
         # the factory of the grammar's collect module, written on the first
@@ -357,8 +367,9 @@ class Parser:
         without a fault, at most the principal index: the pass then runs the
         grammar's generated collect code, written on first use, with its
         running maximum starting there (see ``pegstack.errors``). When that
-        code opens too many functions, or raises ``RecursionError``, the
-        pass starts again on the exact table, in the same state."""
+        code opens too many functions, or raises ``RecursionError``, or the
+        module nests too deeply to write, the pass runs on the exact table,
+        in the same state."""
         if bound is None:
             return self.run_phase(text, start, MODE_COLLECT)
         bodies = self._bodies()
@@ -366,7 +377,10 @@ class Parser:
         name = start or self.grammar.start
         if self._collect is None:
             from .generate import generate
-            self._collect = generate(self._tables, _RUNTIME, collect=True)[0]
+            try:
+                self._collect = generate(self._tables, _RUNTIME, collect=True)[0]
+            except RecursionError:  # too deeply nested to write from this call stack
+                self._collect = _gives_up
         try:
             self._collect(state, name, bound)
         except (TooDeep, RecursionError):
@@ -392,9 +406,16 @@ class Parser:
 
     def _generate(self):
         """Write the grammar's parse module now and hand back its factory.
-        Two threads may both write it; each assigns an equal factory."""
+        Two threads may both write it; each assigns an equal factory. When
+        the grammar nests too deeply to write from this call stack
+        (``RecursionError``), the Parser keeps a factory that gives up at
+        once instead, so its unobserved runs take the exact table for good
+        and no later run writes again."""
         from .generate import generate
-        self._parse, self._source = generate(self._tables, _RUNTIME)
+        try:
+            self._parse, self._source = generate(self._tables, _RUNTIME)
+        except RecursionError:
+            self._parse = _gives_up
         return self._parse
 
     def _generated(self, state: ParserState, name: str, bodies: dict) -> tuple[bool, int | None]:

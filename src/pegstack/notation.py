@@ -26,6 +26,7 @@ by the same engine, so grammar files get the standard error messages.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count
 
 from . import rules as r
 from .effects import StackEffect, WILDCARD, check_grammar, cons
@@ -286,6 +287,18 @@ def _meta_parser() -> Parser:
     return Parser(meta_grammar())
 
 
+# One Parser serves every grammar load of a process, and it writes the
+# meta-grammar's module on the second load, not when the loads' characters
+# reach GENERATE_AT: a grammar file is a few hundred characters, so that
+# would be in whichever load crossed the sum, and the counters of a load's
+# meta-parse (generated code counts fewer steps) would depend on what the
+# process loaded before it. A process that loads one grammar, as
+# ``pegstack run`` and ``pegstack check`` do, parses it on the exact table
+# unless it is GENERATE_AT characters long; one that loads a second, a
+# library's set-ups or a test suite, tends to load more.
+_LOADS = count()
+
+
 # ---------------------------------------------------------------------------
 # loading
 
@@ -299,7 +312,10 @@ def parse_grammar(source: GrammarSource | str) -> Grammar:
     """
     if isinstance(source, str):
         source = GrammarSource(source)
-    result = _meta_parser().run(source.text)
+    parser = _meta_parser()
+    if next(_LOADS) == 1 and parser._parse is None:
+        parser._generate()
+    result = parser.run(source.text)
     if result.error is not None:
         raise NotationError(source.name, format_error(result.error, source.text),
                             result.error)

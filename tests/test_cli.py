@@ -12,7 +12,7 @@ import pytest
 
 from pegstack import rules as r
 from pegstack.cli import _error_json, _event_json, _json_values, _value_json, main
-from pegstack.engine import InternalFault, Parser, RunResult, TraceEvent
+from pegstack.engine import GENERATE_AT, InternalFault, Parser, RunResult, TraceEvent
 from pegstack.errors import format_error
 from pegstack.notation import _meta_parser
 from pegstack.values import (UNIT, Value, list_value, node_value, render_value,
@@ -131,9 +131,9 @@ def test_trace_memory_does_not_grow_with_the_events(tmp_path):
         assert main(argv + ["--trace"]) == 0
         assert main(argv) == 0  # json's module, compiled once; each Parser writes its source
     assert lines.getvalue().count("\n") > 50_000
-    # the process's meta-grammar Parser writes its module in whichever grammar
-    # load takes its input past the threshold; here, before either peak
-    _meta_parser()._generate()
+    # the process's meta-grammar Parser writes its module on the process's
+    # second grammar load, at the latest the one above: before either peak
+    assert _meta_parser()._source is not None
 
     def peak(*flags):
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
@@ -225,18 +225,24 @@ def test_importing_the_cli_leaves_out_the_json_package():
 
 def test_a_small_run_leaves_out_the_code_generator():
     # neither the meta-parse of calc.peg nor a parse of 100 characters reaches
-    # the threshold, so the process never imports the module writer; a long
-    # input does
-    short, long = "1+" * 49 + "12", "1+" * 3000 + "1"
-    code = ("import sys, pegstack.cli\n"
-            f"for text in ({short!r}, {long!r}):\n"
-            f"    code = pegstack.cli.main(['run', '--grammar', {CALC!r}, '--input', text])\n"
-            "    print(code, 'pegstack.generate' in sys.modules)\n")
+    # the threshold, so the process never imports the module writer; one
+    # whose input reaches it does. One run per process: a process's second
+    # grammar load writes the meta-grammar's module whatever its input
+    short, long = "1+" * 49 + "12", "1+" * (GENERATE_AT // 2) + "1"
     env = dict(os.environ, PYTHONPATH=str(GRAMMARS.parent / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          timeout=60)
-    lines = proc.stdout.splitlines()
-    assert (len(short), lines[1], lines[3]) == (100, "0 False", "0 True"), proc.stderr
+
+    def imports_the_writer(text):
+        code = ("import sys, pegstack.cli\n"
+                f"code = pegstack.cli.main(['run', '--grammar', {CALC!r}, '--input', {text!r}])\n"
+                "print(code, 'pegstack.generate' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.stdout.splitlines()[-1:] in (["0 False"], ["0 True"]), proc.stderr
+        return proc.stdout.splitlines()[-1] == "0 True"
+
+    assert len(short) == 100
+    assert not imports_the_writer(short)
+    assert imports_the_writer(long)
 
 
 def test_missing_grammar_file(capsys):

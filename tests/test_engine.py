@@ -1135,7 +1135,7 @@ def test_a_fresh_parser_compiles_safely_under_threads(calc_grammar):
     # the shared Parser past GENERATE_AT, unlocked: two that cross together
     # both write the module, and a lost update of the count only delays it
     rng = random.Random(77)
-    texts = [big_expression(rng, 300) + ("!" if i % 3 == 0 else "") for i in range(24)]
+    texts = [big_expression(rng, 1000) + ("!" if i % 3 == 0 else "") for i in range(24)]
     expected = [Parser(calc_grammar).run(t) for t in texts]
     alone, expected_events = Parser(calc_grammar), []
     for k in range(4):

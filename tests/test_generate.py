@@ -199,6 +199,69 @@ def test_a_deep_calc_nest_below_the_threshold_runs_each_action_once(calc_grammar
     assert nodes_built(generated(calc_grammar)) > 141
 
 
+def _report(result):
+    error = result.error
+    return (result.kind, result.values,
+            None if error is None else (error.position, error.expected(), error.traces))
+
+
+@pytest.mark.parametrize("module", ["parse", "collect"])
+def test_a_module_that_cannot_be_written_leaves_its_runs_on_the_exact_table(
+        calc_grammar, module, monkeypatch):
+    # writing recurses once per nesting level, so from a deep enough call
+    # stack it raises RecursionError: the Parser then keeps the exact table
+    # for the module it could not write and tries no second write
+    texts = ["1+2*(3-4)/5", "1+2!3", "((1)", "7*", big_expression(random.Random(3), 30)]
+    expected = [_report(Parser(calc_grammar).run(text)) for text in texts]
+    tries, write = [], generate.generate
+
+    def failing(tables, runtime, collect=False):
+        tries.append("collect" if collect else "parse")
+        if tries[-1] == module:
+            raise RecursionError("maximum recursion depth exceeded")
+        return write(tables, runtime, collect)
+
+    monkeypatch.setattr(generate, "generate", failing)
+    parser = Parser(calc_grammar)
+    assert parser.run("1" * GENERATE_AT).ok  # crosses the threshold
+    for _ in range(2):
+        assert [_report(parser.run(text)) for text in texts] == expected
+    assert tries == ["parse"] if module == "parse" else ["parse", "collect"]
+    gave_up = parser._parse if module == "parse" else parser._collect
+    assert gave_up is engine._gives_up
+
+
+def test_runs_from_a_deep_call_stack_parse_and_report_errors_on_the_exact_table():
+    # writing a 150-level nest takes a few hundred frames: the run that
+    # crosses GENERATE_AT with fewer left parses on the exact table, and a
+    # failing run's error pass, with fewer left, runs the exact pass
+    grammar = validate_grammar(r.grammar({"Top": r.seq(_nest(150, r.capture(r.ch("a"))),
+                                                        r.ch("z"))}))
+    long, failing = "b" * 150 + "az" + "c" * GENERATE_AT, "bbbaz"
+    exact = Parser(grammar)
+    expected = [_report(exact.run(text)) for text in (long, failing)]
+
+    def depth():
+        frame, n = sys._getframe(), 0
+        while frame is not None:
+            frame, n = frame.f_back, n + 1
+        return n
+
+    def deep(fn):
+        return fn() if depth() >= sys.getrecursionlimit() - 100 else deep(fn)
+
+    crossed_deep = Parser(grammar)
+    assert _report(deep(lambda: crossed_deep.run(long))) == expected[0]
+    assert crossed_deep._parse is engine._gives_up and crossed_deep._source is None
+    assert _report(crossed_deep.run(long)) == expected[0]  # and so do the runs after it
+
+    failed_deep = Parser(grammar)
+    assert _report(failed_deep.run(long)) == expected[0] and failed_deep._source is not None
+    assert _report(deep(lambda: failed_deep.run(failing))) == expected[1]
+    assert failed_deep._collect is engine._gives_up
+    assert _report(failed_deep.run(failing)) == expected[1]
+
+
 def test_building_a_parser_compiles_no_regex_and_no_module(monkeypatch):
     # R_i <- R_i+1 'a': writing the module of a long chain of rules is
     # quadratic in its length (ROADMAP item 2), and a Parser leaves it to the

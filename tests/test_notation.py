@@ -1,13 +1,20 @@
+from functools import lru_cache
+from itertools import count
+
 import pytest
 
+from pegstack import notation
 from pegstack import rules as r
 from pegstack.effects import EffectCheckError, StackEffect, WILDCARD, check_grammar, cons
-from pegstack.engine import Parser
+from pegstack.engine import GENERATE_AT, Parser
 from pegstack.notation import (GrammarSource, NotationError, load_grammar, meta_grammar,
                                parse_grammar, pretty_grammar)
 from pegstack.rules import (DIGIT, LOWER_HEX_LETTER, GrammarError, GrammarTooDeep,
                             validate_grammar)
 from pegstack.values import render_value
+
+from conftest import ROOT
+from run_states import recorded_states
 
 CALC_TEXT = """\
 InputLine <- Expression EOI
@@ -208,3 +215,32 @@ def test_meta_grammar_parses_itself_as_data():
 def test_parse_result_values_render(calc_grammar):
     result = Parser(calc_grammar).run("2*3+4")
     assert [render_value(v) for v in result.values] == ['Add(Mul(Val("2"),Val("3")),Val("4"))']
+
+
+def test_a_load_meta_parses_alike_whatever_the_process_loaded_before(monkeypatch):
+    # the process's one meta-grammar Parser writes its module on the second
+    # load: the first load of a process takes the exact table, every later
+    # one the generated code, so a load's counters do not depend on what
+    # the process loaded before it
+    calc = CALC_TEXT
+    json = (ROOT / "bench" / "json.peg").read_text()
+    assert len(calc) + len(json) < GENERATE_AT
+
+    def fresh_process(*texts):
+        monkeypatch.setattr(notation, "_LOADS", count())
+        monkeypatch.setattr(notation, "_meta_parser", lru_cache(maxsize=1)(
+            lambda: Parser(meta_grammar())))
+        out = []
+        for text in texts:
+            with recorded_states() as states:
+                parse_grammar(text)
+            assert len(states) == 1
+            out.append((states[0].stats.steps, states[0].stats.terminal_mismatches))
+        return out
+
+    first, second, third = fresh_process(calc, calc, calc)
+    assert first == (Parser(meta_grammar()).run_phase(calc).stats.steps,
+                     Parser(meta_grammar()).run_phase(calc).stats.terminal_mismatches)
+    assert first != second
+    assert fresh_process(json, calc, json, calc)[1::2] == [second, second]
+    assert fresh_process(calc, json)[1] == fresh_process(json, json)[1]
