@@ -1,10 +1,18 @@
 """Backtracking interpreter over rule trees, run without Python recursion.
 
 One ParserState per run holds the executor's input, cursor (at the next
-unmatched character), value stack and counters; error collection's
-mismatch frontier; and an observer, such as a ``Trace``, that sees each
-rule open and close and each traced step. Error collection stays inline:
-calls out would slow the error pass.
+unmatched character), value stack and counters, and an observer, if any:
+a ``Trace``, which sees each rule open and close and each step, or the
+error pass's ``errors.Collector``, which sees each counted mismatch at the
+running maximum. The observer's hooks are read once per run, and one that
+is None or absent costs one test where it would be called. The rule path
+that a mismatch hands to ``miss`` stays in the executor, as cons cells.
+Nearly every counted mismatch of the exact error pass is at the running
+maximum and so reaches the collector anyway (255,666 of 255,790 over the
+41 documents of the seed-1 calc-error benchmark pool), but a collector
+that also kept the path through ``enter`` and ``leave`` calls slowed the
+pass over a 12,133-character calc document from 8.5-8.9 to 9.3-9.6 ms
+(best of 15, CPython 3.11, one core of a 2-vCPU machine).
 Every expression match restores cursor and stack to their entry values
 when it fails, so prioritized choice can simply try the next alternative.
 
@@ -13,7 +21,7 @@ it builds when it is built: each rule body becomes nested tuples that carry
 the node's static facts. One iterative executor runs them with an explicit
 continuation stack: each open Sequence, FirstOf, repetition, predicate,
 Capture, Optional and Quiet holds one frame, and so does each open rule in
-observed and error-collecting runs. Nesting depth is therefore bounded by
+observed runs and error passes. Nesting depth is therefore bounded by
 the input, not by the interpreter's recursion limit. The executor knows
 five terminal opcodes and no node types: a CLASS carries the ASCII mask
 and the function for other characters of a predicate, a none-of set or
@@ -56,8 +64,7 @@ value, matching what the effect checker reports for them.
 from __future__ import annotations
 
 from . import rules as r
-from .errors import (MODE_COLLECT, MODE_OFF, ParseError, build_parse_error, format_error,
-                     rule_traces)
+from .errors import Collector, ParseError, build_parse_error, format_error
 from .instructions import OPS, QUIET, RULE, Tables
 from .record import record
 from .values import Node, StackUnderflow, Value, ValueStack, list_value
@@ -65,8 +72,6 @@ from .values import Node, StackUnderflow, Value, ValueStack, list_value
 # sentinel an action function returns to report a match failure
 ACTION_FAIL = object()
 _QUIET_FRAME = (QUIET,)
-_RULE_FRAME = (RULE,)  # a rule open in a collecting run that no observer watches
-_COMPACT_AT = 64  # the error pass compacts its frontier past twice its kept length plus this
 # characters a Parser's unobserved runs are asked to parse, in all, before
 # it writes its grammar's module. Writing and compiling the module costs
 # what the exact table loses to it on 1.3 KB (json) to 2.6 KB (the
@@ -102,26 +107,17 @@ class EngineStats:
 
 
 class ParserState:
-    """One run's data, by owner: the executor's ``input``, ``cursor``, ``stack``
-    and ``stats``; error collection's ``error_mode``, ``frontier`` and
-    ``collected``; and the ``observer``, which ``events`` sets to a Trace into
-    that list."""
+    """One run's data: the executor's ``input``, ``cursor``, ``stack`` and
+    ``stats``, and the ``observer`` that watches the run, or None."""
 
-    __slots__ = ("input", "cursor", "stack", "stats", "error_mode", "frontier", "collected",
-                 "observer")
+    __slots__ = ("input", "cursor", "stack", "stats", "observer")
 
-    def __init__(self, text: str, *, error_mode: str = MODE_OFF, events: list | None = None):
+    def __init__(self, text: str):
         self.input = text
         self.cursor = 0
         self.stack = ValueStack()
         self.stats = EngineStats()
-        self.error_mode = error_mode
-        # MODE_COLLECT: (rule path, terminal node) for each mismatch at the
-        # running maximum, paths as cons cells (name, below) ending in ();
-        # when the pass ends, their rule traces
-        self.frontier: list[tuple] = []
-        self.collected: list = []
-        self.observer = None if events is None else Trace(events)
+        self.observer = None
 
 
 @record
@@ -142,10 +138,13 @@ def format_trace_event(ev: TraceEvent) -> str:
 class Trace:
     """Observer that appends numbered TraceEvents to a sink, anything with ``append``.
 
-    An observer has ``enter(name, at)`` and ``leave(name, at, ok, pos)`` for
-    each rule, and ``event(node, cursor, outcome, moved_from, moved_to)``
-    for each step the executor logs, with that step's rule-tree node. A
-    Trace logs rules as events too, and renders each node's summary once.
+    An observer may have ``enter(name, at)`` and ``leave(name, at, ok, pos)``
+    for each rule, ``event(node, cursor, outcome, moved_from, moved_to)``
+    for each step the executor logs, with that step's rule-tree node, and
+    ``miss(at, node, path, quiet)`` for each counted mismatch at or past the
+    run's running maximum (see ``errors.Collector``); a hook that is None or
+    absent is not called. A Trace logs rules as events too, and renders each
+    node's summary once.
     """
 
     __slots__ = ("append", "step", "summaries")
@@ -267,7 +266,7 @@ def _act(state: ParserState, ins: tuple) -> bool:
 
 # what generated code calls besides the grammar's own objects
 _RUNTIME = {"Node": Node, "Value": Value, "list_value": list_value, "act": _act, "scan": _scan,
-            "TooDeep": TooDeep, "traces": rule_traces, "COMPACT_AT": _COMPACT_AT}
+            "TooDeep": TooDeep}
 
 
 class Parser:
@@ -311,6 +310,8 @@ class Parser:
         generated code, and the error pass of one that fails runs the
         generated collect code (see ``error_pass``).
         """
+        if mode not in ("result", "either", "raising"):
+            raise ValueError(f"unknown delivery mode {mode!r}")
         state = ParserState(text)
         state.observer = observer
         name = start or self.grammar.start
@@ -339,41 +340,41 @@ class Parser:
             if result.values is not None:
                 return result.values, None
             return None, (result.error if result.error is not None else result.fault)
-        if mode == "raising":
-            if result.values is not None:
-                return result.values
-            if result.error is not None:
-                raise ParseFailed(result.error, text)
-            raise EngineFault(result.fault)
-        raise ValueError(f"unknown delivery mode {mode!r}")
+        if result.values is not None:  # raising
+            return result.values
+        if result.error is not None:
+            raise ParseFailed(result.error, text)
+        raise EngineFault(result.fault)
 
-    def run_phase(self, text: str, start: str | None = None,
-                  error_mode: str = MODE_OFF) -> ParserState:
-        """Run once on the exact table under an error mode and hand back the
-        final state; under MODE_COLLECT its ``collected`` holds the rule
-        traces at the principal index. Every alternative, iteration and
-        option runs, and every value is built."""
-        state = ParserState(text, error_mode=error_mode)
+    def run_phase(self, text: str, start: str | None = None, observer=None) -> ParserState:
+        """Run once on the exact table, watched by observer, and hand back
+        the final state. Every alternative, iteration and option runs, and
+        every value is built."""
+        state = ParserState(text)
+        state.observer = observer
         name = start or self.grammar.start
         bodies = self._bodies()
         self._execute(state, bodies[name], name, bodies)
         return state
 
     def error_pass(self, text: str, start: str | None = None,
-                   bound: int | None = None) -> ParserState:
-        """The MODE_COLLECT pass over a failing text, as ``run_phase`` hands
-        it back. Without a bound it is ``run_phase``'s. A bound is the
+                   bound: int | None = None) -> tuple[ParserState, list]:
+        """The error pass over a failing text: its final state, and the rule
+        traces its ``errors.Collector`` found at the principal index. Without
+        a bound it is ``run_phase`` with that observer. A bound is the
         ``max_cursor`` of a generated run of the same text that failed
         without a fault, at most the principal index: the pass then runs the
         grammar's generated collect code, written on first use, with its
         running maximum starting there (see ``pegstack.errors``). When that
         code opens too many functions, or raises ``RecursionError``, or the
         module nests too deeply to write, the pass runs on the exact table,
-        in the same state."""
+        in the same state with a fresh Collector."""
         if bound is None:
-            return self.run_phase(text, start, MODE_COLLECT)
+            state = self.run_phase(text, start, Collector())
+            return state, state.observer.traces()
         bodies = self._bodies()
-        state = ParserState(text, error_mode=MODE_COLLECT)
+        state = ParserState(text)
+        state.observer = Collector()
         name = start or self.grammar.start
         if self._collect is None:
             from .generate import generate
@@ -384,9 +385,10 @@ class Parser:
         try:
             self._collect(state, name, bound)
         except (TooDeep, RecursionError):
-            state.stack = ValueStack()  # the counters and traces are written only at the end
+            state.stack = ValueStack()  # the counters are written only at the end
+            state.observer = Collector()
             self._execute(state, bodies[name], name, bodies)
-        return state
+        return state, state.observer.traces()
 
     def match(self, state: ParserState, node: r.RuleExpr) -> bool:
         """Match one expression at the state's cursor."""
@@ -452,14 +454,13 @@ class Parser:
         handed to the frames from the top down until one of them descends
         again. No Python call made here re-enters the executor.
 
-        Under MODE_COLLECT the run keeps the mismatch frontier: a mismatch
-        beyond the highest cursor so far clears it, and one at that cursor
-        outside ``quiet`` joins it, so the pass ends with exactly the
-        mismatches at the principal index. Whenever the frontier doubles, it
-        drops the pairs that repeat a rule trace, so it grows with the
-        traces, not with the work. Every alternative, iteration and option
-        runs, and every value is built: the dispatch that skips what cannot
-        start at the next character is the generated code's.
+        A watched run (one with an observer) opens a frame for each rule and
+        keeps the open rules' path, which it hands to the observer's
+        ``miss`` with each counted mismatch at or past ``max_cursor``; the
+        observer's hooks are read once, and one that is None is not called.
+        Every alternative, iteration and option runs, and every value is
+        built: the dispatch that skips what cannot start at the next
+        character is the generated code's.
         """
         text = state.input
         n = len(text)
@@ -471,12 +472,11 @@ class Parser:
         stack = state.stack
         snapshot, restore, push, size = stack.snapshot, stack.restore, stack.push, stack.size
         observer = state.observer
-        traced = observer is not None  # every step is logged
-        collecting = state.error_mode == MODE_COLLECT
-        frontier = state.frontier
-        compact_at = _COMPACT_AT
-        path = ()  # collecting: the open rules, innermost first, as cons cells
-        instrumented = traced or collecting  # rules open frames
+        watched = observer is not None  # rules open frames
+        enter, leave, event, miss = (getattr(observer, hook, None)
+                                     for hook in ("enter", "leave", "event", "miss"))
+        traced = event is not None  # every step is logged
+        path = ()  # watched: the open rules, innermost first, as cons cells
         not_depth = quiet_depth = 0
         # continuation frames, by the opcode that opened them:
         #   [SEQ or ALT, children, next child, entry cursor, snapshot, ins]
@@ -484,16 +484,15 @@ class Parser:
         #    collect base or None]
         #   (CAPTURE, start)  (OPT, collect tag, collect base)
         #   (PRED, negate, entry cursor, snapshot)  (QUIET,)
-        #   (RULE, name, entry cursor) in observed runs, _RULE_FRAME in other
-        #     collecting runs; a node entered with a RULE frame on top is a rule
-        #     body's root, which logs no events: its rule's stand for them
+        #   (RULE, name, entry cursor) in watched runs; a node entered with a
+        #     RULE frame on top is a rule body's root, which logs no events:
+        #     its rule's stand for them
         frames: list = []
-        if rule is not None and instrumented:
-            frames.append((RULE, rule, pos) if traced else _RULE_FRAME)
-            if traced:
-                observer.enter(rule, pos)
-            if collecting:
-                path = (rule, path)
+        if rule is not None and watched:
+            frames.append((RULE, rule, pos))
+            path = (rule, path)
+            if enter is not None:
+                enter(rule, pos)
         (CH, CLASS, STR, EOI, ISTR, SEQ, ALT, REF, CHARS, ACTION, CONS, CAPTURE, REP, OPT,
          PRED, QUIET) = OPS
         try:
@@ -527,39 +526,30 @@ class Parser:
                         ok = text[pos:end].lower() == ins[2]
                         if ok:
                             pos = end
-                    if not ok:
-                        if not not_depth:
-                            mismatches += 1
-                            if collecting:
-                                if at >= max_cursor:
-                                    if at > max_cursor:
-                                        max_cursor = at
-                                        frontier.clear()
-                                    if not quiet_depth:
-                                        frontier.append((path, ins[1]))
-                                        if len(frontier) > compact_at:
-                                            rule_traces(frontier)  # drops repeated traces
-                                            compact_at = 2 * len(frontier) + _COMPACT_AT
-                            elif at > max_cursor:
-                                max_cursor = at
+                    if not ok and not not_depth:
+                        mismatches += 1
+                        if at >= max_cursor:
+                            max_cursor = at
+                            if miss is not None:
+                                miss(at, ins[1], path, quiet_depth)
                     if traced and (not frames or frames[-1][0] != RULE):
                         if ok:
-                            observer.event(ins[1], at, "match", at, pos)
+                            event(ins[1], at, "match", at, pos)
                         else:
                             fail_at = at
-                            observer.event(ins[1], at, "mismatch", None, None)
+                            event(ins[1], at, "mismatch", None, None)
                 # the other opcodes, tested in the order of how often the runs of
                 # calc.peg and json.peg reach them
                 elif op == SEQ:
                     if traced and (not frames or frames[-1][0] != RULE):
-                        observer.event(ins[1], pos, "start", None, None)
+                        event(ins[1], pos, "start", None, None)
                     frames.append([SEQ, ins[2], 1, pos, snapshot() if ins[3] else None, ins])
                     ins = ins[2][0]
                     continue
                 elif op == ALT:
                     if traced:
                         if not frames or frames[-1][0] != RULE:
-                            observer.event(ins[1], pos, "start", None, None)
+                            event(ins[1], pos, "start", None, None)
                         fail_at = pos  # a reset reports the cursor of the last failure
                     frames.append([ALT, ins[2], 1, pos, snapshot() if ins[3] else None, ins])
                     ins = ins[2][0]
@@ -568,12 +558,11 @@ class Parser:
                     push(Node(ins[2], stack.take(ins[3])))
                     ok = True
                 elif op == REF:
-                    if instrumented:
-                        frames.append((RULE, ins[2], pos) if traced else _RULE_FRAME)
-                        if traced:
-                            observer.enter(ins[2], pos)
-                        if collecting:
-                            path = (ins[2], path)
+                    if watched:
+                        frames.append((RULE, ins[2], pos))
+                        path = (ins[2], path)
+                        if enter is not None:
+                            enter(ins[2], pos)
                     ins = bodies[ins[2]]
                     continue
                 elif op == CHARS:
@@ -588,9 +577,9 @@ class Parser:
                     steps += count + 1 + ins[5]  # a fused Capture counts its own step
                     if traced:  # the attempts of the repetition it stands for
                         for c in range(pos, at):
-                            observer.event(term[1], c, "match", c, c + 1)
+                            event(term[1], c, "match", c, c + 1)
                         fail_at = at
-                        observer.event(term[1], at, "mismatch", None, None)
+                        event(term[1], at, "mismatch", None, None)
                     ok = count >= ins[3]
                     if ok:
                         if ins[5]:
@@ -598,18 +587,10 @@ class Parser:
                         pos = at
                     if not not_depth:
                         mismatches += 1
-                        if collecting:
-                            if at >= max_cursor:
-                                if at > max_cursor:
-                                    max_cursor = at
-                                    frontier.clear()
-                                if not quiet_depth:
-                                    frontier.append((path, term[1]))
-                                    if len(frontier) > compact_at:
-                                        rule_traces(frontier)  # drops repeated traces
-                                        compact_at = 2 * len(frontier) + _COMPACT_AT
-                        elif at > max_cursor:
+                        if at >= max_cursor:
                             max_cursor = at
+                            if miss is not None:
+                                miss(at, term[1], path, quiet_depth)
                 elif op == REP:
                     # a snapshot undoes a zero-width iteration, so a body with
                     # a head (a filled dispatch operand), which moves when it
@@ -658,7 +639,7 @@ class Parser:
                                 break
                             frames.pop()
                             if traced and (not frames or frames[-1][0] != RULE):
-                                observer.event(f[5][1], f[3], "match", f[3], pos)
+                                event(f[5][1], f[3], "match", f[3], pos)
                         else:
                             frames.pop()
                             if traced:
@@ -670,7 +651,7 @@ class Parser:
                         if ok:
                             frames.pop()
                             if traced and (not frames or frames[-1][0] != RULE):
-                                observer.event(f[5][1], f[3], "match", f[3], pos)
+                                event(f[5][1], f[3], "match", f[3], pos)
                         else:
                             pos = entry = f[3]
                             if f[4] is not None:
@@ -679,14 +660,14 @@ class Parser:
                             following = f[1][i]
                             if following is not None:
                                 if traced:
-                                    observer.event(f[5][1], entry, "reset", fail_at, entry)
+                                    event(f[5][1], entry, "reset", fail_at, entry)
                                     fail_at = entry
                                 f[2] = i + 1
                                 ins = following
                                 break
                             frames.pop()
                             if traced and (not frames or frames[-1][0] != RULE):
-                                observer.event(f[5][1], entry, "mismatch", None, None)
+                                event(f[5][1], entry, "mismatch", None, None)
                     elif k == REP:
                         rep = f[1]
                         if f[4]:
@@ -728,10 +709,9 @@ class Parser:
                         quiet_depth -= 1
                     else:  # RULE
                         frames.pop()
-                        if collecting:
-                            path = path[1]
-                        if traced:
-                            observer.leave(f[1], f[2], ok, pos)
+                        path = path[1]
+                        if leave is not None:
+                            leave(f[1], f[2], ok, pos)
                 else:
                     return ok
         finally:
@@ -739,8 +719,6 @@ class Parser:
             stats.steps = steps
             stats.terminal_mismatches = mismatches
             stats.max_cursor = max_cursor
-            if collecting:
-                state.collected = rule_traces(frontier)
 
     # -- a helper the executor calls; it returns before the next node ---------
 

@@ -2,11 +2,16 @@
 
 The principal error index is the maximum cursor at which any terminal
 matcher registered a mismatch. One pass over the failing input finds it
-and its rule traces together: it keeps a running maximum, drops what it
-collected whenever a mismatch lands beyond it, and records every mismatch
-that lands on it, with the path of named rules from the start rule plus a
-descriptor of the failed terminal. Mismatches under ``quiet`` still raise
-the maximum but are not recorded; quiet rules behave identically otherwise.
+and its rule traces together. The pass keeps a running maximum and hands
+each mismatch at or past it to its observer, a ``Collector``, which drops
+what it collected whenever a mismatch lands beyond it and records every
+mismatch that lands on it, with the path of named rules from the start
+rule plus a descriptor of the failed terminal. The pass keeps that path
+itself and hands it over with the mismatch: nearly every mismatch of an
+exact pass reaches the Collector anyway, and a Collector that followed
+the rules through ``enter`` and ``leave`` slowed the pass by a tenth (see
+``pegstack.engine``). Mismatches under ``quiet`` still raise the maximum
+but are not recorded; quiet rules behave identically otherwise.
 Mismatches inside ``!`` neither count nor raise it.
 
 A failing ``Parser.run`` costs two passes: the run itself and this one.
@@ -45,9 +50,7 @@ from __future__ import annotations
 from . import rules as r
 from .record import record
 
-# error modes of a parser state; the trace-collecting pass selects MODE_COLLECT
-MODE_OFF = "off"
-MODE_COLLECT = "collect_traces"
+_COMPACT_AT = 64  # a frontier is compacted past twice its kept length plus this
 
 
 @record
@@ -112,25 +115,55 @@ class RuleTrace:
         return " / ".join(self.frames) + " / " + self.terminal.render()
 
 
-def rule_traces(frontier: list) -> list[RuleTrace]:
-    """Rule traces of (rule path, terminal node) pairs, deduplicated in
-    first-occurrence order; a path is cons cells (name, below) ending in ().
-    Drops from frontier, in place, each pair that repeats an earlier trace."""
-    paths: dict[int, tuple[str, ...]] = {}
-    traces: dict[RuleTrace, tuple] = {}
-    for pair in frontier:
-        cell, node = pair
-        path = paths.get(id(cell))
-        if path is None:
-            names = []
-            below = cell
-            while below:
-                names.append(below[0])
-                below = below[1]
-            path = paths[id(cell)] = tuple(reversed(names))
-        traces.setdefault(RuleTrace(path, descriptor_of(node)), pair)
-    frontier[:] = traces.values()
-    return list(traces)
+class Collector:
+    """The observer of an error pass. It keeps the frontier: the (rule path,
+    terminal node) pair of each mismatch at the running maximum, a path as
+    cons cells (name, below) ending in ().
+
+    A pass calls ``miss(at, node, path, quiet)`` for each mismatch it counts
+    at or past its running maximum; quiet is nonzero inside ``quiet``. A
+    mismatch past every earlier one clears the frontier, and one outside
+    ``quiet`` joins it, so the pass ends with exactly the mismatches at the
+    principal index. Whenever the frontier doubles, it drops the pairs that
+    repeat a rule trace, so it grows with the traces, not with the work.
+    """
+
+    __slots__ = ("at", "frontier", "compact_at")
+
+    def __init__(self):
+        self.at = 0
+        self.frontier: list[tuple] = []
+        self.compact_at = _COMPACT_AT
+
+    def miss(self, at: int, node, path: tuple, quiet: int) -> None:
+        frontier = self.frontier
+        if at > self.at:
+            self.at = at
+            frontier.clear()
+        if not quiet:
+            frontier.append((path, node))
+            if len(frontier) > self.compact_at:
+                self.traces()  # drops repeated traces
+                self.compact_at = 2 * len(frontier) + _COMPACT_AT
+
+    def traces(self) -> list[RuleTrace]:
+        """The frontier's rule traces, deduplicated in first-occurrence
+        order; drops from the frontier each pair that repeats an earlier one."""
+        paths: dict[int, tuple[str, ...]] = {}
+        traces: dict[RuleTrace, tuple] = {}
+        for pair in self.frontier:
+            cell, node = pair
+            path = paths.get(id(cell))
+            if path is None:
+                names = []
+                below = cell
+                while below:
+                    names.append(below[0])
+                    below = below[1]
+                path = paths[id(cell)] = tuple(reversed(names))
+            traces.setdefault(RuleTrace(path, descriptor_of(node)), pair)
+        self.frontier[:] = traces.values()
+        return list(traces)
 
 
 @record
@@ -169,8 +202,8 @@ def trace_collection(parser, text: str, start: str | None,
     """Principal error index and its rule traces, from one pass: the exact
     one, or, given the ``max_cursor`` of a failed generated run as bound,
     the generated one that starts there (``Parser.error_pass``)."""
-    state = parser.error_pass(text, start, bound)
-    return principal_index(state), tuple(state.collected)
+    state, traces = parser.error_pass(text, start, bound)
+    return principal_index(state), tuple(traces)
 
 
 def build_parse_error(parser, text: str, start: str | None = None,

@@ -54,9 +54,9 @@ factory ``collect(state, start, bound)`` runs the error pass of a failed
 generated run (see ``pegstack.errors``); a Parser writes it on its first
 such failure. It differs from the parse module in this:
 
-* it keeps the running maximum ``mc`` from ``bound``, and the frontier of
-  (rule path, terminal node) pairs at it, which it hands to the state as
-  rule traces when it ends;
+* it keeps the running maximum ``mc`` from ``bound``, and hands each
+  counted mismatch at or past it to the ``miss`` of the state's observer,
+  an ``errors.Collector``, with the rule path and the open ``quiet``s;
 * each rule's function, and each rule's code run in place, opens its rule
   on the path, a cons cell, and closes it again; ``!`` and ``quiet`` are
   counters that a mismatch reads;
@@ -127,9 +127,9 @@ def parse(state, start):
     return pos >= 0
 '''
 
-# the collect module: the same, but for the rule path, the ``!`` and ``quiet``
-# counters and the frontier of mismatches at the running maximum, which the
-# state receives only when the pass ends
+# the collect module: the same, but for the rule path and the ``!`` and
+# ``quiet`` counters; each mismatch at or past the running maximum goes to the
+# state's observer
 _COLLECT = '''\
 def collect(state, start, bound):
     text = state.input
@@ -138,24 +138,17 @@ def collect(state, start, bound):
     steps = mm = nots = quiets = 0
     mc = bound
     path = ()  # the open rules, innermost first, as cons cells
-    frontier = []  # (rule path, terminal node) of each mismatch at mc
-    compact = COMPACT_AT
+    note = state.observer.miss
     R = [None] * {count}
 
     def miss(at, t):  # the mismatch of terminal node t
-        nonlocal mm, mc, compact
+        nonlocal mm, mc
         if nots:
             return -1
         mm += 1
         if at >= mc:
-            if at > mc:
-                mc = at
-                frontier.clear()
-            if not quiets:
-                frontier.append((path, t))
-                if len(frontier) > compact:
-                    traces(frontier)  # drops repeated traces
-                    compact = 2 * len(frontier) + COMPACT_AT
+            mc = at
+            note(at, t, path, quiets)
         return -1
 
 {functions}
@@ -167,7 +160,6 @@ def collect(state, start, bound):
     stats = state.stats
     stats.steps, stats.terminal_mismatches, stats.max_cursor = steps, mm, mc
     state.cursor = max(pos, 0)
-    state.collected = traces(frontier)
     return pos >= 0
 '''
 _VALUES = '''\

@@ -15,12 +15,13 @@ text) and, for each (grammar, input) pair:
 
 * ``Parser.run``: kind, rendered values, error position, expected list,
   rule traces and fault; and, for a parse failure, whether its error has
-  the principal index and the ordered rule traces of the exact
-  MODE_COLLECT pass (``run_phase``), which tries every alternative. A run
-  whose error differs from that pass's is marked, so its family's digest
-  differs from that of a tree where the two agree;
-* ``run_phase`` on the exact table, and under MODE_COLLECT: its final
-  cursor, and the collected traces;
+  the principal index and the ordered rule traces of the exact collect
+  pass (``run_phase`` watched by an ``errors.Collector``, or, in a tree
+  without one, under its collect error mode), which tries every
+  alternative. A run whose error differs from that pass's is marked, so
+  its family's digest differs from that of a tree where the two agree;
+* ``run_phase`` on the exact table, plain and as the exact collect pass:
+  its final cursor, and the collected traces;
 * the traced event stream of ``match_rule`` and of ``Parser.run`` with a Trace.
 
 Each Parser writes its parse module before its first run, where the tree
@@ -73,7 +74,12 @@ from generators import (ALPHABET, LOWERABLE_ALPHABET, gen_grammar, gen_input,  #
                         gen_lowerable_grammar, gen_sound_grammar)
 from pegstack.effects import check_grammar  # noqa: E402
 from pegstack.engine import Parser, ParserState, Trace, format_trace_event  # noqa: E402
-from pegstack.errors import MODE_COLLECT, principal_index  # noqa: E402
+from pegstack.errors import principal_index  # noqa: E402
+try:
+    from pegstack.errors import Collector  # noqa: E402
+except ImportError:  # a tree that collects under an error mode
+    from pegstack.errors import MODE_COLLECT  # noqa: E402
+    Collector = None
 from pegstack.instructions import ALT, CAPTURE, OPT, PRED, QUIET, REP, SEQ  # noqa: E402
 from pegstack.values import render_value  # noqa: E402
 from run_states import recorded_states  # noqa: E402
@@ -99,9 +105,19 @@ def _check(grammar) -> str:
     return "\n".join(f"{name} {effect}" for name, effect in check_grammar(grammar).items())
 
 
+def _exact_pass(parser: Parser, text: str) -> tuple:
+    """The final state and the rule traces of the exact collect pass,
+    through whichever API the imported tree has."""
+    if Collector is None:
+        state = parser.run_phase(text, error_mode=MODE_COLLECT)
+        return state, state.collected
+    state = parser.run_phase(text, observer=Collector())
+    return state, state.observer.traces()
+
+
 def _run(parser: Parser, text: str, exact, tally: list) -> str:
-    """What Parser.run reports. exact is the state of run_phase under
-    MODE_COLLECT, None when that raised. tally counts a parse failure and,
+    """What Parser.run reports. exact is the (state, traces) of the exact
+    collect pass, None when that raised. tally counts a parse failure and,
     when its error differs from exact's, counts and marks the difference."""
     result = parser.run(text)
     if result.values is not None:
@@ -110,26 +126,26 @@ def _run(parser: Parser, text: str, exact, tally: list) -> str:
         err = result.error
         report = f"failure {err.position.index} {err.expected()!r} {[str(t) for t in err.traces]!r}"
         tally[0] += 1
-        if exact is None or (err.position.index, list(err.traces)) != (principal_index(exact),
-                                                                        list(exact.collected)):
+        if exact is None or (err.position.index, list(err.traces)) != (principal_index(exact[0]),
+                                                                        list(exact[1])):
             tally[1] += 1
             report += " differs from the exact pass"
         return report
     return f"fault {result.fault.description}"
 
 
-def _phase(parser: Parser, text: str, mode: str) -> tuple[str, str, object]:
-    """(behaviour, counters, final state) of one run_phase; a fault is both,
-    and no state."""
+def _phase(parser: Parser, text: str, collect: bool) -> tuple[str, str, object]:
+    """(behaviour, counters, (final state, traces)) of one run_phase, plain
+    or the exact collect pass; a fault is both, and no state."""
     try:
-        state = parser.run_phase(text, error_mode=mode)
+        passed = _exact_pass(parser, text) if collect else (parser.run_phase(text), [])
     except Exception as exc:
         raised = f"raised {type(exc).__name__}: {exc}"
         return raised, raised, None
+    state, traces = passed
     stats = state.stats
-    traces = [str(t) for t in state.collected]
-    return (f"{state.cursor} {traces!r}",
-            f"{stats.steps} {stats.terminal_mismatches} {stats.max_cursor}", state)
+    return (f"{state.cursor} {[str(t) for t in traces]!r}",
+            f"{stats.steps} {stats.terminal_mismatches} {stats.max_cursor}", passed)
 
 
 def _run_counters(parser: Parser, text: str) -> str:
@@ -144,7 +160,8 @@ def _run_counters(parser: Parser, text: str) -> str:
 
 def _traced_match(parser: Parser, text: str) -> str:
     events: list = []
-    state = ParserState(text, events=events)
+    state = ParserState(text)
+    state.observer = Trace(events)
     ok = parser.match_rule(state, parser.grammar.start)
     return f"{ok} {state.cursor}\n" + "\n".join(map(format_trace_event, events))
 
@@ -202,8 +219,8 @@ def family_digest(name: str, seed: int, pairs: int) -> tuple[str, str, int, list
         dispatches += dispatch_count(parser)
         for _ in range(INPUTS_PER_GRAMMAR):
             text = gen_input(rng, alphabet=alphabet)
-            off, off_counts, _ = _phase(parser, text, "off")
-            collect, collect_counts, exact = _phase(parser, text, MODE_COLLECT)
+            off, off_counts, _ = _phase(parser, text, False)
+            collect, collect_counts, exact = _phase(parser, text, True)
             parts = [text, _guarded(lambda: _run(parser, text, exact, tally)), off, collect,
                      _guarded(lambda: _traced_match(parser, text)),
                      _guarded(lambda: _traced_run(parser, text))]

@@ -12,7 +12,7 @@ from pegstack.effects import StackEffect, cons
 from pegstack.engine import (ACTION_FAIL, GENERATE_AT, ActionRaised, EngineFault, InternalFault,
                              ParseFailed, Parser, ParserState, RunResult, Trace,
                              format_trace_event)
-from pegstack.errors import MODE_COLLECT, build_parse_error, principal_error_index
+from pegstack.errors import build_parse_error, principal_error_index
 from pegstack.instructions import ALT, OPT, REF, REP
 from pegstack.notation import load_grammar, parse_grammar
 from pegstack.rules import DIGIT, validate_grammar
@@ -101,6 +101,35 @@ def test_a_custom_observer_sees_the_rule_events_of_a_trace(calc_grammar):
                        for e in events if e.summary in calc_grammar.rules]
         assert observer.log == rule_events
         assert len(rule_events) > 2
+
+
+class _RulesOnly(_RuleLog):
+    """A _RuleLog without events: the executor must not call ``event``."""
+
+    event = None
+
+
+@pytest.mark.parametrize("make", [gen_grammar, gen_sound_grammar, gen_lowerable_grammar])
+def test_an_observer_without_events_sees_the_rule_events_of_a_trace(make):
+    rng = random.Random(f"seam:{make.__name__}")
+    alphabet = LOWERABLE_ALPHABET if make is gen_lowerable_grammar else ALPHABET
+    logged = 0
+    for _ in range(60):
+        grammar = make(rng)
+        parser = Parser(grammar)
+        for _ in range(3):
+            text = gen_input(rng, alphabet=alphabet)
+            observer, events = _RulesOnly(), []
+            assert parser.run(text, observer=observer) == parser.run(text, observer=Trace(events))
+            rule_events = [(e.summary, e.cursor, e.outcome, e.moved_from, e.moved_to)
+                           for e in events if e.summary in grammar.rules]
+            assert (observer.open, observer.log) == ([], rule_events), text
+            state = ParserState(text)
+            state.observer = observer = _RulesOnly()
+            parser.match_rule(state, grammar.start)
+            assert observer.log == rule_events, text
+            logged += len(rule_events)
+    assert logged > 300
 
 
 def test_walkthrough_final_cursor(foo_grammar):
@@ -423,7 +452,9 @@ def test_shortcuts_trace_the_steps_they_stand_for(shape, place, text, expected):
     parser = Parser(r.grammar(SHORTCUT_PLACES[place](SHORTCUT_SHAPES[shape])))
     ran, matched = [], []
     parser.run(text, observer=Trace(ran))
-    parser.match_rule(ParserState(text, events=matched), "Top")
+    state = ParserState(text)
+    state.observer = Trace(matched)
+    parser.match_rule(state, "Top")
     for events in (ran, matched):
         assert [e.step for e in events] == list(range(1, len(events) + 1))
         assert [format_trace_event(e).split(": ", 1)[1] for e in events] == expected
@@ -432,11 +463,11 @@ def test_shortcuts_trace_the_steps_they_stand_for(shape, place, text, expected):
 def test_head_mismatch_at_the_principal_index_is_collected_with_its_rules():
     g = _grammar(r.seq(r.ch("a"), r.ref("Inner")),
                  Inner=r.first_of(r.seq(r.ch("b"), r.ch("c")), r.seq(r.ch("d"), r.ch("e"))))
-    state = Parser(g).run_phase("ax", error_mode=MODE_COLLECT)
+    state, traces = Parser(g).error_pass("ax")
     assert state.stats.max_cursor == principal_error_index(Parser(g), "ax")
-    assert [(t.frames, t.terminal.text) for t in state.collected] == [
+    assert [(t.frames, t.terminal.text) for t in traces] == [
         (("Top", "Inner"), "b"), (("Top", "Inner"), "d")]
-    assert generated(g).run("ax").error.traces == tuple(state.collected)
+    assert generated(g).run("ax").error.traces == tuple(traces)
 
 
 def test_prioritized_choice_commits_to_first_success():
@@ -773,6 +804,16 @@ def test_delivery_mode_raising(calc_grammar):
 def test_unknown_delivery_mode(calc_grammar):
     with pytest.raises(ValueError):
         Parser(calc_grammar).run("1", start="InputLine", mode="maybe")
+
+
+def test_an_unknown_delivery_mode_is_rejected_before_the_run(calc_grammar):
+    # an input long enough to write the grammar's module, were it parsed
+    parser, text = Parser(calc_grammar), "1+" * (GENERATE_AT // 2) + "1"
+    with recorded_states() as states:
+        with pytest.raises(ValueError, match="'Either'"):
+            parser.run(text, mode="Either")
+    assert (states, parser._asked, parser._parse, parser._source) == ([], 0, None, None)
+    assert parser.run(text, mode="either")[1] is None and parser._source is not None
 
 
 def test_action_exception_becomes_internal_fault():
@@ -1117,7 +1158,9 @@ def test_a_parser_is_built_whole_before_its_first_run():
     before = dict(vars(tables)), dict(exact)
     assert parser.run("ab").ok and parser.run("ax").error is not None
     assert parser.run("ab", observer=Trace([])).ok  # a traced run adds no table either
-    assert parser.match_rule(ParserState("ab", events=[]), "Top")
+    state = ParserState("ab")
+    state.observer = Trace([])
+    assert parser.match_rule(state, "Top")
     assert (parser._tables, parser._parse, parser._source) == (tables, parse, source)
     assert (dict(vars(tables)), dict(exact)) == before
 

@@ -7,9 +7,9 @@ import pytest
 from pegstack import engine, rules as r
 from pegstack.effects import StackEffect, cons
 from pegstack.engine import ACTION_FAIL, Parser, Trace
-from pegstack.errors import (MODE_COLLECT, MODE_OFF, ParseError, Position, RuleTrace,
-                             TerminalDescriptor, build_parse_error, descriptor_of, format_error,
-                             position_of, principal_error_index, trace_collection)
+from pegstack.errors import (Collector, ParseError, Position, RuleTrace, TerminalDescriptor,
+                             build_parse_error, descriptor_of, format_error, position_of,
+                             principal_error_index, trace_collection)
 from pegstack.instructions import ALT, CAPTURE, OPT, PRED, QUIET, REP, SEQ
 from pegstack.notation import load_grammar
 from pegstack.rules import validate_grammar
@@ -191,7 +191,7 @@ def test_no_collect_mismatch_beyond_principal():
         if ok:
             continue
         principal = principal_error_index(parser, text)
-        collect_state = parser.run_phase(text, None, MODE_COLLECT)
+        collect_state = parser.run_phase(text, None, Collector())
         assert collect_state.stats.max_cursor <= principal
         checked += 1
     assert checked > 40
@@ -307,11 +307,11 @@ def test_a_bound_cuts_the_collect_steps_not_the_traces(calc_grammar):
     # steps as the exact table would
     parser = Parser(calc_grammar)
     text = "1+(2*3-4)/5*(6+7)-8!9"
-    exact = parser.run_phase(text, None, MODE_COLLECT)
+    exact, exact_traces = parser.error_pass(text)
     steps = []
     for bound in (0, 10, 19):  # 19 is the principal index
-        generated = parser.error_pass(text, None, bound)
-        assert (generated.stats.max_cursor, generated.collected) == (19, exact.collected)
+        generated, traces = parser.error_pass(text, None, bound)
+        assert (generated.stats.max_cursor, traces) == (19, exact_traces)
         steps.append(generated.stats.steps)
     # from 0 the running maximum stands where the parse does: nothing to skip
     assert exact.stats.steps == steps[0] > steps[1] > steps[2]
@@ -391,7 +391,7 @@ def test_a_bounded_pass_over_calc_builds_no_values(calc_grammar, monkeypatch):
     valued._tables.value_free = False  # builds every value, as with a user action
     text = "1+(2*3-4)/5*(6+7)-8!9"
     counts = _count_value_work(monkeypatch)  # before either collect module is written
-    exact = parser.run_phase(text, None, MODE_COLLECT)
+    exact = parser.error_pass(text)[1]
     assert counts["Value"] and counts["Node"] and counts["snapshot"]  # without a bound
     for bound in (0, 10, 19):  # 19 is the principal index
         counts.update(dict.fromkeys(counts, 0))
@@ -400,7 +400,7 @@ def test_a_bounded_pass_over_calc_builds_no_values(calc_grammar, monkeypatch):
         counts.update(dict.fromkeys(counts, 0))
         bare = parser.error_pass(text, None, bound)
         assert counts == dict.fromkeys(counts, 0), bound
-        assert (bare.stack.size(), bare.collected, built.collected) == (0, *[exact.collected] * 2)
+        assert (bare[0].stack.size(), bare[1], built[1]) == (0, exact, exact)
 
 
 def _corrupted(rng, text, junk):
@@ -424,11 +424,12 @@ def test_a_pass_without_values_counts_like_one_with_them_on_calc_and_json(calc_g
             if not failures:
                 continue
             bound = failures[0][1]  # the unobserved run's
-            bare, built = (p.error_pass(text, None, bound) for p in (parser, valued))
+            (bare, bare_traces), (built, built_traces) = (p.error_pass(text, None, bound)
+                                                          for p in (parser, valued))
             assert ((bare.stats.steps, bare.stats.terminal_mismatches, bare.stats.max_cursor,
-                     bare.collected)
+                     bare_traces)
                     == (built.stats.steps, built.stats.terminal_mismatches,
-                        built.stats.max_cursor, built.collected)), text
+                        built.stats.max_cursor, built_traces)), text
             assert bare.stack.size() == 0
             failed += 1
     assert failed > 90
@@ -470,10 +471,10 @@ def test_build_parse_error_makes_one_engine_pass(calc_grammar):
     parser = Parser(calc_grammar)
     with recorded_states() as states:
         build_parse_error(parser, "1+2!3")
-    assert [state.error_mode for state in states] == [MODE_COLLECT]
+    assert [isinstance(state.observer, Collector) for state in states] == [True]
     with recorded_states() as states:
         assert not parser.run("1+2!3").ok  # the run, then the error pass
-    assert [state.error_mode for state in states] == [MODE_OFF, MODE_COLLECT]
+    assert [isinstance(state.observer, Collector) for state in states] == [False, True]
 
 
 def test_one_pass_collects_the_two_phase_traces_on_the_calc_corpus(calc_grammar):
@@ -504,12 +505,12 @@ def test_the_collect_pass_frontier_grows_with_the_traces_not_the_work():
         parser = Parser(_nested_alternation_grammar(k))
         tracemalloc.start()
         try:
-            state = parser.run_phase("a" * 24, None, MODE_COLLECT)
+            traces = parser.error_pass("a" * 24)[1]
             peaks[k] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         frames = tuple(f"S{i}" for i in range(k, 0, -1))
-        assert state.collected == [RuleTrace(frames, TerminalDescriptor("char", c)) for c in "bc"]
+        assert traces == [RuleTrace(frames, TerminalDescriptor("char", c)) for c in "bc"]
     assert peaks[14] < 2 * peaks[10], peaks
 
 

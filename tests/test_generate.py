@@ -23,7 +23,7 @@ from pegstack import engine, generate
 from pegstack import rules as r
 from pegstack.effects import StackEffect, cons
 from pegstack.engine import ACTION_FAIL, GENERATE_AT, InternalFault, Parser, Trace
-from pegstack.errors import MODE_COLLECT, MODE_OFF, build_parse_error, principal_index
+from pegstack.errors import Collector, build_parse_error, principal_index, trace_collection
 from pegstack.notation import load_grammar, meta_grammar
 from pegstack.rules import validate_grammar
 from pegstack.values import Value
@@ -36,15 +36,15 @@ from run_states import recorded_states
 from test_acceptance import _same_as_observed
 
 
-def _reruns(parser, monkeypatch, mode=MODE_OFF):
-    """A list that receives the text of every unobserved run under mode that
-    the executor makes for parser: the reruns of runs, or with MODE_COLLECT
-    of error passes, that the generated code gave up."""
+def _reruns(parser, monkeypatch, collect=False):
+    """A list that receives the text of every unobserved run, or with
+    collect of every error pass, that the executor makes for parser: the
+    reruns of runs, or of error passes, that the generated code gave up."""
     texts = []
     execute = parser._execute
 
     def counted(state, ins, rule, bodies):
-        if state.observer is None and state.error_mode == mode:
+        if isinstance(state.observer, Collector) if collect else state.observer is None:
             texts.append(state.input)
         return execute(state, ins, rule, bodies)
 
@@ -349,9 +349,10 @@ def test_the_meta_grammar_generates_and_agrees_with_the_exact_table():
 
 # -- the collect module ------------------------------------------------------------------------
 
-def _collected(state):
-    """Principal index, ordered expected list and rule traces of a collect pass."""
-    traces = tuple(state.collected)
+def _collected(passed):
+    """Principal index, ordered expected list and rule traces of a collect
+    pass, as ``error_pass`` hands it back."""
+    state, traces = passed[0], tuple(passed[1])
     expected = list(dict.fromkeys(t.terminal.render() for t in traces))
     return principal_index(state), expected, traces
 
@@ -364,7 +365,7 @@ def _assert_collect_is_exact(parser, text) -> bool:
         result = parser.run(text)
     if result.error is None:
         return False
-    exact = _collected(parser.run_phase(text, None, MODE_COLLECT))
+    exact = _collected(parser.error_pass(text))  # without a bound: the exact pass
     for bound in (states[0].stats.max_cursor, 0):
         assert _collected(parser.error_pass(text, None, bound)) == exact, (text, bound)
     error = result.error
@@ -420,8 +421,8 @@ def test_the_sound_family_has_concats_that_fail_in_the_parse_and_in_the_error_pa
     # its concat fails on two equal strings, so that values decide which
     # alternatives run on in random grammars too, in the generated parse and
     # in the generated error pass
-    fails = {MODE_OFF: 0, MODE_COLLECT: 0}
-    mode = [MODE_OFF]
+    fails = {"parse": 0, "collect": 0}
+    mode = ["parse"]
     error_pass = Parser.error_pass
 
     def concat(a, b):
@@ -430,7 +431,7 @@ def test_the_sound_family_has_concats_that_fail_in_the_parse_and_in_the_error_pa
         return out
 
     def counted(self, *args):
-        mode[0] = MODE_COLLECT
+        mode[0] = "collect"
         return error_pass(self, *args)
 
     monkeypatch.setattr(generators, "CONCAT",
@@ -438,7 +439,7 @@ def test_the_sound_family_has_concats_that_fail_in_the_parse_and_in_the_error_pa
     monkeypatch.setattr(Parser, "error_pass", counted)
     rng = random.Random("concat")
     for _ in range(1_000):
-        mode[0] = MODE_OFF
+        mode[0] = "parse"
         generated(gen_sound_grammar(rng)).run(gen_input(rng))
         if all(fails.values()):
             break
@@ -459,14 +460,14 @@ def test_a_collect_pass_past_the_depth_bound_runs_again_on_the_exact_table(calc_
         text = "(" * levels + "1!" + ")" * levels
         collect, called = parser._collect, []
         with monkeypatch.context() as patch:
-            runs, passes = _reruns(parser, patch), _reruns(parser, patch, MODE_COLLECT)
+            runs, passes = _reruns(parser, patch), _reruns(parser, patch, collect=True)
             if collect is not None:
                 patch.setattr(parser, "_collect",
                               lambda *args: called.append(args) or collect(*args))
             with recorded_states() as states:
                 error = parser.run(text).error
         assert error == build_parse_error(parser, text)  # without a bound: the exact pass
-        assert [state.error_mode for state in states] == [MODE_OFF, MODE_COLLECT]
+        assert [isinstance(state.observer, Collector) for state in states] == [False, True]
         return len(runs), len(passes), len(called)
 
     deep = generate.DEPTH_BOUND
@@ -474,6 +475,29 @@ def test_a_collect_pass_past_the_depth_bound_runs_again_on_the_exact_table(calc_
     assert fail(60) == (0, 0, 0) and parser._collect is not None  # written here
     assert fail(60) == (0, 0, 1)
     assert fail(deep) == (1, 1, 0)
+
+
+def test_a_collect_pass_that_gives_up_late_collects_again_from_the_start(monkeypatch):
+    # the collect module, written with a low depth bound, hands A's
+    # mismatches at the principal index to its Collector before B's nest
+    # passes the bound; the exact pass that follows must not inherit them
+    parser = generated(validate_grammar(r.grammar({
+        "Top": r.first_of(r.ref("A"), r.ref("B")),
+        "A": r.seq(r.zero_or_more(r.ch("(")), r.ch("x"), r.ch("y")),
+        "B": r.first_of(r.seq(r.ch("("), r.ref("B"), r.ch(")")), r.seq(r.ch("x"), r.ch("z")))},
+        start="Top")))
+    monkeypatch.setattr(generate, "DEPTH_BOUND", 4)
+    text = "(" * 8 + "x!"
+    misses = []
+    miss = Collector.miss
+    monkeypatch.setattr(Collector, "miss", lambda self, *args: misses.append(args[0])
+                        or miss(self, *args))
+    reruns = _reruns(parser, monkeypatch, collect=True)
+    error = parser.run(text).error
+    assert reruns == [text]
+    assert misses == [8, 9] + [8, 9, 9]  # the generated pass's, then the exact pass's
+    assert (error.position.index, error.traces) == trace_collection(parser, text, None)
+    assert [str(t) for t in error.traces] == ["Top / A / 'y'", "Top / " + "B / " * 9 + "'z'"]
 
 
 def test_only_the_first_failing_run_writes_the_collect_module(calc_grammar, monkeypatch):
