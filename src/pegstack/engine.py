@@ -33,11 +33,12 @@ the current run's included, and calls it from then on: a short-lived
 Parser that sees little input never pays for ``compile()``, and one that
 sees much pays once. Below that, and in every observed run, the run takes
 the exact table, and so does its error pass. In the generated code every
-choice, repetition and option dispatches on the next character, and each
-stack-free fragment runs as one regex, so the run's step and mismatch
-counters are not exact: a fragment counts one step and, when it fails,
-one mismatch, but leaves ``max_cursor`` as it is, so the run's
-``max_cursor`` is at most the exact table's. When the generated code
+choice, repetition and option dispatches on the next character, each
+stack-free fragment runs as one regex, and the value stack's head is a
+local of the run's functions. The run counts no steps, so a generated run
+reports 0 steps, and its mismatch counters are not exact: a fragment that
+fails counts one mismatch but leaves ``max_cursor`` as it is, so the
+run's ``max_cursor`` is at most the exact table's. When the generated code
 opens too many functions (``TooDeep``), or raises ``RecursionError``, the
 run starts again on the exact table, and actions run a second time; a
 grammar that nests too deeply to write its module from the caller's stack
@@ -264,9 +265,31 @@ def _act(state: ParserState, ins: tuple) -> bool:
     return True
 
 
+def _pop(head: tuple, count: int) -> tuple[tuple, tuple]:
+    """The top count values of the value stack whose head cell generated
+    code holds, bottom to top, and the cell below them; ``StackUnderflow``,
+    as ``ValueStack.take`` raises it, when the stack holds fewer."""
+    if count > head[2]:
+        raise StackUnderflow("pop from empty value stack")
+    out = []
+    for _ in range(count):
+        out.append(head[0])
+        head = head[1]
+    out.reverse()
+    return tuple(out), head
+
+
+def _listed(head: tuple, base: int, tag: str) -> tuple:
+    """The head cell of generated code's value stack once the values above
+    its first base are one list value of tag, as a collecting repetition
+    or option leaves them."""
+    values, below = _pop(head, head[2] - base)
+    return (list_value(values, tag), below, below[2] + 1)
+
+
 # what generated code calls besides the grammar's own objects
 _RUNTIME = {"Node": Node, "Value": Value, "list_value": list_value, "act": _act, "scan": _scan,
-            "TooDeep": TooDeep}
+            "pop": _pop, "listed": _listed, "TooDeep": TooDeep}
 
 
 class Parser:

@@ -10,14 +10,20 @@ the start rule's function and writes the counters into the run's
 ``ParserState``. A function takes the cursor and the number of generated
 functions open below it, and returns the cursor past its match or -1.
 
-The code counts the work it does as the executor would if it dispatched
-everywhere: one step per instruction entered, summed per straight-line
-block into the run's locals; a regex fragment is one step and, when it
-fails, one mismatch that leaves ``max_cursor`` as it is; a fused scan
-counts a step per character; nothing inside a ``!`` counts a mismatch. It
-calls ``snapshot``, ``restore``, ``push`` and ``take`` of the run's
-``ValueStack`` where such an executor would:
+The functions hold the head cell of the run's ``ValueStack``, a
+``(value, below, size)`` tuple, in the factory's local ``h``: the factory
+reads it from the stack and writes it back once the start rule's function
+has returned (the parse module also when it raises), and each action call
+writes it to the stack before and reads it back after, so that actions
+and the run's result see the stack as the executor would leave it. The code works on
+``h`` where the executor would call the stack if it dispatched everywhere,
+with no call but for a list and a node of other than one or two children
+(the runtime's ``listed`` and ``pop``):
 
+* a snapshot is ``s = h`` and a restore ``h = s``; a push builds the cell
+  ``(v, h, h[2] + 1)``; ``cons(L,k)`` pops its k children and pushes the
+  node in one cell, once it has tested ``h[2] >= k`` (``pop`` raises the
+  ``StackUnderflow`` of ``ValueStack.take`` otherwise);
 * a sequence that touches the stack snapshots at entry and restores when it
   fails; a choice with a frame snapshots at entry and restores after each
   alternative that fails;
@@ -37,7 +43,12 @@ calls ``snapshot``, ``restore``, ``push`` and ``take`` of the run's
 * a reference to a rule on a cycle calls that rule's function. A
   reference to a rule off every cycle runs the rule's code in place when
   it is at most ``_INLINE_AT_MOST`` instructions long, and calls its
-  function otherwise; it is no step of its own either way.
+  function otherwise.
+
+The code counts terminal mismatches and the furthest one, ``mm`` and
+``mc``, which bound the error pass (a regex fragment that fails is one
+mismatch that leaves ``mc`` as it is; nothing inside a ``!`` counts), and
+no steps: a generated run reports 0 steps.
 
 The source names every grammar object (action, regex, character set)
 through the module's namespace, so equal grammars give equal source, and
@@ -65,8 +76,9 @@ such failure. It differs from the parse module in this:
   every alternative runs;
 * nothing lowers to a regex, which cannot report its inner mismatches; a
   fused scan, whose one mismatch is where it ends, stays;
-* a rule reference counts its step, so the module counts what the
-  executor would if it dispatched below ``mc``;
+* it counts steps as the executor would if it dispatched below ``mc``:
+  one per instruction entered, a rule reference included, summed per
+  straight-line block, and one per character of a fused scan;
 * when the grammar's values decide no match (``Tables.value_free``), it
   holds no value code: no snapshot, capture, node, list or action.
 """
@@ -101,7 +113,7 @@ def parse(state, start):
     text = state.input
     n = len(text)
 {values}
-    steps = mm = mc = 0
+    mm = mc = 0
     R = [None] * {count}
 
     def miss(at):  # a terminal's mismatch
@@ -120,16 +132,17 @@ def parse(state, start):
     try:
         pos = R[{entry}[start]](0, 0)
     finally:
+        stack._head = h
         stats = state.stats
-        stats.steps, stats.terminal_mismatches, stats.max_cursor = steps, mm, mc
+        stats.terminal_mismatches, stats.max_cursor = mm, mc
         R.clear()  # the run's closures go now, not in a later collection of cycles
     state.cursor = max(pos, 0)
     return pos >= 0
 '''
 
-# the collect module: the same, but for the rule path and the ``!`` and
-# ``quiet`` counters; each mismatch at or past the running maximum goes to the
-# state's observer
+# the collect module: the same, but for the step counter, the rule path and
+# the ``!`` and ``quiet`` counters; each mismatch at or past the running
+# maximum goes to the state's observer
 _COLLECT = '''\
 def collect(state, start, bound):
     text = state.input
@@ -157,15 +170,23 @@ def collect(state, start, bound):
         pos = R[{entry}[start]](0, 0)
     finally:
         R.clear()
-    stats = state.stats
+{store}    stats = state.stats
     stats.steps, stats.terminal_mismatches, stats.max_cursor = steps, mm, mc
     state.cursor = max(pos, 0)
     return pos >= 0
 '''
+# the value stack's head cell, which the functions hold in h, and which the
+# run's ValueStack holds again once they have run (the parse module builds
+# values always, the collect module only when they decide a match)
 _VALUES = '''\
     stack = state.stack
-    snapshot, restore, push, take, size = (stack.snapshot, stack.restore, stack.push,
-                                           stack.take, stack.size)'''
+    h = stack._head'''
+_STORE = "    stack._head = h\n"
+
+
+def _push(value: str) -> str:
+    """The statement that pushes the value an expression gives."""
+    return f"h = ({value}, h, h[2] + 1)"
 
 
 def _code(source: str):
@@ -182,16 +203,19 @@ def _code(source: str):
 
 
 class _Function:
-    """The lines of one generated function, and the steps counted but not
-    yet written for its current straight-line block. A rule's function in
-    the collect module opens its rule on the path and closes it on return."""
+    """The lines of one generated function, and, in the collect module, the
+    steps counted but not yet written for its current straight-line block.
+    A rule's function in the collect module opens its rule on the path and
+    closes it on return."""
 
-    def __init__(self, index: int, label: str, names: str, rule: str | None = None):
+    def __init__(self, index: int, label: str, names: str, counting: bool,
+                 rule: str | None = None):
         self.index = index
         self.lines = [f"    def f(pos, d):{label}", f"        nonlocal {names}",
                       f"        if d > {DEPTH_BOUND}: raise TooDeep"]
         self.indent = 2
         self.pending = 0
+        self.counting = counting
         self.locals = 0
         self.opened: list[int] = []  # the line count where each open block starts
         self.rule = rule
@@ -202,10 +226,11 @@ class _Function:
         self.lines.append("    " * self.indent + text)
 
     def flush(self) -> None:
-        """Write the pending steps: the block they belong to ends here."""
-        if self.pending:
+        """Write the pending steps, when counting: the block they belong to
+        ends here."""
+        if self.pending and self.counting:
             self.line(f"steps += {self.pending}")
-            self.pending = 0
+        self.pending = 0
 
     def open(self, header: str) -> None:
         self.flush()
@@ -242,7 +267,8 @@ class _Module:
         self.collect = collect
         # the collect module of a grammar whose values decide no match builds none
         self.valued = not (collect and tables.value_free)
-        self.nonlocals = "steps, mm, path, nots, quiets" if collect else "steps, mm, mc"
+        self.nonlocals = ("h, " if self.valued else "") + (
+            "steps, mm, path, nots, quiets" if collect else "mm, mc")
         self.namespace = dict(runtime)
         self.names: dict = {}  # id or value of a namespace object -> its name
         self.regexes: dict[int, object] = {}  # id(ins) -> its regex's match, or None
@@ -256,7 +282,7 @@ class _Module:
                        else f"  # rule {i}" for name, i in self.entry.items()}
         for name in [*tables._acyclic, *(n for n in self.bodies if n not in tables._acyclic)]:
             start = self.emitted
-            code = _Function(self.entry[name], self.labels[name], self.nonlocals,
+            code = _Function(self.entry[name], self.labels[name], self.nonlocals, collect,
                              name if collect else None)
             self.emit(code, self.bodies[name], True)
             self.functions.append(code.end())
@@ -264,7 +290,8 @@ class _Module:
 
     def source(self) -> str:
         return (_COLLECT if self.collect else _PARSE).format(
-            values=_VALUES if self.valued else "", count=len(self.functions),
+            values=_VALUES if self.valued else "", store=_STORE if self.valued else "",
+            count=len(self.functions),
             entry=self.name(self.entry, "E"),
             functions="\n\n".join("\n".join(f) for f in self.functions))
 
@@ -331,7 +358,7 @@ class _Module:
         if op == SEQ:
             snap = code.fresh("s") if ins[3] and self.valued else None
             if snap:
-                code.line(f"{snap} = snapshot()")
+                code.line(f"{snap} = h")
             fails = guarded = last = False
             for kid in ins[2][:-1]:
                 if last:  # the children after one that can fail run only if it matched
@@ -344,7 +371,7 @@ class _Module:
             if guarded:
                 code.close()
             if snap and fails:
-                code.line(f"if pos < 0: restore({snap})")
+                code.line(f"if pos < 0: h = {snap}")
             return fails
         if op == ALT:
             return self.choice(code, ins, counted)
@@ -355,12 +382,14 @@ class _Module:
             return self.scan(code, ins, counted)
         if op == CONS:
             if self.valued:
-                code.line(f"push(Node({ins[2]!r}, take({ins[3]})))")
+                self.cons(code, ins[2], ins[3])
             return False
         if op == ACTION:
             if not self.valued:  # a push or a drop
                 return False
+            code.line("stack._head = h")  # what the action pops, and where it pushes
             code.line(f"if not act(state, {self.name(ins, 'A')}): pos = -1")
+            code.line("h = stack._head")
             return True
         if op == REP:
             return self.loop(code, ins, counted)
@@ -370,17 +399,17 @@ class _Module:
                 code.open(f"if {start}:")
             base, entry = code.fresh("b") if tag is not None else None, code.fresh("p")
             if base:
-                code.line(f"{base} = size()")
+                code.line(f"{base} = h[2]")
             code.line(f"{entry} = pos")
             if self.emit(code, ins[2], counted):
                 code.line(f"if pos < 0: pos = {entry}")
             if base:
-                code.line(f"push(list_value(take(size() - {base}), {tag!r}))")
+                code.line(f"h = listed(h, {base}, {tag!r})")
             if start:
                 code.close()
                 if tag is not None:
                     code.open("else:")
-                    code.line(f"push(list_value((), {tag!r}))")
+                    code.line(_push(f"list_value((), {tag!r})"))
                     code.close()
             return False
         if op == CAPTURE:
@@ -389,14 +418,14 @@ class _Module:
             entry = code.fresh("p")
             code.line(f"{entry} = pos")
             fails = self.emit(code, ins[2], counted, known)
-            code.line(("if pos >= 0: " if fails else "") + f"push(Value('Str', text[{entry}:pos]))")
+            code.line(("if pos >= 0: " if fails else "") + _push(f"Value('Str', text[{entry}:pos])"))
             return fails
         if op == PRED:
             negate = ins[3]
             entry, snap = code.fresh("p"), code.fresh("s") if ins[4] and self.valued else None
             code.line(f"{entry} = pos")
             if snap:
-                code.line(f"{snap} = snapshot()")
+                code.line(f"{snap} = h")
             if self.collect:
                 if negate:
                     code.line("nots += 1")
@@ -411,7 +440,7 @@ class _Module:
                 if kept:
                     code.line(f"mm, mc = {entry}m, {entry}c")
             if snap:
-                code.line(f"restore({snap})")
+                code.line(f"h = {snap}")
             code.line(f"pos = {entry} if pos < 0 else -1" if negate
                       else f"if pos >= 0: pos = {entry}")
             return True
@@ -424,6 +453,20 @@ class _Module:
             return fails
         raise TypeError(f"unknown instruction {ins!r}")
 
+    def cons(self, code: _Function, label: str, arity: int) -> None:
+        """Pop arity values and push the node of label over them, bottom to
+        top; with fewer values on the stack, ``pop`` raises ``StackUnderflow``
+        as ``ValueStack.take`` does."""
+        if arity == 1:
+            code.line(f"h = (Node({label!r}, (h[0],)), h[1], h[2]) if h[2] else pop(h, 1)")
+        elif arity == 2:
+            code.line(f"h = (Node({label!r}, (h[1][0], h[0])), h[1][1], h[2] - 1)"
+                      " if h[2] >= 2 else pop(h, 2)")
+        else:  # pop(h, 0) pops nothing
+            values, below = code.fresh("v"), code.fresh("c")
+            code.line(f"{values}, {below} = pop(h, {arity})")
+            code.line(f"h = (Node({label!r}, {values}), {below}, {below}[2] + 1)")
+
     def call(self, code: _Function, index: int, label: str = "") -> None:
         code.flush()
         code.line(f"pos = R[{index}](pos, d + 1){label}")
@@ -432,7 +475,7 @@ class _Module:
         """Move a deeply nested instruction into a function of its own."""
         self.emitted -= 1  # emit counts it again
         self.helpers += 1
-        inner = _Function(len(self.bodies) + self.helpers - 1, "", self.nonlocals)
+        inner = _Function(len(self.bodies) + self.helpers - 1, "", self.nonlocals, self.collect)
         fails = self.emit(inner, ins, counted)
         self.functions.append(inner.end())
         self.call(code, inner.index)
@@ -482,7 +525,8 @@ class _Module:
         m, fail = code.fresh("m"), "fail()" if counted else "-1"
         if capture:
             code.line(f"{m} = {self.name(match, 'M')}(text, pos)")
-            code.line(f"if {m}: push(Value('Str', text[pos:{m}.end()])); pos = {m}.end()")
+            value = f"Value('Str', text[pos:{m}.end()])"
+            code.line(f"if {m}: {_push(value)}; pos = {m}.end()")
             code.line(f"else: pos = {fail}")
         else:
             code.line(f"pos = {m}.end() if ({m} := {self.name(match, 'M')}(text, pos)) else {fail}")
@@ -497,15 +541,15 @@ class _Module:
         else:
             code.line(f"at = scan({self.name(term[2], 'K', ('K', term[2]))}, "
                       f"{self.name(term[3], 'X')}, text, pos)")
-        code.line(f"steps += at - pos + {code.pending + 1 + capture}")
-        code.pending = 0
         if self.collect:  # below the running maximum, only counted
+            code.line(f"steps += at - pos + {code.pending + 1 + capture}")
             code.line(f"if at >= mc or nots: miss(at, {self.name(term[1], 'T')})")
             code.line("else: mm += 1")
         elif counted:
             code.line("mm += 1")
             code.line("if at > mc: mc = at")
-        push = "push(Value('Str', text[pos:at])); " if capture and self.valued else ""
+        code.pending = 0
+        push = _push("Value('Str', text[pos:at])") + "; " if capture and self.valued else ""
         if plus:
             code.line(f"if at > pos: {push}pos = at")
             code.line("else: pos = -1")
@@ -537,11 +581,11 @@ class _Module:
             code.open(f"if {start}:")
         base = code.fresh("b") if tag is not None else None
         if base:
-            code.line(f"{base} = size()")
+            code.line(f"{base} = h[2]")
         entry = code.fresh("p")
         code.line(f"{entry} = {-1 if plus else 'pos'}")  # -1: the first iteration may fail the +
         if snap and not plus:
-            code.line(f"{snap} = snapshot()")
+            code.line(f"{snap} = h")
         code.open("while True:")
         self.emit(code, inner, counted)
         code.open("if pos < 0:")
@@ -552,23 +596,22 @@ class _Module:
         code.close()
         code.open(f"if pos == {entry}:")  # an iteration that matched without moving
         if snap:
-            code.line(f"restore({snap})")
+            code.line(f"h = {snap}")
         code.line("break")
         code.close()
         if start:
             code.line(f"if not ({start}): break")
         code.line(f"{entry} = pos")
         if snap:
-            code.line(f"{snap} = snapshot()")
+            code.line(f"{snap} = h")
         code.close()
         if base:
-            code.line(("if pos >= 0: " if plus else "")
-                      + f"push(list_value(take(size() - {base}), {tag!r}))")
+            code.line(("if pos >= 0: " if plus else "") + f"h = listed(h, {base}, {tag!r})")
         if start:
             code.close()
             if plus or tag is not None:
                 code.open("else:")
-                code.line("pos = -1" if plus else f"push(list_value((), {tag!r}))")
+                code.line("pos = -1" if plus else _push(f"list_value((), {tag!r})"))
                 code.close()
         return plus
 
@@ -634,14 +677,14 @@ class _Module:
         entry, snap = code.fresh("p"), code.fresh("s") if touches else None
         code.line(f"{entry} = pos")
         if snap:
-            code.line(f"{snap} = snapshot()")
+            code.line(f"{snap} = h")
         for i, kid in enumerate(kids):
             if i:
                 code.open("if pos < 0:")
                 code.line(f"pos = {entry}")
             fails = self.emit(code, kid, counted, known)
             if snap and fails:
-                code.line(f"if pos < 0: restore({snap})")
+                code.line(f"if pos < 0: h = {snap}")
             if i:
                 code.close()
 
@@ -658,14 +701,14 @@ class _Module:
             lookup = f"({lookup}) if pos < mc else {(1 << len(kids)) - 1}"
         code.line(f"{bits} = {lookup}")
         code.line(f"{entry} = pos")
-        if snap:  # a frame only for more than one candidate
-            code.line(f"{snap} = snapshot() if {bits} & ({bits} - 1) else None")
+        if snap:
+            code.line(f"{snap} = h")
         code.line("pos = -1")
         for i, kid in enumerate(kids):
             code.open(f"if {bits} & {1 << i}:" if i == 0 else f"if pos < 0 and {bits} & {1 << i}:")
             code.line(f"pos = {entry}")
             if self.emit(code, kid, counted) and snap:
-                code.line(f"if pos < 0 and {snap} is not None: restore({snap})")
+                code.line(f"if pos < 0: h = {snap}")
             code.close()
 
 

@@ -291,7 +291,7 @@ def _meta_parser() -> Parser:
 # meta-grammar's module on the second load, not when the loads' characters
 # reach GENERATE_AT: a grammar file is a few hundred characters, so that
 # would be in whichever load crossed the sum, and the counters of a load's
-# meta-parse (generated code counts fewer steps) would depend on what the
+# meta-parse (generated code counts no steps) would depend on what the
 # process loaded before it. A process that loads one grammar, as
 # ``pegstack run`` and ``pegstack check`` do, parses it on the exact table
 # unless it is GENERATE_AT characters long; one that loads a second, a

@@ -519,6 +519,112 @@ def test_only_the_first_failing_run_writes_the_collect_module(calc_grammar, monk
     assert len(calls) == 2 and parser._collect is collect  # nor written again
 
 
+# -- the value stack in a local ----------------------------------------------------------------
+
+def test_the_parse_modules_keep_the_stack_head_in_a_local_and_count_no_steps(calc_grammar):
+    # the head cell goes into h at entry and back to the ValueStack in the
+    # finally, and around each action, which reads and writes the stack
+    grammars = (calc_grammar, load_grammar(ROOT / "bench/json.peg"), meta_grammar())
+    acts = []
+    for grammar in grammars:
+        parser = generated(grammar)
+        lines = parser._source.splitlines()
+        # a call, not a literal of the meta-grammar such as 'push('
+        assert not re.search(r"(?<![\w'])(snapshot|restore|push|take|size)\(|\bsteps\b",
+                             parser._source)
+        touching = [i for i, line in enumerate(lines) if "_head" in line]
+        called = [i for i, line in enumerate(lines) if "act(state, " in line]
+        assert lines[touching[0]] == "    h = stack._head"
+        assert lines[touching[-1] - 1:touching[-1] + 1] == ["    finally:", "        stack._head = h"]
+        assert touching[1:-1] == [i + d for i in called for d in (-1, 1)]
+        assert all((lines[i - 1].strip(), lines[i + 1].strip())
+                   == ("stack._head = h", "h = stack._head") for i in called)
+        acts.append(len(called))
+    assert acts[:2] == [0, 0] and acts[2] > 0  # calc and json: cons only
+    with recorded_states() as states:
+        assert generated(calc_grammar).run("1+2*(3-4)").ok
+    assert states[0].stats.steps == 0 and states[0].stats.max_cursor > 0
+
+
+def _fails_on(payload):
+    """An action of arity 1 that fails on a Str value of payload, and keeps
+    any other."""
+    return r.Action(1, lambda v: ACTION_FAIL if v.payload == payload else v,
+                    StackEffect(("Str",), ("Str",)), name=f"not_{payload}")
+
+
+def _strs(*payloads):
+    return tuple(Value("Str", p) for p in payloads)
+
+
+_UNDERFLOW = "value stack underflow: pop from empty value stack"
+# case -> (expression, inputs, the values of the first input or its fault)
+_STACK_CASES = {
+    # the second capture is pushed and the action fails after it: the
+    # sequence's head falls back, so the second alternative starts clean
+    "action fails": (r.first_of(r.seq(r.capture(r.ch("a")), r.capture(r.any_of("bc")),
+                                      _fails_on("b"), cons("P", 2)),
+                                r.seq(r.capture(r.ch("a")), r.ch("b"), cons("Q", 1))),
+                     ["ab", "ac", "a", "", "abx"], (engine.Node("Q", _strs("a")),)),
+    # and where no choice restores it, the sequence in an option (one that
+    # collects nothing, since the sequence drops what it pushed) does
+    "action fails in an option": (r.seq(r.opt(r.seq(r.capture(r.ch("a")),
+                                                    r.capture(r.any_of("bc")), _fails_on("b"),
+                                                    r.drop(2))),
+                                        r.capture(r.zero_or_more(r.any_of("abc")))),
+                                  ["ab", "ac", "a", "", "ca"], _strs("ab")),
+    "sequence fails in an option": (r.seq(r.opt(r.seq(r.capture(r.ch("a")), r.ch("b"), r.drop())),
+                                          r.capture(r.any_of("ac"))),
+                                    ["ac", "ab", "c", "abc"], _strs("a")),
+    "arity-0 action": (r.seq(r.capture(r.ch("a")),
+                             r.Action(0, lambda: Value("Str", "k"), StackEffect((), ("Str",)),
+                                      name="k"), cons("P", 2)),
+                       ["a", "b"], (engine.Node("P", _strs("a", "k")),)),
+    "cons of none": (r.seq(r.ch("a"), cons("E", 0)), ["a", "b"], (engine.Node("E", ()),)),
+    "cons over no value": (r.seq(r.ch("a"), cons("X", 1)), ["a", "b"], _UNDERFLOW),
+    "cons over one value": (r.seq(r.capture(r.ch("a")), cons("X", 2)), ["a", "b"], _UNDERFLOW),
+    "cons of three over two": (r.seq(r.capture(r.ch("a")), r.capture(r.ch("b")), cons("X", 3)),
+                               ["ab", "a"], _UNDERFLOW),
+    "cons of three": (r.seq(r.capture(r.ch("a")), r.capture(r.ch("b")), r.capture(r.ch("c")),
+                            cons("X", 3)), ["abc", "ab"], (engine.Node("X", _strs(*"abc")),)),
+    "collecting * and ?": (r.seq(r.zero_or_more(r.capture(r.any_of("ab"))),
+                                 r.opt(r.capture(r.ch("c"))), r.EOI),
+                           ["abbac", "", "ab", "c", "cc", "abx"],
+                           (Value("ListOf(Str)", _strs(*"abba")), Value("ListOf(Str)", _strs("c")))),
+}
+
+
+@pytest.mark.parametrize("case", _STACK_CASES)
+def test_stack_edge_cases_of_the_generated_code_agree_with_observed_runs(case, monkeypatch):
+    expr, texts, first = _STACK_CASES[case]
+    parser = generated(r.grammar({"Top": expr}))  # unvalidated, so that cons may underflow
+    reruns = _reruns(parser, monkeypatch)
+    result = parser.run(texts[0])
+    assert (result.values if result.ok else result.fault.description) == first
+    for text in texts:
+        _same_as_observed(parser, text)
+    assert reruns == []
+
+
+def test_a_rerun_past_the_depth_bound_starts_from_an_empty_stack(monkeypatch):
+    # the generated run has pushed the leading captures and every level's
+    # tick when it gives up; the exact rerun must see none of them
+    ticks = []
+    grammar = _ticking(ticks)
+    grammar = validate_grammar(r.grammar({
+        "Top": r.seq(r.capture(r.ch("x")), r.capture(r.ch("y")), r.ref("Nest"), r.EOI,
+                     cons("T", 3)),
+        "Nest": grammar.rules["Nest"].expr}))
+    parser = generated(grammar)
+    reruns = _reruns(parser, monkeypatch)
+    levels = generate.DEPTH_BOUND + 5
+    text = "xy" + "(" * levels + "a" + ")" * levels
+    _same_as_observed(parser, text)
+    assert reruns == [text]
+    (value,) = parser.run(text).values
+    assert value.label == "T" and [kid.payload for kid in value.children[:2]] == ["x", "y"]
+
+
 # -- the code cache --------------------------------------------------------------------------
 
 def test_a_second_parser_over_an_equal_grammar_compiles_nothing(monkeypatch):
