@@ -148,7 +148,7 @@ def repetition_shape(inner: StackEffect) -> tuple[str, tuple[str, ...] | str | N
     pushes re-supply the topmost pops, or ("collecting", element tag) for a
     body that pushes exactly one value and pops nothing.
     """
-    if inner == NEUTRAL:
+    if not inner.pops and not inner.pushes:
         return "neutral", None
     k = len(inner.pushes)
     if k and len(inner.pops) >= k:

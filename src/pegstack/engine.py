@@ -35,10 +35,11 @@ sees much pays once. Below that, and in every observed run, the run takes
 the exact table, and so does its error pass. In the generated code every
 choice, repetition and option dispatches on the next character, each
 stack-free fragment runs as one regex, and the value stack's head is a
-local of the run's functions. The run counts no steps, so a generated run
-reports 0 steps, and its mismatch counters are not exact: a fragment that
-fails counts one mismatch but leaves ``max_cursor`` as it is, so the
-run's ``max_cursor`` is at most the exact table's. When the generated code
+local of the run's functions. Generated code counts no steps, so a
+generated run and its error pass report 0 steps, and the run's mismatch
+counters are not exact: a fragment that fails counts one mismatch but
+leaves ``max_cursor`` as it is, so the run's ``max_cursor`` is at most
+the exact table's. When the generated code
 opens too many functions (``TooDeep``), or raises ``RecursionError``, the
 run starts again on the exact table, and actions run a second time; a
 grammar that nests too deeply to write its module from the caller's stack

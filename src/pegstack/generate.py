@@ -47,8 +47,9 @@ with no call but for a list and a node of other than one or two children
 
 The code counts terminal mismatches and the furthest one, ``mm`` and
 ``mc``, which bound the error pass (a regex fragment that fails is one
-mismatch that leaves ``mc`` as it is; nothing inside a ``!`` counts), and
-no steps: a generated run reports 0 steps.
+mismatch that leaves ``mc`` as it is; a ``!`` puts both back as they were
+at its entry, so nothing inside it counts), and no steps: a generated run
+reports 0 steps.
 
 The source names every grammar object (action, regex, character set)
 through the module's namespace, so equal grammars give equal source, and
@@ -76,9 +77,7 @@ such failure. It differs from the parse module in this:
   every alternative runs;
 * nothing lowers to a regex, which cannot report its inner mismatches; a
   fused scan, whose one mismatch is where it ends, stays;
-* it counts steps as the executor would if it dispatched below ``mc``:
-  one per instruction entered, a rule reference included, summed per
-  straight-line block, and one per character of a fused scan;
+* it counts no steps either, so a generated error pass reports 0 steps;
 * when the grammar's values decide no match (``Tables.value_free``), it
   holds no value code: no snapshot, capture, node, list or action.
 """
@@ -140,15 +139,15 @@ def parse(state, start):
     return pos >= 0
 '''
 
-# the collect module: the same, but for the step counter, the rule path and
-# the ``!`` and ``quiet`` counters; each mismatch at or past the running
-# maximum goes to the state's observer
+# the collect module: the same, but for the rule path and the ``!`` and
+# ``quiet`` counters; each mismatch at or past the running maximum goes to
+# the state's observer
 _COLLECT = '''\
 def collect(state, start, bound):
     text = state.input
     n = len(text)
 {values}
-    steps = mm = nots = quiets = 0
+    mm = nots = quiets = 0
     mc = bound
     path = ()  # the open rules, innermost first, as cons cells
     note = state.observer.miss
@@ -171,7 +170,7 @@ def collect(state, start, bound):
     finally:
         R.clear()
 {store}    stats = state.stats
-    stats.steps, stats.terminal_mismatches, stats.max_cursor = steps, mm, mc
+    stats.terminal_mismatches, stats.max_cursor = mm, mc
     state.cursor = max(pos, 0)
     return pos >= 0
 '''
@@ -203,19 +202,14 @@ def _code(source: str):
 
 
 class _Function:
-    """The lines of one generated function, and, in the collect module, the
-    steps counted but not yet written for its current straight-line block.
-    A rule's function in the collect module opens its rule on the path and
-    closes it on return."""
+    """The lines of one generated function. A rule's function in the
+    collect module opens its rule on the path and closes it on return."""
 
-    def __init__(self, index: int, label: str, names: str, counting: bool,
-                 rule: str | None = None):
+    def __init__(self, index: int, label: str, names: str, rule: str | None = None):
         self.index = index
         self.lines = [f"    def f(pos, d):{label}", f"        nonlocal {names}",
                       f"        if d > {DEPTH_BOUND}: raise TooDeep"]
         self.indent = 2
-        self.pending = 0
-        self.counting = counting
         self.locals = 0
         self.opened: list[int] = []  # the line count where each open block starts
         self.rule = rule
@@ -225,23 +219,17 @@ class _Function:
     def line(self, text: str) -> None:
         self.lines.append("    " * self.indent + text)
 
-    def flush(self) -> None:
-        """Write the pending steps, when counting: the block they belong to
-        ends here."""
-        if self.pending and self.counting:
-            self.line(f"steps += {self.pending}")
-        self.pending = 0
-
     def open(self, header: str) -> None:
-        self.flush()
         self.line(header)
         self.indent += 1
         self.opened.append(len(self.lines))
 
     def close(self) -> None:
-        self.flush()
+        """End the block opened last. An empty one goes, header and all: only
+        a guard can be empty, as no branch with an ``elif`` or ``else`` after
+        it matches the empty string without writing a line."""
         if len(self.lines) == self.opened.pop():
-            self.line("pass")
+            self.lines.pop()
         self.indent -= 1
 
     def fresh(self, prefix: str) -> str:
@@ -249,7 +237,6 @@ class _Function:
         return f"{prefix}{self.locals}"
 
     def end(self) -> list[str]:
-        self.flush()
         if self.rule is not None:
             self.line("path = path[1]")
         self.line("return pos")
@@ -268,7 +255,7 @@ class _Module:
         # the collect module of a grammar whose values decide no match builds none
         self.valued = not (collect and tables.value_free)
         self.nonlocals = ("h, " if self.valued else "") + (
-            "steps, mm, path, nots, quiets" if collect else "mm, mc")
+            "mm, path, nots, quiets" if collect else "mm, mc")
         self.namespace = dict(runtime)
         self.names: dict = {}  # id or value of a namespace object -> its name
         self.regexes: dict[int, object] = {}  # id(ins) -> its regex's match, or None
@@ -282,9 +269,9 @@ class _Module:
                        else f"  # rule {i}" for name, i in self.entry.items()}
         for name in [*tables._acyclic, *(n for n in self.bodies if n not in tables._acyclic)]:
             start = self.emitted
-            code = _Function(self.entry[name], self.labels[name], self.nonlocals, collect,
+            code = _Function(self.entry[name], self.labels[name], self.nonlocals,
                              name if collect else None)
-            self.emit(code, self.bodies[name], True)
+            self.emit(code, self.bodies[name])
             self.functions.append(code.end())
             self.sizes[name] = self.emitted - start
 
@@ -322,20 +309,17 @@ class _Module:
 
     # -- instructions ---------------------------------------------------------
 
-    def emit(self, code: _Function, ins: tuple, counted: bool, known: str | None = None) -> bool:
+    def emit(self, code: _Function, ins: tuple, known: str | None = None) -> bool:
         """Code that matches ins at ``pos``: it leaves ``pos`` past the match,
-        or -1 when it fails. counted: mismatches count here (outside every
-        ``!`` of this function; the collect module counts the open ``!`` as
-        it runs); known: the next character, where a choice branched on it.
-        Returns whether the code can fail."""
+        or -1 when it fails. known: the next character, where a choice
+        branched on it. Returns whether the code can fail."""
         op = ins[0]
         if op == REF and ins[2] in self.tables._acyclic:  # in place
             name = ins[2]
-            code.pending += self.collect  # the executor's step for the reference
             if self.sizes[name] <= _INLINE_AT_MOST:
                 if self.collect:
                     code.line(f"path = ({name!r}, path)")
-                fails = self.emit(code, self.bodies[name], counted, known)
+                fails = self.emit(code, self.bodies[name], known)
                 if self.collect:
                     code.line("path = path[1]")
                 return fails
@@ -344,17 +328,15 @@ class _Module:
         self.emitted += 1
         if op in _LOWERED and self.regex(ins) is not None:
             if op == OPT or op == REP and not ins[3]:  # matches everywhere
-                code.pending += 1
                 code.line(f"pos = {self.name(self.regex(ins), 'M')}(text, pos).end()")
                 return False
-            return self.fragment(code, self.regex(ins), False, counted)
+            return self.fragment(code, self.regex(ins), False)
         if op == CAPTURE and ins[2][0] in _LOWERED and self.regex(ins[2]) is not None:
-            return self.fragment(code, self.regex(ins[2]), True, counted)
+            return self.fragment(code, self.regex(ins[2]), True)
         if op in _NESTING and code.indent > _SPLIT_AT:
-            return self.helper(code, ins, counted)
-        code.pending += 1
+            return self.helper(code, ins)
         if op <= ISTR:
-            return self.terminal(code, ins, counted, known)
+            return self.terminal(code, ins, known)
         if op == SEQ:
             snap = code.fresh("s") if ins[3] and self.valued else None
             if snap:
@@ -366,7 +348,7 @@ class _Module:
                         code.close()
                     code.open("if pos >= 0:")
                     guarded = True
-                last = self.emit(code, kid, counted, known)
+                last = self.emit(code, kid, known)
                 fails, known = fails or last, None
             if guarded:
                 code.close()
@@ -374,12 +356,12 @@ class _Module:
                 code.line(f"if pos < 0: h = {snap}")
             return fails
         if op == ALT:
-            return self.choice(code, ins, counted)
+            return self.choice(code, ins)
         if op == REF:
             self.call(code, self.entry[ins[2]], self.labels[ins[2]])
             return True
         if op == CHARS:
-            return self.scan(code, ins, counted)
+            return self.scan(code, ins)
         if op == CONS:
             if self.valued:
                 self.cons(code, ins[2], ins[3])
@@ -392,7 +374,7 @@ class _Module:
             code.line("h = stack._head")
             return True
         if op == REP:
-            return self.loop(code, ins, counted)
+            return self.loop(code, ins)
         if op == OPT:
             tag, start = ins[3] if self.valued else None, self.starts(ins[4])
             if start:
@@ -401,7 +383,7 @@ class _Module:
             if base:
                 code.line(f"{base} = h[2]")
             code.line(f"{entry} = pos")
-            if self.emit(code, ins[2], counted):
+            if self.emit(code, ins[2]):
                 code.line(f"if pos < 0: pos = {entry}")
             if base:
                 code.line(f"h = listed(h, {base}, {tag!r})")
@@ -414,10 +396,10 @@ class _Module:
             return False
         if op == CAPTURE:
             if not self.valued:
-                return self.emit(code, ins[2], counted, known)
+                return self.emit(code, ins[2], known)
             entry = code.fresh("p")
             code.line(f"{entry} = pos")
-            fails = self.emit(code, ins[2], counted, known)
+            fails = self.emit(code, ins[2], known)
             code.line(("if pos >= 0: " if fails else "") + _push(f"Value('Str', text[{entry}:pos])"))
             return fails
         if op == PRED:
@@ -429,15 +411,14 @@ class _Module:
             if self.collect:
                 if negate:
                     code.line("nots += 1")
-                self.emit(code, ins[2], counted)
+                self.emit(code, ins[2])
                 if negate:
                     code.line("nots -= 1")
-            else:
-                kept = negate and counted  # the rules it calls count mismatches: undone
-                if kept:
+            else:  # what a ! body counts is undone
+                if negate:
                     code.line(f"{entry}m, {entry}c = mm, mc")
-                self.emit(code, ins[2], counted and not negate)
-                if kept:
+                self.emit(code, ins[2])
+                if negate:
                     code.line(f"mm, mc = {entry}m, {entry}c")
             if snap:
                 code.line(f"h = {snap}")
@@ -446,9 +427,9 @@ class _Module:
             return True
         if op == QUIET:
             if not self.collect:
-                return self.emit(code, ins[2], counted, known)
+                return self.emit(code, ins[2], known)
             code.line("quiets += 1")
-            fails = self.emit(code, ins[2], counted, known)
+            fails = self.emit(code, ins[2], known)
             code.line("quiets -= 1")
             return fails
         raise TypeError(f"unknown instruction {ins!r}")
@@ -468,27 +449,23 @@ class _Module:
             code.line(f"h = (Node({label!r}, {values}), {below}, {below}[2] + 1)")
 
     def call(self, code: _Function, index: int, label: str = "") -> None:
-        code.flush()
         code.line(f"pos = R[{index}](pos, d + 1){label}")
 
-    def helper(self, code: _Function, ins: tuple, counted: bool) -> bool:
+    def helper(self, code: _Function, ins: tuple) -> bool:
         """Move a deeply nested instruction into a function of its own."""
         self.emitted -= 1  # emit counts it again
         self.helpers += 1
-        inner = _Function(len(self.bodies) + self.helpers - 1, "", self.nonlocals, self.collect)
-        fails = self.emit(inner, ins, counted)
+        inner = _Function(len(self.bodies) + self.helpers - 1, "", self.nonlocals)
+        fails = self.emit(inner, ins)
         self.functions.append(inner.end())
         self.call(code, inner.index)
         return fails
 
-    def terminal(self, code: _Function, ins: tuple, counted: bool, known) -> bool:
+    def terminal(self, code: _Function, ins: tuple, known) -> bool:
         """A terminal's test; where the next character is known, a one-character
         terminal that takes it only moves."""
         op = ins[0]
-        if self.collect:
-            miss = f"miss(pos, {self.name(ins[1], 'T')})"
-        else:
-            miss = "miss(pos)" if counted else "-1"
+        miss = f"miss(pos, {self.name(ins[1], 'T')})" if self.collect else "miss(pos)"
         if op == STR and not ins[2]:
             return False  # the empty string matches everywhere
         if known is not None and (op == CH and ins[2] == known
@@ -519,22 +496,20 @@ class _Module:
         code.line(f"pos = pos + {width} if {test} else {miss}")
         return True
 
-    def fragment(self, code: _Function, match, capture: bool, counted: bool) -> bool:
-        """One regex: one step, and a failure is one mismatch at no new maximum."""
-        code.pending += 1
-        m, fail = code.fresh("m"), "fail()" if counted else "-1"
+    def fragment(self, code: _Function, match, capture: bool) -> bool:
+        """One regex: a failure is one mismatch at no new maximum."""
+        m = code.fresh("m")
         if capture:
             code.line(f"{m} = {self.name(match, 'M')}(text, pos)")
             value = f"Value('Str', text[pos:{m}.end()])"
             code.line(f"if {m}: {_push(value)}; pos = {m}.end()")
-            code.line(f"else: pos = {fail}")
+            code.line("else: pos = fail()")
         else:
-            code.line(f"pos = {m}.end() if ({m} := {self.name(match, 'M')}(text, pos)) else {fail}")
+            code.line(f"pos = {m}.end() if ({m} := {self.name(match, 'M')}(text, pos)) else fail()")
         return True
 
-    def scan(self, code: _Function, ins: tuple, counted: bool) -> bool:
-        """A fused one-character loop: a step per character, the entry's and
-        the mismatch's, and a capture's own."""
+    def scan(self, code: _Function, ins: tuple) -> bool:
+        """A fused one-character loop, whose one mismatch is where it ends."""
         term, plus, scan, capture = ins[2], ins[3], ins[4], ins[5]
         if scan is not None:
             code.line(f"at = {self.name(scan, 'M')}(text, pos).end()")
@@ -542,13 +517,11 @@ class _Module:
             code.line(f"at = scan({self.name(term[2], 'K', ('K', term[2]))}, "
                       f"{self.name(term[3], 'X')}, text, pos)")
         if self.collect:  # below the running maximum, only counted
-            code.line(f"steps += at - pos + {code.pending + 1 + capture}")
             code.line(f"if at >= mc or nots: miss(at, {self.name(term[1], 'T')})")
             code.line("else: mm += 1")
-        elif counted:
+        else:
             code.line("mm += 1")
             code.line("if at > mc: mc = at")
-        code.pending = 0
         push = _push("Value('Str', text[pos:at])") + "; " if capture and self.valued else ""
         if plus:
             code.line(f"if at > pos: {push}pos = at")
@@ -571,7 +544,7 @@ class _Module:
             test = f"pos < n and text[pos] not in {self.members(outside)}" if outside else "pos < n"
         return f"pos >= mc or {test}" if self.collect else test
 
-    def loop(self, code: _Function, ins: tuple, counted: bool) -> bool:
+    def loop(self, code: _Function, ins: tuple) -> bool:
         inner, plus, tag, touches, operand = ins[2:7]
         if not self.valued:
             tag = touches = None
@@ -587,7 +560,7 @@ class _Module:
         if snap and not plus:
             code.line(f"{snap} = h")
         code.open("while True:")
-        self.emit(code, inner, counted)
+        self.emit(code, inner)
         code.open("if pos < 0:")
         if plus:
             code.line(f"if {entry} < 0: break")
@@ -617,13 +590,13 @@ class _Module:
 
     # -- choices --------------------------------------------------------------
 
-    def choice(self, code: _Function, ins: tuple, counted: bool) -> bool:
+    def choice(self, code: _Function, ins: tuple) -> bool:
         kids, touches, operand = ins[2][:-1], ins[3] and self.valued, ins[4]
         if not operand:
-            self.alternatives(code, kids, touches, counted)
+            self.alternatives(code, kids, touches)
             return True
         if self.collect:  # one branch per alternative, whichever run
-            self.shared(code, kids, operand, touches, counted)
+            self.shared(code, kids, operand, touches)
             return True
         by_char, other, end = operand
         keys = {c: bits for c, bits in by_char.items() if bits != other}
@@ -634,7 +607,7 @@ class _Module:
             groups.setdefault(bits, []).append(key)
         masks = [*groups, other]
         if any(sum(m >> i & 1 for m in masks) > 1 for i in range(len(kids))):
-            self.shared(code, kids, operand, touches, counted)
+            self.shared(code, kids, operand, touches)
             return True
         first = True
         if groups:
@@ -649,29 +622,29 @@ class _Module:
                 test = f"c in {self.name(frozenset(chars), 'S', ('S', *map(repr, chars)))}"
             code.open(f"{'if' if first else 'elif'} {test}:")
             one = chars[0] if len(chars) == 1 else None  # the next character, known
-            self.candidates(code, kids, bits, touches, counted, one)
+            self.candidates(code, kids, bits, touches, one)
             code.close()
             first = False
         if first:
-            self.candidates(code, kids, other, touches, counted)
+            self.candidates(code, kids, other, touches)
         else:
             code.open("else:")
-            self.candidates(code, kids, other, touches, counted)
+            self.candidates(code, kids, other, touches)
             code.close()
         return True
 
     def candidates(self, code: _Function, kids: tuple, bits: int, touches: bool,
-                   counted: bool, known: str | None = None) -> None:
+                   known: str | None = None) -> None:
         """The alternatives in bits: none fails at once, one runs in place."""
         chosen = [kid for i, kid in enumerate(kids) if bits >> i & 1]
         if not chosen:
             code.line("pos = -1")
         elif len(chosen) == 1:
-            self.emit(code, chosen[0], counted, known)
+            self.emit(code, chosen[0], known)
         else:
-            self.alternatives(code, chosen, touches, counted, known)
+            self.alternatives(code, chosen, touches, known)
 
-    def alternatives(self, code: _Function, kids, touches: bool, counted: bool,
+    def alternatives(self, code: _Function, kids, touches: bool,
                      known: str | None = None) -> None:
         """Alternatives tried in order from one entry, as a choice's frame does."""
         entry, snap = code.fresh("p"), code.fresh("s") if touches else None
@@ -682,13 +655,13 @@ class _Module:
             if i:
                 code.open("if pos < 0:")
                 code.line(f"pos = {entry}")
-            fails = self.emit(code, kid, counted, known)
+            fails = self.emit(code, kid, known)
             if snap and fails:
                 code.line(f"if pos < 0: h = {snap}")
             if i:
                 code.close()
 
-    def shared(self, code: _Function, kids, operand, touches: bool, counted: bool) -> None:
+    def shared(self, code: _Function, kids, operand, touches: bool) -> None:
         """A choice whose candidate sets share alternatives: each alternative
         once, run when its bit is in the set of the next character. In the
         collect module every alternative runs at or past the running maximum."""
@@ -707,7 +680,7 @@ class _Module:
         for i, kid in enumerate(kids):
             code.open(f"if {bits} & {1 << i}:" if i == 0 else f"if pos < 0 and {bits} & {1 << i}:")
             code.line(f"pos = {entry}")
-            if self.emit(code, kid, counted) and snap:
+            if self.emit(code, kid) and snap:
                 code.line(f"if pos < 0: h = {snap}")
             code.close()
 

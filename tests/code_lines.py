@@ -3,11 +3,17 @@ blank lines.
 
     python3 tests/code_lines.py
     python3 tests/code_lines.py --src ../other-tree/src
+    python3 tests/code_lines.py --generated [--src ../other-tree/src]
 
 A line counts when it holds a token other than a comment or a docstring:
 the string that opens a module, class or function body. A line that only
 continues a bracketed expression counts too. Prints one line per module,
-then the total. Not collected by pytest: its name does not start with
+then the total.
+
+With ``--generated`` it prints instead the lines and the functions of the
+parse and collect modules that the src's ``pegstack.generate`` writes for
+``grammars/calc.peg``, ``bench/json.peg`` (both read from this tree) and
+the meta-grammar. Not collected by pytest: its name does not start with
 ``test_``.
 """
 
@@ -17,9 +23,11 @@ import argparse
 import ast
 import io
 import pathlib
+import sys
 import tokenize
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 _SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
             tokenize.ENDMARKER, tokenize.ENCODING}
 
@@ -46,11 +54,33 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
+def generated(src: pathlib.Path) -> None:
+    """Print the lines and functions of each module the generator writes."""
+    sys.path.insert(0, str(src))
+    from pegstack.engine import _RUNTIME, Parser
+    from pegstack.generate import generate
+    from pegstack.notation import load_grammar, meta_grammar
+    print(f"{'module':24} {'lines':>6} {'functions':>9}")
+    for name, grammar in (("calc", load_grammar(ROOT / "grammars/calc.peg")),
+                          ("json", load_grammar(ROOT / "bench/json.peg")),
+                          ("meta-grammar", meta_grammar())):
+        tables = Parser(grammar)._tables
+        for kind, collect in (("parse", False), ("collect", True)):
+            source = generate(tables, _RUNTIME, collect)[1]
+            print(f"{name + ' ' + kind:24} {len(source.splitlines()):6,}"
+                  f" {source.count('    def f(pos, d):'):9}")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=pathlib.Path, default=SRC,
                     help="the src directory that holds pegstack (default: this tree's)")
+    ap.add_argument("--generated", action="store_true",
+                    help="print the lines and functions of the generated modules instead")
     args = ap.parse_args()
+    if args.generated:
+        generated(args.src)
+        return
     total = 0
     for path in sorted((args.src / "pegstack").glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))

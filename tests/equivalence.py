@@ -34,8 +34,11 @@ creates, read as the benchmark reads them (``run_states``): the run's own
 and, when it fails without a fault, its error pass's, which runs the
 grammar's generated collect code from the run's max cursor. For a run that
 faults it covers the fault instead. A change to how much work a pass does
-may move it. ``--against`` exits 1 when a behaviour digest differs, 2 when
-only a counter digest does, and 0 when both are equal.
+may move it. Generated code counts no steps, so the steps of a generated
+run and of its generated error pass are 0; against a tree whose generated
+code counts steps, the counter digests differ on those. ``--against``
+exits 1 when a behaviour digest differs, 2 when only a counter digest
+does, and 0 when both are equal.
 
 Next to the digests it prints how many choices, repetitions and options
 with a filled dispatch operand the family's exact tables hold, each

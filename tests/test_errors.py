@@ -304,19 +304,20 @@ def test_the_handed_over_bound_keeps_the_error_on_json_documents():
     assert failed > 100
 
 
-def test_a_bound_cuts_the_collect_steps_not_the_traces(calc_grammar):
-    # the generated pass dispatches below its running maximum and counts
-    # steps as the exact table would
+def test_a_bound_cuts_the_collect_mismatches_not_the_traces(calc_grammar):
+    # the generated pass dispatches below its running maximum, where the
+    # alternatives it skips count no mismatches, and counts no steps
     parser = Parser(calc_grammar)
     text = "1+(2*3-4)/5*(6+7)-8!9"
     exact, exact_traces = parser.error_pass(text)
-    steps = []
+    mismatches = []
     for bound in (0, 10, 19):  # 19 is the principal index
         generated, traces = parser.error_pass(text, None, bound)
         assert (generated.stats.max_cursor, traces) == (19, exact_traces)
-        steps.append(generated.stats.steps)
+        assert generated.stats.steps == 0
+        mismatches.append(generated.stats.terminal_mismatches)
     # from 0 the running maximum stands where the parse does: nothing to skip
-    assert exact.stats.steps == steps[0] > steps[1] > steps[2]
+    assert exact.stats.terminal_mismatches == mismatches[0] > mismatches[1] > mismatches[2]
 
 
 def _count_value_work(monkeypatch) -> dict:
@@ -433,10 +434,9 @@ def test_a_pass_without_values_counts_like_one_with_them_on_calc_and_json(calc_g
             bound = failures[0][1]  # the unobserved run's
             (bare, bare_traces), (built, built_traces) = (p.error_pass(text, None, bound)
                                                           for p in (parser, valued))
-            assert ((bare.stats.steps, bare.stats.terminal_mismatches, bare.stats.max_cursor,
-                     bare_traces)
-                    == (built.stats.steps, built.stats.terminal_mismatches,
-                        built.stats.max_cursor, built_traces)), text
+            assert ((bare.stats.terminal_mismatches, bare.stats.max_cursor, bare_traces)
+                    == (built.stats.terminal_mismatches, built.stats.max_cursor,
+                        built_traces)), text
             assert bare.stack.size() == 0
             failed += 1
     assert failed > 90

@@ -544,6 +544,16 @@ def test_the_parse_modules_keep_the_stack_head_in_a_local_and_count_no_steps(cal
     with recorded_states() as states:
         assert generated(calc_grammar).run("1+2*(3-4)").ok
     assert states[0].stats.steps == 0 and states[0].stats.max_cursor > 0
+    # nor do the collect modules, with values (the meta-grammar) or without,
+    # and a block that would only have counted steps is not written at all
+    for grammar, value_free in zip(grammars, (True, True, False)):
+        tables = Parser(grammar)._tables
+        assert tables.value_free == value_free
+        source = generate.generate(tables, engine._RUNTIME, collect=True)[1]
+        assert ("h = stack._head" in source) != value_free
+        assert not re.search(r"\bsteps\b|(^|:)\s*pass$", source, re.M)
+    parser = Parser(calc_grammar)
+    assert parser.error_pass("1+2*(3-4!", None, 0)[0].stats.steps == 0
 
 
 def _fails_on(payload):
