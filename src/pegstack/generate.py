@@ -37,6 +37,9 @@ with no call but for a list and a node of other than one or two children
   character where their operand is filled; a loop over a body without a
   head snapshots before each iteration and restores one that matched
   without moving;
+* a ``*`` of one character that fuses into one regex scan calls the regex
+  only where the terminal takes the next character, and counts its one
+  mismatch either way; a ``+`` calls it at once;
 * the largest fragment that lowers to one regex (see
   ``pegstack.instructions``) is one call of the compiled regex, and a
   capture of one pushes the slice it matched;
@@ -475,26 +478,28 @@ class _Module:
         if op == EOI:
             code.line(f"if pos != n: pos = {miss}")
             return True
-        width = 1
-        if op == CH:
-            test = f"pos < n and text[pos] == {ins[2]!r}"
-        elif op == CLASS:
-            mask, extra = ins[2], ins[3]
-            members = self.members(chr(o) for o in range(128) if mask >> o & 1)
-            if extra is None:
-                test = f"pos < n and text[pos] in {members}"
-            elif extra is _always:
-                test = ("pos < n" if mask == _ASCII
-                        else f"pos < n and ((c := text[pos]) in {members} or c >= '\\x80')")
-            else:
-                test = (f"pos < n and (c in {members} if (c := text[pos]) < '\\x80'"
-                        f" else {self.name(extra, 'X')}(c))")
-        elif op == STR:
-            test, width = f"text.startswith({ins[2]!r}, pos)", ins[3]
-        else:  # ISTR
-            test, width = f"text[pos:pos + {ins[3]}].lower() == {ins[2]!r}", ins[3]
+        if op == STR or op == ISTR:
+            width = ins[3]
+            test = (f"text.startswith({ins[2]!r}, pos)" if op == STR
+                    else f"text[pos:pos + {width}].lower() == {ins[2]!r}")
+        else:
+            width, test = 1, self.takes(ins)
         code.line(f"pos = pos + {width} if {test} else {miss}")
         return True
+
+    def takes(self, ins: tuple) -> str:
+        """The test that a one-character terminal takes the next character."""
+        if ins[0] == CH:
+            return f"pos < n and text[pos] == {ins[2]!r}"
+        mask, extra = ins[2], ins[3]
+        members = self.members(chr(o) for o in range(128) if mask >> o & 1)
+        if extra is None:
+            return f"pos < n and text[pos] in {members}"
+        if extra is _always:
+            return ("pos < n" if mask == _ASCII
+                    else f"pos < n and ((c := text[pos]) in {members} or c >= '\\x80')")
+        return (f"pos < n and (c in {members} if (c := text[pos]) < '\\x80'"
+                f" else {self.name(extra, 'X')}(c))")
 
     def fragment(self, code: _Function, match, capture: bool) -> bool:
         """One regex: a failure is one mismatch at no new maximum."""
@@ -509,10 +514,12 @@ class _Module:
         return True
 
     def scan(self, code: _Function, ins: tuple) -> bool:
-        """A fused one-character loop, whose one mismatch is where it ends."""
+        """A fused one-character loop, whose one mismatch is where it ends; a
+        ``*`` calls its regex only where the terminal takes the next character."""
         term, plus, scan, capture = ins[2], ins[3], ins[4], ins[5]
         if scan is not None:
-            code.line(f"at = {self.name(scan, 'M')}(text, pos).end()")
+            guard = "" if plus else f" if {self.takes(term)} else pos"
+            code.line(f"at = {self.name(scan, 'M')}(text, pos).end(){guard}")
         else:
             code.line(f"at = scan({self.name(term[2], 'K', ('K', term[2]))}, "
                       f"{self.name(term[3], 'X')}, text, pos)")

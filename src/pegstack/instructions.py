@@ -49,14 +49,23 @@ maximum; the executor reads an operand only to learn that a repetition's
 body has a head. In ``calc.peg`` nothing lowers, but every loop and every
 choice dispatches.
 
-Each instruction whose first action in the generated code is a terminal
-test has a head, the characters it can start with. Compiling a node gives
-its head from its children's, so each node's head is taken once; a node
-that lowers to one regex has none, decided without compiling the regex,
-which only the generator does. A reference to a rule on a cycle has a
+Each instruction that cannot match without taking a character may have a
+head, the characters it can start with. Compiling a node gives its head
+from its children's, so each node's head is taken once, and a node that
+lowers to one regex keeps the head its children give, decided without
+compiling the regex, which only the generator does. A sequence's head runs
+through its nullable prefix (Redziejowski's FIRST through nullable
+prefixes): it joins its children's heads up to the first child that does
+not pass, and what passes matches everywhere, taking nothing and counting
+mismatches only at the next character where that is not in its head
+(``?``, ``*``, a ``!`` whose body touches no stack). An ``&`` stops a
+head, since its body counts mismatches past the next character, which the
+error pass must see, and so does an action, push or drop, whose effect a
+skipped alternative would lose. A reference to a rule on a cycle has a
 head that names the rule; the heads of those rules are one least
 fixpoint, joined in when the dispatch operands are filled, so json's
-``Value`` offers its recursive ``Object`` only at ``{``.
+``Value`` offers its recursive ``Object`` only at ``{``, and each of its
+five rules at its own characters.
 """
 
 from __future__ import annotations
@@ -161,14 +170,13 @@ def _terminal_head(ins: tuple) -> tuple | None:
 def _union(heads) -> tuple | None:
     """Union of heads; None when one of them is None. Sorted: equal heads
     are equal."""
-    mask, chars, wide, rules = 0, set(), False, set()
+    mask, chars, wide, rules = 0, (), False, ()
     for head in heads:
         if head is None:
             return None
         mask, wide = mask | head[0], wide or head[2]
-        chars.update(head[1])
-        rules.update(head[3])
-    return mask, tuple(sorted(chars)), wide, tuple(sorted(rules))
+        chars, rules = chars + head[1], rules + head[3]
+    return mask, tuple(sorted(set(chars))), wide, tuple(sorted(set(rules)))
 
 
 def _resolve(head: tuple | None, cyclic: dict) -> tuple | None:
@@ -181,29 +189,30 @@ def _resolve(head: tuple | None, cyclic: dict) -> tuple | None:
 def _by_char(heads: list) -> tuple[dict[str, int], int, int]:
     """Bit sets of the heads each character can start, where bit i stands
     for heads[i] and a None head starts anywhere, end of input included: by
-    listed character, for any other character, and at end of input. Under a
-    wide head every ASCII character is listed, so the others are above 127."""
-    table: dict[str, int] = {}
+    listed character, for any other character, and at end of input. A
+    character is listed where its set differs from that of the others: a
+    wide head starts at every character but the ASCII ones it leaves out."""
+    flips: dict[str, int] = {}  # the heads where a character differs from the others
     always = wide = 0
     for i, head in enumerate(heads):
+        bit = 1 << i
         if head is None:
-            always |= 1 << i
+            always |= bit
             continue
         mask, chars, w, _ = head
-        wide |= w << i
+        if w:
+            wide |= bit
+            mask ^= _ASCII
+            chars = ()
         for c in chars:
-            table[c] = table.get(c, 0) | 1 << i
+            flips[c] = flips.get(c, 0) | bit
         while mask:
             low = mask & -mask
             c = chr(low.bit_length() - 1)
-            table[c] = table.get(c, 0) | 1 << i
+            flips[c] = flips.get(c, 0) | bit
             mask ^= low
-    if wide:
-        for o in range(128):
-            table.setdefault(chr(o), 0)
-    for c, bits in table.items():
-        table[c] = bits | always | (wide if ord(c) >= 128 else 0)
-    return table, always | wide, always
+    other = always | wide
+    return {c: other ^ bits for c, bits in flips.items()}, other, always
 
 
 def _facts(expr: r.RuleExpr) -> tuple[set, set, bool, bool]:
@@ -279,8 +288,8 @@ class Tables:
         self._operands = []  # each dispatch operand, with what fills it
         named = {}  # the heads of the rules on cycles, naming those rules
         for name in [*acyclic, *cyclic]:
-            exact[name], _, head = self._compile(exprs[name])
-            (acyclic if name in acyclic else named)[name] = head
+            exact[name], _, head, passes = self._compile(exprs[name])
+            (acyclic if name in acyclic else named)[name] = None if passes else head
         operands = self._operands
         # compile() of a node outside the rules infers afresh and fills nothing
         self._effects = self._operands = None
@@ -314,21 +323,21 @@ class Tables:
         """
         return self._compile(node)[0]
 
-    def _compile(self, node) -> tuple[tuple, bool, tuple | None]:
+    def _compile(self, node) -> tuple[tuple, bool, tuple | None, bool]:
         """Exact instruction for a node, whether matching it may change the
-        value stack, and the head of its generated code, each from its
-        children's: a node whose children touch nothing touches nothing
-        unless it pushes or pops itself, and a node that lowers to one regex
-        has no head. A head may name rules on cycles, joined in later."""
-        ins, touches, head = self._instruction(node)
+        value stack, the head of its generated code, and whether a
+        sequence's head passes through it, each from its children's: a node
+        whose children touch nothing touches nothing unless it pushes or
+        pops itself. A node that passes matches everywhere; its head is that
+        of what it may take. A head may name rules on cycles, joined in
+        later."""
+        ins, touches, head, passes = self._instruction(node)
         source = self._source(ins)
         if source is not None and len(source) > _MAX_SOURCE:
             source = None
-        if ins[0] <= ISTR:
+        if ins[0] <= ISTR and not passes:
             head = _terminal_head(ins)
-        elif source is not None and ins[0] in _LOWERED:
-            head = None  # one regex in the generated code
-        return ins + (source,), touches, head
+        return ins + (source,), touches, head, passes
 
     def _operand(self, choice: bool, heads: tuple) -> list:
         """An empty dispatch operand; while the rules compile, it is recorded
@@ -365,41 +374,57 @@ class Tables:
             return self.bodies[ins[2]][-1]  # inlined
         return None  # captures, actions and quiet are no regex
 
-    def _instruction(self, node) -> tuple[tuple, bool, tuple | None]:
+    def _instruction(self, node) -> tuple[tuple, bool, tuple | None, bool]:
         """Exact instruction for a node, without its regex source, whether
-        it touches the stack, and its head from its children's (None for a
-        terminal, whose head ``_compile`` reads from its operands). The only
-        place that tells terminal node types apart: the other facts of a
-        terminal come from its operands, and a CLASS mask holds ASCII
-        members only."""
+        it touches the stack, its head from its children's (None for a
+        terminal that takes a character, whose head ``_compile`` reads from
+        its operands) and whether it passes. The only place that tells
+        terminal node types apart: the other facts of a terminal come from
+        its operands, and a CLASS mask holds ASCII members only.
+
+        A sequence's head joins its children's up to and including the first
+        that does not pass, and is None when all of them pass. What passes
+        is ``?``, ``*``, a ``!`` over a body that touches no stack, the
+        empty string, and a capture or quiet of one of them; not ``&``, an
+        action, push or drop (see the module docstring). Elsewhere a node
+        that may match without taking a character has no head."""
         t = type(node)
         if t is r.Ch:
-            return (CH, node, node.char), False, None
+            return (CH, node, node.char), False, None, False
         if t is r.CharPred:
-            return (CLASS, node, node.pred.mask & _ASCII, node.pred.extra), False, None
+            return (CLASS, node, node.pred.mask & _ASCII, node.pred.extra), False, None, False
         if t is r.Str:
-            return (STR, node, node.text, len(node.text)), False, None
+            empty = not node.text  # it takes nothing: its head is the empty one
+            return ((STR, node, node.text, len(node.text)), False,
+                    (0, (), False, ()) if empty else None, empty)
         if t is r.EndOfInput:
-            return (EOI, node), False, None
+            return (EOI, node), False, None, False
         if t is r.IgnoreCaseStr:
-            return (ISTR, node, node.text.lower(), len(node.text)), False, None
+            return (ISTR, node, node.text.lower(), len(node.text)), False, None, False
         if t is r.NoneOf:
             extra = node.pred.extra
             return (CLASS, node, ~node.pred.mask & _ASCII,
-                    _always if extra is None else lambda c: not extra(c)), False, None
+                    _always if extra is None else lambda c: not extra(c)), False, None, False
         if t is r.AnyChar:
-            return (CLASS, node, _ASCII, _always), False, None
+            return (CLASS, node, _ASCII, _always), False, None, False
         if t is r.Sequence or t is r.FirstOf:
             # the children, then None to mark the end
-            kids, touched, heads = zip(*(self._compile(k) for k in
-                                         (node.children if t is r.Sequence else node.alternatives)))
+            kids, touched, heads, passing = zip(*(self._compile(k) for k in (
+                node.children if t is r.Sequence else node.alternatives)))
             touches = any(touched)
             if t is r.FirstOf:
+                if True in passing:  # an alternative that passes starts anywhere
+                    heads = tuple(None if passes else head for head, passes in zip(heads, passing))
                 return ((ALT, node, kids + (None,), touches, self._operand(True, heads)), touches,
-                        _union(heads))
-            return (SEQ, node, kids + (None,), touches), touches, heads[0]
+                        _union(heads), False)
+            if False not in passing:  # every child passes: it may take nothing
+                return (SEQ, node, kids + (None,), touches), touches, None, False
+            stop = passing.index(False)  # the children up to it give the head
+            return ((SEQ, node, kids + (None,), touches), touches,
+                    _union(heads[:stop + 1]) if stop else heads[0], False)
         if t is r.ZeroOrMore or t is r.OneOrMore:
-            inner, touches, head = self._compile(node.inner)
+            inner, touches, head, passes = self._compile(node.inner)
+            head = None if passes else head
             plus = t is r.OneOrMore
             if inner[0] == CH or inner[0] == CLASS:
                 # one character per iteration: (CHARS, node, the terminal,
@@ -407,37 +432,40 @@ class Tables:
                 # decides non-ASCII characters in Python
                 source = inner[-1]
                 scan = None if source is None else re.compile(source + "*", re.DOTALL).match
-                return (CHARS, node, inner, plus, scan, False), False, head if plus else None
+                return (CHARS, node, inner, plus, scan, False), False, head, not plus
             return ((REP, node, inner, plus, self._collect_tag(node), touches,
-                     self._operand(False, (head,))), touches, head if plus else None)
+                     self._operand(False, (head,))), touches, head, not plus)
         if t is r.Optional:
-            inner, touches, head = self._compile(node.inner)
+            inner, touches, head, passes = self._compile(node.inner)
+            head = None if passes else head
             return ((OPT, node, inner, self._collect_tag(node), self._operand(False, (head,))),
-                    touches, None)
+                    touches, head, True)
         if t is r.AndPredicate or t is r.NotPredicate:
-            inner, touches, _ = self._compile(node.inner)
-            return (PRED, node, inner, t is r.NotPredicate, touches), False, None
+            inner, touches = self._compile(node.inner)[:2]
+            passes = t is r.NotPredicate and not touches
+            return ((PRED, node, inner, t is r.NotPredicate, touches), False,
+                    (0, (), False, ()) if passes else None, passes)
         if t is r.Capture:
-            inner, _, head = self._compile(node.inner)
+            inner, _, head, passes = self._compile(node.inner)
             if inner[0] == CHARS:  # the scan pushes what it matched
-                return inner[:5] + (True,), True, head
-            return (CAPTURE, node, inner), True, head
+                return inner[:5] + (True,), True, head, passes
+            return (CAPTURE, node, inner), True, head, passes
         if t is r.Quiet:
-            inner, touches, head = self._compile(node.inner)
-            return (QUIET, node, inner), touches, head
+            inner, touches, head, passes = self._compile(node.inner)
+            return (QUIET, node, inner), touches, head, passes
         if t is r.Action:
             if type(node.fn) is ConsFn:  # made by effects.cons: the executor builds the node
-                return (CONS, node, node.fn.label, node.arity), True, None
-            return (ACTION, node, node.fn, node.arity), True, None
+                return (CONS, node, node.fn.label, node.arity), True, None, False
+            return (ACTION, node, node.fn, node.arity), True, None, False
         if t is r.Push:  # an action that pushes its value; a unit-like value pushes nothing
             value = None if node.value.tag == "Unit" else node.value
-            return (ACTION, node, lambda: value, 0), True, None
+            return (ACTION, node, lambda: value, 0), True, None, False
         if t is r.Drop:
-            return (ACTION, node, _nothing, node.count), True, None
+            return (ACTION, node, _nothing, node.count), True, None, False
         if t is r.RuleRef:
             name = node.name  # a rule on a cycle: a head that names it
             return ((REF, node, name), self._rule_touches.get(name, True),
-                    self._acyclic.get(name, (0, (), False, (name,))))
+                    self._acyclic.get(name, (0, (), False, (name,))), False)
         raise TypeError(f"unknown rule expression: {node!r}")
 
     def _collect_tag(self, node) -> str | None:

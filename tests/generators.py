@@ -165,7 +165,8 @@ def gen_lowerable(rng: random.Random, depth: int, helpers: list[str]) -> r.RuleE
     """Stack-free expression rich in what the fast table lowers to one regex:
     greedy parts followed by what they may have taken (where PEG, unlike a
     backtracking regex, never gives input back), nullable repetition
-    bodies, predicates inside choices, a non-ASCII head beside a wide one,
+    bodies, predicates inside choices and at the start of their
+    alternatives, a non-ASCII head beside a wide one,
     EOI inside a fragment and references to helper rules."""
     if depth <= 0:
         return _lowerable_terminal(rng)
@@ -189,7 +190,9 @@ def gen_lowerable(rng: random.Random, depth: int, helpers: list[str]) -> r.RuleE
     if roll < 0.32:
         return r.seq(*(sub() for _ in range(rng.randint(2, 3))))
     if roll < 0.37:
-        preds = (r.not_pred, r.and_pred, lambda e: e)
+        # an alternative may start with an & that looks past the next
+        # character, which stops its head
+        preds = (r.not_pred, lambda e: r.seq(r.and_pred(r.seq(r.ANY, e)), e), lambda e: e)
         return r.first_of(*(rng.choice(preds)(sub()) for _ in range(rng.randint(2, 3))))
     if roll < 0.45:
         # a head that takes any non-ASCII character (any character, a none-of

@@ -23,8 +23,10 @@ from pegstack import engine, generate
 from pegstack import rules as r
 from pegstack.effects import StackEffect, cons
 from pegstack.engine import ACTION_FAIL, GENERATE_AT, InternalFault, Parser, Trace
-from pegstack.errors import Collector, build_parse_error, principal_index, trace_collection
-from pegstack.notation import load_grammar, meta_grammar
+from pegstack.errors import (Collector, build_parse_error, format_error, principal_index,
+                             trace_collection)
+from pegstack.instructions import CHARS
+from pegstack.notation import load_grammar, meta_grammar, parse_grammar
 from pegstack.rules import validate_grammar
 from pegstack.values import Value
 
@@ -34,6 +36,7 @@ from generators import (ALPHABET, LOWERABLE_ALPHABET, big_expression, gen_gramma
                         gen_lowerable_grammar, gen_sound_grammar)
 from run_states import recorded_states
 from test_acceptance import _same_as_observed
+from test_instructions import _instructions
 
 
 def _reruns(parser, monkeypatch, collect=False):
@@ -414,6 +417,49 @@ def test_the_generated_collect_pass_runs_actions_that_fail():
         for _ in range(60):
             failed += _assert_collect_is_exact(parser, gen_input(rng, 8, "azbcd"))
     assert failed > 100
+
+
+# -- heads through what passes -------------------------------------------------------------
+
+def test_a_head_stops_at_a_predicate_that_looks_past_the_next_character():
+    # A fails at the 'q' at index 1, so the collect pass dispatches at index
+    # 0; B's &(. 'x') fails at the 'x' at index 1 too. Through the &, B's
+    # head would be 'a' or 'c', the pass would skip B at 'b' and lose 'x'
+    parser = generated(parse_grammar("Top <- A / B\n"
+                                     "A <- capture('b') 'q' ~> cons(X,1)\n"
+                                     "B <- capture(&(. 'x') 'a' / 'c') EOI ~> cons(Y,1)\n"))
+    error = parser.run("bz").error
+    assert (error.position.index, error.expected()) == (1, ["'q'", "'x'"])
+    assert format_error(error, "bz").startswith("Invalid input 'z', expected 'q' or 'x' ")
+    _same_as_observed(parser, "bz")
+
+
+def test_a_head_stops_at_a_not_predicate_whose_body_touches_the_stack():
+    # the drop inside the ! underflows, a fault wherever B runs: through the
+    # !, B's head would be 'a', and the run would skip B at 'b' and fail
+    parser = generated(r.grammar({"Top": r.first_of(
+        r.seq(r.capture(r.ch("b")), r.ch("q")), r.seq(r.not_pred(r.drop()), r.ch("a")))}))
+    assert parser.run("bz").fault.description.startswith("value stack underflow")
+    _same_as_observed(parser, "bz")
+
+
+def test_json_dispatches_without_a_table_and_star_scans_test_the_next_character():
+    # each character that starts a json Value starts one rule, so Value is
+    # an if/elif chain; a * scan's regex runs only where its terminal takes
+    # the next character, a + scan's at once, in both modules
+    json = load_grammar(ROOT / "bench/json.peg")
+    assert ".get(text[pos]" not in generated(json)._source
+    for grammar in (json, meta_grammar()):
+        tables = Parser(grammar)._tables
+        stars = {id(ins[4]) for ins in _instructions(tables.bodies)
+                 if ins[0] == CHARS and not ins[3] and ins[4] is not None}
+        for collect in (False, True):
+            factory, source = generate.generate(tables, engine._RUNTIME, collect)
+            scans = re.findall(r"at = (M\d+)\(text, pos\)\.end\(\)(.*)", source)
+            for m, guard in scans:
+                assert bool(guard) == (id(factory.__globals__[m]) in stars), m
+                assert not guard or re.fullmatch(r" if pos < n and .+ else pos", guard), guard
+            assert any(guard for _, guard in scans)
 
 
 def test_the_sound_family_has_concats_that_fail_in_the_parse_and_in_the_error_pass(

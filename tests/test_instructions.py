@@ -3,7 +3,8 @@
 ``Tables`` takes whether a node touches the value stack from its children
 while it compiles the node, and a rule's from one walk of its body and a
 least fixpoint over the rules. A node's head comes from its children's in
-head position, also while it compiles, and a reference's from its rule's;
+head position, through those that pass, also while it compiles, and so
+does whether it passes; a reference's head comes from its rule's;
 a reference to a rule on a cycle names the rule, whose head is one least
 fixpoint over those rules, joined in later. The recursive definitions
 below walk a node's whole subtree, and a reference's rule body, instead;
@@ -22,7 +23,7 @@ from pegstack import rules as r
 from pegstack.effects import NEUTRAL, ConsFn, StackEffect, check_grammar, cons
 from pegstack.engine import Parser
 from pegstack.instructions import (_ASCII, ALT, CAPTURE, CHARS, ISTR, OPT, PRED, QUIET, REF, REP,
-                                   SEQ, _char_class, _regex, _resolve, _terminal_head,
+                                   SEQ, STR, _char_class, _resolve, _terminal_head,
                                    _terminal_source)
 from pegstack.notation import load_grammar, meta_grammar
 from pegstack.values import str_value
@@ -73,32 +74,70 @@ def _resolved(tables, head):
     return _same(head)
 
 
-def _code_head(tables, ins):
-    """Head of an exact instruction's generated code, or None: through a
-    reference, the head of the rule's body, which ends because validation
-    rejects left recursion."""
-    if _regex(ins) is not None:  # one regex
+_NOTHING = (0, frozenset(), False)  # the head of what takes no character
+
+
+def _join(heads):
+    """Union of heads in the form of ``_same``; None when one is None."""
+    if None in heads:
         return None
+    mask = 0
+    for h in heads:
+        mask |= h[0]
+    return mask, frozenset().union(*(h[1] for h in heads)), any(h[2] for h in heads)
+
+
+def _passes(ins):
+    """Whether a sequence's head passes through an exact instruction: ``?``,
+    ``*`` (a fused scan too), ``!`` over a body that touches no stack, the
+    empty string, and a capture or quiet of one of them; never ``&``, an
+    action, a push or a drop."""
     op = ins[0]
+    if op == CAPTURE or op == QUIET:
+        return _passes(ins[2])
+    return (op == OPT or (op == REP or op == CHARS) and not ins[3]
+            or op == PRED and ins[3] and not ins[4] or op == STR and not ins[2])
+
+
+def _code_head(tables, ins):
+    """Head of an exact instruction's generated code, or None, whether or
+    not it lowers to one regex; what passes has the head of what it may
+    take. A sequence's is the union of its children's up to and including
+    the first that does not pass; where a choice, loop, option or reference
+    meets a body that passes, the body starts anywhere. Through a reference,
+    the head of the rule's body, which ends because validation rejects left
+    recursion."""
+    op = ins[0]
+    if op == STR and not ins[2]:
+        return _NOTHING
     if op <= ISTR:
         return _same(_terminal_head(ins))
     if op == SEQ:
-        return _code_head(tables, ins[2][0])
+        heads = []
+        for kid in ins[2][:-1]:
+            heads.append(_code_head(tables, kid))
+            if not _passes(kid):
+                return _join(heads)
+        return None  # every child passes: it may take nothing
     if op == ALT:
-        heads = [_code_head(tables, k) for k in ins[2][:-1]]
-        if None in heads:
-            return None
-        mask = 0
-        for h in heads:
-            mask |= h[0]
-        return mask, frozenset().union(*(h[1] for h in heads)), any(h[2] for h in heads)
+        return _join([_starts(tables, k) for k in ins[2][:-1]])
     if op == CHARS:
-        return _same(_terminal_head(ins[2])) if ins[3] else None
+        return _same(_terminal_head(ins[2]))
+    if op == REP or op == OPT:
+        return _starts(tables, ins[2])
     if op == REF:
-        return _code_head(tables, tables.bodies[ins[2]])
-    if op == CAPTURE and _regex(ins[2]) is None or op == QUIET or op == REP and ins[3]:
+        return _starts(tables, tables.bodies[ins[2]])
+    if op == CAPTURE or op == QUIET:
         return _code_head(tables, ins[2])
+    if op == PRED:
+        return _NOTHING if _passes(ins) else None  # an & stops a head, as does a touching !
     return None
+
+
+def _starts(tables, ins):
+    """Where a choice's alternative, a body or a rule can start: its head,
+    or None when it passes."""
+    return None if _passes(ins) else _code_head(tables, ins)
 
 
 def _node_head(node):
@@ -152,6 +191,17 @@ def _grammars():
     # a choice and a loop that start with a rule on a cycle: its head is joined in
     yield r.grammar({"List": r.first_of(r.ref("Group"), r.ch("x")),
                      "Group": r.seq(r.ch("("), r.zero_or_more(r.ref("List")), r.ch(")"))})
+    # heads through what passes, and the nodes that stop them: & looks past
+    # the next character, an action, push or drop has an effect, a ! whose
+    # body touches the stack may run one, and EOI and ignore case have none
+    passing = [r.opt(r.ch("a")), r.zero_or_more(r.seq(r.ch("b"), r.ch("c"))),
+               r.zero_or_more(r.ch(" ")), r.not_pred(r.ch("d")), r.Str(""),
+               r.capture(r.zero_or_more(r.ch("e"))), r.quiet(r.opt(r.ch("f")))]
+    stopping = [r.and_pred(r.ch("g")), r.not_pred(r.capture(r.ch("h"))), r.push(str_value("i")),
+                r.drop(), cons("C", 1), r.EOI, r.ignore_case("j"), r.ref("Nullable")]
+    pairs = (r.seq(p, s, r.ch("z")) for p in passing for s in stopping)
+    yield r.grammar({"Top": r.first_of(*pairs, r.seq(*passing), r.seq(*passing, r.ch("y"))),
+                     "Nullable": r.opt(r.ch("k"))}, start="Top")  # unvalidated: '' is rejected
 
 
 def test_the_facts_pass_agrees_with_the_recursive_definitions():
@@ -163,11 +213,12 @@ def test_the_facts_pass_agrees_with_the_recursive_definitions():
         for name, rd in grammar.rules.items():
             acyclic = name in tables._acyclic
             head = tables._acyclic[name] if acyclic else tables._cyclic[name]
-            assert _resolved(tables, head) == _code_head(tables, tables.bodies[name]), name
+            assert _resolved(tables, head) == _starts(tables, tables.bodies[name]), name
             cyclic_heads += not acyclic and head is not None
             for node in r.walk(rd.expr):  # node by node
-                ins, touched, head = tables._compile(node)
+                ins, touched, head, passes = tables._compile(node)
                 assert touched == _touches(node, touches), node
+                assert passes == _passes(ins), node
                 assert _resolved(tables, head) == _code_head(tables, ins), node
     assert cyclic_heads > 50  # rules on cycles with a head are covered
 
