@@ -69,7 +69,7 @@ from . import rules as r
 from .errors import Collector, ParseError, build_parse_error, format_error
 from .instructions import OPS, QUIET, RULE, Tables
 from .record import record
-from .values import Node, StackUnderflow, Value, ValueStack, list_value
+from .values import Node, StackUnderflow, Value, ValueStack, list_value, node1, node2
 
 # sentinel an action function returns to report a match failure
 ACTION_FAIL = object()
@@ -289,8 +289,9 @@ def _listed(head: tuple, base: int, tag: str) -> tuple:
 
 
 # what generated code calls besides the grammar's own objects
-_RUNTIME = {"Node": Node, "Value": Value, "list_value": list_value, "act": _act, "scan": _scan,
-            "pop": _pop, "listed": _listed, "TooDeep": TooDeep}
+_RUNTIME = {"Node": Node, "node1": node1, "node2": node2, "Value": Value,
+            "list_value": list_value, "act": _act, "scan": _scan, "pop": _pop, "listed": _listed,
+            "TooDeep": TooDeep}
 
 
 class Parser:
@@ -494,7 +495,8 @@ class Parser:
         mismatches = stats.terminal_mismatches
         max_cursor = stats.max_cursor
         stack = state.stack
-        snapshot, restore, push, size = stack.snapshot, stack.restore, stack.push, stack.size
+        snapshot, restore, push, pop, size = (stack.snapshot, stack.restore, stack.push,
+                                              stack.pop, stack.size)
         observer = state.observer
         watched = observer is not None  # rules open frames
         enter, leave, event, miss = (getattr(observer, hook, None)
@@ -578,8 +580,14 @@ class Parser:
                     frames.append([ALT, ins[2], 1, pos, snapshot() if ins[3] else None, ins])
                     ins = ins[2][0]
                     continue
-                elif op == CONS:
-                    push(Node(ins[2], stack.take(ins[3])))
+                elif op == CONS:  # popping one at a time underflows as take does
+                    if ins[3] == 2:
+                        last = pop()
+                        push(node2(ins[2], pop(), last))
+                    elif ins[3] == 1:
+                        push(node1(ins[2], pop()))
+                    else:
+                        push(Node(ins[2], stack.take(ins[3])))
                     ok = True
                 elif op == REF:
                     if watched:

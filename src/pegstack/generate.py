@@ -23,7 +23,9 @@ with no call but for a list and a node of other than one or two children
 * a snapshot is ``s = h`` and a restore ``h = s``; a push builds the cell
   ``(v, h, h[2] + 1)``; ``cons(L,k)`` pops its k children and pushes the
   node in one cell, once it has tested ``h[2] >= k`` (``pop`` raises the
-  ``StackUnderflow`` of ``ValueStack.take`` otherwise);
+  ``StackUnderflow`` of ``ValueStack.take`` otherwise); it builds a node of
+  one or two children with the runtime's ``node1`` or ``node2``, which take
+  the children as arguments, and any other with ``Node``;
 * a sequence that touches the stack snapshots at entry and restores when it
   fails; a choice with a frame snapshots at entry and restores after each
   alternative that fails;
@@ -442,9 +444,9 @@ class _Module:
         top; with fewer values on the stack, ``pop`` raises ``StackUnderflow``
         as ``ValueStack.take`` does."""
         if arity == 1:
-            code.line(f"h = (Node({label!r}, (h[0],)), h[1], h[2]) if h[2] else pop(h, 1)")
+            code.line(f"h = (node1({label!r}, h[0]), h[1], h[2]) if h[2] else pop(h, 1)")
         elif arity == 2:
-            code.line(f"h = (Node({label!r}, (h[1][0], h[0])), h[1][1], h[2] - 1)"
+            code.line(f"h = (node2({label!r}, h[1][0], h[0]), h[1][1], h[2] - 1)"
                       " if h[2] >= 2 else pop(h, 2)")
         else:  # pop(h, 0) pops nothing
             values, below = code.fresh("v"), code.fresh("c")

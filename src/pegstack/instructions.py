@@ -298,19 +298,32 @@ class Tables:
         # validation rejected left recursion, so no head is made of its own
         # rule's
         heads = self._cyclic = dict.fromkeys(cyclic, (0, (), False, ()))
-        changed = True
-        while changed:
-            changed = False
+        users: dict[str, list] = {}  # by rule, the rules whose heads name it
+        for name, head in named.items():
+            for used in head[3] if head is not None else ():
+                users.setdefault(used, []).append(name)
+        # the heads to resolve: every one in the first round, then those that
+        # name a rule whose head changed in the round before
+        stale = named.keys()
+        while stale:
+            changed = []
             for name, head in named.items():
-                head = _resolve(head, heads)
-                if head != heads[name]:
-                    heads[name], changed = head, True
+                if name in stale:
+                    head = _resolve(head, heads)
+                    if head != heads[name]:
+                        heads[name] = head
+                        changed.append(name)
+            stale = {user for name in changed for user in users.get(name, ())}
         # each dispatch operand, left empty where no alternative, or no
         # body, has a head: the _by_char bit sets (by character, any other,
         # end of input) of a choice's alternatives; for a repetition or
-        # option, (by character, any other), nonzero where the body can start
+        # option, (by character, any other), nonzero where the body can start.
+        # Operands share heads, so each distinct one is resolved once.
+        resolved = dict.fromkeys(head for _, _, kid_heads in operands for head in kid_heads)
+        for head in resolved:
+            resolved[head] = _resolve(head, heads)
         for operand, choice, kid_heads in operands:
-            kid_heads = [_resolve(head, heads) for head in kid_heads]
+            kid_heads = [resolved[head] for head in kid_heads]
             if kid_heads.count(None) < len(kid_heads):
                 bits = _by_char(kid_heads)
                 operand[:] = bits if choice else bits[:2]

@@ -4,8 +4,9 @@ Semantic actions communicate through a LIFO stack of tagged values. A stack
 belongs to exactly one parse run and is never shared; failed alternatives are
 undone by restoring a snapshot taken before the attempt.
 
-A node ``Label(children...)`` is one ``Node`` object (plus its children
-tuple), the form that ``cons`` actions and ``node_value`` build.
+A node ``Label(children...)`` is one ``Node`` object, the form that
+``cons`` actions and ``node_value`` build. A node of one or two children
+holds them in slots of its own; any other holds one tuple of them.
 """
 
 from __future__ import annotations
@@ -97,25 +98,69 @@ class Node(Value):
     its label and children in slots of its own, built by ``cons`` actions
     and ``node_value``. Its ``payload`` is the node itself, so
     ``value.payload.label`` reads a node's label too.
+
+    One or two children sit in the slots ``_a`` and ``_b``, with no tuple
+    around them, so such a node is one object for the cyclic collector to
+    track; ``_b`` is ``_ONE`` when ``_a`` is the only child. Any other
+    number of children is one tuple in ``_a``, with ``_b`` ``_MANY``.
+    ``children`` rebuilds the tuple on each read: equal to the one the
+    node was built from, but not the same object.
     """
 
-    __slots__ = ("label", "children")
+    __slots__ = ("label", "_a", "_b")
     tag = "Node"  # tag and payload shadow Value's slots, which a Node leaves empty
 
-    # one per cons action
     def __init__(self, label: str, children: tuple[Value, ...]):
         _set_node_label(self, label)
-        _set_node_children(self, children)
+        if len(children) == 2:
+            _set_a(self, children[0])
+            _set_b(self, children[1])
+        elif len(children) == 1:
+            _set_a(self, children[0])
+            _set_b(self, _ONE)
+        else:  # tuple() of a tuple is the tuple itself
+            _set_a(self, tuple(children))
+            _set_b(self, _MANY)
 
     @property
     def payload(self) -> Node:
         return self
 
+    @property
+    def children(self) -> tuple[Value, ...]:
+        b = self._b
+        if b is _ONE:
+            return (self._a,)
+        if b is _MANY:
+            return self._a
+        return (self._a, b)
+
 
 # the slot descriptors' setters, which bypass the records' frozen __setattr__
 _set_tag, _set_payload = Value.tag.__set__, Value.payload.__set__
-_set_node_label, _set_node_children = Node.label.__set__, Node.children.__set__
+_set_node_label, _set_a, _set_b = Node.label.__set__, Node._a.__set__, Node._b.__set__
+_ONE, _MANY = object(), object()  # in a node's _b: _a is its only child, or the tuple of them
 _FORMS = (Value, Node)  # the classes whose instances the walkers take apart
+_new = object.__new__
+
+
+# one per cons action of one or two children: no __init__ and no tuple
+def node1(label: str, a: Value) -> Node:
+    """The node ``label(a)``, as ``Node(label, (a,))`` builds it."""
+    node = _new(Node)
+    _set_node_label(node, label)
+    _set_a(node, a)
+    _set_b(node, _ONE)
+    return node
+
+
+def node2(label: str, a: Value, b: Value) -> Node:
+    """The node ``label(a, b)``, as ``Node(label, (a, b))`` builds it."""
+    node = _new(Node)
+    _set_node_label(node, label)
+    _set_a(node, a)
+    _set_b(node, b)
+    return node
 
 
 def _walk(value: Value):

@@ -57,51 +57,57 @@ def _terminal(rng: random.Random) -> r.RuleExpr:
     return r.IgnoreCaseStr(rng.choice(("AB", "bC")))
 
 
-def gen_consuming(rng: random.Random, depth: int, helpers: list[str]) -> r.RuleExpr:
-    """Expression guaranteed to advance the cursor when it matches."""
+def gen_consuming(rng: random.Random, depth: int, helpers: list[str],
+                  quiet: bool = True) -> r.RuleExpr:
+    """Expression guaranteed to advance the cursor when it matches. Without
+    quiet, what would be a ``quiet(e)`` inside it is ``e``, from the same
+    draws."""
     if depth <= 0:
         return _terminal(rng)
     roll = rng.random()
     if roll < 0.4:
         return _terminal(rng)
     if roll < 0.55:
-        return r.seq(gen_consuming(rng, depth - 1, helpers),
-                     gen_neutral(rng, depth - 1, helpers))
+        return r.seq(gen_consuming(rng, depth - 1, helpers, quiet),
+                     gen_neutral(rng, depth - 1, helpers, quiet))
     if roll < 0.7:
-        return r.first_of(gen_consuming(rng, depth - 1, helpers),
-                          gen_consuming(rng, depth - 1, helpers))
+        return r.first_of(gen_consuming(rng, depth - 1, helpers, quiet),
+                          gen_consuming(rng, depth - 1, helpers, quiet))
     if roll < 0.8:
-        return r.one_or_more(gen_consuming(rng, depth - 1, helpers))
+        return r.one_or_more(gen_consuming(rng, depth - 1, helpers, quiet))
     if roll < 0.9 and helpers:
         return r.ref(rng.choice(helpers))
     return _terminal(rng)
 
 
-def gen_neutral(rng: random.Random, depth: int, helpers: list[str]) -> r.RuleExpr:
-    """Expression with a neutral stack effect ([],[])."""
+def gen_neutral(rng: random.Random, depth: int, helpers: list[str],
+                quiet: bool = True) -> r.RuleExpr:
+    """Expression with a neutral stack effect ([],[]); quiet as for
+    ``gen_consuming``."""
     if depth <= 0:
         return _terminal(rng)
     roll = rng.random()
     if roll < 0.25:
         return _terminal(rng)
     if roll < 0.4:
-        parts = [gen_neutral(rng, depth - 1, helpers) for _ in range(rng.randint(2, 3))]
+        parts = [gen_neutral(rng, depth - 1, helpers, quiet) for _ in range(rng.randint(2, 3))]
         return r.seq(*parts)
     if roll < 0.55:
-        alts = [gen_neutral(rng, depth - 1, helpers) for _ in range(rng.randint(2, 3))]
+        alts = [gen_neutral(rng, depth - 1, helpers, quiet) for _ in range(rng.randint(2, 3))]
         return r.first_of(*alts)
     if roll < 0.63:
-        return r.opt(gen_neutral(rng, depth - 1, helpers))
+        return r.opt(gen_neutral(rng, depth - 1, helpers, quiet))
     if roll < 0.71:
-        return r.zero_or_more(gen_consuming(rng, depth - 1, helpers))
+        return r.zero_or_more(gen_consuming(rng, depth - 1, helpers, quiet))
     if roll < 0.77:
-        return r.one_or_more(gen_consuming(rng, depth - 1, helpers))
+        return r.one_or_more(gen_consuming(rng, depth - 1, helpers, quiet))
     if roll < 0.83:
-        return r.and_pred(gen_neutral(rng, depth - 1, helpers))
+        return r.and_pred(gen_neutral(rng, depth - 1, helpers, quiet))
     if roll < 0.89:
-        return r.not_pred(gen_neutral(rng, depth - 1, helpers))
+        return r.not_pred(gen_neutral(rng, depth - 1, helpers, quiet))
     if roll < 0.94:
-        return r.quiet(gen_neutral(rng, depth - 1, helpers))
+        inner = gen_neutral(rng, depth - 1, helpers, quiet)
+        return r.quiet(inner) if quiet else inner
     if helpers:
         return r.ref(rng.choice(helpers))
     return _terminal(rng)
@@ -167,7 +173,8 @@ def gen_lowerable(rng: random.Random, depth: int, helpers: list[str]) -> r.RuleE
     backtracking regex, never gives input back), nullable repetition
     bodies, predicates inside choices and at the start of their
     alternatives, a non-ASCII head beside a wide one,
-    EOI inside a fragment and references to helper rules."""
+    EOI inside a fragment and references to helper rules; no ``quiet``,
+    which is no regex."""
     if depth <= 0:
         return _lowerable_terminal(rng)
 
@@ -181,7 +188,7 @@ def gen_lowerable(rng: random.Random, depth: int, helpers: list[str]) -> r.RuleE
     if roll < 0.12:
         greedy = rng.choice((
             lambda: r.opt(short()),
-            lambda: r.zero_or_more(gen_consuming(rng, depth - 1, [])),
+            lambda: r.zero_or_more(gen_consuming(rng, depth - 1, [], quiet=False)),
             lambda: (lambda x: r.first_of(x, r.seq(x, short())))(short()),
         ))()
         return r.seq(greedy, short())
@@ -205,7 +212,8 @@ def gen_lowerable(rng: random.Random, depth: int, helpers: list[str]) -> r.RuleE
         body = rng.choice((r.opt, r.zero_or_more, r.and_pred, r.not_pred))(sub())
         return rng.choice((r.zero_or_more, r.one_or_more))(body)
     if roll < 0.62:
-        return rng.choice((r.zero_or_more, r.one_or_more))(gen_consuming(rng, depth - 1, []))
+        loop = rng.choice((r.zero_or_more, r.one_or_more))
+        return loop(gen_consuming(rng, depth - 1, [], quiet=False))
     if roll < 0.7:
         return r.opt(sub())
     if roll < 0.78:
@@ -245,7 +253,8 @@ def gen_lowerable_grammar(rng: random.Random, max_depth: int = 4) -> r.Grammar:
                else gen_lowerable(rng, max_depth, helpers),
         "Help0": gen_lowerable(rng, 2, []),
         "Help1": gen_lowerable(rng, 2, ["Help0"]),
-        "Rec": r.first_of(r.seq(r.Ch(rng.choice(ALPHABET)), r.ref("Rec")), gen_consuming(rng, 1, [])),
+        "Rec": r.first_of(r.seq(r.Ch(rng.choice(ALPHABET)), r.ref("Rec")),
+                          gen_consuming(rng, 1, [], quiet=False)),
     }
     return r.validate_grammar(r.grammar(defs, start="Top"))
 

@@ -695,12 +695,12 @@ def _tracked(root):
                                     "xs": [1.5, -2e3], "none": None} for i in range(60)])),
 ], ids=["calc", "json"])
 def test_a_node_is_one_tracked_object_besides_its_children(grammar, text):
-    # a cons node and its children tuple; a capture, one Value; a collected
-    # list, one Value and its tuple
+    # a cons node of one or two children, one Node; a capture, one Value; a
+    # collected list, one Value and its tuple
     value, = Parser(load_grammar(ROOT / grammar)).run(text).values
     nodes, lists, leaves = _shape(value)
     assert nodes > 1_000 and (lists > 100) == grammar.startswith("bench")
-    assert _tracked(value) <= 2 * nodes + 2 * lists + leaves + 4
+    assert _tracked(value) <= nodes + 2 * lists + leaves + 4
 
 
 # -- restoration and stack invariants ----------------------------------------------------

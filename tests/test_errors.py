@@ -324,7 +324,8 @@ def _count_value_work(monkeypatch) -> dict:
     """Counts of the values, nodes and lists that the engine builds and of
     the snapshots and restores of its stacks, through the names it imports
     and those it hands to the modules it writes from now on."""
-    counts = dict.fromkeys(("Value", "Node", "list_value", "snapshot", "restore"), 0)
+    counts = dict.fromkeys(("Value", "Node", "node1", "node2", "list_value", "snapshot",
+                            "restore"), 0)
 
     def counted(name, make):
         def build(*args):
@@ -332,7 +333,7 @@ def _count_value_work(monkeypatch) -> dict:
             return make(*args)
         return build
 
-    for name in ("Value", "Node", "list_value"):
+    for name in ("Value", "Node", "node1", "node2", "list_value"):
         monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
         monkeypatch.setitem(engine._RUNTIME, name, getattr(engine, name))
 
@@ -395,11 +396,12 @@ def test_a_bounded_pass_over_calc_builds_no_values(calc_grammar, monkeypatch):
     text = "1+(2*3-4)/5*(6+7)-8!9"
     counts = _count_value_work(monkeypatch)  # before either collect module is written
     exact = parser.error_pass(text)[1]
-    assert counts["Value"] and counts["Node"] and counts["snapshot"]  # without a bound
+    # calc's nodes have one child (Val) or two (Add, Mul, ...)
+    assert counts["Value"] and counts["node1"] and counts["node2"] and counts["snapshot"]
     for bound in (0, 10, 19):  # 19 is the principal index
         counts.update(dict.fromkeys(counts, 0))
         built = valued.error_pass(text, None, bound)
-        assert counts["Value"] and counts["Node"], bound
+        assert counts["Value"] and counts["node1"] and counts["node2"], bound
         counts.update(dict.fromkeys(counts, 0))
         bare = parser.error_pass(text, None, bound)
         assert counts == dict.fromkeys(counts, 0), bound

@@ -178,14 +178,17 @@ def test_a_deep_calc_nest_below_the_threshold_runs_each_action_once(calc_grammar
     # table, where the Val nodes of the levels it had entered are built twice
     text = "(1+" * 70 + "1" + ")" * 70
     assert 3 * 70 > generate.DEPTH_BOUND and len(text) < GENERATE_AT
-    built, node = [], engine.Node
+    built = []
 
-    def counted(*args):
-        built.append(args[0])
-        return node(*args)
+    def counted(make):
+        def build(*args):
+            built.append(args[0])
+            return make(*args)
+        return build
 
-    monkeypatch.setattr(engine, "Node", counted)
-    monkeypatch.setitem(engine._RUNTIME, "Node", counted)
+    for name in ("Node", "node1", "node2"):  # every constructor of a node
+        monkeypatch.setattr(engine, name, counted(getattr(engine, name)))
+        monkeypatch.setitem(engine._RUNTIME, name, getattr(engine, name))
     expected = Parser(calc_grammar).run_phase(text).stack.values()
     assert len(built) == 141
 

@@ -1,5 +1,7 @@
 import copy
+import gc
 import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,8 +9,11 @@ from hypothesis import given, strategies as st
 from pegstack.cli import _json_values
 from pegstack.engine import Parser
 from pegstack.record import FrozenInstanceError
-from pegstack.values import (Node, StackUnderflow, UNIT, Value, ValueStack, list_value,
-                             node_value, render_value, str_value)
+from pegstack.values import (Node, StackUnderflow, UNIT, Value, ValueStack, list_value, node1,
+                             node2, node_value, render_value, str_value)
+
+from conftest import generated
+from generators import big_expression
 
 
 def test_lifo_order():
@@ -181,6 +186,44 @@ def test_a_node_copies_and_pickles_as_a_node():
     v = node_value("Add", str_value("1"), list_value([UNIT], "Unit"))
     for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
         assert type(twin) is Node and twin == v and repr(twin) == repr(v)
+
+
+def _tuples_held(node: Node) -> list:
+    return [ref for ref in gc.get_referents(node) if type(ref) is tuple]
+
+
+@pytest.mark.parametrize("arity", range(5))
+def test_a_node_of_any_arity_gives_its_children_back_and_holds_one_or_two_without_a_tuple(arity):
+    kids = tuple(node_value("K", str_value(str(i))) if i % 2 else str_value(str(i))
+                 for i in range(arity))
+    node = Node("N", kids)
+    assert node.children == kids and type(node.children) is tuple
+    forms = [node_value("N", *kids)]
+    if arity in (1, 2):  # the constructors that cons actions use build the same node
+        forms.append((node1, node2)[arity - 1]("N", *kids))
+    for twin in forms + [copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))]:
+        assert type(twin) is Node and twin.children == kids
+        assert twin == node and node == twin and hash(twin) == hash(node)
+        assert repr(twin) == repr(node) == f"Node(label='N', children={kids!r})"
+        assert render_value(twin) == render_value(node)
+        assert _tuples_held(twin) == ([] if arity in (1, 2) else [kids])
+    assert node != Node("M", kids) and node != Node("N", kids + (UNIT,))
+    assert arity == 0 or node != Node("N", kids[:-1] + (str_value("x"),))
+
+
+def test_generated_and_exact_runs_of_calc_build_equal_trees(calc_grammar):
+    text = big_expression(random.Random(29), 3_000)
+    exact, = Parser(calc_grammar).run_phase(text).stack.values()
+    fast, = generated(calc_grammar).run(text).values
+    assert fast == exact and hash(fast) == hash(exact) and repr(fast) == repr(exact)
+    arities, todo = set(), [fast, exact]
+    while todo:  # every node of both trees, none of them holding a tuple
+        node = todo.pop()
+        if type(node) is Node:
+            arities.add(len(node.children))
+            assert _tuples_held(node) == []
+            todo.extend(node.children)
+    assert arities == {1, 2}
 
 
 def test_deep_values_copy_and_pickle_without_recursion():
