@@ -28,7 +28,10 @@ with no call but for a list and a node of other than one or two children
   the children as arguments, and any other with ``Node``;
 * a sequence that touches the stack snapshots at entry and restores when it
   fails; a choice with a frame snapshots at entry and restores after each
-  alternative that fails;
+  alternative that fails; one that starts where another snapshot was just
+  taken (a rule run in place at the start of a sequence) reads that one,
+  and a sequence that reads one leaves the restore to the sequence that
+  took it;
 * a choice branches on the next character through its dispatch operand:
   none of its alternatives fails at once, one runs in place with no frame,
   more run in order with one. Where no alternative can start at two
@@ -36,19 +39,40 @@ with no call but for a list and a node of other than one or two children
   otherwise the alternatives run in order, each guarded by a bit of the
   character's set;
 * ``*``, ``+`` and ``?`` are ``while`` and ``if``, tested first on the next
-  character where their operand is filled; a loop over a body without a
-  head snapshots before each iteration and restores one that matched
-  without moving;
+  character where their operand is filled, and a loop whose body can start
+  at one character only runs its body knowing that character, as a choice's
+  branch does; a loop over a body without a head snapshots before each
+  iteration and restores one that matched without moving;
 * a ``*`` of one character that fuses into one regex scan calls the regex
   only where the terminal takes the next character, and counts its one
   mismatch either way; a ``+`` calls it at once;
 * the largest fragment that lowers to one regex (see
   ``pegstack.instructions``) is one call of the compiled regex, and a
   capture of one pushes the slice it matched;
-* a reference to a rule on a cycle calls that rule's function. A
-  reference to a rule off every cycle runs the rule's code in place when
-  it is at most ``_INLINE_AT_MOST`` instructions long, and calls its
-  function otherwise.
+* a reference calls the rule's function where the rule is a loop breaker,
+  or where the rule's code would take the function that holds the
+  reference past its budget; every other reference, on a cycle or off
+  every cycle, runs the rule's code in place (below).
+
+Every rule keeps a function, so that a run may start at any rule
+(``start=``), but the code calls few of them. In each strongly connected
+component of the rule graph, the loop breakers (``_loop_breakers``, after
+Peyton Jones and Marlow, "Secrets of the Glasgow Haskell Compiler
+inliner", JFP 12(4), 2002) keep a function that each reference calls, so
+that every cycle calls one; a breaker is a rule that its component
+reaches only past taken input where there is one, so that a nesting
+level, not a token, opens a function: calc's ``Expression`` past ``(``,
+json's ``Members`` and ``Elements`` past ``{`` and ``[``. The functions of
+the breakers, of the grammar's start rule, which the run calls, and of each
+rule that such a function calls because its code would not fit, may hold
+``_BUDGET`` instructions each, counting the code of the rules they run in
+place. The function of any other rule, which only a run started at that
+rule calls, has no budget: each of its references calls. So the module
+stays linear in the grammar: each function holds its rule's code and, with
+a budget, at most ``_BUDGET`` instructions of the rules it runs in place,
+and a chain of rules writes each rule's code twice, in its own function
+and in place in one with a budget, which calls the next with a budget
+only every few dozen rules.
 
 The code counts terminal mismatches and the furthest one, ``mm`` and
 ``mc``, which bound the error pass (a regex fragment that fails is one
@@ -63,8 +87,9 @@ deeper than ``_SPLIT_AT`` indentation levels becomes a function of its
 own, so the source stays within Python's limits on indentation and on
 nested loops. Every function raises the engine's ``TooDeep``, which the
 runtime names, when more than ``DEPTH_BOUND`` generated functions are
-open; the Parser then runs the input again on the exact table, which has
-no such bound.
+open (calc opens one per paren level, json one per array or object); the
+Parser then runs the input again on the exact table, which has no such
+bound.
 
 The same walk, in collect mode, writes the grammar's collect module, whose
 factory ``collect(state, start, bound)`` runs the error pass of a failed
@@ -89,6 +114,7 @@ such failure. It differs from the parse module in this:
 
 from __future__ import annotations
 
+from . import rules as r
 from .instructions import (ACTION, ALT, CAPTURE, CH, CHARS, CLASS, CONS, EOI, ISTR, OPT, PRED,
                            QUIET, REF, REP, SEQ, STR, _ASCII, _LOWERED, Tables, _always,
                            _regex)
@@ -99,8 +125,8 @@ DEPTH_BOUND = 200
 # indentation past which a compound instruction gets a function of its own:
 # CPython allows 100 levels of indentation and 20 nested loops
 _SPLIT_AT = 12
-# instructions of a rule off every cycle that a reference copies in place
-_INLINE_AT_MOST = 3
+# instructions that a function with a budget may hold, rules run in place included
+_BUDGET = 150
 # members of a character set that the source lists; larger sets are named
 _LISTED_AT_MOST = 8
 # instructions whose code nests the code of others
@@ -207,15 +233,20 @@ def _code(source: str):
 
 
 class _Function:
-    """The lines of one generated function. A rule's function in the
-    collect module opens its rule on the path and closes it on return."""
+    """The lines of one generated function, and the instructions it may hold
+    (its budget). A rule's function in the collect module opens its rule on
+    the path and closes it on return."""
 
-    def __init__(self, index: int, label: str, names: str, rule: str | None = None):
+    def __init__(self, index: int, label: str, names: str, rule: str | None = None,
+                 budget: int = 0):
         self.index = index
         self.lines = [f"    def f(pos, d):{label}", f"        nonlocal {names}",
                       f"        if d > {DEPTH_BOUND}: raise TooDeep"]
         self.indent = 2
         self.locals = 0
+        self.size = 0  # instructions written so far
+        self.budget = budget
+        self.snapped: tuple[int, str] | None = None  # the last snapshot and the line count after it
         self.opened: list[int] = []  # the line count where each open block starts
         self.rule = rule
         if rule is not None:
@@ -240,6 +271,25 @@ class _Function:
     def fresh(self, prefix: str) -> str:
         self.locals += 1
         return f"{prefix}{self.locals}"
+
+    def last_snapshot(self) -> str | None:
+        """The local of the snapshot written last, where no line follows it: a
+        sequence that takes it starts the sequence that wrote it."""
+        if self.snapped is not None and self.snapped[0] == len(self.lines):
+            return self.snapped[1]
+        return None
+
+    def snapshot(self) -> str:
+        """A local that holds ``h`` as it is now, for a construct that only
+        restores from it: the one written last, where no line follows it (a
+        rule run in place at the start of a sequence), or a new one."""
+        snap = self.last_snapshot()
+        if snap is not None:
+            return snap
+        snap = self.fresh("s")
+        self.line(f"{snap} = h")
+        self.snapped = (len(self.lines), snap)
+        return snap
 
     def end(self) -> list[str]:
         if self.rule is not None:
@@ -266,19 +316,63 @@ class _Module:
         self.regexes: dict[int, object] = {}  # id(ins) -> its regex's match, or None
         self.functions: list[list[str]] = []
         self.helpers = 0
-        self.sizes: dict[str, int] = {}  # rule off every cycle -> instructions in its code
-        self.emitted = 0  # instructions written so far
         # each rule's function in R, by the rule's position in the grammar
         self.entry = {name: i for i, name in enumerate(self.bodies)}
         self.labels = {name: f"  # {name}" if name.isascii() and name.isidentifier()
                        else f"  # rule {i}" for name, i in self.entry.items()}
-        for name in [*tables._acyclic, *(n for n in self.bodies if n not in tables._acyclic)]:
-            start = self.emitted
-            code = _Function(self.entry[name], self.labels[name], self.nonlocals,
-                             name if collect else None)
-            self.emit(code, self.bodies[name])
-            self.functions.append(code.end())
-            self.sizes[name] = self.emitted - start
+        self.breakers = _loop_breakers(tables)
+        self.weights = self._weights()
+        # the rules whose functions generated code calls, each written with the
+        # budget: the loop breakers, the grammar's start rule, which the run
+        # calls, and each rule that a reference calls because its code would
+        # not fit the budget, queued as the functions are written
+        self.queue = [name for name in self.bodies if name in self.breakers]
+        if tables.grammar.start not in self.breakers:
+            self.queue.append(tables.grammar.start)
+        self.called = set(self.queue)
+        for name in self.queue:  # grows while it is walked
+            self.write(name, _BUDGET)
+        # every other rule keeps a function for start=, which no generated code
+        # calls: without a budget, each of its references calls
+        for name in self.bodies:
+            if name not in self.called:
+                self.write(name, 0)
+
+    def write(self, name: str, budget: int) -> None:
+        """The function of a rule, which may hold budget instructions."""
+        code = _Function(self.entry[name], self.labels[name], self.nonlocals,
+                         name if self.collect else None, budget)
+        self.emit(code, self.bodies[name])
+        self.functions.append(code.end())
+
+    def _weights(self) -> dict[str, int]:
+        """The instructions that running each rule but the loop breakers in
+        place writes, up to one past the budget, each rule after those it
+        references."""
+        graph = {name: [n for n in found if n not in self.breakers]
+                 for name, found in self.tables.references.items()}
+        weights: dict[str, int] = {}
+        for name in r.depth_first(graph)[0]:
+            if name not in self.breakers:
+                weights[name] = min(self.weight(self.bodies[name], weights), _BUDGET + 1)
+        return weights
+
+    def weight(self, ins: tuple, weights: dict) -> int:
+        """The instructions that emit writes for ins, where a reference runs
+        a rule of weights in place if that rule fits the budget alone, and
+        calls any other."""
+        op = ins[0]
+        if op == REF:
+            inner = weights.get(ins[2], _BUDGET)
+            return 1 + inner if inner < _BUDGET else 1
+        if op in _LOWERED and self.regex(ins) is not None or (
+                op == CAPTURE and ins[2][0] in _LOWERED and self.regex(ins[2]) is not None):
+            return 1
+        if op == SEQ or op == ALT:
+            return 1 + sum(self.weight(kid, weights) for kid in ins[2][:-1])
+        if op in _NESTING:
+            return 1 + self.weight(ins[2], weights)
+        return 1
 
     def source(self) -> str:
         return (_COLLECT if self.collect else _PARSE).format(
@@ -319,18 +413,9 @@ class _Module:
         or -1 when it fails. known: the next character, where a choice
         branched on it. Returns whether the code can fail."""
         op = ins[0]
-        if op == REF and ins[2] in self.tables._acyclic:  # in place
-            name = ins[2]
-            if self.sizes[name] <= _INLINE_AT_MOST:
-                if self.collect:
-                    code.line(f"path = ({name!r}, path)")
-                fails = self.emit(code, self.bodies[name], known)
-                if self.collect:
-                    code.line("path = path[1]")
-                return fails
-            self.call(code, self.entry[name], self.labels[name])
-            return True
-        self.emitted += 1
+        code.size += 1
+        if op == REF:
+            return self.reference(code, ins[2], known)
         if op in _LOWERED and self.regex(ins) is not None:
             if op == OPT or op == REP and not ins[3]:  # matches everywhere
                 code.line(f"pos = {self.name(self.regex(ins), 'M')}(text, pos).end()")
@@ -343,9 +428,12 @@ class _Module:
         if op <= ISTR:
             return self.terminal(code, ins, known)
         if op == SEQ:
-            snap = code.fresh("s") if ins[3] and self.valued else None
-            if snap:
-                code.line(f"{snap} = h")
+            snap = shared = None
+            if ins[3] and self.valued:
+                # the sequence that took the snapshot this one starts with
+                # restores it when this one fails
+                shared = code.last_snapshot()
+                snap = shared or code.snapshot()
             fails = guarded = last = False
             for kid in ins[2][:-1]:
                 if last:  # the children after one that can fail run only if it matched
@@ -357,14 +445,11 @@ class _Module:
                 fails, known = fails or last, None
             if guarded:
                 code.close()
-            if snap and fails:
+            if snap and fails and not shared:
                 code.line(f"if pos < 0: h = {snap}")
             return fails
         if op == ALT:
             return self.choice(code, ins)
-        if op == REF:
-            self.call(code, self.entry[ins[2]], self.labels[ins[2]])
-            return True
         if op == CHARS:
             return self.scan(code, ins)
         if op == CONS:
@@ -409,10 +494,9 @@ class _Module:
             return fails
         if op == PRED:
             negate = ins[3]
-            entry, snap = code.fresh("p"), code.fresh("s") if ins[4] and self.valued else None
+            snap = code.snapshot() if ins[4] and self.valued else None
+            entry = code.fresh("p")
             code.line(f"{entry} = pos")
-            if snap:
-                code.line(f"{snap} = h")
             if self.collect:
                 if negate:
                     code.line("nots += 1")
@@ -453,15 +537,36 @@ class _Module:
             code.line(f"{values}, {below} = pop(h, {arity})")
             code.line(f"h = (Node({label!r}, {values}), {below}, {below}[2] + 1)")
 
+    def reference(self, code: _Function, name: str, known) -> bool:
+        """A rule's code in place, or a call of its function where the rule is
+        a loop breaker or its code would take this function past its budget.
+        A function with a budget that calls a rule has that rule's function
+        written with one too."""
+        if name not in self.breakers and code.size + self.weights[name] <= code.budget:
+            if self.collect:
+                code.line(f"path = ({name!r}, path)")
+            fails = self.emit(code, self.bodies[name], known)
+            if self.collect:
+                code.line("path = path[1]")
+            return fails
+        if code.budget and name not in self.called:
+            self.called.add(name)
+            self.queue.append(name)
+        self.call(code, self.entry[name], self.labels[name])
+        return True
+
     def call(self, code: _Function, index: int, label: str = "") -> None:
         code.line(f"pos = R[{index}](pos, d + 1){label}")
 
     def helper(self, code: _Function, ins: tuple) -> bool:
-        """Move a deeply nested instruction into a function of its own."""
-        self.emitted -= 1  # emit counts it again
+        """Move a deeply nested instruction into a function of its own, which
+        shares the budget of the function it leaves."""
         self.helpers += 1
-        inner = _Function(len(self.bodies) + self.helpers - 1, "", self.nonlocals)
+        inner = _Function(len(self.bodies) + self.helpers - 1, "", self.nonlocals,
+                          budget=code.budget)
+        inner.size = code.size - 1  # emit counts ins again
         fails = self.emit(inner, ins)
+        code.size = inner.size
         self.functions.append(inner.end())
         self.call(code, inner.index)
         return fails
@@ -553,6 +658,15 @@ class _Module:
             test = f"pos < n and text[pos] not in {self.members(outside)}" if outside else "pos < n"
         return f"pos >= mc or {test}" if self.collect else test
 
+    def one(self, operand) -> str | None:
+        """The one character that a repetition's body can start at, where
+        the parse module tests it before each iteration; else None."""
+        if self.collect or not operand:
+            return None
+        table, other = operand
+        chars = [c for c, b in table.items() if b]
+        return chars[0] if not other and len(chars) == 1 else None
+
     def loop(self, code: _Function, ins: tuple) -> bool:
         inner, plus, tag, touches, operand = ins[2:7]
         if not self.valued:
@@ -569,7 +683,7 @@ class _Module:
         if snap and not plus:
             code.line(f"{snap} = h")
         code.open("while True:")
-        self.emit(code, inner)
+        self.emit(code, inner, self.one(operand))
         code.open("if pos < 0:")
         if plus:
             code.line(f"if {entry} < 0: break")
@@ -656,10 +770,9 @@ class _Module:
     def alternatives(self, code: _Function, kids, touches: bool,
                      known: str | None = None) -> None:
         """Alternatives tried in order from one entry, as a choice's frame does."""
-        entry, snap = code.fresh("p"), code.fresh("s") if touches else None
+        snap = code.snapshot() if touches else None
+        entry = code.fresh("p")
         code.line(f"{entry} = pos")
-        if snap:
-            code.line(f"{snap} = h")
         for i, kid in enumerate(kids):
             if i:
                 code.open("if pos < 0:")
@@ -675,16 +788,14 @@ class _Module:
         once, run when its bit is in the set of the next character. In the
         collect module every alternative runs at or past the running maximum."""
         by_char, other, end = operand
+        snap = code.snapshot() if touches else None
         bits, entry = code.fresh("k"), code.fresh("p")
-        snap = code.fresh("s") if touches else None
         table = self.name(by_char, "D")
         lookup = f"{table}.get(text[pos], {other}) if pos < n else {end}"
         if self.collect:
             lookup = f"({lookup}) if pos < mc else {(1 << len(kids)) - 1}"
         code.line(f"{bits} = {lookup}")
         code.line(f"{entry} = pos")
-        if snap:
-            code.line(f"{snap} = h")
         code.line("pos = -1")
         for i, kid in enumerate(kids):
             code.open(f"if {bits} & {1 << i}:" if i == 0 else f"if pos < 0 and {bits} & {1 << i}:")
@@ -692,6 +803,65 @@ class _Module:
             if self.emit(code, kid) and snap:
                 code.line(f"if pos < 0: h = {snap}")
             code.close()
+
+
+def _components(graph: dict[str, list[str]]) -> list[list[str]]:
+    """The strongly connected components of a graph, by Kosaraju's two walks:
+    the second, over the reversed edges, takes the nodes latest finished in
+    the first walk first."""
+    into: dict[str, list[str]] = {v: [] for v in graph}
+    for v, successors in graph.items():
+        for w in successors:
+            into[w].append(v)
+    seen: set[str] = set()
+    components = []
+    for root in reversed(r.depth_first(graph)[0]):
+        if root in seen:
+            continue
+        seen.add(root)
+        todo, component = [root], []
+        while todo:
+            v = todo.pop()
+            component.append(v)
+            for w in into[v]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        components.append(component)
+    return components
+
+
+def _loop_breakers(tables: Tables) -> set[str]:
+    """The loop breakers, enough rules to break every cycle of references: in
+    each strongly connected component of the rules on cycles, the first
+    rule in the grammar that the component reaches only past taken input
+    (no rule of it references the rule at its own entry; without left
+    recursion, every component has one), then the same in each component
+    of what is left without it, until no cycle remains."""
+    graph = {name: [n for n in found if n not in tables._acyclic]
+             for name, found in tables.references.items() if name not in tables._acyclic}
+    if not graph:
+        return set()
+    grammar = tables.grammar
+    position = {name: i for i, name in enumerate(tables.references)}
+    nullable = r.nullable_rules(grammar)
+    entered: dict[str, set] = {}  # the rules each rule may reference at its entry
+    for name in graph:
+        entered[name] = set()
+        r._head_refs(grammar.rules[name].expr, nullable, entered[name])
+    breakers: set[str] = set()
+    todo = _components(graph)
+    while todo:
+        component = todo.pop()
+        if len(component) == 1 and component[0] not in graph[component[0]]:
+            continue  # no cycle
+        at_entry = {w for v in component for w in entered[v]}
+        guarded = [v for v in component if v not in at_entry] or component
+        breaker = min(guarded, key=position.__getitem__)
+        breakers.add(breaker)
+        rest = set(component) - {breaker}
+        todo += _components({v: [w for w in graph[v] if w in rest] for v in rest})
+    return breakers
 
 
 def generate(tables: Tables, runtime: dict, collect: bool = False) -> tuple:

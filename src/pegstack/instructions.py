@@ -259,10 +259,12 @@ class Tables:
         # no action but cons, push and drop: values decide no match, so the
         # generated error pass leaves them out (see generate)
         self.value_free = not any(f[3] for f in facts.values())
-        # every rule after the rules it references, but for the back edges
-        # that close cycles
-        order = r.depth_first({name: sorted(n for n in f[0] if n in facts)
-                               for name, f in facts.items()})[0]
+        # the rules each rule references, inside predicates too; every rule
+        # after the rules it references, but for the back edges that close
+        # cycles
+        self.references = {name: sorted(n for n in f[0] if n in facts)
+                           for name, f in facts.items()}
+        order = r.depth_first(self.references)[0]
         # least fixpoint over the rules: a rule touches the stack when one of
         # its nodes pushes or pops, or when it calls a rule that does; in
         # that order, a round settles every rule off a cycle

@@ -13,10 +13,12 @@ then the total.
 With ``--generated`` it prints instead the lines and the functions of the
 parse and collect modules that the src's ``pegstack.generate`` writes for
 ``grammars/calc.peg``, ``bench/json.peg`` (both read from this tree) and
-the meta-grammar, and how many choices in each dispatch through the bit
+the meta-grammar, how many choices in each dispatch through the bit
 tests of their character's set (``shared``: a table lookup) rather than
-an ``if`` chain. Not collected by pytest: its name does not start with
-``test_``.
+an ``if`` chain, its call sites (``R[...](`` in the source) and the
+milliseconds that writing and compiling it take (``generate()``, best of
+``WRITES``, each with the code cache and ``re``'s cache emptied). Not
+collected by pytest: its name does not start with ``test_``.
 """
 
 from __future__ import annotations
@@ -25,11 +27,14 @@ import argparse
 import ast
 import io
 import pathlib
+import re
 import sys
 import tokenize
+from time import perf_counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+WRITES = 5  # timed writes of each generated module
 _SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
             tokenize.ENDMARKER, tokenize.ENCODING}
 
@@ -59,18 +64,26 @@ def code_lines(source: str) -> int:
 def generated(src: pathlib.Path) -> None:
     """Print the lines and functions of each module the generator writes."""
     sys.path.insert(0, str(src))
+    from pegstack import generate
     from pegstack.engine import _RUNTIME, Parser
-    from pegstack.generate import generate
     from pegstack.notation import load_grammar, meta_grammar
-    print(f"{'module':24} {'lines':>6} {'functions':>9} {'shared':>6}")
+    print(f"{'module':24} {'lines':>6} {'functions':>9} {'shared':>6} {'calls':>6} {'write ms':>8}")
     for name, grammar in (("calc", load_grammar(ROOT / "grammars/calc.peg")),
                           ("json", load_grammar(ROOT / "bench/json.peg")),
                           ("meta-grammar", meta_grammar())):
         tables = Parser(grammar)._tables
         for kind, collect in (("parse", False), ("collect", True)):
-            source = generate(tables, _RUNTIME, collect)[1]
+            best = float("inf")
+            for _ in range(WRITES):
+                generate._CODES.clear()
+                re.purge()
+                started = perf_counter()
+                source = generate.generate(tables, _RUNTIME, collect)[1]
+                best = min(best, perf_counter() - started)
+            calls = len(re.findall(r"\bR\[[^\]]*\]\(", source))
             print(f"{name + ' ' + kind:24} {len(source.splitlines()):6,}"
-                  f" {source.count('    def f(pos, d):'):9} {source.count('.get(text[pos], '):6}")
+                  f" {source.count('    def f(pos, d):'):9} {source.count('.get(text[pos], '):6}"
+                  f" {calls:6} {best * 1000:8.1f}")
 
 
 def main() -> None:

@@ -940,10 +940,15 @@ def _fragments(parser):
 
 def test_fast_table_lowers_the_json_captures_and_nothing_of_calc(calc_grammar):
     # the generated code, which replaced the fast table, lowers the same
-    # fragments, each in its rule's own function
+    # fragments, each in its rule's own function and in each copy of the rule
+    # run in place: Value's three in the start rule's function, Elements' two
+    # Values in its own, and Members' two Members in its own, each a String
+    # key and a Value
     parser = generated(load_grammar(ROOT / "bench/json.peg"))
     assert parser.run('{"a": [1, -2.5e3, true, null], "b": "x\\"y"}').ok
-    assert _fragments(parser) == {"String": [True], "Number": [True], "Literal": [True]}
+    assert _fragments(parser) == {"String": [True], "Number": [True], "Literal": [True],
+                                  "Document": [True] * 3, "Elements": [True] * 6,
+                                  "Members": [True] * 8}
     parser = generated(calc_grammar)
     assert parser.run("1+(2-3*4)/5").ok
     assert _fragments(parser) == {}

@@ -173,11 +173,13 @@ def test_runs_below_and_above_the_threshold_agree_and_the_module_is_written_once
 
 
 def test_a_deep_calc_nest_below_the_threshold_runs_each_action_once(calc_grammar, monkeypatch):
-    # a calc paren level opens three generated functions, so the generated
-    # code gives this nest up past DEPTH_BOUND and runs it again on the exact
-    # table, where the Val nodes of the levels it had entered are built twice
-    text = "(1+" * 70 + "1" + ")" * 70
-    assert 3 * 70 > generate.DEPTH_BOUND and len(text) < GENERATE_AT
+    # a calc paren level opens one generated function, Expression's, so the
+    # generated code gives this nest up past DEPTH_BOUND and runs it again on
+    # the exact table, where the Val nodes of the levels it had entered are
+    # built twice
+    levels = generate.DEPTH_BOUND + 10
+    text = "(1+" * levels + "1" + ")" * levels
+    assert len(text) < GENERATE_AT
     built = []
 
     def counted(make):
@@ -190,7 +192,7 @@ def test_a_deep_calc_nest_below_the_threshold_runs_each_action_once(calc_grammar
         monkeypatch.setattr(engine, name, counted(getattr(engine, name)))
         monkeypatch.setitem(engine._RUNTIME, name, getattr(engine, name))
     expected = Parser(calc_grammar).run_phase(text).stack.values()
-    assert len(built) == 141
+    assert len(built) == 2 * levels + 1
 
     def nodes_built(parser):
         built.clear()
@@ -201,8 +203,8 @@ def test_a_deep_calc_nest_below_the_threshold_runs_each_action_once(calc_grammar
         return len(built)
 
     below = Parser(calc_grammar)
-    assert nodes_built(below) == 141 and below._parse is None
-    assert nodes_built(generated(calc_grammar)) > 141
+    assert nodes_built(below) == 2 * levels + 1 and below._parse is None
+    assert nodes_built(generated(calc_grammar)) > 2 * levels + 1
 
 
 def _report(result):
@@ -344,6 +346,32 @@ def test_a_chain_of_2000_rules_generates_and_agrees_with_the_exact_table():
     assert parser.run("xxx", start="R1998").values == (Value("Str", "x"),)
 
 
+def _chain(length, tail):
+    """R_i <- R_i+1 tail, for i below length, ending in R_length <- capture('x'):
+    every rule touches the stack, so nothing lowers to a regex."""
+    rules = {f"R{i}": r.seq(r.ref(f"R{i + 1}"), tail()) for i in range(length)}
+    rules[f"R{length}"] = r.capture(r.ch("x"))
+    return validate_grammar(r.grammar(rules, start="R0"))
+
+
+def test_a_chain_of_rules_writes_a_module_linear_in_its_length(monkeypatch):
+    # every rule keeps a function for start=, and each rule runs in place in
+    # the functions with a budget until the budget is spent; 8 times the
+    # rules may give at most 8.5 times the lines, and each rule's 'x' is
+    # written at most twice: in its own function, which has no budget, and
+    # in place in one with a budget. The start rule's function calls the next
+    # one with a budget only every few dozen rules, so even the 2,000-rule
+    # capture chain stays under the depth bound
+    for tail in (lambda: r.ch("x"), lambda: r.capture(r.ch("x"))):
+        short, long = (generated(_chain(length, tail)) for length in (250, 2000))
+        lines = [len(parser._source.splitlines()) for parser in (short, long)]
+        assert lines[1] <= 8.5 * lines[0], lines
+        assert long._source.count("text[pos] == 'x'") <= 2 * 2001
+    reruns = _reruns(long, monkeypatch)
+    _same_as_observed(long, "x" * 4001)
+    assert reruns == []
+
+
 def test_the_meta_grammar_generates_and_agrees_with_the_exact_table():
     parser = generated(meta_grammar())
     texts = [path.read_text(encoding="utf-8")
@@ -422,6 +450,66 @@ def test_the_generated_collect_pass_runs_actions_that_fail():
     assert failed > 100
 
 
+# -- loop breakers ------------------------------------------------------------------------
+
+def _calls(source, rules):
+    """The rules that each rule's function, with the helpers split from it,
+    calls: a helper comes before the function it was split from."""
+    calls, found = {}, set()
+    for body, index in re.findall(r"    def f\(pos, d\):(.*?)\n    R\[(\d+)\] = f", source, re.S):
+        found.update(rules[int(k)] for k in re.findall(r"R\[(\d+)\]\(pos, d \+ 1\)", body)
+                     if int(k) < len(rules))
+        if int(index) < len(rules):
+            calls[rules[int(index)]], found = found, set()
+    return calls
+
+
+@pytest.mark.parametrize("family", range(len(_FAMILIES)))
+def test_loop_breakers_break_every_cycle_and_nests_past_three_functions_a_level_run_generated(
+        family, monkeypatch):
+    # each random grammar gains the cycle N1 <- N3, N2 <- N1 ')',
+    # N3 <- '(' N2 / Top, which opened three functions a level when every
+    # rule on a cycle kept one: N2, reached only past '(' and neither first
+    # nor last of the three in the grammar, is its loop breaker, and the
+    # others run in place in its function. Once the rules that generated code
+    # calls from a function with a budget are gone, no cycle is left, and a
+    # nest of 80 levels runs in the generated code with no rerun
+    make, alphabet = _FAMILIES[family]
+    rng = random.Random(f"breakers:{family}")
+    for _ in range(40):
+        grammar = make(rng)
+        rules = dict(grammar.rules)
+        rules.update(N1=r.ref("N3"), N2=r.seq(r.ref("N1"), r.ch(")")),
+                     N3=r.first_of(r.seq(r.ch("("), r.ref("N2")), r.ref(grammar.start)))
+        grammar = validate_grammar(r.grammar(rules, start="N1"))
+        parser = generated(grammar)
+        assert parser.fault is None
+        names = list(parser._tables.bodies)
+        for collect in (False, True):
+            module = generate._Module(parser._tables, engine._RUNTIME, collect)
+            called = set(module.called)
+            assert "N2" in module.breakers and not {"N1", "N3"} & module.breakers
+            rest = {name: [n for n in found if n not in called]
+                    for name, found in parser._tables.references.items() if name not in called}
+            assert r.depth_first(rest)[1] == []
+            calls = _calls(module.source(), names)
+            assert all(calls[name] <= called for name in called), calls
+        with monkeypatch.context() as patch:
+            reruns = _reruns(parser, patch)
+            for levels in (0, 1, 80):
+                _same_as_observed(parser, "(" * levels + gen_input(rng, alphabet=alphabet)
+                                  + ")" * levels)
+        assert reruns == []
+
+
+def test_calc_and_json_break_their_cycles_where_a_nesting_level_opens(calc_grammar):
+    # calc's cycle is reached past '(' only at Expression; json's two past '{'
+    # and '[' only at Members and Elements, not at Value, Object or Array
+    json_grammar = load_grammar(ROOT / "bench/json.peg")
+    assert generate._loop_breakers(Parser(calc_grammar)._tables) == {"Expression"}
+    assert generate._loop_breakers(Parser(json_grammar)._tables) == {"Members", "Elements"}
+
+
 # -- heads through what passes -------------------------------------------------------------
 
 def test_a_head_stops_at_a_predicate_that_looks_past_the_next_character():
@@ -497,7 +585,7 @@ def test_the_sound_family_has_concats_that_fail_in_the_parse_and_in_the_error_pa
 
 def test_a_collect_pass_past_the_depth_bound_runs_again_on_the_exact_table(calc_grammar,
                                                                            monkeypatch):
-    # a calc paren level opens three generated functions. A run past the
+    # a calc paren level opens one generated function. A run past the
     # depth bound starts again on the exact table and hands its error pass
     # no bound, so that pass is the exact one from the start: it neither
     # writes the collect module nor calls the one already written
@@ -702,9 +790,9 @@ def test_a_second_parser_over_an_equal_grammar_compiles_nothing(monkeypatch):
 
 # -- the README's excerpt ---------------------------------------------------------------------
 
-def test_the_readme_shows_calcs_generated_term_function(calc_grammar):
+def test_the_readme_shows_calcs_generated_expression_function(calc_grammar):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme[readme.index("### From grammar to runtime code"):]
     excerpt = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    assert "# Term" in excerpt.splitlines()[0]
+    assert "# Expression" in excerpt.splitlines()[0]
     assert excerpt in generated(calc_grammar)._source
