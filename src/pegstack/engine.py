@@ -27,25 +27,28 @@ five terminal opcodes and no node types: a CLASS carries the ASCII mask
 and the function for other characters of a predicate, a none-of set or
 ".", and an ACTION the function and arity of an action, a push or a drop.
 
-A Parser writes its grammar's Python module (``pegstack.generate``) once
-its unobserved runs have been asked to parse ``GENERATE_AT`` characters,
-the current run's included, and calls it from then on: a short-lived
-Parser that sees little input never pays for ``compile()``, and one that
-sees much pays once. Below that, and in every observed run, the run takes
-the exact table, and so does its error pass. In the generated code every
-choice, repetition and option dispatches on the next character, each
-stack-free fragment runs as one regex, and the value stack's head is a
-local of the run's functions. Generated code counts no steps, so a
-generated run and its error pass report 0 steps, and the run's mismatch
-counters are not exact: a fragment that fails counts one mismatch but
-leaves ``max_cursor`` as it is, so the run's ``max_cursor`` is at most
-the exact table's. When the generated code
-opens too many functions (``TooDeep``), or raises ``RecursionError``, the
-run starts again on the exact table, and actions run a second time; a
-grammar that nests too deeply to write its module from the caller's stack
-keeps the exact table. ``match``, ``match_rule`` and ``run_phase`` take
+A Parser writes a Python module for a start rule (``pegstack.generate``)
+once its unobserved runs have been asked to parse ``GENERATE_AT``
+characters, the current run's included, and calls it from then on for the
+runs from that rule; a run from another rule (``start=``) writes that
+rule's module once: a short-lived Parser that sees little input never pays
+for ``compile()``, and one that sees much pays once per start rule. The
+Parser keeps the modules it has written in one cache, ``_modules``, by
+start rule and kind (parse or collect). Below that, and in every observed
+run, the run takes the exact table, and so does its error pass. In the
+generated code every choice, repetition and option dispatches on the next
+character, each stack-free fragment runs as one regex, and the value
+stack's head is a local of the run's functions. Generated code counts no
+steps, so a generated run and its error pass report 0 steps, and the run's
+mismatch counters are not exact: a fragment that fails counts one mismatch
+but leaves ``max_cursor`` as it is, so the run's ``max_cursor`` is at most
+the exact table's. When the generated code opens too many functions
+(``TooDeep``), or raises ``RecursionError``, the run starts again on the
+exact table, and actions run a second time; a grammar that nests too
+deeply to write a module from the caller's stack keeps the exact table for
+the runs of that module. ``match``, ``match_rule`` and ``run_phase`` take
 the exact table. A failed generated run hands its ``max_cursor`` to its
-error pass, which runs the grammar's generated collect code, written on
+error pass, which runs its start rule's generated collect code, written on
 the first such failure, from there (see ``pegstack.errors``); a run that
 took the exact table, or started again on it, hands over no bound, so its
 error pass is the exact one.
@@ -303,15 +306,16 @@ class Parser:
             self._tables = Tables(grammar)
         except RecursionError:
             self._tables = None  # every run is an internal fault
-        # characters the unobserved runs have been asked to parse, until the
-        # grammar's module is written; then unobserved runs call its closure
-        # factory, and _source keeps its source (or _gives_up, when the
-        # module nests too deeply to write)
+        # characters the unobserved runs have been asked to parse, in all, by
+        # runs of start rules without a module; past GENERATE_AT, such a run
+        # writes its rule's module and the runs from the rule call its factory
         self._asked = 0
-        self._parse = self._source = None
-        # the factory of the grammar's collect module, written on the first
-        # failed generated run, so that a grammar that never fails compiles none
-        self._collect = None
+        # the modules written, by (start rule, collect): each a (closure
+        # factory, source) pair, or (_gives_up, None) for a module that nests
+        # too deeply to write. A start rule's collect module is written on its
+        # first failed generated run, so that a grammar that never fails
+        # compiles none
+        self._modules: dict[tuple[str, bool], tuple] = {}
 
     @property
     def fault(self) -> InternalFault | None:
@@ -389,7 +393,7 @@ class Parser:
         a bound it is ``run_phase`` with that observer. A bound is the
         ``max_cursor`` of a generated run of the same text that failed
         without a fault, at most the principal index: the pass then runs the
-        grammar's generated collect code, written on first use, with its
+        start rule's generated collect code, written on first use, with its
         running maximum starting there (see ``pegstack.errors``). When that
         code opens too many functions, or raises ``RecursionError``, or the
         module nests too deeply to write, the pass runs on the exact table,
@@ -401,14 +405,8 @@ class Parser:
         state = ParserState(text)
         state.observer = Collector()
         name = start or self.grammar.start
-        if self._collect is None:
-            from .generate import generate
-            try:
-                self._collect = generate(self._tables, _RUNTIME, collect=True)[0]
-            except RecursionError:  # too deeply nested to write from this call stack
-                self._collect = _gives_up
         try:
-            self._collect(state, name, bound)
+            self._generate(name, collect=True)(state, bound)
         except (TooDeep, RecursionError):
             state.stack = ValueStack()  # the counters are written only at the end
             state.observer = Collector()
@@ -431,38 +429,42 @@ class Parser:
             raise EngineFault(self.fault)
         return self._tables.bodies
 
-    def _generate(self):
-        """Write the grammar's parse module now and hand back its factory.
-        Two threads may both write it; each assigns an equal factory. When
-        the grammar nests too deeply to write from this call stack
-        (``RecursionError``), the Parser keeps a factory that gives up at
-        once instead, so its unobserved runs take the exact table for good
-        and no later run writes again."""
-        from .generate import generate
-        try:
-            self._parse, self._source = generate(self._tables, _RUNTIME)
-        except RecursionError:
-            self._parse = _gives_up
-        return self._parse
+    def _generate(self, start: str | None = None, collect: bool = False):
+        """The closure factory of the parse module of a start rule, the
+        grammar's unless given, or with collect of its collect module: the
+        one in ``_modules``, or one written now and kept there. Two threads
+        may both write it; each keeps an equal one. When the grammar nests
+        too deeply to write from this call stack (``RecursionError``), the
+        Parser keeps a factory that gives up at once instead, so the runs of
+        that module take the exact table for good and none writes again. An
+        unknown start raises ``KeyError`` and keeps nothing."""
+        key = (start or self.grammar.start, collect)
+        module = self._modules.get(key)
+        if module is None:
+            from .generate import generate
+            try:
+                module = generate(self._tables, _RUNTIME, collect, key[0])
+            except RecursionError:
+                module = (_gives_up, None)
+            self._modules[key] = module
+        return module[0]
 
     def _generated(self, state: ParserState, name: str, bodies: dict) -> tuple[bool, int | None]:
-        """Run the named rule through the grammar's generated code, written
-        once the unobserved runs, this one included, have been asked to
-        parse ``GENERATE_AT`` characters; below that, on the exact table.
+        """Run the named rule through its generated module, written once the
+        unobserved runs, this one included, have been asked to parse
+        ``GENERATE_AT`` characters; below that, on the exact table.
         When the generated code nests too deeply, run again from the start
         on the exact table, whose actions then run a second time. Hand back
         whether it matched and the bound of its error pass: the generated
         run's ``max_cursor``, or None after a run on the exact table, whose
         error pass is the exact one too; after a rerun the generated collect
         code would nest as deeply."""
-        parse = self._parse
-        if parse is None:
+        if (name, False) not in self._modules:
             self._asked += len(state.input)
             if self._asked < GENERATE_AT:
                 return self._execute(state, bodies[name], name, bodies), None
-            parse = self._generate()
         try:
-            return parse(state, name), state.stats.max_cursor
+            return self._generate(name)(state), state.stats.max_cursor
         except (TooDeep, RecursionError):
             state.cursor = 0
             state.stack = ValueStack()

@@ -1,14 +1,16 @@
 """Python source expanded from a grammar's exact instruction table.
 
-A Parser writes its grammar's parse module once its unobserved runs have
-been asked to parse ``engine.GENERATE_AT`` characters, and imports this
-module only then; before that, and in observed runs, it takes the exact
-table. The module holds one closure factory, ``parse(state, start)``: each
-unobserved ``Parser.run`` from then on calls it once, and it makes one
-function per rule over that run's input, value stack and counters, runs
-the start rule's function and writes the counters into the run's
-``ParserState``. A function takes the cursor and the number of generated
-functions open below it, and returns the cursor past its match or -1.
+A Parser writes a parse module for one start rule once its unobserved
+runs have been asked to parse ``engine.GENERATE_AT`` characters, and
+imports this module only then; before that, and in observed runs, it takes
+the exact table. The module holds one closure factory, ``parse(state)``:
+each unobserved ``Parser.run`` from that rule on calls it once, and it
+makes the module's functions over that run's input, value stack and
+counters, runs the start rule's function, ``R[0]``, and writes the
+counters into the run's ``ParserState``. A function takes the cursor and
+the number of generated functions open below it, and returns the cursor
+past its match or -1. A run from another rule (``start=``) has a module
+of its own.
 
 The functions hold the head cell of the run's ``ValueStack``, a
 ``(value, below, size)`` tuple, in the factory's local ``h``: the factory
@@ -48,31 +50,31 @@ with no call but for a list and a node of other than one or two children
   mismatch either way; a ``+`` calls it at once;
 * the largest fragment that lowers to one regex (see
   ``pegstack.instructions``) is one call of the compiled regex, and a
-  capture of one pushes the slice it matched;
+  capture of one pushes the slice it matched; whether a fragment lowers is
+  read from its regex source, and the regex is compiled only where the
+  code names it;
 * a reference calls the rule's function where the rule is a loop breaker,
   or where the rule's code would take the function that holds the
   reference past its budget; every other reference, on a cycle or off
   every cycle, runs the rule's code in place (below).
 
-Every rule keeps a function, so that a run may start at any rule
-(``start=``), but the code calls few of them. In each strongly connected
-component of the rule graph, the loop breakers (``_loop_breakers``, after
-Peyton Jones and Marlow, "Secrets of the Glasgow Haskell Compiler
-inliner", JFP 12(4), 2002) keep a function that each reference calls, so
-that every cycle calls one; a breaker is a rule that its component
-reaches only past taken input where there is one, so that a nesting
-level, not a token, opens a function: calc's ``Expression`` past ``(``,
-json's ``Members`` and ``Elements`` past ``{`` and ``[``. The functions of
-the breakers, of the grammar's start rule, which the run calls, and of each
-rule that such a function calls because its code would not fit, may hold
-``_BUDGET`` instructions each, counting the code of the rules they run in
-place. The function of any other rule, which only a run started at that
-rule calls, has no budget: each of its references calls. So the module
-stays linear in the grammar: each function holds its rule's code and, with
-a budget, at most ``_BUDGET`` instructions of the rules it runs in place,
-and a chain of rules writes each rule's code twice, in its own function
-and in place in one with a budget, which calls the next with a budget
-only every few dozen rules.
+A module holds only the functions that its code calls. In each strongly
+connected component of the rule graph, the loop breakers
+(``_loop_breakers``, after Peyton Jones and Marlow, "Secrets of the
+Glasgow Haskell Compiler inliner", JFP 12(4), 2002) keep a function that
+each reference calls, so that every cycle calls one; a breaker is a rule
+that its component reaches only past taken input where there is one, so
+that a nesting level, not a token, opens a function: calc's ``Expression``
+past ``(``, json's ``Members`` and ``Elements`` past ``{`` and ``[``. The
+module holds the functions of the start rule, of the breakers that it
+reaches, and of each rule that a reference calls because the rule's code
+would take the function past its budget (a spill): each may hold
+``_BUDGET`` instructions, counting the code of the rules it runs in place.
+Every other rule runs only in place. So the module stays linear in the
+grammar: each function holds its rule's code and at most ``_BUDGET``
+instructions of the rules it runs in place, and a chain of rules writes
+each rule's code once, calling the next function only every few dozen
+rules.
 
 The code counts terminal mismatches and the furthest one, ``mm`` and
 ``mc``, which bound the error pass (a regex fragment that fails is one
@@ -91,10 +93,11 @@ open (calc opens one per paren level, json one per array or object); the
 Parser then runs the input again on the exact table, which has no such
 bound.
 
-The same walk, in collect mode, writes the grammar's collect module, whose
-factory ``collect(state, start, bound)`` runs the error pass of a failed
-generated run (see ``pegstack.errors``); a Parser writes it on its first
-such failure. It differs from the parse module in this:
+The same walk, in collect mode, writes the collect module of a start
+rule, whose factory ``collect(state, bound)`` runs the error pass of a
+failed generated run from that rule (see ``pegstack.errors``); a Parser
+writes it on the first such failure. It differs from the parse module in
+this:
 
 * it keeps the running maximum ``mc`` from ``bound``, and hands each
   counted mismatch at or past it to the ``miss`` of the state's observer,
@@ -125,7 +128,7 @@ DEPTH_BOUND = 200
 # indentation past which a compound instruction gets a function of its own:
 # CPython allows 100 levels of indentation and 20 nested loops
 _SPLIT_AT = 12
-# instructions that a function with a budget may hold, rules run in place included
+# instructions that a generated function may hold, rules run in place included
 _BUDGET = 150
 # members of a character set that the source lists; larger sets are named
 _LISTED_AT_MOST = 8
@@ -136,10 +139,11 @@ _CACHE_SIZE = 64
 
 
 # the parse module: the run's names, the helpers that count mismatches, the
-# functions, and the start rule's call; the functions call each other through
-# R, one name for all of them, which keeps compile() linear in their number
+# functions, and the call of the start rule's, R[0]; the functions call each
+# other through R, one name for all of them, which keeps compile() linear in
+# their number
 _PARSE = '''\
-def parse(state, start):
+def parse(state):
     text = state.input
     n = len(text)
 {values}
@@ -160,7 +164,7 @@ def parse(state, start):
 {functions}
 
     try:
-        pos = R[{entry}[start]](0, 0)
+        pos = R[0](0, 0)
     finally:
         stack._head = h
         stats = state.stats
@@ -174,7 +178,7 @@ def parse(state, start):
 # ``quiet`` counters; each mismatch at or past the running maximum goes to
 # the state's observer
 _COLLECT = '''\
-def collect(state, start, bound):
+def collect(state, bound):
     text = state.input
     n = len(text)
 {values}
@@ -197,7 +201,7 @@ def collect(state, start, bound):
 {functions}
 
     try:
-        pos = R[{entry}[start]](0, 0)
+        pos = R[0](0, 0)
     finally:
         R.clear()
 {store}    stats = state.stats
@@ -233,19 +237,17 @@ def _code(source: str):
 
 
 class _Function:
-    """The lines of one generated function, and the instructions it may hold
-    (its budget). A rule's function in the collect module opens its rule on
+    """The lines of one generated function, which may hold ``_BUDGET``
+    instructions. A rule's function in the collect module opens its rule on
     the path and closes it on return."""
 
-    def __init__(self, index: int, label: str, names: str, rule: str | None = None,
-                 budget: int = 0):
+    def __init__(self, index: int, label: str, names: str, rule: str | None = None):
         self.index = index
         self.lines = [f"    def f(pos, d):{label}", f"        nonlocal {names}",
                       f"        if d > {DEPTH_BOUND}: raise TooDeep"]
         self.indent = 2
         self.locals = 0
         self.size = 0  # instructions written so far
-        self.budget = budget
         self.snapped: tuple[int, str] | None = None  # the last snapshot and the line count after it
         self.opened: list[int] = []  # the line count where each open block starts
         self.rule = rule
@@ -300,11 +302,11 @@ class _Function:
 
 
 class _Module:
-    """The source of one grammar's module and the namespace it runs in: the
-    parse module, or, with collect, the collect module."""
+    """The source of one grammar's module for one start rule and the namespace
+    it runs in: the parse module, or, with collect, the collect module."""
 
-    def __init__(self, tables: Tables, runtime: dict, collect: bool = False):
-        self.tables = tables
+    def __init__(self, tables: Tables, runtime: dict, collect: bool = False,
+                 start: str | None = None):
         self.bodies = tables.bodies
         self.collect = collect
         # the collect module of a grammar whose values decide no match builds none
@@ -316,41 +318,37 @@ class _Module:
         self.regexes: dict[int, object] = {}  # id(ins) -> its regex's match, or None
         self.functions: list[list[str]] = []
         self.helpers = 0
-        # each rule's function in R, by the rule's position in the grammar
-        self.entry = {name: i for i, name in enumerate(self.bodies)}
         self.labels = {name: f"  # {name}" if name.isascii() and name.isidentifier()
-                       else f"  # rule {i}" for name, i in self.entry.items()}
+                       else f"  # rule {i}" for i, name in enumerate(self.bodies)}
         self.breakers = _loop_breakers(tables)
-        self.weights = self._weights()
-        # the rules whose functions generated code calls, each written with the
-        # budget: the loop breakers, the grammar's start rule, which the run
-        # calls, and each rule that a reference calls because its code would
-        # not fit the budget, queued as the functions are written
-        self.queue = [name for name in self.bodies if name in self.breakers]
-        if tables.grammar.start not in self.breakers:
-            self.queue.append(tables.grammar.start)
-        self.called = set(self.queue)
+        self.weights = self._weights(tables.references)
+        start = tables.grammar.start if start is None else start
+        reached, todo = set(), [start]  # the rules that the start rule reaches
+        while todo:
+            if (name := todo.pop()) not in reached:
+                reached.add(name)
+                todo += tables.references[name]
+        # the rules whose functions generated code calls, by their index in R
+        # (the start rule's is R[0]), written in the order of the queue: the
+        # loop breakers that the start rule reaches, in grammar order, the
+        # start rule, then each rule that a reference calls because its code
+        # would not fit the budget, queued as the functions are written
+        self.queue = [name for name in self.bodies if name in self.breakers and name in reached]
+        if start not in self.breakers:
+            self.queue.append(start)
+        self.called = {name: i for i, name in enumerate(dict.fromkeys([start, *self.queue]))}
         for name in self.queue:  # grows while it is walked
-            self.write(name, _BUDGET)
-        # every other rule keeps a function for start=, which no generated code
-        # calls: without a budget, each of its references calls
-        for name in self.bodies:
-            if name not in self.called:
-                self.write(name, 0)
+            code = _Function(self.called[name], self.labels[name], self.nonlocals,
+                             name if self.collect else None)
+            self.emit(code, self.bodies[name])
+            self.functions.append(code.end())
 
-    def write(self, name: str, budget: int) -> None:
-        """The function of a rule, which may hold budget instructions."""
-        code = _Function(self.entry[name], self.labels[name], self.nonlocals,
-                         name if self.collect else None, budget)
-        self.emit(code, self.bodies[name])
-        self.functions.append(code.end())
-
-    def _weights(self) -> dict[str, int]:
+    def _weights(self, references: dict) -> dict[str, int]:
         """The instructions that running each rule but the loop breakers in
         place writes, up to one past the budget, each rule after those it
         references."""
         graph = {name: [n for n in found if n not in self.breakers]
-                 for name, found in self.tables.references.items()}
+                 for name, found in references.items()}
         weights: dict[str, int] = {}
         for name in r.depth_first(graph)[0]:
             if name not in self.breakers:
@@ -365,8 +363,7 @@ class _Module:
         if op == REF:
             inner = weights.get(ins[2], _BUDGET)
             return 1 + inner if inner < _BUDGET else 1
-        if op in _LOWERED and self.regex(ins) is not None or (
-                op == CAPTURE and ins[2][0] in _LOWERED and self.regex(ins[2]) is not None):
+        if self.lowers(ins[2] if op == CAPTURE else ins):
             return 1
         if op == SEQ or op == ALT:
             return 1 + sum(self.weight(kid, weights) for kid in ins[2][:-1])
@@ -378,7 +375,6 @@ class _Module:
         return (_COLLECT if self.collect else _PARSE).format(
             values=_VALUES if self.valued else "", store=_STORE if self.valued else "",
             count=len(self.functions),
-            entry=self.name(self.entry, "E"),
             functions="\n\n".join("\n".join(f) for f in self.functions))
 
     def name(self, obj, prefix: str, key=None) -> str:
@@ -397,14 +393,20 @@ class _Module:
             return repr("".join(chars))
         return self.name(frozenset(chars), "S", ("S", *chars))
 
-    def regex(self, ins: tuple):
-        """The match function of an instruction's regex, compiled once, or
-        None; always None in the collect module, where a regex could not
+    def lowers(self, ins: tuple) -> bool:
+        """Whether ins runs as one regex, read from its source without
+        compiling it: never in the collect module, where a regex could not
         report the mismatches inside it."""
-        key = id(ins)
-        if key not in self.regexes:
-            self.regexes[key] = None if self.collect else _regex(ins)
-        return self.regexes[key]
+        return not self.collect and ins[0] in _LOWERED and ins[-1] is not None
+
+    def regex(self, ins: tuple):
+        """The match function of the regex of an instruction that lowers,
+        compiled once, or None; None too where ``re`` rejects the source."""
+        if not self.lowers(ins):
+            return None
+        if id(ins) not in self.regexes:
+            self.regexes[id(ins)] = _regex(ins)
+        return self.regexes[id(ins)]
 
     # -- instructions ---------------------------------------------------------
 
@@ -416,13 +418,12 @@ class _Module:
         code.size += 1
         if op == REF:
             return self.reference(code, ins[2], known)
-        if op in _LOWERED and self.regex(ins) is not None:
+        match = self.regex(ins[2] if op == CAPTURE else ins)
+        if match is not None:
             if op == OPT or op == REP and not ins[3]:  # matches everywhere
-                code.line(f"pos = {self.name(self.regex(ins), 'M')}(text, pos).end()")
+                code.line(f"pos = {self.name(match, 'M')}(text, pos).end()")
                 return False
-            return self.fragment(code, self.regex(ins), False)
-        if op == CAPTURE and ins[2][0] in _LOWERED and self.regex(ins[2]) is not None:
-            return self.fragment(code, self.regex(ins[2]), True)
+            return self.fragment(code, match, op == CAPTURE)
         if op in _NESTING and code.indent > _SPLIT_AT:
             return self.helper(code, ins)
         if op <= ISTR:
@@ -539,20 +540,19 @@ class _Module:
 
     def reference(self, code: _Function, name: str, known) -> bool:
         """A rule's code in place, or a call of its function where the rule is
-        a loop breaker or its code would take this function past its budget.
-        A function with a budget that calls a rule has that rule's function
-        written with one too."""
-        if name not in self.breakers and code.size + self.weights[name] <= code.budget:
+        a loop breaker or its code would take this function past the budget;
+        the first call of a rule queues its function."""
+        if name not in self.breakers and code.size + self.weights[name] <= _BUDGET:
             if self.collect:
                 code.line(f"path = ({name!r}, path)")
             fails = self.emit(code, self.bodies[name], known)
             if self.collect:
                 code.line("path = path[1]")
             return fails
-        if code.budget and name not in self.called:
-            self.called.add(name)
+        if name not in self.called:
+            self.called[name] = len(self.called) + self.helpers
             self.queue.append(name)
-        self.call(code, self.entry[name], self.labels[name])
+        self.call(code, self.called[name], self.labels[name])
         return True
 
     def call(self, code: _Function, index: int, label: str = "") -> None:
@@ -561,9 +561,8 @@ class _Module:
     def helper(self, code: _Function, ins: tuple) -> bool:
         """Move a deeply nested instruction into a function of its own, which
         shares the budget of the function it leaves."""
+        inner = _Function(len(self.called) + self.helpers, "", self.nonlocals)
         self.helpers += 1
-        inner = _Function(len(self.bodies) + self.helpers - 1, "", self.nonlocals,
-                          budget=code.budget)
         inner.size = code.size - 1  # emit counts ins again
         fails = self.emit(inner, ins)
         code.size = inner.size
@@ -864,11 +863,13 @@ def _loop_breakers(tables: Tables) -> set[str]:
     return breakers
 
 
-def generate(tables: Tables, runtime: dict, collect: bool = False) -> tuple:
-    """The closure factory of a grammar's module, and the module's source:
-    ``parse``, or with collect ``collect``. runtime names what the source
-    calls that is not a grammar object."""
-    module = _Module(tables, runtime, collect)
+def generate(tables: Tables, runtime: dict, collect: bool = False,
+             start: str | None = None) -> tuple:
+    """The closure factory of a grammar's module for one start rule, the
+    grammar's unless given, and the module's source: ``parse``, or with
+    collect ``collect``. runtime names what the source calls that is not a
+    grammar object. An unknown start raises ``KeyError``."""
+    module = _Module(tables, runtime, collect, start)
     source = module.source()
     exec(_code(source), module.namespace)
     return module.namespace["collect" if collect else "parse"], source

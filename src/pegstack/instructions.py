@@ -139,13 +139,10 @@ def _terminal_source(ins: tuple) -> str | None:
 
 
 def _regex(ins: tuple):
-    """Match function of an exact instruction's regex source, or None where
-    one regex gains nothing or ``re`` rejects the source."""
-    source = ins[-1]
-    if source is None or ins[0] not in _LOWERED:
-        return None
+    """Match function of an instruction's regex source, or None where ``re``
+    rejects the source."""
     try:
-        return re.compile(source, re.DOTALL).match
+        return re.compile(ins[-1], re.DOTALL).match
     except (re.error, RecursionError, OverflowError):
         return None
 

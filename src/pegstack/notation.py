@@ -313,7 +313,7 @@ def parse_grammar(source: GrammarSource | str) -> Grammar:
     if isinstance(source, str):
         source = GrammarSource(source)
     parser = _meta_parser()
-    if next(_LOADS) == 1 and parser._parse is None:
+    if next(_LOADS) == 1:
         parser._generate()
     result = parser.run(source.text)
     if result.error is not None:

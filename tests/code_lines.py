@@ -12,13 +12,16 @@ then the total.
 
 With ``--generated`` it prints instead the lines and the functions of the
 parse and collect modules that the src's ``pegstack.generate`` writes for
-``grammars/calc.peg``, ``bench/json.peg`` (both read from this tree) and
-the meta-grammar, how many choices in each dispatch through the bit
-tests of their character's set (``shared``: a table lookup) rather than
-an ``if`` chain, its call sites (``R[...](`` in the source) and the
-milliseconds that writing and compiling it take (``generate()``, best of
-``WRITES``, each with the code cache and ``re``'s cache emptied). Not
-collected by pytest: its name does not start with ``test_``.
+``grammars/calc.peg``, ``bench/json.peg`` (both read from this tree), the
+meta-grammar and two chains of 2,000 rules ``R_i <- R_i+1 'x'``, one
+ending in ``'a'`` (every rule lowers to a regex) and one in
+``capture('x')`` (every rule touches the stack, so nothing lowers), how
+many choices in each dispatch through the bit tests of their character's
+set (``shared``: a table lookup) rather than an ``if`` chain, its call
+sites (``R[...](`` in the source) and the milliseconds that writing and
+compiling it take (``generate()``, best of ``WRITES``, each with the code
+cache and ``re``'s cache emptied). Not collected by pytest: its name does
+not start with ``test_``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from time import perf_counter
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 WRITES = 5  # timed writes of each generated module
+CHAIN = 2000  # rules of each chain grammar
 _SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
             tokenize.ENDMARKER, tokenize.ENCODING}
 
@@ -65,12 +69,21 @@ def generated(src: pathlib.Path) -> None:
     """Print the lines and functions of each module the generator writes."""
     sys.path.insert(0, str(src))
     from pegstack import generate
+    from pegstack import rules as r
     from pegstack.engine import _RUNTIME, Parser
     from pegstack.notation import load_grammar, meta_grammar
+
+    def chain(end):
+        rules = {f"R{i}": r.seq(r.ref(f"R{i + 1}"), r.ch("x")) for i in range(CHAIN)}
+        rules[f"R{CHAIN}"] = end
+        return r.validate_grammar(r.grammar(rules, start="R0"))
+
     print(f"{'module':24} {'lines':>6} {'functions':>9} {'shared':>6} {'calls':>6} {'write ms':>8}")
     for name, grammar in (("calc", load_grammar(ROOT / "grammars/calc.peg")),
                           ("json", load_grammar(ROOT / "bench/json.peg")),
-                          ("meta-grammar", meta_grammar())):
+                          ("meta-grammar", meta_grammar()),
+                          ("lowered chain", chain(r.ch("a"))),
+                          ("capture chain", chain(r.capture(r.ch("x"))))):
         tables = Parser(grammar)._tables
         for kind, collect in (("parse", False), ("collect", True)):
             best = float("inf")

@@ -31,3 +31,10 @@ def generated(grammar) -> Parser:
     parser = Parser(grammar)
     parser._generate()
     return parser
+
+
+def source_of(parser, start=None, collect=False) -> str | None:
+    """The source of a module that parser has written, the parse module of
+    the grammar's start rule unless start or collect name another; None for
+    one that nests too deeply to write."""
+    return parser._modules[start or parser.grammar.start, collect][1]

@@ -225,14 +225,15 @@ class _Silent:
         pass
 
 
-def _same_as_observed(parser, text):
+def _same_as_observed(parser, text, start=None):
     """An unobserved run (the generated code, once the Parser has written
-    it) and an observed one (the exact table) report the same kind, values,
-    cursor, error position and ordered expected list, or the same fault."""
+    it) and an observed one (the exact table), from the start rule unless
+    given, report the same kind, values, cursor, error position and ordered
+    expected list, or the same fault."""
     with recorded_states() as states:
-        plain = parser.run(text)
+        plain = parser.run(text, start)
     with recorded_states() as observed_states:
-        observed = parser.run(text, observer=_Silent())
+        observed = parser.run(text, start, observer=_Silent())
     assert (plain.kind, plain.values, plain.fault) == (observed.kind, observed.values,
                                                       observed.fault), text
     if plain.fault is None:

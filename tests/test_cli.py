@@ -18,7 +18,7 @@ from pegstack.notation import _meta_parser
 from pegstack.values import (UNIT, Value, list_value, node_value, render_value,
                              str_value)
 
-from conftest import GRAMMARS
+from conftest import GRAMMARS, source_of
 from generators import big_expression
 
 CALC = str(GRAMMARS / "calc.peg")
@@ -133,7 +133,7 @@ def test_trace_memory_does_not_grow_with_the_events(tmp_path):
     assert lines.getvalue().count("\n") > 50_000
     # the process's meta-grammar Parser writes its module on the process's
     # second grammar load, at the latest the one above: before either peak
-    assert _meta_parser()._source is not None
+    assert source_of(_meta_parser()) is not None
 
     def peak(*flags):
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):

@@ -18,7 +18,7 @@ from pegstack.notation import load_grammar, parse_grammar
 from pegstack.rules import DIGIT, validate_grammar
 from pegstack.values import Node, StackUnderflow, Value, node_value, render_value, str_value
 
-from conftest import DATA, ROOT, generated
+from conftest import DATA, ROOT, generated, source_of
 from generators import (ALPHABET, LOWERABLE_ALPHABET, big_expression, gen_grammar, gen_input,
                         gen_lowerable_grammar, gen_neutral, gen_sound_grammar)
 from reference_interp import ref_match, ref_run
@@ -812,8 +812,8 @@ def test_an_unknown_delivery_mode_is_rejected_before_the_run(calc_grammar):
     with recorded_states() as states:
         with pytest.raises(ValueError, match="'Either'"):
             parser.run(text, mode="Either")
-    assert (states, parser._asked, parser._parse, parser._source) == ([], 0, None, None)
-    assert parser.run(text, mode="either")[1] is None and parser._source is not None
+    assert (states, parser._asked, parser._modules) == ([], 0, {})
+    assert parser.run(text, mode="either")[1] is None and source_of(parser) is not None
 
 
 def test_action_exception_becomes_internal_fault():
@@ -927,7 +927,7 @@ def _fragments(parser):
     fragment that captures pushes the slice it matched, one that cannot
     fail only moves."""
     found, function = {}, None
-    for line in parser._source.splitlines():
+    for line in source_of(parser).splitlines():
         opened = re.match(r"    def f\(pos, d\):  # (\w+)$", line)
         if opened:
             function = opened.group(1)
@@ -940,14 +940,13 @@ def _fragments(parser):
 
 def test_fast_table_lowers_the_json_captures_and_nothing_of_calc(calc_grammar):
     # the generated code, which replaced the fast table, lowers the same
-    # fragments, each in its rule's own function and in each copy of the rule
-    # run in place: Value's three in the start rule's function, Elements' two
-    # Values in its own, and Members' two Members in its own, each a String
-    # key and a Value
+    # fragments, in each copy of their rule run in place: Value's three in
+    # the start rule's function, Elements' two Values in its own, and
+    # Members' two Members in its own, each a String key and a Value.
+    # String, Number and Literal run only in place, so no function is theirs
     parser = generated(load_grammar(ROOT / "bench/json.peg"))
     assert parser.run('{"a": [1, -2.5e3, true, null], "b": "x\\"y"}').ok
-    assert _fragments(parser) == {"String": [True], "Number": [True], "Literal": [True],
-                                  "Document": [True] * 3, "Elements": [True] * 6,
+    assert _fragments(parser) == {"Document": [True] * 3, "Elements": [True] * 6,
                                   "Members": [True] * 8}
     parser = generated(calc_grammar)
     assert parser.run("1+(2-3*4)/5").ok
@@ -1164,17 +1163,18 @@ def test_a_parser_is_built_whole_before_its_first_run():
     g = _grammar(r.seq(r.ref("Word"), r.EOI), Word=r.capture(r.one_or_more(r.any_of("ab"))),
                  Unused=r.seq(r.ch("x"), r.ref("Word")))
     parser = generated(g)
-    tables, parse, source = parser._tables, parser._parse, parser._source
+    tables, module = parser._tables, parser._modules["Top", False]
     exact = tables.bodies
     assert exact.keys() == {"Top", "Word", "Unused"}
-    assert all(f"def f(pos, d):  # {name}\n" in source for name in exact)
+    # the module holds Top's function, with Word in place; nothing reaches Unused
+    assert [name for name in exact if f"def f(pos, d):  # {name}\n" in module[1]] == ["Top"]
     before = dict(vars(tables)), dict(exact)
     assert parser.run("ab").ok and parser.run("ax").error is not None
     assert parser.run("ab", observer=Trace([])).ok  # a traced run adds no table either
     state = ParserState("ab")
     state.observer = Trace([])
     assert parser.match_rule(state, "Top")
-    assert (parser._tables, parser._parse, parser._source) == (tables, parse, source)
+    assert parser._tables is tables and parser._modules["Top", False] is module
     assert (dict(vars(tables)), dict(exact)) == before
 
 
@@ -1222,7 +1222,7 @@ def test_a_fresh_parser_compiles_safely_under_threads(calc_grammar):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert shared._parse is not None
+    assert source_of(shared) is not None
     assert results == expected
     assert traced == expected_events
     assert all(len(events) > 1000 for events in traced)

@@ -31,7 +31,7 @@ from pegstack.rules import validate_grammar
 from pegstack.values import Value
 
 import generators
-from conftest import GRAMMARS, ROOT, generated
+from conftest import GRAMMARS, ROOT, generated, source_of
 from generators import (ALPHABET, LOWERABLE_ALPHABET, big_expression, gen_grammar, gen_input,
                         gen_lowerable_grammar, gen_sound_grammar)
 from run_states import recorded_states
@@ -141,8 +141,9 @@ def test_runs_below_and_above_the_threshold_agree_and_the_module_is_written_once
     # exact table and their error pass is the exact one; the run that takes
     # the sum to GENERATE_AT writes the module and runs it
     written, write = [], generate.generate
-    monkeypatch.setattr(generate, "generate", lambda tables, runtime, collect=False: (
-        written.append("collect" if collect else "parse") or write(tables, runtime, collect)))
+    monkeypatch.setattr(generate, "generate", lambda tables, runtime, collect=False, start=None: (
+        written.append("collect" if collect else "parse")
+        or write(tables, runtime, collect, start)))
     parser = Parser(calc_grammar)
     texts = ["1+2*(3-4)/5", "((1)", "1+2!3", "", "7*", "(((8)))-9", "1+", ")"]
     texts += [big_expression(random.Random(i), 30) for i in range(3)]
@@ -163,9 +164,9 @@ def test_runs_below_and_above_the_threshold_agree_and_the_module_is_written_once
     assert sum(kind == "parse-failure" for kind, *_ in below) >= 8
     filler = "1" * (GENERATE_AT - sum(map(len, texts)) - 1)  # one character short of it
     assert parser.run(filler).ok
-    assert (written, parser._parse, parser._collect) == ([], None, None)
+    assert (written, parser._modules) == ([], {})
     assert parser.run("2").ok  # reaches it
-    assert written == ["parse"] and parser._parse is not None
+    assert written == ["parse"] and list(parser._modules) == [("InputLine", False)]
     assert reports() == below
     assert written == ["parse", "collect"]
     assert reports() == below
@@ -203,7 +204,7 @@ def test_a_deep_calc_nest_below_the_threshold_runs_each_action_once(calc_grammar
         return len(built)
 
     below = Parser(calc_grammar)
-    assert nodes_built(below) == 2 * levels + 1 and below._parse is None
+    assert nodes_built(below) == 2 * levels + 1 and below._modules == {}
     assert nodes_built(generated(calc_grammar)) > 2 * levels + 1
 
 
@@ -223,11 +224,11 @@ def test_a_module_that_cannot_be_written_leaves_its_runs_on_the_exact_table(
     expected = [_report(Parser(calc_grammar).run(text)) for text in texts]
     tries, write = [], generate.generate
 
-    def failing(tables, runtime, collect=False):
+    def failing(tables, runtime, collect=False, start=None):
         tries.append("collect" if collect else "parse")
         if tries[-1] == module:
             raise RecursionError("maximum recursion depth exceeded")
-        return write(tables, runtime, collect)
+        return write(tables, runtime, collect, start)
 
     monkeypatch.setattr(generate, "generate", failing)
     parser = Parser(calc_grammar)
@@ -235,8 +236,7 @@ def test_a_module_that_cannot_be_written_leaves_its_runs_on_the_exact_table(
     for _ in range(2):
         assert [_report(parser.run(text)) for text in texts] == expected
     assert tries == ["parse"] if module == "parse" else ["parse", "collect"]
-    gave_up = parser._parse if module == "parse" else parser._collect
-    assert gave_up is engine._gives_up
+    assert parser._modules["InputLine", module == "collect"] == (engine._gives_up, None)
 
 
 def test_runs_from_a_deep_call_stack_parse_and_report_errors_on_the_exact_table():
@@ -260,20 +260,20 @@ def test_runs_from_a_deep_call_stack_parse_and_report_errors_on_the_exact_table(
 
     crossed_deep = Parser(grammar)
     assert _report(deep(lambda: crossed_deep.run(long))) == expected[0]
-    assert crossed_deep._parse is engine._gives_up and crossed_deep._source is None
+    assert crossed_deep._modules == {("Top", False): (engine._gives_up, None)}
     assert _report(crossed_deep.run(long)) == expected[0]  # and so do the runs after it
 
     failed_deep = Parser(grammar)
-    assert _report(failed_deep.run(long)) == expected[0] and failed_deep._source is not None
+    assert _report(failed_deep.run(long)) == expected[0] and source_of(failed_deep) is not None
     assert _report(deep(lambda: failed_deep.run(failing))) == expected[1]
-    assert failed_deep._collect is engine._gives_up
+    assert failed_deep._modules["Top", True] == (engine._gives_up, None)
     assert _report(failed_deep.run(failing)) == expected[1]
 
 
 def test_building_a_parser_compiles_no_regex_and_no_module(monkeypatch):
-    # R_i <- R_i+1 'a': writing the module of a long chain of rules is
-    # quadratic in its length (ROADMAP item 2), and a Parser leaves it to the
-    # runs whose input pays for it
+    # R_i <- R_i+1 'a': a Parser leaves writing the module of a long chain of
+    # rules to the runs whose input pays for it, and writing it compiles one
+    # regex, R0's, which holds the whole chain
     calls = []
     for owner, name in ((generate, "_code"), (re, "compile")):
         monkeypatch.setattr(owner, name, lambda *args, fn=getattr(owner, name), name=name:
@@ -287,10 +287,10 @@ def test_building_a_parser_compiles_no_regex_and_no_module(monkeypatch):
     grammar = chain(2000)
     calls.clear()  # from here, what building the Parser compiles
     parser = Parser(grammar)
-    assert parser.fault is None and calls == [] and parser._parse is None
+    assert parser.fault is None and calls == [] and parser._modules == {}
     assert parser.run("a" * 2001).values == () and calls == []  # on the exact table
     generated(chain(3))
-    assert calls.count("_code") == 1 and calls.count("compile") == 3
+    assert calls.count("_code") == 1 and calls.count("compile") == 1
 
 
 # -- grammars that nest deeply or are large ----------------------------------------------
@@ -318,7 +318,7 @@ def test_deep_option_nests_generate_and_agree_with_the_exact_table(levels, core,
     for text in ("", "a", "bba", "b" * levels + "a", "b" * (levels + 1) + "a", "bbx"):
         _same_as_observed(parser, text)
     assert reruns == []
-    functions = parser._source.count("    def f(pos, d):")
+    functions = source_of(parser).count("    def f(pos, d):")
     assert functions == 1 if core == "lowered" else functions > levels // 10
 
 
@@ -333,7 +333,7 @@ def test_twenty_five_nested_loops_generate_and_agree_with_the_exact_table(monkey
     for text in ("", "x", "ax", "aaax", "aaaxa", "a" * 30 + "x"):
         _same_as_observed(parser, text)
     assert reruns == []
-    assert parser._source.count("while True:") == 25
+    assert source_of(parser).count("while True:") == 25
 
 
 def test_a_chain_of_2000_rules_generates_and_agrees_with_the_exact_table():
@@ -346,30 +346,126 @@ def test_a_chain_of_2000_rules_generates_and_agrees_with_the_exact_table():
     assert parser.run("xxx", start="R1998").values == (Value("Str", "x"),)
 
 
-def _chain(length, tail):
-    """R_i <- R_i+1 tail, for i below length, ending in R_length <- capture('x'):
-    every rule touches the stack, so nothing lowers to a regex."""
+def _chain(length, tail, end=lambda: r.capture(r.ch("x"))):
+    """R_i <- R_i+1 tail, for i below length, ending in R_length <- end. Where
+    the end captures, every rule touches the stack, so nothing lowers to a
+    regex; where it is 'a' and the tail 'x', every rule lowers."""
     rules = {f"R{i}": r.seq(r.ref(f"R{i + 1}"), tail()) for i in range(length)}
-    rules[f"R{length}"] = r.capture(r.ch("x"))
+    rules[f"R{length}"] = end()
     return validate_grammar(r.grammar(rules, start="R0"))
 
 
 def test_a_chain_of_rules_writes_a_module_linear_in_its_length(monkeypatch):
-    # every rule keeps a function for start=, and each rule runs in place in
-    # the functions with a budget until the budget is spent; 8 times the
-    # rules may give at most 8.5 times the lines, and each rule's 'x' is
-    # written at most twice: in its own function, which has no budget, and
-    # in place in one with a budget. The start rule's function calls the next
-    # one with a budget only every few dozen rules, so even the 2,000-rule
-    # capture chain stays under the depth bound
-    for tail in (lambda: r.ch("x"), lambda: r.capture(r.ch("x"))):
-        short, long = (generated(_chain(length, tail)) for length in (250, 2000))
-        lines = [len(parser._source.splitlines()) for parser in (short, long)]
-        assert lines[1] <= 8.5 * lines[0], lines
-        assert long._source.count("text[pos] == 'x'") <= 2 * 2001
-    reruns = _reruns(long, monkeypatch)
-    _same_as_observed(long, "x" * 4001)
+    # each rule runs in place in the function that reaches it until the
+    # budget is spent, and then that function calls the next rule's: 8
+    # times the rules may give at most 8.5 times the lines and the regex
+    # compiles, each rule's 'x' is written once, and each regex compiled is
+    # one that the code names. The start rule's function calls the next one
+    # only every few dozen rules, so even the 2,000-rule capture chain stays
+    # under the depth bound; the lowered chain is one regex, R0's
+    compiles = []
+    compile_ = re.compile
+    monkeypatch.setattr(re, "compile", lambda *args: compiles.append(args) or compile_(*args))
+    x, captured, a = (lambda: r.ch("x")), (lambda: r.capture(r.ch("x"))), (lambda: r.ch("a"))
+    chains = {}
+    for tail, end in ((x, captured), (captured, captured), (x, a)):
+        sizes = []
+        for length in (250, 2000):
+            grammar = _chain(length, tail, end)
+            compiles.clear()
+            parser = generated(grammar)
+            source = source_of(parser)
+            assert len(compiles) == len(set(re.findall(r"\bM\d+\b", source))), length
+            sizes.append((len(source.splitlines()), len(compiles)))
+        (lines, made), (long_lines, long_made) = sizes
+        assert long_lines <= 8.5 * lines and long_made <= 8.5 * made, sizes
+        assert source.count("text[pos] == 'x'") <= 2001
+        chains[tail, end] = parser
+    assert sizes == [(sizes[0][0], 1)] * 2  # the lowered chain: one regex
+    reruns = _reruns(chains[captured, captured], monkeypatch)
+    _same_as_observed(chains[captured, captured], "x" * 4001)
+    _same_as_observed(chains[x, a], "a" + "x" * 2000)
     assert reruns == []
+
+
+def _unreached_functions(source):
+    """The R indices of a module's functions that no call reaches from
+    R[0], the one that the factory calls."""
+    calls = {index: set(re.findall(r"\bR\[(\d+)\]\(", body)) for body, index in
+             re.findall(r"    def f\(pos, d\):(.*?)\n    R\[(\d+)\] = f", source, re.S)}
+    reached, todo = set(), ["0"]
+    while todo:
+        if (index := todo.pop()) not in reached:
+            reached.add(index)
+            todo += calls[index]
+    return set(calls) - reached
+
+
+@pytest.mark.parametrize("collect", [False, True])
+def test_a_module_holds_only_functions_that_its_code_calls(calc_grammar, collect):
+    # R[0], the start rule's, is called by the factory, and every other
+    # function is reached from it, so none is written for nothing. Started
+    # at Number, calc's module reaches no loop breaker
+    for grammar, start in ((calc_grammar, None), (load_grammar(ROOT / "bench/json.peg"), None),
+                           (meta_grammar(), None), (calc_grammar, "Number")):
+        source = generate.generate(Parser(grammar)._tables, engine._RUNTIME, collect, start)[1]
+        assert "pos = R[0](0, 0)" in source and _unreached_functions(source) == set()
+    assert source.count("    def f(pos, d):") == 1
+
+
+_STARTS = {  # grammar -> a start rule other than its own, a run past GENERATE_AT, short runs
+    "calc": ("Term", "1*" * (GENERATE_AT // 2) + "1", ["2*(3+4)", "(7", "5/", "*6", "(8*x"]),
+    "json": ("Value", "[" + "1," * (GENERATE_AT // 2) + "1]", ['[1, {"a": true}]', '{"a" 1}',
+                                                              "nul", "[1,]"]),
+    "chain": ("R1998", "x" * GENERATE_AT, ["xxx", "xx", "x"]),
+}
+
+
+@pytest.mark.parametrize("name", _STARTS)
+def test_a_run_from_another_start_rule_writes_that_rules_modules_once(name, calc_grammar,
+                                                                      monkeypatch):
+    # the grammar's start rule has its module; past GENERATE_AT a run from
+    # another rule writes that rule's module once, which agrees with the
+    # exact table and leaves the grammar start's module as it was, and a
+    # failed run from it writes and runs that rule's collect module. An
+    # unknown start raises KeyError below and past the threshold, and
+    # leaves no module behind
+    grammar = {"calc": calc_grammar, "json": load_grammar(ROOT / "bench/json.peg"),
+               "chain": _chain(2000, lambda: r.ch("x"))}[name]
+    start, long, texts = _STARTS[name]
+    fresh = Parser(grammar)
+    with pytest.raises(KeyError, match="Nope"):
+        fresh.run("1", start="Nope")
+    assert fresh._modules == {}
+    parser = generated(grammar)
+    own = parser._modules[grammar.start, False]
+    compiles, ran, write = [], [], generate.generate
+
+    def counted(tables, runtime, collect=False, start=None):
+        factory, source = write(tables, runtime, collect, start)
+        return (lambda *args: ran.append((start, collect)) or factory(*args)), source
+
+    monkeypatch.setattr(generate, "generate", counted)
+    monkeypatch.setattr(generate, "_CODES", {})
+    monkeypatch.setattr(generate, "compile", lambda *args: compiles.append(args[0])
+                        or compile(*args), raising=False)
+    assert parser.run(long, start).ok
+    assert [source.split("\n")[0] for source in compiles] == ["def parse(state):"]
+    module = parser._modules[start, False]
+    headers = re.findall(r"    def f\(pos, d\):(.*)", module[1].split("    R[0] = f")[0])
+    assert headers[-1] == f"  # {start}"  # R[0] is the start rule's function
+    for text in texts:
+        _same_as_observed(parser, text, start)
+    assert [source.split("\n")[0] for source in compiles] == ["def parse(state):",
+                                                              "def collect(state, bound):"]
+    failed = sum(not parser.run(text, start).ok for text in texts)
+    assert failed and ran.count((start, True)) == 2 * failed
+    assert ran.count((start, False)) == 1 + 2 * len(texts)
+    assert parser._modules[start, False] is module and parser._modules[grammar.start, False] is own
+    keys = set(parser._modules)
+    with pytest.raises(KeyError, match="Nope"):
+        parser.run("1", start="Nope")
+    assert set(parser._modules) == keys and len(compiles) == 2
 
 
 def test_the_meta_grammar_generates_and_agrees_with_the_exact_table():
@@ -452,14 +548,17 @@ def test_the_generated_collect_pass_runs_actions_that_fail():
 
 # -- loop breakers ------------------------------------------------------------------------
 
-def _calls(source, rules):
-    """The rules that each rule's function, with the helpers split from it,
-    calls: a helper comes before the function it was split from."""
+def _calls(module):
+    """The rules that each rule's function in a module, with the helpers
+    split from it, calls: a helper comes before the function it was split
+    from."""
+    rules = {index: name for name, index in module.called.items()}
     calls, found = {}, set()
-    for body, index in re.findall(r"    def f\(pos, d\):(.*?)\n    R\[(\d+)\] = f", source, re.S):
+    for body, index in re.findall(r"    def f\(pos, d\):(.*?)\n    R\[(\d+)\] = f",
+                                  module.source(), re.S):
         found.update(rules[int(k)] for k in re.findall(r"R\[(\d+)\]\(pos, d \+ 1\)", body)
-                     if int(k) < len(rules))
-        if int(index) < len(rules):
+                     if int(k) in rules)
+        if int(index) in rules:
             calls[rules[int(index)]], found = found, set()
     return calls
 
@@ -471,9 +570,10 @@ def test_loop_breakers_break_every_cycle_and_nests_past_three_functions_a_level_
     # N3 <- '(' N2 / Top, which opened three functions a level when every
     # rule on a cycle kept one: N2, reached only past '(' and neither first
     # nor last of the three in the grammar, is its loop breaker, and the
-    # others run in place in its function. Once the rules that generated code
-    # calls from a function with a budget are gone, no cycle is left, and a
-    # nest of 80 levels runs in the generated code with no rerun
+    # others run in place in its function. Once the rules whose functions
+    # generated code calls are gone, no cycle is left among the rules that
+    # the start rule reaches, and a nest of 80 levels runs in the generated
+    # code with no rerun
     make, alphabet = _FAMILIES[family]
     rng = random.Random(f"breakers:{family}")
     for _ in range(40):
@@ -484,15 +584,20 @@ def test_loop_breakers_break_every_cycle_and_nests_past_three_functions_a_level_
         grammar = validate_grammar(r.grammar(rules, start="N1"))
         parser = generated(grammar)
         assert parser.fault is None
-        names = list(parser._tables.bodies)
+        references = parser._tables.references
+        reached, todo = {"N1"}, ["N1"]
+        while todo:
+            found = set(references[todo.pop()]) - reached
+            reached |= found
+            todo += found
         for collect in (False, True):
             module = generate._Module(parser._tables, engine._RUNTIME, collect)
             called = set(module.called)
             assert "N2" in module.breakers and not {"N1", "N3"} & module.breakers
             rest = {name: [n for n in found if n not in called]
-                    for name, found in parser._tables.references.items() if name not in called}
+                    for name, found in references.items() if name in reached - called}
             assert r.depth_first(rest)[1] == []
-            calls = _calls(module.source(), names)
+            calls = _calls(module)
             assert all(calls[name] <= called for name in called), calls
         with monkeypatch.context() as patch:
             reruns = _reruns(parser, patch)
@@ -539,7 +644,7 @@ def test_json_dispatches_without_a_table_and_star_scans_test_the_next_character(
     # an if/elif chain; a * scan's regex runs only where its terminal takes
     # the next character, a + scan's at once, in both modules
     json = load_grammar(ROOT / "bench/json.peg")
-    assert ".get(text[pos]" not in generated(json)._source
+    assert ".get(text[pos]" not in source_of(generated(json))
     for grammar in (json, meta_grammar()):
         tables = Parser(grammar)._tables
         stars = {id(ins[4]) for ins in _instructions(tables.bodies)
@@ -595,12 +700,13 @@ def test_a_collect_pass_past_the_depth_bound_runs_again_on_the_exact_table(calc_
         """The exact reruns of the run and of its error pass, and the calls
         of the collect module, when the parser fails that deep."""
         text = "(" * levels + "1!" + ")" * levels
-        collect, called = parser._collect, []
+        key, called = ("InputLine", True), []
         with monkeypatch.context() as patch:
             runs, passes = _reruns(parser, patch), _reruns(parser, patch, collect=True)
-            if collect is not None:
-                patch.setattr(parser, "_collect",
-                              lambda *args: called.append(args) or collect(*args))
+            if key in parser._modules:
+                factory, source = parser._modules[key]
+                patch.setitem(parser._modules, key,
+                              (lambda *args: called.append(args) or factory(*args), source))
             with recorded_states() as states:
                 error = parser.run(text).error
         assert error == build_parse_error(parser, text)  # without a bound: the exact pass
@@ -608,8 +714,8 @@ def test_a_collect_pass_past_the_depth_bound_runs_again_on_the_exact_table(calc_
         return len(runs), len(passes), len(called)
 
     deep = generate.DEPTH_BOUND
-    assert fail(deep) == (1, 1, 0) and parser._collect is None
-    assert fail(60) == (0, 0, 0) and parser._collect is not None  # written here
+    assert fail(deep) == (1, 1, 0) and ("InputLine", True) not in parser._modules
+    assert fail(60) == (0, 0, 0) and ("InputLine", True) in parser._modules  # written here
     assert fail(60) == (0, 0, 1)
     assert fail(deep) == (1, 1, 0)
 
@@ -649,11 +755,11 @@ def test_only_the_first_failing_run_writes_the_collect_module(calc_grammar, monk
     assert parser.run("1+2!", observer=Trace([])).error is not None  # the exact pass
     assert len(calls) == 1
     assert parser.run("1+2!").error is not None
-    assert len(calls) == 2 and calls[1][0].startswith("def collect(state, start, bound):")
-    collect = parser._collect
+    assert len(calls) == 2 and calls[1][0].startswith("def collect(state, bound):")
+    collect = parser._modules["InputLine", True]
     for text in ("1+", "2*!", ")"):
         assert parser.run(text).error is not None
-    assert len(calls) == 2 and parser._collect is collect  # nor written again
+    assert len(calls) == 2 and parser._modules["InputLine", True] is collect  # nor written again
 
 
 # -- the value stack in a local ----------------------------------------------------------------
@@ -665,10 +771,10 @@ def test_the_parse_modules_keep_the_stack_head_in_a_local_and_count_no_steps(cal
     acts = []
     for grammar in grammars:
         parser = generated(grammar)
-        lines = parser._source.splitlines()
+        lines = source_of(parser).splitlines()
         # a call, not a literal of the meta-grammar such as 'push('
         assert not re.search(r"(?<![\w'])(snapshot|restore|push|take|size)\(|\bsteps\b",
-                             parser._source)
+                             source_of(parser))
         touching = [i for i, line in enumerate(lines) if "_head" in line]
         called = [i for i, line in enumerate(lines) if "act(state, " in line]
         assert lines[touching[0]] == "    h = stack._head"
@@ -784,7 +890,7 @@ def test_a_second_parser_over_an_equal_grammar_compiles_nothing(monkeypatch):
     first = generated(grammars[0])
     assert len(calls) == 1
     second = generated(grammars[1])
-    assert len(calls) == 1 and second._source == first._source
+    assert len(calls) == 1 and source_of(second) == source_of(first)
     assert second.run("1+2*(3-4)") == first.run("1+2*(3-4)")
 
 
@@ -795,4 +901,4 @@ def test_the_readme_shows_calcs_generated_expression_function(calc_grammar):
     section = readme[readme.index("### From grammar to runtime code"):]
     excerpt = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     assert "# Expression" in excerpt.splitlines()[0]
-    assert excerpt in generated(calc_grammar)._source
+    assert excerpt in source_of(generated(calc_grammar))

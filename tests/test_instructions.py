@@ -28,7 +28,7 @@ from pegstack.instructions import (_ASCII, ALT, CAPTURE, CHARS, ISTR, OPT, PRED,
 from pegstack.notation import load_grammar, meta_grammar
 from pegstack.values import str_value
 
-from conftest import ROOT, generated
+from conftest import ROOT, generated, source_of
 from generators import gen_grammar, gen_lowerable_grammar, gen_sound_grammar
 
 
@@ -335,19 +335,20 @@ def _instructions(bodies):
 def test_each_regex_is_compiled_once_while_a_parser_is_built(monkeypatch):
     # one re.compile per regex fragment of the generated code and per fused
     # scan, between building the Parser and writing its module; a fragment
-    # runs wherever its rule's code is copied
+    # runs wherever its rule's code is copied, and the chain's one fragment
+    # is R0's, which holds the whole chain
     calls = []
     compile_ = re.compile
     monkeypatch.setattr(re, "compile", lambda *args: calls.append(args) or compile_(*args))
     chain = {f"R{i}": r.seq(r.ref(f"R{i + 1}"), r.ch("x")) for i in range(300)}
     chain["R300"] = r.ch("a")
     for grammar, count in ((load_grammar(ROOT / "bench/json.peg"), 3 + 14),
-                           (meta_grammar(), 5 + 7),
-                           (r.validate_grammar(r.grammar(chain, start="R0")), 300 + 0)):
+                           (meta_grammar(), 4 + 7),
+                           (r.validate_grammar(r.grammar(chain, start="R0")), 1 + 0)):
         calls.clear()
         parser = generated(grammar)
         regexes = len(set(re.findall(r"(?:m\d+ = |:= |pos = )(M\d+)\(text, pos\)",
-                                     parser._source)))
+                                     source_of(parser))))
         scans = sum(ins[0] == CHARS and ins[4] is not None
                     for ins in _instructions(parser._tables.bodies))
         assert len(calls) == regexes + scans == count
