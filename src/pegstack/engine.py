@@ -33,9 +33,10 @@ characters, the current run's included, and calls it from then on for the
 runs from that rule; a run from another rule (``start=``) writes that
 rule's module once: a short-lived Parser that sees little input never pays
 for ``compile()``, and one that sees much pays once per start rule. The
-Parser keeps the modules it has written in one cache, ``_modules``, by
-start rule and kind (parse or collect). Below that, and in every observed
-run, the run takes the exact table, and so does its error pass. In the
+Parser keeps the closure factory of each module it has written in
+``_modules``, by start rule and kind (parse or collect), and not the
+module's source. Below that, and in every observed run, the run takes the
+exact table, and so does its error pass. In the
 generated code every choice, repetition and option dispatches on the next
 character, each stack-free fragment runs as one regex, and the value
 stack's head is a local of the run's functions. Generated code counts no
@@ -46,10 +47,10 @@ the exact table's. When the generated code opens too many functions
 (``TooDeep``), or raises ``RecursionError``, the run starts again on the
 exact table, and actions run a second time; a grammar that nests too
 deeply to write a module from the caller's stack keeps the exact table for
-the runs of that module. ``match``, ``match_rule`` and ``run_phase`` take
-the exact table. A failed generated run hands its ``max_cursor`` to its
-error pass, which runs its start rule's generated collect code, written on
-the first such failure, from there (see ``pegstack.errors``); a run that
+the runs of that module. ``match_rule`` and ``run_phase`` take the exact
+table. A failed generated run hands its ``max_cursor`` to its error pass,
+which runs its start rule's generated collect code, written on the first
+such failure, from there (see ``pegstack.errors``); a run that
 took the exact table, or started again on it, hands over no bound, so its
 error pass is the exact one.
 
@@ -72,7 +73,8 @@ from . import rules as r
 from .errors import Collector, ParseError, build_parse_error, format_error
 from .instructions import OPS, QUIET, RULE, Tables
 from .record import record
-from .values import Node, StackUnderflow, Value, ValueStack, list_value, node1, node2
+from .values import (Node, StackUnderflow, Value, ValueStack, list_value, listed, node1, node2,
+                     pop_values)
 
 # sentinel an action function returns to report a match failure
 ACTION_FAIL = object()
@@ -269,32 +271,10 @@ def _act(state: ParserState, ins: tuple) -> bool:
     return True
 
 
-def _pop(head: tuple, count: int) -> tuple[tuple, tuple]:
-    """The top count values of the value stack whose head cell generated
-    code holds, bottom to top, and the cell below them; ``StackUnderflow``,
-    as ``ValueStack.take`` raises it, when the stack holds fewer."""
-    if count > head[2]:
-        raise StackUnderflow("pop from empty value stack")
-    out = []
-    for _ in range(count):
-        out.append(head[0])
-        head = head[1]
-    out.reverse()
-    return tuple(out), head
-
-
-def _listed(head: tuple, base: int, tag: str) -> tuple:
-    """The head cell of generated code's value stack once the values above
-    its first base are one list value of tag, as a collecting repetition
-    or option leaves them."""
-    values, below = _pop(head, head[2] - base)
-    return (list_value(values, tag), below, below[2] + 1)
-
-
 # what generated code calls besides the grammar's own objects
 _RUNTIME = {"Node": Node, "node1": node1, "node2": node2, "Value": Value,
-            "list_value": list_value, "act": _act, "scan": _scan, "pop": _pop, "listed": _listed,
-            "TooDeep": TooDeep}
+            "list_value": list_value, "act": _act, "scan": _scan, "pop": pop_values,
+            "listed": listed, "TooDeep": TooDeep}
 
 
 class Parser:
@@ -310,12 +290,11 @@ class Parser:
         # runs of start rules without a module; past GENERATE_AT, such a run
         # writes its rule's module and the runs from the rule call its factory
         self._asked = 0
-        # the modules written, by (start rule, collect): each a (closure
-        # factory, source) pair, or (_gives_up, None) for a module that nests
-        # too deeply to write. A start rule's collect module is written on its
-        # first failed generated run, so that a grammar that never fails
-        # compiles none
-        self._modules: dict[tuple[str, bool], tuple] = {}
+        # the closure factories of the modules written, by (start rule,
+        # collect), or _gives_up for a module that nests too deeply to write.
+        # A start rule's collect module is written on its first failed
+        # generated run, so that a grammar that never fails compiles none
+        self._modules: dict = {}
 
     @property
     def fault(self) -> InternalFault | None:
@@ -413,11 +392,6 @@ class Parser:
             self._execute(state, bodies[name], name, bodies)
         return state, state.observer.traces()
 
-    def match(self, state: ParserState, node: r.RuleExpr) -> bool:
-        """Match one expression at the state's cursor."""
-        bodies = self._bodies()
-        return self._execute(state, self._tables.compile(node), None, bodies)
-
     def match_rule(self, state: ParserState, name: str) -> bool:
         """Match the named rule at the state's cursor."""
         bodies = self._bodies()
@@ -437,17 +411,19 @@ class Parser:
         too deeply to write from this call stack (``RecursionError``), the
         Parser keeps a factory that gives up at once instead, so the runs of
         that module take the exact table for good and none writes again. An
-        unknown start raises ``KeyError`` and keeps nothing."""
+        unknown start raises ``KeyError`` and keeps nothing, and a grammar too
+        deep to compile raises its fault as ``EngineFault``."""
         key = (start or self.grammar.start, collect)
-        module = self._modules.get(key)
-        if module is None:
+        factory = self._modules.get(key)
+        if factory is None:
+            self._bodies()  # the fault of a grammar too deep to compile
             from .generate import generate
             try:
-                module = generate(self._tables, _RUNTIME, collect, key[0])
+                factory = generate(self._tables, _RUNTIME, collect, key[0])
             except RecursionError:
-                module = (_gives_up, None)
-            self._modules[key] = module
-        return module[0]
+                factory = _gives_up
+            self._modules[key] = factory
+        return factory
 
     def _generated(self, state: ParserState, name: str, bodies: dict) -> tuple[bool, int | None]:
         """Run the named rule through its generated module, written once the
@@ -714,7 +690,7 @@ class Parser:
                                 restore(f[3])  # a zero-width iteration ends the loop undone
                             frames.pop()
                             if f[5] is not None:
-                                self._materialize(stack, f[5], rep[4])
+                                restore(listed(snapshot(), f[5], rep[4]))
                             ok = True
                             continue
                         f[2] = pos
@@ -729,7 +705,7 @@ class Parser:
                     elif k == OPT:
                         frames.pop()
                         if f[1] is not None:
-                            self._materialize(stack, f[2], f[1])
+                            restore(listed(snapshot(), f[2], f[1]))
                         ok = True
                     elif k == PRED:
                         frames.pop()
@@ -753,9 +729,4 @@ class Parser:
             stats.steps = steps
             stats.terminal_mismatches = mismatches
             stats.max_cursor = max_cursor
-
-    # -- a helper the executor calls; it returns before the next node ---------
-
-    def _materialize(self, stack: ValueStack, base: int, tag: str) -> None:
-        stack.push(list_value(stack.take(stack.size() - base), tag))
 

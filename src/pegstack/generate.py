@@ -83,8 +83,9 @@ at its entry, so nothing inside it counts), and no steps: a generated run
 reports 0 steps.
 
 The source names every grammar object (action, regex, character set)
-through the module's namespace, so equal grammars give equal source, and
-the code object is cached by that source (``_CODES``). A construct nested
+through the module's namespace, so equal grammars give equal source. A
+Parser compiles each module it writes once, and keeps only the module's
+closure factory, not its source (see ``engine.Parser``). A construct nested
 deeper than ``_SPLIT_AT`` indentation levels becomes a function of its
 own, so the source stays within Python's limits on indentation and on
 nested loops. Every function raises the engine's ``TooDeep``, which the
@@ -134,8 +135,6 @@ _BUDGET = 150
 _LISTED_AT_MOST = 8
 # instructions whose code nests the code of others
 _NESTING = (SEQ, ALT, CAPTURE, REP, OPT, PRED, QUIET)
-_CODES: dict = {}  # source -> code object, oldest first
-_CACHE_SIZE = 64
 
 
 # the parse module: the run's names, the helpers that count mismatches, the
@@ -221,19 +220,6 @@ _STORE = "    stack._head = h\n"
 def _push(value: str) -> str:
     """The statement that pushes the value an expression gives."""
     return f"h = ({value}, h, h[2] + 1)"
-
-
-def _code(source: str):
-    """The code object of a module's source, compiled once per source."""
-    code = _CODES.get(source)
-    if code is None:
-        if len(_CODES) >= _CACHE_SIZE:
-            try:  # as re drops its oldest pattern
-                del _CODES[next(iter(_CODES))]
-            except (StopIteration, RuntimeError, KeyError):
-                pass
-        code = _CODES[source] = compile(source, "<pegstack grammar>", "exec")
-    return code
 
 
 class _Function:
@@ -863,13 +849,11 @@ def _loop_breakers(tables: Tables) -> set[str]:
     return breakers
 
 
-def generate(tables: Tables, runtime: dict, collect: bool = False,
-             start: str | None = None) -> tuple:
+def generate(tables: Tables, runtime: dict, collect: bool = False, start: str | None = None):
     """The closure factory of a grammar's module for one start rule, the
-    grammar's unless given, and the module's source: ``parse``, or with
-    collect ``collect``. runtime names what the source calls that is not a
-    grammar object. An unknown start raises ``KeyError``."""
+    grammar's unless given: ``parse``, or with collect ``collect``. runtime
+    names what the source calls that is not a grammar object. An unknown
+    start raises ``KeyError``."""
     module = _Module(tables, runtime, collect, start)
-    source = module.source()
-    exec(_code(source), module.namespace)
-    return module.namespace["collect" if collect else "parse"], source
+    exec(compile(module.source(), "<pegstack grammar>", "exec"), module.namespace)
+    return module.namespace["collect" if collect else "parse"]

@@ -4,13 +4,13 @@ A node becomes a tuple (opcode, node, operands...) that carries its static
 facts: whether it touches the value stack, the element tag of a collecting
 repetition, literal lengths. Rule references stay symbolic; the executor
 looks each one up in the table. Every rule body is compiled when the
-grammar's Parser is built. One walk of each rule body first gives the
-rule's references, whether its own nodes touch the stack and whether it
-holds an action other than a ``cons``; a least fixpoint over the rules
-then gives which rules touch it, and compiling a node takes its own flag
-from its children's. A grammar with no such action, only ``cons``, push
-and drop, is ``value_free``: its values decide no match, so the error pass
-may leave them out.
+grammar's Parser is built, and nothing is compiled after. One walk of
+each rule body first gives the rule's references, whether its own nodes
+touch the stack and whether it holds an action other than a ``cons``; a
+least fixpoint over the rules then gives which rules touch it, and
+compiling a node takes its own flag from its children's. A grammar with
+no such action, only ``cons``, push and drop, is ``value_free``: its
+values decide no match, so the error pass may leave them out.
 
 A terminal compiles to one of five opcodes, and its other facts (its
 head, its regex source, whether a repetition of it is one fused scan) are
@@ -23,7 +23,7 @@ for one character. Push, drop and other actions are one ACTION, which
 carries its function and arity; a ``cons`` is a CONS, built in place.
 
 The table serves every run whose step and mismatch counters must be exact
-(``match``, ``match_rule``, ``run_phase``), every observed run and every
+(``match_rule``, ``run_phase``), every observed run and every
 unobserved run before its Parser generates, with their error passes;
 ``pegstack.generate`` expands it into the Python code of the unobserved
 runs after that and of their error passes. A repetition of one
@@ -250,7 +250,7 @@ class Tables:
 
     def __init__(self, grammar: r.Grammar):
         self.grammar = grammar
-        self._effects: dict | None = {}  # infer_effect's memo while the rules compile
+        self._effects = {}  # infer_effect's memo while the rules compile
         exprs = {name: rd.expr for name, rd in grammar.rules.items()}
         facts = {name: _facts(expr) for name, expr in exprs.items()}
         # no action but cons, push and drop: values decide no match, so the
@@ -290,8 +290,7 @@ class Tables:
             exact[name], _, head, passes = self._compile(exprs[name])
             (acyclic if name in acyclic else named)[name] = None if passes else head
         operands = self._operands
-        # compile() of a node outside the rules infers afresh and fills nothing
-        self._effects = self._operands = None
+        del self._effects, self._operands  # nothing compiles after the build
         # the heads of the rules on cycles are one least fixpoint: each
         # starts from the empty head and only grows, so the rounds end;
         # validation rejected left recursion, so no head is made of its own
@@ -327,14 +326,6 @@ class Tables:
                 bits = _by_char(kid_heads)
                 operand[:] = bits if choice else bits[:2]
 
-    def compile(self, node) -> tuple:
-        """Exact instruction tuple for a node: (opcode, node, operands...,
-        regex source), the source None when the node has none.
-
-        Rule references stay symbolic; the executor looks them up by name.
-        """
-        return self._compile(node)[0]
-
     def _compile(self, node) -> tuple[tuple, bool, tuple | None, bool]:
         """Exact instruction for a node, whether matching it may change the
         value stack, the head of its generated code, and whether a
@@ -352,12 +343,10 @@ class Tables:
         return ins + (source,), touches, head, passes
 
     def _operand(self, choice: bool, heads: tuple) -> list:
-        """An empty dispatch operand; while the rules compile, it is recorded
-        with whether it is a choice's and the heads of the alternatives, or
-        of the body, that fill it."""
+        """An empty dispatch operand, recorded with whether it is a choice's
+        and the heads of the alternatives, or of the body, that fill it."""
         operand = []
-        if self._operands is not None:
-            self._operands.append((operand, choice, heads))
+        self._operands.append((operand, choice, heads))
         return operand
 
     def _source(self, ins: tuple) -> str | None:

@@ -334,9 +334,6 @@ class Grammar:
     start: str
     validated: bool = False
 
-    def expr(self, name: str) -> RuleExpr:
-        return self.rules[name].expr
-
 
 def grammar(rules: dict[str, Any], start: str | None = None) -> Grammar:
     """Build a Grammar from a name -> expr (or (expr, effect), or RuleDef) map."""

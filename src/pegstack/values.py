@@ -266,6 +266,26 @@ def render_value(value: Value) -> str:
 _EMPTY = (None, None, 0)
 
 
+def pop_values(head: tuple, count: int) -> tuple[tuple, tuple]:
+    """The top count values of the stack whose head cell is head, bottom to
+    top, and the cell below them; ``StackUnderflow`` when it holds fewer."""
+    if count > head[2]:
+        raise StackUnderflow("pop from empty value stack")
+    out = []
+    for _ in range(count):
+        out.append(head[0])
+        head = head[1]
+    out.reverse()
+    return tuple(out), head
+
+
+def listed(head: tuple, base: int, tag: str) -> tuple:
+    """The head cell of a stack once its values above the first base are one
+    list value of tag, as a collecting repetition or option leaves them."""
+    values, below = pop_values(head, head[2] - base)
+    return (list_value(values, tag), below, below[2] + 1)
+
+
 class ValueStack:
     """LIFO stack of values, owned by a single parse run.
 
@@ -312,13 +332,8 @@ class ValueStack:
         if count == 1:
             self._head = head[1]
             return (head[0],)
-        out = []
-        for _ in range(count):
-            out.append(head[0])
-            head = head[1]
-        self._head = head
-        out.reverse()
-        return tuple(out)
+        values, self._head = pop_values(head, count)
+        return values
 
     def peek(self) -> Value:
         if self._head is _EMPTY:

@@ -19,9 +19,9 @@ ending in ``'a'`` (every rule lowers to a regex) and one in
 many choices in each dispatch through the bit tests of their character's
 set (``shared``: a table lookup) rather than an ``if`` chain, its call
 sites (``R[...](`` in the source) and the milliseconds that writing and
-compiling it take (``generate()``, best of ``WRITES``, each with the code
-cache and ``re``'s cache emptied). Not collected by pytest: its name does
-not start with ``test_``.
+compiling it take (``generate()``, best of ``WRITES``, each with ``re``'s
+cache emptied). Not collected by pytest: its name does not start with
+``test_``.
 """
 
 from __future__ import annotations
@@ -88,11 +88,11 @@ def generated(src: pathlib.Path) -> None:
         for kind, collect in (("parse", False), ("collect", True)):
             best = float("inf")
             for _ in range(WRITES):
-                generate._CODES.clear()
                 re.purge()
                 started = perf_counter()
-                source = generate.generate(tables, _RUNTIME, collect)[1]
+                generate.generate(tables, _RUNTIME, collect)
                 best = min(best, perf_counter() - started)
+            source = generate._Module(tables, _RUNTIME, collect).source()  # a Parser keeps none
             calls = len(re.findall(r"\bR\[[^\]]*\]\(", source))
             print(f"{name + ' ' + kind:24} {len(source.splitlines()):6,}"
                   f" {source.count('    def f(pos, d):'):9} {source.count('.get(text[pos], '):6}"

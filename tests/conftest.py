@@ -8,6 +8,7 @@ for entry in (ROOT / "src", ROOT / "tests"):
 
 import pytest
 
+from pegstack import engine, generate
 from pegstack.engine import Parser
 from pegstack.notation import load_grammar
 
@@ -35,6 +36,10 @@ def generated(grammar) -> Parser:
 
 def source_of(parser, start=None, collect=False) -> str | None:
     """The source of a module that parser has written, the parse module of
-    the grammar's start rule unless start or collect name another; None for
-    one that nests too deeply to write."""
-    return parser._modules[start or parser.grammar.start, collect][1]
+    the grammar's start rule unless start or collect name another, written
+    again without compiling it, since a Parser keeps none; None for one that
+    nests too deeply to write, and KeyError for one never written."""
+    start = start or parser.grammar.start
+    if parser._modules[start, collect] is engine._gives_up:
+        return None
+    return generate._Module(parser._tables, engine._RUNTIME, collect, start).source()

@@ -129,7 +129,7 @@ def test_trace_memory_does_not_grow_with_the_events(tmp_path):
     lines = io.StringIO()
     with contextlib.redirect_stdout(lines):  # also loads what later runs reuse
         assert main(argv + ["--trace"]) == 0
-        assert main(argv) == 0  # json's module, compiled once; each Parser writes its source
+        assert main(argv) == 0  # a new Parser, which compiles json's module itself
     assert lines.getvalue().count("\n") > 50_000
     # the process's meta-grammar Parser writes its module on the process's
     # second grammar load, at the latest the one above: before either peak

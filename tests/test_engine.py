@@ -32,6 +32,13 @@ def _grammar(expr, **extra):
     return validate_grammar(r.grammar(rules, start="Top"))
 
 
+def _match(grammar, state, expr):
+    """Match expr at the state's cursor as the rule ``Matched`` of grammar,
+    an unwatched run on the exact table."""
+    rules = dict(grammar.rules, Matched=expr)
+    return Parser(r.grammar(rules, start=grammar.start)).match_rule(state, "Matched")
+
+
 def _state(text, stack=(), cursor=0):
     state = ParserState(text)
     state.cursor = cursor
@@ -142,7 +149,7 @@ def test_walkthrough_final_cursor(foo_grammar):
 def test_str_match_advances_and_leaves_stack():
     g = _grammar(r.Str("ab"))
     state = _state("abc", stack=[str_value("keep")])
-    assert Parser(g).match(state, r.Str("ab"))
+    assert _match(g, state, r.Str("ab"))
     assert state.cursor == 2
     assert state.stack.values() == (str_value("keep"),)
 
@@ -150,7 +157,7 @@ def test_str_match_advances_and_leaves_stack():
 def test_not_predicate_inverts_and_restores():
     g = _grammar(r.ch("a"))
     state = _state("abc")
-    assert not Parser(g).match(state, r.not_pred(r.ch("a")))
+    assert not _match(g, state, r.not_pred(r.ch("a")))
     assert state.cursor == 0
     assert state.stack.values() == ()
 
@@ -158,7 +165,7 @@ def test_not_predicate_inverts_and_restores():
 def test_and_predicate_restores_cursor_and_stack():
     g = _grammar(r.ch("a"))
     state = _state("abc")
-    assert Parser(g).match(state, r.and_pred(r.capture(r.Str("ab"))))
+    assert _match(g, state, r.and_pred(r.capture(r.Str("ab"))))
     assert state.cursor == 0
     assert state.stack.values() == ()
 
@@ -171,7 +178,7 @@ def test_capture_pushes_matched_slice():
     assert (ok, pos, stack) == (True, 2, (str_value("42"),))
 
     state = _state("42+")
-    assert Parser(g).match(state, expr)
+    assert _match(g, state, expr)
     assert state.cursor == 2
     assert state.stack.values() == (str_value("42"),)
 
@@ -180,7 +187,7 @@ def test_capture_failure_pushes_nothing():
     expr = r.capture(r.one_or_more(r.CharPred(DIGIT)))
     g = _grammar(expr)
     state = _state("x1")
-    assert not Parser(g).match(state, expr)
+    assert not _match(g, state, expr)
     assert state.cursor == 0
     assert state.stack.values() == ()
 
@@ -188,10 +195,10 @@ def test_capture_failure_pushes_nothing():
 def test_ignore_case_matchers():
     g = _grammar(r.IgnoreCaseStr("ab"))
     state = _state("AbC")
-    assert Parser(g).match(state, r.IgnoreCaseStr("aB"))
+    assert _match(g, state, r.IgnoreCaseStr("aB"))
     assert state.cursor == 2
     state = _state("zZ")
-    assert Parser(g).match(state, r.ignore_case("Z")) and state.cursor == 1
+    assert _match(g, state, r.ignore_case("Z")) and state.cursor == 1
 
 
 def test_ignore_case_and_none_of_steps_are_traced_by_their_notation():
@@ -210,17 +217,17 @@ def test_ignore_case_and_none_of_steps_are_traced_by_their_notation():
 def test_end_of_input_never_advances():
     g = _grammar(r.EOI)
     state = _state("ab", cursor=2)
-    assert Parser(g).match(state, r.EOI)
+    assert _match(g, state, r.EOI)
     assert state.cursor == 2
     state = _state("ab")
-    assert not Parser(g).match(state, r.EOI)
+    assert not _match(g, state, r.EOI)
 
 
 def test_any_char_fails_only_at_end():
     g = _grammar(r.ANY)
     state = _state("x")
-    assert Parser(g).match(state, r.ANY) and state.cursor == 1
-    assert not Parser(g).match(state, r.ANY)
+    assert _match(g, state, r.ANY) and state.cursor == 1
+    assert not _match(g, state, r.ANY)
     assert state.cursor == 1
 
 
@@ -364,7 +371,7 @@ SHORTCUT_CASES = [
 @pytest.mark.parametrize("expr, text, expected", SHORTCUT_CASES)
 def test_shortcut_runs_are_pinned(expr, text, expected):
     state = _state(text)
-    assert _counted(state, Parser(_grammar(expr)).match(state, expr)) == expected
+    assert _counted(state, _match(_grammar(expr), state, expr)) == expected
 
 
 # sequences and predicates over a terminal, and fused scans, by shape, and
@@ -481,7 +488,7 @@ def test_prioritized_choice_commits_to_first_success():
     expr = r.first_of(r.seq(r.ch("a"), probe(1)), r.seq(r.ch("a"), probe(2)))
     g = _grammar(expr)
     state = _state("a")
-    assert Parser(g).match(state, expr)
+    assert _match(g, state, expr)
     assert calls == [1]  # the second alternative is never attempted
 
 
@@ -491,7 +498,7 @@ def test_zero_or_more_is_total():
     for _ in range(300):
         inner = gen_neutral(rng, 3, [])
         state = _state(gen_input(rng))
-        assert Parser(g).match(state, r.zero_or_more(inner))
+        assert _match(g, state, r.zero_or_more(inner))
 
 
 def test_nullable_repetition_body_terminates():
@@ -526,7 +533,7 @@ def test_action_argument_order_is_deepest_first():
                  r.Action(3, fn, StackEffect(("Str", "Str", "Str"), ()), name="probe"))
     g = _grammar(expr)
     state = _state("")
-    assert Parser(g).match(state, expr)
+    assert _match(g, state, expr)
     assert seen["args"] == (str_value("bottom"), str_value("mid"), str_value("top"))
     assert state.stack.values() == ()  # unit action pushes nothing
 
@@ -539,12 +546,12 @@ def test_action_failure_restores_popped_values():
     expr = r.seq(r.push(str_value("v")), action)
     g = _grammar(expr)
     state = _state("")
-    assert not Parser(g).match(state, expr)
+    assert not _match(g, state, expr)
     assert state.stack.values() == ()  # sequence failure restored everything
 
     state = _state("")
     state.stack.push(str_value("v"))
-    assert not Parser(g).match(state, action)
+    assert not _match(g, state, action)
     assert state.stack.values() == (str_value("v"),)
 
 
@@ -555,7 +562,7 @@ def test_action_can_push_multiple_values():
     action = r.Action(0, fn, StackEffect((), ("Str", "Str")), name="two")
     g = _grammar(action)
     state = _state("")
-    assert Parser(g).match(state, action)
+    assert _match(g, state, action)
     assert state.stack.values() == (str_value("1"), str_value("2"))
 
 
@@ -710,12 +717,11 @@ def test_failure_restores_cursor_and_stack_randomized():
     for _ in range(400):
         g = gen_grammar(rng)
         parser = Parser(g)
-        expr = g.rules["Top"].expr
         text = gen_input(rng)
         state = _state(text, stack=[str_value("a"), node_value("N")],
                        cursor=rng.randrange(len(text) + 1))
         before = (state.cursor, state.stack.values())
-        if not parser.match(state, expr):
+        if not parser.match_rule(state, "Top"):
             assert (state.cursor, state.stack.values()) == before
 
 
@@ -727,7 +733,7 @@ def test_standard_expressions_never_change_stack():
         if _has_stack_ops(expr):
             continue
         state = _state(gen_input(rng), stack=[str_value("s")])
-        Parser(g).match(state, expr)
+        _match(g, state, expr)
         assert state.stack.values() == (str_value("s"),)
 
 
@@ -1148,6 +1154,10 @@ def test_a_grammar_too_deep_to_compile_is_an_internal_fault():
     assert parser.run("bb").fault == fault
     with pytest.raises(EngineFault, match="grammar nested too deeply to compile"):
         parser.match_rule(ParserState("bb"), "Top")
+    for collect in (False, True):  # writing a module raises the fault too, and keeps nothing
+        with pytest.raises(EngineFault, match="grammar nested too deeply to compile"):
+            parser._generate(collect=collect)
+    assert parser._modules == {}
 
 
 def test_a_grammar_150_levels_deep_compiles_and_runs():
@@ -1164,10 +1174,11 @@ def test_a_parser_is_built_whole_before_its_first_run():
                  Unused=r.seq(r.ch("x"), r.ref("Word")))
     parser = generated(g)
     tables, module = parser._tables, parser._modules["Top", False]
+    source = source_of(parser)
     exact = tables.bodies
     assert exact.keys() == {"Top", "Word", "Unused"}
     # the module holds Top's function, with Word in place; nothing reaches Unused
-    assert [name for name in exact if f"def f(pos, d):  # {name}\n" in module[1]] == ["Top"]
+    assert [name for name in exact if f"def f(pos, d):  # {name}\n" in source] == ["Top"]
     before = dict(vars(tables)), dict(exact)
     assert parser.run("ab").ok and parser.run("ax").error is not None
     assert parser.run("ab", observer=Trace([])).ok  # a traced run adds no table either

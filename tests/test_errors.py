@@ -5,13 +5,12 @@ import tracemalloc
 
 import pytest
 
-from pegstack import engine, rules as r
+from pegstack import engine, generate, rules as r
 from pegstack.effects import StackEffect, cons
 from pegstack.engine import ACTION_FAIL, Parser, Trace
 from pegstack.errors import (Collector, ParseError, Position, RuleTrace, TerminalDescriptor,
                              build_parse_error, descriptor_of, format_error, position_of,
                              principal_error_index, trace_collection)
-from pegstack.generate import generate
 from pegstack.instructions import ALT, CAPTURE, OPT, PRED, QUIET, REP, SEQ
 from pegstack.notation import load_grammar
 from pegstack.rules import validate_grammar
@@ -408,7 +407,8 @@ def test_a_bounded_pass_over_calc_builds_no_values(calc_grammar, monkeypatch):
         assert (bare[0].stack.size(), bare[1], built[1]) == (0, exact, exact)
     # a collect module's snapshot is no call but a copy of the stack's head
     # cell, h: the module with values takes them, the one without holds no h
-    built, bare = (generate(p._tables, engine._RUNTIME, collect=True)[1] for p in (valued, parser))
+    built, bare = (generate._Module(p._tables, engine._RUNTIME, True).source()
+                   for p in (valued, parser))
     assert re.search(r"^ +s\d+ = h$", built, re.M)
     assert "h" not in re.findall(r"\w+", bare)
 

@@ -8,8 +8,8 @@ writes the module when its unobserved runs have been asked to parse
 ``Parser._generate()``, so that their small inputs run the generated code.
 Each test here fails on a mutation of ``pegstack.generate``, of the reruns
 in ``Parser`` or of when it generates: the depth bound, the splitting of
-deep nests into functions of their own, the code cache, the collect
-module's dispatch, rule path, counters and values, and the threshold.
+deep nests into functions of their own, the collect module's dispatch,
+rule path, counters and values, and the threshold.
 """
 
 import random
@@ -236,7 +236,7 @@ def test_a_module_that_cannot_be_written_leaves_its_runs_on_the_exact_table(
     for _ in range(2):
         assert [_report(parser.run(text)) for text in texts] == expected
     assert tries == ["parse"] if module == "parse" else ["parse", "collect"]
-    assert parser._modules["InputLine", module == "collect"] == (engine._gives_up, None)
+    assert parser._modules["InputLine", module == "collect"] is engine._gives_up
 
 
 def test_runs_from_a_deep_call_stack_parse_and_report_errors_on_the_exact_table():
@@ -260,13 +260,13 @@ def test_runs_from_a_deep_call_stack_parse_and_report_errors_on_the_exact_table(
 
     crossed_deep = Parser(grammar)
     assert _report(deep(lambda: crossed_deep.run(long))) == expected[0]
-    assert crossed_deep._modules == {("Top", False): (engine._gives_up, None)}
+    assert crossed_deep._modules == {("Top", False): engine._gives_up}
     assert _report(crossed_deep.run(long)) == expected[0]  # and so do the runs after it
 
     failed_deep = Parser(grammar)
     assert _report(failed_deep.run(long)) == expected[0] and source_of(failed_deep) is not None
     assert _report(deep(lambda: failed_deep.run(failing))) == expected[1]
-    assert failed_deep._modules["Top", True] == (engine._gives_up, None)
+    assert failed_deep._modules["Top", True] is engine._gives_up
     assert _report(failed_deep.run(failing)) == expected[1]
 
 
@@ -275,9 +275,10 @@ def test_building_a_parser_compiles_no_regex_and_no_module(monkeypatch):
     # rules to the runs whose input pays for it, and writing it compiles one
     # regex, R0's, which holds the whole chain
     calls = []
-    for owner, name in ((generate, "_code"), (re, "compile")):
-        monkeypatch.setattr(owner, name, lambda *args, fn=getattr(owner, name), name=name:
-                            calls.append(name) or fn(*args))
+    monkeypatch.setattr(generate, "compile", lambda *args: calls.append("module")
+                        or compile(*args), raising=False)
+    compile_ = re.compile
+    monkeypatch.setattr(re, "compile", lambda *args: calls.append("regex") or compile_(*args))
 
     def chain(length):
         rules = {f"R{i}": r.seq(r.ref(f"R{i + 1}"), r.ch("a")) for i in range(length)}
@@ -290,7 +291,7 @@ def test_building_a_parser_compiles_no_regex_and_no_module(monkeypatch):
     assert parser.fault is None and calls == [] and parser._modules == {}
     assert parser.run("a" * 2001).values == () and calls == []  # on the exact table
     generated(chain(3))
-    assert calls.count("_code") == 1 and calls.count("compile") == 1
+    assert calls.count("module") == 1 and calls.count("regex") == 1
 
 
 # -- grammars that nest deeply or are large ----------------------------------------------
@@ -374,9 +375,10 @@ def test_a_chain_of_rules_writes_a_module_linear_in_its_length(monkeypatch):
             grammar = _chain(length, tail, end)
             compiles.clear()
             parser = generated(grammar)
+            made = len(compiles)  # before source_of writes the module again
             source = source_of(parser)
-            assert len(compiles) == len(set(re.findall(r"\bM\d+\b", source))), length
-            sizes.append((len(source.splitlines()), len(compiles)))
+            assert made == len(set(re.findall(r"\bM\d+\b", source))), length
+            sizes.append((len(source.splitlines()), made))
         (lines, made), (long_lines, long_made) = sizes
         assert long_lines <= 8.5 * lines and long_made <= 8.5 * made, sizes
         assert source.count("text[pos] == 'x'") <= 2001
@@ -408,7 +410,8 @@ def test_a_module_holds_only_functions_that_its_code_calls(calc_grammar, collect
     # at Number, calc's module reaches no loop breaker
     for grammar, start in ((calc_grammar, None), (load_grammar(ROOT / "bench/json.peg"), None),
                            (meta_grammar(), None), (calc_grammar, "Number")):
-        source = generate.generate(Parser(grammar)._tables, engine._RUNTIME, collect, start)[1]
+        source = generate._Module(Parser(grammar)._tables, engine._RUNTIME, collect,
+                                  start).source()
         assert "pos = R[0](0, 0)" in source and _unreached_functions(source) == set()
     assert source.count("    def f(pos, d):") == 1
 
@@ -442,17 +445,17 @@ def test_a_run_from_another_start_rule_writes_that_rules_modules_once(name, calc
     compiles, ran, write = [], [], generate.generate
 
     def counted(tables, runtime, collect=False, start=None):
-        factory, source = write(tables, runtime, collect, start)
-        return (lambda *args: ran.append((start, collect)) or factory(*args)), source
+        factory = write(tables, runtime, collect, start)
+        return lambda *args: ran.append((start, collect)) or factory(*args)
 
     monkeypatch.setattr(generate, "generate", counted)
-    monkeypatch.setattr(generate, "_CODES", {})
     monkeypatch.setattr(generate, "compile", lambda *args: compiles.append(args[0])
                         or compile(*args), raising=False)
     assert parser.run(long, start).ok
     assert [source.split("\n")[0] for source in compiles] == ["def parse(state):"]
     module = parser._modules[start, False]
-    headers = re.findall(r"    def f\(pos, d\):(.*)", module[1].split("    R[0] = f")[0])
+    headers = re.findall(r"    def f\(pos, d\):(.*)",
+                         source_of(parser, start).split("    R[0] = f")[0])
     assert headers[-1] == f"  # {start}"  # R[0] is the start rule's function
     for text in texts:
         _same_as_observed(parser, text, start)
@@ -650,10 +653,10 @@ def test_json_dispatches_without_a_table_and_star_scans_test_the_next_character(
         stars = {id(ins[4]) for ins in _instructions(tables.bodies)
                  if ins[0] == CHARS and not ins[3] and ins[4] is not None}
         for collect in (False, True):
-            factory, source = generate.generate(tables, engine._RUNTIME, collect)
-            scans = re.findall(r"at = (M\d+)\(text, pos\)\.end\(\)(.*)", source)
+            module = generate._Module(tables, engine._RUNTIME, collect)
+            scans = re.findall(r"at = (M\d+)\(text, pos\)\.end\(\)(.*)", module.source())
             for m, guard in scans:
-                assert bool(guard) == (id(factory.__globals__[m]) in stars), m
+                assert bool(guard) == (id(module.namespace[m]) in stars), m
                 assert not guard or re.fullmatch(r" if pos < n and .+ else pos", guard), guard
             assert any(guard for _, guard in scans)
 
@@ -704,9 +707,9 @@ def test_a_collect_pass_past_the_depth_bound_runs_again_on_the_exact_table(calc_
         with monkeypatch.context() as patch:
             runs, passes = _reruns(parser, patch), _reruns(parser, patch, collect=True)
             if key in parser._modules:
-                factory, source = parser._modules[key]
+                factory = parser._modules[key]
                 patch.setitem(parser._modules, key,
-                              (lambda *args: called.append(args) or factory(*args), source))
+                              lambda *args: called.append(args) or factory(*args))
             with recorded_states() as states:
                 error = parser.run(text).error
         assert error == build_parse_error(parser, text)  # without a bound: the exact pass
@@ -745,7 +748,6 @@ def test_a_collect_pass_that_gives_up_late_collects_again_from_the_start(monkeyp
 
 def test_only_the_first_failing_run_writes_the_collect_module(calc_grammar, monkeypatch):
     calls = []
-    monkeypatch.setattr(generate, "_CODES", {})
     monkeypatch.setattr(generate, "compile", lambda *args: calls.append(args) or compile(*args),
                         raising=False)
     parser = generated(calc_grammar)
@@ -792,7 +794,7 @@ def test_the_parse_modules_keep_the_stack_head_in_a_local_and_count_no_steps(cal
     for grammar, value_free in zip(grammars, (True, True, False)):
         tables = Parser(grammar)._tables
         assert tables.value_free == value_free
-        source = generate.generate(tables, engine._RUNTIME, collect=True)[1]
+        source = generate._Module(tables, engine._RUNTIME, True).source()
         assert ("h = stack._head" in source) != value_free
         assert not re.search(r"\bsteps\b|(^|:)\s*pass$", source, re.M)
     parser = Parser(calc_grammar)
@@ -878,22 +880,6 @@ def test_a_rerun_past_the_depth_bound_starts_from_an_empty_stack(monkeypatch):
     assert value.label == "T" and [kid.payload for kid in value.children[:2]] == ["x", "y"]
 
 
-# -- the code cache --------------------------------------------------------------------------
-
-def test_a_second_parser_over_an_equal_grammar_compiles_nothing(monkeypatch):
-    calls = []
-    grammars = [load_grammar(GRAMMARS / "calc.peg") for _ in range(2)]  # equal, built apart
-    assert grammars[1] is not grammars[0] and grammars[1] == grammars[0]
-    monkeypatch.setattr(generate, "_CODES", {})
-    monkeypatch.setattr(generate, "compile", lambda *args: calls.append(args) or compile(*args),
-                        raising=False)
-    first = generated(grammars[0])
-    assert len(calls) == 1
-    second = generated(grammars[1])
-    assert len(calls) == 1 and source_of(second) == source_of(first)
-    assert second.run("1+2*(3-4)") == first.run("1+2*(3-4)")
-
-
 # -- the README's excerpt ---------------------------------------------------------------------
 
 def test_the_readme_shows_calcs_generated_expression_function(calc_grammar):
@@ -902,3 +888,22 @@ def test_the_readme_shows_calcs_generated_expression_function(calc_grammar):
     excerpt = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     assert "# Expression" in excerpt.splitlines()[0]
     assert excerpt in source_of(generated(calc_grammar))
+
+
+# -- the generated-code report -------------------------------------------------------------
+
+def test_the_code_lines_report_writes_every_module(monkeypatch, capsys):
+    # tests/code_lines.py --generated reads generator internals: a change to
+    # them must break this, not the report
+    import code_lines
+    monkeypatch.setattr(code_lines, "CHAIN", 20)
+    monkeypatch.setattr(code_lines, "WRITES", 1)
+    code_lines.generated(code_lines.SRC)
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["module", "lines", "functions", "shared", "calls", "write", "ms"]
+    assert [row[:24].strip() for row in rows] == [
+        f"{name} {kind}" for name in ("calc", "json", "meta-grammar", "lowered chain",
+                                      "capture chain") for kind in ("parse", "collect")]
+    for row in rows:
+        lines, functions, *_ = row[24:].split()
+        assert int(lines.replace(",", "")) > 0 and int(functions) > 0, row

@@ -204,9 +204,16 @@ def _grammars():
                      "Nullable": r.opt(r.ch("k"))}, start="Top")  # unvalidated: '' is rejected
 
 
-def test_the_facts_pass_agrees_with_the_recursive_definitions():
+def test_the_facts_pass_agrees_with_the_recursive_definitions(monkeypatch):
+    # what building the tables compiled for each node, by id(node): a
+    # Parser compiles nothing after it is built
+    compiled = {}
+    compile_ = instructions.Tables._compile
+    monkeypatch.setattr(instructions.Tables, "_compile", lambda self, node: compiled.setdefault(
+        id(node), (node, compile_(self, node)))[1])
     cyclic_heads = 0
     for grammar in _grammars():
+        compiled.clear()
         tables = Parser(grammar)._tables
         touches = _rule_touches(grammar)
         assert tables._rule_touches == touches  # rule by rule
@@ -216,7 +223,7 @@ def test_the_facts_pass_agrees_with_the_recursive_definitions():
             assert _resolved(tables, head) == _starts(tables, tables.bodies[name]), name
             cyclic_heads += not acyclic and head is not None
             for node in r.walk(rd.expr):  # node by node
-                ins, touched, head, passes = tables._compile(node)
+                ins, touched, head, passes = compiled[id(node)][1]
                 assert touched == _touches(node, touches), node
                 assert passes == _passes(ins), node
                 assert _resolved(tables, head) == _code_head(tables, ins), node
@@ -303,12 +310,16 @@ def test_terminal_facts_from_the_instruction_agree_with_the_node_definitions():
             r.ignore_case("k"), r.ignore_case("Ab")]
     terminals = [node for grammar in _grammars() for rd in grammar.rules.values()
                  for node in r.walk(rd.expr) if type(node) in r.TERMINALS]
-    tables = Parser(r.grammar({"Top": r.ANY}))._tables
-    for node in terminals + edge:
-        ins = tables.compile(node)
+    nodes = terminals + edge
+    # each node, and a + of it, as a rule of one grammar
+    rules = {f"T{i}": node for i, node in enumerate(nodes)}
+    rules.update({f"F{i}": r.one_or_more(node) for i, node in enumerate(nodes)})
+    bodies = Parser(r.grammar(rules, start="T0"))._tables.bodies
+    for i, node in enumerate(nodes):
+        ins = bodies[f"T{i}"]
         assert _same(_terminal_head(ins)) == _same(_node_head(node)), node
         assert _terminal_source(ins) == _node_source(node), node
-        fused = tables.compile(r.one_or_more(node))
+        fused = bodies[f"F{i}"]
         assert (fused[0] == CHARS) == (type(node) in _FUSED), node
         if fused[0] == CHARS:
             source = _node_source(node)
@@ -347,11 +358,12 @@ def test_each_regex_is_compiled_once_while_a_parser_is_built(monkeypatch):
                            (r.validate_grammar(r.grammar(chain, start="R0")), 1 + 0)):
         calls.clear()
         parser = generated(grammar)
+        made = len(calls)  # before source_of writes the module again
         regexes = len(set(re.findall(r"(?:m\d+ = |:= |pos = )(M\d+)\(text, pos\)",
                                      source_of(parser))))
         scans = sum(ins[0] == CHARS and ins[4] is not None
                     for ins in _instructions(parser._tables.bodies))
-        assert len(calls) == regexes + scans == count
+        assert made == regexes + scans == count
 
 
 def test_the_head_of_each_node_is_computed_once(monkeypatch):
