@@ -48,11 +48,12 @@ the exact table's. When the generated code opens too many functions
 exact table, and actions run a second time; a grammar that nests too
 deeply to write a module from the caller's stack keeps the exact table for
 the runs of that module. ``match_rule`` and ``run_phase`` take the exact
-table. A failed generated run hands its ``max_cursor`` to its error pass,
-which runs its start rule's generated collect code, written on the first
-such failure, from there (see ``pegstack.errors``); a run that
+table. A failed generated run hands its ``max_cursor`` to its error pass.
+Where the grammar's values decide no match, that pass runs its start
+rule's generated collect code, written on the first such failure, from
+there (see ``pegstack.errors``); otherwise it is the exact one. A run that
 took the exact table, or started again on it, hands over no bound, so its
-error pass is the exact one.
+error pass is the exact one too.
 
 A repetition of one single-character terminal runs as one fused scan, and
 so does a Capture of such a repetition, which pushes the matched slice
@@ -278,14 +279,26 @@ _RUNTIME = {"Node": Node, "node1": node1, "node2": node2, "Value": Value,
 
 
 class Parser:
-    """Executes one validated grammar; reusable across runs and threads."""
+    """Executes one grammar; reusable across runs and threads. A grammar
+    that ``validate_grammar`` did not return runs as it is, empty literals
+    and one-child sequences included, but one with any other of its issues
+    (``rules.grammar_issues``), which no run survives, is not compiled."""
 
     def __init__(self, grammar: r.Grammar):
         self.grammar = grammar
+        # the fault every run reports, for a grammar that no run survives or
+        # that is nested too deeply to compile; None when it compiled
+        self.fault: InternalFault | None = None
+        self._tables = None
         try:
-            self._tables = Tables(grammar)
+            issues = [] if grammar.validated else [
+                issue for issue in r.grammar_issues(grammar) if issue.kind != "empty-literal"]
+            if issues:
+                self.fault = InternalFault(str(r.GrammarError(issues)))
+            else:
+                self._tables = Tables(grammar)
         except RecursionError:
-            self._tables = None  # every run is an internal fault
+            self.fault = InternalFault(str(r.GrammarTooDeep()))
         # characters the unobserved runs have been asked to parse, in all, by
         # runs of start rules without a module; past GENERATE_AT, such a run
         # writes its rule's module and the runs from the rule call its factory
@@ -295,12 +308,6 @@ class Parser:
         # A start rule's collect module is written on its first failed
         # generated run, so that a grammar that never fails compiles none
         self._modules: dict = {}
-
-    @property
-    def fault(self) -> InternalFault | None:
-        """The fault every run reports when the grammar is nested too deeply
-        to compile; None when it compiled."""
-        return None if self._tables is not None else InternalFault(str(r.GrammarTooDeep()))
 
     # -- top level ----------------------------------------------------------
 
@@ -316,7 +323,8 @@ class Parser:
         this one included, have been asked to parse ``GENERATE_AT``
         characters. From then on unobserved runs take the grammar's
         generated code, and the error pass of one that fails runs the
-        generated collect code (see ``error_pass``).
+        generated collect code where the grammar's values decide no match
+        (see ``error_pass``).
         """
         if mode not in ("result", "either", "raising"):
             raise ValueError(f"unknown delivery mode {mode!r}")
@@ -369,18 +377,19 @@ class Parser:
                    bound: int | None = None) -> tuple[ParserState, list]:
         """The error pass over a failing text: its final state, and the rule
         traces its ``errors.Collector`` found at the principal index. Without
-        a bound it is ``run_phase`` with that observer. A bound is the
-        ``max_cursor`` of a generated run of the same text that failed
-        without a fault, at most the principal index: the pass then runs the
-        start rule's generated collect code, written on first use, with its
-        running maximum starting there (see ``pegstack.errors``). When that
-        code opens too many functions, or raises ``RecursionError``, or the
-        module nests too deeply to write, the pass runs on the exact table,
-        in the same state with a fresh Collector."""
-        if bound is None:
+        a bound, or for a grammar whose values may decide a match (not
+        ``Tables.value_free``), it is ``run_phase`` with that observer. A
+        bound is the ``max_cursor`` of a generated run of the same text that
+        failed without a fault, at most the principal index: the pass then
+        runs the start rule's generated collect code, written on first use,
+        with its running maximum starting there (see ``pegstack.errors``).
+        When that code opens too many functions, or raises
+        ``RecursionError``, or the module nests too deeply to write, the pass
+        runs on the exact table, in the same state with a fresh Collector."""
+        bodies = self._bodies()
+        if bound is None or not self._tables.value_free:
             state = self.run_phase(text, start, Collector())
             return state, state.observer.traces()
-        bodies = self._bodies()
         state = ParserState(text)
         state.observer = Collector()
         name = start or self.grammar.start
@@ -399,7 +408,7 @@ class Parser:
 
     def _bodies(self) -> dict:
         """The exact rule bodies, by rule name."""
-        if self._tables is None:
+        if self.fault is not None:
             raise EngineFault(self.fault)
         return self._tables.bodies
 

@@ -15,12 +15,13 @@ but are not recorded; quiet rules behave identically otherwise.
 Mismatches inside ``!`` neither count nor raise it.
 
 A failing ``Parser.run`` costs two passes: the run itself and this one.
-The pass of an observed run, or of one that took the exact table, runs on
-the exact table (``Parser.run_phase``), which tries every alternative. A
-run that took the grammar's generated code hands over its ``max_cursor``,
-the furthest mismatch it saw, and its pass runs the grammar's generated
-collect code (``pegstack.generate``), as parboiled2 re-runs its generated
-parser to analyse an error. The bound is at most the principal index: the
+The pass of an observed run, of one that took the exact table, or of a
+grammar whose values may decide a match (below) runs on the exact table
+(``Parser.run_phase``), which tries every alternative. Any other run took
+the grammar's generated code and hands over its ``max_cursor``, the
+furthest mismatch it saw; its pass runs the grammar's generated collect
+code (``pegstack.generate``), as parboiled2 re-runs its generated parser
+to analyse an error. The bound is at most the principal index: the
 generated code's terminals mismatch only where the exact table's do, and a
 failing regex fragment does not raise it, since the exact table may fail
 the fragment through a ``!`` with no mismatch. The pass starts its running
@@ -32,17 +33,19 @@ it; a fused one-character scan, which has one mismatch at its end, stays.
 The rule paths and the order of the mismatches at the principal index are
 those of the exact pass.
 
-The generated pass builds no values when the grammar's values decide no
-match: every action is a ``cons``, a push or a drop, and none of them can
-return ``ACTION_FAIL``. The pass makes the same action calls, in the same
-order, as the failed run, whose dispatch skips only alternatives that fail
+The generated pass builds no values. It runs only where the grammar's
+values decide no match (``Tables.value_free``): every action is a
+``cons``, a push or a drop, and none of them can return ``ACTION_FAIL``.
+The failed run made the same action calls, in the same order, as a pass
+with values would, since its dispatch skips only alternatives that fail
 before any action; so a ``cons`` or drop that could underflow has already
 faulted that run, and no error pass follows. A user action anywhere in
 the grammar, also inside a predicate, may fail on the values it pops and
-so decide which mismatches are reached: there the pass builds every value.
-When the generated pass nests too deeply, it starts again on the exact
-table. A run whose generated parse nested too deeply hands over no bound,
-so its pass is the exact one from the start.
+so decide which mismatches are reached: the pass of such a grammar is the
+exact one, which builds every value. When the generated pass nests too
+deeply, it starts again on the exact table. A run whose generated parse
+nested too deeply hands over no bound, so its pass is the exact one from
+the start.
 """
 
 from __future__ import annotations

@@ -15,12 +15,12 @@ of its own.
 The functions hold the head cell of the run's ``ValueStack``, a
 ``(value, below, size)`` tuple, in the factory's local ``h``: the factory
 reads it from the stack and writes it back once the start rule's function
-has returned (the parse module also when it raises), and each action call
-writes it to the stack before and reads it back after, so that actions
-and the run's result see the stack as the executor would leave it. The code works on
-``h`` where the executor would call the stack if it dispatched everywhere,
-with no call but for a list and a node of other than one or two children
-(the runtime's ``listed`` and ``pop``):
+has returned or raised, and each action call writes it to the stack before
+and reads it back after, so that actions and the run's result see the
+stack as the executor would leave it. The code works on ``h`` where the
+executor would call the stack if it dispatched everywhere, with no call but
+for a list and a node of other than one or two children (the runtime's
+``listed`` and ``pop``):
 
 * a snapshot is ``s = h`` and a restore ``h = s``; a push builds the cell
   ``(v, h, h[2] + 1)``; ``cons(L,k)`` pops its k children and pushes the
@@ -97,8 +97,10 @@ bound.
 The same walk, in collect mode, writes the collect module of a start
 rule, whose factory ``collect(state, bound)`` runs the error pass of a
 failed generated run from that rule (see ``pegstack.errors``); a Parser
-writes it on the first such failure. It differs from the parse module in
-this:
+writes it on the first such failure. It is written only for a grammar
+whose values decide no match (``Tables.value_free``): the error pass of
+any other grammar is the exact one, and ``_Module`` refuses to write its
+collect module. It differs from the parse module in this:
 
 * it keeps the running maximum ``mc`` from ``bound``, and hands each
   counted mismatch at or past it to the ``miss`` of the state's observer,
@@ -112,8 +114,8 @@ this:
 * nothing lowers to a regex, which cannot report its inner mismatches; a
   fused scan, whose one mismatch is where it ends, stays;
 * it counts no steps either, so a generated error pass reports 0 steps;
-* when the grammar's values decide no match (``Tables.value_free``), it
-  holds no value code: no snapshot, capture, node, list or action.
+* it holds no value code: no value stack, snapshot, capture, node, list or
+  action.
 """
 
 from __future__ import annotations
@@ -145,7 +147,8 @@ _PARSE = '''\
 def parse(state):
     text = state.input
     n = len(text)
-{values}
+    stack = state.stack
+    h = stack._head
     mm = mc = 0
     R = [None] * {count}
 
@@ -174,13 +177,13 @@ def parse(state):
 '''
 
 # the collect module: the same, but for the rule path and the ``!`` and
-# ``quiet`` counters; each mismatch at or past the running maximum goes to
-# the state's observer
+# ``quiet`` counters, and with no value stack; each mismatch at or past the
+# running maximum goes to the state's observer
 _COLLECT = '''\
 def collect(state, bound):
     text = state.input
     n = len(text)
-{values}
+
     mm = nots = quiets = 0
     mc = bound
     path = ()  # the open rules, innermost first, as cons cells
@@ -203,18 +206,11 @@ def collect(state, bound):
         pos = R[0](0, 0)
     finally:
         R.clear()
-{store}    stats = state.stats
+    stats = state.stats
     stats.terminal_mismatches, stats.max_cursor = mm, mc
     state.cursor = max(pos, 0)
     return pos >= 0
 '''
-# the value stack's head cell, which the functions hold in h, and which the
-# run's ValueStack holds again once they have run (the parse module builds
-# values always, the collect module only when they decide a match)
-_VALUES = '''\
-    stack = state.stack
-    h = stack._head'''
-_STORE = "    stack._head = h\n"
 
 
 def _push(value: str) -> str:
@@ -293,12 +289,12 @@ class _Module:
 
     def __init__(self, tables: Tables, runtime: dict, collect: bool = False,
                  start: str | None = None):
+        if collect and not tables.value_free:
+            raise ValueError("a collect module is written only for a grammar whose values"
+                             " decide no match")
         self.bodies = tables.bodies
         self.collect = collect
-        # the collect module of a grammar whose values decide no match builds none
-        self.valued = not (collect and tables.value_free)
-        self.nonlocals = ("h, " if self.valued else "") + (
-            "mm, path, nots, quiets" if collect else "mm, mc")
+        self.nonlocals = "mm, path, nots, quiets" if collect else "h, mm, mc"
         self.namespace = dict(runtime)
         self.names: dict = {}  # id or value of a namespace object -> its name
         self.regexes: dict[int, object] = {}  # id(ins) -> its regex's match, or None
@@ -359,7 +355,6 @@ class _Module:
 
     def source(self) -> str:
         return (_COLLECT if self.collect else _PARSE).format(
-            values=_VALUES if self.valued else "", store=_STORE if self.valued else "",
             count=len(self.functions),
             functions="\n\n".join("\n".join(f) for f in self.functions))
 
@@ -416,7 +411,7 @@ class _Module:
             return self.terminal(code, ins, known)
         if op == SEQ:
             snap = shared = None
-            if ins[3] and self.valued:
+            if ins[3] and not self.collect:
                 # the sequence that took the snapshot this one starts with
                 # restores it when this one fails
                 shared = code.last_snapshot()
@@ -440,11 +435,11 @@ class _Module:
         if op == CHARS:
             return self.scan(code, ins)
         if op == CONS:
-            if self.valued:
+            if not self.collect:
                 self.cons(code, ins[2], ins[3])
             return False
         if op == ACTION:
-            if not self.valued:  # a push or a drop
+            if self.collect:  # a push or a drop
                 return False
             code.line("stack._head = h")  # what the action pops, and where it pushes
             code.line(f"if not act(state, {self.name(ins, 'A')}): pos = -1")
@@ -453,7 +448,7 @@ class _Module:
         if op == REP:
             return self.loop(code, ins)
         if op == OPT:
-            tag, start = ins[3] if self.valued else None, self.starts(ins[4])
+            tag, start = None if self.collect else ins[3], self.starts(ins[4])
             if start:
                 code.open(f"if {start}:")
             base, entry = code.fresh("b") if tag is not None else None, code.fresh("p")
@@ -472,7 +467,7 @@ class _Module:
                     code.close()
             return False
         if op == CAPTURE:
-            if not self.valued:
+            if self.collect:
                 return self.emit(code, ins[2], known)
             entry = code.fresh("p")
             code.line(f"{entry} = pos")
@@ -481,7 +476,7 @@ class _Module:
             return fails
         if op == PRED:
             negate = ins[3]
-            snap = code.snapshot() if ins[4] and self.valued else None
+            snap = code.snapshot() if ins[4] and not self.collect else None
             entry = code.fresh("p")
             code.line(f"{entry} = pos")
             if self.collect:
@@ -621,7 +616,7 @@ class _Module:
         else:
             code.line("mm += 1")
             code.line("if at > mc: mc = at")
-        push = _push("Value('Str', text[pos:at])") + "; " if capture and self.valued else ""
+        push = _push("Value('Str', text[pos:at])") + "; " if capture and not self.collect else ""
         if plus:
             code.line(f"if at > pos: {push}pos = at")
             code.line("else: pos = -1")
@@ -654,7 +649,7 @@ class _Module:
 
     def loop(self, code: _Function, ins: tuple) -> bool:
         inner, plus, tag, touches, operand = ins[2:7]
-        if not self.valued:
+        if self.collect:
             tag = touches = None
         start = self.starts(operand)
         snap = code.fresh("s") if touches and not operand else None
@@ -699,7 +694,7 @@ class _Module:
     # -- choices --------------------------------------------------------------
 
     def choice(self, code: _Function, ins: tuple) -> bool:
-        kids, touches, operand = ins[2][:-1], ins[3] and self.valued, ins[4]
+        kids, touches, operand = ins[2][:-1], ins[3] and not self.collect, ins[4]
         if not operand:
             self.alternatives(code, kids, touches)
             return True
@@ -853,7 +848,8 @@ def generate(tables: Tables, runtime: dict, collect: bool = False, start: str | 
     """The closure factory of a grammar's module for one start rule, the
     grammar's unless given: ``parse``, or with collect ``collect``. runtime
     names what the source calls that is not a grammar object. An unknown
-    start raises ``KeyError``."""
+    start raises ``KeyError``, and a collect module for a grammar that is
+    not ``value_free`` raises ``ValueError``."""
     module = _Module(tables, runtime, collect, start)
     exec(compile(module.source(), "<pegstack grammar>", "exec"), module.namespace)
     return module.namespace["collect" if collect else "parse"]

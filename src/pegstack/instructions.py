@@ -10,7 +10,9 @@ touch the stack and whether it holds an action other than a ``cons``; a
 least fixpoint over the rules then gives which rules touch it, and
 compiling a node takes its own flag from its children's. A grammar with
 no such action, only ``cons``, push and drop, is ``value_free``: its
-values decide no match, so the error pass may leave them out.
+values decide no match, so the error pass of its failed generated runs
+can leave them out, and runs the generated collect code, which holds
+none. The error pass of any other grammar is the exact one.
 
 A terminal compiles to one of five opcodes, and its other facts (its
 head, its regex source, whether a repetition of it is one fused scan) are
@@ -253,8 +255,9 @@ class Tables:
         self._effects = {}  # infer_effect's memo while the rules compile
         exprs = {name: rd.expr for name, rd in grammar.rules.items()}
         facts = {name: _facts(expr) for name, expr in exprs.items()}
-        # no action but cons, push and drop: values decide no match, so the
-        # generated error pass leaves them out (see generate)
+        # no action but cons, push and drop: values decide no match, so a
+        # failed generated run's error pass runs the collect module, which
+        # holds none; any other grammar's is the exact one (see generate)
         self.value_free = not any(f[3] for f in facts.values())
         # the rules each rule references, inside predicates too; every rule
         # after the rules it references, but for the back edges that close

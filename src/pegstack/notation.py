@@ -64,26 +64,15 @@ def _class_pred(src: str) -> CharPredicate:
     known = _PRED_CLASSES.get(src)
     if known is not None:
         return known
-    mask = 0
-    above: set[str] = set()
-    i = 0
+    chars, i = [], 0
     while i < len(src):
         if i + 2 < len(src) and src[i + 1] == "-":
-            for o in range(ord(src[i]), ord(src[i + 2]) + 1):
-                if o < 128:
-                    mask |= 1 << o
-                else:
-                    above.add(chr(o))
+            chars += map(chr, range(ord(src[i]), ord(src[i + 2]) + 1))
             i += 3
         else:
-            o = ord(src[i])
-            if o < 128:
-                mask |= 1 << o
-            else:
-                above.add(src[i])
+            chars.append(src[i])
             i += 1
-    extra = frozenset(above).__contains__ if above else None
-    return CharPredicate(mask, extra, f"[{src}]")
+    return CharPredicate.from_chars("".join(chars), f"[{src}]")
 
 
 def _expr(node: r.RuleExpr) -> Value:

@@ -477,12 +477,21 @@ def validate_grammar(g: Grammar) -> Grammar:
 
 
 def _validate(g: Grammar) -> Grammar:
-    issues: list[GrammarIssue] = []
     defs = {name: RuleDef(_normalize(rd.expr), rd.effect) for name, rd in g.rules.items()}
+    issues = grammar_issues(Grammar(defs, g.start))
+    if issues:
+        raise GrammarError(issues)
+    return Grammar(defs, g.start, validated=True)
 
+
+def grammar_issues(g: Grammar) -> list[GrammarIssue]:
+    """The diagnostics of a grammar's rules as they are: a missing start
+    rule, references to undefined rules, empty literals and, when there is
+    neither of the first two, left recursion."""
+    issues: list[GrammarIssue] = []
+    defs = g.rules
     if g.start not in defs:
         issues.append(GrammarIssue("missing-start", g.start, f"start rule {g.start!r} is not defined"))
-
     for name, rd in defs.items():
         for node in walk(rd.expr):
             t = type(node)
@@ -490,25 +499,18 @@ def _validate(g: Grammar) -> Grammar:
                 issues.append(GrammarIssue("unresolved-ref", name, f"reference to undefined rule {node.name!r}"))
             elif t in (Str, IgnoreCaseStr) and node.text == "":
                 issues.append(GrammarIssue("empty-literal", name, "empty string literal is forbidden"))
-
-    if not issues:
-        normalized = Grammar(defs, g.start)
-        nullmap = nullable_rules(normalized)
-        graph: dict[str, list[str]] = {}
-        for name, rd in defs.items():
-            heads: set[str] = set()
-            _head_refs(rd.expr, nullmap, heads)
-            graph[name] = sorted(h for h in heads if h in defs)
-        for cycle in depth_first(graph)[1]:
-            issues.append(GrammarIssue(
-                "left-recursion", cycle[0],
-                "left-recursive cycle: " + " -> ".join(cycle + (cycle[0],)),
-                cycle=cycle,
-            ))
-
-    if issues:
-        raise GrammarError(issues)
-    return Grammar(defs, g.start, validated=True)
+    if any(issue.kind != "empty-literal" for issue in issues):
+        return issues
+    nullmap = nullable_rules(g)
+    graph: dict[str, list[str]] = {}
+    for name, rd in defs.items():
+        heads: set[str] = set()
+        _head_refs(rd.expr, nullmap, heads)
+        graph[name] = sorted(heads)
+    return issues + [GrammarIssue("left-recursion", cycle[0],
+                                  "left-recursive cycle: " + " -> ".join(cycle + (cycle[0],)),
+                                  cycle=cycle)
+                     for cycle in depth_first(graph)[1]]
 
 
 def depth_first(graph: dict[str, list[str]]) -> tuple[list[str], list[tuple[str, ...]]]:

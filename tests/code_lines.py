@@ -15,10 +15,11 @@ parse and collect modules that the src's ``pegstack.generate`` writes for
 ``grammars/calc.peg``, ``bench/json.peg`` (both read from this tree), the
 meta-grammar and two chains of 2,000 rules ``R_i <- R_i+1 'x'``, one
 ending in ``'a'`` (every rule lowers to a regex) and one in
-``capture('x')`` (every rule touches the stack, so nothing lowers), how
-many choices in each dispatch through the bit tests of their character's
-set (``shared``: a table lookup) rather than an ``if`` chain, its call
-sites (``R[...](`` in the source) and the milliseconds that writing and
+``capture('x')`` (every rule touches the stack, so nothing lowers); the
+meta-grammar, whose actions may fail, has no collect module. For each
+module it prints how many choices dispatch through the bit tests of their
+character's set (``shared``: a table lookup) rather than an ``if`` chain,
+its call sites (``R[...](`` in the source) and the milliseconds that writing and
 compiling it take (``generate()``, best of ``WRITES``, each with ``re``'s
 cache emptied). Not collected by pytest: its name does not start with
 ``test_``.
@@ -85,7 +86,7 @@ def generated(src: pathlib.Path) -> None:
                           ("lowered chain", chain(r.ch("a"))),
                           ("capture chain", chain(r.capture(r.ch("x"))))):
         tables = Parser(grammar)._tables
-        for kind, collect in (("parse", False), ("collect", True)):
+        for kind, collect in (("parse", False), ("collect", True))[:1 + tables.value_free]:
             best = float("inf")
             for _ in range(WRITES):
                 re.purge()

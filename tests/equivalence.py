@@ -46,15 +46,18 @@ counted once: a family whose count is 0 never reaches the code that
 dispatches on the next character. The count is part of neither digest,
 and follows this script's reading of the tables also for the other tree
 of ``--against``. Then it prints how many pairs end in a parse failure,
-and of those how many report an error that differs from the exact pass's.
+of those how many report an error that differs from the exact pass's, and
+how many of those failures' error passes ran generated collect code and
+how many the exact pass, told apart by their steps: generated code counts
+none. A moved counter digest can be read against these two counts.
 
 The families are ``gen_grammar`` at depths 4 and 6, ``gen_sound_grammar``
 and ``gen_lowerable_grammar`` with its alphabet; each grammar gets three
 inputs. The sound family's ``concat`` action fails on two equal strings,
-so there values decide which alternatives run on, and a failing run's
-error pass runs the collect code that builds values: about 1 % of its
-pairs reach a failing ``concat``. Not collected by pytest: its name does
-not start with ``test_``.
+so in its grammars that hold one values decide which alternatives run
+on: such a grammar is not value-free, and a failing run's error pass is
+the exact one. About 1 % of its pairs reach a failing ``concat``. Not
+collected by pytest: its name does not start with ``test_``.
 """
 
 from __future__ import annotations
@@ -151,12 +154,16 @@ def _phase(parser: Parser, text: str, collect: bool) -> tuple[str, str, object]:
             f"{stats.steps} {stats.terminal_mismatches} {stats.max_cursor}", passed)
 
 
-def _run_counters(parser: Parser, text: str) -> str:
-    """Counters of each state an unobserved Parser.run creates, or its fault."""
+def _run_counters(parser: Parser, text: str, tally: list) -> str:
+    """Counters of each state an unobserved Parser.run creates, or its
+    fault. tally counts a parse failure whose error pass, the last state,
+    ran generated collect code, which counts no steps, or the exact pass."""
     with recorded_states() as states:
         result = parser.run(text)
     if result.fault is not None:
         return f"fault {result.fault.description}"
+    if result.error is not None:
+        tally[2 if states[-1].stats.steps == 0 else 3] += 1
     return " ".join(f"{s.stats.steps} {s.stats.terminal_mismatches} {s.stats.max_cursor}"
                     for s in states)
 
@@ -208,11 +215,13 @@ def _encode(text: str) -> bytes:
 def family_digest(name: str, seed: int, pairs: int) -> tuple[str, str, int, list]:
     """The family's behaviour and counter digests over pairs (grammar,
     input) pairs, the dispatch instructions in its grammars' exact tables,
-    and [parse failures, errors that differ from the exact pass's]."""
+    and [parse failures, errors that differ from the exact pass's, failures
+    whose error pass ran generated collect code, failures whose ran the
+    exact pass]."""
     make, alphabet = FAMILIES[name]
     rng = random.Random(f"{name}:{seed}")
     behaviour, counters = hashlib.sha256(), hashlib.sha256()
-    dispatches, tally = 0, [0, 0]
+    dispatches, tally = 0, [0, 0, 0, 0]
     for _ in range(-(-pairs // INPUTS_PER_GRAMMAR)):
         grammar = make(rng)
         behaviour.update(_encode(_guarded(lambda: _check(grammar))) + b"\x02")
@@ -228,14 +237,14 @@ def family_digest(name: str, seed: int, pairs: int) -> tuple[str, str, int, list
                      _guarded(lambda: _traced_match(parser, text)),
                      _guarded(lambda: _traced_run(parser, text))]
             behaviour.update(_encode("\x00".join(parts)) + b"\x01")
-            run_counts = _guarded(lambda: _run_counters(parser, text))
+            run_counts = _guarded(lambda: _run_counters(parser, text, tally))
             counters.update(_encode("\x00".join((text, off_counts, collect_counts, run_counts)))
                             + b"\x01")
     return behaviour.hexdigest(), counters.hexdigest(), dispatches, tally
 
 
 HEADER = (f"{'family':24} {'pairs':>7} {'behaviour':64} {'counters':64} dispatches"
-          " failing differing")
+          " failing differing generated exact")
 
 
 def main() -> int:
@@ -255,11 +264,11 @@ def main() -> int:
     print(f"{SRC}\n{HEADER}", flush=True)
     ours = {}
     for name in FAMILIES:
-        behaviour, counters, dispatches, (failing, differing) = family_digest(name, args.seed,
-                                                                             args.pairs)
+        behaviour, counters, dispatches, (failing, differing, generated, exact) = family_digest(
+            name, args.seed, args.pairs)
         ours[name] = behaviour, counters
         print(f"{name:24} {args.pairs:7} {behaviour} {counters} {dispatches:10} {failing:7}"
-              f" {differing:9}", flush=True)
+              f" {differing:9} {generated:9} {exact:5}", flush=True)
     if other is None:
         return 0
     out, _ = other.communicate()

@@ -1195,6 +1195,30 @@ def test_an_unknown_start_rule_raises_key_error_naming_it():
         parser.run("a", start="Nope")
 
 
+def test_a_parser_over_an_unvalidated_grammar_that_no_run_survives_is_a_fault():
+    # left recursion would grow the executor's frames without end, and an
+    # undefined rule or start raise KeyError; each is the Parser's fault,
+    # reported by every run, in every delivery mode, before any is compiled
+    cases = [(r.grammar({"A": r.seq(r.ref("A"), r.ch("x"))}), "left-recursion in rule A"),
+             (r.grammar({"A": r.seq(r.ch("x"), r.ref("B"))}), "unresolved-ref in rule A"),
+             (r.grammar({"A": r.ch("x")}, start="S"), "missing-start in rule S")]
+    for g, description in cases:
+        parser = Parser(g)
+        assert parser.fault is not None and parser.fault.description.startswith(description)
+        assert parser._tables is None
+        assert parser.run("x") == RunResult(fault=parser.fault)
+        assert parser.run("x", mode="either") == (None, parser.fault)
+        with pytest.raises(EngineFault, match=description):
+            parser.run("x", mode="raising")
+        assert parser.run("x", observer=Trace([])) == RunResult(fault=parser.fault)
+    # the tree is run as it is: a one-child sequence and an empty literal,
+    # which validation rejects, match
+    one = r.grammar({"A": r.Sequence((r.lit(""), r.Sequence((r.ch("x"),))))})
+    parser = Parser(one)
+    assert parser.fault is None and parser.grammar is one
+    assert parser.run("x").ok and parser.run("y").error is not None
+
+
 def test_a_fresh_parser_compiles_safely_under_threads(calc_grammar):
     # a Parser's tables are built with it, and runs only read them; threads
     # sharing a new Parser must still see one consistent grammar, and each

@@ -389,27 +389,20 @@ def test_a_repetition_of_a_headed_body_takes_no_snapshot(calc_grammar, monkeypat
 
 
 def test_a_bounded_pass_over_calc_builds_no_values(calc_grammar, monkeypatch):
-    parser, valued = Parser(calc_grammar), Parser(calc_grammar)
+    parser = Parser(calc_grammar)
     assert parser._tables.value_free  # only cons actions
-    valued._tables.value_free = False  # builds every value, as with a user action
     text = "1+(2*3-4)/5*(6+7)-8!9"
-    counts = _count_value_work(monkeypatch)  # before either collect module is written
+    counts = _count_value_work(monkeypatch)  # before the collect module is written
     exact = parser.error_pass(text)[1]
     # calc's nodes have one child (Val) or two (Add, Mul, ...)
     assert counts["Value"] and counts["node1"] and counts["node2"] and counts["snapshot"]
     for bound in (0, 10, 19):  # 19 is the principal index
         counts.update(dict.fromkeys(counts, 0))
-        built = valued.error_pass(text, None, bound)
-        assert counts["Value"] and counts["node1"] and counts["node2"], bound
-        counts.update(dict.fromkeys(counts, 0))
         bare = parser.error_pass(text, None, bound)
         assert counts == dict.fromkeys(counts, 0), bound
-        assert (bare[0].stack.size(), bare[1], built[1]) == (0, exact, exact)
-    # a collect module's snapshot is no call but a copy of the stack's head
-    # cell, h: the module with values takes them, the one without holds no h
-    built, bare = (generate._Module(p._tables, engine._RUNTIME, True).source()
-                   for p in (valued, parser))
-    assert re.search(r"^ +s\d+ = h$", built, re.M)
+        assert (bare[0].stack.size(), bare[1]) == (0, exact)
+    # the collect module holds no stack head, h, to snapshot or push onto
+    bare = generate._Module(parser._tables, engine._RUNTIME, True).source()
     assert "h" not in re.findall(r"\w+", bare)
 
 
@@ -418,7 +411,7 @@ def _corrupted(rng, text, junk):
     return text[:at] + rng.choice(junk) + text[at:]
 
 
-def test_a_pass_without_values_counts_like_one_with_them_on_calc_and_json(calc_grammar):
+def test_a_bounded_pass_without_values_reports_the_exact_error_on_calc_and_json(calc_grammar):
     rng = random.Random(73)
     corpora = [(calc_grammar, [_corrupted(rng, big_expression(rng, rng.randint(1, 300)),
                                           ["!", "x", "++", ")", "(", "*/"]) for _ in range(60)]),
@@ -427,18 +420,17 @@ def test_a_pass_without_values_counts_like_one_with_them_on_calc_and_json(calc_g
                  for _ in range(60)])]
     failed = 0
     for grammar, corpus in corpora:
-        parser, valued = generated(grammar), Parser(grammar)
-        valued._tables.value_free = False  # builds every value, as with a user action
+        parser = generated(grammar)
+        assert parser._tables.value_free
         for text in corpus:
             failures = handed_over_bounds(parser, text)
             if not failures:
                 continue
             bound = failures[0][1]  # the unobserved run's
-            (bare, bare_traces), (built, built_traces) = (p.error_pass(text, None, bound)
-                                                          for p in (parser, valued))
-            assert ((bare.stats.terminal_mismatches, bare.stats.max_cursor, bare_traces)
-                    == (built.stats.terminal_mismatches, built.stats.max_cursor,
-                        built_traces)), text
+            bare, bare_traces = parser.error_pass(text, None, bound)
+            exact, exact_traces = parser.error_pass(text)
+            assert ((bare.stats.max_cursor, bare_traces)
+                    == (exact.stats.max_cursor, exact_traces)), text
             assert bare.stack.size() == 0
             failed += 1
     assert failed > 90

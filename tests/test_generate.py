@@ -9,7 +9,7 @@ writes the module when its unobserved runs have been asked to parse
 Each test here fails on a mutation of ``pegstack.generate``, of the reruns
 in ``Parser`` or of when it generates: the depth bound, the splitting of
 deep nests into functions of their own, the collect module's dispatch,
-rule path, counters and values, and the threshold.
+rule path and counters, and the threshold.
 """
 
 import random
@@ -410,8 +410,10 @@ def test_a_module_holds_only_functions_that_its_code_calls(calc_grammar, collect
     # at Number, calc's module reaches no loop breaker
     for grammar, start in ((calc_grammar, None), (load_grammar(ROOT / "bench/json.peg"), None),
                            (meta_grammar(), None), (calc_grammar, "Number")):
-        source = generate._Module(Parser(grammar)._tables, engine._RUNTIME, collect,
-                                  start).source()
+        tables = Parser(grammar)._tables
+        if collect and not tables.value_free:
+            continue  # the meta-grammar, whose actions may fail, has no collect module
+        source = generate._Module(tables, engine._RUNTIME, collect, start).source()
         assert "pos = R[0](0, 0)" in source and _unreached_functions(source) == set()
     assert source.count("    def f(pos, d):") == 1
 
@@ -593,7 +595,7 @@ def test_loop_breakers_break_every_cycle_and_nests_past_three_functions_a_level_
             found = set(references[todo.pop()]) - reached
             reached |= found
             todo += found
-        for collect in (False, True):
+        for collect in (False, True)[:1 + parser._tables.value_free]:  # collect: value-free only
             module = generate._Module(parser._tables, engine._RUNTIME, collect)
             called = set(module.called)
             assert "N2" in module.breakers and not {"N1", "N3"} & module.breakers
@@ -645,14 +647,15 @@ def test_a_head_stops_at_a_not_predicate_whose_body_touches_the_stack():
 def test_json_dispatches_without_a_table_and_star_scans_test_the_next_character():
     # each character that starts a json Value starts one rule, so Value is
     # an if/elif chain; a * scan's regex runs only where its terminal takes
-    # the next character, a + scan's at once, in both modules
+    # the next character, a + scan's at once, in both modules (the
+    # meta-grammar, whose actions may fail, has no collect module)
     json = load_grammar(ROOT / "bench/json.peg")
     assert ".get(text[pos]" not in source_of(generated(json))
     for grammar in (json, meta_grammar()):
         tables = Parser(grammar)._tables
         stars = {id(ins[4]) for ins in _instructions(tables.bodies)
                  if ins[0] == CHARS and not ins[3] and ins[4] is not None}
-        for collect in (False, True):
+        for collect in (False, True)[:1 + tables.value_free]:
             module = generate._Module(tables, engine._RUNTIME, collect)
             scans = re.findall(r"at = (M\d+)\(text, pos\)\.end\(\)(.*)", module.source())
             for m, guard in scans:
@@ -764,6 +767,35 @@ def test_only_the_first_failing_run_writes_the_collect_module(calc_grammar, monk
     assert len(calls) == 2 and parser._modules["InputLine", True] is collect  # nor written again
 
 
+def test_a_failed_run_of_a_grammar_whose_values_may_decide_a_match_writes_no_collect_module():
+    # "only_a" fails on a captured "z", so values decide which alternatives
+    # run on: the error pass of a failed generated run is the exact one,
+    # and it reports the exact pass's principal index and ordered traces
+    def only_a(value):
+        return value if value.payload == "a" else ACTION_FAIL
+
+    check = r.Action(1, only_a, StackEffect(("Str",), ("Str",)), name="only_a")
+    az = r.any_of("az")
+    parser = generated(validate_grammar(r.grammar({"S": r.first_of(
+        r.seq(r.capture(az), check, r.ch("b")), r.seq(az, r.ch("c")))})))
+    assert not parser._tables.value_free
+    for text, expected in (("zd", ["'c'"]), ("ad", ["'b'", "'c'"]), ("q", ["[az]"])):
+        with recorded_states() as states:
+            error = parser.run(text).error
+        assert [type(state.observer) for state in states] == [type(None), Collector], text
+        assert (error.position.index, error.traces) == trace_collection(parser, text, None)
+        assert error.expected() == expected, text
+    assert list(parser._modules) == [("S", False)]
+
+
+def test_the_collect_module_of_a_grammar_whose_values_may_decide_a_match_is_refused():
+    tables = Parser(meta_grammar())._tables
+    assert not tables.value_free  # its actions may fail
+    assert generate._Module(tables, engine._RUNTIME).source().startswith("def parse(state):")
+    with pytest.raises(ValueError, match="values decide no match"):
+        generate._Module(tables, engine._RUNTIME, collect=True)
+
+
 # -- the value stack in a local ----------------------------------------------------------------
 
 def test_the_parse_modules_keep_the_stack_head_in_a_local_and_count_no_steps(calc_grammar):
@@ -789,14 +821,16 @@ def test_the_parse_modules_keep_the_stack_head_in_a_local_and_count_no_steps(cal
     with recorded_states() as states:
         assert generated(calc_grammar).run("1+2*(3-4)").ok
     assert states[0].stats.steps == 0 and states[0].stats.max_cursor > 0
-    # nor do the collect modules, with values (the meta-grammar) or without,
-    # and a block that would only have counted steps is not written at all
+    # nor do the collect modules, written only for calc and json, which hold
+    # no values, and a block that would only have counted steps is not
+    # written at all
     for grammar, value_free in zip(grammars, (True, True, False)):
         tables = Parser(grammar)._tables
         assert tables.value_free == value_free
-        source = generate._Module(tables, engine._RUNTIME, True).source()
-        assert ("h = stack._head" in source) != value_free
-        assert not re.search(r"\bsteps\b|(^|:)\s*pass$", source, re.M)
+        if value_free:
+            source = generate._Module(tables, engine._RUNTIME, True).source()
+            assert "stack" not in source
+            assert not re.search(r"\bsteps\b|(^|:)\s*pass$", source, re.M)
     parser = Parser(calc_grammar)
     assert parser.error_pass("1+2*(3-4!", None, 0)[0].stats.steps == 0
 
@@ -903,7 +937,8 @@ def test_the_code_lines_report_writes_every_module(monkeypatch, capsys):
     assert header.split() == ["module", "lines", "functions", "shared", "calls", "write", "ms"]
     assert [row[:24].strip() for row in rows] == [
         f"{name} {kind}" for name in ("calc", "json", "meta-grammar", "lowered chain",
-                                      "capture chain") for kind in ("parse", "collect")]
+                                      "capture chain") for kind in ("parse", "collect")
+        if (name, kind) != ("meta-grammar", "collect")]  # its actions may fail
     for row in rows:
         lines, functions, *_ = row[24:].split()
         assert int(lines.replace(",", "")) > 0 and int(functions) > 0, row

@@ -1,32 +1,64 @@
 """How the work of building a grammar grows with the grammar.
 
-Each test builds one family of grammars at N and 8N rules and counts the
-Python calls of a stage under ``cProfile``, which repeat exactly where
-times on a shared machine spread 2x or more. A stage linear in the grammar
-grows 8x; each count may grow at most 8.5x, the bound of
-``test_a_chain_of_rules_writes_a_module_linear_in_its_length``.
+Each test builds one family of grammars at N and 8N rules, or reference
+sites, and measures the work of a stage by counts that repeat exactly,
+where times on a shared machine spread 2x or more: the Python calls under
+``cProfile``, the characters of the regex sources that ``re.compile``
+takes, and the lines of the modules that the generator compiles. The last
+two see work that one C call does, which a call count cannot. A stage
+linear in the grammar grows 8x; each count may grow at most 8.5x, the
+bound of ``test_a_chain_of_rules_writes_a_module_linear_in_its_length``.
 """
 
 import cProfile
 import pstats
+import re
 
 import pytest
 
+from pegstack import generate
 from pegstack.engine import Parser
 from pegstack.notation import parse_grammar
 
 GROWTH = 8.5  # the most a count may grow from N to 8N
 
 
-def _calls(fn):
-    """What fn returns, and the Python calls it made."""
-    profile = cProfile.Profile()
-    profile.enable()
-    try:
-        out = fn()
-    finally:
-        profile.disable()
-    return out, pstats.Stats(profile).total_calls
+@pytest.fixture
+def work(monkeypatch):
+    """A function that runs fn and hands back what it returns and its work:
+    (Python calls, regex source characters compiled, generated lines
+    compiled)."""
+    compiled = {"regex": 0, "lines": 0}
+    compile_regex = re.compile
+
+    def regex(pattern, flags=0):
+        compiled["regex"] += len(pattern)
+        return compile_regex(pattern, flags)
+
+    def module(source, *args):
+        compiled["lines"] += len(source.splitlines())
+        return compile(source, *args)
+
+    monkeypatch.setattr(re, "compile", regex)
+    monkeypatch.setattr(generate, "compile", module, raising=False)
+
+    def measure(fn):
+        compiled.update(regex=0, lines=0)
+        profile = cProfile.Profile()
+        profile.enable()
+        try:
+            out = fn()
+        finally:
+            profile.disable()
+        return out, (pstats.Stats(profile).total_calls, compiled["regex"], compiled["lines"])
+    return measure
+
+
+def _assert_linear(counts):
+    """Each count of each stage at 8N is at most GROWTH times its count at N."""
+    small, large = counts
+    for stage, grown in large.items():
+        assert all(b <= GROWTH * a for a, b in zip(small[stage], grown)), (stage, counts)
 
 
 def _rule_choice(n):
@@ -37,6 +69,12 @@ def _rule_choice(n):
             + "".join(f"{name} <- 'r' \"{i:05d}\" ';'\n" for i, name in enumerate(names)))
 
 
+def _referenced(n):
+    """Top <- X ',' X ',' ... X EOI, one rule referenced at n sites; quiet
+    lowers to no regex, so the sequence does not lower as a whole."""
+    return "Top <- " + " ',' ".join(["X"] * n) + " EOI\nX <- quiet([a-z]+) ('=' [0-9]+)?\n"
+
+
 @pytest.fixture(scope="module")
 def warm():
     # the meta-grammar writes its module on the second load of the process:
@@ -45,23 +83,42 @@ def warm():
         parse_grammar("A <- 'a'\n")
 
 
-def test_loading_and_building_a_choice_of_rules_is_linear(warm):
+def _built(work, text) -> tuple[Parser, dict]:
+    """A Parser over the grammar of text, and the work of loading that
+    grammar and of building the Parser."""
+    grammar, load = work(lambda: parse_grammar(text))
+    parser, build = work(lambda: Parser(grammar))
+    return parser, {"load": load, "build": build}
+
+
+def _written(work, parser, *kinds) -> dict:
+    """The work of writing each kind of module, parse or collect."""
+    return {kind: work(lambda: parser._generate(collect=kind == "collect"))[1] for kind in kinds}
+
+
+def test_loading_and_building_a_choice_of_rules_is_linear(warm, work):
+    _assert_linear([_built(work, _rule_choice(n))[1] for n in (250, 2000)])
+
+
+def test_writing_the_modules_of_a_choice_of_rules_is_linear(warm, work):
+    # 2,000 rules would put the parse module's regex source past
+    # _MAX_SOURCE, a step from one regex to a dispatch over every rule, not
+    # a growth rate; the collect module, which lowers nothing, grows at 200
+    # and 1,600 rules. Below 150 or so its lines grow past 8x without a
+    # superlinear term: the first rules, which run in place, write fewer
+    # lines each than those that the budget calls
+    _assert_linear([_written(work, Parser(parse_grammar(_rule_choice(n))), "parse")
+                    for n in (100, 800)])
+    _assert_linear([_written(work, Parser(parse_grammar(_rule_choice(n))), "collect")
+                    for n in (200, 1600)])
+
+
+def test_building_and_writing_a_rule_referenced_at_many_sites_is_linear(warm, work):
+    # past the budget, each site calls the rule's function, and the rule's
+    # regex fragment is compiled once, not at each site where it runs in place
     counts = []
     for n in (250, 2000):
-        text = _rule_choice(n)
-        grammar, load = _calls(lambda: parse_grammar(text))
-        counts.append((load, _calls(lambda: Parser(grammar))[1]))
-    (load, build), (long_load, long_build) = counts
-    assert long_load <= GROWTH * load and long_build <= GROWTH * build, counts
-
-
-def test_writing_the_modules_of_a_choice_of_rules_is_linear(warm):
-    # 2,000 rules would put the choice's regex source past _MAX_SOURCE, a
-    # step from one regex to a dispatch over every rule, not a growth rate
-    counts = []
-    for n in (100, 800):
-        parser = Parser(parse_grammar(_rule_choice(n)))
-        counts.append(tuple(_calls(lambda: parser._generate(collect=collect))[1]
-                            for collect in (False, True)))
-    (parse, collect), (long_parse, long_collect) = counts
-    assert long_parse <= GROWTH * parse and long_collect <= GROWTH * collect, counts
+        parser, built = _built(work, _referenced(n))
+        counts.append(built | _written(work, parser, "parse", "collect"))
+        assert counts[-1]["parse"][1] == counts[0]["parse"][1] > 0
+    _assert_linear(counts)
