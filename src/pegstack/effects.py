@@ -104,6 +104,10 @@ def seq_compose(lhs: StackEffect, rhs: StackEffect) -> StackEffect:
     the survivors concatenate. If the right side pops more than the left
     pushed, the deficit is demanded from deeper in the stack.
     """
+    if not rhs.pops and not rhs.pushes:  # neutral: nothing to unify or build
+        return lhs
+    if not lhs.pops and not lhs.pushes:
+        return rhs
     k = min(len(lhs.pushes), len(rhs.pops))
     for i in range(1, k + 1):
         if unify_tag(lhs.pushes[-i], rhs.pops[-i]) is None:
@@ -229,7 +233,8 @@ def infer_effect(expr: r.RuleExpr, g: r.Grammar, _active: frozenset[str] = froze
         elif t is r.Sequence:
             eff = NEUTRAL
             for child in expr.children:
-                eff = seq_compose(eff, infer_effect(child, g, _active, _memo))
+                if type(child) not in r.TERMINALS:  # a terminal is neutral
+                    eff = seq_compose(eff, infer_effect(child, g, _active, _memo))
         elif t is r.FirstOf:
             branches = [infer_effect(a, g, _active, _memo) for a in expr.alternatives]
             eff = branches[0] if len(branches) == 1 else choice_compose(branches)
@@ -252,6 +257,21 @@ def infer_effect(expr: r.RuleExpr, g: r.Grammar, _active: frozenset[str] = froze
     return eff
 
 
+def rule_effect(name: str, g: r.Grammar, memo: dict) -> StackEffect:
+    """The effect of a rule's body, unified with the rule's declared effect
+    where it has one; raises the EffectError that stops either. memo is
+    ``infer_effect``'s."""
+    rd = g.rules[name]
+    inferred = infer_effect(rd.expr, g, frozenset({name}), memo)
+    if rd.effect is not None:
+        pops = _unify_lists(inferred.pops, rd.effect.pops)
+        pushes = _unify_lists(inferred.pushes, rd.effect.pushes)
+        if pops is None or pushes is None:
+            raise EffectMismatch(0, str(rd.effect), str(inferred))
+        inferred = StackEffect(pops, pushes)
+    return inferred
+
+
 def check_grammar(g: r.Grammar) -> dict[str, StackEffect]:
     """Check every rule's effect and return the per-rule report.
 
@@ -272,16 +292,8 @@ def check_grammar(g: r.Grammar) -> dict[str, StackEffect]:
                         if type(n) is r.RuleRef and n.name in undeclared]
                  for name, rd in g.rules.items()}
         for name in r.depth_first(calls)[0]:
-            rd = g.rules[name]
             try:
-                inferred = infer_effect(rd.expr, g, frozenset({name}), memo)
-                if rd.effect is not None:
-                    pops = _unify_lists(inferred.pops, rd.effect.pops)
-                    pushes = _unify_lists(inferred.pushes, rd.effect.pushes)
-                    if pops is None or pushes is None:
-                        raise EffectMismatch(0, str(rd.effect), str(inferred))
-                    inferred = StackEffect(pops, pushes)
-                outcome[name] = inferred
+                outcome[name] = rule_effect(name, g, memo)
             except EffectError as err:
                 outcome[name] = err
     except RecursionError:

@@ -12,28 +12,46 @@ the number of generated functions open below it, and returns the cursor
 past its match or -1. A run from another rule (``start=``) has a module
 of its own.
 
-The functions hold the head cell of the run's ``ValueStack``, a
-``(value, below, size)`` tuple, in the factory's local ``h``: the factory
-reads it from the stack and writes it back once the start rule's function
-has returned or raised, and each action call writes it to the stack before
-and reads it back after, so that actions and the run's result see the
-stack as the executor would leave it. The code works on ``h`` where the
-executor would call the stack if it dispatched everywhere, with no call but
-for a list and a node of other than one or two children (the runtime's
-``listed`` and ``pop``):
+A function keeps its values in one of two forms:
 
-* a snapshot is ``s = h`` and a restore ``h = s``; a push builds the cell
+* the register form, where its rule's stack-effect counts are known
+  (``Tables.effects``) and it pops nothing. The walk counts the values held
+  at each point, ``k``, and keeps value i in the local ``v{i}``: a push is
+  ``v{k} = ...``; ``cons(L,2)`` is ``v{k-2} = node2(L, v{k-2}, v{k-1})``, and
+  of one child or any other number ``node1`` or ``Node``, with no underflow
+  test; a snapshot and a restore write nothing, as a failure leaves the
+  values below its entry as they were, but for a sequence that changes one
+  below its entry before a child that can fail, and a loop whose body
+  without a head may change one and match without moving, which copy it
+  first and put it back; a collecting ``*``, ``+`` or ``?`` appends each
+  iteration's value to a list local and ends with one ``list_value``. A
+  function hands back its values in the run's local ``out`` (a tuple for
+  more than one), which its caller reads into its next locals; a function
+  split off for depth (below) takes the values it may change in ``out``
+  and hands them back the same way. The start rule's values go onto the
+  run's ``ValueStack`` once, when the run has matched;
+* the cell form, for any other function: it holds the head cell of the
+  run's ``ValueStack``, a ``(value, below, size)`` tuple, in the factory's
+  local ``h``. The factory reads it from the stack and writes it back once
+  the start rule's function has returned or raised, and each action call
+  writes it to the stack before and reads it back after, so that actions
+  and the run's result see the stack as the executor would leave it. A
+  snapshot is ``s = h`` and a restore ``h = s``; a push builds the cell
   ``(v, h, h[2] + 1)``; ``cons(L,k)`` pops its k children and pushes the
   node in one cell, once it has tested ``h[2] >= k`` (``pop`` raises the
-  ``StackUnderflow`` of ``ValueStack.take`` otherwise); it builds a node of
-  one or two children with the runtime's ``node1`` or ``node2``, which take
-  the children as arguments, and any other with ``Node``;
-* a sequence that touches the stack snapshots at entry and restores when it
-  fails; a choice with a frame snapshots at entry and restores after each
+  ``StackUnderflow`` of ``ValueStack.take`` otherwise); a sequence that
+  touches the stack snapshots at entry and restores when it fails; a
+  choice with a frame snapshots at entry and restores after each
   alternative that fails; one that starts where another snapshot was just
   taken (a rule run in place at the start of a sequence) reads that one,
   and a sequence that reads one leaves the restore to the sequence that
-  took it;
+  took it. The values that a function in the register form hands back go
+  onto ``h``, and a function in the register form that calls one of a rule
+  that pops hands over the values it takes and reads back those it gives
+  through ``h``.
+
+In both forms:
+
 * a choice branches on the next character through its dispatch operand:
   none of its alternatives fails at once, one runs in place with no frame,
   more run in order with one. Where no alternative can start at two
@@ -150,6 +168,7 @@ def parse(state):
     stack = state.stack
     h = stack._head
     mm = mc = 0
+    out = None  # the values that a function in the register form hands back
     R = [None] * {count}
 
     def miss(at):  # a terminal's mismatch
@@ -166,7 +185,7 @@ def parse(state):
 {functions}
 
     try:
-        pos = R[0](0, 0)
+        pos = R[0](0, 0){values}
     finally:
         stack._head = h
         stats = state.stats
@@ -214,16 +233,31 @@ def collect(state, bound):
 
 
 def _push(value: str) -> str:
-    """The statement that pushes the value an expression gives."""
+    """The statement that pushes the value an expression gives onto ``h``."""
     return f"h = ({value}, h, h[2] + 1)"
+
+
+def _pushes(count: int) -> str:
+    """The statements that push onto ``h`` the count values that a function
+    in the register form handed back in ``out``."""
+    if count == 1:
+        return _push("out")
+    return "; ".join(_push(f"out[{i}]") for i in range(count))
+
+
+def _slots(low: int, high: int) -> str:
+    """The locals of the register form that hold the values low to high."""
+    return ", ".join(f"v{i}" for i in range(low, high))
 
 
 class _Function:
     """The lines of one generated function, which may hold ``_BUDGET``
-    instructions. A rule's function in the collect module opens its rule on
-    the path and closes it on return."""
+    instructions, in the register form where depth, the values it starts
+    with, is given. A rule's function in the collect module opens its rule
+    on the path and closes it on return."""
 
-    def __init__(self, index: int, label: str, names: str, rule: str | None = None):
+    def __init__(self, index: int, label: str, names: str, rule: str | None = None,
+                 depth: int | None = None):
         self.index = index
         self.lines = [f"    def f(pos, d):{label}", f"        nonlocal {names}",
                       f"        if d > {DEPTH_BOUND}: raise TooDeep"]
@@ -233,6 +267,10 @@ class _Function:
         self.snapped: tuple[int, str] | None = None  # the last snapshot and the line count after it
         self.opened: list[int] = []  # the line count where each open block starts
         self.rule = rule
+        # the register form: the values the code holds, in v0 to v{k-1}, and
+        # the fewest it has held since the innermost open sequence began (a
+        # value below those is as it was there); None in the cell form
+        self.k = self.low = depth
         if rule is not None:
             self.line(f"path = ({rule!r}, path)")
 
@@ -262,6 +300,19 @@ class _Function:
         if self.snapped is not None and self.snapped[0] == len(self.lines):
             return self.snapped[1]
         return None
+
+    def push(self, value: str) -> str:
+        """The statement that pushes the value an expression gives: onto
+        ``h``, or in the register form into the next local."""
+        if self.k is None:
+            return _push(value)
+        self.k += 1
+        return f"v{self.k - 1} = {value}"
+
+    def insert(self, at: int, text: str) -> None:
+        """A line at line count at, where every block opened since has been
+        closed, at the indentation of the code there."""
+        self.lines.insert(at, "    " * self.indent + text)
 
     def snapshot(self) -> str:
         """A local that holds ``h`` as it is now, for a construct that only
@@ -293,12 +344,15 @@ class _Module:
             raise ValueError("a collect module is written only for a grammar whose values"
                              " decide no match")
         self.bodies = tables.bodies
+        self.effects = tables.effects
         self.collect = collect
-        self.nonlocals = "mm, path, nots, quiets" if collect else "h, mm, mc"
+        self.nonlocals = "mm, path, nots, quiets" if collect else "h, mm, mc, out"
         self.namespace = dict(runtime)
         self.names: dict = {}  # id or value of a namespace object -> its name
         self.regexes: dict[int, object] = {}  # id(ins) -> its regex's match, or None
+        self.nets: dict[int, int] = {}  # id(ins) of a sequence or choice -> net, in the register form
         self.functions: list[list[str]] = []
+        self.registers = 0  # the functions written in the register form
         self.helpers = 0
         self.labels = {name: f"  # {name}" if name.isascii() and name.isidentifier()
                        else f"  # rule {i}" for i, name in enumerate(self.bodies)}
@@ -321,9 +375,15 @@ class _Module:
         self.called = {name: i for i, name in enumerate(dict.fromkeys([start, *self.queue]))}
         for name in self.queue:  # grows while it is walked
             code = _Function(self.called[name], self.labels[name], self.nonlocals,
-                             name if self.collect else None)
-            self.emit(code, self.bodies[name])
+                             name if self.collect else None, 0 if self.register(name) else None)
+            fails = self.emit(code, self.bodies[name])
+            if code.k:  # what the register form hands back
+                code.line(("if pos >= 0: " if fails else "") + f"out = {_slots(0, code.k)}")
+            self.registers += code.k is not None
             self.functions.append(code.end())
+        self.values = ""  # the start rule's values, handed back in the register form
+        if self.register(start) and self.effects[start][1]:
+            self.values = f"\n        if pos >= 0: {_pushes(self.effects[start][1])}"
 
     def _weights(self, references: dict) -> dict[str, int]:
         """The instructions that running each rule but the loop breakers in
@@ -353,9 +413,15 @@ class _Module:
             return 1 + self.weight(ins[2], weights)
         return 1
 
+    def register(self, name: str) -> bool:
+        """Whether the function of a rule takes the register form: in the
+        parse module, where the rule's counts are known and it pops nothing."""
+        counts = self.effects[name]
+        return not self.collect and counts is not None and not counts[0]
+
     def source(self) -> str:
         return (_COLLECT if self.collect else _PARSE).format(
-            count=len(self.functions),
+            count=len(self.functions), values=self.values,
             functions="\n\n".join("\n".join(f) for f in self.functions))
 
     def name(self, obj, prefix: str, key=None) -> str:
@@ -411,11 +477,15 @@ class _Module:
             return self.terminal(code, ins, known)
         if op == SEQ:
             snap = shared = None
-            if ins[3] and not self.collect:
+            if ins[3] and code.k is None and not self.collect:
                 # the sequence that took the snapshot this one starts with
                 # restores it when this one fails
                 shared = code.last_snapshot()
                 snap = shared or code.snapshot()
+            # the register form: the lowest value that a child which fails
+            # may find changed since the entry, which a failure restores
+            entry, outer, at = code.k, code.low, len(code.lines)
+            lost = code.low = entry
             fails = guarded = last = False
             for kid in ins[2][:-1]:
                 if last:  # the children after one that can fail run only if it matched
@@ -423,12 +493,21 @@ class _Module:
                         code.close()
                     code.open("if pos >= 0:")
                     guarded = True
+                low = code.low
                 last = self.emit(code, kid, known)
+                if last and entry is not None and low < lost:
+                    lost = low
                 fails, known = fails or last, None
             if guarded:
                 code.close()
             if snap and fails and not shared:
                 code.line(f"if pos < 0: h = {snap}")
+            if entry is not None:
+                if lost < entry:
+                    kept = code.fresh("t")
+                    code.insert(at, f"{kept} = {_slots(lost, entry)}")
+                    code.line(f"if pos < 0: {_slots(lost, entry)} = {kept}")
+                code.low = min(outer, code.low)
             return fails
         if op == ALT:
             return self.choice(code, ins)
@@ -441,6 +520,13 @@ class _Module:
         if op == ACTION:
             if self.collect:  # a push or a drop
                 return False
+            if code.k is not None:  # a push or a drop: no other action has counts
+                if type(ins[1]) is r.Drop:
+                    code.k -= ins[3]
+                    code.low = min(code.low, code.k)
+                elif (value := ins[2]()) is not None:  # a push of no unit
+                    code.line(code.push(self.name(value, "P")))
+                return False
             code.line("stack._head = h")  # what the action pops, and where it pushes
             code.line(f"if not act(state, {self.name(ins, 'A')}): pos = -1")
             code.line("h = stack._head")
@@ -448,14 +534,22 @@ class _Module:
         if op == REP:
             return self.loop(code, ins)
         if op == OPT:
-            tag, start = None if self.collect else ins[3], self.starts(ins[4])
+            tag, start, k = None if self.collect else ins[3], self.starts(ins[4]), code.k
             if start:
                 code.open(f"if {start}:")
-            base, entry = code.fresh("b") if tag is not None else None, code.fresh("p")
+            base = code.fresh("b") if tag is not None and k is None else None
+            entry = code.fresh("p")
             if base:
                 code.line(f"{base} = h[2]")
             code.line(f"{entry} = pos")
-            if self.emit(code, ins[2]):
+            fails = self.emit(code, ins[2])
+            if tag is not None and k is not None:  # the value the body pushed, if it matched
+                one = f"v{k} = list_value((v{k},), {tag!r})"
+                if fails:
+                    code.line(f"if pos < 0: pos = {entry}; v{k} = list_value((), {tag!r})")
+                    one = "else: " + one
+                code.line(one)
+            elif fails:
                 code.line(f"if pos < 0: pos = {entry}")
             if base:
                 code.line(f"h = listed(h, {base}, {tag!r})")
@@ -463,7 +557,8 @@ class _Module:
                 code.close()
                 if tag is not None:
                     code.open("else:")
-                    code.line(_push(f"list_value((), {tag!r})"))
+                    code.k = k
+                    code.line(code.push(f"list_value((), {tag!r})"))
                     code.close()
             return False
         if op == CAPTURE:
@@ -472,11 +567,13 @@ class _Module:
             entry = code.fresh("p")
             code.line(f"{entry} = pos")
             fails = self.emit(code, ins[2], known)
-            code.line(("if pos >= 0: " if fails else "") + _push(f"Value('Str', text[{entry}:pos])"))
+            code.line(("if pos >= 0: " if fails else "") + code.push(f"Value('Str', text[{entry}:pos])"))
             return fails
         if op == PRED:
-            negate = ins[3]
-            snap = code.snapshot() if ins[4] and not self.collect else None
+            negate, k = ins[3], code.k
+            # the register form: the body pops nothing, and what it pushes
+            # is above the values held
+            snap = code.snapshot() if ins[4] and k is None and not self.collect else None
             entry = code.fresh("p")
             code.line(f"{entry} = pos")
             if self.collect:
@@ -493,6 +590,7 @@ class _Module:
                     code.line(f"mm, mc = {entry}m, {entry}c")
             if snap:
                 code.line(f"h = {snap}")
+            code.k = k
             code.line(f"pos = {entry} if pos < 0 else -1" if negate
                       else f"if pos >= 0: pos = {entry}")
             return True
@@ -508,8 +606,17 @@ class _Module:
     def cons(self, code: _Function, label: str, arity: int) -> None:
         """Pop arity values and push the node of label over them, bottom to
         top; with fewer values on the stack, ``pop`` raises ``StackUnderflow``
-        as ``ValueStack.take`` does."""
-        if arity == 1:
+        as ``ValueStack.take`` does. The register form has them in locals."""
+        k = code.k
+        if k is not None:
+            low = k - arity
+            kids = _slots(low, k)
+            node = (f"node1({label!r}, {kids})" if arity == 1 else
+                    f"node2({label!r}, {kids})" if arity == 2 else
+                    f"Node({label!r}, ({kids}))")
+            code.line(f"v{low} = {node}")
+            code.k, code.low = low + 1, min(code.low, low)
+        elif arity == 1:
             code.line(f"h = (node1({label!r}, h[0]), h[1], h[2]) if h[2] else pop(h, 1)")
         elif arity == 2:
             code.line(f"h = (node2({label!r}, h[1][0], h[0]), h[1][1], h[2] - 1)"
@@ -533,7 +640,27 @@ class _Module:
         if name not in self.called:
             self.called[name] = len(self.called) + self.helpers
             self.queue.append(name)
-        self.call(code, self.called[name], self.labels[name])
+        k, register, counts = code.k, self.register(name), self.effects[name]
+        if k is None:  # what a function in the register form hands back goes onto h
+            self.call(code, self.called[name], self.labels[name])
+            if register and counts[1]:
+                code.line(f"if pos >= 0: {_pushes(counts[1])}")
+            return True
+        pops, pushes = counts  # known: the rule of this function reaches the rule
+        low = k - pops
+        if register:  # into the next locals; a value above k is dead if the call failed
+            self.call(code, self.called[name], self.labels[name])
+            if pushes:
+                code.line(("if pos >= 0: " if pushes > 1 else "") + f"{_slots(k, k + pushes)} = out")
+        else:  # a rule that pops: the values it takes and gives go through h
+            below = code.fresh("c")
+            code.line(f"{below} = h; " + "; ".join(_push(f"v{i}") for i in range(low, k)))
+            self.call(code, self.called[name], self.labels[name])
+            if pushes:
+                taken = "h[0]" if pushes == 1 else f"pop(h, {pushes})[0]"
+                code.line(f"if pos >= 0: {_slots(low, low + pushes)} = {taken}")
+            code.line(f"h = {below}")
+        code.k, code.low = low + pushes, min(code.low, low)
         return True
 
     def call(self, code: _Function, index: int, label: str = "") -> None:
@@ -541,14 +668,35 @@ class _Module:
 
     def helper(self, code: _Function, ins: tuple) -> bool:
         """Move a deeply nested instruction into a function of its own, which
-        shares the budget of the function it leaves."""
-        inner = _Function(len(self.called) + self.helpers, "", self.nonlocals)
+        shares the budget of the function it leaves. In the register form the
+        values that its code changes go in and out through ``out``: those
+        below the entry that it may change and the ones it leaves above."""
+        k = code.k
+        inner = _Function(len(self.called) + self.helpers, "", self.nonlocals, depth=k)
         self.helpers += 1
         inner.size = code.size - 1  # emit counts ins again
         fails = self.emit(inner, ins)
         code.size = inner.size
+        if k is None:
+            self.functions.append(inner.end())
+            self.call(code, inner.index)
+            return fails
+        self.registers += 1
+        low, high = inner.low, inner.k
+        if low < k:
+            inner.insert(3, f"{_slots(low, k)} = out")
+            code.line(f"out = {_slots(low, k)}")
+        if low < high:
+            inner.line(("if pos >= 0: " if fails else "") + f"out = {_slots(low, high)}")
         self.functions.append(inner.end())
         self.call(code, inner.index)
+        if low < high:
+            # after a failure out may hold what a function that the split one
+            # called handed back, so the read waits for a match where it would
+            # change a value below k or unpack a tuple
+            guard = fails and (low < k or high - low > 1)
+            code.line(("if pos >= 0: " if guard else "") + f"{_slots(low, high)} = out")
+        code.k, code.low = high, min(code.low, low)
         return fails
 
     def terminal(self, code: _Function, ins: tuple, known) -> bool:
@@ -594,7 +742,7 @@ class _Module:
         if capture:
             code.line(f"{m} = {self.name(match, 'M')}(text, pos)")
             value = f"Value('Str', text[pos:{m}.end()])"
-            code.line(f"if {m}: {_push(value)}; pos = {m}.end()")
+            code.line(f"if {m}: {code.push(value)}; pos = {m}.end()")
             code.line("else: pos = fail()")
         else:
             code.line(f"pos = {m}.end() if ({m} := {self.name(match, 'M')}(text, pos)) else fail()")
@@ -616,7 +764,7 @@ class _Module:
         else:
             code.line("mm += 1")
             code.line("if at > mc: mc = at")
-        push = _push("Value('Str', text[pos:at])") + "; " if capture and not self.collect else ""
+        push = code.push("Value('Str', text[pos:at])") + "; " if capture and not self.collect else ""
         if plus:
             code.line(f"if at > pos: {push}pos = at")
             code.line("else: pos = -1")
@@ -648,22 +796,33 @@ class _Module:
         return chars[0] if not other and len(chars) == 1 else None
 
     def loop(self, code: _Function, ins: tuple) -> bool:
+        """A repetition. Its values go onto ``h`` and are listed from base on
+        at the end, or in the register form into the list local base, one
+        for each iteration that moved."""
         inner, plus, tag, touches, operand = ins[2:7]
         if self.collect:
             tag = touches = None
+        k, outer = code.k, code.low
         start = self.starts(operand)
-        snap = code.fresh("s") if touches and not operand else None
+        snap = code.fresh("s") if touches and not operand and k is None else None
         if start:
             code.open(f"if {start}:")
-        base = code.fresh("b") if tag is not None else None
+        base = code.fresh("b" if k is None else "l") if tag is not None else None
         if base:
-            code.line(f"{base} = h[2]")
+            code.line(f"{base} = h[2]" if k is None else f"{base} = []")
         entry = code.fresh("p")
         code.line(f"{entry} = {-1 if plus else 'pos'}")  # -1: the first iteration may fail the +
         if snap and not plus:
             code.line(f"{snap} = h")
         code.open("while True:")
+        at = len(code.lines)
+        code.low = k
         self.emit(code, inner, self.one(operand))
+        # the register form: a body without a head may pop values and match
+        # without moving, which the loop undoes
+        kept = code.fresh("t") if k is not None and code.low < k and not operand else None
+        if kept:
+            code.insert(at, f"{kept} = {_slots(code.low, k)}")
         code.open("if pos < 0:")
         if plus:
             code.line(f"if {entry} < 0: break")
@@ -673,34 +832,81 @@ class _Module:
         code.open(f"if pos == {entry}:")  # an iteration that matched without moving
         if snap:
             code.line(f"h = {snap}")
+        if kept:
+            code.line(f"{_slots(code.low, k)} = {kept}")
         code.line("break")
         code.close()
+        if base and k is not None:
+            code.line(f"{base}.append(v{k})")
         if start:
             code.line(f"if not ({start}): break")
         code.line(f"{entry} = pos")
         if snap:
             code.line(f"{snap} = h")
         code.close()
+        if k is not None:
+            code.k, code.low = k, min(outer, code.low)
         if base:
-            code.line(("if pos >= 0: " if plus else "") + f"h = listed(h, {base}, {tag!r})")
+            code.line(("if pos >= 0: " if plus else "")
+                      + (f"h = listed(h, {base}, {tag!r})" if k is None
+                         else code.push(f"list_value({base}, {tag!r})")))
         if start:
             code.close()
             if plus or tag is not None:
                 code.open("else:")
-                code.line("pos = -1" if plus else _push(f"list_value((), {tag!r})"))
+                if plus:
+                    code.line("pos = -1")
+                else:
+                    code.k = k
+                    code.line(code.push(f"list_value((), {tag!r})"))
                 code.close()
         return plus
 
     # -- choices --------------------------------------------------------------
 
     def choice(self, code: _Function, ins: tuple) -> bool:
-        kids, touches, operand = ins[2][:-1], ins[3] and not self.collect, ins[4]
+        """A choice. In the register form each alternative starts from the
+        values held at the entry and, where it matches, leaves as many."""
+        kids, operand, k = ins[2][:-1], ins[4], code.k
+        touches = ins[3] and k is None and not self.collect
+        self.choose(code, kids, operand, touches)
+        if k is not None:
+            code.k = k + self.net(kids[0])
+        return True
+
+    def net(self, ins: tuple) -> int:
+        """The values that ins leaves where it matches, less those it takes,
+        in the register form, where every rule that ins reaches has counts."""
+        op = ins[0]
+        if op == SEQ or op == ALT:
+            if id(ins) not in self.nets:
+                self.nets[id(ins)] = (sum(map(self.net, ins[2][:-1])) if op == SEQ
+                                      else self.net(ins[2][0]))
+            return self.nets[id(ins)]
+        if op == REF:
+            pops, pushes = self.effects[ins[2]]
+            return pushes - pops
+        if op == CAPTURE or op == QUIET:
+            return (op == CAPTURE) + self.net(ins[2])
+        if op == ACTION:  # a push or a drop
+            return -ins[3] if type(ins[1]) is r.Drop else int(ins[2]() is not None)
+        if op == CONS:
+            return 1 - ins[3]
+        if op == CHARS:
+            return int(ins[5])
+        if op == REP or op == OPT:  # a collecting one leaves one list
+            return int(ins[4 if op == REP else 3] is not None)
+        return 0  # a terminal or a predicate
+
+    def choose(self, code: _Function, kids, operand, touches: bool) -> None:
+        """The branches of a choice: in order, through the bits of the next
+        character's set, or an ``if`` chain on the next character."""
         if not operand:
             self.alternatives(code, kids, touches)
-            return True
+            return
         if self.collect:  # one branch per alternative, whichever run
             self.shared(code, kids, operand, touches)
-            return True
+            return
         by_char, other, end = operand
         keys = {c: bits for c, bits in by_char.items() if bits != other}
         if end != other:
@@ -711,8 +917,8 @@ class _Module:
         masks = [*groups, other]
         if any(sum(m >> i & 1 for m in masks) > 1 for i in range(len(kids))):
             self.shared(code, kids, operand, touches)
-            return True
-        first = True
+            return
+        k, first = code.k, True
         if groups:
             code.line("c = text[pos] if pos < n else None")
         for bits in sorted(groups, key=lambda b: (b & -b, b)):
@@ -727,14 +933,13 @@ class _Module:
             one = chars[0] if len(chars) == 1 else None  # the next character, known
             self.candidates(code, kids, bits, touches, one)
             code.close()
-            first = False
+            code.k, first = k, False
         if first:
             self.candidates(code, kids, other, touches)
         else:
             code.open("else:")
             self.candidates(code, kids, other, touches)
             code.close()
-        return True
 
     def candidates(self, code: _Function, kids: tuple, bits: int, touches: bool,
                    known: str | None = None) -> None:
@@ -751,12 +956,13 @@ class _Module:
                      known: str | None = None) -> None:
         """Alternatives tried in order from one entry, as a choice's frame does."""
         snap = code.snapshot() if touches else None
-        entry = code.fresh("p")
+        entry, k = code.fresh("p"), code.k
         code.line(f"{entry} = pos")
         for i, kid in enumerate(kids):
             if i:
                 code.open("if pos < 0:")
                 code.line(f"pos = {entry}")
+            code.k = k
             fails = self.emit(code, kid, known)
             if snap and fails:
                 code.line(f"if pos < 0: h = {snap}")
@@ -777,9 +983,13 @@ class _Module:
         code.line(f"{bits} = {lookup}")
         code.line(f"{entry} = pos")
         code.line("pos = -1")
+        k = code.k
         for i, kid in enumerate(kids):
-            code.open(f"if {bits} & {1 << i}:" if i == 0 else f"if pos < 0 and {bits} & {1 << i}:")
+            # a mask literal up to 20 digits; past bit 63, a shift keeps the source linear
+            test = f"{bits} & {1 << i}" if i < 64 else f"{bits} >> {i} & 1"
+            code.open(f"if {test}:" if i == 0 else f"if pos < 0 and {test}:")
             code.line(f"pos = {entry}")
+            code.k = k
             if self.emit(code, kid) and snap:
                 code.line(f"if pos < 0: h = {snap}")
             code.close()

@@ -12,7 +12,11 @@ compiling a node takes its own flag from its children's. A grammar with
 no such action, only ``cons``, push and drop, is ``value_free``: its
 values decide no match, so the error pass of its failed generated runs
 can leave them out, and runs the generated collect code, which holds
-none. The error pass of any other grammar is the exact one.
+none. The error pass of any other grammar is the exact one. The same
+build records each rule's stack effect as counts, ``Tables.effects``,
+from the effect inference that compiling the repetitions runs: the
+generated parse code keeps the values of a rule whose counts hold at run
+time in locals (see ``pegstack.generate``).
 
 A terminal compiles to one of five opcodes, and its other facts (its
 head, its regex source, whether a repetition of it is one fused scan) are
@@ -75,7 +79,7 @@ from __future__ import annotations
 import re
 
 from . import rules as r
-from .effects import ConsFn, EffectError, infer_effect, repetition_shape
+from .effects import ConsFn, EffectError, infer_effect, repetition_shape, rule_effect
 
 # opcodes: terminals first, so "op <= ISTR" tells a terminal (a CLASS also
 # stands for "." and a none-of set); an ACTION also stands for push and
@@ -214,13 +218,13 @@ def _by_char(heads: list) -> tuple[dict[str, int], int, int]:
     return {c: other ^ bits for c, bits in flips.items()}, other, always
 
 
-def _facts(expr: r.RuleExpr) -> tuple[set, set, bool, bool]:
+def _facts(expr: r.RuleExpr) -> tuple[set, set, bool, bool, list]:
     """Facts of a rule body, from one walk: the rules it references, those
     it references outside predicates, whether one of its own nodes outside
-    predicates pushes or pops (predicates restore the stack), and whether
-    one of them, inside a predicate or not, is an action other than a
-    ``cons``, whose values may decide a match."""
-    refs, calls, touches, acts = set(), set(), False, False
+    predicates pushes or pops (predicates restore the stack), whether one
+    of them, inside a predicate or not, is an action other than a ``cons``,
+    whose values may decide a match, and the bodies of its predicates."""
+    refs, calls, touches, acts, bodies = set(), set(), False, False, []
     todo, inside = [expr], []  # nodes to visit: outside every predicate, inside one
     while todo or inside:
         counts = bool(todo)  # outside: the node's pushes, pops and calls count
@@ -235,20 +239,22 @@ def _facts(expr: r.RuleExpr) -> tuple[set, set, bool, bool]:
             into.extend(node.alternatives)
         elif t is r.AndPredicate or t is r.NotPredicate:
             inside.append(node.inner)
+            bodies.append(node.inner)
         elif t in _WRAPPERS:
             touches = touches or counts and t is r.Capture
             into.append(node.inner)
         elif t is r.Push or t is r.Drop or t is r.Action:
             touches = touches or counts
             acts = acts or t is r.Action and type(node.fn) is not ConsFn
-    return refs | calls, calls, touches, acts
+    return refs | calls, calls, touches, acts, bodies
 
 
 class Tables:
     """The compiled rule bodies of one grammar, by rule name, and the facts
     about the grammar they rest on; reusable across runs and threads.
-    ``_acyclic`` holds the head of each rule off every cycle, ``_cyclic``
-    that of each rule on one."""
+    ``effects`` holds each rule's stack effect as counts (see ``_counts``),
+    ``_acyclic`` the head of each rule off every cycle, ``_cyclic`` that of
+    each rule on one."""
 
     def __init__(self, grammar: r.Grammar):
         self.grammar = grammar
@@ -292,6 +298,8 @@ class Tables:
         for name in [*acyclic, *cyclic]:
             exact[name], _, head, passes = self._compile(exprs[name])
             (acyclic if name in acyclic else named)[name] = None if passes else head
+        # each rule's stack effect as counts, from the memo that compiling filled
+        self.effects = self._counts(facts)
         operands = self._operands
         del self._effects, self._operands  # nothing compiles after the build
         # the heads of the rules on cycles are one least fixpoint: each
@@ -328,6 +336,50 @@ class Tables:
             if kid_heads.count(None) < len(kid_heads):
                 bits = _by_char(kid_heads)
                 operand[:] = bits if choice else bits[:2]
+
+    def _counts(self, facts: dict) -> dict[str, tuple[int, int] | None]:
+        """Each rule's stack effect as counts, (pops, pushes), which hold at
+        run time: None for a rule whose body's effect does not infer or does
+        not unify with its declared effect, that holds an action other than
+        ``cons``, push and drop or a predicate whose body pops, or that
+        references a rule whose counts are None. A rule that reaches a cycle
+        of rules without declared effects, where inference fails, is None
+        before any inference, and every other rule is inferred after the
+        rules without declared effects that it references, so that no
+        inference recurses through a chain of them."""
+        grammar, memo = self.grammar, self._effects
+        counts: dict = dict.fromkeys(facts, ())
+        users: dict[str, list] = {}  # by rule, the rules that reference it
+        for name, found in self.references.items():
+            for used in found:
+                users.setdefault(used, []).append(name)
+
+        def spread(todo):  # None for each rule of todo and each that reaches one
+            while todo:
+                name = todo.pop()
+                if counts[name] is not None:
+                    counts[name] = None
+                    todo += users.get(name, ())
+
+        order, cycles = r.depth_first({
+            name: [n for n in found if grammar.rules[n].effect is None]
+            for name, found in self.references.items()})
+        spread([name for cycle in cycles for name in cycle]
+               + [name for name, f in facts.items() if f[3]])
+        failed = []
+        for name in order:
+            if counts[name] is None:
+                continue
+            try:
+                effect = rule_effect(name, grammar, memo)
+                if any(infer_effect(body, grammar, frozenset({name}), memo).pops
+                       for body in facts[name][4]):
+                    raise EffectError("a predicate's body pops")
+                counts[name] = len(effect.pops), len(effect.pushes)
+            except (EffectError, KeyError, TypeError):
+                failed.append(name)
+        spread(failed)
+        return counts
 
     def _compile(self, node) -> tuple[tuple, bool, tuple | None, bool]:
         """Exact instruction for a node, whether matching it may change the

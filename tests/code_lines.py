@@ -19,7 +19,9 @@ ending in ``'a'`` (every rule lowers to a regex) and one in
 meta-grammar, whose actions may fail, has no collect module. For each
 module it prints how many choices dispatch through the bit tests of their
 character's set (``shared``: a table lookup) rather than an ``if`` chain,
-its call sites (``R[...](`` in the source) and the milliseconds that writing and
+its call sites (``R[...](`` in the source), how many of its functions keep
+their values in locals (``registers``: the register form, parse modules
+only) and the milliseconds that writing and
 compiling it take (``generate()``, best of ``WRITES``, each with ``re``'s
 cache emptied). Not collected by pytest: its name does not start with
 ``test_``.
@@ -79,7 +81,8 @@ def generated(src: pathlib.Path) -> None:
         rules[f"R{CHAIN}"] = end
         return r.validate_grammar(r.grammar(rules, start="R0"))
 
-    print(f"{'module':24} {'lines':>6} {'functions':>9} {'shared':>6} {'calls':>6} {'write ms':>8}")
+    print(f"{'module':24} {'lines':>6} {'functions':>9} {'shared':>6} {'calls':>6}"
+          f" {'registers':>9} {'write ms':>8}")
     for name, grammar in (("calc", load_grammar(ROOT / "grammars/calc.peg")),
                           ("json", load_grammar(ROOT / "bench/json.peg")),
                           ("meta-grammar", meta_grammar()),
@@ -93,11 +96,12 @@ def generated(src: pathlib.Path) -> None:
                 started = perf_counter()
                 generate.generate(tables, _RUNTIME, collect)
                 best = min(best, perf_counter() - started)
-            source = generate._Module(tables, _RUNTIME, collect).source()  # a Parser keeps none
+            module = generate._Module(tables, _RUNTIME, collect)  # a Parser keeps no source
+            source = module.source()
             calls = len(re.findall(r"\bR\[[^\]]*\]\(", source))
             print(f"{name + ' ' + kind:24} {len(source.splitlines()):6,}"
                   f" {source.count('    def f(pos, d):'):9} {source.count('.get(text[pos], '):6}"
-                  f" {calls:6} {best * 1000:8.1f}")
+                  f" {calls:6} {getattr(module, 'registers', 0):9} {best * 1000:8.1f}")
 
 
 def main() -> None:

@@ -22,13 +22,13 @@ import pytest
 from pegstack import engine, generate
 from pegstack import rules as r
 from pegstack.effects import StackEffect, cons
-from pegstack.engine import ACTION_FAIL, GENERATE_AT, InternalFault, Parser, Trace
+from pegstack.engine import ACTION_FAIL, GENERATE_AT, InternalFault, Parser, ParserState, Trace
 from pegstack.errors import (Collector, build_parse_error, format_error, principal_index,
                              trace_collection)
 from pegstack.instructions import CHARS
 from pegstack.notation import load_grammar, meta_grammar, parse_grammar
 from pegstack.rules import validate_grammar
-from pegstack.values import Value
+from pegstack.values import StackUnderflow, Value
 
 import generators
 from conftest import GRAMMARS, ROOT, generated, source_of
@@ -796,11 +796,16 @@ def test_the_collect_module_of_a_grammar_whose_values_may_decide_a_match_is_refu
         generate._Module(tables, engine._RUNTIME, collect=True)
 
 
-# -- the value stack in a local ----------------------------------------------------------------
+# -- the value stack in locals ----------------------------------------------------------------
 
-def test_the_parse_modules_keep_the_stack_head_in_a_local_and_count_no_steps(calc_grammar):
+def test_the_parse_modules_keep_values_in_locals_or_the_stack_head_and_count_no_steps(
+        calc_grammar):
     # the head cell goes into h at entry and back to the ValueStack in the
-    # finally, and around each action, which reads and writes the stack
+    # finally, and around each action, which reads and writes the stack.
+    # calc's and json's functions keep their values in locals v0, v1, ...
+    # (the register form): h only receives the start rule's value, once the
+    # run has matched. The meta-grammar's, whose rules hold actions, push
+    # cells onto h and snapshot it
     grammars = (calc_grammar, load_grammar(ROOT / "bench/json.peg"), meta_grammar())
     acts = []
     for grammar in grammars:
@@ -817,6 +822,15 @@ def test_the_parse_modules_keep_the_stack_head_in_a_local_and_count_no_steps(cal
         assert all((lines[i - 1].strip(), lines[i + 1].strip())
                    == ("stack._head = h", "h = stack._head") for i in called)
         acts.append(len(called))
+        cells = [line.strip() for line in lines
+                 if re.search(r"\bh\b", line) and not line.strip().startswith("nonlocal ")]
+        if called:
+            assert any(re.match(r"s\d+ = h$", line) for line in cells)
+            assert any(line.startswith("h = (Value('Str', ") for line in cells)
+        else:
+            assert cells == ["h = stack._head", "if pos >= 0: h = (out, h, h[2] + 1)",
+                             "stack._head = h"]
+            assert re.search(r"^ +v0 = node2\('\w+', v0, v1\)$", source_of(parser), re.M)
     assert acts[:2] == [0, 0] and acts[2] > 0  # calc and json: cons only
     with recorded_states() as states:
         assert generated(calc_grammar).run("1+2*(3-4)").ok
@@ -833,6 +847,169 @@ def test_the_parse_modules_keep_the_stack_head_in_a_local_and_count_no_steps(cal
             assert not re.search(r"\bsteps\b|(^|:)\s*pass$", source, re.M)
     parser = Parser(calc_grammar)
     assert parser.error_pass("1+2*(3-4!", None, 0)[0].stats.steps == 0
+
+
+def test_calc_and_json_keep_every_value_in_locals_and_the_meta_grammar_none():
+    # every rule of calc and json has stack-effect counts, so each of their
+    # functions takes the register form; the meta-grammar's functions are
+    # those of rules that reach actions, which have none
+    for grammar, register in ((load_grammar(GRAMMARS / "calc.peg"), True),
+                              (load_grammar(ROOT / "bench/json.peg"), True),
+                              (meta_grammar(), False)):
+        tables = Parser(grammar)._tables
+        assert (set(tables.effects.values()) == {(0, 1)}) == register
+        module = generate._Module(tables, engine._RUNTIME)
+        assert module.registers == (len(module.functions) if register else 0)
+        assert module.registers == len(re.findall(r"^        (if pos >= 0: )?out = v",
+                                                  module.source(), re.M))
+
+
+def _exact(parser, text):
+    """What the exact table reports for text from the start rule: whether
+    it matched, the values, the cursor and the stack size, or the fault."""
+    state = ParserState(text)
+    try:
+        ok = parser.match_rule(state, parser.grammar.start)
+    except StackUnderflow as exc:
+        return f"value stack underflow: {exc}"
+    return ok, state.stack.values(), state.cursor, len(state.stack)
+
+
+def _generated_run(parser, text):
+    """The same, from an unobserved run of the generated code."""
+    with recorded_states() as states:
+        result = parser.run(text)
+    if result.fault is not None:
+        return result.fault.description
+    state = states[0]
+    return result.ok, state.stack.values(), state.cursor, len(state.stack)
+
+
+_TWO = r.Action(0, lambda: (Value("Str", "x"), Value("Str", "y")), StackEffect((), ("Str",)),
+                name="two")
+# case -> (rules, the start rule's counts, inputs); none is validated or checked
+_UNSOUND: dict = {
+    # Top takes a value that nothing pushed: its counts pop, so its function
+    # keeps the cells, and the run underflows where the exact one does
+    "a grammar that does not check": (
+        {"Top": r.seq(r.capture(r.ch("a")), r.ref("Pair")),
+         "Pair": r.seq(r.capture(r.ch("b")), cons("P", 3))}, (1, 1), ["ab", "a", "", "abb"]),
+    # A's body pushes nothing: A has no counts, and so has each rule that
+    # reaches it, whatever their declarations say
+    "a declared effect that lies": (
+        {"Top": r.seq(r.ref("A"), cons("X", 1), r.ch("b")),
+         "A": (r.ch("a"), StackEffect((), ("Str",)))}, None, ["ab", "a", "b"]),
+    # two pushes two values, not the one it declares: its rule keeps the cells
+    "an action whose effect differs from what it pushes (_TWO)": (
+        {"Top": r.seq(r.ch("a"), _TWO, cons("P", 1), r.opt(r.ch("b")))}, None, ["ab", "a", "b"]),
+}
+
+
+@pytest.mark.parametrize("case", _UNSOUND)
+def test_a_grammar_whose_effects_do_not_hold_runs_as_the_exact_table(case):
+    rules, counts, texts = _UNSOUND[case]
+    parser = generated(r.grammar(rules, start="Top"))
+    assert parser._tables.effects["Top"] == counts
+    assert generate._Module(parser._tables, engine._RUNTIME).registers == 0
+    outcomes = [_generated_run(parser, text) for text in texts]
+    assert outcomes == [_exact(parser, text) for text in texts]
+    # the first input underflows, but where the action pushes one value more
+    assert outcomes[0] == ("value stack underflow: pop from empty value stack" if "_TWO" not in case
+                           else (True, (Value("Str", "x"), engine.Node("P", (Value("Str", "y"),))),
+                                 2, 2))
+
+
+def _fold(levels):
+    """Fold nested levels deep: each level folds a value into the one below
+    it, in a loop that splits into a function of its own past _SPLIT_AT.
+    The innermost folds the value of Q, whose function hands it back in
+    ``out``, and then may fail."""
+    inner = r.seq(r.ref("Q"), cons("L", 2), r.ch("e"))
+    for _ in range(levels):
+        inner = r.one_or_more(r.seq(r.ch("b"), r.capture(r.ch("c")), cons("V", 1), inner,
+                                    cons("L", 2), r.opt(r.ch("d"))))
+    return r.seq(r.capture(r.ch("a")), cons("V", 1), inner, r.EOI)
+
+
+def _opt_fold(levels):
+    """An option of 'b', the next level and 'e', nested levels deep around
+    a fold of Q's value and a capture into the value of the start: a level
+    that fails after the fold in a split function leaves that value as it
+    was, although Q's function handed its own back through ``out``."""
+    inner = r.seq(r.capture(r.ch("c")), r.ref("Q"), cons("L", 3))
+    for _ in range(levels):
+        inner = r.opt(r.seq(r.ch("b"), inner, r.ch("e")))
+    return r.seq(r.capture(r.ch("a")), cons("V", 1), inner, r.EOI)
+
+
+def _split_fold(levels):
+    """Options of 'b' nested levels deep, the innermost but one followed by
+    'b', around an option that folds Q's value and a capture into the value
+    of the start and then needs 'f': where that fold is the sequence split
+    off into a function of its own and fails at 'f', Q's function has left
+    its own value in ``out``, and the option around the call moves on with
+    the start's value as it was."""
+    inner = r.opt(r.seq(r.ch("b"), r.capture(r.ch("c")), r.ref("Q"), cons("L", 3), r.ch("f")))
+    inner = r.opt(r.seq(r.ch("b"), inner, r.ch("b")))
+    for _ in range(levels - 1):
+        inner = r.opt(r.seq(r.ch("b"), inner))
+    return r.seq(r.capture(r.ch("a")), cons("V", 1), inner, r.zero_or_more(r.ANY))
+
+
+_Q = (r.first_of(r.capture(r.ch("z")), r.seq(r.ch("y"), r.ref("Q"))), StackEffect((), ("Str",)))
+_DEEP = generate._SPLIT_AT + 3
+# case -> (rules, the functions written and those in the register form, inputs)
+_REGISTERS = {
+    # Fold takes the value below it: its function keeps cells, which the
+    # start rule's locals go into and come back from
+    "a loop breaker that pops": (
+        {"Top": r.seq(r.capture(r.ch("a")), r.ref("Fold"), r.EOI),
+         "Fold": (r.first_of(r.seq(r.ch("+"), r.capture(r.ch("a")), cons("Add", 2), r.ref("Fold")),
+                             cons("End", 1)), StackEffect(("*",), ("Node",)))},
+        (2, 1), ["a", "a+a", "a+a+a", "a+", "a+b", ""]),
+    # an iteration that fails after its cons put back the value it folded
+    "a fold that fails after it popped": (
+        {"Top": r.seq(r.capture(r.ch("a")), cons("V", 1),
+                      r.zero_or_more(r.seq(r.ch("+"), r.capture(r.ch("a")), cons("Add", 2),
+                                           r.ch(";"))), r.opt(r.ch("+")))},
+        (1, 1), ["a", "a+a;", "a+a;+a", "a+a;+a;", "a+"]),
+    # a predicate restores what its body popped, so a rule that holds one
+    # whose body pops has no counts, and keeps the cells
+    "a predicate whose body pops": (
+        {"Top": r.seq(r.capture(r.ch("a")), r.not_pred(r.seq(cons("X", 1), r.ch("b"))),
+                      r.ch("c"))},
+        (1, 0), ["ac", "ab", "abc", "a"]),
+    # a body without a head that pops and matches without moving is undone
+    "a headless fold": (
+        {"Top": r.seq(r.capture(r.ch("a")), cons("V", 1),
+                      r.zero_or_more(r.seq(r.opt(r.ch("b")), cons("Q", 1))), r.opt(r.ch("c")))},
+        (1, 1), ["a", "ab", "abb", "abc", ""]),
+    # values cross into a split function and back
+    "a fold nested past the split": (
+        {"Top": _fold(_DEEP), "Q": _Q},
+        None, ["a" + "bc" * _DEEP + tail for tail in ("ze", "yyze", "zed", "z", "zebcze", "zbcze")]
+        + ["abcze", "abcbcz", "a"]),
+    "a split function that fails after a call": (
+        {"Top": _split_fold(generate._SPLIT_AT - 2), "Q": _Q},
+        None, ["a" + "b" * (generate._SPLIT_AT - 1) + tail
+               for tail in ("czf", "czx", "cyzx", "czxb", "")] + ["abbczf", "a"]),
+    "a fold in options nested past the split": (
+        {"Top": _opt_fold(_DEEP), "Q": _Q},
+        None, ["a" + "b" * _DEEP + "cz" + "e" * count for count in range(_DEEP + 1)]),
+}
+
+
+@pytest.mark.parametrize("case", _REGISTERS)
+def test_the_register_form_agrees_with_the_exact_table(case):
+    rules, functions, texts = _REGISTERS[case]
+    parser = generated(validate_grammar(r.grammar(rules, start="Top")))
+    module = generate._Module(parser._tables, engine._RUNTIME)
+    if functions is None:  # the split functions are in the register form too
+        assert module.registers == len(module.functions) > 1
+    else:
+        assert (len(module.functions), module.registers) == functions
+    for text in texts:
+        assert _generated_run(parser, text) == _exact(parser, text), text
 
 
 def _fails_on(payload):
@@ -934,7 +1111,8 @@ def test_the_code_lines_report_writes_every_module(monkeypatch, capsys):
     monkeypatch.setattr(code_lines, "WRITES", 1)
     code_lines.generated(code_lines.SRC)
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["module", "lines", "functions", "shared", "calls", "write", "ms"]
+    assert header.split() == ["module", "lines", "functions", "shared", "calls", "registers",
+                              "write", "ms"]
     assert [row[:24].strip() for row in rows] == [
         f"{name} {kind}" for name in ("calc", "json", "meta-grammar", "lowered chain",
                                       "capture chain") for kind in ("parse", "collect")

@@ -4,8 +4,10 @@ Each test builds one family of grammars at N and 8N rules, or reference
 sites, and measures the work of a stage by counts that repeat exactly,
 where times on a shared machine spread 2x or more: the Python calls under
 ``cProfile``, the characters of the regex sources that ``re.compile``
-takes, and the lines of the modules that the generator compiles. The last
-two see work that one C call does, which a call count cannot. A stage
+takes, and the lines and characters of the modules that the generator
+compiles. The last three see work that one C call does, which a call
+count cannot, and the characters see a line that grows with the grammar,
+which a line count cannot. A stage
 linear in the grammar grows 8x; each count may grow at most 8.5x, the
 bound of ``test_a_chain_of_rules_writes_a_module_linear_in_its_length``.
 """
@@ -27,8 +29,8 @@ GROWTH = 8.5  # the most a count may grow from N to 8N
 def work(monkeypatch):
     """A function that runs fn and hands back what it returns and its work:
     (Python calls, regex source characters compiled, generated lines
-    compiled)."""
-    compiled = {"regex": 0, "lines": 0}
+    compiled, generated characters compiled)."""
+    compiled = {"regex": 0, "lines": 0, "chars": 0}
     compile_regex = re.compile
 
     def regex(pattern, flags=0):
@@ -37,20 +39,22 @@ def work(monkeypatch):
 
     def module(source, *args):
         compiled["lines"] += len(source.splitlines())
+        compiled["chars"] += len(source)
         return compile(source, *args)
 
     monkeypatch.setattr(re, "compile", regex)
     monkeypatch.setattr(generate, "compile", module, raising=False)
 
     def measure(fn):
-        compiled.update(regex=0, lines=0)
+        compiled.update(regex=0, lines=0, chars=0)
         profile = cProfile.Profile()
         profile.enable()
         try:
             out = fn()
         finally:
             profile.disable()
-        return out, (pstats.Stats(profile).total_calls, compiled["regex"], compiled["lines"])
+        return out, (pstats.Stats(profile).total_calls, compiled["regex"], compiled["lines"],
+                     compiled["chars"])
     return measure
 
 
@@ -73,6 +77,16 @@ def _referenced(n):
     """Top <- X ',' X ',' ... X EOI, one rule referenced at n sites; quiet
     lowers to no regex, so the sequence does not lower as a whole."""
     return "Top <- " + " ',' ".join(["X"] * n) + " EOI\nX <- quiet([a-z]+) ('=' [0-9]+)?\n"
+
+
+def _declared_chain(n):
+    """R00000 <- R00001 'x', ... down to R<n> <- capture('x'): every rule
+    pushes one value, and every other rule declares it, (0 -> 1), so that
+    each of those is inferred from its body and checked against its
+    declaration, and each of the others is inferred through the next."""
+    return ("".join(f"R{i:05d}{' : (0 -> 1)' if i % 2 else ''} <- R{i + 1:05d} 'x'\n"
+                    for i in range(n))
+            + f"R{n:05d} <- capture('x')\n")
 
 
 @pytest.fixture(scope="module")
@@ -121,4 +135,16 @@ def test_building_and_writing_a_rule_referenced_at_many_sites_is_linear(warm, wo
         parser, built = _built(work, _referenced(n))
         counts.append(built | _written(work, parser, "parse", "collect"))
         assert counts[-1]["parse"][1] == counts[0]["parse"][1] > 0
+    _assert_linear(counts)
+
+
+def test_building_and_writing_a_chain_with_and_without_declared_effects_is_linear(warm, work):
+    # the stack-effect counts of every rule come from the inference that
+    # compiling the rules runs, and every function of the parse module keeps
+    # its values in locals
+    counts = []
+    for n in (250, 2000):
+        parser, built = _built(work, _declared_chain(n))
+        assert set(parser._tables.effects.values()) == {(0, 1)}
+        counts.append(built | _written(work, parser, "parse"))
     _assert_linear(counts)
