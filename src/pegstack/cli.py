@@ -14,7 +14,7 @@ from .engine import Parser, Trace, format_trace_event
 from .errors import format_error
 from .notation import NotationError, load_grammar
 from .rules import GrammarError, GrammarTooDeep
-from .values import Node, Value, json_string, render_value
+from .values import Node, Value, _children, json_string, render_value
 
 EXIT_SUCCESS = 0
 EXIT_PARSE_FAILURE = 1
@@ -53,11 +53,13 @@ def _value_json(value: Value):
     todo = [(value, root)]  # each value with the array its JSON form joins
     while todo:
         value, into = todo.pop()
-        payload, node = value.payload, value.__class__ is Node
+        cls = value.__class__
+        node = cls is Node
+        payload = value._payload if cls is Value else value.payload  # a subclass's own field
         if node or isinstance(payload, tuple):
             items: list = []
-            into.append({"label": value.label, "children": items} if node else items)
-            todo.extend((c, items) for c in reversed(value.children if node else payload))
+            into.append({"label": value._tag, "children": items} if node else items)
+            todo.extend((c, items) for c in reversed(_children(value) if node else payload))
         elif isinstance(payload, str):
             into.append(payload)
         elif payload is None and value.tag == "Unit":
@@ -77,12 +79,13 @@ def _json_values(values) -> str:
         if type(item) is str:
             out.append(item)
             continue
-        if item.__class__ is tuple:
+        cls = item.__class__
+        if cls is tuple:
             label, children = None, item
-        elif item.__class__ is Node:
-            label, children = item.label, item.children
+        elif cls is Node:
+            label, children = item._tag, _children(item)
         else:
-            payload = item.payload
+            payload = item._payload if cls is Value else item.payload  # a subclass's own field
             if isinstance(payload, tuple):
                 label, children = None, payload
             else:

@@ -19,16 +19,23 @@ from operator import attrgetter
 
 
 class FrozenInstanceError(AttributeError):
-    """A field of a record was assigned or deleted."""
+    """A field of a record, or a public field of a ``values.Value``, was
+    assigned or deleted."""
 
 
 def record(cls: type) -> type:
     """Rebuild cls as a frozen record with a slot per annotated field.
 
-    A class attribute named like a field is that field's default. Classes
-    built in bulk define their own ``__init__``, which sets the slots
-    through the slot descriptors, because the shared one takes any
-    arguments and so costs more per call.
+    A class attribute named like a field is that field's default. The
+    shared ``__init__`` takes any arguments and so costs more per call; a
+    class built often defines its own, which sets the slots through the
+    slot descriptors, as the frozen ``__setattr__`` refuses a plain store.
+
+    That ``__setattr__`` also keeps CPython's specializing interpreter
+    (PEP 659) from turning the class's attribute stores into direct slot
+    writes, so every store is a descriptor call. A class built by the
+    thousand in one parse is therefore no record: ``values.py`` freezes
+    ``Value`` and ``Node`` with read-only properties over private slots.
     """
     ns = dict(cls.__dict__)
     fields = tuple(ns.get("__annotations__", ()))

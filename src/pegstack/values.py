@@ -7,14 +7,24 @@ undone by restoring a snapshot taken before the attempt.
 A node ``Label(children...)`` is one ``Node`` object, the form that
 ``cons`` actions and ``node_value`` build. A node of one or two children
 holds them in slots of its own; any other holds one tuple of them.
+
+Values are frozen through their public fields, which are read-only
+properties over private slots, and not through a ``__setattr__`` that
+raises, as a ``record`` has. A class that overrides ``__setattr__`` keeps
+CPython's specializing interpreter (PEP 659) from turning its attribute
+stores into direct slot writes, so each store would go through a slot
+descriptor's method call. The constructors here, which build every value
+of a parse, store their slots with plain ``obj._slot = v``. The walkers
+below read the private slots too, so equality, hashing, ``repr``, copy,
+pickle and rendering pay no property call per field.
 """
 
 from __future__ import annotations
 
-from operator import eq
+from operator import attrgetter, eq
 from typing import Any, Iterable
 
-from .record import record
+from .record import FrozenInstanceError
 
 try:  # the C function behind json.dumps(str), without importing the json package
     from _json import encode_basestring_ascii as json_string
@@ -31,30 +41,43 @@ class StackUnderflow(Exception):
     """
 
 
-@record
+def _field(get, name: str, doc: str) -> property:
+    """A public field read by get; assigning or deleting it raises."""
+    def refuse_set(self, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def refuse_delete(self):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    return property(get, refuse_set, refuse_delete, doc)
+
+
 class Value:
     """One stack entry: a symbolic type tag plus a payload.
 
     The tag is fixed for the value's lifetime. Payloads are text (tag
     ``Str``), a tuple of values (``ListOf(...)`` tags), or an arbitrary
-    host object for opaque values; a node is a ``Node``.
+    host object for opaque values; a node is a ``Node``. ``tag`` and
+    ``payload`` read the slots ``_tag`` and ``_payload`` and refuse
+    assignment and deletion with ``FrozenInstanceError``.
 
     Equality, hashing, ``repr``, copy and pickle walk the tree with
     explicit stacks, so the depth of a value is not bounded by the
-    recursion limit. They agree with the record's field-by-field methods,
-    with a node's children and a list's elements compared pairwise. A
-    value that occurs twice in a tree comes back from copy and pickle as
-    two.
+    recursion limit. They agree with field-by-field methods, with a node's
+    children and a list's elements compared pairwise. A value that occurs
+    twice in a tree comes back from copy and pickle as two.
     """
 
-    tag: str
-    payload: Any
+    __slots__ = ("_tag", "_payload")
+    __match_args__ = ("tag", "payload")
 
-    # one per capture: set the slots directly, not through the record's
-    # generic constructor
+    # one per capture: plain slot stores, which the interpreter specializes
     def __init__(self, tag: str, payload: Any):
-        _set_tag(self, tag)
-        _set_payload(self, payload)
+        self._tag = tag
+        self._payload = payload
+
+    tag = _field(attrgetter("_tag"), "tag", "The value's type tag.")
+    payload = _field(attrgetter("_payload"), "payload", "The value's payload.")
 
     def __eq__(self, other):
         if self.__class__ not in _FORMS or other.__class__ not in _FORMS:
@@ -69,7 +92,7 @@ class Value:
     def __reduce__(self):
         if self.__class__ not in _FORMS:  # a subclass rebuilds through its constructor
             node = isinstance(self, Node)
-            return self.__class__, (self.label, self.children) if node else (self.tag, self.payload)
+            return self.__class__, (self._tag, _children(self) if node else self._payload)
         return _rebuild, ([*_walk(self)],)
 
     def __repr__(self):
@@ -82,64 +105,65 @@ class Value:
                 continue
             todo.append(")")
             if isinstance(item, Node):  # a subclass too: its payload is itself
-                out.append(f"Node(label={item.label!r}, children=")
-                _push_tuple(todo, item.children)
+                out.append(f"Node(label={item._tag!r}, children=")
+                _push_tuple(todo, _children(item))
                 continue
-            out.append(f"Value(tag={item.tag!r}, payload=")
-            if type(item.payload) is tuple:
-                _push_tuple(todo, item.payload)
+            out.append(f"Value(tag={item._tag!r}, payload=")
+            payload = item._payload
+            if type(payload) is tuple:
+                _push_tuple(todo, payload)
             else:
-                out.append(repr(item.payload))
+                out.append(repr(payload))
         return "".join(out)
+
+
+def _children(node: Node) -> tuple[Value, ...]:
+    """A node's children as a tuple, read from its slots."""
+    b = node._b
+    if b is _ONE:
+        return (node._payload,)
+    if b is _MANY:
+        return node._payload
+    return (node._payload, b)
 
 
 class Node(Value):
     """The node ``Label(children...)``: a value tagged ``Node`` that holds
-    its label and children in slots of its own, built by ``cons`` actions
-    and ``node_value``. Its ``payload`` is the node itself, so
-    ``value.payload.label`` reads a node's label too.
+    its label and children, built by ``cons`` actions and ``node_value``.
+    Its ``payload`` is the node itself, so ``value.payload.label`` reads a
+    node's label too.
 
-    One or two children sit in the slots ``_a`` and ``_b``, with no tuple
-    around them, so such a node is one object for the cyclic collector to
-    track; ``_b`` is ``_ONE`` when ``_a`` is the only child. Any other
-    number of children is one tuple in ``_a``, with ``_b`` ``_MANY``.
-    ``children`` rebuilds the tuple on each read: equal to the one the
-    node was built from, but not the same object.
+    A node reuses the two slots it inherits and adds one, so it is one slot
+    larger than a ``Value``: the label sits in ``_tag``. One or two
+    children sit in ``_payload`` and ``_b``, with no tuple around them, so
+    such a node is one object for the cyclic collector to track; ``_b`` is
+    ``_ONE`` when ``_payload`` is the only child. Any other number of
+    children is one tuple in ``_payload``, with ``_b`` ``_MANY``.
+    ``children`` rebuilds the tuple on each read: equal to the one the node
+    was built from, but not the same object.
     """
 
-    __slots__ = ("label", "_a", "_b")
-    tag = "Node"  # tag and payload shadow Value's slots, which a Node leaves empty
+    __slots__ = ("_b",)
 
     def __init__(self, label: str, children: tuple[Value, ...]):
-        _set_node_label(self, label)
+        self._tag = label
         if len(children) == 2:
-            _set_a(self, children[0])
-            _set_b(self, children[1])
+            self._payload = children[0]
+            self._b = children[1]
         elif len(children) == 1:
-            _set_a(self, children[0])
-            _set_b(self, _ONE)
+            self._payload = children[0]
+            self._b = _ONE
         else:  # tuple() of a tuple is the tuple itself
-            _set_a(self, tuple(children))
-            _set_b(self, _MANY)
+            self._payload = tuple(children)
+            self._b = _MANY
 
-    @property
-    def payload(self) -> Node:
-        return self
-
-    @property
-    def children(self) -> tuple[Value, ...]:
-        b = self._b
-        if b is _ONE:
-            return (self._a,)
-        if b is _MANY:
-            return self._a
-        return (self._a, b)
+    tag = _field(lambda self: "Node", "tag", "Always ``Node``.")
+    payload = _field(lambda self: self, "payload", "The node itself.")
+    label = _field(attrgetter("_tag"), "label", "The node's label.")
+    children = _field(_children, "children", "The node's children, as a new tuple.")
 
 
-# the slot descriptors' setters, which bypass the records' frozen __setattr__
-_set_tag, _set_payload = Value.tag.__set__, Value.payload.__set__
-_set_node_label, _set_a, _set_b = Node.label.__set__, Node._a.__set__, Node._b.__set__
-_ONE, _MANY = object(), object()  # in a node's _b: _a is its only child, or the tuple of them
+_ONE, _MANY = object(), object()  # in a node's _b: _payload is its only child, or the tuple of them
 _FORMS = (Value, Node)  # the classes whose instances the walkers take apart
 _new = object.__new__
 
@@ -148,18 +172,18 @@ _new = object.__new__
 def node1(label: str, a: Value) -> Node:
     """The node ``label(a)``, as ``Node(label, (a,))`` builds it."""
     node = _new(Node)
-    _set_node_label(node, label)
-    _set_a(node, a)
-    _set_b(node, _ONE)
+    node._tag = label
+    node._payload = a
+    node._b = _ONE
     return node
 
 
 def node2(label: str, a: Value, b: Value) -> Node:
     """The node ``label(a, b)``, as ``Node(label, (a, b))`` builds it."""
     node = _new(Node)
-    _set_node_label(node, label)
-    _set_a(node, a)
-    _set_b(node, b)
+    node._tag = label
+    node._payload = a
+    node._b = b
     return node
 
 
@@ -175,14 +199,14 @@ def _walk(value: Value):
         item = todo.pop()
         cls = item.__class__
         if cls is Node:
-            kind, tag, data, kids = Node, None, item.label, item.children
+            kind, tag, data, kids = Node, None, item._tag, _children(item)
         elif cls is not Value:
             yield None, None, item, 0
             continue
-        elif type(item.payload) is tuple:
-            kind, tag, data, kids = tuple, item.tag, None, item.payload
+        elif type(item._payload) is tuple:
+            kind, tag, data, kids = tuple, item._tag, None, item._payload
         else:
-            kind, tag, data, kids = Value, item.tag, item.payload, ()
+            kind, tag, data, kids = Value, item._tag, item._payload, ()
         yield kind, tag, data, len(kids)
         todo.extend(kids)
 
@@ -241,10 +265,11 @@ def render_value(value: Value) -> str:
         if type(item) is str:
             out.append(item)
             continue
-        if item.__class__ is Node:
-            label, children = item.label, item.children
+        cls = item.__class__
+        if cls is Node:
+            label, children = item._tag, _children(item)
         else:
-            payload = item.payload
+            payload = item._payload if cls is Value else item.payload  # a subclass's own field
             if isinstance(payload, tuple):
                 label, children = None, payload
             else:

@@ -1,7 +1,10 @@
 import copy
+import dis
 import gc
 import pickle
 import random
+import struct
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -259,11 +262,6 @@ def test_a_node_is_its_own_payload():
     v = node_value("Val", child)
     assert isinstance(v, Value) and v.tag == "Node"
     assert v.payload is v
-    for field in ("tag", "payload", "label", "children"):
-        with pytest.raises(FrozenInstanceError):
-            setattr(v, field, "x")
-        with pytest.raises(FrozenInstanceError):
-            delattr(v, field)
     # a walk through payloads alone, as the benchmark's checker
     # (bench/workloads.value_tokens) reads values: text, a list's tuple, or
     # a node's label and children
@@ -313,3 +311,75 @@ def test_value_tags_are_stable():
     assert v.payload is v
     with pytest.raises(Exception):
         v.tag = "Other"  # frozen
+
+
+def test_values_keep_object_setattr_so_their_slot_stores_specialize():
+    # a class-level __setattr__ or __delattr__ keeps CPython from
+    # specializing STORE_ATTR; the public fields are frozen by properties
+    for cls in (Value, Node):
+        assert cls.__setattr__ is object.__setattr__
+        assert cls.__delattr__ is object.__delattr__
+    if sys.implementation.name != "cpython" or not (3, 11) <= sys.version_info[:2] < (3, 14):
+        return  # the specialized instruction names are CPython 3.11-3.13's
+    constructors = [(Value.__init__, lambda: Value("Str", "x")), (Node.__init__, lambda: Node("N", ())),
+                    (node1, lambda: node1("N", UNIT)), (node2, lambda: node2("N", UNIT, UNIT))]
+    for function, build in constructors:
+        for _ in range(1_000):
+            build()
+        stores = [i.opname for i in dis.get_instructions(function, adaptive=True)
+                  if i.opname.startswith("STORE_ATTR")]
+        assert stores and set(stores) == {"STORE_ATTR_SLOT"}, (function, stores)
+
+
+@pytest.mark.parametrize("value", [str_value("1"), list_value([UNIT], "Unit"), node_value("A"),
+                                   node_value("A", UNIT), node_value("A", UNIT, UNIT),
+                                   node_value("A", UNIT, UNIT, UNIT)], ids=repr)
+def test_every_public_field_refuses_assignment_and_deletion(value):
+    fields = ("tag", "payload") + (("label", "children") if type(value) is Node else ())
+    before = repr(value)
+    for field in fields:
+        with pytest.raises(FrozenInstanceError, match=f"assign to field '{field}'"):
+            setattr(value, field, "x")
+        with pytest.raises(FrozenInstanceError, match=f"delete field '{field}'"):
+            delattr(value, field)
+    assert repr(value) == before
+
+
+def test_a_value_and_a_node_match_by_position_and_by_field():
+    match str_value("1"):
+        case Value(tag, payload):
+            assert (tag, payload) == ("Str", "1")
+        case _:
+            pytest.fail("a Value did not match Value(tag, payload)")
+    node = node2("Add", str_value("1"), UNIT)
+    match node:
+        case Node(tag, payload, label=label, children=(left, right)):
+            assert (tag, payload, label) == ("Node", node, "Add")
+            assert left == str_value("1") and right is UNIT
+        case _:
+            pytest.fail("a Node did not match Node(tag, payload, label=, children=)")
+
+
+def test_a_node_is_one_pointer_larger_than_a_value():
+    # a Node keeps its label and first child in the two slots it inherits
+    assert Value.__slots__ == ("_tag", "_payload") and Node.__slots__ == ("_b",)
+    pointer = struct.calcsize("P")
+    value_size = sys.getsizeof(str_value("1"))
+    for node in (node1("N", UNIT), node2("N", UNIT, UNIT), Node("N", (UNIT,) * 3)):
+        assert sys.getsizeof(node) == value_size + pointer
+    if sys.implementation.name == "cpython" and sys.version_info[:2] == (3, 11) and pointer == 8:
+        assert (value_size, sys.getsizeof(node2("N", UNIT, UNIT))) == (48, 56)
+
+
+def test_a_50000_deep_tree_built_by_cons_copies_pickles_compares_and_hashes_as_node_value_builds_it():
+    depth = 50_000
+    built = _add_chain(depth)
+    consed = node1("Val", str_value("0"))
+    for i in range(depth):
+        consed = node2("Add", consed, node1("Val", str_value("9" if i == depth - 1 else str(i % 10))))
+    other = _add_chain(depth, last="8")
+    for twin in (consed, copy.copy(consed), pickle.loads(pickle.dumps(consed))):
+        assert type(twin) is Node and twin is not built
+        assert twin == built and built == twin and hash(twin) == hash(built)
+        assert twin != other and other != twin
+    assert copy.copy(consed).children[0] is not consed.children[0]
