@@ -14,7 +14,7 @@ from .engine import Parser, Trace, format_trace_event
 from .errors import format_error
 from .notation import NotationError, load_grammar
 from .rules import GrammarError, GrammarTooDeep
-from .values import Node, Value, _children, json_string, render_value
+from .values import _TEXT, Node, Value, _children, json_string, render_value
 
 EXIT_SUCCESS = 0
 EXIT_PARSE_FAILURE = 1
@@ -83,6 +83,10 @@ def _json_values(values) -> str:
         if cls is tuple:
             label, children = None, item
         elif cls is Node:
+            if item._b is _TEXT:  # a leaf: its child's text, from the slot
+                out.append('{"label": ' + json_string(item._tag) + ', "children": ['
+                           + json_string(item._payload) + "]}")
+                continue
             label, children = item._tag, _children(item)
         else:
             payload = item._payload if cls is Value else item.payload  # a subclass's own field

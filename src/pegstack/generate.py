@@ -25,6 +25,17 @@ A function keeps its values in one of two forms:
   without a head may change one and match without moving, which copy it
   first and put it back; a collecting ``*``, ``+`` or ``?`` appends each
   iteration's value to a list local and ends with one ``list_value``. A
+  capture keeps the slice it matched as plain text in its local, and a
+  ``cons`` of one child over that local makes the leaf ``leaf(L, v{k})``,
+  one object where ``node1`` over its ``Value('Str', ...)`` would be two;
+  terminals, scans, predicates and nested sequences may stand between
+  them. Every other use boxes the text into its ``Value('Str', ...)``
+  first: a ``cons`` of any other arity, handing it back in ``out``, to a
+  split function or onto ``h`` for a rule that pops; and so that every
+  path through a construct that branches leaves the same locals boxed, a
+  choice, loop or option boxes the texts held where it starts, and each
+  alternative and body those it leaves, while a predicate's body, which
+  reads no value held at its entry, boxes none of those. A
   function hands back its values in the run's local ``out`` (a tuple for
   more than one), which its caller reads into its next locals; a function
   split off for depth (below) takes the values it may change in ``out``
@@ -68,7 +79,8 @@ In both forms:
   mismatch either way; a ``+`` calls it at once;
 * the largest fragment that lowers to one regex (see
   ``pegstack.instructions``) is one call of the compiled regex, and a
-  capture of one pushes the slice it matched; whether a fragment lowers is
+  capture of one pushes the slice it matched (as text, in the register
+  form); whether a fragment lowers is
   read from its regex source, and the regex is compiled only where the
   code names it;
 * a reference calls the rule's function where the rule is a loop breaker,
@@ -271,6 +283,11 @@ class _Function:
         # the fewest it has held since the innermost open sequence began (a
         # value below those is as it was there); None in the cell form
         self.k = self.low = depth
+        # the register form: the locals that hold a capture's text, not yet
+        # boxed as its Value('Str', text), and the depth below which no code
+        # reads a value (a predicate's entry, inside its body)
+        self.texts: set[int] = set()
+        self.floor = 0
         if rule is not None:
             self.line(f"path = ({rule!r}, path)")
 
@@ -301,13 +318,36 @@ class _Function:
             return self.snapped[1]
         return None
 
-    def push(self, value: str) -> str:
-        """The statement that pushes the value an expression gives: onto
-        ``h``, or in the register form into the next local."""
+    def push(self, value: str, text: bool = False) -> str:
+        """The statement that pushes the value an expression gives, or with
+        text the ``Value('Str', ...)`` of the text it gives: onto ``h``, or
+        in the register form into the next local, where text stays unboxed."""
         if self.k is None:
-            return _push(value)
+            return _push(f"Value('Str', {value})" if text else value)
+        (self.texts.add if text else self.texts.discard)(self.k)
         self.k += 1
         return f"v{self.k - 1} = {value}"
+
+    def reads(self, low: int, high: int) -> str:
+        """The values low to high for code that takes them: a local that
+        holds a text gives its ``Value('Str', ...)``, and is read no more."""
+        held = [f"Value('Str', v{i})" if i in self.texts else f"v{i}" for i in range(low, high)]
+        self.texts.difference_update(range(low, high))
+        return ", ".join(held)
+
+    def box(self, high: int | None, guard: bool) -> None:
+        """Box the texts held from the floor up to high, where a construct
+        that branches starts or a branch ends, so that every path leaves the
+        same locals boxed; those at high and above are dead. With guard, the
+        boxes wait for a match: a failed branch may not have written them.
+        The cell form holds no text."""
+        if not self.texts:
+            return
+        boxed = sorted(i for i in self.texts if self.floor <= i < high)
+        self.texts = {i for i in self.texts if i < self.floor}
+        if boxed:
+            self.line(("if pos >= 0: " if guard else "")
+                      + "; ".join(f"v{i} = Value('Str', v{i})" for i in boxed))
 
     def insert(self, at: int, text: str) -> None:
         """A line at line count at, where every block opened since has been
@@ -378,7 +418,7 @@ class _Module:
                              name if self.collect else None, 0 if self.register(name) else None)
             fails = self.emit(code, self.bodies[name])
             if code.k:  # what the register form hands back
-                code.line(("if pos >= 0: " if fails else "") + f"out = {_slots(0, code.k)}")
+                code.line(("if pos >= 0: " if fails else "") + f"out = {code.reads(0, code.k)}")
             self.registers += code.k is not None
             self.functions.append(code.end())
         self.values = ""  # the start rule's values, handed back in the register form
@@ -535,6 +575,7 @@ class _Module:
             return self.loop(code, ins)
         if op == OPT:
             tag, start, k = None if self.collect else ins[3], self.starts(ins[4]), code.k
+            code.box(k, False)
             if start:
                 code.open(f"if {start}:")
             base = code.fresh("b") if tag is not None and k is None else None
@@ -543,6 +584,7 @@ class _Module:
                 code.line(f"{base} = h[2]")
             code.line(f"{entry} = pos")
             fails = self.emit(code, ins[2])
+            code.box(code.k, fails)
             if tag is not None and k is not None:  # the value the body pushed, if it matched
                 one = f"v{k} = list_value((v{k},), {tag!r})"
                 if fails:
@@ -567,13 +609,16 @@ class _Module:
             entry = code.fresh("p")
             code.line(f"{entry} = pos")
             fails = self.emit(code, ins[2], known)
-            code.line(("if pos >= 0: " if fails else "") + code.push(f"Value('Str', text[{entry}:pos])"))
+            code.line(("if pos >= 0: " if fails else "") + code.push(f"text[{entry}:pos]", True))
             return fails
         if op == PRED:
             negate, k = ins[3], code.k
             # the register form: the body pops nothing, and what it pushes
             # is above the values held
             snap = code.snapshot() if ins[4] and k is None and not self.collect else None
+            floor = code.floor
+            if k is not None:  # the body reads no value held at its entry
+                code.floor = k
             entry = code.fresh("p")
             code.line(f"{entry} = pos")
             if self.collect:
@@ -590,7 +635,9 @@ class _Module:
                     code.line(f"mm, mc = {entry}m, {entry}c")
             if snap:
                 code.line(f"h = {snap}")
-            code.k = k
+            if k is not None:  # what the body pushed is gone
+                code.texts = {i for i in code.texts if i < k}
+            code.k, code.floor = k, floor
             code.line(f"pos = {entry} if pos < 0 else -1" if negate
                       else f"if pos >= 0: pos = {entry}")
             return True
@@ -610,10 +657,14 @@ class _Module:
         k = code.k
         if k is not None:
             low = k - arity
-            kids = _slots(low, k)
-            node = (f"node1({label!r}, {kids})" if arity == 1 else
-                    f"node2({label!r}, {kids})" if arity == 2 else
-                    f"Node({label!r}, ({kids}))")
+            if arity == 1 and low in code.texts:  # a captured text: the leaf is one object
+                code.texts.discard(low)
+                node = f"leaf({label!r}, v{low})"
+            else:
+                kids = code.reads(low, k)
+                node = (f"node1({label!r}, {kids})" if arity == 1 else
+                        f"node2({label!r}, {kids})" if arity == 2 else
+                        f"Node({label!r}, ({kids}))")
             code.line(f"v{low} = {node}")
             code.k, code.low = low + 1, min(code.low, low)
         elif arity == 1:
@@ -652,11 +703,13 @@ class _Module:
             self.call(code, self.called[name], self.labels[name])
             if pushes:
                 code.line(("if pos >= 0: " if pushes > 1 else "") + f"{_slots(k, k + pushes)} = out")
+                code.texts.difference_update(range(k, k + pushes))
         else:  # a rule that pops: the values it takes and gives go through h
             below = code.fresh("c")
-            code.line(f"{below} = h; " + "; ".join(_push(f"v{i}") for i in range(low, k)))
+            code.line(f"{below} = h; " + "; ".join(_push(code.reads(i, i + 1)) for i in range(low, k)))
             self.call(code, self.called[name], self.labels[name])
             if pushes:
+                code.texts.difference_update(range(low, low + pushes))
                 taken = "h[0]" if pushes == 1 else f"pop(h, {pushes})[0]"
                 code.line(f"if pos >= 0: {_slots(low, low + pushes)} = {taken}")
             code.line(f"h = {below}")
@@ -685,9 +738,9 @@ class _Module:
         low, high = inner.low, inner.k
         if low < k:
             inner.insert(3, f"{_slots(low, k)} = out")
-            code.line(f"out = {_slots(low, k)}")
+            code.line(f"out = {code.reads(low, k)}")
         if low < high:
-            inner.line(("if pos >= 0: " if fails else "") + f"out = {_slots(low, high)}")
+            inner.line(("if pos >= 0: " if fails else "") + f"out = {inner.reads(low, high)}")
         self.functions.append(inner.end())
         self.call(code, inner.index)
         if low < high:
@@ -696,6 +749,7 @@ class _Module:
             # change a value below k or unpack a tuple
             guard = fails and (low < k or high - low > 1)
             code.line(("if pos >= 0: " if guard else "") + f"{_slots(low, high)} = out")
+            code.texts.difference_update(range(low, high))
         code.k, code.low = high, min(code.low, low)
         return fails
 
@@ -741,8 +795,7 @@ class _Module:
         m = code.fresh("m")
         if capture:
             code.line(f"{m} = {self.name(match, 'M')}(text, pos)")
-            value = f"Value('Str', text[pos:{m}.end()])"
-            code.line(f"if {m}: {code.push(value)}; pos = {m}.end()")
+            code.line(f"if {m}: {code.push(f'text[pos:{m}.end()]', True)}; pos = {m}.end()")
             code.line("else: pos = fail()")
         else:
             code.line(f"pos = {m}.end() if ({m} := {self.name(match, 'M')}(text, pos)) else fail()")
@@ -764,7 +817,7 @@ class _Module:
         else:
             code.line("mm += 1")
             code.line("if at > mc: mc = at")
-        push = code.push("Value('Str', text[pos:at])") + "; " if capture and not self.collect else ""
+        push = code.push("text[pos:at]", True) + "; " if capture and not self.collect else ""
         if plus:
             code.line(f"if at > pos: {push}pos = at")
             code.line("else: pos = -1")
@@ -803,6 +856,7 @@ class _Module:
         if self.collect:
             tag = touches = None
         k, outer = code.k, code.low
+        code.box(k, False)
         start = self.starts(operand)
         snap = code.fresh("s") if touches and not operand and k is None else None
         if start:
@@ -817,7 +871,8 @@ class _Module:
         code.open("while True:")
         at = len(code.lines)
         code.low = k
-        self.emit(code, inner, self.one(operand))
+        fails = self.emit(code, inner, self.one(operand))
+        code.box(code.k, fails)
         # the register form: a body without a head may pop values and match
         # without moving, which the loop undoes
         kept = code.fresh("t") if k is not None and code.low < k and not operand else None
@@ -869,6 +924,7 @@ class _Module:
         values held at the entry and, where it matches, leaves as many."""
         kids, operand, k = ins[2][:-1], ins[4], code.k
         touches = ins[3] and k is None and not self.collect
+        code.box(k, False)
         self.choose(code, kids, operand, touches)
         if k is not None:
             code.k = k + self.net(kids[0])
@@ -897,6 +953,12 @@ class _Module:
         if op == REP or op == OPT:  # a collecting one leaves one list
             return int(ins[4 if op == REP else 3] is not None)
         return 0  # a terminal or a predicate
+
+    def branch(self, code: _Function, ins: tuple, known: str | None = None) -> bool:
+        """One alternative of a choice, which boxes the texts it leaves."""
+        fails = self.emit(code, ins, known)
+        code.box(code.k, fails)
+        return fails
 
     def choose(self, code: _Function, kids, operand, touches: bool) -> None:
         """The branches of a choice: in order, through the bits of the next
@@ -948,7 +1010,7 @@ class _Module:
         if not chosen:
             code.line("pos = -1")
         elif len(chosen) == 1:
-            self.emit(code, chosen[0], known)
+            self.branch(code, chosen[0], known)
         else:
             self.alternatives(code, chosen, touches, known)
 
@@ -963,7 +1025,7 @@ class _Module:
                 code.open("if pos < 0:")
                 code.line(f"pos = {entry}")
             code.k = k
-            fails = self.emit(code, kid, known)
+            fails = self.branch(code, kid, known)
             if snap and fails:
                 code.line(f"if pos < 0: h = {snap}")
             if i:
@@ -990,7 +1052,7 @@ class _Module:
             code.open(f"if {test}:" if i == 0 else f"if pos < 0 and {test}:")
             code.line(f"pos = {entry}")
             code.k = k
-            if self.emit(code, kid) and snap:
+            if self.branch(code, kid) and snap:
                 code.line(f"if pos < 0: h = {snap}")
             code.close()
 

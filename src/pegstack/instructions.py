@@ -79,7 +79,8 @@ from __future__ import annotations
 import re
 
 from . import rules as r
-from .effects import ConsFn, EffectError, infer_effect, repetition_shape, rule_effect
+from .effects import (ConsFn, EffectError, UndeclaredRecursiveRule, infer_effect,
+                      repetition_shape, rule_effect)
 
 # opcodes: terminals first, so "op <= ISTR" tells a terminal (a CLASS also
 # stands for "." and a none-of set); an ACTION also stands for push and
@@ -292,6 +293,22 @@ class Tables:
             if facts[name][0] <= acyclic.keys():
                 acyclic[name] = None
         cyclic = [name for name in exprs if name not in acyclic]
+        # the references to rules without declared effects, which inference
+        # follows: each rule after those it references, and the cycles among
+        # them. The inference of such a rule on or reaching one of the
+        # cycles fails, so the memo holds its failure before the rules
+        # compile, and a repetition body that references it takes no tag
+        # without an inference that recurses once per rule to the cycle
+        graph = {name: [n for n in found if grammar.rules[n].effect is None]
+                 for name, found in self.references.items()}
+        inferred, cycles = r.depth_first(graph)
+        failing = {name for cycle in cycles for name in cycle}
+        for name in inferred:  # after the rules it references, or those on a cycle
+            if any(n in failing for n in graph[name]):
+                failing.add(name)
+        for name in failing:
+            if grammar.rules[name].effect is None:
+                self._effects[name] = UndeclaredRecursiveRule(name)
         exact = self.bodies = {}
         self._operands = []  # each dispatch operand, with what fills it
         named = {}  # the heads of the rules on cycles, naming those rules
@@ -299,7 +316,7 @@ class Tables:
             exact[name], _, head, passes = self._compile(exprs[name])
             (acyclic if name in acyclic else named)[name] = None if passes else head
         # each rule's stack effect as counts, from the memo that compiling filled
-        self.effects = self._counts(facts)
+        self.effects = self._counts(facts, inferred, cycles)
         operands = self._operands
         del self._effects, self._operands  # nothing compiles after the build
         # the heads of the rules on cycles are one least fixpoint: each
@@ -337,7 +354,7 @@ class Tables:
                 bits = _by_char(kid_heads)
                 operand[:] = bits if choice else bits[:2]
 
-    def _counts(self, facts: dict) -> dict[str, tuple[int, int] | None]:
+    def _counts(self, facts: dict, order: list, cycles: list) -> dict[str, tuple[int, int] | None]:
         """Each rule's stack effect as counts, (pops, pushes), which hold at
         run time: None for a rule whose body's effect does not infer or does
         not unify with its declared effect, that holds an action other than
@@ -361,9 +378,6 @@ class Tables:
                     counts[name] = None
                     todo += users.get(name, ())
 
-        order, cycles = r.depth_first({
-            name: [n for n in found if grammar.rules[n].effect is None]
-            for name, found in self.references.items()})
         spread([name for cycle in cycles for name in cycle]
                + [name for name, f in facts.items() if f[3]])
         failed = []

@@ -6,7 +6,12 @@ undone by restoring a snapshot taken before the attempt.
 
 A node ``Label(children...)`` is one ``Node`` object, the form that
 ``cons`` actions and ``node_value`` build. A node of one or two children
-holds them in slots of its own; any other holds one tuple of them.
+holds them in slots of its own; any other holds one tuple of them. A leaf,
+the node of one captured text that generated code builds with ``leaf``,
+holds the text and not its ``Value('Str', text)``, which ``children``
+builds on each read: equal to the child a regular node holds, but not the
+same object. Equality, hashing, ``repr``, copy, pickle and rendering read
+the text from the slot and cannot tell a leaf from the regular node.
 
 Values are frozen through their public fields, which are read-only
 properties over private slots, and not through a ``__setattr__`` that
@@ -106,7 +111,10 @@ class Value:
             todo.append(")")
             if isinstance(item, Node):  # a subclass too: its payload is itself
                 out.append(f"Node(label={item._tag!r}, children=")
-                _push_tuple(todo, _children(item))
+                if item._b is _TEXT:  # a leaf: its child, written from the slot
+                    out.append(f"(Value(tag='Str', payload={item._payload!r}),)")
+                else:
+                    _push_tuple(todo, _children(item))
                 continue
             out.append(f"Value(tag={item._tag!r}, payload=")
             payload = item._payload
@@ -124,6 +132,8 @@ def _children(node: Node) -> tuple[Value, ...]:
         return (node._payload,)
     if b is _MANY:
         return node._payload
+    if b is _TEXT:
+        return (Value("Str", node._payload),)
     return (node._payload, b)
 
 
@@ -138,9 +148,13 @@ class Node(Value):
     children sit in ``_payload`` and ``_b``, with no tuple around them, so
     such a node is one object for the cyclic collector to track; ``_b`` is
     ``_ONE`` when ``_payload`` is the only child. Any other number of
-    children is one tuple in ``_payload``, with ``_b`` ``_MANY``.
-    ``children`` rebuilds the tuple on each read: equal to the one the node
-    was built from, but not the same object.
+    children is one tuple in ``_payload``, with ``_b`` ``_MANY``. A leaf,
+    the node ``Label(Value('Str', text))`` that ``leaf`` builds for a
+    captured text, holds the text itself in ``_payload``, with ``_b``
+    ``_TEXT``: one object where its child would be a second.
+    ``children`` rebuilds the tuple on each read, and a leaf's child with
+    it: equal to the one the node was built from, or that a regular node
+    holds, but not the same object.
     """
 
     __slots__ = ("_b",)
@@ -163,7 +177,9 @@ class Node(Value):
     children = _field(_children, "children", "The node's children, as a new tuple.")
 
 
-_ONE, _MANY = object(), object()  # in a node's _b: _payload is its only child, or the tuple of them
+# in a node's _b: _payload is its only child, the tuple of them, or the
+# text of its only child, a Value('Str', text) that the node does not hold
+_ONE, _MANY, _TEXT = object(), object(), object()
 _FORMS = (Value, Node)  # the classes whose instances the walkers take apart
 _new = object.__new__
 
@@ -175,6 +191,17 @@ def node1(label: str, a: Value) -> Node:
     node._tag = label
     node._payload = a
     node._b = _ONE
+    return node
+
+
+def leaf(label: str, text: str) -> Node:
+    """The node ``label(Value('Str', text))``, equal to the one
+    ``Node(label, (Value('Str', text),))`` builds, as one object: the
+    generated code's ``cons`` of one captured text."""
+    node = _new(Node)
+    node._tag = label
+    node._payload = text
+    node._b = _TEXT
     return node
 
 
@@ -199,6 +226,10 @@ def _walk(value: Value):
         item = todo.pop()
         cls = item.__class__
         if cls is Node:
+            if item._b is _TEXT:  # a leaf: its child's entry, from the slot
+                yield Node, None, item._tag, 1
+                yield Value, "Str", item._payload, 0
+                continue
             kind, tag, data, kids = Node, None, item._tag, _children(item)
         elif cls is not Value:
             yield None, None, item, 0
@@ -267,6 +298,9 @@ def render_value(value: Value) -> str:
             continue
         cls = item.__class__
         if cls is Node:
+            if item._b is _TEXT:  # a leaf: its child's text, from the slot
+                out.append(f"{item._tag}({json_string(item._payload)})")
+                continue
             label, children = item._tag, _children(item)
         else:
             payload = item._payload if cls is Value else item.payload  # a subclass's own field

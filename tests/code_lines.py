@@ -21,7 +21,8 @@ module it prints how many choices dispatch through the bit tests of their
 character's set (``shared``: a table lookup) rather than an ``if`` chain,
 its call sites (``R[...](`` in the source), how many of its functions keep
 their values in locals (``registers``: the register form, parse modules
-only) and the milliseconds that writing and
+only), how many ``leaf(...)`` calls build the node of a captured text in
+one object (``leaves``) and the milliseconds that writing and
 compiling it take (``generate()``, best of ``WRITES``, each with ``re``'s
 cache emptied). Not collected by pytest: its name does not start with
 ``test_``.
@@ -82,7 +83,7 @@ def generated(src: pathlib.Path) -> None:
         return r.validate_grammar(r.grammar(rules, start="R0"))
 
     print(f"{'module':24} {'lines':>6} {'functions':>9} {'shared':>6} {'calls':>6}"
-          f" {'registers':>9} {'write ms':>8}")
+          f" {'registers':>9} {'leaves':>6} {'write ms':>8}")
     for name, grammar in (("calc", load_grammar(ROOT / "grammars/calc.peg")),
                           ("json", load_grammar(ROOT / "bench/json.peg")),
                           ("meta-grammar", meta_grammar()),
@@ -101,7 +102,8 @@ def generated(src: pathlib.Path) -> None:
             calls = len(re.findall(r"\bR\[[^\]]*\]\(", source))
             print(f"{name + ' ' + kind:24} {len(source.splitlines()):6,}"
                   f" {source.count('    def f(pos, d):'):9} {source.count('.get(text[pos], '):6}"
-                  f" {calls:6} {getattr(module, 'registers', 0):9} {best * 1000:8.1f}")
+                  f" {calls:6} {getattr(module, 'registers', 0):9} {source.count('leaf('):6}"
+                  f" {best * 1000:8.1f}")
 
 
 def main() -> None:

@@ -51,9 +51,9 @@ how many of those failures' error passes ran generated collect code and
 how many the exact pass, told apart by their steps: generated code counts
 none. A moved counter digest can be read against these two counts.
 
-The families are ``gen_grammar`` at depths 4 and 6, ``gen_sound_grammar``
-and ``gen_lowerable_grammar`` with its alphabet; each grammar gets three
-inputs. The sound family's ``concat`` action fails on two equal strings,
+The families are ``gen_grammar`` at depths 4 and 6, ``gen_sound_grammar``,
+``gen_lowerable_grammar`` with its alphabet and ``gen_leaf_grammar``, whose
+values are built around captured texts; each grammar gets three inputs. The sound family's ``concat`` action fails on two equal strings,
 so in its grammars that hold one values decide which alternatives run
 on: such a grammar is not value-free, and a failing run's error pass is
 the exact one. About 1 % of its pairs reach a failing ``concat``. Not
@@ -77,7 +77,7 @@ SRC = _early.parse_known_args()[0].src
 sys.path[:0] = [SRC, str(ROOT / "tests")]
 
 from generators import (ALPHABET, LOWERABLE_ALPHABET, gen_grammar, gen_input,  # noqa: E402
-                        gen_lowerable_grammar, gen_sound_grammar)
+                        gen_leaf_grammar, gen_lowerable_grammar, gen_sound_grammar)
 from pegstack.effects import check_grammar  # noqa: E402
 from pegstack.engine import Parser, ParserState, Trace, format_trace_event  # noqa: E402
 from pegstack.errors import principal_index  # noqa: E402
@@ -96,6 +96,7 @@ FAMILIES = {
     "gen_grammar/6": (lambda rng: gen_grammar(rng, 6), ALPHABET),
     "gen_sound_grammar": (gen_sound_grammar, ALPHABET),
     "gen_lowerable_grammar": (gen_lowerable_grammar, LOWERABLE_ALPHABET),
+    "gen_leaf_grammar": (gen_leaf_grammar, ALPHABET),
 }
 
 

@@ -17,9 +17,13 @@ allocations cause. It prints:
   of the run;
 * the collections of each generation during the parses, counted by the
   callback and checked against the difference of ``gc.get_stats()``;
-* ``tracked/node``: per node of the values built, the node and the objects
-  it refers to that are tracked by the collector and are neither values nor
-  classes (a children tuple), read with ``gc.get_referents``.
+* ``tracked/KB`` beside the collections, and ``tracked/node``: the objects
+  that the values of one parse of each document hold and the collector
+  tracks (nodes, other values, tuples; no class), per KB of the documents
+  and per node. They are found by walking ``gc.get_referents`` from the
+  values, which builds nothing: ``children`` would build the tuple of a
+  node on each read, and a leaf's ``Value('Str', text)`` too, which the
+  leaf does not hold.
 
 Like the benchmark, it leaves the collector on, sets no threshold and
 freezes nothing, so a collection of the oldest generation also walks the
@@ -41,39 +45,31 @@ IN_PROCESS = ("calc-parse", "calc-error", "json-doc")
 ROUNDS = 3  # timed parses of each document
 
 
-def _nodes(values, node_class) -> list:
-    """The nodes of the values, found through payloads, children and list items."""
-    nodes, todo = [], list(values)
+def tracked_objects(values, node_class) -> tuple[int, int]:
+    """The objects that the values hold and the collector tracks, each
+    counted once, and the nodes among them (see the module docstring)."""
+    seen, todo, nodes = set(), list(values), 0
     while todo:
-        payload = todo.pop().payload
-        if isinstance(payload, node_class):
-            nodes.append(payload)
-            todo.extend(payload.children)
-        elif type(payload) is tuple:
-            todo.extend(payload)
-    return nodes
-
-
-def tracked_per_node(values, value_class, node_class) -> tuple[float, int]:
-    """Tracked objects per node (see the module docstring) and the node count."""
-    nodes = _nodes(values, node_class)
-    tracked = sum(1 + sum(1 for ref in gc.get_referents(node) if gc.is_tracked(ref)
-                          and not isinstance(ref, (value_class, type)))
-                  for node in nodes)
-    return tracked / max(len(nodes), 1), len(nodes)
+        obj = todo.pop()
+        if id(obj) in seen or not gc.is_tracked(obj) or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        nodes += isinstance(obj, node_class)
+        todo.extend(gc.get_referents(obj))
+    return len(seen), nodes
 
 
 def measure(workload: str, seed: int, docs: int) -> dict:
     import harness
-    from pegstack.values import Node, Value
+    from pegstack.values import Node
 
     wl = harness.WORKLOADS[workload]
     pool = wl.pool(harness.rng_for(workload, seed))
     largest = sorted(pool, key=lambda doc: len(doc.text))[-docs:]
     parser = harness.setup(ROOT, wl)
     results = [parser.run(doc.text) for doc in largest]  # writes the generated modules
-    per_node, nodes = tracked_per_node([v for res in results if res.values for v in res.values],
-                                       Value, Node)
+    tracked, nodes = tracked_objects([v for res in results if res.values for v in res.values],
+                                     Node)
     del results
 
     # collections inside the parses only: not the explicit ones between them
@@ -109,8 +105,10 @@ def measure(workload: str, seed: int, docs: int) -> dict:
     stats[-1] -= ROUNDS * len(largest)
     if stats != counts:
         raise RuntimeError(f"collections by gc.get_stats() {stats}, by the callback {counts}")
-    return {"kb": sum(len(doc.text) for doc in largest) * ROUNDS / 1000, "run_ms": run_time * 1e3,
-            "gc_ms": gc_time[0] * 1e3, "counts": counts, "per_node": per_node, "nodes": nodes}
+    kb = sum(len(doc.text) for doc in largest) / 1000
+    return {"kb": kb * ROUNDS, "run_ms": run_time * 1e3, "gc_ms": gc_time[0] * 1e3,
+            "counts": counts, "per_kb": tracked / kb, "per_node": tracked / max(nodes, 1),
+            "nodes": nodes}
 
 
 def main() -> None:
@@ -126,7 +124,8 @@ def main() -> None:
     share = m["gc_ms"] / m["run_ms"] if m["run_ms"] else 0.0
     print(f"{args.workload} seed {args.seed}: {args.docs} documents, {m['kb']:,.0f} KB parsed")
     print(f"run_ms {m['run_ms']:.1f}  gc_ms {m['gc_ms']:.1f}  gc_share {share:.3f}")
-    print("collections " + " ".join(f"gen{g}={n}" for g, n in enumerate(m["counts"])))
+    print("collections " + " ".join(f"gen{g}={n}" for g, n in enumerate(m["counts"]))
+          + f"  tracked/KB {m['per_kb']:,.1f}")
     print(f"tracked/node {m['per_node']:.3f} over {m['nodes']:,} nodes")
 
 

@@ -1,6 +1,6 @@
 """Seeded random grammars, inputs and effects for the equivalence suites.
 
-Two grammar corpora:
+Three grammar corpora:
 
 * the oracle corpus (actions limited to capture/push/cons) keeps repetition
   bodies stack-neutral or in the canonical reduction shape;
@@ -8,7 +8,10 @@ Two grammar corpora:
   collecting repetitions and a helper rule on a reference cycle, and builds
   every expression so that values are always pushed before anything pops
   them. Its concat fails the match when its two strings are equal, so
-  values decide which alternatives run on.
+  values decide which alternatives run on;
+* the leaf corpus (``gen_leaf_grammar``) builds its values around captured
+  texts: a ``cons`` of one child over a capture, and every other use of a
+  captured text that the generated code must box first.
 """
 
 from __future__ import annotations
@@ -343,6 +346,143 @@ def gen_sound_grammar(rng: random.Random, max_depth: int = 4) -> r.Grammar:
         "Top": gen_sound_expr(rng, max_depth, helpers),
         "Help0": gen_consuming(rng, 2, []),
         "Rec": (r.first_of(r.seq(_terminal(rng), r.ref("Rec")), _terminal(rng)), NEUTRAL),
+    }
+    return r.validate_grammar(r.grammar(defs, start="Top"))
+
+
+def _between(rng: random.Random, helpers: list[str]) -> list[r.RuleExpr]:
+    """Up to two parts that touch no value below them, for between a capture
+    and the ``cons`` of one child that takes it: terminals, one-character
+    scans, sequences of terminals and predicates, whose bodies may branch
+    or build values of their own."""
+    parts: list[r.RuleExpr] = []
+    for _ in range(rng.randint(0, 2)):
+        roll = rng.random()
+        if roll < 0.35:
+            parts.append(_terminal(rng))
+        elif roll < 0.55:
+            parts.append(r.zero_or_more(r.Ch(rng.choice(ALPHABET))))
+        elif roll < 0.7:
+            parts.append(r.seq(_terminal(rng), _terminal(rng)))
+        else:
+            body = rng.choice((
+                lambda: gen_neutral(rng, 2, helpers),
+                lambda: r.seq(_terminal(rng), r.first_of(_terminal(rng), _terminal(rng))),
+                lambda: r.seq(r.capture(_terminal(rng)), cons(_label(rng), 1))))()
+            parts.append(rng.choice((r.and_pred, r.not_pred))(body))
+    return parts
+
+
+def _leaf(rng: random.Random, depth: int, helpers: list[str]) -> r.RuleExpr:
+    """A capture, then neutral parts, then ``cons`` of one child, in one
+    sequence or across nested ones."""
+    head = r.capture(gen_consuming(rng, depth, helpers) if depth > 0 else _terminal(rng))
+    between, node = _between(rng, helpers), cons(_label(rng), 1)
+    if rng.random() < 0.6:
+        return r.seq(head, *between, node)
+    cut = rng.randint(0, len(between))
+    return r.seq(r.seq(head, *between[:cut]), r.seq(*between[cut:], _terminal(rng), node))
+
+
+def _deep_leaf(rng: random.Random) -> r.RuleExpr:
+    """A capture and its ``cons`` of one child with sequences nested between
+    them past the generated code's split into functions, the capture
+    outside the nest or at its bottom. Most levels start with ``!'x'``,
+    which can fail but never does on the family's inputs."""
+    def step():
+        return _terminal(rng) if rng.random() < 0.1 else r.not_pred(r.Ch("x"))
+
+    capture, node = r.capture(_terminal(rng)), cons(_label(rng), 1)
+    outside = rng.random() < 0.5
+    inner = r.seq(step(), node if outside else capture)
+    for _ in range(rng.randint(9, 15)):
+        inner = r.seq(step(), inner)
+    return r.seq(capture, inner) if outside else r.seq(inner, node)
+
+
+def _node_pusher(rng: random.Random, depth: int, helpers: list[str]) -> r.RuleExpr:
+    """One value that is a node and no leaf: a constant, or a node of two."""
+    if rng.random() < 0.4:
+        return r.push(Node(_label(rng), ()))
+    return r.seq(gen_leaf(rng, depth - 1, helpers), r.capture(_terminal(rng)),
+                 cons(_label(rng), 2))
+
+
+def gen_leaf(rng: random.Random, depth: int, helpers: list[str]) -> r.RuleExpr:
+    """Expression with effect ([],[one value]) rich in captures that a
+    ``cons`` of one child takes, and in the other uses of a captured text:
+    choices whose other alternative pushes a node, collecting repetitions,
+    ``cons`` of two, folds, drops, a rule's value handed back from its
+    function (``Leafy``, ``Text``) and rules that pop, called (``Pop``)
+    and run in place (``PopIn``)."""
+    if depth <= 0:
+        return _leaf(rng, 0, helpers) if rng.random() < 0.7 else r.capture(_terminal(rng))
+    roll = rng.random()
+    if roll < 0.2:
+        return _leaf(rng, depth - 1, helpers)
+    if roll < 0.27:
+        return _deep_leaf(rng)
+    if roll < 0.37:  # nodes, or a captured text beside a pushed one, then a cons may take it
+        if rng.random() < 0.5:
+            alts = [_leaf(rng, depth - 1, helpers), _node_pusher(rng, depth, helpers)]
+        else:
+            alts = [r.capture(_terminal(rng)),
+                    r.seq(_terminal(rng), r.push(Value("Str", rng.choice(("x", "y")))))]
+        rng.shuffle(alts)
+        if rng.random() < 0.5:
+            return r.first_of(*alts)
+        return r.seq(r.first_of(*alts), *_between(rng, helpers), cons(_label(rng), 1))
+    if roll < 0.47:
+        two = [gen_leaf(rng, depth - 1, helpers) if rng.random() < 0.5
+               else r.capture(_terminal(rng)) for _ in range(2)]
+        return r.seq(*two, *_between(rng, helpers), cons(_label(rng), 2))
+    if roll < 0.57:  # collecting: one list of leaves or texts
+        item = _leaf(rng, depth - 1, helpers) if rng.random() < 0.6 else r.capture(_terminal(rng))
+        body = r.seq(_terminal(rng), item) if rng.random() < 0.5 else item
+        return rng.choice((r.zero_or_more, r.one_or_more, r.opt))(body)
+    if roll < 0.65:  # a fold over a leaf, or a text that each step drops and captures anew
+        if rng.random() < 0.35:
+            first = r.capture(_terminal(rng))
+            step = r.seq(_terminal(rng), *_between(rng, helpers), r.drop(),
+                         r.capture(_terminal(rng)))
+        else:
+            first = _leaf(rng, depth - 1, helpers)
+            step = (r.seq(gen_consuming(rng, 1, helpers), *_between(rng, helpers),
+                          cons(_label(rng), 1)) if rng.random() < 0.5 else
+                    r.seq(_terminal(rng), r.capture(_terminal(rng)), cons(_label(rng), 2)))
+        folded = r.seq(first, rng.choice((r.zero_or_more, r.opt))(step))
+        return r.seq(folded, cons(_label(rng), 1)) if rng.random() < 0.3 else folded
+    if roll < 0.74:  # a text or a leaf taken by a rule that pops
+        taken = r.capture(_terminal(rng)) if rng.random() < 0.6 else gen_leaf(rng, depth - 1,
+                                                                               helpers)
+        return r.seq(taken, *_between(rng, helpers), r.ref(rng.choice(("Pop", "PopIn"))))
+    if roll < 0.82:
+        handed = r.ref(rng.choice(("Leafy", "Text")))
+        return r.seq(handed, cons(_label(rng), 1)) if rng.random() < 0.3 else handed
+    if roll < 0.9:
+        return r.seq(r.capture(_terminal(rng)), *_between(rng, helpers), r.drop(),
+                     gen_leaf(rng, depth - 1, helpers))
+    return r.seq(gen_neutral(rng, depth - 1, helpers), gen_leaf(rng, depth - 1, helpers))
+
+
+def gen_leaf_grammar(rng: random.Random, max_depth: int = 4) -> r.Grammar:
+    """Random validated grammar whose values are built around captured
+    texts (see ``gen_leaf``). ``Leafy`` and ``Text`` are on cycles of their
+    own and declare (0 -> 1), so their functions hand back a node or a text;
+    ``Pop``, on a cycle too, takes one value and gives a node back, and
+    ``PopIn`` does the same in place."""
+    helpers = ["Help0"]
+    defs = {
+        "Top": gen_leaf(rng, max_depth, helpers),
+        "Help0": gen_consuming(rng, 2, []),
+        "Leafy": (r.first_of(r.seq(r.Ch("a"), r.ref("Leafy"), cons(_label(rng), 1)),
+                             _leaf(rng, 1, helpers)), StackEffect((), ("Node",))),
+        "Text": (r.first_of(r.seq(r.Ch("b"), r.ref("Text")), r.capture(gen_consuming(rng, 1, []))),
+                 StackEffect((), ("Str",))),
+        "Pop": (r.first_of(r.seq(r.Ch("c"), r.ref("Pop")),
+                           r.seq(*_between(rng, helpers), cons(_label(rng), 1))),
+                StackEffect((WILDCARD,), ("Node",))),
+        "PopIn": r.seq(*_between(rng, helpers), cons(_label(rng), 1)),
     }
     return r.validate_grammar(r.grammar(defs, start="Top"))
 

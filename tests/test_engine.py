@@ -930,14 +930,15 @@ def _exact_instructions(parser):
 def _fragments(parser):
     """Generated function (a rule's by the rule's name) -> the capture flags
     of the regex fragments its code runs, read from the kept source: a
-    fragment that captures pushes the slice it matched, onto ``h`` or into a
-    local of the register form, one that cannot fail only moves."""
+    fragment that captures pushes the slice it matched, as a value onto ``h``
+    or as text into a local of the register form, one that cannot fail only
+    moves."""
     found, function = {}, None
     for line in source_of(parser).splitlines():
         opened = re.match(r"    def f\(pos, d\):  # (\w+)$", line)
         if opened:
             function = opened.group(1)
-        fragment = re.search(r"if m\d+: (h = \(|v\d+ = )Value\(|pos = (m\d+)\.end\(\) if \(\2 := "
+        fragment = re.search(r"if m\d+: (h = \(Value\(|v\d+ = text\[)|pos = (m\d+)\.end\(\) if \(\2 := "
                              r"|pos = M\d+\(text, pos\)\.end\(\)$", line)
         if fragment:
             found.setdefault(function, []).append(fragment.group(0).startswith("if"))

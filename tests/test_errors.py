@@ -323,7 +323,7 @@ def _count_value_work(monkeypatch) -> dict:
     """Counts of the values, nodes and lists that the engine builds and of
     the snapshots and restores of its stacks, through the names it imports
     and those it hands to the modules it writes from now on."""
-    counts = dict.fromkeys(("Value", "Node", "node1", "node2", "list_value", "snapshot",
+    counts = dict.fromkeys(("Value", "Node", "node1", "node2", "leaf", "list_value", "snapshot",
                             "restore"), 0)
 
     def counted(name, make):
@@ -332,7 +332,7 @@ def _count_value_work(monkeypatch) -> dict:
             return make(*args)
         return build
 
-    for name in ("Value", "Node", "node1", "node2", "list_value"):
+    for name in ("Value", "Node", "node1", "node2", "leaf", "list_value"):
         monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
         monkeypatch.setitem(engine._RUNTIME, name, getattr(engine, name))
 

@@ -28,12 +28,12 @@ from pegstack.errors import (Collector, build_parse_error, format_error, princip
 from pegstack.instructions import CHARS
 from pegstack.notation import load_grammar, meta_grammar, parse_grammar
 from pegstack.rules import validate_grammar
-from pegstack.values import StackUnderflow, Value
+from pegstack.values import StackUnderflow, Value, render_value
 
 import generators
 from conftest import GRAMMARS, ROOT, generated, source_of
 from generators import (ALPHABET, LOWERABLE_ALPHABET, big_expression, gen_grammar, gen_input,
-                        gen_lowerable_grammar, gen_sound_grammar)
+                        gen_leaf_grammar, gen_lowerable_grammar, gen_sound_grammar)
 from run_states import recorded_states
 from test_acceptance import _same_as_observed
 from test_instructions import _instructions
@@ -189,7 +189,7 @@ def test_a_deep_calc_nest_below_the_threshold_runs_each_action_once(calc_grammar
             return make(*args)
         return build
 
-    for name in ("Node", "node1", "node2"):  # every constructor of a node
+    for name in ("Node", "node1", "node2", "leaf"):  # every constructor of a node
         monkeypatch.setattr(engine, name, counted(getattr(engine, name)))
         monkeypatch.setitem(engine._RUNTIME, name, getattr(engine, name))
     expected = Parser(calc_grammar).run_phase(text).stack.values()
@@ -1012,6 +1012,123 @@ def test_the_register_form_agrees_with_the_exact_table(case):
         assert _generated_run(parser, text) == _exact(parser, text), text
 
 
+def _leaf_run(parser, text):
+    """The values, their renders, the cursor and the counters of an
+    unobserved run of the generated code."""
+    with recorded_states() as states:
+        result = parser.run(text)
+    stats = states[0].stats
+    return (result.values, [render_value(v) for v in result.values or ()], states[0].cursor,
+            (stats.steps, stats.terminal_mismatches, stats.max_cursor))
+
+
+def test_captured_texts_made_leaves_agree_with_the_exact_table_and_the_cell_forms_counters():
+    # a capture's text stays unboxed in the register form until a cons of
+    # one child makes the leaf; every other use boxes it first. The runs
+    # agree with run_phase on values, their renders and the cursor, and
+    # with the same grammar's module written all in the cell form, which
+    # holds each value in a cell, on the counters too (the exact table
+    # counts mismatches that the generated code's dispatch skips)
+    rng = random.Random("leaves")
+    leaves = handed = boxed = 0
+    for _ in range(150):
+        grammar = gen_leaf_grammar(rng)
+        parser, cells = generated(grammar), Parser(grammar)
+        cells._tables.effects = dict.fromkeys(cells._tables.effects)  # no counts: the cell form
+        cells._generate()
+        source = source_of(parser)
+        leaves += source.count("leaf(")
+        handed += len(re.findall(r"out = .*Value\('Str', v\d+\)", source))
+        boxed += len(re.findall(r"(?<!out = )\bv(\d+) = Value\('Str', v\1\)", source))
+        for _ in range(4):
+            text = gen_input(rng)
+            run, exact = _leaf_run(parser, text), parser.run_phase(text)
+            assert run == _leaf_run(cells, text), (grammar, text)
+            if run[0] is not None:
+                assert run[:3] == (exact.stack.values(), [render_value(v) for v in run[0]],
+                                   exact.cursor), (grammar, text)
+    assert leaves > 100 and handed > 10 and boxed > 10
+
+
+def _blocks(levels: int, bottom):
+    """Sequences nested levels deep, each starting with ``!'x'``, which can
+    fail, so that each opens a block, around bottom."""
+    for _ in range(levels):
+        bottom = r.seq(r.not_pred(r.ch("x")), bottom)
+    return bottom
+
+
+_AB = r.any_of("ab")
+
+
+def _anew(expr):
+    """A text dropped and captured anew after expr."""
+    return r.seq(expr, r.drop(), r.capture(_AB))
+
+
+# case -> (rules, inputs, leaves in the parse module); together the cases
+# reach every place where the generator boxes a text, and a generator that
+# leaves out any one of those boxes fails at least one of them
+_LEAVES = {
+    # the choice in the ! (no regex: ignore case) boxes only what the
+    # predicate pushed: where 'c' fails, the choice never runs, and the text
+    # must still be unboxed
+    "a predicate whose body branches": (
+        {"Top": r.seq(r.capture(_AB), r.not_pred(r.seq(r.ch("c"), r.first_of(r.ignore_case("A"),
+                                                                               r.ch("b")))),
+                      cons("L", 1))}, ["a", "ab", "ac", "acc", "aca", "c"], 1),
+    # a text held where a loop, an option or a choice starts is boxed
+    # there, as a body or an alternative may drop it and capture anew
+    "a loop over a text": (
+        {"Top": r.seq(r.capture(_AB), r.zero_or_more(_anew(r.ch("c"))), cons("L", 1))},
+        ["a", "aca", "acacb", "ac", "c"], 0),
+    "an option over a text": (
+        {"Top": r.seq(r.capture(_AB), r.opt(_anew(r.ch("c"))), cons("L", 1))},
+        ["a", "aca", "acac", "ac"], 0),
+    "a choice over a text": (
+        {"Top": r.seq(r.capture(_AB), r.first_of(_anew(r.ch("c")), _anew(r.ch("d"))),
+                      cons("L", 1))}, ["aca", "adb", "a", "ae"], 0),
+    # an alternative that leaves a text boxes it where it ends
+    "a choice of a text and a pushed one": (
+        {"Top": r.seq(r.first_of(r.capture(_AB), r.seq(r.ch("c"), r.push(Value("Str", "k")))),
+                      r.ch("d"), cons("L", 1))}, ["ad", "cd", "d", "a"], 0),
+    "a choice of a leaf and a node": (
+        {"Top": r.seq(r.first_of(r.seq(r.capture(_AB), cons("K", 1)),
+                                 r.seq(r.ch("c"), cons("E", 0))),
+                      r.ch("d"), cons("L", 1))}, ["ad", "ccd", "d", "a"], 1),
+    "a text handed into a split function": (
+        {"Top": r.seq(r.capture(_AB), _blocks(generate._SPLIT_AT + 2, cons("L", 1)))},
+        ["a", "b", "", "c"], 0),
+    "a text handed back from a split function": (
+        {"Top": r.seq(_blocks(generate._SPLIT_AT + 2, r.capture(_AB)), cons("L", 1))},
+        ["a", "b", "", "c"], 0),
+    "a text taken by rules that pop, called and in place": (
+        {"Top": r.seq(r.capture(_AB), r.ref("Pop"), r.capture(_AB), r.ref("PopIn"), cons("N", 2)),
+         "Pop": (r.first_of(r.seq(r.ch("c"), r.ref("Pop")), cons("P", 1)),
+                 StackEffect(("*",), ("Node",))),
+         "PopIn": r.seq(r.opt(r.ch("c")), cons("Q", 1))},
+        ["aa", "acb", "acccbc", "a", "ac"], 1),
+    "a text handed back by its rule's function": (
+        {"Top": r.seq(r.ref("Text"), r.ch("d")),
+         "Text": (r.seq(r.opt(r.seq(r.ch("b"), r.ref("Text"), r.drop())), r.capture(_AB)),
+                  StackEffect((), ("Str",)))}, ["ad", "bbaad", "a", "bd"], 0),
+    "texts under a cons of two and collected": (
+        {"Top": r.seq(r.capture(_AB), r.capture(_AB), cons("N", 2),
+                      r.zero_or_more(r.capture(r.ch("c"))), r.opt(r.capture(r.ch("a"))))},
+        ["ab", "abcc", "abca", "a", "abcd"], 0),
+}
+
+
+@pytest.mark.parametrize("case", _LEAVES)
+def test_each_use_of_a_captured_text_agrees_with_the_exact_table(case):
+    rules, texts, leaves = _LEAVES[case]
+    parser = generated(validate_grammar(r.grammar(rules, start="Top")))
+    module = generate._Module(parser._tables, engine._RUNTIME)
+    assert module.registers and module.source().count("leaf(") == leaves
+    for text in texts:
+        assert _generated_run(parser, text) == _exact(parser, text), text
+
+
 def _fails_on(payload):
     """An action of arity 1 that fails on a Str value of payload, and keeps
     any other."""
@@ -1112,7 +1229,7 @@ def test_the_code_lines_report_writes_every_module(monkeypatch, capsys):
     code_lines.generated(code_lines.SRC)
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["module", "lines", "functions", "shared", "calls", "registers",
-                              "write", "ms"]
+                              "leaves", "write", "ms"]
     assert [row[:24].strip() for row in rows] == [
         f"{name} {kind}" for name in ("calc", "json", "meta-grammar", "lowered chain",
                                       "capture chain") for kind in ("parse", "collect")

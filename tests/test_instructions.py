@@ -30,6 +30,7 @@ from pegstack.values import str_value
 
 from conftest import ROOT, generated, source_of
 from generators import gen_grammar, gen_lowerable_grammar, gen_sound_grammar
+from run_states import recorded_states
 
 
 def _touches(node, rules):
@@ -299,6 +300,53 @@ def test_a_long_chain_of_rules_is_ordered_and_touches_in_linear_time():
     for name in tables._acyclic:
         assert {n.name for n in r.walk(rules[name]) if type(n) is r.RuleRef} <= seen, name
         seen.add(name)
+
+
+def _cycle_of_options(n: int) -> r.Grammar:
+    """R_i <- 'x' R_i+1? for i < n and R_n <- ('y' R0)* 'z': one cycle of n + 1
+    rules without declared effects, each option and the loop a body that
+    reaches it."""
+    rules = {f"R{i}": r.seq(r.ch("x"), r.opt(r.ref(f"R{i + 1}"))) for i in range(n)}
+    rules[f"R{n}"] = r.seq(r.zero_or_more(r.seq(r.ch("y"), r.ref("R0"))), r.ch("z"))
+    return r.validate_grammar(r.grammar(rules, start="R0"))
+
+
+def _tags(tables) -> dict[str, list]:
+    """The collect tags of each rule's repetitions and options."""
+    tags = {}
+    for name, body in tables.bodies.items():
+        todo, found = [body], []
+        while todo:
+            ins = todo.pop()
+            if ins[0] in (REP, OPT):
+                found.append(ins[4 if ins[0] == REP else 3])
+            if ins[0] in (SEQ, ALT):
+                todo.extend(ins[2][:-1])
+            elif ins[0] in (REP, OPT, PRED, CAPTURE, QUIET):
+                todo.append(ins[2])
+        tags[name] = found
+    return tags
+
+
+def test_a_long_cycle_of_undeclared_rules_gives_its_repetition_bodies_no_tag_without_recursing():
+    # inferring a body that references the cycle would recurse once per rule
+    # until it met the cycle, past the recursion limit at 1,500 rules; the
+    # rules on the cycle fail in the memo before any body is inferred
+    small, large = Parser(_cycle_of_options(10)), generated(_cycle_of_options(1500))
+    assert small.fault is None and large.fault is None
+    tags, expected = _tags(large._tables), _tags(small._tables)
+    assert expected["R0"] == [None] and expected["R10"] == [None]
+    assert all(tags[f"R{i}"] == expected["R0"] for i in range(1500))
+    assert tags["R1500"] == expected["R10"]
+    # past DEPTH_BOUND open functions the generated run gives up and reruns
+    # on the exact table; 150 x's stay below it
+    for text in ("x" * 1500 + "z", "x" * 1500 + "zyxz", "x" * 150 + "z", "xy", "", "y"):
+        with recorded_states() as states:
+            result = large.run(text)
+        exact = large.run_phase(text)
+        assert result.values == (() if text.startswith("x") else None)
+        assert states[0].cursor == exact.cursor
+        assert result.ok or result.error.position.index == exact.stats.max_cursor
 
 
 def test_terminal_facts_from_the_instruction_agree_with_the_node_definitions():

@@ -12,8 +12,8 @@ from hypothesis import given, strategies as st
 from pegstack.cli import _json_values
 from pegstack.engine import Parser
 from pegstack.record import FrozenInstanceError
-from pegstack.values import (Node, StackUnderflow, UNIT, Value, ValueStack, list_value, node1,
-                             node2, node_value, render_value, str_value)
+from pegstack.values import (Node, StackUnderflow, UNIT, Value, ValueStack, leaf, list_value,
+                             node1, node2, node_value, render_value, str_value)
 
 from conftest import generated
 from generators import big_expression
@@ -369,6 +369,46 @@ def test_a_node_is_one_pointer_larger_than_a_value():
         assert sys.getsizeof(node) == value_size + pointer
     if sys.implementation.name == "cpython" and sys.version_info[:2] == (3, 11) and pointer == 8:
         assert (value_size, sys.getsizeof(node2("N", UNIT, UNIT))) == (48, 56)
+
+
+@pytest.mark.parametrize("text", ["1", "", 'a "quoted" \\ line\n', "\u00e9\u4e2d\U0001f600"])
+def test_a_leaf_is_the_node_of_one_str_value_in_every_reading(text):
+    built, regular = leaf("Val", text), Node("Val", (Value("Str", text),))
+    assert type(built) is Node and built.label == "Val" and built.tag == "Node"
+    assert built.payload is built
+    in_tree = node2("Add", built, list_value([leaf("S", text)], "Node"))
+    regular_tree = node2("Add", regular, list_value([node1("S", str_value(text))], "Node"))
+    for a, b in ((built, regular), (in_tree, regular_tree)):
+        assert a == b and b == a and not a != b and hash(a) == hash(b)
+        assert repr(a) == repr(b) and eval(repr(a)) == a
+        assert render_value(a) == render_value(b)
+        assert _json_values((a,)) == _json_values((b,))
+        for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert type(twin) is Node and twin == b and repr(twin) == repr(b)
+    assert built != leaf("Val", text + "x") and built != leaf("Other", text)
+    assert built != Node("Val", (Value("Other", text),)) and built != node1("Val", UNIT)
+    # the child is built on each read: equal, never the same object
+    first, second = built.children, built.children
+    assert first == second == regular.children and type(first) is tuple
+    assert first is not second and first[0] is not second[0]
+    assert type(first[0]) is Value and first[0].payload == text
+
+
+def test_a_leaf_refuses_assignment_and_deletion_and_is_a_nodes_size():
+    built = leaf("Val", "1")
+    before = repr(built)
+    for field in ("tag", "payload", "label", "children"):
+        with pytest.raises(FrozenInstanceError, match=f"assign to field '{field}'"):
+            setattr(built, field, "x")
+        with pytest.raises(FrozenInstanceError, match=f"delete field '{field}'"):
+            delattr(built, field)
+    assert repr(built) == before
+    assert sys.getsizeof(built) == sys.getsizeof(node1("Val", UNIT))
+    if sys.implementation.name == "cpython" and sys.version_info[:2] == (3, 11) \
+            and struct.calcsize("P") == 8:
+        assert sys.getsizeof(built) == 56
+    # one tracked object: it refers to its class and to untracked text only
+    assert [ref for ref in gc.get_referents(built) if gc.is_tracked(ref)] == [Node]
 
 
 def test_a_50000_deep_tree_built_by_cons_copies_pickles_compares_and_hashes_as_node_value_builds_it():
