@@ -74,7 +74,7 @@ from . import rules as r
 from .errors import Collector, ParseError, build_parse_error, format_error
 from .instructions import OPS, QUIET, RULE, Tables
 from .record import record
-from .values import (Node, StackUnderflow, Value, ValueStack, leaf, list_value, listed, node1,
+from .values import (BUILDS, Node, StackUnderflow, Value, ValueStack, list_value, listed, node1,
                      node2, pop_values)
 
 # sentinel an action function returns to report a match failure
@@ -273,7 +273,7 @@ def _act(state: ParserState, ins: tuple) -> bool:
 
 
 # what generated code calls besides the grammar's own objects
-_RUNTIME = {"Node": Node, "node1": node1, "node2": node2, "leaf": leaf, "Value": Value,
+_RUNTIME = {**BUILDS, "node1": node1, "node2": node2, "Value": Value,
             "list_value": list_value, "act": _act, "scan": _scan, "pop": pop_values,
             "listed": listed, "TooDeep": TooDeep}
 

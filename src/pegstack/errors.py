@@ -10,8 +10,12 @@ rule plus a descriptor of the failed terminal. The pass keeps that path
 itself and hands it over with the mismatch: nearly every mismatch of an
 exact pass reaches the Collector anyway, and a Collector that followed
 the rules through ``enter`` and ``leave`` slowed the pass by a tenth (see
-``pegstack.engine``). Mismatches under ``quiet`` still raise the maximum
-but are not recorded; quiet rules behave identically otherwise.
+``pegstack.engine``). The generated pass keeps on the path only the rules
+whose functions are open; a mismatch site names the rules that its code
+runs in place, which the pass conses onto the path only for a mismatch it
+hands over (see ``pegstack.generate``). Mismatches under ``quiet`` still
+raise the maximum but are not recorded; quiet rules behave identically
+otherwise.
 Mismatches inside ``!`` neither count nor raise it.
 
 A failing ``Parser.run`` costs two passes: the run itself and this one.

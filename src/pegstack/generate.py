@@ -17,17 +17,20 @@ A function keeps its values in one of two forms:
 * the register form, where its rule's stack-effect counts are known
   (``Tables.effects``) and it pops nothing. The walk counts the values held
   at each point, ``k``, and keeps value i in the local ``v{i}``: a push is
-  ``v{k} = ...``; ``cons(L,2)`` is ``v{k-2} = node2(L, v{k-2}, v{k-1})``, and
-  of one child or any other number ``node1`` or ``Node``, with no underflow
-  test; a snapshot and a restore write nothing, as a failure leaves the
+  ``v{k} = ...``; ``cons(L,2)`` builds the node of ``v{k-2}`` and ``v{k-1}``
+  in place, with no call, in the statements of ``values.built`` (which
+  allocate the ``Node`` and store its slots into the local ``node``), and
+  puts it in ``v{k-2}``; ``cons`` of one child does the same, and of any
+  other number calls ``Node``; none tests for underflow; a snapshot and a
+  restore write nothing, as a failure leaves the
   values below its entry as they were, but for a sequence that changes one
   below its entry before a child that can fail, and a loop whose body
   without a head may change one and match without moving, which copy it
   first and put it back; a collecting ``*``, ``+`` or ``?`` appends each
   iteration's value to a list local and ends with one ``list_value``. A
   capture keeps the slice it matched as plain text in its local, and a
-  ``cons`` of one child over that local makes the leaf ``leaf(L, v{k})``,
-  one object where ``node1`` over its ``Value('Str', ...)`` would be two;
+  ``cons`` of one child over that local builds the leaf of that text, one
+  object where a node over its ``Value('Str', ...)`` would be two;
   terminals, scans, predicates and nested sequences may stand between
   them. Every other use boxes the text into its ``Value('Str', ...)``
   first: a ``cons`` of any other arity, handing it back in ``out``, to a
@@ -115,7 +118,8 @@ reports 0 steps.
 The source names every grammar object (action, regex, character set)
 through the module's namespace, so equal grammars give equal source. A
 Parser compiles each module it writes once, and keeps only the module's
-closure factory, not its source (see ``engine.Parser``). A construct nested
+closure factory, not its source (see ``engine.Parser``). A sequence,
+choice, loop or option, the instructions whose code opens blocks, nested
 deeper than ``_SPLIT_AT`` indentation levels becomes a function of its
 own, so the source stays within Python's limits on indentation and on
 nested loops. Every function raises the engine's ``TooDeep``, which the
@@ -132,20 +136,33 @@ whose values decide no match (``Tables.value_free``): the error pass of
 any other grammar is the exact one, and ``_Module`` refuses to write its
 collect module. It differs from the parse module in this:
 
-* it keeps the running maximum ``mc`` from ``bound``, and hands each
-  counted mismatch at or past it to the ``miss`` of the state's observer,
-  an ``errors.Collector``, with the rule path and the open ``quiet``s;
-* each rule's function, and each rule's code run in place, opens its rule
-  on the path, a cons cell, and closes it again; ``!`` and ``quiet`` are
-  counters that a mismatch reads;
-* a choice, ``*``, ``+`` and ``?`` dispatch only while ``pos < mc``, a
-  choice through the bits of the character's set; at or past ``mc``
-  every alternative runs;
+* it keeps the running maximum ``mc`` from ``bound``, at most ``n``, and
+  hands each counted mismatch at or past it to the ``miss`` of the
+  state's observer, an ``errors.Collector``, with the rule path and the
+  open ``quiet``s;
+* each rule's function opens its rule on the path, a cons cell, and
+  closes it again, but a rule's code run in place writes no path: the
+  walk keeps the rules that a function runs in place at each point, and a
+  terminal's or a scan's mismatch site names them as a tuple in the
+  namespace, ``miss(pos, T3, P2)``, which ``miss`` conses onto the path
+  only for a mismatch it hands to the observer, as parboiled2 builds a
+  rule trace only for a mismatch it records. A call of a loop breaker or
+  a budget spill puts the caller's rules run in place on the path first
+  and takes them off after, and a function split off for depth, which has
+  one caller, starts from that caller's rules and puts none on the path;
+  ``!`` and ``quiet`` are counters that a mismatch reads;
+* a choice, ``*``, ``+`` and ``?`` dispatch only while ``pos < mc``,
+  where ``pos < n`` too, so that the dispatch reads the next character
+  without testing the end; a choice keeps that character in a local,
+  None at or past ``mc``, and runs each alternative in order, until one
+  matches, where the local is None or one of the characters that select
+  the alternative (``_Module.selects``); so at or past ``mc`` every
+  alternative runs;
 * nothing lowers to a regex, which cannot report its inner mismatches; a
   fused scan, whose one mismatch is where it ends, stays;
 * it counts no steps either, so a generated error pass reports 0 steps;
 * it holds no value code: no value stack, snapshot, capture, node, list or
-  action.
+  action; so a sequence of one child and value code is that child's code.
 """
 
 from __future__ import annotations
@@ -154,6 +171,7 @@ from . import rules as r
 from .instructions import (ACTION, ALT, CAPTURE, CH, CHARS, CLASS, CONS, EOI, ISTR, OPT, PRED,
                            QUIET, REF, REP, SEQ, STR, _ASCII, _LOWERED, Tables, _always,
                            _regex)
+from .values import built
 
 # generated functions open at once past which a run goes to the exact table;
 # well under the default recursion limit, so that actions keep room
@@ -165,8 +183,10 @@ _SPLIT_AT = 12
 _BUDGET = 150
 # members of a character set that the source lists; larger sets are named
 _LISTED_AT_MOST = 8
-# instructions whose code nests the code of others
+# instructions whose code nests the code of others, and those of them whose
+# code opens blocks
 _NESTING = (SEQ, ALT, CAPTURE, REP, OPT, PRED, QUIET)
+_BLOCKS = (SEQ, ALT, REP, OPT)
 
 
 # the parse module: the run's names, the helpers that count mismatches, the
@@ -209,26 +229,30 @@ def parse(state):
 
 # the collect module: the same, but for the rule path and the ``!`` and
 # ``quiet`` counters, and with no value stack; each mismatch at or past the
-# running maximum goes to the state's observer
+# running maximum goes to the state's observer, with the path of the open
+# functions' rules and of the rules that its site runs in place
 _COLLECT = '''\
 def collect(state, bound):
     text = state.input
     n = len(text)
 
     mm = nots = quiets = 0
-    mc = bound
-    path = ()  # the open rules, innermost first, as cons cells
+    mc = min(bound, n)
+    path = ()  # the rules of the open functions, innermost first, as cons cells
     note = state.observer.miss
     R = [None] * {count}
 
-    def miss(at, t):  # the mismatch of terminal node t
+    def miss(at, t, rules=()):  # the mismatch of terminal node t, in the rules run in place
         nonlocal mm, mc
         if nots:
             return -1
         mm += 1
         if at >= mc:
             mc = at
-            note(at, t, path, quiets)
+            opened = path
+            for name in rules:  # outermost first
+                opened = (name, opened)
+            note(at, t, opened, quiets)
         return -1
 
 {functions}
@@ -266,10 +290,12 @@ class _Function:
     """The lines of one generated function, which may hold ``_BUDGET``
     instructions, in the register form where depth, the values it starts
     with, is given. A rule's function in the collect module opens its rule
-    on the path and closes it on return."""
+    on the path and closes it on return; static names the rules that the
+    code runs in place, outermost first, which the code does not put on the
+    path (a function split off for depth starts from its caller's)."""
 
     def __init__(self, index: int, label: str, names: str, rule: str | None = None,
-                 depth: int | None = None):
+                 depth: int | None = None, static: tuple[str, ...] = ()):
         self.index = index
         self.lines = [f"    def f(pos, d):{label}", f"        nonlocal {names}",
                       f"        if d > {DEPTH_BOUND}: raise TooDeep"]
@@ -288,6 +314,7 @@ class _Function:
         # reads a value (a predicate's entry, inside its body)
         self.texts: set[int] = set()
         self.floor = 0
+        self.static = list(static)
         if rule is not None:
             self.line(f"path = ({rule!r}, path)")
 
@@ -473,6 +500,13 @@ class _Module:
             self.namespace[found] = obj
         return found
 
+    def missed(self, code: _Function, node) -> str:
+        """The arguments of the collect module's ``miss`` that name a
+        terminal node and the rules that the code runs in place around it."""
+        if not code.static:
+            return self.name(node, "T")
+        return f"{self.name(node, 'T')}, {self.name(tuple(code.static), 'P', ('P', *code.static))}"
+
     def members(self, chars) -> str:
         """An expression for a set of characters that ``in`` tests."""
         chars = sorted(chars)
@@ -511,7 +545,11 @@ class _Module:
                 code.line(f"pos = {self.name(match, 'M')}(text, pos).end()")
                 return False
             return self.fragment(code, match, op == CAPTURE)
-        if op in _NESTING and code.indent > _SPLIT_AT:
+        if self.collect and op == SEQ:  # a sequence of one child but for value code
+            kids = [kid for kid in ins[2][:-1] if kid[0] != CONS and kid[0] != ACTION]
+            if len(kids) == 1:
+                return self.emit(code, kids[0], known)
+        if op in _BLOCKS and code.indent > _SPLIT_AT:
             return self.helper(code, ins)
         if op <= ISTR:
             return self.terminal(code, ins, known)
@@ -659,13 +697,12 @@ class _Module:
             low = k - arity
             if arity == 1 and low in code.texts:  # a captured text: the leaf is one object
                 code.texts.discard(low)
-                node = f"leaf({label!r}, v{low})"
+                code.line(built("node", label, f"v{low}", text=True) + f"; v{low} = node")
+            elif arity == 1 or arity == 2:
+                kids = [code.reads(i, i + 1) for i in range(low, k)]
+                code.line(built("node", label, *kids) + f"; v{low} = node")
             else:
-                kids = code.reads(low, k)
-                node = (f"node1({label!r}, {kids})" if arity == 1 else
-                        f"node2({label!r}, {kids})" if arity == 2 else
-                        f"Node({label!r}, ({kids}))")
-            code.line(f"v{low} = {node}")
+                code.line(f"v{low} = Node({label!r}, ({code.reads(low, k)}))")
             code.k, code.low = low + 1, min(code.low, low)
         elif arity == 1:
             code.line(f"h = (node1({label!r}, h[0]), h[1], h[2]) if h[2] else pop(h, 1)")
@@ -682,16 +719,22 @@ class _Module:
         a loop breaker or its code would take this function past the budget;
         the first call of a rule queues its function."""
         if name not in self.breakers and code.size + self.weights[name] <= _BUDGET:
-            if self.collect:
-                code.line(f"path = ({name!r}, path)")
+            code.static.append(name)
             fails = self.emit(code, self.bodies[name], known)
-            if self.collect:
-                code.line("path = path[1]")
+            code.static.pop()
             return fails
         if name not in self.called:
             self.called[name] = len(self.called) + self.helpers
             self.queue.append(name)
         k, register, counts = code.k, self.register(name), self.effects[name]
+        if self.collect and code.static:  # the rules run in place go on the path for the call
+            below, opened = code.fresh("q"), "path"
+            for rule in code.static:
+                opened = f"({rule!r}, {opened})"
+            code.line(f"{below} = path; path = {opened}")
+            self.call(code, self.called[name], self.labels[name])
+            code.line(f"path = {below}")
+            return True
         if k is None:  # what a function in the register form hands back goes onto h
             self.call(code, self.called[name], self.labels[name])
             if register and counts[1]:
@@ -725,7 +768,8 @@ class _Module:
         values that its code changes go in and out through ``out``: those
         below the entry that it may change and the ones it leaves above."""
         k = code.k
-        inner = _Function(len(self.called) + self.helpers, "", self.nonlocals, depth=k)
+        inner = _Function(len(self.called) + self.helpers, "", self.nonlocals, depth=k,
+                          static=code.static)
         self.helpers += 1
         inner.size = code.size - 1  # emit counts ins again
         fails = self.emit(inner, ins)
@@ -757,7 +801,7 @@ class _Module:
         """A terminal's test; where the next character is known, a one-character
         terminal that takes it only moves."""
         op = ins[0]
-        miss = f"miss(pos, {self.name(ins[1], 'T')})" if self.collect else "miss(pos)"
+        miss = f"miss(pos, {self.missed(code, ins[1])})" if self.collect else "miss(pos)"
         if op == STR and not ins[2]:
             return False  # the empty string matches everywhere
         if known is not None and (op == CH and ins[2] == known
@@ -812,7 +856,7 @@ class _Module:
             code.line(f"at = scan({self.name(term[2], 'K', ('K', term[2]))}, "
                       f"{self.name(term[3], 'X')}, text, pos)")
         if self.collect:  # below the running maximum, only counted
-            code.line(f"if at >= mc or nots: miss(at, {self.name(term[1], 'T')})")
+            code.line(f"if at >= mc or nots: miss(at, {self.missed(code, term[1])})")
             code.line("else: mm += 1")
         else:
             code.line("mm += 1")
@@ -833,11 +877,13 @@ class _Module:
             return None
         table, other = operand
         if not other:
-            test = f"pos < n and text[pos] in {self.members(c for c, b in table.items() if b)}"
+            test = f"text[pos] in {self.members(c for c, b in table.items() if b)}"
         else:
             outside = [c for c, b in table.items() if not b]
-            test = f"pos < n and text[pos] not in {self.members(outside)}" if outside else "pos < n"
-        return f"pos >= mc or {test}" if self.collect else test
+            test = f"text[pos] not in {self.members(outside)}" if outside else ""
+        if self.collect:  # below the running maximum, which is at most n, pos < n
+            return f"pos >= mc or {test}" if test else None
+        return f"pos < n and {test}" if test else "pos < n"
 
     def one(self, operand) -> str | None:
         """The one character that a repetition's body can start at, where
@@ -1034,27 +1080,62 @@ class _Module:
     def shared(self, code: _Function, kids, operand, touches: bool) -> None:
         """A choice whose candidate sets share alternatives: each alternative
         once, run when its bit is in the set of the next character. In the
-        collect module every alternative runs at or past the running maximum."""
+        collect module each alternative runs where the next character is one
+        of those that select it, and every alternative at or past the
+        running maximum, where the character is None."""
         by_char, other, end = operand
         snap = code.snapshot() if touches else None
-        bits, entry = code.fresh("k"), code.fresh("p")
-        table = self.name(by_char, "D")
-        lookup = f"{table}.get(text[pos], {other}) if pos < n else {end}"
-        if self.collect:
-            lookup = f"({lookup}) if pos < mc else {(1 << len(kids)) - 1}"
-        code.line(f"{bits} = {lookup}")
+        bits, entry = code.fresh("c" if self.collect else "k"), code.fresh("p")
+        if self.collect:  # below the running maximum, which is at most n, pos < n
+            code.line(f"{bits} = text[pos] if pos < mc else None")
+        else:
+            code.line(f"{bits} = {self.name(by_char, 'D')}.get(text[pos], {other})"
+                      f" if pos < n else {end}")
         code.line(f"{entry} = pos")
         code.line("pos = -1")
         k = code.k
+        selects = self.selects(bits, by_char, other, len(kids)) if self.collect else None
         for i, kid in enumerate(kids):
-            # a mask literal up to 20 digits; past bit 63, a shift keeps the source linear
-            test = f"{bits} & {1 << i}" if i < 64 else f"{bits} >> {i} & 1"
-            code.open(f"if {test}:" if i == 0 else f"if pos < 0 and {test}:")
+            test = selects[i] if selects else (
+                # a mask literal up to 20 digits; past bit 63, a shift keeps the source linear
+                f"{bits} & {1 << i}" if i < 64 else f"{bits} >> {i} & 1")
+            guard = "" if i == 0 else "pos < 0 and " if test else "pos < 0"
+            if guard or test:  # no block where every character selects the first
+                code.open(f"if {guard}{test or ''}:")
             code.line(f"pos = {entry}")
             code.k = k
             if self.branch(code, kid) and snap:
                 code.line(f"if pos < 0: h = {snap}")
-            code.close()
+            if guard or test:
+                code.close()
+
+    def selects(self, char: str, by_char: dict, other: int, count: int) -> list[str | None]:
+        """For each of count alternatives, the test that the next character,
+        in the local char, or None at or past the running maximum, selects
+        it; None where every character does."""
+        chosen: list[list[str]] = [[] for _ in range(count)]  # the characters of each bit
+        for c, bits in by_char.items():
+            while bits:
+                low = bits & -bits
+                chosen[low.bit_length() - 1].append(c)
+                bits ^= low
+        tests: list[str | None] = []
+        for i, chars in enumerate(chosen):
+            test = "in"
+            if other >> i & 1:  # the characters outside by_char select it too
+                chars, test = sorted(by_char.keys() - set(chars)), "not in"
+                if not chars:
+                    tests.append(None)
+                    continue
+            elif not chars:
+                tests.append(f"{char} is None")
+                continue
+            if len(chars) == 1:
+                test = "==" if test == "in" else "!="
+                tests.append(f"({char} is None or {char} {test} {chars[0]!r})")
+            else:
+                tests.append(f"({char} is None or {char} {test} {self.members(chars)})")
+        return tests
 
 
 def _components(graph: dict[str, list[str]]) -> list[list[str]]:

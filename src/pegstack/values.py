@@ -7,21 +7,29 @@ undone by restoring a snapshot taken before the attempt.
 A node ``Label(children...)`` is one ``Node`` object, the form that
 ``cons`` actions and ``node_value`` build. A node of one or two children
 holds them in slots of its own; any other holds one tuple of them. A leaf,
-the node of one captured text that generated code builds with ``leaf``,
-holds the text and not its ``Value('Str', text)``, which ``children``
-builds on each read: equal to the child a regular node holds, but not the
-same object. Equality, hashing, ``repr``, copy, pickle and rendering read
-the text from the slot and cannot tell a leaf from the regular node.
+the node of one captured text that generated code builds, holds the text
+and not its ``Value('Str', text)``, which ``children`` builds on each
+read: equal to the child a regular node holds, but not the same object.
+Equality, hashing, ``repr``, copy, pickle and rendering read the text from
+the slot and cannot tell a leaf from the regular node; copy and pickle
+give back every node of one ``Value('Str', text)`` as a leaf.
+
+The layouts are written here alone: ``Node.__init__`` for ``Node(...)``
+and ``node_value``; ``node1`` and ``node2`` for the executor's ``cons``
+and the generated code's in the cell form; ``leaf`` for copy and pickle;
+and ``built``, the statements that generated code in the register form
+writes to build a node of one or two children, or a leaf, with no call.
 
 Values are frozen through their public fields, which are read-only
 properties over private slots, and not through a ``__setattr__`` that
 raises, as a ``record`` has. A class that overrides ``__setattr__`` keeps
 CPython's specializing interpreter (PEP 659) from turning its attribute
 stores into direct slot writes, so each store would go through a slot
-descriptor's method call. The constructors here, which build every value
-of a parse, store their slots with plain ``obj._slot = v``. The walkers
-below read the private slots too, so equality, hashing, ``repr``, copy,
-pickle and rendering pay no property call per field.
+descriptor's method call. The constructors here, and the statements of
+``built``, which build every value of a parse, store their slots with
+plain ``obj._slot = v``. The walkers below read the private slots too, so
+equality, hashing, ``repr``, copy, pickle and rendering pay no property
+call per field.
 """
 
 from __future__ import annotations
@@ -149,8 +157,8 @@ class Node(Value):
     such a node is one object for the cyclic collector to track; ``_b`` is
     ``_ONE`` when ``_payload`` is the only child. Any other number of
     children is one tuple in ``_payload``, with ``_b`` ``_MANY``. A leaf,
-    the node ``Label(Value('Str', text))`` that ``leaf`` builds for a
-    captured text, holds the text itself in ``_payload``, with ``_b``
+    the node ``Label(Value('Str', text))`` that ``leaf`` and ``built`` build
+    for a captured text, holds the text itself in ``_payload``, with ``_b``
     ``_TEXT``: one object where its child would be a second.
     ``children`` rebuilds the tuple on each read, and a leaf's child with
     it: equal to the one the node was built from, or that a regular node
@@ -196,8 +204,9 @@ def node1(label: str, a: Value) -> Node:
 
 def leaf(label: str, text: str) -> Node:
     """The node ``label(Value('Str', text))``, equal to the one
-    ``Node(label, (Value('Str', text),))`` builds, as one object: the
-    generated code's ``cons`` of one captured text."""
+    ``Node(label, (Value('Str', text),))`` builds, as one object: the leaf
+    layout, which generated code's ``cons`` of one captured text builds in
+    place (``built``), and in which copy and pickle give back either node."""
     node = _new(Node)
     node._tag = label
     node._payload = text
@@ -212,6 +221,20 @@ def node2(label: str, a: Value, b: Value) -> Node:
     node._payload = a
     node._b = b
     return node
+
+
+# the names that the statements of ``built`` read, for generated code's namespace
+BUILDS = {"new": _new, "Node": Node, "ONE": _ONE, "TEXT": _TEXT}
+
+
+def built(local: str, label: str, a: str, b: str | None = None, text: bool = False) -> str:
+    """The statements, for generated code, that build into local the node
+    that ``node2(label, a, b)`` builds, or without b ``node1(label, a)``, or
+    with text ``leaf(label, a)``, with no call: a and b are the source of
+    the children, or of the text. They read the names in ``BUILDS``."""
+    second = "TEXT" if text else "ONE" if b is None else b
+    return (f"{local} = new(Node); {local}._tag = {label!r}; {local}._payload = {a};"
+            f" {local}._b = {second}")
 
 
 def _walk(value: Value):
@@ -243,7 +266,9 @@ def _walk(value: Value):
 
 
 def _rebuild(entries: list[tuple]) -> Value:
-    """The value whose ``_walk`` gave entries, rebuilt with an explicit stack."""
+    """The value whose ``_walk`` gave entries, rebuilt with an explicit stack;
+    a node of one ``Value('Str', text)`` comes back a leaf, whose layout is
+    equal to the regular one's and holds one object fewer."""
     stack = []
     for kind, tag, data, count in reversed(entries):
         kids = ()
@@ -251,7 +276,11 @@ def _rebuild(entries: list[tuple]) -> Value:
             kids = tuple(stack[-count:])
             del stack[-count:]
         if kind is Node:
-            data = Node(data, kids)
+            kid = kids[0] if count == 1 else None
+            if kid.__class__ is Value and kid._tag == "Str" and type(kid._payload) is str:
+                data = leaf(data, kid._payload)
+            else:
+                data = Node(data, kids)
         elif kind is not None:
             data = Value(tag, kids if kind is tuple else data)
         stack.append(data)

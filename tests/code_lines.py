@@ -18,11 +18,13 @@ ending in ``'a'`` (every rule lowers to a regex) and one in
 ``capture('x')`` (every rule touches the stack, so nothing lowers); the
 meta-grammar, whose actions may fail, has no collect module. For each
 module it prints how many choices dispatch through the bit tests of their
-character's set (``shared``: a table lookup) rather than an ``if`` chain,
+character's set (``shared``: a table lookup; in a collect module, which
+runs the alternatives of every such choice in order, a test of the next
+character, held in a local, for each) rather than an ``if`` chain,
 its call sites (``R[...](`` in the source), how many of its functions keep
 their values in locals (``registers``: the register form, parse modules
-only), how many ``leaf(...)`` calls build the node of a captured text in
-one object (``leaves``) and the milliseconds that writing and
+only), how many statements build the node of a captured text in one
+object (``leaves``: the leaf marker ``TEXT`` that ``values.built`` writes) and the milliseconds that writing and
 compiling it take (``generate()``, best of ``WRITES``, each with ``re``'s
 cache emptied). Not collected by pytest: its name does not start with
 ``test_``.
@@ -100,9 +102,11 @@ def generated(src: pathlib.Path) -> None:
             module = generate._Module(tables, _RUNTIME, collect)  # a Parser keeps no source
             source = module.source()
             calls = len(re.findall(r"\bR\[[^\]]*\]\(", source))
+            leaves = len(re.findall(r"\bTEXT\b", source))
+            shared = source.count(".get(text[pos], ") + source.count(" if pos < mc else None")
             print(f"{name + ' ' + kind:24} {len(source.splitlines()):6,}"
-                  f" {source.count('    def f(pos, d):'):9} {source.count('.get(text[pos], '):6}"
-                  f" {calls:6} {getattr(module, 'registers', 0):9} {source.count('leaf('):6}"
+                  f" {source.count('    def f(pos, d):'):9} {shared:6}"
+                  f" {calls:6} {getattr(module, 'registers', 0):9} {leaves:6}"
                   f" {best * 1000:8.1f}")
 
 

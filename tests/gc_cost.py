@@ -17,13 +17,17 @@ allocations cause. It prints:
   of the run;
 * the collections of each generation during the parses, counted by the
   callback and checked against the difference of ``gc.get_stats()``;
+* for a workload whose runs fail (``calc-error``), the same three, time,
+  GC time and collections, for each of a failing run's passes: the parse
+  pass, and the error pass (``Parser.error_pass``), which it times apart;
 * ``tracked/KB`` beside the collections, and ``tracked/node``: the objects
   that the values of one parse of each document hold and the collector
   tracks (nodes, other values, tuples; no class), per KB of the documents
   and per node. They are found by walking ``gc.get_referents`` from the
   values, which builds nothing: ``children`` would build the tuple of a
   node on each read, and a leaf's ``Value('Str', text)`` too, which the
-  leaf does not hold.
+  leaf does not hold. Runs that hold no values, as failing runs do, say
+  so instead.
 
 Like the benchmark, it leaves the collector on, sets no threshold and
 freezes nothing, so a collection of the oldest generation also walks the
@@ -68,22 +72,37 @@ def measure(workload: str, seed: int, docs: int) -> dict:
     largest = sorted(pool, key=lambda doc: len(doc.text))[-docs:]
     parser = harness.setup(ROOT, wl)
     results = [parser.run(doc.text) for doc in largest]  # writes the generated modules
-    tracked, nodes = tracked_objects([v for res in results if res.values for v in res.values],
-                                     Node)
+    values = [v for res in results if res.values for v in res.values]
+    tracked, nodes = tracked_objects(values, Node)
     del results
 
-    # collections inside the parses only: not the explicit ones between them
-    gc_time, started, counts, timing = [0.0], [0.0], [0, 0, 0], [False]
+    # by pass: the time, the GC time and the collections inside the parses
+    # only, not the explicit ones between them; phase names the pass that
+    # runs, or None between the parses
+    passes = {name: {"ms": 0.0, "gc_ms": 0.0, "counts": [0, 0, 0]} for name in ("parse", "error")}
+    phase, started = [None], [0.0]
 
-    def clock(phase: str, info: dict) -> None:
-        if not timing[0]:
+    def clock(stage: str, info: dict) -> None:
+        if phase[0] is None:
             return
-        if phase == "start":
+        if stage == "start":
             started[0] = perf_counter()
-            counts[info["generation"]] += 1
+            passes[phase[0]]["counts"][info["generation"]] += 1
         else:
-            gc_time[0] += perf_counter() - started[0]
+            passes[phase[0]]["gc_ms"] += (perf_counter() - started[0]) * 1e3
 
+    error_pass = parser.error_pass
+
+    def timed_error_pass(*args):
+        phase[0] = "error"
+        t0 = perf_counter()
+        try:
+            return error_pass(*args)
+        finally:
+            passes["error"]["ms"] += (perf_counter() - t0) * 1e3
+            phase[0] = "parse"
+
+    parser.error_pass = timed_error_pass
     run_time = 0.0
     gc.callbacks.append(clock)
     try:
@@ -91,24 +110,28 @@ def measure(workload: str, seed: int, docs: int) -> dict:
         for _ in range(ROUNDS):
             for doc in largest:
                 gc.collect()
-                timing[0] = True
+                phase[0] = "parse"
                 t0 = perf_counter()
                 result = parser.run(doc.text)
                 run_time += perf_counter() - t0
-                timing[0] = False
+                phase[0] = None
                 del result
         after = [stats["collections"] for stats in gc.get_stats()]
     finally:
         gc.callbacks.remove(clock)
+        del parser.error_pass
+    counts = [a + b for a, b in zip(passes["parse"]["counts"], passes["error"]["counts"])]
     # gc.get_stats() agrees, once the explicit collections are taken out
     stats = [b - a for a, b in zip(before, after)]
     stats[-1] -= ROUNDS * len(largest)
     if stats != counts:
         raise RuntimeError(f"collections by gc.get_stats() {stats}, by the callback {counts}")
+    passes["parse"]["ms"] = run_time * 1e3 - passes["error"]["ms"]
     kb = sum(len(doc.text) for doc in largest) / 1000
-    return {"kb": kb * ROUNDS, "run_ms": run_time * 1e3, "gc_ms": gc_time[0] * 1e3,
-            "counts": counts, "per_kb": tracked / kb, "per_node": tracked / max(nodes, 1),
-            "nodes": nodes}
+    return {"kb": kb * ROUNDS, "run_ms": run_time * 1e3,
+            "gc_ms": passes["parse"]["gc_ms"] + passes["error"]["gc_ms"], "counts": counts,
+            "passes": passes, "values": len(values), "per_kb": tracked / kb,
+            "per_node": tracked / max(nodes, 1), "nodes": nodes}
 
 
 def main() -> None:
@@ -125,8 +148,15 @@ def main() -> None:
     print(f"{args.workload} seed {args.seed}: {args.docs} documents, {m['kb']:,.0f} KB parsed")
     print(f"run_ms {m['run_ms']:.1f}  gc_ms {m['gc_ms']:.1f}  gc_share {share:.3f}")
     print("collections " + " ".join(f"gen{g}={n}" for g, n in enumerate(m["counts"]))
-          + f"  tracked/KB {m['per_kb']:,.1f}")
-    print(f"tracked/node {m['per_node']:.3f} over {m['nodes']:,} nodes")
+          + (f"  tracked/KB {m['per_kb']:,.1f}" if m["values"] else ""))
+    if m["passes"]["error"]["ms"]:
+        for name, p in m["passes"].items():
+            print(f"{name + ' pass':11} run_ms {p['ms']:.1f}  gc_ms {p['gc_ms']:.1f}  collections "
+                  + " ".join(f"gen{g}={n}" for g, n in enumerate(p["counts"])))
+    if m["values"]:
+        print(f"tracked/node {m['per_node']:.3f} over {m['nodes']:,} nodes")
+    else:
+        print("the runs hold no values: nothing is tracked after a run")
 
 
 if __name__ == "__main__":

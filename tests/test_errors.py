@@ -322,8 +322,10 @@ def test_a_bound_cuts_the_collect_mismatches_not_the_traces(calc_grammar):
 def _count_value_work(monkeypatch) -> dict:
     """Counts of the values, nodes and lists that the engine builds and of
     the snapshots and restores of its stacks, through the names it imports
-    and those it hands to the modules it writes from now on."""
-    counts = dict.fromkeys(("Value", "Node", "node1", "node2", "leaf", "list_value", "snapshot",
+    and those it hands to the modules it writes from now on: ``new``
+    allocates each node that generated code builds in place
+    (``values.built``), and takes ``Node`` itself, which stays a class."""
+    counts = dict.fromkeys(("Value", "Node", "node1", "node2", "new", "list_value", "snapshot",
                             "restore"), 0)
 
     def counted(name, make):
@@ -332,9 +334,10 @@ def _count_value_work(monkeypatch) -> dict:
             return make(*args)
         return build
 
-    for name in ("Value", "Node", "node1", "node2", "leaf", "list_value"):
+    for name in ("Value", "Node", "node1", "node2", "list_value"):
         monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
-        monkeypatch.setitem(engine._RUNTIME, name, getattr(engine, name))
+    for name in ("Value", "node1", "node2", "new", "list_value"):
+        monkeypatch.setitem(engine._RUNTIME, name, counted(name, engine._RUNTIME[name]))
 
     class CountedStack(ValueStack):
         __slots__ = ()

@@ -189,9 +189,12 @@ def test_a_deep_calc_nest_below_the_threshold_runs_each_action_once(calc_grammar
             return make(*args)
         return build
 
-    for name in ("Node", "node1", "node2", "leaf"):  # every constructor of a node
+    for name in ("Node", "node1", "node2"):  # every constructor of a node
         monkeypatch.setattr(engine, name, counted(getattr(engine, name)))
-        monkeypatch.setitem(engine._RUNTIME, name, getattr(engine, name))
+    # and what generated code calls: the register form allocates its nodes
+    # with new (values.built), which takes Node itself
+    for name in ("node1", "node2", "new"):
+        monkeypatch.setitem(engine._RUNTIME, name, counted(engine._RUNTIME[name]))
     expected = Parser(calc_grammar).run_phase(text).stack.values()
     assert len(built) == 2 * levels + 1
 
@@ -551,6 +554,166 @@ def test_the_generated_collect_pass_runs_actions_that_fail():
     assert failed > 100
 
 
+# -- the collect module's rule paths ---------------------------------------------------------
+
+class _Logged(Collector):
+    """A Collector that also logs each mismatch handed to it, with its rule
+    path as a tuple of names from the start rule."""
+
+    __slots__ = ("log",)
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def miss(self, at, node, path, quiet):
+        names, cell = [], path
+        while cell:
+            names.append(cell[0])
+            cell = cell[1]
+        self.log.append((at, node, tuple(reversed(names)), quiet))
+        super().miss(at, node, path, quiet)
+
+
+def _collect_run(parser, text, start, bound):
+    """The counters, the logged mismatches and the rule traces of a pass of
+    parser's generated collect code from bound."""
+    state = ParserState(text)
+    state.observer = _Logged()
+    parser._generate(start, collect=True)(state, bound)
+    stats = state.stats
+    return stats.terminal_mismatches, stats.max_cursor, state.observer.log, state.observer.traces()
+
+
+# case -> (rules, made when the test runs, start rule, inputs, lines the
+# collect module must hold): each puts a site that names the rules it runs
+# in place where a path that the functions keep meets it
+_PATHS = {
+    # A, a loop breaker, is called through E, which runs in place in A's
+    # function under one, two and three rules
+    "a loop breaker called at several static depths": (
+        lambda: {"S": r.seq(r.ref("A"), r.EOI),
+                 "A": r.first_of(r.seq(r.ch("a"), r.ref("B")), r.seq(r.ch("b"), r.ref("C")),
+                                 r.ref("E")),
+                 "B": r.seq(r.ch("x"), r.ref("E")), "C": r.seq(r.ch("y"), r.ref("D")),
+                 "D": r.seq(r.ch("z"), r.ref("E")),
+                 "E": r.first_of(r.seq(r.ch("("), r.ref("A"), r.ch(")")), r.ch("n"))},
+        None, ["a(b", "axn", "ax(a", "byz(byz(a", "byz(n", "(a)", "n", "byzn)", "byz(by",
+               "ax(axn!", "(((", "bx", "by", "a(n))"],
+        ["path = ('E', path)", "path = ('E', ('B', path))", "path = ('E', ('D', ('C', path)))"]),
+    # Big does not fit the budget, so P and M, run in place, call it
+    "a budget spill called from two sites": (
+        lambda: {"S": r.seq(r.first_of(r.ref("P"), r.ref("Q")), r.EOI),
+                 "P": r.seq(r.ch("p"), r.ref("Big")), "Q": r.seq(r.ch("q"), r.ref("M")),
+                 "M": r.first_of(r.seq(r.ch("r"), r.ref("Big")), r.ch("s")),
+                 "Big": r.first_of(r.seq(*map(r.ch, "ab" * (generate._BUDGET // 2))),
+                                   r.ch("c"))},
+        None, ["pc", "pabx", "qrab", "qrc", "qs", "qrx", "px", "q", "pcc", "qsc", "qrabab"],
+        ["path = ('P', path)", "path = ('M', ('Q', path))"]),
+    # V's nest splits into a function of its own, which starts from the rules
+    # its caller runs in place, V, and calls W from under V and under V and U
+    "a nest split past the split depth": (
+        lambda: {"S": r.seq(r.ref("W"), r.EOI), "W": r.seq(r.ch("w"), r.ref("V")),
+                 "V": _blocks(generate._SPLIT_AT + 2, r.first_of(
+                     r.seq(r.ch("a"), r.ref("U")), r.seq(r.ch("("), r.ref("W"), r.ch(")")))),
+                 "U": r.first_of(r.ch("u"), r.seq(r.ch("["), r.ref("W"), r.ch("]")))},
+        None, ["wau", "wa", "w(wau)", "w(wa[wau]", "wa[w(wau", "wx", "w(w", "wa[wau]]", "w"],
+        ["path = ('V', path)", "path = ('U', ('V', path))"]),
+    # mismatches inside quiet and ! in rules run in place: the first raise
+    # the maximum, unrecorded, the second neither count nor raise it
+    "quiet and ! inside rules run in place": (
+        lambda: {"S": r.seq(r.ref("A"), r.EOI),
+                 "A": r.first_of(r.seq(r.ref("Q"), r.ch("a")), r.seq(r.ref("N"), r.ch("b")),
+                                 r.seq(r.ch("c"), r.ref("K"))),
+                 "Q": r.first_of(r.seq(r.quiet(r.seq(r.ch("q"), r.ch("r"))), r.ch("x")),
+                                 r.lit("qq")),
+                 "N": r.first_of(r.seq(r.not_pred(r.seq(r.ch("n"), r.ch("o"))), r.ch("n")),
+                                 r.seq(r.not_pred(r.ref("L")), r.ch("m"))),
+                 "L": r.seq(r.ch("l"), r.ch("l")),
+                 "K": r.first_of(r.seq(r.quiet(r.ref("L")), r.ch("k")),
+                                 r.seq(r.and_pred(r.ref("L")), r.ch("l"), r.ch("j")))},
+        None, ["qra", "qrxa", "q", "qqa", "qqb", "nob", "nb", "nx", "llm", "mb", "lm", "cllk",
+               "clj", "cllj", "cl", "c", "x"],
+        ["quiets += 1", "nots += 1"]),
+    # a run from Term: its function runs Factor and Number in place, and
+    # calls Expression, a loop breaker, under Factor
+    "a run from a rule other than the start rule": (
+        lambda: {name: (rd.expr, rd.effect) if rd.effect else rd.expr
+                 for name, rd in load_grammar(GRAMMARS / "calc.peg").rules.items()},
+        "Term", ["1*(2+", "(1", "2*3!", "((1)*", "1+2", "3*(4-5)/", "*", ""],
+        ["path = ('Factor', path)"]),
+}
+
+
+@pytest.mark.parametrize("case", _PATHS)
+def test_the_collect_modules_rule_paths_match_the_exact_pass(case, monkeypatch):
+    # a mismatch site names the rules that it runs in place, which miss
+    # puts on the path only for a mismatch it hands over; a call puts them
+    # on the path. The collect pass gives the exact pass's traces in its
+    # order, and hands over the same mismatches, with the same paths and
+    # counters, as a module that writes every rule as a function, whose
+    # paths the functions keep alone
+    rules, start, texts, lines = _PATHS[case]
+    grammar = validate_grammar(r.grammar(rules(), start=start or "S"))
+    parser, functions = Parser(grammar), Parser(grammar)
+    parser._generate(start)
+    parser._generate(start, collect=True)
+    with monkeypatch.context() as patch:
+        patch.setattr(generate, "_BUDGET", 0)  # every reference calls its rule's function
+        functions._generate(start, collect=True)
+        assert not re.search(r", P\d+\)", source_of(functions, start, collect=True))
+    assert parser._tables.value_free
+    source = source_of(parser, start, collect=True)
+    assert re.search(r"miss\(\w+, T\d+, P\d+\)", source)
+    for line in lines:
+        assert line in source, line
+    failed = deepest = 0
+    for text in texts:
+        with recorded_states() as states:
+            result = parser.run(text, start)
+        if result.error is None:
+            continue
+        failed += 1
+        exact = _collected(parser.error_pass(text, start))
+        for bound in (states[0].stats.max_cursor, 0):
+            run = _collect_run(parser, text, start, bound)
+            assert run == _collect_run(functions, text, start, bound), (text, bound)
+            deepest = max([deepest, *(len(path) for _, _, path, _ in run[2])])
+            passed = parser.error_pass(text, start, bound)
+            assert passed[0].stats.steps == 0  # generated, not the exact pass
+            assert _collected(passed) == exact, (text, bound)
+        error = result.error
+        assert (error.position.index, error.expected(), error.traces) == exact, text
+    assert failed >= len(texts) // 2 and deepest >= 4
+
+
+def test_the_collect_modules_change_the_path_only_at_function_entries_and_around_calls():
+    # calc's and json's: a rule's function opens its rule on entry and
+    # closes it before it returns, and a call from code that runs rules in
+    # place puts them on the path and takes them off after the call; every
+    # other site only names its rules
+    for grammar in (load_grammar(GRAMMARS / "calc.peg"), load_grammar(ROOT / "bench/json.peg")):
+        module = generate._Module(Parser(grammar)._tables, engine._RUNTIME, True)
+        lines = [line.strip() for line in module.source().splitlines()]
+        entries = calls = 0
+        for i, line in enumerate(lines):
+            if not re.search(r"\bpath = ", line) or line.startswith("path = ()"):
+                continue
+            if re.fullmatch(r"path = \('\w+', path\)", line):
+                assert lines[i - 1] == "if d > 200: raise TooDeep"
+                entries += 1
+            elif line == "path = path[1]":
+                assert lines[i + 1] == "return pos"
+                entries -= 1
+            elif (pushed := re.fullmatch(r"(q\d+) = path; path = (\('\w+', )+path\)+", line)):
+                assert re.fullmatch(r"pos = R\[\d+\]\(pos, d \+ 1\)( +# \w+)?", lines[i + 1])
+                assert lines[i + 2] == f"path = {pushed[1]}"
+                calls += 1
+            else:
+                assert re.fullmatch(r"path = q\d+", line) and lines[i - 2].startswith(line[7:])
+        assert entries == 0 and calls > 0
+
+
 # -- loop breakers ------------------------------------------------------------------------
 
 def _calls(module):
@@ -830,7 +993,10 @@ def test_the_parse_modules_keep_values_in_locals_or_the_stack_head_and_count_no_
         else:
             assert cells == ["h = stack._head", "if pos >= 0: h = (out, h, h[2] + 1)",
                              "stack._head = h"]
-            assert re.search(r"^ +v0 = node2\('\w+', v0, v1\)$", source_of(parser), re.M)
+            # each cons builds its node in place (values.built), with no call
+            source = source_of(parser)
+            assert re.search(r"^ +node = new\(Node\); .*; v0 = node$", source, re.M)
+            assert not re.search(r"\b(leaf|node1|node2|Node)\(", source)
     assert acts[:2] == [0, 0] and acts[2] > 0  # calc and json: cons only
     with recorded_states() as states:
         assert generated(calc_grammar).run("1+2*(3-4)").ok
@@ -1012,6 +1178,12 @@ def test_the_register_form_agrees_with_the_exact_table(case):
         assert _generated_run(parser, text) == _exact(parser, text), text
 
 
+def _leaves(source: str) -> int:
+    """The leaves that a module's source builds: the leaf's marker in the
+    statements of ``values.built``."""
+    return len(re.findall(r"\bTEXT\b", source))
+
+
 def _leaf_run(parser, text):
     """The values, their renders, the cursor and the counters of an
     unobserved run of the generated code."""
@@ -1037,7 +1209,7 @@ def test_captured_texts_made_leaves_agree_with_the_exact_table_and_the_cell_form
         cells._tables.effects = dict.fromkeys(cells._tables.effects)  # no counts: the cell form
         cells._generate()
         source = source_of(parser)
-        leaves += source.count("leaf(")
+        leaves += _leaves(source)
         handed += len(re.findall(r"out = .*Value\('Str', v\d+\)", source))
         boxed += len(re.findall(r"(?<!out = )\bv(\d+) = Value\('Str', v\1\)", source))
         for _ in range(4):
@@ -1124,7 +1296,7 @@ def test_each_use_of_a_captured_text_agrees_with_the_exact_table(case):
     rules, texts, leaves = _LEAVES[case]
     parser = generated(validate_grammar(r.grammar(rules, start="Top")))
     module = generate._Module(parser._tables, engine._RUNTIME)
-    assert module.registers and module.source().count("leaf(") == leaves
+    assert module.registers and _leaves(module.source()) == leaves
     for text in texts:
         assert _generated_run(parser, text) == _exact(parser, text), text
 

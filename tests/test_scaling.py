@@ -4,10 +4,13 @@ Each test builds one family of grammars at N and 8N rules, or reference
 sites, and measures the work of a stage by counts that repeat exactly,
 where times on a shared machine spread 2x or more: the Python calls under
 ``cProfile``, the characters of the regex sources that ``re.compile``
-takes, and the lines and characters of the modules that the generator
-compiles. The last three see work that one C call does, which a call
-count cannot, and the characters see a line that grows with the grammar,
-which a line count cannot. A stage
+takes, the lines and characters of the modules that the generator
+compiles, and the total length of the rule paths that a collect module
+names for its mismatch sites (the rules that each site runs in place).
+The middle three see work that one C call does, which a call count
+cannot, and the characters see a line that grows with the grammar, which
+a line count cannot; the rule paths see a site whose path grows with the
+grammar, which its line may not show. A stage
 linear in the grammar grows 8x; each count may grow at most 8.5x, the
 bound of ``test_a_chain_of_rules_writes_a_module_linear_in_its_length``.
 """
@@ -29,8 +32,9 @@ GROWTH = 8.5  # the most a count may grow from N to 8N
 def work(monkeypatch):
     """A function that runs fn and hands back what it returns and its work:
     (Python calls, regex source characters compiled, generated lines
-    compiled, generated characters compiled)."""
-    compiled = {"regex": 0, "lines": 0, "chars": 0}
+    compiled, generated characters compiled, rule names in the paths that
+    the generated modules' namespaces hold)."""
+    compiled = {"regex": 0, "lines": 0, "chars": 0, "paths": 0}
     compile_regex = re.compile
 
     def regex(pattern, flags=0):
@@ -42,11 +46,17 @@ def work(monkeypatch):
         compiled["chars"] += len(source)
         return compile(source, *args)
 
+    def run(code, namespace):  # a rule path is a tuple of rule names
+        compiled["paths"] += sum(len(v) for v in namespace.values() if type(v) is tuple
+                                 and all(type(name) is str for name in v))
+        return exec(code, namespace)
+
     monkeypatch.setattr(re, "compile", regex)
     monkeypatch.setattr(generate, "compile", module, raising=False)
+    monkeypatch.setattr(generate, "exec", run, raising=False)
 
     def measure(fn):
-        compiled.update(regex=0, lines=0, chars=0)
+        compiled.update(regex=0, lines=0, chars=0, paths=0)
         profile = cProfile.Profile()
         profile.enable()
         try:
@@ -54,7 +64,7 @@ def work(monkeypatch):
         finally:
             profile.disable()
         return out, (pstats.Stats(profile).total_calls, compiled["regex"], compiled["lines"],
-                     compiled["chars"])
+                     compiled["chars"], compiled["paths"])
     return measure
 
 
@@ -77,6 +87,13 @@ def _referenced(n):
     """Top <- X ',' X ',' ... X EOI, one rule referenced at n sites; quiet
     lowers to no regex, so the sequence does not lower as a whole."""
     return "Top <- " + " ',' ".join(["X"] * n) + " EOI\nX <- quiet([a-z]+) ('=' [0-9]+)?\n"
+
+
+def _chain(n):
+    """R00000 <- R00001 'x', ... down to R<n> <- 'y': each function runs the
+    next few dozen rules in place and calls the function of the rule after
+    them, and each 'x' mismatches inside every rule run in place above it."""
+    return "".join(f"R{i:05d} <- R{i + 1:05d} 'x'\n" for i in range(n)) + f"R{n:05d} <- 'y'\n"
 
 
 def _declared_chain(n):
@@ -117,14 +134,26 @@ def test_loading_and_building_a_choice_of_rules_is_linear(warm, work):
 def test_writing_the_modules_of_a_choice_of_rules_is_linear(warm, work):
     # 2,000 rules would put the parse module's regex source past
     # _MAX_SOURCE, a step from one regex to a dispatch over every rule, not
-    # a growth rate; the collect module, which lowers nothing, grows at 200
-    # and 1,600 rules. Below 150 or so its lines grow past 8x without a
-    # superlinear term: the first rules, which run in place, write fewer
-    # lines each than those that the budget calls
+    # a growth rate; the collect module, which lowers nothing, grows at 250
+    # and 2,000 rules. Its lines are 16 per rule less a constant, so below
+    # 250 or so they grow past 8x without a superlinear term: the first
+    # rules, which run in place, write fewer lines each than those that the
+    # budget calls
     _assert_linear([_written(work, Parser(parse_grammar(_rule_choice(n))), "parse")
                     for n in (100, 800)])
     _assert_linear([_written(work, Parser(parse_grammar(_rule_choice(n))), "collect")
-                    for n in (200, 1600)])
+                    for n in (250, 2000)])
+
+
+def test_writing_the_collect_module_of_a_chain_of_rules_run_in_place_is_linear(warm, work):
+    # a mismatch site names the path of the rules it runs in place, which
+    # the budget bounds in each function: the paths grow with the chain,
+    # not with its square
+    counts = []
+    for n in (200, 1600):
+        counts.append(_written(work, Parser(parse_grammar(_chain(n))), "collect"))
+        assert counts[-1]["collect"][4] > n
+    _assert_linear(counts)
 
 
 def test_building_and_writing_a_rule_referenced_at_many_sites_is_linear(warm, work):

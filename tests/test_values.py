@@ -12,8 +12,8 @@ from hypothesis import given, strategies as st
 from pegstack.cli import _json_values
 from pegstack.engine import Parser
 from pegstack.record import FrozenInstanceError
-from pegstack.values import (Node, StackUnderflow, UNIT, Value, ValueStack, leaf, list_value,
-                             node1, node2, node_value, render_value, str_value)
+from pegstack.values import (BUILDS, Node, StackUnderflow, UNIT, Value, ValueStack, built, leaf,
+                             list_value, node1, node2, node_value, render_value, str_value)
 
 from conftest import generated
 from generators import big_expression
@@ -321,8 +321,13 @@ def test_values_keep_object_setattr_so_their_slot_stores_specialize():
         assert cls.__delattr__ is object.__delattr__
     if sys.implementation.name != "cpython" or not (3, 11) <= sys.version_info[:2] < (3, 14):
         return  # the specialized instruction names are CPython 3.11-3.13's
+    # and the statements that generated code builds its nodes with
+    namespace = dict(BUILDS)
+    exec(f"def in_place(a, b):\n    {built('node', 'N', 'a', 'b')}\n    return node", namespace)
+    in_place = namespace["in_place"]
     constructors = [(Value.__init__, lambda: Value("Str", "x")), (Node.__init__, lambda: Node("N", ())),
-                    (node1, lambda: node1("N", UNIT)), (node2, lambda: node2("N", UNIT, UNIT))]
+                    (node1, lambda: node1("N", UNIT)), (node2, lambda: node2("N", UNIT, UNIT)),
+                    (in_place, lambda: in_place(UNIT, UNIT))]
     for function, build in constructors:
         for _ in range(1_000):
             build()
@@ -392,6 +397,40 @@ def test_a_leaf_is_the_node_of_one_str_value_in_every_reading(text):
     assert first == second == regular.children and type(first) is tuple
     assert first is not second and first[0] is not second[0]
     assert type(first[0]) is Value and first[0].payload == text
+
+
+def _tracked_values(value) -> list:
+    """The tracked ``Value`` objects, not nodes, that value holds, found by
+    ``gc.get_referents``, which builds nothing."""
+    seen, todo, found = set(), [value], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or not gc.is_tracked(obj) or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if type(obj) is Value:
+            found.append(obj)
+        todo.extend(gc.get_referents(obj))
+    return found
+
+
+@pytest.mark.parametrize("text", ["1", "", "é\n\"x\""])
+def test_a_copied_or_unpickled_node_of_one_text_is_a_leaf(text):
+    # copy, deepcopy and pickle rebuild a node of one Value('Str', text) in
+    # the leaf layout, a leaf or a regular node alike: no tracked Value
+    # under it, and equal, with the same hash and repr
+    for original in (leaf("Val", text), Node("Val", (Value("Str", text),)),
+                     node2("Add", leaf("Val", text), node1("Neg", leaf("Val", text + "2"))),
+                     node2("Add", node1("Val", str_value(text)), node1("Neg", str_value(text)))):
+        for twin in (copy.copy(original), copy.deepcopy(original),
+                     pickle.loads(pickle.dumps(original))):
+            assert _tracked_values(twin) == [], (original, twin)
+            assert twin == original and original == twin and hash(twin) == hash(original)
+            assert repr(twin) == repr(original) and render_value(twin) == render_value(original)
+    # a node of any other one child keeps its child
+    for other in (node1("Val", UNIT), node1("Val", Value("Str", 5)), node1("Val", Value("Num", "1"))):
+        assert _tracked_values(copy.deepcopy(other)) == _tracked_values(other)
+        assert copy.deepcopy(other) == other
 
 
 def test_a_leaf_refuses_assignment_and_deletion_and_is_a_nodes_size():
